@@ -177,8 +177,8 @@ def bench_throughput():
 def bench_overload():
     """Scenario B: a tiny queue behind a slow engine must shed, answer
     everything, and keep refusals fast."""
-    handle = ServerThread(ServeConfig(port=0, max_depth=2, max_batch=1,
-                                      batch_window=0.005)).start()
+    handle = ServerThread(ServeConfig(port=0, max_depth=2,
+                                      max_batch=1)).start()
     # Slow the engine (not the event loop) so the backlog outlives the
     # producers: admission control, not compute speed, is under test.
     original = handle.server.batcher._compute_fn

@@ -48,8 +48,8 @@ Commands
     on "no hidden paths".
 ``serve``
     Run the long-lived analysis service (``repro.serve``): bounded
-    admission queue (``--max-depth``), micro-batching window
-    (``--batch-window``/``--max-batch``), engine backend/workers, an
+    admission queue (``--max-depth``), work-conserving micro-batching
+    (``--max-batch``), engine backend/workers, an
     optional JSONL result store (``--store``), and a graceful
     SIGTERM/SIGINT drain.  ``GET /healthz`` and ``GET /metrics``
     (Prometheus text; ``/metrics.json`` for the JSON snapshot) answer
@@ -577,7 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_depth=args.max_depth,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         workers=args.workers,
         backend=args.backend,
@@ -949,12 +948,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-depth", type=int, default=64,
                        help="admission queue bound; overflow is answered "
                             "with status 'overloaded'")
-    serve.add_argument("--batch-window", type=float, default=0.01,
-                       metavar="SECONDS",
-                       help="how long the micro-batcher waits to coalesce "
-                            "and pack requests")
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="max requests folded into one engine dispatch")
+                       help="max queued requests folded into one engine "
+                            "dispatch (dispatch never waits to fill it)")
     serve.add_argument("--workers", type=int, default=2,
                        help="engine workers per dispatch")
     serve.add_argument("--backend", choices=("thread", "process", "queue",

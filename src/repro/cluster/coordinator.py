@@ -453,14 +453,13 @@ class ClusterCoordinator:
 
     def _undeliverable(self, response: Dict[str, Any]) -> None:
         """A response failed to send.  If it carried a chunk assignment
-        the worker never learned of the lease — release it now, or the
-        claimant's heartbeats (which renew every lease under its worker
-        id, including ones it never heard about) keep the orphan alive
-        forever and the sweep never completes.  The reconnect race makes
-        the EOF fast path insufficient here: by the time this
-        connection's cleanup runs, the worker may already be back on a
-        fresh connection, so ``_connection_closed`` sees a live worker
-        and releases nothing."""
+        the worker never learned of the lease — release it now instead
+        of waiting out the lease (the worker's heartbeats never name it,
+        so the reaper would reclaim it one lease timeout later).  The
+        reconnect race makes the EOF fast path insufficient here: by the
+        time this connection's cleanup runs, the worker may already be
+        back on a fresh connection, so ``_connection_closed`` sees a
+        live worker and releases nothing."""
         if response.get("status") != STATUS_CHUNK:
             return
         job_id = response.get("job")
@@ -643,13 +642,21 @@ class ClusterCoordinator:
                 "requeued": disposition == "requeued"}
 
     def _op_heartbeat(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Renew the ``[job, lease]`` pairs the worker says it holds,
+        each in its own job's ledger only (lease tokens are numbered
+        per ledger, so a token alone is ambiguous across jobs)."""
         worker = message["worker"]
+        held: Dict[Any, List[Any]] = {}
+        for pair in message.get("leases") or ():
+            if isinstance(pair, list) and len(pair) == 2:
+                held.setdefault(pair[0], []).append(pair[1])
         with self._lock:
             self._touch(worker)
             now = time.monotonic()
             renewed = sum(
-                job.ledger.renew(worker, now=now, ttl=self.lease_timeout)
-                for job in self._jobs.values())
+                job.ledger.renew(worker, held[job.id], now=now,
+                                 ttl=self.lease_timeout)
+                for job in self._jobs.values() if job.id in held)
         self._incr("heartbeats")
         return {"status": STATUS_OK, "renewed": renewed}
 

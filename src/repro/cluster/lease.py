@@ -12,9 +12,10 @@ worker death recoverable:
   / ``requeue`` / ``complete``) — the same contract the in-process
   scheduler uses, so the TCP front-end adds transport, not semantics;
 * one :class:`Lease` per claimed chunk — claimant, expiry deadline, and
-  attempt number.  Heartbeats renew deadlines; :meth:`reap` expires
-  overdue leases and requeues their chunks to the *front* of the queue
-  (reclaimed work restarts before fresh work waits);
+  attempt number.  Heartbeats renew the deadlines of the leases a
+  claimant names; :meth:`reap` expires overdue leases and requeues
+  their chunks to the *front* of the queue (reclaimed work restarts
+  before fresh work waits);
 * a bounded retry count per chunk, mirroring the process scheduler's
   crash-retry contract: a chunk reclaimed more than ``max_retries``
   times is marked *exhausted* and surfaces in :attr:`failed` for the
@@ -31,7 +32,7 @@ deterministic the dropped copy was identical anyway.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.dist import InProcessQueue
 
@@ -128,12 +129,17 @@ class ChunkLedger:
             self._leases[chunk_id] = lease
             return lease
 
-    def renew(self, claimant: str, *, now: float, ttl: float) -> int:
-        """Heartbeat: push out the deadline of every lease ``claimant``
-        holds.  Returns how many leases were renewed."""
+    def renew(self, claimant: str, tokens: Iterable[str], *, now: float,
+              ttl: float) -> int:
+        """Heartbeat: push out the deadline of each lease ``claimant``
+        holds whose token is in ``tokens`` — the leases the claimant
+        knows it holds.  A lease whose claim response never reached the
+        claimant is not in its list, so it is left to expire and be
+        reaped.  Returns how many leases were renewed."""
+        tokens = set(tokens)
         renewed = 0
         for lease in self._leases.values():
-            if lease.claimant == claimant:
+            if lease.claimant == claimant and lease.token in tokens:
                 lease.deadline = now + ttl
                 renewed += 1
         return renewed

@@ -26,7 +26,10 @@ rather than clients and the service.  Worker-initiated operations:
     Report a chunk the worker could not execute (the chunk is requeued
     under the bounded-retry contract).
 ``heartbeat``
-    Renew every lease the worker holds.
+    Renew the leases the worker holds, named as ``"leases": [[job,
+    lease], ...]``.  Only those leases are renewed, each in its own
+    job; one the worker never heard of (its claim response was lost)
+    expires and its chunk is requeued.
 ``bye``
     Clean departure (leases already released or results delivered).
 ``ping``

@@ -17,7 +17,10 @@ lock — the serve framing), announces itself with ``hello``, and runs
   its bounded-retry budget;
 * the heartbeat thread renews the agent's leases at the interval the
   coordinator announced in its ``hello`` response, so a *busy* worker
-  is never mistaken for a dead one mid-chunk.
+  is never mistaken for a dead one mid-chunk.  Each heartbeat names the
+  ``(job, lease)`` pairs the slots actually hold: a lease whose claim
+  response was lost on the wire is never named, so the coordinator
+  lets it expire and requeues its chunk.
 
 Trace contexts ride along: a claimed chunk may carry a ``traceparent``
 (the submitting sweep's trace), which the agent passes straight through
@@ -44,7 +47,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
@@ -128,6 +131,10 @@ class ClusterWorker:
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[Any] = None
         self._rpc_lock = threading.Lock()
+        #: ``(job, lease)`` pairs the slots are executing — the leases
+        #: each heartbeat renews.
+        self._held: Set[Tuple[Any, Any]] = set()
+        self._held_lock = threading.Lock()
         self._stop = threading.Event()
         self._ever_connected = False
         self._threads: list = []
@@ -341,6 +348,16 @@ class ClusterWorker:
             self._stop.wait(self.poll_interval)
 
     def _handle_chunk(self, response: Dict[str, Any]) -> None:
+        held = (response.get("job"), response.get("lease"))
+        with self._held_lock:
+            self._held.add(held)
+        try:
+            self._run_chunk(response)
+        finally:
+            with self._held_lock:
+                self._held.discard(held)
+
+    def _run_chunk(self, response: Dict[str, Any]) -> None:
         job = response.get("job")
         chunk = response.get("chunk")
         lease = response.get("lease")
@@ -361,7 +378,10 @@ class ClusterWorker:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
-            if self._rpc({"op": "heartbeat", "worker": self.id}) is None:
+            with self._held_lock:
+                held = [list(pair) for pair in self._held]
+            if self._rpc({"op": "heartbeat", "worker": self.id,
+                          "leases": held}) is None:
                 return
 
     # -- lifecycle --------------------------------------------------------

@@ -359,7 +359,7 @@ def trace_timeline(record: Dict[str, Any],
 
     One row per span, ordered by start time, with offsets relative to
     the earliest span — the ``repro query --trace`` rendering (queue
-    wait → batch window → engine → cache write).
+    wait → batch → engine → cache write).
     """
     spans = record.get("spans", [])
     if not spans:

@@ -15,18 +15,20 @@ its leader's fate).
 cache is answered inline — it never touches the queue, so warm traffic
 cannot crowd out cold traffic at admission.
 
-**Batched, deduplicated dispatch.**  The batcher claims a batch from
-the admission queue (up to ``max_batch`` requests or ``batch_window``
-seconds, whichever first), expires overdue deadlines, dedupes the
-union of their tasks by fingerprint key (two *different* requests that
-share a pFSM×domain compute it once), and hands the remaining unique
-tasks to the engine in one dispatch — the thread executor shares the
-process-wide predicate cache; the process backend rides the warm
+**Work-conserving, deduplicated dispatch.**  The batcher never waits
+for a batch to fill: as soon as the engine is free it takes the queue
+head plus whatever is already queued behind it (up to ``max_batch``
+requests), expires overdue deadlines, dedupes the union of their tasks
+by fingerprint key (two *different* requests that share a pFSM×domain
+compute it once), and hands the remaining unique tasks to the engine
+in one dispatch — the thread executor shares the process-wide
+predicate cache; the process backend rides the warm
 :mod:`repro.core.dist` pool, whose LPT chunker cost-balances the batch
-across workers.  One dispatch runs at a time: while it computes, new
-identical requests coalesce and new distinct requests accumulate into
-the next batch (or shed, once the queue fills — that is admission
-control doing its job).
+across workers.  A lone request on an idle server is dispatched at
+once.  Batches form under load alone: one dispatch runs at a time, and
+while it computes, new identical requests coalesce and new distinct
+requests accumulate into the next batch (or shed, once the queue
+fills — that is admission control doing its job).
 
 **Sub-predicate batch fusion.**  Before the thread executor dispatches,
 compiled-strategy tasks sharing a domain (by content digest) are fused:
@@ -254,7 +256,6 @@ class MicroBatcher:
         stats: Any,
         *,
         max_depth: int = 64,
-        batch_window: float = 0.01,
         max_batch: int = 16,
         workers: int = 2,
         backend: str = "thread",
@@ -265,7 +266,6 @@ class MicroBatcher:
         self._stats = stats
         self._breaker = breaker
         self._queue = AdmissionQueue(max_depth)
-        self._batch_window = batch_window
         self._max_batch = max(1, max_batch)
         self._workers = max(1, workers)
         self._backend = backend
@@ -470,22 +470,13 @@ class MicroBatcher:
     # -- the batch loop ----------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is None:
                 break
             batch = [first]
-            window_end = loop.time() + self._batch_window
             while len(batch) < self._max_batch:
-                remaining = window_end - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 remaining)
-                except asyncio.TimeoutError:
-                    break
+                nxt = self._queue.get_nowait()
                 if nxt is None:
                     break
                 batch.append(nxt)
@@ -516,7 +507,7 @@ class MicroBatcher:
                 live.append(item)
         if not live:
             return
-        # Batch-formation window: first admission to dispatch.
+        # Batch formation: the oldest member's admission to dispatch.
         self._stats.observe(
             "batch_window",
             max(0.0, now - min(item.enqueued_at for item in live)))

@@ -66,7 +66,7 @@ from .protocol import (
     decode_request,
     encode_line,
 )
-from .stats import ServeStats
+from .stats import STAGE_HELP, ServeStats
 
 __all__ = ["ServeConfig", "AnalysisServer", "ServerThread",
            "STARTING", "READY", "DRAINING", "STOPPED"]
@@ -84,7 +84,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is announced
     max_depth: int = 64  # admission queue bound
-    batch_window: float = 0.01  # seconds the batcher waits to coalesce
     max_batch: int = 16  # requests per dispatch
     workers: int = 2
     backend: str = "thread"  # thread | process | queue | cluster
@@ -189,7 +188,6 @@ class AnalysisServer:
             self.cache,
             self.stats,
             max_depth=self.config.max_depth,
-            batch_window=self.config.batch_window,
             max_batch=self.config.max_batch,
             workers=self.config.workers,
             backend=self.config.backend,
@@ -305,7 +303,6 @@ class AnalysisServer:
         snapshot["store_keys"] = self.cache.store_keys
         snapshot["config"] = {
             "max_depth": self.config.max_depth,
-            "batch_window": self.config.batch_window,
             "max_batch": self.config.max_batch,
             "workers": self.config.workers,
             "backend": self.config.backend,
@@ -361,6 +358,8 @@ class AnalysisServer:
             gauges=gauges,
             histograms=histograms,
             labeled_gauges=labeled,
+            help_text={f"stage.{name}.seconds": text
+                       for name, text in STAGE_HELP.items()},
         )
 
     # -- connections -------------------------------------------------------

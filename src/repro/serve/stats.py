@@ -20,13 +20,21 @@ from typing import Any, Dict, Optional, Sequence
 from ..obs import DEFAULT as _OBS
 from ..obs.prometheus import Histogram
 
-__all__ = ["LatencyWindow", "ServeStats", "STAGES"]
+__all__ = ["LatencyWindow", "ServeStats", "STAGES", "STAGE_HELP"]
 
-#: Per-stage latency histograms recorded by the serving path: total
-#: request time, queueing, batch formation, engine dispatch, and cache
-#: writeback.  Each stage is exposed as its own Prometheus family
-#: (``repro_serve_stage_<name>_seconds``).
-STAGES = ("request", "queue_wait", "batch_window", "engine", "cache_write")
+#: Per-stage latency histograms recorded by the serving path, with the
+#: help text of each.  Each stage is exposed as its own Prometheus
+#: family (``repro_serve_stage_<name>_seconds``).
+STAGE_HELP = {
+    "request": "Time to answer one successful query, seconds.",
+    "queue_wait": "Each request's wait from admission to dispatch, "
+                  "seconds.",
+    "batch_window": "The oldest batch member's wait from admission to "
+                    "dispatch, seconds.",
+    "engine": "Engine dispatch time of one batch, seconds.",
+    "cache_write": "Result-cache writeback time of one batch, seconds.",
+}
+STAGES = tuple(STAGE_HELP)
 
 
 class LatencyWindow:

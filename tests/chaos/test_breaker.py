@@ -160,7 +160,7 @@ class TestDegradedServing:
     def test_injected_dispatch_crashes_degrade_then_open(self):
         handle = ServerThread(
             ServeConfig(port=0, backend="process", workers=1,
-                        batch_window=0.002, breaker_cooldown=60.0),
+                        breaker_cooldown=60.0),
             corpus=_toy_corpus(),
         ).start()
         try:
@@ -201,7 +201,7 @@ class TestDegradedServing:
     def test_open_breaker_short_circuits_but_still_answers(self):
         handle = ServerThread(
             ServeConfig(port=0, backend="process", workers=1,
-                        batch_window=0.002, breaker_cooldown=60.0),
+                        breaker_cooldown=60.0),
             corpus=_toy_corpus(),
         ).start()
         try:
@@ -222,7 +222,7 @@ class TestDegradedServing:
 
     def test_thread_backend_has_no_breaker(self):
         handle = ServerThread(
-            ServeConfig(port=0, backend="thread", batch_window=0.002),
+            ServeConfig(port=0, backend="thread"),
             corpus=_toy_corpus(),
         ).start()
         try:

@@ -3,6 +3,7 @@ zero-worker liveness, connection-drop recovery, SIGKILL recovery
 through a real worker subprocess, and the serve fan-out."""
 
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -19,7 +20,12 @@ from repro.cluster import (
     WorkerConnectError,
     coordinating,
 )
-from repro.cluster.protocol import encode_line, read_line
+from repro.cluster.protocol import (
+    decode_payload,
+    encode_blob,
+    encode_line,
+    read_line,
+)
 from repro.core import Domain, PrimitiveFSM, in_range, less_equal, dist
 from repro.core.sweep import _scan_task, sweep_models
 from repro.models import sendmail_model, wuftpd_model
@@ -218,6 +224,103 @@ class TestConnectionDropRecovery:
         assert counters.get("dist.chunk.inline_fallback", 0) >= 1
 
 
+def _until(predicate, timeout=10.0, tick=None):
+    """Poll ``predicate`` (calling ``tick`` between polls) until it
+    holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        if tick is not None:
+            tick()
+        time.sleep(0.02)
+
+
+def _submit(coordinator, chunks):
+    """``run_chunks`` on a background thread; its return lands in the
+    returned box."""
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.update(result=coordinator.run_chunks(chunks)),
+        daemon=True)
+    thread.start()
+    return thread, box
+
+
+class TestHeartbeatRenewal:
+    """Heartbeats renew only the leases a worker names.  The worker
+    here is driven message by message through the coordinator's
+    dispatcher, so "the claim response was lost" is exact: the test
+    simply never tells the worker about that lease."""
+
+    TTL = 0.5
+
+    @staticmethod
+    def _complete(coordinator, worker, claim):
+        rows = decode_payload(claim["payload"])
+        reply = coordinator._dispatch({
+            "op": "result", "worker": worker, "job": claim["job"],
+            "chunk": claim["chunk"], "lease": claim["lease"],
+            "data": encode_blob(pickle.dumps(
+                [(index, None) for index, _raw in rows]))})
+        assert reply["accepted"] is True
+
+    def _finish(self, coordinator, worker, *submitted):
+        """Claim and complete every remaining chunk; the submitters'
+        ``run_chunks`` returns."""
+        while True:
+            claim = coordinator._dispatch({"op": "claim", "worker": worker})
+            if claim["status"] != "chunk":
+                break
+            self._complete(coordinator, worker, claim)
+        for thread, _box in submitted:
+            thread.join(10.0)
+        return [box["result"] for _thread, box in submitted]
+
+    def test_lost_claim_is_reaped_while_the_worker_heartbeats(self):
+        with ClusterCoordinator(lease_timeout=self.TTL) as coordinator:
+            dispatch = coordinator._dispatch
+            dispatch({"op": "hello", "worker": "w"})
+            thread, box = _submit(coordinator, [[(0, b"task")]])
+            _until(lambda: coordinator.snapshot()["pending_chunks"] == 1)
+            lost = dispatch({"op": "claim", "worker": "w"})
+            claimed = time.monotonic()
+            assert lost["status"] == "chunk"
+            # The worker never saw that lease, so it holds nothing.
+            _until(lambda: coordinator.counter("chunks.reclaimed") == 1,
+                   tick=lambda: dispatch({"op": "heartbeat",
+                                          "worker": "w", "leases": []}))
+            # Reaped on the lease timeout (plus reaper ticks), not later.
+            assert time.monotonic() - claimed < 4 * self.TTL
+            assert coordinator.counter("leases.expired") == 1
+            assert coordinator.snapshot()["pending_chunks"] == 1
+            results = self._finish(coordinator, "w", (thread, box))
+        assert results == [({0: None}, [])]
+
+    def test_token_collision_across_jobs_renews_only_the_named_job(self):
+        with ClusterCoordinator(lease_timeout=self.TTL) as coordinator:
+            dispatch = coordinator._dispatch
+            dispatch({"op": "hello", "worker": "w"})
+            first = _submit(coordinator, [[(0, b"task")]])
+            _until(lambda: coordinator.snapshot()["pending_chunks"] == 1)
+            second = _submit(coordinator, [[(1, b"task")]])
+            _until(lambda: coordinator.snapshot()["pending_chunks"] == 2)
+            held = dispatch({"op": "claim", "worker": "w"})
+            lost = dispatch({"op": "claim", "worker": "w"})
+            # Tokens are numbered per job: both leases are "L1".
+            assert held["lease"] == lost["lease"] == "L1"
+            assert held["job"] != lost["job"]
+            _until(lambda: coordinator.counter("chunks.reclaimed") == 1,
+                   tick=lambda: dispatch({
+                       "op": "heartbeat", "worker": "w",
+                       "leases": [[held["job"], held["lease"]]]}))
+            snapshot = coordinator.snapshot()
+            assert snapshot["leases"] == 1  # the held lease survived
+            assert snapshot["pending_chunks"] == 1  # the lost one requeued
+            self._complete(coordinator, "w", held)
+            results = self._finish(coordinator, "w", first, second)
+        assert results == [({0: None}, []), ({1: None}, [])]
+
+
 class TestSigkillRecovery:
     """Satellite: SIGKILL a real worker subprocess mid-chunk; the sweep
     completes with identical results and counts the reclaim."""
@@ -300,8 +403,8 @@ class TestServeClusterFanout:
         from repro.serve.client import ServeClient
 
         handle = ServerThread(ServeConfig(
-            port=0, backend="cluster", cluster_listen="127.0.0.1:0",
-            batch_window=0.005)).start()
+            port=0, backend="cluster",
+            cluster_listen="127.0.0.1:0")).start()
         try:
             coordinator = handle.server.coordinator
             assert coordinator is not None

@@ -61,7 +61,7 @@ class TestExpiryAndRecovery:
     def test_renew_pushes_the_deadline_out(self):
         ledger = _ledger(1)
         ledger.claim("busy", now=0.0, ttl=1.0)
-        assert ledger.renew("busy", now=0.9, ttl=1.0) == 1
+        assert ledger.renew("busy", ["L1"], now=0.9, ttl=1.0) == 1
         assert ledger.reap(now=1.5) == []  # renewed past the old expiry
         assert ledger.reap(now=2.5)  # but not forever
 
@@ -107,9 +107,30 @@ class TestRenewReapRaces:
         ledger.claim("steady", now=0.0, ttl=1.0)
         # The renewal and the reaper both run at t == deadline; the
         # coordinator applies the heartbeat first, so the lease lives.
-        assert ledger.renew("steady", now=1.0, ttl=1.0) == 1
+        assert ledger.renew("steady", ["L1"], now=1.0, ttl=1.0) == 1
         assert ledger.reap(now=1.0) == []
         assert ledger.leases()[0].deadline == 2.0
+
+    def test_heartbeat_renews_only_the_leases_it_names(self):
+        # The claimant never received the second claim's response, so
+        # its heartbeats name only the first lease: the orphan expires
+        # on schedule while the held lease lives on.
+        ledger = _ledger(2)
+        held = ledger.claim("w", now=0.0, ttl=1.0)
+        lost = ledger.claim("w", now=0.0, ttl=1.0)
+        for now in (0.5, 1.0, 1.5):
+            assert ledger.renew("w", [held.token], now=now, ttl=1.0) == 1
+        assert ledger.reap(now=1.5) == [(lost.chunk_id, "w", "requeued")]
+        assert [lease.token for lease in ledger.leases()] == [held.token]
+        again = ledger.claim("w", now=1.5, ttl=1.0)
+        assert again.chunk_id == lost.chunk_id and again.attempt == 1
+
+    def test_renew_ignores_another_claimants_token(self):
+        ledger = _ledger(1)
+        lease = ledger.claim("owner", now=0.0, ttl=1.0)
+        assert ledger.renew("intruder", [lease.token], now=0.5,
+                            ttl=1.0) == 0
+        assert ledger.reap(now=1.0) == [(0, "owner", "requeued")]
 
     def test_reap_at_exact_deadline_without_renew_reclaims(self):
         # Expiry is inclusive (deadline <= now): a claimant whose last
@@ -158,7 +179,8 @@ class TestRenewReapRaces:
         for gap in gaps:
             now += gap
             assert ledger.reap(now) == []
-            assert ledger.renew("steady", now=now, ttl=1.0) == 1
+            assert ledger.renew("steady", ["L1"], now=now,
+                                ttl=1.0) == 1
         assert ledger.reap(now + 0.99) == []
         assert ledger.reap(now + 1.0) == [(0, "steady", "requeued")]
 

@@ -71,7 +71,7 @@ def toy_corpus():
 @pytest.fixture
 def server():
     handle = ServerThread(
-        ServeConfig(port=0, batch_window=0.005, drain_grace=2.0),
+        ServeConfig(port=0, drain_grace=2.0),
         corpus=toy_corpus(),
     ).start()
     yield handle
@@ -205,11 +205,104 @@ class TestCoalescing:
         assert sum(calls) == 2  # two pFSM tasks, once
 
 
+class _GatedCompute:
+    """Wraps the server's compute so a dispatch blocks until the test
+    releases it — batch formation is then driven by what is queued,
+    never by how long anything takes."""
+
+    def __init__(self, handle):
+        self.batcher = handle.server.batcher
+        self.original = self.batcher._compute_fn
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls = []  # (tasks, queue depth at dispatch)
+        self.batcher._compute_fn = self
+
+    def __call__(self, tasks, keys):
+        self.calls.append((len(tasks), self.batcher.queue_depth()))
+        self.entered.set()
+        assert self.release.wait(10.0), "dispatch never released"
+        return self.original(tasks, keys)
+
+
+def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _query_async(handle, limit, responses):
+    def fire():
+        with client_for(handle) as client:
+            responses.append(client.query("toy", limit=limit))
+
+    thread = threading.Thread(target=fire)
+    thread.start()
+    return thread
+
+
+class TestBatchFormation:
+    """The work-conserving rule: an idle engine dispatches the queue
+    head at once; requests arriving during a dispatch form the next
+    batch."""
+
+    def test_lone_request_dispatches_alone(self, server):
+        gate = _GatedCompute(server)
+        responses = []
+        thread = _query_async(server, 3, responses)
+        assert gate.entered.wait(10.0)
+        assert gate.calls == [(2, 0)]  # two pFSM tasks, nothing queued
+        gate.release.set()
+        thread.join(10.0)
+        assert [r["status"] for r in responses] == ["ok"]
+        counters = server.server.stats.snapshot()["counters"]
+        assert counters["batches"] == 1
+        assert counters["batch.requests"] == 1
+
+    def test_requests_queued_during_a_dispatch_form_the_next_batch(
+            self, server):
+        gate = _GatedCompute(server)
+        responses = []
+        threads = [_query_async(server, 3, responses)]
+        assert gate.entered.wait(10.0)
+        threads += [_query_async(server, limit, responses)
+                    for limit in (4, 5)]
+        _until(lambda: server.server.batcher.queue_depth() == 2)
+        gate.release.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert sorted(r["limit"] for r in responses) == [3, 4, 5]
+        assert all(r["status"] == "ok" for r in responses)
+        # Second dispatch: both queued requests, 2 pFSM tasks each.
+        assert [tasks for tasks, _depth in gate.calls] == [2, 4]
+        counters = server.server.stats.snapshot()["counters"]
+        assert counters["batches"] == 2
+        assert counters["batch.requests"] == 3
+
+    def test_identical_request_during_a_dispatch_coalesces(self, server):
+        gate = _GatedCompute(server)
+        responses = []
+        threads = [_query_async(server, 3, responses)]
+        assert gate.entered.wait(10.0)
+        threads.append(_query_async(server, 3, responses))
+        _until(lambda: server.server.stats.counter("coalesced") == 1)
+        gate.release.set()
+        for thread in threads:
+            thread.join(10.0)
+        first, second = responses
+        assert {first["coalesced"], second["coalesced"]} == {False, True}
+        assert first["findings"] == second["findings"]
+        assert len(gate.calls) == 1
+        counters = server.server.stats.snapshot()["counters"]
+        assert counters["batches"] == 1
+        assert counters["batch.requests"] == 1
+
+
 class TestAdmissionControl:
     def test_overload_sheds_with_explicit_status(self):
         handle = ServerThread(
-            ServeConfig(port=0, max_depth=1, max_batch=1,
-                        batch_window=0.005),
+            ServeConfig(port=0, max_depth=1, max_batch=1),
             corpus=toy_corpus(),
         ).start()
         calls = []
@@ -366,6 +459,8 @@ class TestHttpFacade:
         assert families["repro_serve_up"]["samples"][0][2] == 1.0
         request_hist = families["repro_serve_stage_request_seconds"]
         assert request_hist["type"] == "histogram"
+        window = families["repro_serve_stage_batch_window_seconds"]
+        assert "oldest" in window["help"]
         state_samples = {s[1]["state"]: s[2]
                          for s in families["repro_serve_state"]["samples"]}
         assert state_samples["ready"] == 1.0

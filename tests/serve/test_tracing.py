@@ -72,7 +72,7 @@ def toy_corpus(clean=False):
 
 def traced_server(**overrides):
     clean = overrides.pop("clean", False)
-    config = dict(port=0, batch_window=0.005, drain_grace=2.0, trace=True)
+    config = dict(port=0, drain_grace=2.0, trace=True)
     config.update(overrides)
     return ServerThread(ServeConfig(**config),
                         corpus=toy_corpus(clean=clean))
@@ -185,7 +185,7 @@ class TestEndToEndProcessBackend:
 
 class TestCoalescedLinks:
     def test_batch_span_links_every_coalesced_request(self):
-        handle = traced_server(batch_window=0.05).start()
+        handle = traced_server().start()
         try:
             # slow the engine down so the second identical query lands
             # while the first is still in flight and coalesces onto it
@@ -281,7 +281,7 @@ class TestTraceContextHandling:
             handle.shutdown()
 
     def test_untraced_server_responses_carry_no_trace_fields(self):
-        handle = ServerThread(ServeConfig(port=0, batch_window=0.005),
+        handle = ServerThread(ServeConfig(port=0),
                               corpus=toy_corpus()).start()
         try:
             with client_for(handle) as client:
