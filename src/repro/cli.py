@@ -952,7 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max queued requests folded into one engine "
                             "dispatch (dispatch never waits to fill it)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="engine workers per dispatch")
+                       help="engine workers per dispatch (process, queue "
+                            "and cluster backends; the thread backend "
+                            "runs each batch inline)")
     serve.add_argument("--backend", choices=("thread", "process", "queue",
                                              "cluster"),
                        default="thread",

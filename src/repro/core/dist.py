@@ -233,12 +233,16 @@ def _encode_finding(finding: Optional[SweepFinding]) -> Any:
     :class:`ValueError` for witnesses outside the value codec."""
     if finding is None:
         return None
+    witnesses = finding.wire_witnesses
+    if witnesses is None:
+        raise ValueError(f"{finding.model_name}/{finding.pfsm_name}: "
+                         f"a witness is outside the value codec")
     return {
         "model_name": finding.model_name,
         "operation_name": finding.operation_name,
         "pfsm_name": finding.pfsm_name,
         "activity": finding.activity,
-        "witnesses": [encode_value(w) for w in finding.witnesses],
+        "witnesses": witnesses,
     }
 
 

@@ -58,6 +58,7 @@ from collections import OrderedDict
 from itertools import islice
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -81,6 +82,7 @@ from .predicates import (
     _FULL_LINE,
     _range_backing,
 )
+from .predspec import encode_value
 
 __all__ = [
     "PredicateCache",
@@ -564,6 +566,33 @@ class SweepFinding:
     pfsm_name: str
     activity: str
     witnesses: Tuple[Any, ...]
+
+    @cached_property
+    def wire_witnesses(self) -> Optional[List[Any]]:
+        """The witnesses in the tagged-JSON codec, or ``None`` when any
+        witness falls outside it.
+
+        The one wire form of a finding: the cold store and every server
+        response (computed or cached) reuse this list, so each finding
+        is encoded once.  Each distinct witness object is encoded once
+        too (an identity memo, as in ``dist._digest_items``), because
+        tiled domains repeat the same objects by reference.  Not a
+        field, so ``==``, ``hash`` and ``dataclasses.replace`` ignore
+        it.  Assumes witnesses are domain objects that are not mutated
+        after a scan — the assumption ``dist.domain_digest`` already
+        makes.  Callers must not mutate the returned list.
+        """
+        by_id: Dict[int, Any] = {}
+        encoded: List[Any] = []
+        try:
+            for witness in self.witnesses:
+                key = id(witness)
+                if key not in by_id:
+                    by_id[key] = encode_value(witness)
+                encoded.append(by_id[key])
+        except ValueError:
+            return None
+        return encoded
 
     def __str__(self) -> str:
         sample = self.witnesses[0] if self.witnesses else None

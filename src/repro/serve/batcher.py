@@ -21,14 +21,14 @@ head plus whatever is already queued behind it (up to ``max_batch``
 requests), expires overdue deadlines, dedupes the union of their tasks
 by fingerprint key (two *different* requests that share a pFSM×domain
 compute it once), and hands the remaining unique tasks to the engine
-in one dispatch — the thread executor shares the process-wide
-predicate cache; the process backend rides the warm
-:mod:`repro.core.dist` pool, whose LPT chunker cost-balances the batch
-across workers.  A lone request on an idle server is dispatched at
-once.  Batches form under load alone: one dispatch runs at a time, and
-while it computes, new identical requests coalesce and new distinct
-requests accumulate into the next batch (or shed, once the queue
-fills — that is admission control doing its job).
+in one dispatch — the thread backend runs it inline on the executor
+thread, sharing the process-wide predicate cache; the process backend
+rides the warm :mod:`repro.core.dist` pool, whose LPT chunker
+cost-balances the batch across workers.  A lone request on an idle
+server is dispatched at once.  Batches form under load alone: one
+dispatch runs at a time, and while it computes, new identical requests
+coalesce and new distinct requests accumulate into the next batch (or
+shed, once the queue fills — that is admission control doing its job).
 
 **Sub-predicate batch fusion.**  Before the thread executor dispatches,
 compiled-strategy tasks sharing a domain (by content digest) are fused:
@@ -213,7 +213,12 @@ def _fused_group_scan(tasks: List[Any], indexes: List[int],
 def _engine_compute(tasks: List[Any], keys: List[Optional[str]],
                     workers: int, backend: str) -> List[Any]:
     """The default compute function: one engine dispatch (runs on an
-    executor thread, never the event loop)."""
+    executor thread, never the event loop).
+
+    ``workers`` sizes the process, queue and cluster backends only.  The
+    thread backend runs the batch inline on this executor thread: the
+    scans are GIL-bound Python, so a per-batch thread pool adds set-up
+    and teardown and no parallelism."""
     if backend in ("process", "queue", "cluster"):
         # Worker processes keep their own predicate caches; the keys
         # let the dist scheduler memoize by fingerprint as well.
@@ -224,7 +229,7 @@ def _engine_compute(tasks: List[Any], keys: List[Optional[str]],
                           keys=keys)
     groups, programs = _fusion_groups(tasks)
     if not groups:
-        return _run_tasks(tasks, workers, "thread", cache=shared_cache())
+        return _run_tasks(tasks, 1, "thread", cache=shared_cache())
     fused_total = sum(len(group) for group in groups)
     if _OBS.enabled:
         _OBS.incr("sweep.tasks.queued", fused_total)
@@ -235,7 +240,7 @@ def _engine_compute(tasks: List[Any], keys: List[Optional[str]],
         resolved_by_index.update(_fused_group_scan(tasks, group, programs))
     leftover = [i for i in range(len(tasks)) if i not in resolved_by_index]
     if leftover:
-        sub = _run_tasks([tasks[i] for i in leftover], workers, "thread",
+        sub = _run_tasks([tasks[i] for i in leftover], 1, "thread",
                          cache=shared_cache())
         for index, finding in zip(leftover, sub):
             resolved_by_index[index] = finding

@@ -143,10 +143,17 @@ def encode_witness(value: Any) -> Any:
 
 
 def finding_payload(finding: Any) -> Dict[str, Any]:
-    """The response form of one :class:`~repro.core.sweep.SweepFinding`."""
+    """The response form of one :class:`~repro.core.sweep.SweepFinding`.
+
+    Reuses the finding's memoized wire form (a shallow copy, so a caller
+    mutating one response's list cannot corrupt the next); only a
+    finding with a witness outside the codec is degraded per witness.
+    """
+    witnesses = finding.wire_witnesses
     return {
         "operation": finding.operation_name,
         "pfsm": finding.pfsm_name,
         "activity": finding.activity,
-        "witnesses": [encode_witness(w) for w in finding.witnesses],
+        "witnesses": (list(witnesses) if witnesses is not None
+                      else [encode_witness(w) for w in finding.witnesses]),
     }

@@ -85,7 +85,7 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced
     max_depth: int = 64  # admission queue bound
     max_batch: int = 16  # requests per dispatch
-    workers: int = 2
+    workers: int = 2  # process | queue | cluster; thread runs inline
     backend: str = "thread"  # thread | process | queue | cluster
     cluster_listen: Optional[str] = None  # HOST:PORT for cluster workers
     store_path: Optional[str] = None  # cold-tier JSONL (optional)

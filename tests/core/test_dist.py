@@ -12,6 +12,7 @@ from repro.core import (
     InProcessQueue,
     PrimitiveFSM,
     ResultStore,
+    SweepFinding,
     domain_digest,
     in_range,
     less_equal,
@@ -20,6 +21,7 @@ from repro.core import (
     task_key,
 )
 from repro.core import dist
+from repro.core.predspec import encode_value
 from repro.models import sendmail_model
 
 #: Recorded at import so a forked worker (different pid) can tell it is
@@ -219,6 +221,42 @@ class TestResultStore:
         store.record("k", finding)
         loaded = store.load()
         assert tuple(loaded["k"].witnesses) == tuple(finding.witnesses)
+
+    def test_lines_match_a_per_witness_encoding(self, tmp_path):
+        tile = [(1, "a"), b"\x00\xff", frozenset({3, 4})]
+        finding = SweepFinding(
+            model_name="model", operation_name="op", pfsm_name="p",
+            activity="scan", witnesses=tuple(tile * 3),
+        )
+        store = ResultStore(tmp_path / "results.jsonl")
+        assert store.record("k", finding) is True
+        reference = json.dumps({"key": "k", "finding": {
+            "model_name": "model", "operation_name": "op",
+            "pfsm_name": "p", "activity": "scan",
+            "witnesses": [encode_value(w) for w in finding.witnesses],
+        }}) + "\n"
+        with open(store.path, encoding="utf-8") as handle:
+            assert handle.read() == reference
+        assert store.load() == {"k": finding}
+
+    def test_out_of_codec_finding_is_skipped_and_counted(self, tmp_path):
+        finding = SweepFinding(
+            model_name="model", operation_name="op", pfsm_name="p",
+            activity="scan", witnesses=(1, object()),
+        )
+        store = ResultStore(tmp_path / "results.jsonl")
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            assert store.record("k", finding) is False
+            assert store.record_many([("k", finding), ("c", None)]) == 1
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        assert counters.get("dist.store.unencodable") == 2
+        assert store.load() == {"c": None}
 
     def test_malformed_lines_are_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"

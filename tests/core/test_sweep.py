@@ -16,6 +16,8 @@ Four families of guarantees:
   behaviour.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,8 @@ from repro.core import (
     satisfies_any,
     sweep_models,
 )
+from repro.core import sweep as sweep_module
+from repro.core.sweep import SweepFinding
 from repro.models import (
     all_extended_exploit_inputs,
     all_extended_models,
@@ -247,6 +251,30 @@ class TestSweepDeterminism:
         sweeps = sweep_models(models, domains)
         text = str(sweeps[0].findings[0])
         assert finding[2] in text and finding[0] in text
+
+    def test_wire_witnesses_encode_each_distinct_object_once(
+            self, monkeypatch):
+        calls = []
+
+        def recording(value):
+            calls.append(value)
+            return value
+
+        monkeypatch.setattr(sweep_module, "encode_value", recording)
+        tile = ["a", "b"]
+        finding = SweepFinding("m", "op", "p", "scan", tuple(tile * 40))
+        assert finding.wire_witnesses == tile * 40
+        assert calls == tile
+        assert finding.wire_witnesses is finding.wire_witnesses
+        assert len(calls) == 2
+
+    def test_wire_witnesses_are_not_a_field(self):
+        finding = SweepFinding("m", "op", "p", "scan", ((1, 2),))
+        twin = SweepFinding("m", "op", "p", "scan", ((1, 2),))
+        assert finding.wire_witnesses == [{"__tuple__": [1, 2]}]
+        assert finding == twin and hash(finding) == hash(twin)
+        assert "wire_witnesses" not in vars(
+            dataclasses.replace(finding, pfsm_name="q"))
 
 
 # ---------------------------------------------------------------------------

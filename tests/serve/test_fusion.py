@@ -16,7 +16,7 @@ from repro.core import (
     not_contains,
     satisfies_all,
 )
-from repro.core import plan
+from repro.core import plan, sweep
 from repro.core.sweep import _run_tasks, shared_cache
 from repro.serve.batcher import _engine_compute, _fusion_groups
 
@@ -130,3 +130,25 @@ class TestFusedCompute:
         plan.reset()
         baseline = _run_tasks(tasks, 2, "thread", cache=shared_cache())
         assert _witnesses(fused) == _witnesses(baseline)
+
+    def test_thread_batches_run_inline_without_a_pool(self, monkeypatch):
+        str_domain = Domain(["ok", "%n" * 40, "a/b"] * 10)
+        pfsms = [PrimitiveFSM(f"p{bound}", "scan", "x",
+                              spec_accepts=in_range(0, 5),
+                              impl_accepts=less_equal(bound))
+                 for bound in (8, 10, 12)]
+        unfused = [("m", "op", p, Domain.integers(-5, 15), 5)
+                   for p in pfsms]
+        mixed = _string_tasks(str_domain) + unfused[:1]
+        baselines = [_run_tasks(tasks, 2, "thread", cache=shared_cache())
+                     for tasks in (unfused, mixed)]
+        plan.reset()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread batches must run inline")
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+        for tasks, baseline in zip((unfused, mixed), baselines):
+            computed = _engine_compute(tasks, [None] * len(tasks), 2,
+                                       "thread")
+            assert _witnesses(computed) == _witnesses(baseline)

@@ -116,3 +116,38 @@ class TestEncoding:
         assert payload["activity"] == "scan"
         assert payload["witnesses"] == [7, {"__tuple__": [1, 2]}]
         json.dumps(payload)
+
+    def test_second_payload_encodes_nothing(self, encode_calls):
+        finding = SweepFinding(
+            model_name="M", operation_name="op", pfsm_name="pFSM1",
+            activity="scan", witnesses=((1, 2), "x", (1, 2)),
+        )
+        first = finding_payload(finding)
+        assert encode_calls[0] > 0
+        encode_calls[0] = 0
+        assert finding_payload(finding) == first
+        assert encode_calls[0] == 0
+
+    def test_mutating_a_response_leaves_the_next_intact(self):
+        finding = SweepFinding(
+            model_name="M", operation_name="op", pfsm_name="pFSM1",
+            activity="scan", witnesses=(7, 8),
+        )
+        first = finding_payload(finding)
+        first["witnesses"].append("tampered")
+        first["witnesses"][0] = "tampered"
+        assert finding_payload(finding)["witnesses"] == [7, 8]
+
+    def test_out_of_codec_finding_degrades_per_witness(self):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque thing>"
+
+        finding = SweepFinding(
+            model_name="M", operation_name="op", pfsm_name="pFSM1",
+            activity="scan", witnesses=(7, Opaque()),
+        )
+        assert finding.wire_witnesses is None
+        payload = finding_payload(finding)
+        assert payload["witnesses"] == [7, {"__repr__": "<opaque thing>"}]
+        json.dumps(payload)

@@ -104,6 +104,15 @@ class TestQuery:
         assert second["cached"] is True
         assert second["findings"] == first["findings"]
 
+    def test_repeat_query_encodes_nothing(self, server, encode_calls):
+        with client_for(server) as client:
+            first = client.query("toy", limit=4)
+            encode_calls[0] = 0
+            second = client.query("toy", limit=4)
+        assert second["cached"] is True
+        assert second["findings"] == first["findings"]
+        assert encode_calls[0] == 0
+
     def test_id_echo_and_latency(self, server):
         with client_for(server) as client:
             response = client.query("toy", limit=2, request_id="req-9")
