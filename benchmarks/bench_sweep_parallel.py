@@ -55,10 +55,10 @@ trajectory keeps recording:
   (dropped sends, delayed reads).  Recovery is supposed to be cheap:
   faulted throughput must stay ≥0.7x of the fault-free cluster run,
   with bit-identical findings.  A kill-and-resume sub-stat SIGKILLs a
-  journaling ``repro sweep --backend cluster --journal`` coordinator
-  mid-run and requires the resumed run to re-execute no more than the
-  chunks that were in flight at the kill (plus one for a torn tail
-  record) — the journal, not luck, bounds the recovery work.
+  ``repro sweep --backend cluster --resume-from`` coordinator mid-run
+  and requires the resumed run to re-execute no more than the tasks
+  not yet stored at the kill (plus one chunk's tasks for a torn tail
+  record) — the store, not luck, bounds the recovery work.
 
 Alongside throughput, the payload now records two quality dimensions
 measured through :mod:`repro.obs` (``cache_hit_rate``,
@@ -731,18 +731,34 @@ def _faults_scenario(repeats=2):
         "floor": FAULTS_FLOOR,
         "injected": plan_obj.snapshot()["injected"],
         "total_injected": plan_obj.snapshot()["total_injected"],
-        "resume": _journal_resume_stat(),
+        "resume": _store_resume_stat(),
     }
 
 
-def _journal_resume_stat():
-    """Kill-and-resume through the sweep journal.
+def _largest_default_chunk():
+    """Tasks in the largest chunk of a default ``repro sweep`` (one
+    worker, so ``dist._CHUNKS_PER_WORKER`` chunks) — the most one torn
+    store append can lose."""
+    models = all_extended_models()
+    domains = all_extended_pfsm_domains()
+    tasks = [(model.name, operation.name, pfsm,
+              domains[label][pfsm.name], 5)
+             for label, model in models.items()
+             for operation, pfsm in model.all_pfsms()
+             if domains.get(label, {}).get(pfsm.name) is not None]
+    chunks = dist.chunk_tasks(tasks, range(len(tasks)),
+                              dist._CHUNKS_PER_WORKER)
+    return max(len(chunk) for chunk in chunks)
 
-    SIGKILLs a journaling cluster-sweep coordinator once its first
-    chunk outcome is durably journaled, then re-runs with the same
-    journal.  The stat is how much work the resume re-executed; the
-    bound is the in-flight set at the kill plus one (a torn tail
-    record re-executes its chunk).
+
+def _store_resume_stat():
+    """Kill-and-resume through the result store.
+
+    SIGKILLs a cluster-sweep coordinator writing ``--resume-from`` once
+    its first chunk is durably stored, then re-runs with the same
+    store.  The stat is how many tasks the resume re-executed; the
+    bound is the tasks not stored at the kill plus one chunk's tasks
+    (a torn tail record re-executes its chunk).
     """
     import json as _json
     import os
@@ -752,13 +768,16 @@ def _journal_resume_stat():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     env.pop("REPRO_FAULTS", None)
     with tempfile.TemporaryDirectory() as scratch:
-        journal = Path(scratch) / "journal.jsonl"
+        store = Path(scratch) / "store.jsonl"
+        command = [sys.executable, "-m", "repro", "sweep",
+                   "--backend", "cluster", "--listen", "127.0.0.1:0",
+                   "--resume-from", str(store), "--json"]
 
         def complete_records():
-            if not journal.exists():
+            if not store.exists():
                 return 0
             count = 0
-            with open(journal, "rb") as handle:
+            with open(store, "rb") as handle:
                 for line in handle:
                     if not line.endswith(b"\n"):
                         continue
@@ -770,10 +789,8 @@ def _journal_resume_stat():
             return count
 
         victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "sweep",
-             "--backend", "cluster", "--listen", "127.0.0.1:0",
-             "--journal", str(journal), "--json"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            command, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         deadline = time.perf_counter() + 60.0
         while time.perf_counter() < deadline:
             if complete_records() >= 1 or victim.poll() is not None:
@@ -783,26 +800,23 @@ def _journal_resume_stat():
         if killed:
             os.kill(victim.pid, signal.SIGKILL)
         victim.wait(timeout=60)
-        journaled_at_kill = complete_records()
+        stored_at_kill = complete_records()
 
-        resumed = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep",
-             "--backend", "cluster", "--listen", "127.0.0.1:0",
-             "--journal", str(journal), "--json"],
-            env=env, capture_output=True, text=True, timeout=300)
+        resumed = subprocess.run(command, env=env, capture_output=True,
+                                 text=True, timeout=300)
         assert resumed.returncode == 0, resumed.stderr
-        cluster = _json.loads(resumed.stdout)["cluster"]
-        chunks_resumed = cluster.get("chunks_resumed", 0)
-        re_executed = cluster.get("journal_appends", 0)
-        total = chunks_resumed + re_executed
+        resume = _json.loads(resumed.stdout)["resume"]
+        total = resume["resumed"] + resume["stored"]
+        chunk = _largest_default_chunk()
         return {
             "victim_killed": killed,
-            "total_chunks": total,
-            "journaled_at_kill": journaled_at_kill,
-            "chunks_resumed": chunks_resumed,
-            "re_executed": re_executed,
-            # In-flight at the kill, plus one for a possible torn tail.
-            "re_execution_bound": max(0, total - journaled_at_kill) + 1,
+            "total_tasks": total,
+            "stored_at_kill": stored_at_kill,
+            "tasks_resumed": resume["resumed"],
+            "re_executed": resume["stored"],
+            "largest_chunk_tasks": chunk,
+            # Not stored at the kill, plus one chunk for a torn tail.
+            "re_execution_bound": max(0, total - stored_at_kill) + chunk,
         }
 
 
@@ -991,14 +1005,14 @@ def check(payload, update_baseline=False):
             f"throughput under {faults_stats['fault_spec']!r} "
             f"(need >={faults_stats['floor']}x)"
         )
-    journal_stat = faults_stats["resume"]
-    if journal_stat["re_executed"] > journal_stat["re_execution_bound"]:
+    resume_stat = faults_stats["resume"]
+    if resume_stat["re_executed"] > resume_stat["re_execution_bound"]:
         failures.append(
-            f"journal resume re-executed {journal_stat['re_executed']} "
-            f"chunk(s) with only "
-            f"{journal_stat['total_chunks'] - journal_stat['journaled_at_kill']} "
-            f"in flight at the kill (bound "
-            f"{journal_stat['re_execution_bound']})"
+            f"store resume re-executed {resume_stat['re_executed']} "
+            f"task(s) with only "
+            f"{resume_stat['total_tasks'] - resume_stat['stored_at_kill']} "
+            f"unstored at the kill (bound "
+            f"{resume_stat['re_execution_bound']})"
         )
 
     throughput = witness["serial_throughput_objs_per_s"]
@@ -1130,15 +1144,15 @@ def main(argv=None):
           f"{cluster_stats['reclaim']['reclaim_latency_s']:.2f}s "
           f"({cluster_stats['reclaim']['lease_timeout_s']:.1f}s lease)")
     faults_stats = payload["faults"]
-    journal_stat = faults_stats["resume"]
+    resume_stat = faults_stats["resume"]
     print(f"fault injection ({faults_stats['fault_spec']}): "
           f"fault-free {faults_stats['fault_free_s']:.4f}s, "
           f"faulted {faults_stats['faulted_s']:.4f}s "
           f"({faults_stats['relative_throughput']:.2f}x relative, "
           f"{faults_stats['total_injected']} injection(s)); "
-          f"journal resume re-executed {journal_stat['re_executed']} of "
-          f"{journal_stat['total_chunks']} chunk(s) "
-          f"({journal_stat['journaled_at_kill']} journaled at the kill)")
+          f"store resume re-executed {resume_stat['re_executed']} of "
+          f"{resume_stat['total_tasks']} task(s) "
+          f"({resume_stat['stored_at_kill']} stored at the kill)")
     print(f"quality: cache hit rate {payload['cache_hit_rate']:.1%}, "
           f"interval fast-path coverage {payload['fastpath_fraction']:.1%}, "
           f"compiled-program coverage {payload['compiled_fraction']:.1%}, "

@@ -29,14 +29,15 @@ Commands
 ``sweep``
     Hidden-path sweep across every bundled model via the batched,
     cached, parallel engine (``--workers N``, ``--no-cache``,
-    ``--json``).  ``--backend {thread,process,queue,cluster,auto}``
-    selects the executor — process and queue run on the distributed
-    scheduler in ``repro.core.dist``; cluster starts a coordinator
-    (``--listen HOST:PORT``, optionally ``--wait-workers N`` /
-    ``--lease-timeout S``) and fans chunks out to ``repro worker``
-    agents — and ``--resume-from PATH`` reuses results
-    recorded in a JSONL store keyed by model fingerprint and
-    predicate-spec hash.  ``--explain`` prints each task's chosen scan
+    ``--json``).  ``--backend {thread,process,cluster}`` selects the
+    executor — process runs on the chunked scheduler in
+    ``repro.core.dist``; cluster starts a coordinator (``--listen
+    HOST:PORT``, optionally ``--wait-workers N`` / ``--lease-timeout
+    S``) and fans chunks out to ``repro worker`` agents — and
+    ``--resume-from PATH`` reuses results recorded in a JSONL store
+    keyed by model fingerprint and predicate-spec hash (with every
+    backend; process and cluster append chunk by chunk, so a killed
+    sweep resumes).  ``--explain`` prints each task's chosen scan
     strategy, estimated cost, and CSE reuse (the decisions of the
     planner in ``repro.core.plan``; also the ``plans`` block of
     ``--json``), with tasks served whole from the dist fingerprint memo
@@ -119,6 +120,7 @@ from .models import (
     all_extended_pfsm_domains as all_pfsm_domains,
     table2_grid,
 )
+from .core.sweep import BACKENDS
 from .serve.corpus import MODEL_KEYS as _MODEL_KEYS
 
 __all__ = ["main"]
@@ -387,8 +389,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
         coordinator = _cluster.ClusterCoordinator(
-            listen_host, listen_port, lease_timeout=args.lease_timeout,
-            journal=args.journal)
+            listen_host, listen_port, lease_timeout=args.lease_timeout)
         coordinator.start()
         # Operational chatter goes to stderr under --json so the JSON
         # document on stdout stays parseable.
@@ -466,11 +467,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "chunks_reclaimed": counters.get("chunks.reclaimed", 0),
             "chunks_failed": counters.get("chunks.failed", 0),
             "chunks_inline": counters.get("chunks.inline", 0),
-            "chunks_resumed": counters.get("journal.resumed", 0),
-            "journal_appends": counters.get("journal.appends", 0),
             "bytes_shipped": counters.get("bytes.shipped", 0),
             "bytes_received": counters.get("bytes.received", 0),
         }
+    # Present for every backend whenever --resume-from is given.
+    resume_block = None if args.resume_from is None else {
+        "resumed": delta.get("dist.resume.skips", 0),
+        "stored": delta.get("dist.store.appended", 0),
+    }
     # --fail-on-witness: CI gates on "no hidden paths" via the exit code.
     exit_code = 1 if args.fail_on_witness and total else 0
     if args.json:
@@ -496,6 +500,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "plan": plan_stats,
             "plans": plans,
             "cluster": cluster_block,
+            "resume": resume_block,
             "faults": _faults_block(),
             "settings": {
                 "scan_window": args.scan_window,
@@ -872,14 +877,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="hidden-path sweep across all bundled models",
         parents=[obs_flags],
     )
-    sweep.add_argument("--backend", choices=("thread", "process", "queue",
-                                             "cluster", "auto"),
+    sweep.add_argument("--backend", choices=BACKENDS,
                        default="thread",
                        help="execution backend for the sweep tasks "
-                            "(process/queue use the distributed scheduler "
-                            "in repro.core.dist; cluster dispatches chunks "
-                            "to repro worker agents over TCP — see "
-                            "--listen)")
+                            "(process uses the chunked scheduler in "
+                            "repro.core.dist; cluster dispatches its "
+                            "chunks to repro worker agents over TCP — "
+                            "see --listen)")
     sweep.add_argument("--listen", metavar="HOST:PORT", default=None,
                        help="(cluster backend) start the coordinator on "
                             "this address; workers join with "
@@ -902,13 +906,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume-from", metavar="PATH", default=None,
                        help="JSONL result store; previously computed "
                             "(model fingerprint, predicate-spec) results "
-                            "are reused and new ones appended")
-    sweep.add_argument("--journal", metavar="PATH", default=None,
-                       help="(cluster backend) crash-safe sweep journal: "
-                            "completed chunks are appended as they "
-                            "finish, and a restarted coordinator with "
-                            "the same journal re-executes only the "
-                            "chunks that were in flight")
+                            "are reused and new ones appended — chunk by "
+                            "chunk on the process and cluster backends, "
+                            "so a killed sweep re-run with the same store "
+                            "re-executes only what never landed")
     sweep.add_argument("--workers", type=int, default=None,
                        help="fan per-pFSM scans across N workers")
     sweep.add_argument("--no-cache", action="store_true",
@@ -952,13 +953,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max queued requests folded into one engine "
                             "dispatch (dispatch never waits to fill it)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="engine workers per dispatch (process, queue "
-                            "and cluster backends; the thread backend "
-                            "runs each batch inline)")
-    serve.add_argument("--backend", choices=("thread", "process", "queue",
-                                             "cluster"),
+                       help="engine workers per dispatch (process and "
+                            "cluster backends; the thread backend runs "
+                            "each batch inline)")
+    serve.add_argument("--backend", choices=BACKENDS,
                        default="thread",
-                       help="engine backend (process/queue keep a warm "
+                       help="engine backend (process keeps a warm "
                             "repro.core.dist pool; cluster fans "
                             "micro-batches out to repro worker agents — "
                             "see --cluster-listen)")

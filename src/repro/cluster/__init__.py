@@ -1,17 +1,17 @@
 """Multi-host sweep fabric: socket work queue, worker agents, leases.
 
 The distribution-scale step on top of :mod:`repro.core.dist`: the
-chunked scheduler's work queue, served over a line-JSON TCP protocol to
+chunked scheduler's chunks, served over a line-JSON TCP protocol to
 worker agents on other processes or hosts, with a lease/heartbeat layer
 that reclaims chunks from workers that die or stall.  Three moving
 parts:
 
 :class:`~repro.cluster.coordinator.ClusterCoordinator`
-    Owns the queue (driven through the same
-    :class:`repro.core.dist.InProcessQueue` contract the in-process
-    scheduler uses), issues leases, reaps the dead, and reassembles
-    results.  ``sweep_models(..., backend="cluster")`` routes every
-    chunk through it.
+    Owns one chunk ledger per sweep, issues leases, reaps the dead,
+    reassembles results, and hands each accepted chunk back to the
+    scheduler (which appends it to the sweep's result store).
+    ``sweep_models(..., backend="cluster")`` routes every chunk
+    through it.
 :class:`~repro.cluster.worker.ClusterWorker`
     The agent behind ``repro worker --connect host:port``: claims
     chunks, executes them on its local warm process pool via the exact
@@ -42,7 +42,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from .coordinator import ClusterCoordinator
-from .journal import SweepJournal, job_digest
 from .lease import ChunkLedger, Lease
 from .protocol import ClusterProtocolError, parse_address
 from .worker import ChunkTimeout, ClusterWorker, WorkerConnectError
@@ -53,8 +52,6 @@ __all__ = [
     "ChunkLedger",
     "ChunkTimeout",
     "Lease",
-    "SweepJournal",
-    "job_digest",
     "ClusterProtocolError",
     "WorkerConnectError",
     "parse_address",

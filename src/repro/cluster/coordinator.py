@@ -1,4 +1,4 @@
-"""The cluster coordinator: the dist work queue, exposed over TCP.
+"""The cluster coordinator: the dist chunk scheduler, exposed over TCP.
 
 One coordinator serves many sweeps and many workers.  Sweeps enter
 through :meth:`ClusterCoordinator.run_chunks` — the scheduler hands
@@ -43,12 +43,11 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
 from ..obs.trace import TraceContext, emit_span, mint_span_id
-from .journal import SweepJournal, job_digest
 from .lease import ChunkLedger
 from .protocol import (
     STATUS_CHUNK,
@@ -78,19 +77,16 @@ _STALE_FACTOR = 3.0
 
 class _Job:
     """One ``run_chunks`` call in flight: its ledger and completion
-    signal, plus the submitting sweep's trace context and (when the
-    coordinator journals) its journal digest."""
+    signal, plus the submitting sweep's trace context."""
 
-    __slots__ = ("id", "ledger", "trace_ctx", "done", "journal_digest")
+    __slots__ = ("id", "ledger", "trace_ctx", "done")
 
     def __init__(self, job_id: int, ledger: ChunkLedger,
-                 trace_ctx: Optional[TraceContext],
-                 journal_digest: Optional[str] = None) -> None:
+                 trace_ctx: Optional[TraceContext]) -> None:
         self.id = job_id
         self.ledger = ledger
         self.trace_ctx = trace_ctx
         self.done = threading.Event()
-        self.journal_digest = journal_digest
 
 
 class ClusterCoordinator:
@@ -114,28 +110,16 @@ class ClusterCoordinator:
         movement is forwarded (``cluster.*``), which puts
         ``repro_serve_cluster_*`` families on the embedding server's
         Prometheus exposition.
-    journal:
-        Optional path to a :class:`~repro.cluster.journal.SweepJournal`.
-        Every accepted chunk outcome is appended crash-safely, and a
-        job submitted with the same content digest (same chunks, same
-        bytes) pre-completes its journaled chunks — a coordinator
-        killed mid-sweep resumes re-executing only in-flight work
-        (``repro sweep --backend cluster --journal PATH``).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  lease_timeout: float = 10.0, max_retries: int = 2,
-                 stats: Optional[Any] = None,
-                 journal: Optional[Any] = None) -> None:
+                 stats: Optional[Any] = None) -> None:
         self._host = host
         self._port = port
         self.lease_timeout = lease_timeout
         self.max_retries = max_retries
         self._stats = stats
-        self._journal: Optional[SweepJournal] = (
-            None if journal is None
-            else journal if isinstance(journal, SweepJournal)
-            else SweepJournal(journal))
         self._lock = threading.RLock()
         self._jobs: "OrderedDict[int, _Job]" = OrderedDict()
         self._job_ids = itertools.count(1)
@@ -266,6 +250,7 @@ class ClusterCoordinator:
         chunks: List[List[Tuple[int, bytes]]],
         *,
         max_retries: Optional[int] = None,
+        on_chunk: Optional[Callable[[Any], None]] = None,
     ) -> Tuple[Dict[int, Any], List[int]]:
         """Dispatch one sweep's chunks across the fabric and block until
         every chunk has an outcome.
@@ -281,44 +266,34 @@ class ClusterCoordinator:
         While no worker is connected the submitting thread executes
         chunks itself, so completion never depends on external agents.
 
-        With a journal configured, chunks whose outcomes were journaled
-        by a previous (killed) coordinator under the same content
-        digest are pre-completed — only unjournaled work executes.
+        ``on_chunk(pairs)`` is called once per accepted chunk with its
+        ``(task index, finding)`` pairs — on the submitting thread,
+        outside the coordinator lock, within one poll interval of the
+        acceptance and always before this method returns.  The
+        scheduler appends them to its result store.
         """
         retries = self.max_retries if max_retries is None else max_retries
         trace_ctx = _OBS.current_trace() if _OBS.enabled else None
         ledger = ChunkLedger(
             {cid: rows for cid, rows in enumerate(chunks)},
             max_retries=retries)
-        digest: Optional[str] = None
-        resumed = 0
-        if self._journal is not None:
-            digest = job_digest(chunks)
-            for chunk_id, outcome in sorted(
-                    self._journal.load(digest).items()):
-                if 0 <= chunk_id < len(chunks) \
-                        and ledger.complete(chunk_id, outcome):
-                    resumed += 1
         with self._lock:
-            job = _Job(next(self._job_ids), ledger, trace_ctx,
-                       journal_digest=digest)
+            job = _Job(next(self._job_ids), ledger, trace_ctx)
             self._jobs[job.id] = job
         self._incr("jobs.submitted")
-        if resumed:
-            self._incr("journal.resumed", resumed)
-            if _OBS.enabled:
-                _OBS.event("cluster.journal.resumed", chunks=resumed,
-                           job=digest)
         if ledger.done:
             job.done.set()
+        delivered = 0
         try:
             while not job.done.is_set() and not self._closed.is_set():
+                delivered = self._deliver(job, on_chunk, delivered)
                 if self.worker_count() == 0 and self._run_one_inline(job):
                     continue
                 job.done.wait(0.02)
         finally:
             with self._lock:
                 self._jobs.pop(job.id, None)
+        self._deliver(job, on_chunk, delivered)
         self._incr("jobs.completed")
         results: Dict[int, Any] = {}
         for outcome in job.ledger.outcomes.values():
@@ -358,19 +333,20 @@ class ClusterCoordinator:
         if accepted:
             self._incr("chunks.inline")
             self._incr("chunks.completed")
-            self._journal_outcome(job, lease.chunk_id, pairs)
         return True
 
-    def _journal_outcome(self, job: _Job, chunk_id: int,
-                         pairs: Any) -> None:
-        """Persist one accepted chunk outcome (outside the lock — the
-        journal serializes its own appends)."""
-        if self._journal is None or job.journal_digest is None:
-            return
-        if self._journal.record(job.journal_digest, chunk_id, pairs):
-            self._incr("journal.appends")
-        else:
-            self._incr("journal.write_errors")
+    def _deliver(self, job: _Job, on_chunk: Optional[Callable[[Any], None]],
+                 delivered: int) -> int:
+        """Hand the chunk outcomes accepted since the last call to
+        ``on_chunk`` (outside the lock; the ledger's outcomes only ever
+        grow, in acceptance order).  Returns the new delivered count."""
+        if on_chunk is None:
+            return delivered
+        with self._lock:
+            fresh = list(job.ledger.outcomes.values())[delivered:]
+        for pairs in fresh:
+            on_chunk(pairs)
+        return delivered + len(fresh)
 
     # -- the TCP face -----------------------------------------------------
 
@@ -602,8 +578,6 @@ class ClusterCoordinator:
             self._incr("chunks.duplicate")
             return {"status": STATUS_OK, "accepted": False}
         self._incr("chunks.completed")
-        if job is not None:
-            self._journal_outcome(job, chunk_id, pairs)
         if meta is not None and meta["span_hex"] is not None \
                 and job is not None and job.trace_ctx is not None:
             elapsed = time.monotonic() - meta["claimed_mono"]

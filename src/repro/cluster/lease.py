@@ -7,10 +7,9 @@ time while tests (including the hypothesis interleaving suite) drive it
 from a simulated schedule.  It owns exactly the state that makes
 worker death recoverable:
 
-* a work queue of chunk ids, driven through the
-  :class:`repro.core.dist.InProcessQueue` contract (``put`` / ``claim``
-  / ``requeue`` / ``complete``) — the same contract the in-process
-  scheduler uses, so the TCP front-end adds transport, not semantics;
+* a FIFO deque of unclaimed chunk ids (claims pop the front, reclaims
+  push back onto the front) — the claim records themselves are the
+  leases below;
 * one :class:`Lease` per claimed chunk — claimant, expiry deadline, and
   attempt number.  Heartbeats renew the deadlines of the leases a
   claimant names; :meth:`reap` expires overdue leases and requeues
@@ -32,9 +31,8 @@ deterministic the dropped copy was identical anyway.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
-
-from ..core.dist import InProcessQueue
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["Lease", "ChunkLedger"]
 
@@ -66,10 +64,10 @@ class ChunkLedger:
     serializes access under its own lock.
     """
 
-    def __init__(self, chunks: Mapping[int, Any], *, max_retries: int = 2,
-                 queue: Optional[Any] = None) -> None:
+    def __init__(self, chunks: Mapping[int, Any], *,
+                 max_retries: int = 2) -> None:
         self._chunks: Dict[int, Any] = dict(chunks)
-        self._queue = queue if queue is not None else InProcessQueue()
+        self._queue: Deque[int] = deque(sorted(self._chunks))
         self._max_retries = max_retries
         self._attempts: Dict[int, int] = {cid: 0 for cid in self._chunks}
         self._leases: Dict[int, Lease] = {}
@@ -78,8 +76,6 @@ class ChunkLedger:
         self.outcomes: Dict[int, Any] = {}
         #: chunk ids whose retries are exhausted (caller falls back).
         self.failed: List[int] = []
-        for cid in sorted(self._chunks):
-            self._queue.put(cid)
 
     # -- introspection ----------------------------------------------------
 
@@ -113,21 +109,19 @@ class ChunkLedger:
               ttl: float) -> Optional[Lease]:
         """Lease the next available chunk to ``claimant``, or ``None``.
 
-        Skips (and discharges) stale queue entries left behind when a
-        reclaimed chunk's original result arrived late — the queue may
-        briefly hold ids that already have outcomes.
+        Skips stale queue entries left behind when a reclaimed chunk's
+        original result arrived late — the queue may briefly hold ids
+        that already have outcomes.
         """
-        while True:
-            chunk_id = self._queue.claim(claimant)
-            if chunk_id is None:
-                return None
+        while self._queue:
+            chunk_id = self._queue.popleft()
             if chunk_id in self.outcomes or chunk_id in self.failed:
-                self._queue.complete(chunk_id)
                 continue
             lease = Lease(chunk_id, claimant, f"L{next(self._tokens)}",
                           now + ttl, self._attempts[chunk_id])
             self._leases[chunk_id] = lease
             return lease
+        return None
 
     def renew(self, claimant: str, tokens: Iterable[str], *, now: float,
               ttl: float) -> int:
@@ -153,7 +147,6 @@ class ChunkLedger:
             return False
         self.outcomes[chunk_id] = outcome
         self._leases.pop(chunk_id, None)
-        self._queue.complete(chunk_id)
         return True
 
     def release(self, chunk_id: int) -> str:
@@ -169,10 +162,9 @@ class ChunkLedger:
             return "absent"
         self._attempts[chunk_id] += 1
         if self._attempts[chunk_id] > self._max_retries:
-            self._queue.complete(chunk_id)
             self.failed.append(chunk_id)
             return "exhausted"
-        self._queue.requeue(chunk_id)
+        self._queue.appendleft(chunk_id)
         return "requeued"
 
     def release_claimant(self, claimant: str) -> List[Tuple[int, str]]:

@@ -36,7 +36,6 @@ from .columnar import (
     encoding_for,
 )
 from .dist import (
-    InProcessQueue,
     ResultStore,
     domain_digest,
     task_key,
@@ -154,7 +153,6 @@ __all__ = [
     "result_to_dict",
     "sweep_task_fingerprint",
     "trace_to_dict",
-    "InProcessQueue",
     "ResultStore",
     "domain_digest",
     "task_key",

@@ -16,12 +16,6 @@ once per session, not once per sweep (``dist.pool.created`` vs
 on a fresh pool, then — still failing — run inline in the parent, so a
 poisoned worker degrades throughput, never correctness.
 
-**A pluggable queue front-end.**  Chunk dispatch flows through a work
-queue with ``put``/``claim`` semantics (:class:`InProcessQueue` today).
-The scheduler only ever *claims* work, so a file- or socket-backed queue
-spanning hosts slots in without touching the execution path — the
-ROADMAP's distribution-scale step.
-
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
 fingerprint — see :func:`repro.core.serialize.sweep_task_fingerprint`)
@@ -30,13 +24,14 @@ gets a result key.  Keyed results are memoized in-process (the warm tier
 tasks, ``dist.memo.hits``) and can be persisted to a JSONL
 :class:`ResultStore` (the cold tier — ``sweep_models(resume_from=...)``
 re-runs only the delta after a corpus change, ``dist.resume.skips``).
+Handed a store, :func:`run_tasks` appends each chunk's keyed results as
+that chunk completes — on the local pool and on the cluster fabric
+alike — so a sweep killed mid-run resumes from every chunk that landed.
 Keys are purely semantic: a rebound predicate, an edited domain, or a
 different witness limit all change the key, so reuse is never stale.
 
-Serialized task bytes are produced once by the per-task picklability
-probe and reused verbatim for dispatch; a task that does not pickle
-(an unregistered opaque predicate) runs inline in the parent instead of
-dragging the whole sweep onto threads.
+A task that does not pickle (an unregistered opaque predicate) runs
+inline in the parent instead of dragging the whole sweep onto threads.
 
 **Zero-copy domain sharing.**  Large materialized domains used to be
 re-pickled into every chunk payload.  With the columnar engine enabled,
@@ -63,10 +58,10 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
@@ -76,7 +71,6 @@ from .predspec import decode_value, encode_value, spec_digest
 from .sweep import NO_CACHE, SweepFinding, _scan_task, shared_cache
 
 __all__ = [
-    "InProcessQueue",
     "ResultStore",
     "chunk_tasks",
     "domain_digest",
@@ -281,11 +275,16 @@ class ResultStore:
     the sweep keeps its in-memory answer and later runs simply rescan
     the missing keys.  The ``store.append.torn`` / ``store.append.enospc``
     fault taps (:mod:`repro.faults`) exercise exactly these paths.
+
+    Appends are serialized by a lock, so threads sharing one store never
+    interleave or tear each other's records.  Every record that reaches
+    the file counts into ``dist.store.appended``.
     """
 
     def __init__(self, path: Any) -> None:
         self.path = str(path)
         self.write_errors = 0
+        self._lock = threading.Lock()
 
     def _write_failed(self) -> None:
         self.write_errors += 1
@@ -295,8 +294,6 @@ class ResultStore:
 
     def _tail_truncated(self) -> bool:
         """Does the file end mid-record (non-empty, no final newline)?"""
-        import os
-
         try:
             with open(self.path, "rb") as handle:
                 handle.seek(-1, os.SEEK_END)
@@ -317,9 +314,6 @@ class ResultStore:
 
     def load(self) -> Dict[str, Optional[SweepFinding]]:
         """Every stored ``key → finding`` (``None`` = scanned, clean)."""
-        import json
-        import os
-
         results: Dict[str, Optional[SweepFinding]] = {}
         if not os.path.exists(self.path):
             return results
@@ -348,39 +342,13 @@ class ResultStore:
 
     def record(self, key: str, finding: Optional[SweepFinding]) -> bool:
         """Append one result; ``False`` (not an error) when the finding's
-        witnesses fall outside the value codec."""
-        import json
-
-        try:
-            payload = _encode_finding(finding)
-        except ValueError:
-            if _OBS.enabled:
-                _OBS.incr("dist.store.unencodable")
-            return False
-        prefix = self._append_prefix()
-        line = prefix + json.dumps({"key": key, "finding": payload}) + "\n"
-        try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                # No sort_keys: record-shaped witnesses must round-trip
-                # with their field order intact.
-                if _faults.fire("store.append.enospc") is not None:
-                    raise OSError(28, "injected: store.append.enospc")
-                if _faults.fire("store.append.torn") is not None:
-                    handle.write(line[: max(1, len(line) // 2)])
-                    self._write_failed()
-                    return False
-                handle.write(line)
-        except OSError:
-            self._write_failed()
-            return False
-        return True
+        witnesses fall outside the value codec or the write failed."""
+        return self.record_many([(key, finding)]) == 1
 
     def record_many(
         self, items: Sequence[Tuple[str, Optional[SweepFinding]]]
     ) -> int:
-        """Batch append; returns how many results were recordable."""
-        import json
-
+        """Batch append; returns how many results were recorded."""
         lines: List[str] = []
         for key, finding in items:
             try:
@@ -389,11 +357,13 @@ class ResultStore:
                 if _OBS.enabled:
                     _OBS.incr("dist.store.unencodable")
                 continue
-            # No sort_keys: see record().
+            # No sort_keys: record-shaped witnesses must round-trip with
+            # their field order intact.
             lines.append(json.dumps({"key": key, "finding": payload}))
-        if lines:
-            prefix = self._append_prefix()
-            blob = prefix + "\n".join(lines) + "\n"
+        if not lines:
+            return 0
+        with self._lock:
+            blob = self._append_prefix() + "\n".join(lines) + "\n"
             try:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     if _faults.fire("store.append.enospc") is not None:
@@ -406,6 +376,8 @@ class ResultStore:
             except OSError:
                 self._write_failed()
                 return 0
+        if _OBS.enabled:
+            _OBS.incr("dist.store.appended", len(lines))
         return len(lines)
 
 
@@ -599,79 +571,6 @@ def chunk_tasks(tasks: Sequence[Any], indexes: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# The pluggable queue front-end.
-# ---------------------------------------------------------------------------
-
-class InProcessQueue:
-    """Minimal work queue: FIFO ``put``/``claim`` over an in-process
-    deque.  The scheduler only touches this protocol, so a file- or
-    socket-backed queue (tasks spanning hosts) is a drop-in
-    replacement — implement ``put(item)``, ``claim(claimant=None) ->
-    item | None``, ``requeue(item)``, and ``complete(item)``.
-
-    A claim is *leased*, not forgotten: the queue records ``(item,
-    claimant)`` until the claimant either finishes the item
-    (:meth:`complete`) or hands it back (:meth:`requeue` — the item
-    rejoins the *front* of the queue, so reclaimed work is re-issued
-    before fresh work).  This is the single queue contract shared by
-    the in-process scheduler and the cluster coordinator's TCP
-    front-end: the :mod:`repro.cluster` lease layer drives exactly
-    these four methods.
-    """
-
-    def __init__(self) -> None:
-        self._items: "deque[Any]" = deque()
-        self._claimed: List[Tuple[Any, Optional[str]]] = []
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def put(self, item: Any) -> None:
-        with self._lock:
-            self._items.append(item)
-
-    def claim(self, claimant: Optional[str] = None) -> Optional[Any]:
-        """Next unclaimed item (recording who claimed it), or ``None``
-        when the queue is drained."""
-        with self._lock:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._claimed.append((item, claimant))
-            return item
-
-    def _drop_claim(self, item: Any) -> bool:
-        for position, (claimed, _claimant) in enumerate(self._claimed):
-            if claimed is item or claimed == item:
-                del self._claimed[position]
-                return True
-        return False
-
-    def requeue(self, item: Any) -> bool:
-        """Return a claimed-but-unfinished item to the front of the
-        queue (the lease layer's reclaim path).  ``True`` when a
-        matching claim record existed; the item is re-enqueued either
-        way, so a reclaim is never silently lost."""
-        with self._lock:
-            had_claim = self._drop_claim(item)
-            self._items.appendleft(item)
-            return had_claim
-
-    def complete(self, item: Any) -> bool:
-        """Discharge a claim after its item finished; ``True`` when a
-        matching claim record existed."""
-        with self._lock:
-            return self._drop_claim(item)
-
-    def claimed(self) -> List[Tuple[Any, Optional[str]]]:
-        """Snapshot of outstanding ``(item, claimant)`` claims."""
-        with self._lock:
-            return list(self._claimed)
-
-
-# ---------------------------------------------------------------------------
 # Worker side.
 # ---------------------------------------------------------------------------
 
@@ -686,12 +585,11 @@ def _chunk_worker(
     predicate cache, whose spec-hash keys make verdicts memoized by one
     chunk reusable by every later chunk in the same worker.
 
-    Payloads come in two shapes: ``(task, program)`` pairs — the
-    compiled plan primes the worker's plan cache (and imports the
-    parent's CSE marks) as it unpickles — and bare legacy task tuples.
-    All tasks of a chunk share one :class:`~repro.core.plan.NodeMemo`,
-    so subpredicates shared across the chunk's models evaluate once per
-    object.
+    Each payload is a pickled ``(task, program)`` pair: the compiled
+    plan primes the worker's plan cache (and imports the parent's CSE
+    marks) as it unpickles.  All tasks of a chunk share one
+    :class:`~repro.core.plan.NodeMemo`, so subpredicates shared across
+    the chunk's models evaluate once per object.
 
     With a ``traceparent`` (the shipping chunk's trace context,
     serialized W3C-style), the worker continues the parent's trace: its
@@ -717,11 +615,7 @@ def _chunk_worker(
         memo = plan.NodeMemo() if plan.is_enabled() else None
         results: List[Tuple[int, Optional[SweepFinding]]] = []
         for index, raw in chunk:
-            loaded = pickle.loads(raw)
-            if isinstance(loaded, tuple) and len(loaded) == 2:
-                task = loaded[0]  # loaded[1] (the plan) primed the cache
-            else:
-                task = loaded
+            task = pickle.loads(raw)[0]  # [1], the plan, primed the cache
             results.append((index, _scan_task(task, cache=cache, memo=memo)))
     finally:
         if sink is not None:
@@ -887,8 +781,7 @@ def run_tasks(
     *,
     backend: str = "process",
     keys: Optional[Sequence[Optional[str]]] = None,
-    payloads: Optional[Sequence[Optional[bytes]]] = None,
-    queue: Optional[Any] = None,
+    store: Optional[ResultStore] = None,
     max_retries: int = 2,
 ) -> List[Optional[SweepFinding]]:
     """Execute scan tasks through the chunked process scheduler.
@@ -901,59 +794,62 @@ def run_tasks(
     workers:
         Process-pool width.
     backend:
-        ``"process"`` dispatches chunks directly; ``"queue"`` routes them
-        through the pluggable work queue first (same execution, claimed
-        dispatch — the seam for cross-host queues); ``"cluster"`` ships
-        chunks through the ambient :mod:`repro.cluster` coordinator to
-        remote worker agents (lease-tracked, reclaimed on worker death,
-        inline fallback on retry exhaustion — results stay bit-for-bit
-        equal to ``"process"``).
+        ``"process"`` dispatches chunks to the warm local pool;
+        ``"cluster"`` ships them through the ambient :mod:`repro.cluster`
+        coordinator to remote worker agents (lease-tracked, reclaimed on
+        worker death, inline fallback on retry exhaustion — results stay
+        bit-for-bit equal to ``"process"``).
     keys:
         Optional per-task result keys (from :func:`task_key`).  Keyed
         tasks hit the in-memory result memo; ``None`` entries always
         compute.
-    payloads:
-        Optional pre-serialized task bytes (the per-task picklability
-        probe's output, reused for dispatch).  Missing entries are
-        serialized here; unpicklable tasks run inline in the parent.
-    queue:
-        Queue instance for ``backend="queue"`` (default
-        :class:`InProcessQueue`).
+    store:
+        Optional :class:`ResultStore`.  Every keyed result is appended
+        once: memo hits up front, computed results chunk by chunk as
+        each chunk completes, so a killed run keeps what landed.
     max_retries:
         Per-chunk resubmissions after a worker crash before the chunk
         falls back to inline execution.
 
     Returns results in task order, exactly like the inline executor.
     """
+    if backend not in ("process", "cluster"):
+        raise ValueError(f"unknown backend {backend!r}: "
+                         f"expected one of process, cluster")
     obs_on = _OBS.enabled
     count = len(tasks)
     results: List[Any] = [_PENDING] * count
 
+    def persist(pairs: Sequence[Tuple[int, Optional[SweepFinding]]]) -> None:
+        if store is not None and keys is not None:
+            store.record_many([(keys[index], finding)
+                               for index, finding in pairs
+                               if keys[index] is not None])
+
     # Warm tier: reuse fingerprint-keyed results computed earlier in the
     # session.
     if keys is not None:
-        memo_hits = 0
+        hits = []
         for index, key in enumerate(keys):
             if key is None:
                 continue
             memoized = _memo_get(key)
             if memoized is not _PENDING:
                 results[index] = memoized
-                memo_hits += 1
-        if obs_on and memo_hits:
-            _OBS.incr("dist.memo.hits", memo_hits)
+                hits.append((index, memoized))
+        persist(hits)
+        if obs_on and hits:
+            _OBS.incr("dist.memo.hits", len(hits))
 
-    # Per-task probe; serialized bytes are the dispatch payload.
-    if payloads is None:
-        payloads = [None] * count
-    payload_list: List[Optional[bytes]] = list(payloads)
+    # Serialized bytes are the dispatch payload; unpicklable tasks run
+    # inline in the parent.
+    payload_list: List[Optional[bytes]] = [None] * count
     pending: List[int] = []
     inline_indexes: List[int] = []
     for index in range(count):
         if results[index] is not _PENDING:
             continue
-        if payload_list[index] is None:
-            payload_list[index] = _serialize_task(tasks[index])
+        payload_list[index] = _serialize_task(tasks[index])
         if payload_list[index] is None:
             inline_indexes.append(index)
         else:
@@ -975,38 +871,19 @@ def run_tasks(
                        pending=len(pending), workers=workers) as span:
             if pending and backend == "cluster":
                 _run_cluster_chunks(tasks, payload_list, pending,
-                                    workers, results, max_retries)
+                                    workers, results, max_retries, persist)
             elif pending:
                 chunks = chunk_tasks(tasks, pending,
                                      workers * _CHUNKS_PER_WORKER)
                 if obs_on:
                     _OBS.incr("dist.chunks", len(chunks))
-                if backend == "queue":
-                    front = queue if queue is not None else InProcessQueue()
-                    for chunk in chunks:
-                        front.put(chunk)
-                    claimed: List[List[int]] = []
-                    while True:
-                        item = front.claim("dist.run_tasks")
-                        if item is None:
-                            break
-                        claimed.append(item)
-                    chunks = claimed
-                    if obs_on:
-                        _OBS.incr("dist.queue.claimed", len(chunks))
                 _execute_chunks(tasks, payload_list, chunks, workers,
-                                results, max_retries)
-                if backend == "queue":
-                    # Synchronous drain: every claim is discharged once
-                    # the chunks have executed (crash retry and inline
-                    # fallback included), so external queues never see a
-                    # dangling claim from this path.
-                    for chunk in chunks:
-                        front.complete(chunk)
+                                results, max_retries, persist)
 
             # Parent-side inline degrade for tasks that never pickled.
             for index in inline_indexes:
                 results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+            persist([(index, results[index]) for index in inline_indexes])
 
             memoized = 0
             if keys is not None:
@@ -1030,6 +907,7 @@ def _run_cluster_chunks(
     workers: int,
     results: List[Any],
     max_retries: int,
+    persist: Callable[[Sequence[Tuple[int, Any]]], None],
 ) -> None:
     """Ship the pending chunks through the ambient cluster coordinator.
 
@@ -1039,6 +917,7 @@ def _run_cluster_chunks(
     exhausted — or that a closing fabric handed back — degrade to the
     scheduler's usual inline per-task path.  Either way every pending
     index is filled, with results identical to ``backend="process"``.
+    ``persist`` sees each chunk's pairs as the coordinator accepts them.
     """
     from .. import cluster
 
@@ -1055,13 +934,15 @@ def _run_cluster_chunks(
     payload_chunks = [[(index, payloads[index]) for index in chunk]
                       for chunk in chunks]
     got, failed = coordinator.run_chunks(payload_chunks,
-                                         max_retries=max_retries)
+                                         max_retries=max_retries,
+                                         on_chunk=persist)
     for index, finding in got.items():
         results[index] = finding
     if failed and _OBS.enabled:
         _OBS.incr("dist.chunk.inline_fallback", len(failed))
     for index in failed:
         results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+    persist([(index, results[index]) for index in failed])
 
 
 def _execute_chunks(
@@ -1071,9 +952,11 @@ def _execute_chunks(
     workers: int,
     results: List[Any],
     max_retries: int,
+    persist: Callable[[Sequence[Tuple[int, Any]]], None],
 ) -> None:
     """Dispatch chunks to the warm pool; retry crashed chunks on a fresh
-    pool; last resort runs the chunk inline in the parent.
+    pool; last resort runs the chunk inline in the parent.  ``persist``
+    sees each chunk's pairs as that chunk completes.
 
     When an ambient trace context is live (the serving path sets one
     around the engine dispatch, and the enclosing ``dist.run`` span
@@ -1133,6 +1016,7 @@ def _execute_chunks(
                         pairs, remote_spans = outcome, ()
                     for index, finding in pairs:
                         results[index] = finding
+                    persist(pairs)
                     elapsed = time.monotonic() - submit_at[future]
                     if chunk_hexes.get(future) is not None:
                         emit_span(
@@ -1164,3 +1048,4 @@ def _execute_chunks(
             _OBS.incr("dist.chunk.inline_fallback")
         for index in chunk:
             results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+        persist([(index, results[index]) for index in chunk])

@@ -27,10 +27,9 @@ work, with three cooperating layers:
 3. **A parallel executor.**  :func:`sweep_models` fans the per-pFSM
    witness searches across workers and reassembles results in
    deterministic (model, operation, pFSM) order.  Thread pools share
-   the caller's cache; ``mode="process"``/``"queue"`` route through the
-   chunked warm-pool scheduler in :mod:`repro.core.dist` (predicate
-   specs make the tasks picklable — see :mod:`repro.core.predspec`);
-   ``mode="auto"`` probes each task individually and splits the list.
+   the caller's cache; ``mode="process"`` and ``mode="cluster"`` route
+   through the chunked scheduler in :mod:`repro.core.dist` (predicate
+   specs make the tasks picklable — see :mod:`repro.core.predspec`).
    ``resume_from`` persists fingerprint-keyed results to a JSONL store
    so re-running a corpus sweep only computes the delta.
 
@@ -52,7 +51,6 @@ pool decision and queue size.)
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from itertools import islice
@@ -95,7 +93,11 @@ __all__ = [
     "sweep_operation",
     "sweep_model",
     "sweep_models",
+    "BACKENDS",
 ]
+
+#: The executors a sweep can run on (``mode=`` / ``backend=``).
+BACKENDS = ("thread", "process", "cluster")
 
 
 # ---------------------------------------------------------------------------
@@ -663,29 +665,6 @@ def _scan_task_with(cache: Any, parent_id: Optional[int] = None,
     return run
 
 
-def _serialize_tasks(tasks: Sequence[Any]) -> List[Optional[bytes]]:
-    """Per-task picklability probe.
-
-    Returns each task's serialized bytes (reused verbatim as the
-    dispatch payload by :mod:`repro.core.dist`) or ``None`` for the
-    tasks that do not pickle — one opaque predicate no longer drags the
-    whole sweep onto threads.  Payloads carry ``(task, program)`` pairs:
-    the compiled hidden-set plan ships alongside the task, priming the
-    worker's plan cache (with the parent's CSE marks) on unpickle.
-    """
-    payloads: List[Optional[bytes]] = []
-    for task in tasks:
-        program = _plan.program_for(task[2])
-        try:
-            payloads.append(pickle.dumps((task, program)))
-        except Exception:
-            try:
-                payloads.append(pickle.dumps((task, None)))
-            except Exception:
-                payloads.append(None)
-    return payloads
-
-
 def _run_tasks(
     tasks: Sequence[SweepTask],
     workers: Optional[int],
@@ -693,34 +672,37 @@ def _run_tasks(
     cache: Any = NO_CACHE,
     keys: Optional[Sequence[Optional[str]]] = None,
     memo: Any = None,
+    store: Any = None,
 ) -> List[Optional[SweepFinding]]:
     """Execute scan tasks, preserving submission order in the results.
 
-    ``mode`` selects the executor:
+    ``mode`` selects the executor (anything outside :data:`BACKENDS`
+    raises :class:`ValueError`):
 
     * ``"thread"`` — thread pool sharing ``cache``; ``workers`` of
       ``None``/``<= 1`` runs inline.
-    * ``"process"`` / ``"queue"`` — the chunked warm-pool scheduler in
+    * ``"process"`` — the chunked warm-pool scheduler in
       :mod:`repro.core.dist` (workers use their own per-process shared
-      caches; ``keys`` enables fingerprint-keyed result reuse).
+      caches; ``keys`` enables fingerprint-keyed result reuse, and a
+      ``store`` receives each chunk's keyed results as it completes).
     * ``"cluster"`` — the same scheduler, dispatching chunks through
       the ambient :mod:`repro.cluster` coordinator to worker agents
       (results bit-for-bit equal to ``"process"``).
-    * ``"auto"`` — probes each task individually: picklable tasks go to
-      the process scheduler, the opaque remainder to threads, results
-      reassembled in order.
 
     Each executor decision is recorded as a ``sweep.pool`` telemetry
     event.
     """
+    if mode not in BACKENDS:
+        raise ValueError(f"unknown backend {mode!r}: "
+                         f"expected one of {', '.join(BACKENDS)}")
     obs_on = _OBS.enabled
     if obs_on:
         _OBS.incr("sweep.tasks.queued", len(tasks))
-    if mode in ("process", "queue", "cluster"):
+    if mode != "thread":
         from . import dist
 
         results = dist.run_tasks(tasks, workers or 1, backend=mode,
-                                 keys=keys)
+                                 keys=keys, store=store)
         if obs_on:
             _OBS.incr("sweep.pool.process")
             _OBS.event("sweep.pool", kind=mode, workers=workers or 1,
@@ -731,32 +713,6 @@ def _run_tasks(
             _OBS.incr("sweep.pool.inline")
             _OBS.event("sweep.pool", kind="inline", tasks=len(tasks))
         return [_scan_task(task, cache=cache, memo=memo) for task in tasks]
-    threaded = list(range(len(tasks)))
-    results: List[Optional[SweepFinding]] = [None] * len(tasks)
-    if mode == "auto":
-        payloads = _serialize_tasks(tasks)
-        distributable = [i for i, p in enumerate(payloads) if p is not None]
-        if distributable:
-            from . import dist
-
-            sub_results = dist.run_tasks(
-                [tasks[i] for i in distributable],
-                workers,
-                backend="process",
-                keys=[keys[i] for i in distributable] if keys else None,
-                payloads=[payloads[i] for i in distributable],
-            )
-            for i, finding in zip(distributable, sub_results):
-                results[i] = finding
-            threaded = [i for i, p in enumerate(payloads) if p is None]
-            if obs_on:
-                _OBS.incr("sweep.pool.process")
-                _OBS.event("sweep.pool", kind="auto", workers=workers,
-                           tasks=len(tasks),
-                           distributed=len(distributable),
-                           threaded=len(threaded))
-            if not threaded:
-                return results
     parent_id = None
     trace_ctx = None
     if obs_on:
@@ -766,14 +722,11 @@ def _run_tasks(
         trace_ctx = _OBS.current_trace()
     worker_fn = _scan_task_with(cache, parent_id, memo, trace_ctx)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, finding in zip(threaded,
-                              pool.map(worker_fn,
-                                       [tasks[i] for i in threaded])):
-            results[i] = finding
+        results = list(pool.map(worker_fn, tasks))
     if obs_on:
         _OBS.incr("sweep.pool.thread")
         _OBS.event("sweep.pool", kind="thread", workers=workers,
-                   tasks=len(threaded))
+                   tasks=len(tasks))
     return results
 
 
@@ -894,14 +847,13 @@ def sweep_models(
         (thread/inline executors; process workers always use their own
         per-process shared cache).
     mode:
-        ``"thread"`` (default), ``"process"`` / ``"queue"`` (the chunked
-        warm-pool scheduler of :mod:`repro.core.dist`, which also reuses
-        fingerprint-keyed results within the session), ``"cluster"``
-        (the same scheduler dispatching through the ambient
-        :mod:`repro.cluster` coordinator to worker agents — results
-        bit-for-bit equal to ``"process"``), or ``"auto"`` (per-task
-        probe: picklable tasks to the process scheduler, the rest to
-        threads).
+        ``"thread"`` (default), ``"process"`` (the chunked warm-pool
+        scheduler of :mod:`repro.core.dist`, which also reuses
+        fingerprint-keyed results within the session), or
+        ``"cluster"`` (the same scheduler dispatching through the
+        ambient :mod:`repro.cluster` coordinator to worker agents —
+        results bit-for-bit equal to ``"process"``).  Anything else
+        raises :class:`ValueError`.
     backend:
         Alias for ``mode`` (``sweep_models(..., backend="cluster")``);
         when given it wins over ``mode``.
@@ -910,7 +862,10 @@ def sweep_models(
         whose fingerprint key is already stored are *not* re-scanned
         (``dist.resume.skips``); newly computed keyed results are
         appended, so a corpus sweep re-run after adding one model only
-        computes the delta.  Works with every mode.
+        computes the delta.  Works with every mode: ``"process"`` and
+        ``"cluster"`` append each chunk as it completes, so a killed
+        sweep resumes from every chunk that landed; the thread and
+        inline paths append once at the end of the sweep.
 
     Results are deterministic: one :class:`ModelSweep` per input model in
     mapping order, findings in cascade order — identical to the serial
@@ -934,7 +889,7 @@ def sweep_models(
         boundaries.append((label, len(tasks) - start))
 
     keys: Optional[List[Optional[str]]] = None
-    if resume_from is not None or mode in ("process", "queue", "cluster"):
+    if resume_from is not None or mode != "thread":
         from . import dist
 
         keys = [dist.task_key(model, task)
@@ -953,6 +908,9 @@ def sweep_models(
         if _OBS.enabled and resumed:
             _OBS.incr("dist.resume.skips", len(resumed))
     remaining = [i for i in range(len(tasks)) if i not in resumed]
+    # The chunked scheduler appends chunk by chunk; the thread and
+    # inline paths append once, after the sweep.
+    chunked_store = store if mode != "thread" else None
 
     with _OBS.span("sweep.models", models=len(models), tasks=len(tasks),
                    workers=workers or 1, mode=mode,
@@ -964,6 +922,7 @@ def sweep_models(
             cache=NO_CACHE if resolved is None else resolved,
             keys=[keys[i] for i in remaining] if keys is not None else None,
             memo=memo,
+            store=chunked_store,
         )
         _record_cache_delta(before, resolved)
         results: List[Optional[SweepFinding]] = [None] * len(tasks)
@@ -971,11 +930,9 @@ def sweep_models(
             results[index] = finding
         for index, finding in zip(remaining, computed):
             results[index] = finding
-        if store is not None and keys is not None:
-            store.record_many([
-                (keys[i], results[i]) for i in remaining
-                if keys[i] is not None and keys[i] not in known
-            ])
+        if store is not None and chunked_store is None and keys is not None:
+            store.record_many([(keys[i], results[i]) for i in remaining
+                               if keys[i] is not None])
         sweeps: List[ModelSweep] = []
         cursor = 0
         for (label, count), model in zip(boundaries, models.values()):

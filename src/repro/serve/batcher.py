@@ -215,11 +215,11 @@ def _engine_compute(tasks: List[Any], keys: List[Optional[str]],
     """The default compute function: one engine dispatch (runs on an
     executor thread, never the event loop).
 
-    ``workers`` sizes the process, queue and cluster backends only.  The
+    ``workers`` sizes the process and cluster backends only.  The
     thread backend runs the batch inline on this executor thread: the
     scans are GIL-bound Python, so a per-batch thread pool adds set-up
     and teardown and no parallelism."""
-    if backend in ("process", "queue", "cluster"):
+    if backend != "thread":
         # Worker processes keep their own predicate caches; the keys
         # let the dist scheduler memoize by fingerprint as well.
         # (cluster routes chunks through the ambient coordinator to

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from ..core import dist
+from ..core.sweep import BACKENDS
 from ..obs import DEFAULT as _OBS
 from ..obs.prometheus import render_exposition
 from ..obs.sinks import JsonlSink
@@ -85,8 +86,8 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced
     max_depth: int = 64  # admission queue bound
     max_batch: int = 16  # requests per dispatch
-    workers: int = 2  # process | queue | cluster; thread runs inline
-    backend: str = "thread"  # thread | process | queue | cluster
+    workers: int = 2  # process | cluster; thread runs inline
+    backend: str = "thread"  # thread | process | cluster
     cluster_listen: Optional[str] = None  # HOST:PORT for cluster workers
     store_path: Optional[str] = None  # cold-tier JSONL (optional)
     max_limit: int = 1000  # witness-limit clamp per query
@@ -99,6 +100,11 @@ class ServeConfig:
     breaker_window: int = 16  # dispatch outcomes in the breaker window
     breaker_threshold: float = 0.5  # failure fraction that trips it
     breaker_cooldown: float = 5.0  # seconds open before half-open probes
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}: "
+                             f"expected one of {', '.join(BACKENDS)}")
 
 
 class AnalysisServer:
@@ -150,7 +156,7 @@ class AnalysisServer:
                 sinks.append(self._trace_sink)
             self._obs_owned = not _OBS.enabled
             _OBS.enable(*sinks)
-        if self.config.backend in ("process", "queue"):
+        if self.config.backend == "process":
             # Pay fork/spawn cost before readiness, not inside the
             # first request.
             dist.prewarm(self.config.workers)

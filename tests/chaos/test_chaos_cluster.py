@@ -1,9 +1,10 @@
 """Seeded fault matrices against the live cluster fabric.
 
-The tentpole's acceptance contract: under an injected fault plan the
-sweep still reproduces the fault-free (process backend) results exactly,
-the same seed produces the same injections, and a coordinator SIGKILLed
-mid-sweep resumes from its journal re-executing only in-flight work.
+The acceptance contract: under an injected fault plan the sweep still
+reproduces the fault-free (process backend) results exactly, the same
+seed produces the same injections, and a process or cluster sweep
+SIGKILLed mid-run resumes from its result store re-executing only the
+tasks that never landed.
 """
 
 import json
@@ -15,9 +16,9 @@ import time
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.cluster import ClusterCoordinator, ClusterWorker, coordinating
-from repro.core import dist
+from repro.core import ResultStore, dist
 from repro.core.sweep import sweep_models
 from repro.models import nullhttpd_model, xterm_model
 
@@ -137,14 +138,98 @@ class TestChunkDeadline:
         assert elapsed < 30.0  # the hang itself never ran to term
 
 
+class TestClusterStoreResume:
+    """The cluster backend resumes from the same ``ResultStore`` as every
+    other backend.  No workers join, so the coordinator runs every
+    chunk inline and the counters see each executed task."""
+
+    def _sweep(self, store, limit=4):
+        models, domains = _models()
+        dist.clear_memo()  # reuse must come from the store
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            with ClusterCoordinator() as coordinator, \
+                    coordinating(coordinator):
+                sweeps = sweep_models(models, domains, limit=limit,
+                                      mode="cluster", workers=2,
+                                      resume_from=store)
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        return _flat(sweeps), counters
+
+    def _expected(self):
+        models, domains = _models()
+        expected = _flat(sweep_models(models, domains, limit=4,
+                                      mode="process", workers=2))
+        dist.reset()
+        return expected
+
+    def test_partial_store_re_executes_only_missing_tasks(self, tmp_path):
+        expected = self._expected()
+        full = tmp_path / "full.jsonl"
+        _, first = self._sweep(str(full))
+        total = first["sweep.tasks.completed"]
+        lines = full.read_text().splitlines()
+        assert len(lines) == total == first["dist.store.appended"]
+        kept = total // 2
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("\n".join(lines[:kept]) + "\n")
+        got, counters = self._sweep(str(partial))
+        assert got == expected
+        assert counters["dist.resume.skips"] == kept
+        assert counters["sweep.tasks.completed"] == total - kept
+        assert counters["cluster.chunks.inline"] >= 1
+        assert counters["dist.store.appended"] == total - kept
+        assert len(ResultStore(partial).load()) == total
+
+    def test_full_store_executes_nothing(self, tmp_path):
+        expected = self._expected()
+        store = str(tmp_path / "store.jsonl")
+        _, first = self._sweep(store)
+        got, counters = self._sweep(store)
+        assert got == expected
+        assert counters["dist.resume.skips"] == \
+            first["sweep.tasks.completed"]
+        assert "sweep.tasks.completed" not in counters
+        assert "cluster.chunks.inline" not in counters
+
+    def test_store_of_a_different_limit_resumes_nothing(self, tmp_path):
+        store = str(tmp_path / "store.jsonl")
+        self._sweep(store, limit=3)
+        _, counters = self._sweep(store, limit=4)
+        assert "dist.resume.skips" not in counters
+        assert counters["dist.store.appended"] == \
+            counters["sweep.tasks.completed"]
+
+    def test_torn_append_re_executes_only_what_it_lost(self, tmp_path):
+        expected = self._expected()
+        store = str(tmp_path / "store.jsonl")
+        plan = faults.parse_spec("store.append.torn:1@max=1")
+        with faults.injecting(plan):
+            torn, first = self._sweep(store)
+        assert plan.snapshot()["injected"]["store.append.torn"] == 1
+        healed, second = self._sweep(store)
+        assert torn == healed == expected
+        total = first["sweep.tasks.completed"]
+        assert 1 <= second["sweep.tasks.completed"] < total
+        assert second["dist.resume.skips"] + \
+            second["sweep.tasks.completed"] == total
+
+
 class TestKillAndResume:
-    def test_sigkilled_coordinator_resumes_from_journal(self, tmp_path):
-        """Kill a journaling cluster sweep mid-run; the re-run resumes
-        journaled chunks and matches the process backend bit-for-bit."""
+    @pytest.mark.parametrize("backend", ["process", "cluster"])
+    def test_sigkilled_sweep_resumes_from_store(self, tmp_path, backend):
+        """Kill a sweep once its store holds a complete record; the
+        re-run with the same ``--resume-from`` store resumes the stored
+        tasks and matches the process backend bit-for-bit."""
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
         env.pop(faults.ENV_VAR, None)
-        journal = str(tmp_path / "journal.jsonl")
+        store = str(tmp_path / "store.jsonl")
 
         baseline = subprocess.run(
             [sys.executable, "-m", "repro", "sweep",
@@ -153,35 +238,41 @@ class TestKillAndResume:
         assert baseline.returncode == 0, baseline.stderr
         expected = json.loads(baseline.stdout)
 
-        # SIGKILL the coordinator the moment its first chunk outcome
-        # lands in the journal — the remaining chunks are in flight.
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "sweep",
-             "--backend", "cluster", "--listen", "127.0.0.1:0",
-             "--journal", journal, "--json"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        command = [sys.executable, "-m", "repro", "sweep",
+                   "--backend", backend, "--resume-from", store, "--json"]
+        if backend == "cluster":
+            command += ["--listen", "127.0.0.1:0"]
+
+        def stored_a_line():
+            try:
+                with open(store, "rb") as handle:
+                    return b"\n" in handle.read()
+            except OSError:
+                return False
+
+        # SIGKILL the sweep the moment its first chunk lands in the
+        # store — the remaining chunks are in flight.  The victim leads
+        # its own process group so its pool workers die with it.
+        victim = subprocess.Popen(command, env=env,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL,
+                                  start_new_session=True)
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if os.path.exists(journal) and os.path.getsize(journal) > 0:
+            if stored_a_line() or victim.poll() is not None:
                 break
-            if victim.poll() is not None:
-                break
-            time.sleep(0.02)
-        if victim.poll() is None:
-            os.kill(victim.pid, signal.SIGKILL)
+            time.sleep(0.005)
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # finished, and its pool with it
         victim.wait(timeout=30)
+        assert stored_a_line()
 
-        resumed = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep",
-             "--backend", "cluster", "--listen", "127.0.0.1:0",
-             "--journal", journal, "--json"],
-            env=env, capture_output=True, text=True, timeout=120)
+        resumed = subprocess.run(command, env=env, capture_output=True,
+                                 text=True, timeout=120)
         assert resumed.returncode == 0, resumed.stderr
         payload = json.loads(resumed.stdout)
         assert payload["models"] == expected["models"]
         assert payload["total_findings"] == expected["total_findings"]
-        cluster = payload["cluster"]
-        if victim.returncode and os.path.getsize(journal) > 0:
-            # The victim journaled at least one chunk before dying, so
-            # the resume re-executed strictly less than the whole job.
-            assert cluster["chunks_resumed"] >= 1
+        assert payload["resume"]["resumed"] >= 1

@@ -1,181 +1,166 @@
-"""The crash-safe sweep journal: record/load round-trips, digest
-scoping, truncation healing, the torn-write / ENOSPC fault taps, and
-coordinator resume (only in-flight chunks re-execute)."""
-
-import pickle
+"""The sweep's crash-safe journal is the ``ResultStore``: a record/load
+round trip of real sweep results, key scoping (a store written by
+another workload resumes nothing), truncation healing, malformed-line
+tolerance, and cluster-coordinator resume from the same store."""
 
 import pytest
 
 from repro import faults, obs
-from repro.cluster import ClusterCoordinator, SweepJournal, job_digest
-from repro.core import Domain, PrimitiveFSM, dist, in_range, less_equal
-
-
-def _task(i, size=20):
-    pfsm = PrimitiveFSM("p", "scan", "x",
-                        spec_accepts=in_range(0, 5),
-                        impl_accepts=less_equal(10))
-    return ("model", f"op{i}", pfsm, Domain.integers(0, size), 5)
-
-
-def _chunks(n=3, rows=2, size=20):
-    chunks, index = [], 0
-    for _cid in range(n):
-        chunk = []
-        for _r in range(rows):
-            chunk.append((index, dist._serialize_task(_task(index, size))))
-            index += 1
-        chunks.append(chunk)
-    return chunks
-
-
-def _outcome(cid):
-    """An opaque journaled outcome in the ledger's pair format."""
-    return [(cid * 2, ("finding", cid)), (cid * 2 + 1, None)]
+from repro.cluster import ClusterCoordinator, coordinating
+from repro.core import Domain, ResultStore, dist, task_key
+from repro.core.sweep import sweep_models
+from repro.models import nullhttpd_model, sendmail_model, xterm_model
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_plan():
+def _fresh_state():
     previous = faults.install(None)
+    dist.reset()
+    dist.clear_memo()
     yield
     faults.install(previous)
+    dist.reset()
+    dist.clear_memo()
+
+
+def _models(*names):
+    builders = {"nullhttpd": nullhttpd_model, "xterm": xterm_model}
+    return ({name: builders[name].build_model() for name in names},
+            {name: builders[name].pfsm_domains() for name in names})
+
+
+def _flat(sweeps):
+    return [(s.model_name, f.pfsm_name, tuple(f.witnesses))
+            for s in sweeps for f in s.findings]
+
+
+def _sweep(store, names=("nullhttpd", "xterm"), limit=4, mode="thread"):
+    """One sweep resuming from ``store``; returns (flat results, counters).
+
+    The memo is cleared first, so any reuse comes from the store."""
+    models, domains = _models(*names)
+    dist.clear_memo()
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        if mode == "cluster":
+            # No workers join: the coordinator runs every chunk inline.
+            with ClusterCoordinator() as coordinator, \
+                    coordinating(coordinator):
+                sweeps = sweep_models(models, domains, limit=limit,
+                                      mode="cluster", workers=2,
+                                      resume_from=store)
+        else:
+            sweeps = sweep_models(models, domains, limit=limit, mode=mode,
+                                  resume_from=store)
+        counters = registry.counters()
+    finally:
+        registry.disable()
+        registry.reset()
+    return _flat(sweeps), counters
+
+
+def _baseline(names=("nullhttpd", "xterm"), limit=4):
+    models, domains = _models(*names)
+    return _flat(sweep_models(models, domains, limit=limit))
 
 
 class TestJobDigest:
     def test_digest_is_stable_and_content_sensitive(self):
-        chunks = _chunks()
-        # Stable over the same serialized workload (what a restarted
-        # coordinator recomputes from identical inputs) ...
-        assert job_digest(chunks) == job_digest([list(c) for c in chunks])
-        assert len(job_digest(chunks)) == 16
-        # ... and sensitive to any content or ordering change.
-        other = [list(c) for c in chunks]
-        other[0][0] = (0, b"different bytes")
-        assert job_digest(chunks) != job_digest(other)
-        assert job_digest(chunks) != job_digest(list(reversed(chunks)))
+        model = sendmail_model.build_model()
+        domains = sendmail_model.pfsm_domains()
+        operation = model.operations[0]
+        pfsm = operation.pfsms[0]
+        task = (model.name, operation.name, pfsm, domains[pfsm.name], 5)
+        key = task_key(model, task)
+        # Stable over the same workload (what a restarted sweep
+        # recomputes from identical inputs) ...
+        assert key is not None
+        assert key == task_key(model, tuple(task))
+        # ... and sensitive to the scanned domain's contents.
+        wider = (model.name, operation.name, pfsm,
+                 Domain.integers(0, 20), 5)
+        narrower = (model.name, operation.name, pfsm,
+                    Domain.integers(0, 25), 5)
+        assert task_key(model, wider) != task_key(model, narrower)
+        assert key not in {task_key(model, wider),
+                           task_key(model, narrower)}
 
 
 class TestRecordLoad:
     def test_round_trip(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        digest = job_digest(_chunks())
-        for cid in range(3):
-            assert journal.record(digest, cid, _outcome(cid))
-        loaded = journal.load(digest)
-        assert loaded == {cid: _outcome(cid) for cid in range(3)}
+        path = tmp_path / "j.jsonl"
+        expected = _baseline()
+        got, counters = _sweep(str(path))
+        assert got == expected
+        stored = ResultStore(path).load()
+        assert len(stored) == counters["sweep.tasks.completed"]
+        findings = [(f.model_name, f.pfsm_name, tuple(f.witnesses))
+                    for f in stored.values() if f is not None]
+        # Witnesses may be unhashable records: compare as sorted reprs.
+        assert sorted(map(repr, findings)) == sorted(map(repr, expected))
 
     def test_load_missing_file_is_empty(self, tmp_path):
-        assert SweepJournal(tmp_path / "absent.jsonl").load("x" * 16) == {}
+        path = tmp_path / "absent.jsonl"
+        assert ResultStore(path).load() == {}
+        assert not path.exists()  # loading never creates the file
 
     def test_other_jobs_records_are_ignored(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record("a" * 16, 0, _outcome(0))
-        journal.record("b" * 16, 1, _outcome(1))
-        assert set(journal.load("a" * 16)) == {0}
-        assert set(journal.load("b" * 16)) == {1}
+        path = str(tmp_path / "j.jsonl")
+        _, first = _sweep(path, names=("nullhttpd",))
+        _, second = _sweep(path, names=("xterm",))
+        # Each workload's records are invisible to the other ...
+        assert "dist.resume.skips" not in second
+        # ... and each resumes exactly its own from the shared store.
+        _, again_first = _sweep(path, names=("nullhttpd",))
+        _, again_second = _sweep(path, names=("xterm",))
+        assert again_first["dist.resume.skips"] == \
+            first["sweep.tasks.completed"]
+        assert again_second["dist.resume.skips"] == \
+            second["sweep.tasks.completed"]
 
     def test_truncated_tail_is_skipped_and_healed(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        digest = "c" * 16
-        journal.record(digest, 0, _outcome(0))
-        # A crash mid-append: half a record, no newline.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"job": "' + digest + '", "chu')
-        assert set(journal.load(digest)) == {0}
-        # The next append heals the file; everything is then readable.
-        assert journal.record(digest, 1, _outcome(1))
-        assert set(journal.load(digest)) == {0, 1}
+        expected = _baseline()
+        _, first = _sweep(str(path))
+        total = first["sweep.tasks.completed"]
+        # A crash mid-append: the last record loses its second half.
+        raw = path.read_text()
+        last_start = raw.rstrip("\n").rfind("\n") + 1
+        path.write_text(raw[:last_start + (len(raw) - last_start) // 2])
+        assert len(ResultStore(path).load()) == total - 1
+        got, counters = _sweep(str(path))
+        assert got == expected
+        assert counters["dist.resume.skips"] == total - 1
+        assert counters["sweep.tasks.completed"] == 1
+        # The append healed the file; everything is then readable.
+        assert path.read_text().endswith("\n")
+        assert len(ResultStore(path).load()) == total
 
     def test_malformed_lines_are_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        digest = "d" * 16
-        journal.record(digest, 0, _outcome(0))
+        expected = _baseline()
+        _, first = _sweep(str(path))
+        total = first["sweep.tasks.completed"]
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json\n")
-            handle.write('{"job": "' + digest + '", "chunk": "NaN", '
-                         '"data": "xx"}\n')
-        assert set(journal.load(digest)) == {0}
-
-
-class TestFaultTaps:
-    def test_torn_write_degrades_and_stays_loadable(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        digest = "e" * 16
-        with faults.injecting(
-                faults.parse_spec("journal.append.torn:1@max=1")):
-            assert journal.record(digest, 0, _outcome(0)) is False
-        assert journal.write_errors == 1
-        assert journal.load(digest) == {}  # the torn record is skipped
-        # Healing: the next append lands cleanly after the torn tail.
-        assert journal.record(digest, 1, _outcome(1))
-        assert set(journal.load(digest)) == {1}
-
-    def test_enospc_counts_a_write_error(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        registry = obs.get_registry()
-        owned = not registry.enabled
-        if owned:
-            registry.enable()
-        try:
-            with faults.injecting(
-                    faults.parse_spec("journal.append.enospc:1@max=1")):
-                assert journal.record("f" * 16, 0, _outcome(0)) is False
-            assert journal.write_errors == 1
-            assert registry.counters().get(
-                "cluster.journal.write_errors", 0) >= 1
-        finally:
-            if owned:
-                registry.disable()
-                registry.reset()
+            handle.write('{"finding": null}\n')
+            handle.write('{"key": "k", "finding": {"model_name": "m"}}\n')
+        assert len(ResultStore(path).load()) == total
+        got, counters = _sweep(str(path))
+        assert got == expected
+        assert counters["dist.resume.skips"] == total
+        assert "sweep.tasks.completed" not in counters
 
 
 class TestCoordinatorResume:
-    def _run(self, journal_path, chunks):
-        with ClusterCoordinator(journal=journal_path) as coordinator:
-            results, failed = coordinator.run_chunks(
-                [list(c) for c in chunks])
-            counters = coordinator.snapshot()["counters"]
-        return results, failed, counters
-
-    def test_full_journal_resumes_every_chunk(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        chunks = _chunks(n=3)
-        first, failed, counters = self._run(path, chunks)
-        assert not failed
-        assert counters.get("journal.appends", 0) == 3
-        # Same chunks, same journal: nothing re-executes.
-        second, failed2, counters2 = self._run(path, chunks)
-        assert second == first
-        assert not failed2
-        assert counters2.get("journal.resumed", 0) == 3
-        assert counters2.get("chunks.inline", 0) == 0
-
-    def test_partial_journal_re_executes_only_missing_chunks(
-            self, tmp_path):
-        chunks = _chunks(n=4)
-        digest = job_digest(chunks)
-        baseline, failed, _ = self._run(
-            str(tmp_path / "clean.jsonl"), chunks)
-        assert not failed
-        # Journal as if the dying coordinator finished chunks 0 and 2.
-        path = str(tmp_path / "j.jsonl")
-        journal = SweepJournal(path)
-        for cid in (0, 2):
-            pairs = dist._chunk_worker([tuple(row) for row in chunks[cid]])
-            assert journal.record(digest, cid, pairs)
-        resumed, failed2, counters = self._run(path, chunks)
-        assert not failed2
-        assert resumed == baseline
-        assert counters.get("journal.resumed", 0) == 2
-        # Only the two unjournaled chunks executed (inline, no workers).
-        assert counters.get("chunks.inline", 0) == 2
-
     def test_journal_of_different_job_is_ignored(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        self._run(path, _chunks(n=2))
-        results, failed, counters = self._run(path, _chunks(n=2, size=25))
-        assert not failed
-        assert counters.get("journal.resumed", 0) == 0
-        assert counters.get("chunks.inline", 0) == 2
+        _sweep(path, names=("nullhttpd",), mode="cluster")
+        got, counters = _sweep(path, names=("xterm",), mode="cluster")
+        assert got == _baseline(names=("xterm",))
+        assert "dist.resume.skips" not in counters
+        assert counters["cluster.chunks.inline"] >= 1
+        assert counters["dist.store.appended"] == \
+            counters["sweep.tasks.completed"]

@@ -58,6 +58,17 @@ class TestExpiryAndRecovery:
         # Reclaimed work restarts before fresh work.
         assert ledger.claim("other", now=2.0, ttl=5.0).chunk_id == 0
 
+    def test_released_chunk_is_requeued_to_the_front(self):
+        ledger = _ledger(3)
+        first = ledger.claim("crashed", now=0.0, ttl=5.0)
+        assert ledger.release(first.chunk_id) == "requeued"
+        assert not ledger.leases()
+        # The released chunk is claimed again before any fresh chunk.
+        order = [ledger.claim("w", now=0.0, ttl=5.0).chunk_id
+                 for _ in range(3)]
+        assert order == [0, 1, 2]
+        assert ledger.attempt(0) == 1
+
     def test_renew_pushes_the_deadline_out(self):
         ledger = _ledger(1)
         ledger.claim("busy", now=0.0, ttl=1.0)

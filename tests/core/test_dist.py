@@ -1,15 +1,15 @@
 """The distributed sweep scheduler: chunking, the warm pool, the
-fingerprint memo, crash retry, the queue front-end, and JSONL resume."""
+fingerprint memo, crash retry, backend validation, and JSONL resume."""
 
 import json
 import os
+import threading
 
 import pytest
 
-from repro import obs
+from repro import faults, obs
 from repro.core import (
     Domain,
-    InProcessQueue,
     PrimitiveFSM,
     ResultStore,
     SweepFinding,
@@ -110,13 +110,6 @@ class TestRunTasks:
         got = dist.run_tasks(tasks, 2, backend="process")
         assert _witnesses(got) == _witnesses(expected)
 
-    def test_queue_backend_drains_through_claim(self):
-        queue = InProcessQueue()
-        tasks = [_task(Domain.integers(-5, 20))]
-        got = dist.run_tasks(tasks, 2, backend="queue", queue=queue)
-        assert _witnesses(got)[0]  # hidden witnesses found
-        assert queue.claim() is None  # fully drained
-
     def test_memo_serves_repeat_keys_without_rescanning(self):
         tasks = [_task(Domain.integers(-5, 20))]
         keys = ["stable-key"]
@@ -160,56 +153,74 @@ class TestRunTasks:
         assert counters.get("dist.chunk.inline_fallback", 0) >= 1
 
 
-class TestInProcessQueue:
-    """The four-method lease contract shared with the cluster fabric:
-    claim records the claimant, requeue returns work to the front,
-    complete discharges the claim."""
+class TestBackendNames:
+    """Only thread, process and cluster exist; a misspelt or removed
+    backend name is an error, never a silent thread sweep."""
 
-    def test_claim_records_the_claimant(self):
-        queue = InProcessQueue()
-        queue.put("a")
-        queue.put("b")
-        assert queue.claim("w1") == "a"
-        assert queue.claim("w2") == "b"
-        assert queue.claimed() == [("a", "w1"), ("b", "w2")]
-        assert queue.claim("w3") is None
+    @pytest.mark.parametrize("name", ["proces", "queue", "Thread"])
+    def test_sweep_models_rejects_unknown_backends(self, name):
+        models = {"sendmail": sendmail_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains()}
+        with pytest.raises(ValueError, match="thread, process, cluster"):
+            sweep_models(models, domains, limit=2, workers=2, mode=name)
 
-    def test_claimant_defaults_to_none_for_legacy_callers(self):
-        queue = InProcessQueue()
-        queue.put("a")
-        assert queue.claim() == "a"
-        assert queue.claimed() == [("a", None)]
+    @pytest.mark.parametrize("name", ["thread", "queue", "proces"])
+    def test_run_tasks_rejects_non_chunked_backends(self, name):
+        with pytest.raises(ValueError, match="process, cluster"):
+            dist.run_tasks([_task(Domain.integers(-5, 20))], 2,
+                           backend=name)
 
-    def test_requeue_returns_the_item_to_the_front(self):
-        queue = InProcessQueue()
-        queue.put("a")
-        queue.put("b")
-        assert queue.claim("dying") == "a"
-        assert queue.requeue("a") is True  # claim existed
-        assert queue.claimed() == []
-        # Reclaimed work is re-issued before fresh work.
-        assert queue.claim("other") == "a"
-        assert queue.claim("other") == "b"
 
-    def test_requeue_without_claim_still_enqueues(self):
-        queue = InProcessQueue()
-        assert queue.requeue("orphan") is False
-        assert queue.claim("w") == "orphan"
+class TestChunkedStore:
+    """``run_tasks(store=...)`` appends every keyed result exactly once,
+    chunk by chunk, memo hits included."""
 
-    def test_complete_discharges_the_claim(self):
-        queue = InProcessQueue()
-        queue.put("a")
-        queue.claim("w")
-        assert queue.complete("a") is True
-        assert queue.complete("a") is False  # already discharged
-        assert queue.claimed() == []
+    def test_process_backend_appends_every_keyed_task_once(self, tmp_path):
+        tasks = [_task(Domain.integers(-5, 20 + n)) for n in range(6)]
+        keys = [f"k{n}" for n in range(5)] + [None]
+        store = ResultStore(tmp_path / "results.jsonl")
+        got = dist.run_tasks(tasks, 2, backend="process", keys=keys,
+                             store=store)
+        lines = open(store.path).read().splitlines()
+        assert sorted(json.loads(line)["key"] for line in lines) == \
+            sorted(keys[:5])
+        loaded = store.load()
+        assert [tuple(loaded[k].witnesses) for k in keys[:5]] == \
+            _witnesses(got)[:5]
 
-    def test_unhashable_items_match_by_identity_or_equality(self):
-        queue = InProcessQueue()
-        chunk = [3, 1, 4]  # chunk index lists are unhashable
-        queue.put(chunk)
-        assert queue.claim("w") is chunk
-        assert queue.complete([3, 1, 4]) is True  # equality match
+    def test_memo_hits_are_stored_too(self, tmp_path):
+        tasks = [_task(Domain.integers(-5, 20))]
+        dist.run_tasks(tasks, 1, backend="process", keys=["warm"])
+        store = ResultStore(tmp_path / "results.jsonl")
+        dist.run_tasks(tasks, 1, backend="process", keys=["warm"],
+                       store=store)
+        assert set(store.load()) == {"warm"}
+
+    def test_concurrent_record_many_keeps_every_line_whole(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        finding = SweepFinding(
+            model_name="model", operation_name="op", pfsm_name="p",
+            activity="scan", witnesses=tuple(range(3000)),
+        )
+        barrier = threading.Barrier(2)
+
+        def append(prefix):
+            barrier.wait()
+            for batch in range(50):
+                store.record_many([(f"{prefix}{batch}.{n}", finding)
+                                   for n in range(4)])
+
+        threads = [threading.Thread(target=append, args=(prefix,))
+                   for prefix in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        lines = open(store.path).read().splitlines()
+        assert len(lines) == 2 * 50 * 4
+        for line in lines:
+            assert json.loads(line)["finding"]["witnesses"]
+        assert len(store.load()) == 400
 
 
 class TestResultStore:
@@ -265,6 +276,37 @@ class TestResultStore:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
         assert set(store.load()) == {"good"}
+
+    def test_torn_write_degrades_and_stays_loadable(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        with faults.injecting(
+                faults.parse_spec("store.append.torn:1@max=1")):
+            assert store.record_many(
+                [("a", None), ("b", None), ("c", None)]) == 0
+        assert store.write_errors == 1
+        # Half the blob landed: the whole first line, then a torn one.
+        assert not open(store.path).read().endswith("\n")
+        assert store.load() == {"a": None}
+        assert store.record("d", None)  # the next append heals the tail
+        assert store.load() == {"a": None, "d": None}
+
+    def test_enospc_counts_a_write_error(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            with faults.injecting(
+                    faults.parse_spec("store.append.enospc:1@max=1")):
+                assert store.record("k", None) is False
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        assert store.write_errors == 1
+        assert counters.get("dist.store.write_errors") == 1
+        assert "dist.store.appended" not in counters
+        assert store.load() == {}
 
 
 class TestDomainDigest:

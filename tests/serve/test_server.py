@@ -82,6 +82,14 @@ def client_for(handle):
     return ServeClient(handle.host, handle.port, timeout=30.0)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("backend", ["queue", "proces", "Thread"])
+    def test_unknown_backend_is_rejected(self, backend):
+        # Used to fall through silently to the fused thread path.
+        with pytest.raises(ValueError, match="thread, process, cluster"):
+            ServeConfig(backend=backend)
+
+
 class TestQuery:
     def test_matches_direct_sweep(self, server):
         with client_for(server) as client:
