@@ -57,6 +57,7 @@ from repro.serve import (  # noqa: E402
     ServerThread,
     wait_until_ready,
 )
+from repro.serve.stats import nearest_rank  # noqa: E402
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
@@ -64,14 +65,6 @@ REQUESTS_PER_CLIENT = 25
 #: requests cover 200 total — the shape of a dashboard polling a corpus.
 MIX = [("sendmail", 5), ("nullhttpd", 5), ("sendmail", 3), ("iis", 5),
        ("sendmail", 5), ("xterm", 3), ("nullhttpd", 5), ("sendmail", 5)]
-
-
-def _percentile(samples, pct):
-    data = sorted(samples)
-    if not data:
-        return None
-    rank = max(1, int(round(pct / 100.0 * len(data) + 0.5)))
-    return data[min(rank, len(data)) - 1]
 
 
 def _reference_response():
@@ -158,8 +151,8 @@ def bench_throughput():
         "elapsed_s": round(elapsed, 4),
         "rps": round(requests / elapsed, 1),
         "latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1000, 3),
-            "p95": round(_percentile(latencies, 95) * 1000, 3),
+            "p50": round(nearest_rank(sorted(latencies), 50) * 1000, 3),
+            "p95": round(nearest_rank(sorted(latencies), 95) * 1000, 3),
             "max": round(max(latencies) * 1000, 3),
         },
         "server_latency_ms": metrics["latency"],
@@ -226,7 +219,8 @@ def bench_overload():
         "unexpected": sorted(set(statuses) - {"ok", "overloaded"}),
         "all_answered": len(responses) == 30,
         "shed_latency_ms": {
-            "p95": round((_percentile(shed_latencies, 95) or 0) * 1000, 3),
+            "p95": round(
+                (nearest_rank(sorted(shed_latencies), 95) or 0) * 1000, 3),
         },
     }
 

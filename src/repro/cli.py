@@ -50,8 +50,8 @@ Commands
 ``serve``
     Run the long-lived analysis service (``repro.serve``): bounded
     admission queue (``--max-depth``), work-conserving micro-batching
-    (``--max-batch``), engine backend/workers, an
-    optional JSONL result store (``--store``), and a graceful
+    (``--max-batch``) with each batch run inline on one executor
+    thread, an optional JSONL result store (``--store``), and a graceful
     SIGTERM/SIGINT drain.  ``GET /healthz`` and ``GET /metrics``
     (Prometheus text; ``/metrics.json`` for the JSON snapshot) answer
     on the same port.  ``--trace`` turns on end-to-end request tracing
@@ -70,12 +70,11 @@ Commands
     unreachable under ``--connect-timeout``, 1 = error.
 ``worker``
     Cluster worker agent (``repro worker --connect HOST:PORT``): claim
-    sweep chunks from a coordinator — ``repro sweep --backend cluster
-    --listen`` or ``repro serve --backend cluster`` — execute them on
-    a local warm process pool (``--workers N`` slots), and stream
-    results and trace spans back.  Leases held by an agent that dies
-    are reclaimed and its chunks re-executed elsewhere; see
-    ``repro.cluster``.
+    sweep chunks from a coordinator (``repro sweep --backend cluster
+    --listen``), execute them on a local warm process pool
+    (``--workers N`` slots), and stream results and trace spans back.
+    Leases held by an agent that dies are reclaimed and its chunks
+    re-executed elsewhere; see ``repro.cluster``.
 
 Every subcommand also understands the telemetry flags:
 
@@ -578,38 +577,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError:
             raise SystemExit("--latency-buckets expects comma-separated "
                              "floats, e.g. 0.005,0.05,0.5,5")
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_depth=args.max_depth,
-        max_batch=args.max_batch,
-        workers=args.workers,
-        backend=args.backend,
-        cluster_listen=args.cluster_listen,
-        store_path=args.store,
-        # --trace-file alone implies tracing: the JsonlSink attached by
-        # _run_with_observability captures the spans, and the collector
-        # must exist for traceparent continuation / per-request
-        # timelines to work.
-        trace=args.trace or bool(args.trace_file),
-        trace_sample=args.trace_sample,
-        trace_slow_ms=args.trace_slow_ms,
-        latency_buckets=buckets,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            max_depth=args.max_depth,
+            max_batch=args.max_batch,
+            store_path=args.store,
+            # --trace-file alone implies tracing: the JsonlSink attached
+            # by _run_with_observability captures the spans, and the
+            # collector must exist for traceparent continuation /
+            # per-request timelines to work.
+            trace=args.trace or bool(args.trace_file),
+            trace_sample=args.trace_sample,
+            trace_slow_ms=args.trace_slow_ms,
+            latency_buckets=buckets,
+        )
+    except ValueError as exc:  # a usage error: exit 2, no traceback
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     server = AnalysisServer(config)
 
     async def run() -> None:
         await server.start()
         print(f"repro serve listening on {server.host}:{server.port} "
-              f"(backend={config.backend}, workers={config.workers}, "
-              f"depth={config.max_depth}, "
+              f"(depth={config.max_depth}, "
               f"store={config.store_path or 'none'}, "
               f"trace={'on' if config.trace else 'off'})", flush=True)
-        if server.coordinator is not None:
-            chost, cport = server.coordinator.address
-            print(f"cluster coordinator listening on {chost}:{cport} "
-                  f"(join with `repro worker --connect {chost}:{cport}`)",
-                  flush=True)
         server.install_signal_handlers()
         await server.serve_until_stopped()
 
@@ -952,22 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=16,
                        help="max queued requests folded into one engine "
                             "dispatch (dispatch never waits to fill it)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="engine workers per dispatch (process and "
-                            "cluster backends; the thread backend runs "
-                            "each batch inline)")
-    serve.add_argument("--backend", choices=BACKENDS,
-                       default="thread",
-                       help="engine backend (process keeps a warm "
-                            "repro.core.dist pool; cluster fans "
-                            "micro-batches out to repro worker agents — "
-                            "see --cluster-listen)")
-    serve.add_argument("--cluster-listen", metavar="HOST:PORT",
-                       default=None,
-                       help="(cluster backend) coordinator listen "
-                            "address for worker agents (default: the "
-                            "serve host on an ephemeral port, announced "
-                            "on stdout)")
     serve.add_argument("--store", metavar="PATH", default=None,
                        help="JSONL result store for the cold cache tier "
                             "(compatible with repro sweep --resume-from)")
@@ -1037,8 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker",
         help="run a cluster worker agent: claim sweep chunks from a "
-             "coordinator (repro sweep --listen / repro serve --backend "
-             "cluster) and execute them on a local warm pool",
+             "coordinator (repro sweep --listen) and execute them on a "
+             "local warm pool",
         parents=[obs_flags],
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",

@@ -23,9 +23,8 @@ parts:
 
 The scheduler finds the fabric through a process-ambient coordinator
 handle (:func:`set_coordinator` / :func:`get_coordinator`), set by the
-CLI (``repro sweep --listen``), the serving layer (``repro serve
---backend cluster``), or embedding code; :func:`coordinating` scopes it
-for tests.
+CLI (``repro sweep --listen``) or embedding code; :func:`coordinating`
+scopes it for tests.
 
 Determinism contract: a cluster sweep returns results bit-for-bit equal
 to ``backend="process"`` regardless of worker count, join/leave timing,

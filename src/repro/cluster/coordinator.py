@@ -25,14 +25,12 @@ what ``backend="process"`` would have produced.
 
 **Observability.**  Counters are kept unconditionally in the
 coordinator (:meth:`snapshot` — the CLI's ``--json`` cluster block and
-the recovery tests read them), mirrored to the obs registry under
-``cluster.*`` when it is enabled, and optionally forwarded to a
-:class:`repro.serve.stats.ServeStats` so an embedding server's
-Prometheus exposition grows ``repro_serve_cluster_*`` families.  When
-the submitting sweep runs under an ambient trace, each chunk ships a
-``traceparent`` continuing that trace; the worker's finished spans come
-back with the results and are replayed into this process's sinks under
-a per-chunk ``cluster.chunk`` span — one timeline across hosts.
+the recovery tests read them) and mirrored to the obs registry under
+``cluster.*`` when it is enabled.  When the submitting sweep runs
+under an ambient trace, each chunk ships a ``traceparent`` continuing
+that trace; the worker's finished spans come back with the results and
+are replayed into this process's sinks under a per-chunk
+``cluster.chunk`` span — one timeline across hosts.
 """
 
 from __future__ import annotations
@@ -105,21 +103,14 @@ class ClusterCoordinator:
         Default per-chunk reclaim budget (mirrors the process
         scheduler's crash-retry bound); :meth:`run_chunks` can override
         per job.
-    stats:
-        Optional :class:`repro.serve.stats.ServeStats` — every counter
-        movement is forwarded (``cluster.*``), which puts
-        ``repro_serve_cluster_*`` families on the embedding server's
-        Prometheus exposition.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 lease_timeout: float = 10.0, max_retries: int = 2,
-                 stats: Optional[Any] = None) -> None:
+                 lease_timeout: float = 10.0, max_retries: int = 2) -> None:
         self._host = host
         self._port = port
         self.lease_timeout = lease_timeout
         self.max_retries = max_retries
-        self._stats = stats
         self._lock = threading.RLock()
         self._jobs: "OrderedDict[int, _Job]" = OrderedDict()
         self._job_ids = itertools.count(1)
@@ -207,8 +198,6 @@ class ClusterCoordinator:
             self._counters[name] = self._counters.get(name, 0) + n
         if _OBS.enabled:
             _OBS.incr(f"cluster.{name}", n)
-        if self._stats is not None:
-            self._stats.incr(f"cluster.{name}", n)
 
     def counter(self, name: str) -> int:
         with self._lock:
@@ -683,15 +672,11 @@ class ClusterCoordinator:
                 self._counters.get("chunks.reclaimed", 0) + reclaimed
             if _OBS.enabled:
                 _OBS.incr("cluster.chunks.reclaimed", reclaimed)
-            if self._stats is not None:
-                self._stats.incr("cluster.chunks.reclaimed", reclaimed)
         if failed:
             self._counters["chunks.failed"] = \
                 self._counters.get("chunks.failed", 0) + failed
             if _OBS.enabled:
                 _OBS.incr("cluster.chunks.failed", failed)
-            if self._stats is not None:
-                self._stats.incr("cluster.chunks.failed", failed)
         return reclaimed
 
     def _reap_loop(self) -> None:
@@ -713,8 +698,6 @@ class ClusterCoordinator:
                             self._counters.get(name, 0) + 1
                         if _OBS.enabled:
                             _OBS.incr(f"cluster.{name}")
-                        if self._stats is not None:
-                            self._stats.incr(f"cluster.{name}")
                     if job.ledger.done:
                         job.done.set()
                 stale_cutoff = now - _STALE_FACTOR * self.lease_timeout

@@ -80,7 +80,6 @@ __all__ = [
     "memo_store",
     "memo_discard",
     "clear_memo",
-    "prewarm",
     "set_shm_enabled",
     "shutdown_pool",
     "kill_pool",
@@ -466,16 +465,6 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         if _OBS.enabled:
             _OBS.incr("dist.pool.created")
         return _POOL
-
-
-def prewarm(workers: int) -> None:
-    """Spin up the warm pool ahead of the first sweep.
-
-    Long-running front-ends (``repro serve``) call this at startup so
-    the fork/spawn cost is paid before readiness is reported, not inside
-    the first client request.
-    """
-    _get_pool(workers)
 
 
 def shutdown_pool() -> None:
@@ -925,8 +914,8 @@ def _run_cluster_chunks(
     if coordinator is None:
         raise RuntimeError(
             "backend='cluster' needs a running coordinator: start one "
-            "with `repro sweep --listen HOST:PORT`, `repro serve "
-            "--backend cluster`, or repro.cluster.set_coordinator()")
+            "with `repro sweep --listen HOST:PORT` or "
+            "repro.cluster.set_coordinator()")
     width = max(int(workers), coordinator.worker_count(), 1)
     chunks = chunk_tasks(tasks, pending, width * _CHUNKS_PER_WORKER)
     if _OBS.enabled:

@@ -15,7 +15,7 @@ The pipeline, front to back:
   per-request deadlines (admission control);
 * :mod:`~repro.serve.batcher` — single-flight coalescing by request
   fingerprint plus micro-batched, task-deduplicated dispatch to the
-  engine (thread executor or the warm :mod:`repro.core.dist` pool);
+  engine, run inline on one executor thread;
 * :mod:`~repro.serve.cache` — the tiered result cache: the scheduler's
   in-process fingerprint memo (warm) over an optional JSONL
   :class:`~repro.core.dist.ResultStore` (cold, shared with
@@ -33,7 +33,6 @@ CLI: ``repro serve`` runs the server; ``repro query`` is the client.
 
 from .admission import AdmissionQueue, AdmittedRequest
 from .batcher import MicroBatcher
-from .breaker import CircuitBreaker
 from .cache import TieredResultCache
 from .client import ServeClient, wait_until_ready
 from .corpus import MODEL_KEYS, AnalysisCorpus, ExpandedQuery
@@ -63,7 +62,6 @@ __all__ = [
     "AdmissionQueue",
     "AdmittedRequest",
     "MicroBatcher",
-    "CircuitBreaker",
     "TieredResultCache",
     "ServeClient",
     "wait_until_ready",

@@ -20,17 +20,17 @@ for a batch to fill: as soon as the engine is free it takes the queue
 head plus whatever is already queued behind it (up to ``max_batch``
 requests), expires overdue deadlines, dedupes the union of their tasks
 by fingerprint key (two *different* requests that share a pFSM×domain
-compute it once), and hands the remaining unique tasks to the engine
-in one dispatch — the thread backend runs it inline on the executor
-thread, sharing the process-wide predicate cache; the process backend
-rides the warm :mod:`repro.core.dist` pool, whose LPT chunker
-cost-balances the batch across workers.  A lone request on an idle
+compute it once), and runs the remaining unique tasks inline on one
+executor thread, sharing the process-wide predicate cache (the scans
+are GIL-bound Python, so a pool would add set-up and no parallelism).
+A failed dispatch answers every member of its batch with status
+``error``; the next batch dispatches afresh.  A lone request on an idle
 server is dispatched at once.  Batches form under load alone: one
 dispatch runs at a time, and while it computes, new identical requests
 coalesce and new distinct requests accumulate into the next batch (or
 shed, once the queue fills — that is admission control doing its job).
 
-**Sub-predicate batch fusion.**  Before the thread executor dispatches,
+**Sub-predicate batch fusion.**  Before the executor dispatches,
 compiled-strategy tasks sharing a domain (by content digest) are fused:
 one pass over the shared domain evaluates every member's compiled
 program per object, with one :class:`~repro.core.plan.NodeMemo`
@@ -48,7 +48,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from .. import faults as _faults
-from ..core.sweep import NO_CACHE, _run_tasks, shared_cache
+from ..core.sweep import _run_tasks, shared_cache
 from ..obs import DEFAULT as _OBS
 from ..obs.trace import TraceContext, emit_span, mint_span_id
 from .admission import AdmissionQueue, AdmittedRequest
@@ -210,23 +210,11 @@ def _fused_group_scan(tasks: List[Any], indexes: List[int],
     return results
 
 
-def _engine_compute(tasks: List[Any], keys: List[Optional[str]],
-                    workers: int, backend: str) -> List[Any]:
-    """The default compute function: one engine dispatch (runs on an
-    executor thread, never the event loop).
-
-    ``workers`` sizes the process and cluster backends only.  The
-    thread backend runs the batch inline on this executor thread: the
-    scans are GIL-bound Python, so a per-batch thread pool adds set-up
-    and teardown and no parallelism."""
-    if backend != "thread":
-        # Worker processes keep their own predicate caches; the keys
-        # let the dist scheduler memoize by fingerprint as well.
-        # (cluster routes chunks through the ambient coordinator to
-        # remote `repro worker` agents — same task payloads, same
-        # deterministic reassembly.)
-        return _run_tasks(tasks, workers, backend, cache=NO_CACHE,
-                          keys=keys)
+def _engine_compute(tasks: List[Any],
+                    keys: List[Optional[str]]) -> List[Any]:
+    """The default compute function: one inline engine dispatch on an
+    executor thread (never the event loop).  ``keys`` completes the
+    compute-function signature; the inline path does not need them."""
     groups, programs = _fusion_groups(tasks)
     if not groups:
         return _run_tasks(tasks, 1, "thread", cache=shared_cache())
@@ -262,21 +250,13 @@ class MicroBatcher:
         *,
         max_depth: int = 64,
         max_batch: int = 16,
-        workers: int = 2,
-        backend: str = "thread",
         compute_fn: Any = None,
-        breaker: Any = None,
     ) -> None:
         self._cache = cache
         self._stats = stats
-        self._breaker = breaker
         self._queue = AdmissionQueue(max_depth)
-        self._max_batch = max(1, max_batch)
-        self._workers = max(1, workers)
-        self._backend = backend
-        self._compute_fn = compute_fn or partial(
-            _engine_compute, workers=self._workers, backend=backend,
-        )
+        self._max_batch = max_batch
+        self._compute_fn = compute_fn or _engine_compute
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         #: Trace contexts of coalesced requests, keyed by fingerprint —
         #: the batch span links to every one, so each coalesced trace
@@ -289,42 +269,12 @@ class MicroBatcher:
 
     def _guarded_compute(self, tasks: List[Any],
                          keys: List[Optional[str]]) -> List[Any]:
-        """One batch dispatch through the circuit breaker (executor
-        thread, never the event loop).
-
-        Without a breaker this is a straight call.  With one, a primary
-        dispatch failure is recorded and the batch re-runs on the inline
-        thread path — same deterministic findings, degraded throughput —
-        while an open breaker skips the primary entirely
-        (``breaker.short_circuited``).  The ``serve.dispatch.crash``
-        fault tap fires inside the guarded region so chaos tests drive
-        the breaker without a genuinely broken backend.
-        """
-        breaker = self._breaker
-        if breaker is None:
-            if _faults.fire("serve.dispatch.crash") is not None:
-                raise _faults.InjectedFault("serve.dispatch.crash")
-            return self._compute_fn(tasks, keys)
-        if breaker.allow():
-            try:
-                if _faults.fire("serve.dispatch.crash") is not None:
-                    raise _faults.InjectedFault("serve.dispatch.crash")
-                findings = self._compute_fn(tasks, keys)
-            except Exception:
-                breaker.record_failure()
-                self._stats.incr("breaker.fallbacks")
-                if _OBS.enabled:
-                    _OBS.incr("serve.breaker.fallbacks")
-                    _OBS.event("serve.breaker.fallback",
-                               state=breaker.state, tasks=len(tasks))
-                return _engine_compute(tasks, keys, self._workers,
-                                       "thread")
-            breaker.record_success()
-            return findings
-        self._stats.incr("breaker.short_circuited")
-        if _OBS.enabled:
-            _OBS.incr("serve.breaker.short_circuited")
-        return _engine_compute(tasks, keys, self._workers, "thread")
+        """One batch dispatch (executor thread, never the event loop).
+        The ``serve.dispatch.crash`` fault tap fires in front of the
+        compute call, so chaos tests can fail a batch on demand."""
+        if _faults.fire("serve.dispatch.crash") is not None:
+            raise _faults.InjectedFault("serve.dispatch.crash")
+        return self._compute_fn(tasks, keys)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -614,8 +564,7 @@ class MicroBatcher:
                       max(0.0, loop.time() - batch_started),
                       span_hex=batch_hex, parent_hex=traced[0].ctx.span_id,
                       links=links, requests=len(live),
-                      unique_tasks=len(compute_tasks),
-                      backend=self._backend)
+                      unique_tasks=len(compute_tasks))
 
         for item in live:
             findings = [resolved[token] for token in item.tokens]

@@ -36,8 +36,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
-from ..core import dist
-from ..core.sweep import BACKENDS
 from ..obs import DEFAULT as _OBS
 from ..obs.prometheus import render_exposition
 from ..obs.sinks import JsonlSink
@@ -51,10 +49,6 @@ from ..obs.trace import (
 )
 from .. import faults as _faults
 from .batcher import MicroBatcher
-from .breaker import CLOSED as BREAKER_CLOSED
-from .breaker import HALF_OPEN as BREAKER_HALF_OPEN
-from .breaker import OPEN as BREAKER_OPEN
-from .breaker import CircuitBreaker
 from .cache import TieredResultCache
 from .corpus import AnalysisCorpus
 from .protocol import (
@@ -86,9 +80,6 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced
     max_depth: int = 64  # admission queue bound
     max_batch: int = 16  # requests per dispatch
-    workers: int = 2  # process | cluster; thread runs inline
-    backend: str = "thread"  # thread | process | cluster
-    cluster_listen: Optional[str] = None  # HOST:PORT for cluster workers
     store_path: Optional[str] = None  # cold-tier JSONL (optional)
     max_limit: int = 1000  # witness-limit clamp per query
     drain_grace: float = 5.0  # seconds to wait for sockets to flush
@@ -97,14 +88,15 @@ class ServeConfig:
     trace_slow_ms: Optional[float] = None  # tail-keep: retain slower traces
     trace_file: Optional[str] = None  # span JSONL for `repro trace export`
     latency_buckets: Optional[tuple] = None  # stage histogram bounds (s)
-    breaker_window: int = 16  # dispatch outcomes in the breaker window
-    breaker_threshold: float = 0.5  # failure fraction that trips it
-    breaker_cooldown: float = 5.0  # seconds open before half-open probes
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}: "
-                             f"expected one of {', '.join(BACKENDS)}")
+        for name in ("max_depth", "max_batch", "max_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0.0 <= self.trace_sample <= 1.0:
+            raise ValueError(f"trace_sample must be within [0, 1], "
+                             f"got {self.trace_sample!r}")
 
 
 class AnalysisServer:
@@ -121,12 +113,6 @@ class AnalysisServer:
         self.host = self.config.host
         self.port: Optional[int] = None
         self.batcher: Optional[MicroBatcher] = None
-        #: The cluster fan-out fabric when ``backend == "cluster"`` —
-        #: micro-batches dispatch through it to ``repro worker`` agents.
-        self.coordinator: Optional[Any] = None
-        #: Circuit breaker around the non-thread dispatch path; while it
-        #: is not closed the server is ``degraded`` (inline fallback).
-        self.breaker: Optional[CircuitBreaker] = None
         self.tracer: Optional[TraceCollector] = None
         self._trace_sink: Optional[JsonlSink] = None
         self._obs_owned = False
@@ -138,8 +124,8 @@ class AnalysisServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, warm up, and report ready.  Must run on the loop that
-        will serve."""
+        """Bind and report ready.  Must run on the loop that will
+        serve."""
         self._stopped = asyncio.Event()
         if self.config.trace:
             # The collector reassembles per-request traces; the optional
@@ -156,48 +142,11 @@ class AnalysisServer:
                 sinks.append(self._trace_sink)
             self._obs_owned = not _OBS.enabled
             _OBS.enable(*sinks)
-        if self.config.backend == "process":
-            # Pay fork/spawn cost before readiness, not inside the
-            # first request.
-            dist.prewarm(self.config.workers)
-        elif self.config.backend == "cluster":
-            # Cluster fan-out: start the coordinator before readiness
-            # and install it as the process-ambient fabric, so every
-            # micro-batch the engine dispatches with backend="cluster"
-            # ships its chunks to `repro worker` agents.  Until a
-            # worker joins, the coordinator executes chunks inline —
-            # the server is usable alone and gains throughput as
-            # workers connect.  Counters flow into self.stats, so the
-            # /metrics exposition grows repro_serve_cluster_* families.
-            from .. import cluster as _cluster
-            host, port = ("127.0.0.1", 0)
-            if self.config.cluster_listen:
-                host, port = _cluster.parse_address(
-                    self.config.cluster_listen, flag="cluster_listen")
-            self.coordinator = _cluster.ClusterCoordinator(
-                host, port, stats=self.stats)
-            self.coordinator.start()
-            _cluster.set_coordinator(self.coordinator)
-        if self.config.backend != "thread":
-            # Every non-thread backend dispatches into machinery that
-            # can fail in correlated ways (poisoned pool, dead fabric);
-            # the breaker turns a failure storm into inline degraded
-            # service.  The thread backend *is* the fallback path, so
-            # it gets no breaker.
-            self.breaker = CircuitBreaker(
-                window=self.config.breaker_window,
-                threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-                on_transition=self._breaker_transition,
-            )
         self.batcher = MicroBatcher(
             self.cache,
             self.stats,
             max_depth=self.config.max_depth,
             max_batch=self.config.max_batch,
-            workers=self.config.workers,
-            backend=self.config.backend,
-            breaker=self.breaker,
         )
         self.batcher.start()
         self._server = await asyncio.start_server(
@@ -208,7 +157,6 @@ class AnalysisServer:
         self.state = READY
         if _OBS.enabled:
             _OBS.event("serve.started", host=self.host, port=self.port,
-                       backend=self.config.backend,
                        store=bool(self.config.store_path))
 
     async def serve_until_stopped(self) -> None:
@@ -246,14 +194,6 @@ class AnalysisServer:
                 break
             await asyncio.sleep(0.01)
         self.cache.flush()
-        if self.coordinator is not None:
-            # Tear down the fabric after the batcher ran dry: pending
-            # dispatches have completed, so closing now strands no
-            # chunk.  Clear the ambient handle only if it is still ours.
-            from .. import cluster as _cluster
-            if _cluster.get_coordinator() is self.coordinator:
-                _cluster.set_coordinator(None)
-            self.coordinator.close()
         self.state = STOPPED
         if _OBS.enabled:
             _OBS.event("serve.drain", phase="complete")
@@ -283,22 +223,6 @@ class AnalysisServer:
 
     # -- metrics -----------------------------------------------------------
 
-    def _breaker_transition(self, old_state: str, new_state: str) -> None:
-        """Breaker state changes become ServeStats counters (and so
-        ``repro_serve_breaker_<state>_total`` Prometheus families)."""
-        self.stats.incr(f"breaker.{new_state}")
-        if _OBS.enabled:
-            _OBS.incr(f"serve.breaker.{new_state}")
-            _OBS.event("serve.breaker.transition",
-                       old=old_state, new=new_state)
-
-    @property
-    def degraded(self) -> bool:
-        """Is the primary dispatch path short-circuited (breaker not
-        closed — batches run inline on threads)?"""
-        return (self.breaker is not None
-                and self.breaker.state != BREAKER_CLOSED)
-
     def metrics(self) -> Dict[str, Any]:
         snapshot = self.stats.snapshot()
         snapshot["state"] = self.state
@@ -310,17 +234,8 @@ class AnalysisServer:
         snapshot["config"] = {
             "max_depth": self.config.max_depth,
             "max_batch": self.config.max_batch,
-            "workers": self.config.workers,
-            "backend": self.config.backend,
             "trace": self.config.trace,
         }
-        if self.coordinator is not None:
-            cluster = self.coordinator.snapshot()
-            cluster["listen"] = "%s:%d" % self.coordinator.address
-            snapshot["cluster"] = cluster
-        if self.breaker is not None:
-            snapshot["breaker"] = self.breaker.snapshot()
-            snapshot["degraded"] = self.degraded
         faults_snapshot = _faults.snapshot()
         if faults_snapshot is not None:
             snapshot["faults"] = faults_snapshot
@@ -347,18 +262,6 @@ class AnalysisServer:
              1.0 if state == self.state else 0.0)
             for state in (STARTING, READY, DRAINING, STOPPED)
         ]
-        if self.breaker is not None:
-            breaker = self.breaker.snapshot()
-            gauges["breaker.failure_rate"] = breaker["failure_rate"]
-            gauges["breaker.short_circuited"] = \
-                breaker["short_circuited"]
-            gauges["degraded"] = 1.0 if self.degraded else 0.0
-            labeled.extend(
-                ("breaker.state", {"state": state},
-                 1.0 if state == breaker["state"] else 0.0)
-                for state in (BREAKER_CLOSED, BREAKER_OPEN,
-                              BREAKER_HALF_OPEN)
-            )
         return render_exposition(
             counters=snapshot["counters"],
             gauges=gauges,
@@ -512,8 +415,7 @@ class AnalysisServer:
             ready = self.state == READY
             code, reason = (200, "OK") if ready else (503, "Unavailable")
             body: Dict[str, Any] = {"state": self.state, "ready": ready,
-                                    "live": self.state != STOPPED,
-                                    "degraded": self.degraded}
+                                    "live": self.state != STOPPED}
         elif path.startswith("/metrics.json") or "format=json" in path:
             # The structured snapshot (same payload as the line-JSON
             # `metrics` op) stays addressable for humans and tests.

@@ -13,6 +13,7 @@ any other instrumented subsystem.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from typing import Any, Dict, Optional, Sequence
@@ -20,7 +21,8 @@ from typing import Any, Dict, Optional, Sequence
 from ..obs import DEFAULT as _OBS
 from ..obs.prometheus import Histogram
 
-__all__ = ["LatencyWindow", "ServeStats", "STAGES", "STAGE_HELP"]
+__all__ = ["LatencyWindow", "ServeStats", "STAGES", "STAGE_HELP",
+           "nearest_rank"]
 
 #: Per-stage latency histograms recorded by the serving path, with the
 #: help text of each.  Each stage is exposed as its own Prometheus
@@ -35,6 +37,16 @@ STAGE_HELP = {
     "cache_write": "Result-cache writeback time of one batch, seconds.",
 }
 STAGES = tuple(STAGE_HELP)
+
+
+def nearest_rank(data: Sequence[float], pct: float) -> Optional[float]:
+    """The ``pct``-th percentile of sorted ``data`` by the nearest-rank
+    method (the ``ceil(pct * n / 100)``-th smallest sample), or ``None``
+    for no data."""
+    if not data:
+        return None
+    rank = max(1, math.ceil(pct * len(data) / 100.0))
+    return data[min(rank, len(data)) - 1]
 
 
 class LatencyWindow:
@@ -60,10 +72,7 @@ class LatencyWindow:
         ``None`` before the first sample."""
         with self._lock:
             data = sorted(self._samples)
-        if not data:
-            return None
-        rank = max(1, int(round(pct / 100.0 * len(data) + 0.5)))
-        return data[min(rank, len(data)) - 1]
+        return nearest_rank(data, pct)
 
     def snapshot(self) -> Dict[str, Any]:
         """``count`` plus p50/p95/max over the window, in milliseconds."""
@@ -72,10 +81,8 @@ class LatencyWindow:
             count = self._count
 
         def at(pct: float) -> Optional[float]:
-            if not data:
-                return None
-            rank = max(1, int(round(pct / 100.0 * len(data) + 0.5)))
-            return round(data[min(rank, len(data)) - 1] * 1000.0, 3)
+            value = nearest_rank(data, pct)
+            return None if value is None else round(value * 1000.0, 3)
 
         return {
             "count": count,

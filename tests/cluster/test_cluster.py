@@ -395,37 +395,3 @@ class TestWorkerAgent:
         coordinator.close()
         agent.stop(timeout=10.0)
         assert not agent._run_thread.is_alive()
-
-
-class TestServeClusterFanout:
-    def test_serve_dispatches_through_workers_and_exposes_counters(self):
-        from repro.serve import ServeConfig, ServerThread
-        from repro.serve.client import ServeClient
-
-        handle = ServerThread(ServeConfig(
-            port=0, backend="cluster",
-            cluster_listen="127.0.0.1:0")).start()
-        try:
-            coordinator = handle.server.coordinator
-            assert coordinator is not None
-            agent = ClusterWorker(*coordinator.address, slots=1,
-                                  inline=True)
-            agent.start()
-            assert coordinator.wait_for_workers(1, timeout=10.0)
-            with ServeClient(handle.host, handle.port) as client:
-                response = client.query("sendmail", limit=3)
-                assert response["status"] == "ok"
-                assert response["vulnerable"] is True
-                metrics = client.metrics()
-            assert metrics["counters"].get(
-                "cluster.chunks.completed", 0) >= 1
-            assert metrics["cluster"]["counters"][
-                "chunks.completed"] >= 1
-            exposition = handle.server.prometheus_metrics()
-            assert "repro_serve_cluster_chunks_completed_total" \
-                in exposition
-            assert "repro_serve_cluster_workers_joined_total" \
-                in exposition
-            agent.stop()
-        finally:
-            handle.shutdown()

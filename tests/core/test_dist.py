@@ -507,20 +507,6 @@ class TestMemoHooks:
         assert _witnesses(got) == _witnesses(expected)
         assert counters.get("dist.memo.hits") == 1
 
-    def test_prewarm_creates_the_pool_once(self):
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable()
-        try:
-            dist.prewarm(2)
-            dist.prewarm(2)  # same width: reused, not recreated
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.reset()
-        assert counters.get("dist.pool.created") == 1
-        assert counters.get("dist.pool.reused") == 1
-
 
 class TestConcurrentSweeps:
     """Thread-safety of the shared warm tiers (satellite: concurrent

@@ -86,7 +86,7 @@ class TestFusedCompute:
         domain = Domain(
             ["a" * 10, "%n" * 40, "x" * 100, "ok", "%s%s", "a/b"] * 30)
         tasks = _string_tasks(domain, limit=7)
-        fused = _engine_compute(tasks, [None] * len(tasks), 2, "thread")
+        fused = _engine_compute(tasks, [None] * len(tasks))
         plan.reset()  # recompile from scratch for the baseline
         baseline = _run_tasks(tasks, 2, "thread", cache=shared_cache())
         assert _witnesses(fused) == _witnesses(baseline)
@@ -94,7 +94,7 @@ class TestFusedCompute:
     def test_per_member_limits_are_respected(self):
         domain = Domain(["%n" * 40] * 50)  # every object is a witness
         tasks = _string_tasks(domain, limit=3)
-        fused = _engine_compute(tasks, [None] * len(tasks), 2, "thread")
+        fused = _engine_compute(tasks, [None] * len(tasks))
         for finding in fused:
             assert finding is not None and len(finding.witnesses) == 3
 
@@ -106,7 +106,7 @@ class TestFusedCompute:
         registry.reset()
         registry.enable(sink)
         try:
-            _engine_compute(tasks, [None] * len(tasks), 2, "thread")
+            _engine_compute(tasks, [None] * len(tasks))
             counters = registry.counters()
         finally:
             registry.disable()
@@ -126,7 +126,7 @@ class TestFusedCompute:
                             impl_accepts=less_equal(10))
         tasks = _string_tasks(str_domain) + \
             [("m", "op", pfsm, Domain.integers(-5, 15), 5)]
-        fused = _engine_compute(tasks, [None] * len(tasks), 2, "thread")
+        fused = _engine_compute(tasks, [None] * len(tasks))
         plan.reset()
         baseline = _run_tasks(tasks, 2, "thread", cache=shared_cache())
         assert _witnesses(fused) == _witnesses(baseline)
@@ -149,6 +149,5 @@ class TestFusedCompute:
 
         monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
         for tasks, baseline in zip((unfused, mixed), baselines):
-            computed = _engine_compute(tasks, [None] * len(tasks), 2,
-                                       "thread")
+            computed = _engine_compute(tasks, [None] * len(tasks))
             assert _witnesses(computed) == _witnesses(baseline)

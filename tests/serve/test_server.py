@@ -83,11 +83,19 @@ def client_for(handle):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("backend", ["queue", "proces", "Thread"])
-    def test_unknown_backend_is_rejected(self, backend):
-        # Used to fall through silently to the fused thread path.
-        with pytest.raises(ValueError, match="thread, process, cluster"):
-            ServeConfig(backend=backend)
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 0), ("max_depth", -1), ("max_batch", 0),
+        ("max_limit", 0), ("trace_sample", -0.1), ("trace_sample", 2.0),
+    ])
+    def test_out_of_range_values_are_rejected(self, field, value):
+        # max_depth=0 used to fail only inside server.start(); the
+        # others were silently clamped.
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        ServeConfig(max_depth=1, max_batch=1, max_limit=1, trace_sample=0.0)
+        ServeConfig(trace_sample=1.0)
 
 
 class TestQuery:
@@ -162,7 +170,8 @@ class TestQuery:
         assert counters["requests.query"] >= 1
         assert counters["batches"] >= 1
         assert metrics["state"] == "ready"
-        assert metrics["config"]["backend"] == "thread"
+        assert metrics["config"] == {"max_depth": 64, "max_batch": 16,
+                                     "trace": False}
         assert set(metrics["derived"]) >= {"coalesce_rate",
                                            "request_cache_hit_rate"}
 
@@ -447,7 +456,7 @@ class TestHttpFacade:
         assert code == 200
         assert ctype == "application/json"
         assert json.loads(body) == {"state": "ready", "ready": True,
-                                    "live": True, "degraded": False}
+                                    "live": True}
 
     def test_metrics_json_endpoint(self, server):
         with client_for(server) as client:

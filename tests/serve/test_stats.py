@@ -1,5 +1,7 @@
 """Service statistics: latency percentiles, derived rates, obs mirror."""
 
+import pytest
+
 from repro import obs
 from repro.serve import LatencyWindow, ServeStats
 
@@ -18,8 +20,18 @@ class TestLatencyWindow:
         snapshot = window.snapshot()
         assert snapshot["count"] == 100
         assert snapshot["p50_ms"] == 50.0  # nearest-rank, not midpoint
-        assert snapshot["p95_ms"] == 96.0
+        assert snapshot["p95_ms"] == 95.0
         assert snapshot["max_ms"] == 100.0
+
+    @pytest.mark.parametrize("n, p50", [(2, 1), (6, 3), (10, 5)])
+    def test_p50_is_the_ceil_rank_when_it_is_an_odd_integer(self, n, p50):
+        # p/100 * n is an odd integer here; rounding it half-to-even
+        # used to report the sample one rank above the median.
+        window = LatencyWindow()
+        for ms in range(1, n + 1):
+            window.record(ms / 1000.0)
+        assert window.percentile(50) == p50 / 1000.0
+        assert window.snapshot()["p50_ms"] == float(p50)
 
     def test_window_is_bounded_but_count_is_total(self):
         window = LatencyWindow(maxlen=8)

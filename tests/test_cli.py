@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -245,6 +245,22 @@ class TestServeCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--no-such-flag"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--backend", "process"], ["--workers", "2"],
+    ])
+    def test_serve_has_one_dispatch_path(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_out_of_range_serve_config_is_a_usage_error(self, capsys):
+        # Used to escape as a ValueError traceback from server.start().
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--max-depth", "0"])
+        assert excinfo.value.code == 2
+        assert "repro serve: error: max_depth" in capsys.readouterr().err
 
 
 class TestClusterCli:
