@@ -221,22 +221,28 @@ def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
 # The persistent result store (cold tier).
 # ---------------------------------------------------------------------------
 
-def _encode_finding(finding: Optional[SweepFinding]) -> Any:
-    """Tagged-JSON form of a finding (``None`` stays ``None``).  Raises
-    :class:`ValueError` for witnesses outside the value codec."""
+_COMPACT = (",", ":")
+
+
+def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
+    """One compact store record, ``{"key": …, "finding": {…}}``, with
+    the finding's memoized witness text (``wire_json``) spliced in
+    rather than serialized again.  Raises :class:`ValueError` for
+    witnesses outside the value codec."""
     if finding is None:
-        return None
-    witnesses = finding.wire_witnesses
+        return json.dumps({"key": key, "finding": None}, separators=_COMPACT)
+    witnesses = finding.wire_json
     if witnesses is None:
         raise ValueError(f"{finding.model_name}/{finding.pfsm_name}: "
                          f"a witness is outside the value codec")
-    return {
+    head = json.dumps({"key": key, "finding": {
         "model_name": finding.model_name,
         "operation_name": finding.operation_name,
         "pfsm_name": finding.pfsm_name,
         "activity": finding.activity,
-        "witnesses": witnesses,
-    }
+    }}, separators=_COMPACT)
+    # head ends in the two closing braces; witnesses go last.
+    return head[:-2] + ',"witnesses":' + witnesses + "}}"
 
 
 def _decode_finding(payload: Any) -> Optional[SweepFinding]:
@@ -254,11 +260,13 @@ def _decode_finding(payload: Any) -> Optional[SweepFinding]:
 class ResultStore:
     """Append-only JSONL store of sweep results keyed by task fingerprint.
 
-    One record per line: ``{"key": <fingerprint>, "finding": <tagged
-    JSON or null>}``.  ``load`` returns the last record per key (so
-    re-recording a key supersedes, no compaction needed); malformed
-    lines are skipped and counted (``dist.store.malformed``), keeping a
-    store that died mid-write usable for resume.
+    One record per line, in compact JSON: ``{"key": <fingerprint>,
+    "finding": <tagged JSON or null>}``.  ``load`` parses any JSON
+    spacing, so stores written with the default ``", "``/``": "``
+    separators still load and resume.  ``load`` returns the last record
+    per key (so re-recording a key supersedes, no compaction needed);
+    malformed lines are skipped and counted (``dist.store.malformed``),
+    keeping a store that died mid-write usable for resume.
 
     A process that crashes mid-append leaves a truncated trailing line
     with no newline.  Both halves of the failure are tolerated: ``load``
@@ -351,14 +359,10 @@ class ResultStore:
         lines: List[str] = []
         for key, finding in items:
             try:
-                payload = _encode_finding(finding)
+                lines.append(_store_line(key, finding))
             except ValueError:
                 if _OBS.enabled:
                     _OBS.incr("dist.store.unencodable")
-                continue
-            # No sort_keys: record-shaped witnesses must round-trip with
-            # their field order intact.
-            lines.append(json.dumps({"key": key, "finding": payload}))
         if not lines:
             return 0
         with self._lock:

@@ -51,6 +51,7 @@ pool decision and queue size.)
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from itertools import islice
@@ -575,8 +576,9 @@ class SweepFinding:
         witness falls outside it.
 
         The one wire form of a finding: the cold store and every server
-        response (computed or cached) reuse this list, so each finding
-        is encoded once.  Each distinct witness object is encoded once
+        response (computed or cached) reuse this list and its text
+        (:attr:`wire_json`), so each finding is encoded and serialized
+        once.  Each distinct witness object is encoded once
         too (an identity memo, as in ``dist._digest_items``), because
         tiled domains repeat the same objects by reference.  Not a
         field, so ``==``, ``hash`` and ``dataclasses.replace`` ignore
@@ -595,6 +597,23 @@ class SweepFinding:
         except ValueError:
             return None
         return encoded
+
+    @cached_property
+    def wire_json(self) -> Optional[str]:
+        """:attr:`wire_witnesses` as compact JSON text, or ``None`` when
+        a witness falls outside the codec.
+
+        Serialized once per finding: the store line
+        (``dist.ResultStore.record_many``) and every response line
+        (``serve.protocol.encode_line``) splice this text verbatim
+        instead of dumping the witness list again.
+        """
+        witnesses = self.wire_witnesses
+        if witnesses is None:
+            return None
+        # No sort_keys: record-shaped witnesses must round-trip with
+        # their field order intact.
+        return json.dumps(witnesses, separators=(",", ":"))
 
     def __str__(self) -> str:
         sample = self.witnesses[0] if self.witnesses else None

@@ -13,8 +13,9 @@ pays one flag check and nothing else.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
+
+from .trace import mint_span_id
 
 __all__ = ["Span", "NOOP_SPAN"]
 
@@ -87,7 +88,7 @@ class Span:
             # nested spans chain under it across any boundary.
             self.trace_id = ctx.trace_id
             self.trace_parent = ctx.span_id
-            self.trace_span = os.urandom(8).hex()
+            self.trace_span = mint_span_id()
             self._trace_restore = ctx
             registry.set_trace(ctx.child(self.trace_span))
         self.wall_start = registry._wall()

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import threading
 from collections import OrderedDict, deque
@@ -61,10 +62,17 @@ _TRACEPARENT = re.compile(
 )
 
 
+#: The id source: one PRNG per process, seeded from ``os.urandom`` once
+#: rather than a ``getrandom`` call per id.  A forked child reseeds from
+#: the OS, so parent and child never mint the same stream.
+_IDS = random.Random()
+os.register_at_fork(after_in_child=_IDS.seed)
+
+
 def mint_span_id() -> str:
     """A fresh 16-hex-char span id (random, collision-safe across
     processes — unlike the registry's local integer ids)."""
-    return os.urandom(8).hex()
+    return "%016x" % _IDS.getrandbits(64)
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,8 @@ class TraceContext:
     @classmethod
     def mint(cls, sampled: bool = True) -> "TraceContext":
         """A brand-new trace rooted at a fresh span."""
-        return cls(trace_id=os.urandom(16).hex(), span_id=mint_span_id(),
-                   sampled=sampled)
+        return cls(trace_id="%032x" % _IDS.getrandbits(128),
+                   span_id=mint_span_id(), sampled=sampled)
 
     def child(self, span_id: Optional[str] = None) -> "TraceContext":
         """The same trace, re-rooted at ``span_id`` (fresh by default)."""
@@ -245,8 +253,6 @@ class TraceCollector:
             return False
         if self._rng is not None:
             return self._rng() < self.head_sample
-        import random
-
         return random.random() < self.head_sample
 
     def begin(self, ctx: TraceContext, **meta: Any) -> None:

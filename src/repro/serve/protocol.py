@@ -40,6 +40,7 @@ rendered.
 from __future__ import annotations
 
 import json
+from operator import is_
 from typing import Any, Dict, Optional
 
 from ..core.predspec import encode_value
@@ -127,10 +128,49 @@ def decode_request(line: str) -> Dict[str, Any]:
     return request
 
 
+#: ``json.dumps(..., separators=(",", ":"), default=str)``, built once.
+_encode = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+
 def encode_line(payload: Dict[str, Any]) -> bytes:
-    """One response (or request) as a newline-terminated JSON line."""
-    return (json.dumps(payload, separators=(",", ":"), default=str)
-            + "\n").encode("utf-8")
+    """One response (or request) as a newline-terminated JSON line.
+
+    Byte-identical to ``json.dumps(payload, separators=(",", ":"),
+    default=str)``.  A query response's findings are spliced in as
+    text: each unmodified :func:`finding_payload` contributes its
+    finding's memoized witness text, so no witness is serialized again.
+    """
+    findings = payload.get("findings")
+    if isinstance(findings, list) and findings:
+        text = _splice(payload, "findings",
+                       "[" + ",".join(map(_finding_text, findings)) + "]")
+    else:
+        text = _encode(payload)
+    return (text + "\n").encode("utf-8")
+
+
+def _splice(obj: Dict[str, Any], key: str, text: str) -> str:
+    """``_encode(obj)`` with ``obj[key]`` taken as the JSON ``text``:
+    the members before and after ``key`` are encoded around it, so the
+    bytes match a full encoding whenever ``text`` is ``obj[key]``'s."""
+    head: Dict[Any, Any] = {}
+    tail: Dict[Any, Any] = {}
+    part = head
+    for name, value in obj.items():
+        if name == key:
+            part = tail
+        else:
+            part[name] = value
+    spliced = _encode(head)[:-1] + ("," if head else "") \
+        + _encode(key) + ":" + text
+    return spliced + ("," + _encode(tail)[1:] if tail else "}")
+
+
+def _finding_text(payload: Any) -> str:
+    """One element of ``findings`` as JSON text."""
+    if isinstance(payload, _FindingPayload) and payload.pristine():
+        return _splice(payload, "witnesses", payload.finding.wire_json)
+    return _encode(payload)
 
 
 def encode_witness(value: Any) -> Any:
@@ -142,18 +182,48 @@ def encode_witness(value: Any) -> Any:
         return {"__repr__": repr(value)}
 
 
+class _FindingPayload(dict):
+    """A finding's response dict that remembers its finding and the
+    witness list it was built with, so the finding's memoized text is
+    only spliced while the dict still holds that list, unchanged."""
+
+    __slots__ = ("finding", "given")
+
+    def pristine(self) -> bool:
+        """Does ``self["witnesses"]`` still encode as the finding's
+        ``wire_json``?  (Same list, same length, the same objects in
+        the same slots.)"""
+        witnesses = self.get("witnesses")
+        wire = self.finding.wire_witnesses
+        return (witnesses is self.given
+                and len(witnesses) == len(wire)
+                and all(map(is_, witnesses, wire)))
+
+
 def finding_payload(finding: Any) -> Dict[str, Any]:
     """The response form of one :class:`~repro.core.sweep.SweepFinding`.
 
     Reuses the finding's memoized wire form (a shallow copy, so a caller
-    mutating one response's list cannot corrupt the next); only a
-    finding with a witness outside the codec is degraded per witness.
+    mutating one response's list cannot corrupt the next) and carries
+    its memoized text for :func:`encode_line`.  A caller that replaces
+    or edits the list or a field is encoded from the dict as it stands;
+    the tagged values inside the list are shared with the finding and
+    must not be mutated.  Only a finding with a witness outside the
+    codec is degraded per witness.
     """
-    witnesses = finding.wire_witnesses
-    return {
-        "operation": finding.operation_name,
-        "pfsm": finding.pfsm_name,
-        "activity": finding.activity,
-        "witnesses": (list(witnesses) if witnesses is not None
-                      else [encode_witness(w) for w in finding.witnesses]),
-    }
+    if finding.wire_json is None:
+        return {
+            "operation": finding.operation_name,
+            "pfsm": finding.pfsm_name,
+            "activity": finding.activity,
+            "witnesses": [encode_witness(w) for w in finding.witnesses],
+        }
+    payload = _FindingPayload(
+        operation=finding.operation_name,
+        pfsm=finding.pfsm_name,
+        activity=finding.activity,
+        witnesses=list(finding.wire_witnesses),
+    )
+    payload.finding = finding
+    payload.given = payload["witnesses"]
+    return payload

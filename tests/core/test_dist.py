@@ -245,10 +245,32 @@ class TestResultStore:
             "model_name": "model", "operation_name": "op",
             "pfsm_name": "p", "activity": "scan",
             "witnesses": [encode_value(w) for w in finding.witnesses],
-        }}) + "\n"
+        }}, separators=(",", ":")) + "\n"
         with open(store.path, encoding="utf-8") as handle:
             assert handle.read() == reference
         assert store.load() == {"k": finding}
+
+    def test_default_separator_lines_still_load(self, tmp_path):
+        # Stores written before lines became compact JSON still resume.
+        tile = [(1, "a"), b"\x00\xff", frozenset({3, 4}), "caf\u00e9"]
+        finding = SweepFinding(
+            model_name="model", operation_name="op", pfsm_name="p",
+            activity="scan", witnesses=tuple(tile * 2),
+        )
+        path = tmp_path / "results.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for key, payload in (("clean", None), ("k", {
+                "model_name": "model", "operation_name": "op",
+                "pfsm_name": "p", "activity": "scan",
+                "witnesses": [encode_value(w) for w in finding.witnesses],
+            })):
+                handle.write(json.dumps({"key": key, "finding": payload})
+                             + "\n")
+        store = ResultStore(path)
+        assert store.load() == {"clean": None, "k": finding}
+        compact = tmp_path / "compact.jsonl"
+        ResultStore(compact).record_many([("clean", None), ("k", finding)])
+        assert ResultStore(compact).load() == store.load()
 
     def test_out_of_codec_finding_is_skipped_and_counted(self, tmp_path):
         finding = SweepFinding(

@@ -1,11 +1,13 @@
 """Tests for the distributed tracing layer (repro.obs.trace)."""
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro.obs import MemorySink, Registry
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     TailRules,
     TraceCollector,
@@ -88,6 +90,46 @@ class TestTraceContext:
         span = mint_span_id()
         assert len(span) == 16
         int(span, 16)
+
+    def test_ids_are_fixed_width_lowercase_hex(self, monkeypatch):
+        for _ in range(1000):
+            span, trace = mint_span_id(), TraceContext.mint().trace_id
+            assert len(span) == 16 and len(trace) == 32
+            assert set(span + trace) <= set("0123456789abcdef")
+
+        class Small:
+            def getrandbits(self, bits):
+                return 1
+
+        monkeypatch.setattr(trace_module, "_IDS", Small())
+        assert mint_span_id() == "0" * 15 + "1"
+        assert TraceContext.mint().trace_id == "0" * 31 + "1"
+
+    def test_no_collision_over_100k_mints(self):
+        n = 100_000
+        assert len({mint_span_id() for _ in range(n)}) == n
+        assert len({TraceContext.mint().trace_id for _ in range(n)}) == n
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_mints_other_ids_than_its_parent(self):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report its next ids, then leave at once
+            try:
+                os.close(read_end)
+                ids = [mint_span_id() for _ in range(64)]
+                ids.append(TraceContext.mint().trace_id)
+                os.write(write_end, " ".join(ids).encode("ascii"))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        parent = [mint_span_id() for _ in range(64)]
+        parent.append(TraceContext.mint().trace_id)
+        with os.fdopen(read_end, "rb") as handle:
+            child = handle.read().decode("ascii").split()
+        os.waitpid(pid, 0)
+        assert len(child) == 65
+        assert not set(child) & set(parent)
 
 
 class TestAmbientPropagation:

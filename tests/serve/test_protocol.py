@@ -151,3 +151,83 @@ class TestEncoding:
         payload = finding_payload(finding)
         assert payload["witnesses"] == [7, {"__repr__": "<opaque thing>"}]
         json.dumps(payload)
+
+    def test_out_of_codec_finding_line_matches_the_reference(self):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque \u00e9>"
+
+        findings = [
+            SweepFinding(model_name="M", operation_name="op",
+                         pfsm_name="pFSM1", activity="scan",
+                         witnesses=(7, Opaque())),
+            SweepFinding(model_name="M", operation_name="op",
+                         pfsm_name="pFSM2", activity="scan",
+                         witnesses=((1, "\u00e9"), b"\x00")),
+        ]
+        response = {"status": "ok", "model": "m", "vulnerable": True,
+                    "findings": [finding_payload(f) for f in findings],
+                    "cached": False, "id": 4, "elapsed_ms": 1.5}
+        assert encode_line(response) == reference_line(response)
+
+
+def reference_line(response):
+    return (json.dumps(response, separators=(",", ":"), default=str)
+            + "\n").encode("utf-8")
+
+
+class TestMutatedPayloads:
+    """A caller that edits a response before encoding it gets the edit
+    on the wire, never the finding's memoized text."""
+
+    @staticmethod
+    def response():
+        finding = SweepFinding(
+            model_name="M", operation_name="op", pfsm_name="pFSM1",
+            activity="scan", witnesses=(1, (1, 2), "x", (1, 2)),
+        )
+        finding_payload(finding)  # the memo is warm
+        return {"status": "ok", "model": "m",
+                "findings": [finding_payload(finding)], "cached": True}
+
+    @pytest.mark.parametrize("edit", [
+        lambda f: f["witnesses"].append("tampered"),
+        lambda f: f["witnesses"].pop(),
+        lambda f: f["witnesses"].reverse(),
+        lambda f: f["witnesses"].__setitem__(0, 2),
+        # equal to the original value, but encoded differently
+        lambda f: f["witnesses"].__setitem__(0, True),
+        lambda f: f["witnesses"].__setitem__(0, 1.0),
+        lambda f: f["witnesses"].__setitem__(1, {"__list__": [1, 2]}),
+        lambda f: f.__setitem__("witnesses", [9]),
+        lambda f: f.__setitem__("witnesses", (1, 2)),
+        lambda f: f.__setitem__("pfsm", "pFSM9"),
+        lambda f: f.__setitem__("extra", {"k": None}),
+        lambda f: f.__setitem__("operation", f.pop("operation")),
+        lambda f: f.__setitem__("witnesses", f.pop("witnesses")),
+        lambda f: f.pop("witnesses"),
+        lambda f: f.clear(),
+    ])
+    def test_an_edited_finding_is_encoded_as_it_stands(self, edit):
+        response = self.response()
+        edit(response["findings"][0])
+        assert encode_line(response) == reference_line(response)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["findings"].append({"operation": "added"}),
+        lambda r: r["findings"].insert(0, r["findings"][0]),
+        lambda r: r["findings"].clear(),
+        lambda r: r.__setitem__("findings", None),
+        lambda r: r.__setitem__("findings", r.pop("findings")),
+        lambda r: r.__setitem__("id", 3),
+    ])
+    def test_an_edited_response_is_encoded_as_it_stands(self, edit):
+        response = self.response()
+        edit(response)
+        assert encode_line(response) == reference_line(response)
+
+    def test_an_untouched_response_reuses_the_text(self):
+        response = self.response()
+        assert response["findings"][0].pristine()
+        assert encode_line(response) == reference_line(response)
+
