@@ -39,10 +39,12 @@ Packages
     The analysis service: a resident asyncio server with admission
     control, single-flight coalescing, micro-batched dispatch, a tiered
     result cache, and graceful drain (``repro serve`` / ``repro query``).
+
+Each package is imported on first use (``repro.serve``,
+``from repro import models``), so a process loads only what it runs.
 """
 
-from . import (apps, bugtraq, core, defenses, faults, memory, models, obs,
-               osmodel, serve)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -59,3 +61,13 @@ __all__ = [
     "serve",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

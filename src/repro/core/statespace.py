@@ -8,7 +8,8 @@ directed graph whose nodes are ``(operation, pFSM, StateKind)`` triples
 plus the terminal consequence, and whose edges are the Figure 2
 transitions that *exist* for the given implementation.
 
-Queries answered over the graph (networkx):
+Queries answered over the graph (networkx, imported on first use so
+that scanning never loads it):
 
 * :meth:`StateSpace.compromise_reachable` — can the terminal
   consequence be reached through at least one hidden edge?  (The
@@ -39,14 +40,15 @@ corresponds to some graph path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .machine import VulnerabilityModel
 from .pfsm import PrimitiveFSM
 from .transitions import StateKind, TransitionKind
 from .witness import Domain
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Node", "StateSpace", "build_state_space"]
 
@@ -116,6 +118,8 @@ class StateSpace:
         )
 
     def _path_exists_through(self, edge: Tuple[str, str]) -> bool:
+        import networkx as nx
+
         u, v = edge
         return (
             nx.has_path(self.graph, ENTRY, u)
@@ -137,6 +141,8 @@ class StateSpace:
         straight to networkx so longer paths are never generated) and
         ``max_paths`` (max candidate paths examined, hidden or not).
         """
+        import networkx as nx
+
         paths: List[List[str]] = []
         examined = 0
         for path in nx.all_simple_paths(self.graph, ENTRY, COMPROMISED,
@@ -159,6 +165,8 @@ class StateSpace:
     def benign_path_exists(self) -> bool:
         """Is the terminal reachable without any hidden edge?  (Securing
         must not break legitimate completion.)"""
+        import networkx as nx
+
         pruned = nx.restricted_view(self.graph, [], self.hidden_edges())
         return nx.has_path(pruned, ENTRY, COMPROMISED)
 
@@ -217,6 +225,8 @@ class StateSpace:
         the same graph (no copy); reachability and path queries work
         unchanged, and mutating operations like :meth:`cut_set` take
         their own working copy anyway."""
+        import networkx as nx
+
         blocked = [
             (u, v)
             for u, v, data in self.graph.edges(data=True)
@@ -255,6 +265,8 @@ def build_state_space(
     search); otherwise structurally (a missing or non-spec-equal check
     is assumed divergent) — the conservative reading.
     """
+    import networkx as nx
+
     domains = domains or {}
     graph = nx.DiGraph()
     graph.add_node(ENTRY)
