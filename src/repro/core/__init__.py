@@ -70,14 +70,10 @@ from .serialize import (
 )
 from .statespace import StateSpace, build_state_space
 from .sweep import (
-    NO_CACHE,
     ModelSweep,
-    PredicateCache,
     SweepFinding,
-    cached_evaluate,
     hidden_witness_count,
     hidden_witness_scan,
-    shared_cache,
     sweep_model,
     sweep_models,
     sweep_operation,
@@ -175,14 +171,10 @@ __all__ = [
     "to_spec",
     "StateSpace",
     "build_state_space",
-    "NO_CACHE",
     "ModelSweep",
-    "PredicateCache",
     "SweepFinding",
-    "cached_evaluate",
     "hidden_witness_count",
     "hidden_witness_scan",
-    "shared_cache",
     "sweep_model",
     "sweep_models",
     "sweep_operation",

@@ -64,8 +64,6 @@ def hidden_path_report(
     model: VulnerabilityModel,
     domains: Dict[str, Domain],
     limit: int = 5,
-    workers: Optional[int] = None,
-    cache: Any = None,
 ) -> List[HiddenPathFinding]:
     """Search each pFSM's object domain for hidden-path witnesses.
 
@@ -74,14 +72,10 @@ def hidden_path_report(
     enumerable, e.g. raw memory states).
 
     Delegates to :func:`repro.core.sweep.sweep_model`: per-pFSM scans
-    take the closed-form batch path where available, share the sweep
-    predicate cache (``cache=None`` selects the process-wide one,
-    :data:`repro.core.sweep.NO_CACHE` disables it), and fan out across
-    ``workers`` threads with deterministic result order.
+    take the closed-form batch path where available and run inline in
+    cascade order.
     """
-    sweep = sweep_model(
-        model, domains, limit=limit, workers=workers, cache=cache,
-    )
+    sweep = sweep_model(model, domains, limit=limit)
     return [
         HiddenPathFinding(
             operation_name=finding.operation_name,

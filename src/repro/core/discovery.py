@@ -25,7 +25,7 @@ The engine generalises the process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..obs import DEFAULT as _OBS
 from .operation import Operation
@@ -157,15 +157,11 @@ class DiscoveryEngine:
         operation: Operation,
         domains: Dict[str, Domain],
         limit: int = 5,
-        workers: Optional[int] = None,
-        cache: Any = None,
     ) -> List[Finding]:
         """Check every pFSM of ``operation`` against its object domain.
 
-        Scans ride the sweep engine: closed-form batch paths, a shared
-        predicate cache (``cache=None`` selects the process-wide one),
-        and optional fan-out across ``workers`` threads — results stay
-        in activity order either way.
+        Scans ride the sweep engine (closed-form batch paths where
+        available); results stay in activity order.
         """
         specs = {pfsm.name: pfsm for pfsm in operation.pfsms}
         with _OBS.span("discovery.sweep", operation=operation.name,
@@ -180,10 +176,8 @@ class DiscoveryEngine:
                     witnesses=found.witnesses,
                     known=found.pfsm_name in self._known,
                 )
-                for found in _sweep_operation(
-                    operation, domains, limit=limit, workers=workers,
-                    cache=cache,
-                )
+                for found in _sweep_operation(operation, domains,
+                                              limit=limit)
             ]
             span.set(findings=len(findings))
         if _OBS.enabled:

@@ -68,7 +68,7 @@ from ..obs import DEFAULT as _OBS
 from ..obs.sinks import MemorySink
 from ..obs.trace import TraceContext, emit_span, mint_span_id
 from .predspec import decode_value, encode_value, spec_digest
-from .sweep import NO_CACHE, SweepFinding, _scan_task, shared_cache
+from .sweep import SweepFinding, _scan_task
 
 __all__ = [
     "ResultStore",
@@ -574,9 +574,7 @@ def _chunk_worker(
     """Run one chunk of serialized tasks in a worker process.
 
     Tasks rebuild through predicate specs (see
-    :mod:`repro.core.predspec`); scans share the *worker's* process-wide
-    predicate cache, whose spec-hash keys make verdicts memoized by one
-    chunk reusable by every later chunk in the same worker.
+    :mod:`repro.core.predspec`).
 
     Each payload is a pickled ``(task, program)`` pair: the compiled
     plan primes the worker's plan cache (and imports the parent's CSE
@@ -604,12 +602,11 @@ def _chunk_worker(
         _OBS.enable(sink)
         restore = _OBS.set_trace(ctx)
     try:
-        cache = shared_cache()
         memo = plan.NodeMemo() if plan.is_enabled() else None
         results: List[Tuple[int, Optional[SweepFinding]]] = []
         for index, raw in chunk:
             task = pickle.loads(raw)[0]  # [1], the plan, primed the cache
-            results.append((index, _scan_task(task, cache=cache, memo=memo)))
+            results.append((index, _scan_task(task, memo=memo)))
     finally:
         if sink is not None:
             _OBS.set_trace(restore)
@@ -875,7 +872,7 @@ def run_tasks(
 
             # Parent-side inline degrade for tasks that never pickled.
             for index in inline_indexes:
-                results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+                results[index] = _scan_task(tasks[index])
             persist([(index, results[index]) for index in inline_indexes])
 
             memoized = 0
@@ -934,7 +931,7 @@ def _run_cluster_chunks(
     if failed and _OBS.enabled:
         _OBS.incr("dist.chunk.inline_fallback", len(failed))
     for index in failed:
-        results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+        results[index] = _scan_task(tasks[index])
     persist([(index, results[index]) for index in failed])
 
 
@@ -1040,5 +1037,5 @@ def _execute_chunks(
         if obs_on:
             _OBS.incr("dist.chunk.inline_fallback")
         for index in chunk:
-            results[index] = _scan_task(tasks[index], cache=NO_CACHE)
+            results[index] = _scan_task(tasks[index])
         persist([(index, results[index]) for index in chunk])

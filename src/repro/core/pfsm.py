@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .classification import PfsmType
 from .predicates import Predicate
-from .sweep import NO_CACHE, hidden_witness_scan
+from .sweep import hidden_witness_scan
 from .transitions import Label, StateKind, Transition, TransitionKind
 
 __all__ = ["PrimitiveFSM", "PfsmOutcome"]
@@ -150,21 +150,17 @@ class PrimitiveFSM:
 
     # -- hidden-path analysis --------------------------------------------------
 
-    def hidden_witnesses(self, domain: Iterable[Any], limit: int = 10,
-                         cache: Any = None) -> List[Any]:
+    def hidden_witnesses(self, domain: Iterable[Any],
+                         limit: int = 10) -> List[Any]:
         """Objects in ``domain`` that traverse the hidden path.
 
         Routed through :func:`repro.core.sweep.hidden_witness_scan`:
         closed-form predicates over ``range``-backed domains answer
-        arithmetically (O(limit), not O(n)); pass a
-        :class:`~repro.core.sweep.PredicateCache` to memoize scalar
-        scans across repeated sweeps.  Witness order always matches
-        domain iteration order.
+        arithmetically (O(limit), not O(n)), and every other scan judges
+        each distinct object once.  Witness order always matches domain
+        iteration order.
         """
-        return hidden_witness_scan(
-            self, domain, limit=limit,
-            cache=NO_CACHE if cache is None else cache,
-        )
+        return hidden_witness_scan(self, domain, limit=limit)
 
     def has_hidden_path(self, domain: Iterable[Any]) -> bool:
         """True when some domain object is spec-rejected but

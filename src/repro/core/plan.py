@@ -831,7 +831,7 @@ def _domain_size(domain: Any, default: int = 1024) -> int:
 class ScanPlan:
     """The planner's verdict for one ``(pfsm, domain)`` scan task."""
 
-    strategy: str  # "interval" | "columnar" | "compiled" | "cached" | "plain"
+    strategy: str  # "interval" | "columnar" | "compiled" | "plain"
     program: Optional[ScanProgram]
     est_cost: float
     est_objects: int
@@ -845,13 +845,12 @@ _COLUMNAR_NUMPY_FACTOR = 0.05
 _COLUMNAR_STDLIB_FACTOR = 0.4
 
 
-def plan_scan(pfsm: Any, domain: Any, limit: int = 10,
-              cache_available: bool = True) -> ScanPlan:
+def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
     """Pick the scan strategy and estimate its cost.
 
     Dominance order: closed-form **interval** algebra (O(limit)) ≻
     **columnar** whole-domain mask pass ≻ **compiled** program ≻
-    **cached** interpretive scan ≻ **plain** interpretive scan.  This
+    **plain** interpretive scan of the predicates themselves.  This
     mirrors the dispatch in
     :func:`repro.core.sweep.hidden_witness_scan`; the cost estimates
     additionally size chunks in :mod:`repro.core.dist` and surface
@@ -895,13 +894,11 @@ def plan_scan(pfsm: Any, domain: Any, limit: int = 10,
                    f"leaves ({program.cse_nodes} shared, "
                    f"{program.lowered} interval-lowered)",
         )
-    strategy = "cached" if cache_available else "plain"
     return ScanPlan(
-        strategy=strategy, program=None,
+        strategy="plain", program=None,
         est_cost=max(1.0, _INTERP_COST * objects),
         est_objects=objects,
-        reason="opaque predicate — interpretive scan"
-               + (" through the predicate cache" if cache_available else ""),
+        reason="opaque predicate — interpretive scan",
     )
 
 
@@ -918,10 +915,9 @@ def task_cost(task: Sequence[Any]) -> Optional[float]:
         return None
 
 
-def describe_plan(pfsm: Any, domain: Any, limit: int = 10,
-                  cache_available: bool = True) -> Dict[str, Any]:
+def describe_plan(pfsm: Any, domain: Any, limit: int = 10) -> Dict[str, Any]:
     """JSON-ready plan description for ``repro sweep --explain``."""
-    chosen = plan_scan(pfsm, domain, limit, cache_available)
+    chosen = plan_scan(pfsm, domain, limit)
     payload: Dict[str, Any] = {
         "strategy": chosen.strategy,
         "est_cost": round(chosen.est_cost, 2),

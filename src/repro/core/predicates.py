@@ -20,8 +20,7 @@ Alongside the callable, every library constructor carries a declarative
 predicate (see :mod:`repro.core.predspec`).  Specs make predicates
 picklable (pickling ships the spec, unpickling re-runs the
 constructor), hashable by meaning (``spec_hash`` — the key the
-distributed sweep runner and the spec-keyed :class:`PredicateCache`
-use), and transportable to worker processes and, eventually, other
+distributed sweep runner uses), and transportable to worker processes and, eventually, other
 hosts.  Predicates built from raw callables are *opaque* (``spec`` is
 ``None``) unless registered by name through
 :func:`repro.core.predspec.named_predicate`.
@@ -219,7 +218,8 @@ class Predicate:
     @property
     def cache_key(self) -> Tuple[int, int]:
         """Key identifying this predicate *and its current behaviour*
-        for memoization (see :mod:`repro.core.sweep`)."""
+        for memoization (see :func:`repro.core.plan.program_for` and
+        :func:`repro.core.dist.task_key`)."""
         return (self._cache_token, self._cache_version)
 
     @property

@@ -115,8 +115,7 @@ class Registry:
         the context's trace id, parents under its span id, and narrows
         the ambient context to itself for its duration.  Pass ``None``
         to clear.  Returns the previous value so executors can restore
-        it around each unit of work (same contract as
-        :meth:`set_inherited_parent`).
+        it around each unit of work.
         """
         previous = getattr(self._local, "trace", None)
         self._local.trace = ctx
@@ -125,22 +124,6 @@ class Registry:
     def current_trace(self) -> Any:
         """This thread's ambient trace context, or ``None``."""
         return getattr(self._local, "trace", None)
-
-    def set_inherited_parent(self, parent_id: Optional[int]) -> Optional[int]:
-        """Adopt ``parent_id`` as this thread's root-span parent.
-
-        Worker threads have empty span stacks, so spans opened on them
-        would otherwise be parentless; an executor that fans work out
-        can carry the submitting thread's span across by setting it as
-        the inherited parent around each unit of work.  Returns the
-        previous value so callers can restore it.
-        """
-        previous = getattr(self._local, "inherited", None)
-        self._local.inherited = parent_id
-        return previous
-
-    def _inherited_parent(self) -> Optional[int]:
-        return getattr(self._local, "inherited", None)
 
     def _next_id(self) -> int:
         return next(self._ids)  # atomic under the GIL

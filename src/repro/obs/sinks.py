@@ -10,9 +10,10 @@ three consumers:
 * :class:`ConsoleReporter` — a :class:`MemorySink` that can print a
   human-readable span/counter summary (``repro <cmd> --profile``).
 
-:func:`derived_metrics` computes the quality ratios — cache hit rate,
-interval fast-path coverage — from a counter snapshot; the console
-report, the JSONL summary line, and the sweep benchmark all share it.
+:func:`derived_metrics` computes the quality ratios — interval
+fast-path, columnar and compiled-program coverage — from a counter
+snapshot; the console report, the JSONL summary line, and the sweep
+benchmark all share it.
 """
 
 from __future__ import annotations
@@ -147,9 +148,6 @@ class JsonlSink(Sink):
 def derived_metrics(counters: Dict[str, int]) -> Dict[str, float]:
     """Quality ratios computed from the standard sweep counters.
 
-    ``cache_hit_rate``
-        ``sweep.cache.hits / (hits + misses)`` — how much predicate work
-        the shared :class:`~repro.core.sweep.PredicateCache` absorbed.
     ``fastpath_fraction``
         Interval fast-path scans over all witness scans — the share of
         the corpus answered by closed-form interval algebra instead of
@@ -166,15 +164,10 @@ def derived_metrics(counters: Dict[str, int]) -> Dict[str, float]:
     Ratios whose denominators are zero are omitted.
     """
     derived: Dict[str, float] = {}
-    hits = counters.get("sweep.cache.hits", 0)
-    misses = counters.get("sweep.cache.misses", 0)
-    if hits + misses:
-        derived["cache_hit_rate"] = hits / (hits + misses)
     fast = counters.get("sweep.scans.fastpath", 0)
     columnar = counters.get("sweep.scans.columnar", 0)
     compiled = counters.get("sweep.scans.compiled", 0)
     scans = fast + columnar + compiled \
-        + counters.get("sweep.scans.cached", 0) \
         + counters.get("sweep.scans.plain", 0)
     if scans:
         derived["fastpath_fraction"] = fast / scans
@@ -249,8 +242,6 @@ class ConsoleReporter(MemorySink):
         derived = derived_metrics(counters)
         if derived:
             buf.write("-- derived --\n")
-            if "cache_hit_rate" in derived:
-                buf.write(f"cache hit rate: {derived['cache_hit_rate']:.1%}\n")
             if "fastpath_fraction" in derived:
                 buf.write("interval fast-path coverage: "
                           f"{derived['fastpath_fraction']:.1%} of scans\n")

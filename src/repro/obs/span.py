@@ -78,8 +78,6 @@ class Span:
         stack = registry._span_stack()
         if stack:
             self.parent_id = stack[-1].span_id
-        else:  # thread root: adopt an executor-propagated parent, if any
-            self.parent_id = registry._inherited_parent()
         stack.append(self)
         ctx = registry.current_trace()
         if ctx is not None:

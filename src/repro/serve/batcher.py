@@ -21,8 +21,8 @@ head plus whatever is already queued behind it (up to ``max_batch``
 requests), expires overdue deadlines, dedupes the union of their tasks
 by fingerprint key (two *different* requests that share a pFSM×domain
 compute it once), and runs the remaining unique tasks inline on one
-executor thread, sharing the process-wide predicate cache (the scans
-are GIL-bound Python, so a pool would add set-up and no parallelism).
+executor thread (the scans are GIL-bound Python, so a pool would add
+set-up and no parallelism).
 A failed dispatch answers every member of its batch with status
 ``error``; the next batch dispatches afresh.  A lone request on an idle
 server is dispatched at once.  Batches form under load alone: one
@@ -48,7 +48,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from .. import faults as _faults
-from ..core.sweep import _run_tasks, shared_cache
+from ..core.sweep import _run_tasks
 from ..obs import DEFAULT as _OBS
 from ..obs.trace import TraceContext, emit_span, mint_span_id
 from .admission import AdmissionQueue, AdmittedRequest
@@ -128,7 +128,6 @@ def _fused_group_scan(tasks: List[Any], indexes: List[int],
     from ..core import columnar, plan
     from ..core.sweep import SweepFinding
 
-    resolved = shared_cache()
     memo = plan.NodeMemo()
     miss = object()
     members = []
@@ -164,12 +163,7 @@ def _fused_group_scan(tasks: List[Any], indexes: List[int],
         for member in open_members:
             hidden = member["verdicts"].get(ident, miss)
             if hidden is miss:
-                program = member["program"]
-                if resolved is not None:
-                    hidden = resolved.evaluate_digest(
-                        program.digest, candidate, program.evaluate, memo)
-                else:
-                    hidden = program.evaluate(candidate, memo)
+                hidden = member["program"].evaluate(candidate, memo)
                 member["verdicts"][ident] = hidden
                 member["pinned"].append(candidate)
             if hidden:
@@ -217,7 +211,7 @@ def _engine_compute(tasks: List[Any],
     compute-function signature; the inline path does not need them."""
     groups, programs = _fusion_groups(tasks)
     if not groups:
-        return _run_tasks(tasks, 1, "thread", cache=shared_cache())
+        return _run_tasks(tasks, 1, "thread")
     fused_total = sum(len(group) for group in groups)
     if _OBS.enabled:
         _OBS.incr("sweep.tasks.queued", fused_total)
@@ -228,8 +222,7 @@ def _engine_compute(tasks: List[Any],
         resolved_by_index.update(_fused_group_scan(tasks, group, programs))
     leftover = [i for i in range(len(tasks)) if i not in resolved_by_index]
     if leftover:
-        sub = _run_tasks([tasks[i] for i in leftover], 1, "thread",
-                         cache=shared_cache())
+        sub = _run_tasks([tasks[i] for i in leftover], 1, "thread")
         for index, finding in zip(leftover, sub):
             resolved_by_index[index] = finding
     return [resolved_by_index[i] for i in range(len(tasks))]

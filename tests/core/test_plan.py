@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core import (
     Domain,
     Predicate,
-    PredicateCache,
     PrimitiveFSM,
     always,
     attr,
@@ -42,7 +41,7 @@ from repro.core import (
     truthy,
 )
 from repro.core import plan
-from repro.core.sweep import NO_CACHE, hidden_witness_scan
+from repro.core.sweep import hidden_witness_scan
 
 #: Module-scope named predicate: workers re-register it on import, so
 #: ``["named", ...]`` nodes resolve inside pickled programs too.
@@ -159,7 +158,7 @@ class TestCompiledEquivalence:
                 naive.append(obj)
                 if len(naive) >= 10:
                     break
-        got = hidden_witness_scan(pfsm, domain, limit=10, cache=NO_CACHE)
+        got = hidden_witness_scan(pfsm, domain, limit=10)
         assert got == naive
 
 
@@ -347,9 +346,7 @@ class TestStrategySelection:
     def test_opaque_degrades_to_cached_then_plain(self):
         opaque = self._pfsm(spec=Predicate(lambda x: x > 0, "opaque"))
         domain = Domain.of(*range(50))
-        assert plan.plan_scan(opaque, domain).strategy == "cached"
-        assert plan.plan_scan(opaque, domain,
-                              cache_available=False).strategy == "plain"
+        assert plan.plan_scan(opaque, domain).strategy == "plain"
 
     def test_disabled_planner_compiles_nothing(self):
         pfsm = self._pfsm()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Predicate,
-    PredicateCache,
+    PrimitiveFSM,
     UnknownPredicateError,
     always,
     attr,
@@ -35,6 +35,7 @@ from repro.core import (
     to_spec,
     truthy,
 )
+from repro.core import plan
 
 #: A named predicate at module scope: workers re-register it when they
 #: import this module to resolve the ``["named", ...]`` spec.
@@ -153,19 +154,37 @@ class TestCrossProcess:
 
 
 class TestPredicateCacheSpecHits:
+    """Structural twins share one compiled program in the plan cache;
+    opaque predicates never reach it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_planner(self):
+        plan.reset()
+        yield
+        plan.reset()
+
+    @staticmethod
+    def _pfsm(spec):
+        return PrimitiveFSM("p", "a", "x", spec_accepts=spec,
+                            impl_accepts=length_le(8))
+
     def test_structural_twins_share_cache_entries(self):
-        cache = PredicateCache()
         first, twin = in_range(0, 5), in_range(0, 5)
         assert first is not twin and first.spec_hash == twin.spec_hash
-        assert cache.evaluate(first, 3) is True
-        assert cache.evaluate(twin, 3) is True
-        stats = cache.stats()
-        assert stats["spec_hits"] == 1
-        assert stats["hits"] >= 1
+        program = plan.program_for(self._pfsm(first))
+        before = plan.stats()
+        assert plan.program_for(self._pfsm(twin)) is program
+        after = plan.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["compiles"] == before["compiles"]
+        assert after["size"] == before["size"] == 1
 
     def test_opaque_predicates_never_spec_hit(self):
-        cache = PredicateCache()
         opaque = Predicate(lambda x: x > 0, "positive")
-        assert cache.evaluate(opaque, 1) is True
-        assert cache.evaluate(opaque, 1) is True
-        assert cache.stats()["spec_hits"] == 0
+        assert opaque.spec is None
+        before = plan.stats()
+        for _ in range(2):
+            assert plan.program_for(self._pfsm(opaque)) is None
+        after = plan.stats()
+        for key in ("hits", "misses", "compiles", "size"):
+            assert after[key] == before[key], key

@@ -1,15 +1,15 @@
-"""The batched, cached, parallel sweep engine (repro.core.sweep).
+"""The batched sweep engine (repro.core.sweep).
 
 Four families of guarantees:
 
 * **batch ≡ scalar** — ``Predicate.evaluate_batch`` (and the other
   closed-form domain queries) agree with per-object evaluation for
   every predicate constructor, over range-backed and list domains;
-* **parallel ≡ serial** — ``sweep_models`` returns identical findings
-  in identical order regardless of worker count or cache;
-* **cache correctness** — memoized verdicts are never stale: rebinding
-  a predicate invalidates its cached entries, unhashables pass through,
-  and the LRU bound holds;
+* **sweep ≡ serial** — ``sweep_models`` returns identical findings in
+  identical order regardless of worker count;
+* **memo correctness** — each distinct object is judged once per scan,
+  and nothing outlives the scan: rebinding a predicate between scans
+  changes the witnesses;
 * **hot-path surgery** — probe memoization in ``probe_implementation``,
   the single-run ``minimal_foil_points`` fast path, bounded
   ``exploit_paths``, and lazy ``Domain`` backings keep their observable
@@ -17,6 +17,7 @@ Four families of guarantees:
 """
 
 import dataclasses
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -24,14 +25,11 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Domain,
-    NO_CACHE,
     Predicate,
-    PredicateCache,
     PrimitiveFSM,
     always,
     attr,
     build_state_space,
-    cached_evaluate,
     contains,
     equals,
     greater_equal,
@@ -51,6 +49,8 @@ from repro.core import (
     satisfies_any,
     sweep_models,
 )
+from repro import obs
+from repro.core import columnar, plan
 from repro.core import sweep as sweep_module
 from repro.core.sweep import SweepFinding
 from repro.models import (
@@ -139,7 +139,7 @@ class TestBatchEqualsScalar:
 
 
 # ---------------------------------------------------------------------------
-# hidden-path scans: closed form ≡ cached ≡ plain scalar
+# hidden-path scans: closed form ≡ compiled ≡ plain scalar
 # ---------------------------------------------------------------------------
 
 def _seed_scan(pfsm, domain, limit):
@@ -162,10 +162,6 @@ class TestHiddenWitnessScan:
         domain = Domain(backing, description="r")
         expected = _seed_scan(pfsm, domain, limit)
         assert hidden_witness_scan(pfsm, domain, limit=limit) == expected
-        assert hidden_witness_scan(pfsm, domain, limit=limit,
-                                   cache=PredicateCache()) == expected
-        assert hidden_witness_scan(pfsm, domain, limit=limit,
-                                   cache=NO_CACHE) == expected
 
     @given(closed_form, st.one_of(st.none(), closed_form), ranges)
     @settings(max_examples=100)
@@ -176,7 +172,8 @@ class TestHiddenWitnessScan:
         assert hidden_witness_count(pfsm, Domain(backing, description="r")) \
             == expected
 
-    def test_identity_memo_judges_each_object_once(self):
+    @staticmethod
+    def _counting_tiled_scan():
         calls = {"n": 0}
 
         def spec_fn(record):
@@ -190,11 +187,19 @@ class TestHiddenWitnessScan:
         )
         bad, good = {"n": -1}, {"n": 1}
         domain = Domain([bad, good] * 40, description="tiled")
-        found = hidden_witness_scan(pfsm, domain, limit=10**9,
-                                    cache=PredicateCache())
+        return pfsm, domain, bad, calls
+
+    def test_identity_memo_judges_each_object_once(self):
+        pfsm, domain, bad, calls = self._counting_tiled_scan()
+        found = hidden_witness_scan(pfsm, domain, limit=10**9)
         # Each repeated occurrence of the witness is reported...
         assert found == [bad] * 40
         # ...but each distinct object was judged exactly once.
+        assert calls["n"] == 2
+
+    def test_hidden_witnesses_judge_each_object_once(self):
+        pfsm, domain, bad, calls = self._counting_tiled_scan()
+        assert pfsm.hidden_witnesses(domain, limit=10**9) == [bad] * 40
         assert calls["n"] == 2
 
     def test_cached_scan_matches_on_record_domains(self):
@@ -203,8 +208,7 @@ class TestHiddenWitnessScan:
         domains = all_extended_pfsm_domains()[label]
         for _operation, pfsm in model.all_pfsms():
             domain = domains[pfsm.name]
-            assert hidden_witness_scan(pfsm, domain, limit=100,
-                                       cache=PredicateCache()) \
+            assert hidden_witness_scan(pfsm, domain, limit=100) \
                 == _seed_scan(pfsm, domain, 100)
 
 
@@ -228,14 +232,12 @@ class TestSweepDeterminism:
 
     def test_parallel_equals_serial_on_sendmail_and_nullhttpd(self):
         models, domains = self._corpus()
-        serial = sweep_models(models, domains, cache=NO_CACHE)
+        serial = sweep_models(models, domains)
         for workers in (2, 4):
-            for cache in (None, NO_CACHE, PredicateCache()):
-                parallel = sweep_models(models, domains, workers=workers,
-                                        cache=cache)
-                assert _flat(parallel) == _flat(serial)
-                assert [s.model_name for s in parallel] == \
-                    [s.model_name for s in serial]
+            parallel = sweep_models(models, domains, workers=workers)
+            assert _flat(parallel) == _flat(serial)
+            assert [s.model_name for s in parallel] == \
+                [s.model_name for s in serial]
 
     def test_sweep_covers_whole_corpus_in_model_order(self):
         models = all_extended_models()
@@ -278,112 +280,272 @@ class TestSweepDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# cache correctness
+# memo correctness
 # ---------------------------------------------------------------------------
 
+def _counting_spec(fn, name):
+    """An opaque spec predicate and the dict counting its calls."""
+    calls = {"n": 0}
+
+    def counted(obj):
+        calls["n"] += 1
+        return fn(obj)
+
+    return Predicate(counted, name), calls
+
+
+@contextmanager
+def _counters():
+    """Enable the default telemetry registry (counters only) for one
+    block; yields a dict filled with the block's counters on exit."""
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    counters = {}
+    try:
+        yield counters
+    finally:
+        registry.disable()
+        counters.update(registry.counters())
+        registry.reset()
+
+
+def _string_pfsms():
+    """Three compilable pFSMs over strings sharing one costly subtree,
+    so the planner promotes it to a CSE node."""
+    def shared():
+        return satisfies_all(is_instance(str), length_le(64),
+                             not_contains("%n"))
+
+    return [
+        PrimitiveFSM("pa", "scan", "x",
+                     spec_accepts=satisfies_all(shared(),
+                                                not_contains("%s")),
+                     impl_accepts=length_le(200)),
+        PrimitiveFSM("pb", "scan", "x",
+                     spec_accepts=satisfies_all(shared(), contains("/")),
+                     impl_accepts=length_le(200)),
+        PrimitiveFSM("pc", "scan", "x", spec_accepts=shared(),
+                     impl_accepts=length_le(120)),
+    ]
+
+
+def _strings(n):
+    """``n`` distinct strings mixing ``%n``, ``%s``, ``/`` and lengths
+    on both sides of the pFSMs' 64 and 120 bounds."""
+    return [f"{'%n' * (i % 3 == 0)}{'%s' * (i % 5 == 0)}{'/' * (i % 2)}"
+            f"{'x' * (i % 7 * 22)}{i}" for i in range(n)]
+
+
 class TestPredicateCache:
+    """The guarantees the cross-scan verdict cache gave, now held by the
+    per-scan identity memo that replaced it: verdicts are never stale,
+    repeats are judged once, and nothing outlives the scan."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_planner(self):
+        plan.reset()
+        yield
+        plan.reset()
+
     def test_rebound_predicate_is_not_served_stale_verdicts(self):
-        cache = PredicateCache()
-        pred = Predicate(lambda x: x < 0, "negative")
-        assert cache.evaluate(pred, 5) is False
-        assert cache.evaluate(pred, 5) is False  # memoized
-        pred.rebind(lambda x: x > 0, "positive")
-        assert cache.evaluate(pred, 5) is True
-        assert cached_evaluate(pred, 5, cache=cache) is True
+        domain = Domain.of(-2, -1, 0, 1, 2)
+        spec = less_equal(0)  # compiled
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
+                            impl_accepts=None)
+        assert hidden_witness_scan(pfsm, domain) == [1, 2]
+        spec.rebind(lambda x: x >= 0, "non-negative")
+        assert hidden_witness_scan(pfsm, domain) == [-2, -1]
+        opaque = Predicate(lambda x: x < 0, "negative")  # scalar
+        pfsm = PrimitiveFSM("q", "a", "x", spec_accepts=opaque,
+                            impl_accepts=None)
+        assert hidden_witness_scan(pfsm, domain) == [0, 1, 2]
+        opaque.rebind(lambda x: x > 0, "positive")
+        assert hidden_witness_scan(pfsm, domain) == [-2, -1, 0]
 
     def test_hits_and_misses_are_counted(self):
-        cache = PredicateCache()
-        pred = in_range(0, 10)
-        cache.evaluate(pred, 3)
-        cache.evaluate(pred, 3)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
+        spec, calls = _counting_spec(lambda obj: obj["n"] >= 0, "counting")
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
+                            impl_accepts=always)
+        bad, good = {"n": -1}, {"n": 1}
+        with _counters() as counters:
+            found = hidden_witness_scan(pfsm, Domain([bad, good] * 40),
+                                        limit=10**9)
+        assert found == [bad] * 40
+        assert calls["n"] == 2
+        assert counters["sweep.scans.plain"] == 1
+        assert counters["sweep.objects.judged"] == 2
+        assert counters["sweep.witnesses"] == 40
 
     def test_unhashable_objects_pass_through_uncached(self):
-        cache = PredicateCache()
-        pred = attr("n", greater_equal(0))
-        assert cache.evaluate(pred, {"n": 1}) is True
-        assert len(cache) == 0
+        spec, calls = _counting_spec(lambda obj: obj["n"] >= 0, "counting")
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
+                            impl_accepts=always)
+        # Equal but distinct dicts: the memo keys on identity, not value.
+        first, twin, good = {"n": -1}, {"n": -1}, {"n": 1}
+        found = hidden_witness_scan(pfsm, Domain([first, twin, good, first]),
+                                    limit=10)
+        assert found == [first, twin, first]
+        assert found[0] is first and found[1] is twin
+        assert calls["n"] == 3
 
-    def test_lru_bound_evicts_oldest(self):
-        cache = PredicateCache(maxsize=2)
-        pred = in_range(0, 10)
-        for value in (1, 2, 3):
-            cache.evaluate(pred, value)
-        assert len(cache) == 2
-        cache.evaluate(pred, 1)  # evicted above -> recomputed
-        assert cache.misses == 4
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(plan, "_CACHE", plan.PlanCache(maxsize=2))
+        domain = Domain.of(-3, 0, 3, 6, 9)
+        bounds = (0, 3, 6)
+
+        def pfsm(bound):
+            return PrimitiveFSM(f"p{bound}", "a", "x",
+                                spec_accepts=less_equal(bound),
+                                impl_accepts=None)
+
+        with columnar.disabled():
+            first = [hidden_witness_scan(pfsm(b), domain) for b in bounds]
+            assert plan.stats()["evictions"] == 1
+            assert plan.stats()["size"] == 2
+            # A twin of the evicted (oldest) program recompiles and still
+            # finds the same witnesses; the newest one is served warm.
+            compiles = plan.stats()["compiles"]
+            assert hidden_witness_scan(pfsm(bounds[0]), domain) == first[0]
+            assert plan.stats()["compiles"] == compiles + 1
+            assert hidden_witness_scan(pfsm(bounds[0]), domain) == first[0]
+            assert plan.stats()["compiles"] == compiles + 1
+        assert first == [[3, 6, 9], [6, 9], [9]]
 
     def test_distinct_predicates_do_not_collide(self):
-        cache = PredicateCache()
-        assert cache.evaluate(less_equal(0), 0) is True
-        assert cache.evaluate(greater_equal(1), 0) is False
+        pfsms = _string_pfsms()
+        domain = Domain(_strings(60))
+        with columnar.disabled():
+            alone = [hidden_witness_scan(p, domain, limit=100)
+                     for p in pfsms]
+            memo = plan.NodeMemo()  # one CSE memo shared by every scan
+            shared = [hidden_witness_scan(p, domain, limit=100, memo=memo)
+                      for p in pfsms]
+        assert shared == alone
+        assert alone == [_seed_scan(p, domain, 100) for p in pfsms]
+        assert len({tuple(w) for w in alone}) == len(pfsms)
+        assert memo.hits > 0  # the shared subtree was reused, not confused
 
     def test_no_cache_sentinel_disables_memoization(self):
-        calls = {"n": 0}
-
-        def fn(x):
-            calls["n"] += 1
-            return True
-
-        pred = Predicate(fn, "counting")
-        cached_evaluate(pred, 1, cache=NO_CACHE)
-        cached_evaluate(pred, 1, cache=NO_CACHE)
+        spec, calls = _counting_spec(lambda obj: obj >= 0, "counting")
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
+                            impl_accepts=always)
+        domain = Domain.of(-1, 1, -1, 1)
+        assert hidden_witness_scan(pfsm, domain) == [-1, -1]
         assert calls["n"] == 2
+        # No verdict outlives its scan: the next scan judges again.
+        assert hidden_witness_scan(pfsm, domain) == [-1, -1]
+        assert calls["n"] == 4
 
 
 class TestEvaluateDigestMany:
-    """The bulk digest protocol behind chunked compiled scans."""
+    """The compiled scan's one loop, which replaced the windowed bulk
+    evaluation: domain order, one judgement per distinct object, and a
+    bounded CSE memo."""
 
-    @staticmethod
-    def _odd(obj, memo=None):
-        return obj % 2 == 1
+    @pytest.fixture(autouse=True)
+    def _fresh_planner(self):
+        plan.reset()
+        with columnar.disabled():
+            yield
+        plan.reset()
 
     def test_verdicts_match_chunk_order(self):
-        cache = PredicateCache()
-        chunk = [1, 2, 3, 4, 5]
-        verdicts, computed = cache.evaluate_digest_many(
-            "d", chunk, self._odd)
-        assert verdicts == [True, False, True, False, True]
-        assert computed == 5
+        pfsm = _string_pfsms()[0]
+        domain = Domain(_strings(1500))  # spans several old 512-windows
+        found = hidden_witness_scan(pfsm, domain, limit=10**9)
+        assert plan.program_for(pfsm) is not None
+        assert found == _seed_scan(pfsm, domain, 10**9)
+        assert len(found) > 512
 
     def test_equal_objects_within_chunk_judged_once(self):
-        cache = PredicateCache()
-        calls = {"n": 0}
-
-        def odd(obj, memo=None):
-            calls["n"] += 1
-            return obj % 2 == 1
-
-        verdicts, computed = cache.evaluate_digest_many(
-            "d", [7, 7, 7, 8], odd)
-        assert verdicts == [True, True, True, False]
-        assert (computed, calls["n"]) == (2, 2)
+        pfsm = _string_pfsms()[1]
+        objects = _strings(5)
+        with _counters() as counters:
+            found = hidden_witness_scan(pfsm, Domain(objects * 30),
+                                        limit=10**9)
+        assert found == _seed_scan(pfsm, Domain(objects * 30), 10**9)
+        assert counters["sweep.scans.compiled"] == 1
+        assert counters["sweep.objects.judged"] == 5
 
     def test_warm_across_calls_and_with_scalar_twin(self):
-        cache = PredicateCache()
-        cache.evaluate_digest_many("d", [1, 2], self._odd)
-        _verdicts, computed = cache.evaluate_digest_many(
-            "d", [1, 2, 3], self._odd)
-        assert computed == 1  # only 3 is new
-        assert cache.evaluate_digest("d", 2, self._odd) is False
-        assert cache.hits == 3
+        pfsm = _string_pfsms()[2]
+        domain = Domain(_strings(200))
+        first = hidden_witness_scan(pfsm, domain, limit=50)
+        compiles = plan.stats()["compiles"]
+        assert hidden_witness_scan(pfsm, domain, limit=50) == first
+        assert plan.stats()["compiles"] == compiles  # program reused
+        with plan.disabled():
+            with _counters() as counters:
+                scalar = hidden_witness_scan(pfsm, domain, limit=50)
+        assert counters["sweep.scans.plain"] == 1
+        assert scalar == first
 
     def test_unhashable_objects_bypass_and_still_judge(self):
-        cache = PredicateCache()
-        verdicts, computed = cache.evaluate_digest_many(
-            "d", [[1], [1]], lambda obj, memo=None: bool(obj))
-        assert verdicts == [True, True]
-        assert computed == 2  # no key, so no dedup and no table entry
-        assert len(cache) == 0
+        def shared():
+            return attr("s", satisfies_all(is_instance(str), length_le(64),
+                                           not_contains("%n")))
+
+        keep = PrimitiveFSM("a", "scan", "x",
+                            spec_accepts=satisfies_all(
+                                shared(), attr("s", not_contains("%s"))),
+                            impl_accepts=always)
+        other = PrimitiveFSM("b", "scan", "x",
+                             spec_accepts=satisfies_all(
+                                 shared(), attr("s", contains("/"))),
+                             impl_accepts=always)
+        # Equal but distinct dicts: each is judged by the identity memo.
+        records = [{"s": text} for text in _strings(40) * 2]
+        domain = Domain(records)
+        plan.program_for(other)  # promote the shared subtree to CSE
+        assert plan.program_for(keep).cse_nodes >= 1
+        memo = plan.NodeMemo()
+        found = hidden_witness_scan(keep, domain, limit=10**9, memo=memo)
+        assert found == _seed_scan(keep, domain, 10**9)
+        assert 0 < len(found) < len(records)
+        # The dicts cannot key the CSE memo and bypass it; the hashable
+        # strings inside them do, so each twin reuses its first's verdict.
+        assert memo.data
+        assert all(type(obj) is str for _digest, obj in memo.data)
+        assert memo.hits >= 40
 
     def test_lru_bound_holds_under_bulk_store(self):
-        cache = PredicateCache(maxsize=3)
-        cache.evaluate_digest_many("d", list(range(10)), self._odd)
-        assert len(cache) == 3
-        assert cache.evictions == 7
+        pfsms = _string_pfsms()
+        domain = Domain(_strings(1000))
+        for pfsm in pfsms:
+            plan.program_for(pfsm)  # promote the shared subtree
+        memo = plan.NodeMemo(maxsize=8)
+        for pfsm in pfsms:
+            found = hidden_witness_scan(pfsm, domain, limit=10**9,
+                                        memo=memo)
+            assert found == _seed_scan(pfsm, domain, 10**9)
+            assert len(memo.data) <= 8
+        assert memo.misses > 8  # the bound was reached and enforced
+
+
+class TestScanWindow:
+    """The bulk-evaluation window is gone: a compiled scan is one loop,
+    and only its ``limit`` decides where it stops."""
+
+    def test_cache_rejects_nonpositive_window(self):
+        with pytest.raises(ValueError):
+            plan.PlanCache(maxsize=0)
+        with pytest.raises(ValueError):
+            plan.PlanCache(maxsize=-8)
+
+    def test_window_size_does_not_change_witnesses(self):
+        domain = Domain([f"{'%n' * (i % 9)}{i}" for i in range(700)])
+        pfsm = PrimitiveFSM(
+            "p", "scan", "x",
+            spec_accepts=satisfies_all(not_contains("%n"), length_le(6)),
+            impl_accepts=length_le(40))
+        with plan.disabled():
+            reference = hidden_witness_scan(pfsm, domain, limit=10**9)
+        with columnar.disabled():
+            assert plan.program_for(pfsm) is not None
+            for limit in (1, 3, 64, 512, 10_000):
+                assert hidden_witness_scan(pfsm, domain, limit=limit) \
+                    == reference[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -488,35 +650,3 @@ class TestLazyDomains:
         domain = Domain.of("x", "y")
         assert "x" in domain
         assert "z" not in domain
-
-
-class TestScanWindow:
-    """The bulk-evaluation window is a tunable, not a constant."""
-
-    def test_cache_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            PredicateCache(scan_window=0)
-        with pytest.raises(ValueError):
-            PredicateCache(scan_window=-8)
-
-    def test_default_window_is_512(self):
-        assert PredicateCache().scan_window == 512
-
-    def test_window_size_does_not_change_witnesses(self):
-        from repro.core import columnar
-
-        domain = Domain([f"{'%n' * (i % 9)}{i}" for i in range(700)])
-        pfsm = PrimitiveFSM(
-            "p", "scan", "x",
-            spec_accepts=satisfies_all(not_contains("%n"), length_le(6)),
-            impl_accepts=length_le(40))
-        with columnar.disabled():
-            reference = hidden_witness_scan(pfsm, domain, limit=50)
-            for window in (1, 3, 64, 512, 10_000):
-                cache = PredicateCache(scan_window=window)
-                assert hidden_witness_scan(
-                    pfsm, domain, limit=50, cache=cache) == reference
-                # Explicit argument overrides the cache's own window.
-                assert hidden_witness_scan(
-                    pfsm, domain, limit=50, cache=cache,
-                    scan_window=7) == reference

@@ -221,7 +221,7 @@ class TestEngineTelemetry:
         assert counters["sweep.tasks.completed"] == queued
         scans = sum(counters.get(k, 0) for k in (
             "sweep.scans.fastpath", "sweep.scans.compiled",
-            "sweep.scans.cached", "sweep.scans.plain"))
+            "sweep.scans.plain"))
         assert scans == queued
         assert len(sink.spans("sweep.task")) == queued
         total_found = sum(len(s.findings) for s in sweeps)
@@ -252,28 +252,37 @@ class TestEngineTelemetry:
         assert obs.counters()["model.runs"] == 1
 
     def test_cache_stats_surface(self):
-        from repro.core import Domain, PredicateCache, PrimitiveFSM, \
-            always, predicate
-
-        seen = []
-
-        @predicate("expensive")
-        def slow(x):
-            seen.append(x)
-            return x > 0
-
-        cache = PredicateCache(maxsize=2)
-        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=slow,
-                            impl_accepts=always)
-        domain = Domain.of(1, 2, 3, 1)
+        from repro.core import Domain, PrimitiveFSM, in_range, plan
         from repro.core.sweep import hidden_witness_scan
-        hidden_witness_scan(pfsm, domain, limit=10, cache=cache)
-        stats = cache.stats()
-        assert set(stats) == {"hits", "misses", "evictions", "size",
-                              "maxsize", "hit_rate", "spec_hits"}
-        assert stats["misses"] == 3  # 1, 2, 3 (repeat of 1 memoized per scan)
-        assert stats["evictions"] == 1  # maxsize 2, three insertions
-        assert stats["maxsize"] == 2 and stats["size"] == 2
+
+        plan.reset()
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=in_range(0, 5),
+                            impl_accepts=None)
+        twin = PrimitiveFSM("q", "a", "x", spec_accepts=in_range(0, 5),
+                            impl_accepts=None)
+        domain = Domain.of(1, 2, 3, 1, 9)
+        before = plan.stats()
+        obs.enable()
+        try:
+            assert hidden_witness_scan(pfsm, domain, limit=10) == [9]
+            assert hidden_witness_scan(twin, domain, limit=10) == [9]
+        finally:
+            obs.disable()
+        stats = plan.stats()
+        assert set(stats) == {"compiles", "hits", "misses", "evictions",
+                              "cse_promotions", "size", "maxsize",
+                              "shared_nodes"}
+        delta = {key: stats[key] - before[key]
+                 for key in ("compiles", "misses", "hits")}
+        # the twin is served the first pFSM's program
+        assert delta == {"compiles": 1, "misses": 1, "hits": 1}
+        assert stats["size"] == 1
+        counters = obs.counters()
+        assert counters["plan.compiles"] == 1
+        assert counters["plan.cache.misses"] == 1
+        assert counters["plan.cache.hits"] == 1
+        assert counters["sweep.objects.judged"] == 8  # 4 distinct, twice
+        plan.reset()
 
 
 class TestSinks:
@@ -284,8 +293,8 @@ class TestSinks:
         reg.enable(sink)
         with reg.span("outer", model="m"):
             reg.event("mark", q=1)
-        reg.incr("sweep.cache.hits", 3)
-        reg.incr("sweep.cache.misses", 1)
+        reg.incr("sweep.scans.fastpath", 3)
+        reg.incr("sweep.scans.plain", 1)
         reg.disable()
         sink.write_summary(reg)
         sink.close()
@@ -295,8 +304,8 @@ class TestSinks:
         assert [e["type"] for e in events] == ["event", "span", "summary"]
         assert events[1]["name"] == "outer"
         assert events[1]["attrs"] == {"model": "m"}
-        assert events[2]["counters"]["sweep.cache.hits"] == 3
-        assert events[2]["derived"]["cache_hit_rate"] == 0.75
+        assert events[2]["counters"]["sweep.scans.fastpath"] == 3
+        assert events[2]["derived"]["fastpath_fraction"] == 0.75
 
     def test_jsonl_accepts_open_file(self):
         buf = io.StringIO()
@@ -311,21 +320,16 @@ class TestSinks:
         reg.enable(reporter)
         with reg.span("sweep.task"):
             pass
-        reg.incr("sweep.cache.hits", 9)
-        reg.incr("sweep.cache.misses", 1)
         reg.incr("sweep.scans.fastpath", 3)
-        reg.incr("sweep.scans.cached", 1)
+        reg.incr("sweep.scans.plain", 1)
         reg.disable()
         text = reporter.render(reg)
         assert "sweep.task" in text
-        assert "cache hit rate: 90.0%" in text
         assert "interval fast-path coverage: 75.0%" in text
 
     def test_derived_metrics_omit_empty_denominators(self):
         assert derived_metrics({}) == {}
-        only_cache = derived_metrics({"sweep.cache.hits": 1,
-                                      "sweep.cache.misses": 1})
-        assert only_cache == {"cache_hit_rate": 0.5}
+        assert derived_metrics({"sweep.tasks.queued": 4}) == {}
 
 
 class TestModuleLevelApi:
@@ -382,7 +386,7 @@ class TestJsonlBuffering:
         reg = Registry()
         sink = JsonlSink(str(path), buffer_lines=1000)
         reg.enable(sink)
-        reg.incr("sweep.cache.hits")
+        reg.incr("sweep.tasks.queued")
         reg.event("mark")
         sink.write_summary(reg)
         # before close: summary flushed everything buffered so far

@@ -2,11 +2,14 @@
 same-domain compiled tasks share one pass and one CSE memo, and the
 fused results are exactly what per-task dispatch would produce."""
 
+import threading
+
 import pytest
 
 from repro import obs
 from repro.core import (
     Domain,
+    Predicate,
     PrimitiveFSM,
     contains,
     in_range,
@@ -16,8 +19,8 @@ from repro.core import (
     not_contains,
     satisfies_all,
 )
-from repro.core import plan, sweep
-from repro.core.sweep import _run_tasks, shared_cache
+from repro.core import plan
+from repro.core.sweep import _run_tasks
 from repro.serve.batcher import _engine_compute, _fusion_groups
 
 
@@ -88,7 +91,7 @@ class TestFusedCompute:
         tasks = _string_tasks(domain, limit=7)
         fused = _engine_compute(tasks, [None] * len(tasks))
         plan.reset()  # recompile from scratch for the baseline
-        baseline = _run_tasks(tasks, 2, "thread", cache=shared_cache())
+        baseline = _run_tasks(tasks, 2, "thread")
         assert _witnesses(fused) == _witnesses(baseline)
 
     def test_per_member_limits_are_respected(self):
@@ -128,10 +131,10 @@ class TestFusedCompute:
             [("m", "op", pfsm, Domain.integers(-5, 15), 5)]
         fused = _engine_compute(tasks, [None] * len(tasks))
         plan.reset()
-        baseline = _run_tasks(tasks, 2, "thread", cache=shared_cache())
+        baseline = _run_tasks(tasks, 2, "thread")
         assert _witnesses(fused) == _witnesses(baseline)
 
-    def test_thread_batches_run_inline_without_a_pool(self, monkeypatch):
+    def test_thread_batches_run_inline_without_a_pool(self):
         str_domain = Domain(["ok", "%n" * 40, "a/b"] * 10)
         pfsms = [PrimitiveFSM(f"p{bound}", "scan", "x",
                               spec_accepts=in_range(0, 5),
@@ -140,14 +143,24 @@ class TestFusedCompute:
         unfused = [("m", "op", p, Domain.integers(-5, 15), 5)
                    for p in pfsms]
         mixed = _string_tasks(str_domain) + unfused[:1]
-        baselines = [_run_tasks(tasks, 2, "thread", cache=shared_cache())
+        baselines = [_run_tasks(tasks, 2, "thread")
                      for tasks in (unfused, mixed)]
         plan.reset()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread batches must run inline")
+        threads = set()
 
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+        def judged_here(obj):
+            threads.add(threading.get_ident())
+            return obj >= 0
+
+        opaque = [("m", "op", PrimitiveFSM(
+                       f"q{i}", "scan", "x",
+                       spec_accepts=Predicate(judged_here, "judged here"),
+                       impl_accepts=None),
+                   Domain.of(-2, -1, 0, 1), 5)
+                  for i in range(4)]
+        _run_tasks(opaque, 4, "thread")
+        assert threads == {threading.get_ident()}
         for tasks, baseline in zip((unfused, mixed), baselines):
             computed = _engine_compute(tasks, [None] * len(tasks))
             assert _witnesses(computed) == _witnesses(baseline)

@@ -91,39 +91,62 @@ class TestCli:
 
 class TestSweepCommand:
     def test_sweep_text_reports_cache_stats(self, capsys):
-        code, out = run(capsys, "sweep")
+        code, out = run(capsys, "sweep", "--explain")
         assert code == 0
         assert "hidden-path findings" in out
-        assert "cache:" in out and "hit rate" in out
+        assert "plan cache:" in out and " hits, " in out
 
     def test_sweep_json_includes_cache_stats(self, capsys):
         code, out = run(capsys, "sweep", "--json")
         data = json.loads(out)
         assert data["models"], "expected at least one swept model"
-        cache = data["cache"]
-        assert set(cache) >= {"hits", "misses", "evictions", "hit_rate"}
+        stats = data["plan"]
+        assert stats["enabled"] is True
+        assert set(stats) >= {"compiles", "cache_hits", "cache_misses"}
+        assert all(isinstance(stats[key], int) for key in
+                   ("compiles", "cache_hits", "cache_misses"))
 
     def test_sweep_json_no_cache_nulls_stats(self, capsys):
-        code, out = run(capsys, "sweep", "--json", "--no-cache")
+        code, out = run(capsys, "sweep", "--json", "--no-plan")
         data = json.loads(out)
-        assert data["cache"] is None
+        stats = data["plan"]
+        assert stats["enabled"] is False
+        assert (stats["compiles"], stats["cache_hits"],
+                stats["cache_misses"]) == (0, 0, 0)
+        assert data["plans"] == []
+        assert data["scans"]["compiled"] == 0
 
     def test_sweep_json_reports_settings(self, capsys):
         code, out = run(capsys, "sweep", "--json")
-        settings = json.loads(out)["settings"]
-        assert settings["scan_window"] == 512
+        data = json.loads(out)
+        settings = data["settings"]
         assert settings["columnar"] is True
         assert settings["columnar_backend"] in ("numpy", "stdlib")
-        assert settings["cache"] is True and settings["plan"] is True
+        assert settings["plan"] is True
+        assert "cache" not in data and "cache" not in settings
+        assert set(data["scans"]) == {"fastpath", "columnar", "compiled",
+                                      "plain", "memo"}
 
-    def test_sweep_scan_window_flag(self, capsys):
-        code, out = run(capsys, "sweep", "--json", "--scan-window", "64")
-        assert code == 0
-        assert json.loads(out)["settings"]["scan_window"] == 64
+    @pytest.mark.parametrize("flags", [
+        ["--no-cache"], ["--scan-window", "64"],
+    ])
+    def test_removed_cache_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweep_scan_window_rejects_nonpositive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--scan-window", "0"])
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"], ["--workers", "-2"],
+        ["--backend", "process", "--workers", "-2"],
+        ["--limit", "0"], ["--limit", "-1"],
+    ])
+    def test_nonpositive_workers_and_limit_are_usage_errors(self, flags,
+                                                           capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *flags])
+        assert excinfo.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
     def test_sweep_no_columnar_flag(self, capsys):
         from repro.core import columnar
@@ -150,7 +173,6 @@ class TestObservabilityFlags:
         assert code == 0
         assert "== profile ==" in out
         assert "sweep.task" in out
-        assert "cache hit rate" in out
         assert "interval fast-path coverage" in out
 
     def test_profile_on_trace_subcommand(self, capsys):
