@@ -480,7 +480,10 @@ def _columnar_scenario(repeats=3):
     vector_s, sweeps = _best_of(vectorized, repeats=repeats)
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "columnar sweep diverged from the compiled scalar engine"
-    backend = "numpy" if columnar.using_numpy() else "stdlib"
+    # Every model audits one shared corpus; its encoding picked the mask
+    # backend from its row count, and the floor follows that backend.
+    corpus = next(iter(domains.values()))["p1"]
+    backend = columnar.encoding_for(corpus).ops.name
     return {
         "backend": backend,
         "models": COLUMNAR_MODELS,

@@ -6,131 +6,63 @@ original bug intact in the ``VULNERABLE`` variant and the paper's
 prescribed checks in the patched/defended variants.  Exploits *execute*:
 control-flow hijacks, file corruptions, and overflows are observable
 effects, not flags.
+
+Each app module is imported on first use of one of its names
+(``from repro.apps import IisServer`` loads only ``repro.apps.iis``),
+so a model that needs one constant does not load every application.
 """
 
-from .envutil import (
-    EnvUtilVariant,
-    EnvWorld,
-    ExecutionRecord,
-    SetuidUtility,
-    make_world as make_env_world,
-    plant_trojan,
-)
-from .freebsd_syscall import (
-    FreebsdKernel,
-    FreebsdVariant,
-    MAX_REQUEST,
-    SyscallResult,
-    craft_cred_overwrite,
-)
-from .ghttpd import Ghttpd, GhttpdVariant, ServeResult, craft_stack_smash
-from .icecast import ClientResult, Icecast, IcecastVariant, craft_expansion_smash
-from .splitvt import (
-    RefreshResult,
-    Splitvt,
-    SplitvtVariant,
-    TitleResult,
-    craft_handler_overwrite,
-)
-from .rsync_daemon import (
-    DispatchResult,
-    RsyncDaemon,
-    RsyncVariant,
-    TABLE_SIZE,
-    craft_negative_opcode,
-)
-from .wuftpd import FtpReply, WuFtpd, WuFtpdVariant, craft_site_exec_exploit
-from .iis import CgiOutcome, IisServer, IisVariant, SCRIPTS_ROOT, percent_decode
-from .nullhttpd import (
-    NullHttpd,
-    NullHttpdVariant,
-    RECV_CHUNK,
-    RequestOutcome,
-    craft_unlink_body,
-)
-from .registry import APP_REGISTRY, AppRecord, by_bugtraq_id
-from .rpc_statd import NotifyResult, RpcStatd, StatdVariant, craft_format_exploit
-from .rwalld import (
-    BroadcastReport,
-    RwallDaemon,
-    RwallVariant,
-    RwallWorld,
-    add_utmp_entry,
-    make_world as make_rwall_world,
-    passwd_corrupted,
-)
-from .sendmail import Sendmail, SendmailVariant, TTflagResult, craft_got_exploit
-from .xterm import (
-    XtermLogger,
-    XtermVariant,
-    XtermWorld,
-    build_race_scheduler,
-)
+import importlib
 
-__all__ = [
-    "EnvUtilVariant",
-    "EnvWorld",
-    "ExecutionRecord",
-    "SetuidUtility",
-    "make_env_world",
-    "plant_trojan",
-    "FreebsdKernel",
-    "FreebsdVariant",
-    "MAX_REQUEST",
-    "SyscallResult",
-    "craft_cred_overwrite",
-    "DispatchResult",
-    "RsyncDaemon",
-    "RsyncVariant",
-    "TABLE_SIZE",
-    "craft_negative_opcode",
-    "FtpReply",
-    "WuFtpd",
-    "WuFtpdVariant",
-    "craft_site_exec_exploit",
-    "ClientResult",
-    "Icecast",
-    "IcecastVariant",
-    "craft_expansion_smash",
-    "RefreshResult",
-    "Splitvt",
-    "SplitvtVariant",
-    "TitleResult",
-    "craft_handler_overwrite",
-    "Ghttpd",
-    "GhttpdVariant",
-    "ServeResult",
-    "craft_stack_smash",
-    "CgiOutcome",
-    "IisServer",
-    "IisVariant",
-    "SCRIPTS_ROOT",
-    "percent_decode",
-    "NullHttpd",
-    "NullHttpdVariant",
-    "RECV_CHUNK",
-    "RequestOutcome",
-    "craft_unlink_body",
-    "APP_REGISTRY",
-    "AppRecord",
-    "by_bugtraq_id",
-    "NotifyResult",
-    "RpcStatd",
-    "StatdVariant",
-    "craft_format_exploit",
-    "BroadcastReport",
-    "RwallDaemon",
-    "RwallVariant",
-    "RwallWorld",
-    "add_utmp_entry",
-    "make_rwall_world",
-    "passwd_corrupted",
-    "Sendmail",
-    "SendmailVariant",
-    "TTflagResult",
-    "craft_got_exploit",
-    "XtermLogger",
-    "XtermVariant",
-    "XtermWorld",
-    "build_race_scheduler",
-]
+#: Public names by the submodule that defines them.
+_EXPORTS = {
+    "envutil": ("EnvUtilVariant", "EnvWorld", "ExecutionRecord",
+                "SetuidUtility", "make_env_world", "plant_trojan"),
+    "freebsd_syscall": ("FreebsdKernel", "FreebsdVariant", "MAX_REQUEST",
+                        "SyscallResult", "craft_cred_overwrite"),
+    "rsync_daemon": ("DispatchResult", "RsyncDaemon", "RsyncVariant",
+                     "TABLE_SIZE", "craft_negative_opcode"),
+    "wuftpd": ("FtpReply", "WuFtpd", "WuFtpdVariant",
+               "craft_site_exec_exploit"),
+    "icecast": ("ClientResult", "Icecast", "IcecastVariant",
+                "craft_expansion_smash"),
+    "splitvt": ("RefreshResult", "Splitvt", "SplitvtVariant", "TitleResult",
+                "craft_handler_overwrite"),
+    "ghttpd": ("Ghttpd", "GhttpdVariant", "ServeResult", "craft_stack_smash"),
+    "iis": ("CgiOutcome", "IisServer", "IisVariant", "SCRIPTS_ROOT",
+            "percent_decode"),
+    "nullhttpd": ("NullHttpd", "NullHttpdVariant", "RECV_CHUNK",
+                  "RequestOutcome", "craft_unlink_body"),
+    "registry": ("APP_REGISTRY", "AppRecord", "by_bugtraq_id"),
+    "rpc_statd": ("NotifyResult", "RpcStatd", "StatdVariant",
+                  "craft_format_exploit"),
+    "rwalld": ("BroadcastReport", "RwallDaemon", "RwallVariant",
+               "RwallWorld", "add_utmp_entry", "make_rwall_world",
+               "passwd_corrupted"),
+    "sendmail": ("Sendmail", "SendmailVariant", "TTflagResult",
+                 "craft_got_exploit"),
+    "xterm": ("XtermLogger", "XtermVariant", "XtermWorld",
+              "build_race_scheduler"),
+}
+
+#: Package names that differ from the name inside their submodule.
+_ALIASES = {"make_env_world": "make_world", "make_rwall_world": "make_world"}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__),
+                    _ALIASES.get(name, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

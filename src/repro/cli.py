@@ -492,8 +492,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "faults": _faults_block(),
             "settings": {
                 "columnar": not args.no_columnar,
-                "columnar_backend": ("numpy" if _columnar.using_numpy()
-                                     else "stdlib"),
+                "columnar_backend": _columnar.stats()["backend"],
                 "backend": args.backend,
                 "workers": args.workers,
                 "limit": args.limit,

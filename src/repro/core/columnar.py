@@ -27,13 +27,15 @@ Three layers:
   (through the same folded node trees as :mod:`repro.core.plan`) into
   whole-column mask operations: comparisons become vectorized compares,
   boolean combinators become mask algebra, ``attr`` nodes switch to the
-  field's column.  With ``numpy`` installed the masks are boolean
-  ndarrays; without it a pure-stdlib fallback represents each mask as a
-  big integer over one ``0x00``/``0x01`` byte per row (``&``/``|`` are
-  then single C-level big-int operations, and witness selection is a
-  C-level ``bytes.find`` scan).  Node masks are cached on the encoding
-  by structural digest, so tasks and fused serve batches sharing
-  subpredicates over one domain reuse each other's masks.
+  field's column.  Each encoding picks its mask backend from its row
+  count: from ``_NUMPY_MIN_ROWS`` rows up, with ``numpy`` installed,
+  masks are boolean ndarrays; below it (or without numpy) a pure-stdlib
+  backend represents each mask as a big integer over one
+  ``0x00``/``0x01`` byte per row (``&``/``|`` are then single C-level
+  big-int operations, and witness selection is a C-level ``bytes.find``
+  scan).  Node masks are cached on the encoding by structural digest,
+  so tasks and fused serve batches sharing subpredicates over one
+  domain reuse each other's masks.
 
   Kernels are *bit-for-bit equivalent* to the scalar scan: every leaf
   verdict is derived analytically per column type, including the
@@ -59,11 +61,13 @@ Three layers:
   column payload inline (pickled bytes — no sharing, but workers still
   scan columnar).
 
-``numpy`` is strictly optional: the import is guarded, the fallback
-kernels are always available, and :func:`force_fallback` /
-``REPRO_NO_NUMPY=1`` select them explicitly (the equivalence tests and
-the benchmark A/B run both modes).  The whole strategy can be bypassed
-with :func:`set_enabled` (``repro sweep --no-columnar``).
+``numpy`` is strictly optional, and imported only when the first
+encoding large enough to use it is built: a process whose domains stay
+smaller never loads it.  The stdlib kernels are always available, and
+:func:`force_fallback` / ``REPRO_NO_NUMPY=1`` select them for every
+encoding (the equivalence tests run both backends).  The whole
+strategy can be bypassed with :func:`set_enabled` (``repro sweep
+--no-columnar``).
 """
 
 from __future__ import annotations
@@ -81,11 +85,6 @@ from ..obs import DEFAULT as _OBS
 from . import plan as _plan
 from .predspec import decode_value, spec_fields, _resolve_type
 
-try:  # optional accelerator — the stdlib fallback is always available
-    import numpy as _np
-except Exception:  # pragma: no cover - environment-dependent
-    _np = None
-
 __all__ = [
     "Encoding",
     "EncodingCache",
@@ -96,14 +95,13 @@ __all__ = [
     "export_shared",
     "force_fallback",
     "is_enabled",
-    "kernel_available",
+    "kernel_backend",
     "reset",
     "scan_program",
     "set_enabled",
     "set_min_rows",
     "shm_supported",
     "stats",
-    "using_numpy",
 ]
 
 
@@ -112,6 +110,12 @@ _I64_MAX = (1 << 63) - 1
 
 #: Domains smaller than this scan faster scalar than they encode.
 _DEFAULT_MIN_ROWS = 256
+
+#: Encodings with at least this many rows use numpy masks; smaller ones
+#: use the stdlib kernels, which are as fast there, so a process whose
+#: domains all stay below it never imports numpy.  Measured crossover:
+#: EXPERIMENTS.md, "numpy only where it pays".
+_NUMPY_MIN_ROWS = 1 << 14
 
 #: Rows before the duplicate-density gate engages (below it, counting
 #: ids costs more than it saves and tests use tiny corpora anyway).
@@ -133,11 +137,6 @@ _FORCE_FALLBACK = os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0")
 
 class _Bail(Exception):
     """This spec/domain pair cannot be vectorized exactly — fall back."""
-
-
-def using_numpy() -> bool:
-    """Is the numpy fast path active (importable and not bypassed)?"""
-    return _np is not None and not _FORCE_FALLBACK
 
 
 def is_enabled() -> bool:
@@ -200,26 +199,31 @@ def reset() -> None:
 
 
 def _config_stamp() -> Tuple[Any, ...]:
-    return (using_numpy(), _MIN_ROWS, _MAX_ROWS)
+    return (_FORCE_FALLBACK, _MIN_ROWS, _MAX_ROWS)
 
 
 # ---------------------------------------------------------------------------
 # Mask backends.
 #
-# numpy masks are boolean ndarrays.  Stdlib masks are non-negative big
-# integers holding one 0x00/0x01 byte per row (little-endian): ``&`` and
-# ``|`` are then single big-int operations, negation XORs against the
-# all-ones constant, and witness selection is a C-level ``bytes.find``.
+# Each encoding holds one ops object, chosen from its row count when it
+# is built, and every backend-specific step (int64 column buffers,
+# length columns, vectorized compares, mask algebra, witness selection)
+# asks it.  numpy masks are boolean ndarrays.  Stdlib masks are
+# non-negative big integers holding one 0x00/0x01 byte per row
+# (little-endian): ``&`` and ``|`` are then single big-int operations,
+# negation XORs against the all-ones constant, and witness selection is
+# a C-level ``bytes.find``.
 # ---------------------------------------------------------------------------
 
 class _NumpyOps:
     name = "numpy"
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, np: Any) -> None:
         self.n = n
+        self.np = np
 
     def const(self, flag: bool) -> Any:
-        return (_np.ones if flag else _np.zeros)(self.n, dtype=bool)
+        return (self.np.ones if flag else self.np.zeros)(self.n, dtype=bool)
 
     def conj(self, a: Any, b: Any) -> Any:
         return a & b
@@ -231,13 +235,51 @@ class _NumpyOps:
         return ~a
 
     def from_iter(self, flags: Iterable[int]) -> Any:
-        return _np.fromiter(flags, dtype=bool, count=self.n)
+        return self.np.fromiter(flags, dtype=bool, count=self.n)
 
     def indices(self, mask: Any, limit: int) -> List[int]:
-        hits = _np.flatnonzero(mask)
+        hits = self.np.flatnonzero(mask)
         if limit < len(hits):
             hits = hits[:limit]
         return [int(i) for i in hits]
+
+    # -- int64 columns -----------------------------------------------------
+
+    def int_range(self, backing: range) -> Any:
+        return self.np.arange(backing.start, backing.stop, backing.step,
+                              dtype=self.np.int64)
+
+    def ints(self, values: Iterable[int]) -> Any:
+        return self.np.fromiter(values, dtype=self.np.int64, count=self.n)
+
+    def tiled_ints(self, source: List[int], stride: int, repeat: int) -> Any:
+        np = self.np
+        base = np.asarray(source, dtype=np.int64)
+        return np.tile(np.repeat(base, stride), repeat)
+
+    def attach_ints(self, view: memoryview) -> Any:
+        return self.np.frombuffer(view, dtype=self.np.int64, count=self.n)
+
+    def lengths(self, values: Any) -> Any:
+        return self.np.fromiter((len(v) for v in values),
+                                dtype=self.np.int64, count=len(values))
+
+    # -- compares over an int64 column ------------------------------------
+
+    def nonzero(self, values: Any) -> Any:
+        return values != 0
+
+    def equal(self, values: Any, expected: Any) -> Any:
+        return values == expected
+
+    def at_most(self, values: Any, bound: int) -> Any:
+        return values <= bound
+
+    def at_least(self, values: Any, bound: int) -> Any:
+        return values >= bound
+
+    def between(self, values: Any, low: int, high: int) -> Any:
+        return (values >= low) & (values <= high)
 
 
 class _IntOps:
@@ -273,9 +315,52 @@ class _IntOps:
             position = data.find(1, position + 1)
         return found
 
+    # -- int64 columns -----------------------------------------------------
+
+    def int_range(self, backing: range) -> Any:
+        return array("q", backing)
+
+    def ints(self, values: Iterable[int]) -> Any:
+        return array("q", values)
+
+    def tiled_ints(self, source: List[int], stride: int, repeat: int) -> Any:
+        return array("q", _tile(source, stride, repeat))
+
+    def attach_ints(self, view: memoryview) -> Any:
+        return view.cast("q")
+
+    def lengths(self, values: Any) -> Any:
+        return array("q", map(len, values))
+
+    # -- compares over an int64 column ------------------------------------
+
+    def nonzero(self, values: Any) -> int:
+        return self.from_iter(1 if v else 0 for v in values)
+
+    def equal(self, values: Any, expected: Any) -> int:
+        return self.from_iter(1 if v == expected else 0 for v in values)
+
+    def at_most(self, values: Any, bound: int) -> int:
+        return self.from_iter(1 if v <= bound else 0 for v in values)
+
+    def at_least(self, values: Any, bound: int) -> int:
+        return self.from_iter(1 if v >= bound else 0 for v in values)
+
+    def between(self, values: Any, low: int, high: int) -> int:
+        return self.from_iter(1 if low <= v <= high else 0 for v in values)
+
 
 def _make_ops(n: int) -> Any:
-    return _NumpyOps(n) if using_numpy() else _IntOps(n)
+    """The mask backend of an ``n``-row encoding: numpy from
+    ``_NUMPY_MIN_ROWS`` rows up (imported here, on the first such
+    encoding) unless it is missing or bypassed, stdlib otherwise."""
+    if n >= _NUMPY_MIN_ROWS and not _FORCE_FALLBACK:
+        try:
+            import numpy
+        except Exception:  # pragma: no cover - environment-dependent
+            return _IntOps(n)
+        return _NumpyOps(n, numpy)
+    return _IntOps(n)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +381,9 @@ class _Column:
         self.values = values
         self._lengths: Any = None
 
-    def lengths(self) -> Any:
+    def lengths(self, ops: Any) -> Any:
         if self._lengths is None:
-            values = self.values
-            if using_numpy():
-                self._lengths = _np.fromiter(
-                    (len(v) for v in values), dtype=_np.int64,
-                    count=len(values))
-            else:
-                self._lengths = array("q", map(len, values))
+            self._lengths = ops.lengths(self.values)
         return self._lengths
 
 
@@ -411,21 +490,10 @@ class Encoding:
         if kind is None:
             raise _Bail("record domain has no scalar column")
         if self._range is not None:
-            backing = self._range
-            if using_numpy():
-                values = _np.arange(backing.start, backing.stop,
-                                    backing.step, dtype=_np.int64)
-            else:
-                values = array("q", backing)
-            return _Column("int", values)
-        items = self._items
+            return _Column("int", self.ops.int_range(self._range))
         if kind == "int":
-            if using_numpy():
-                values = _np.fromiter(items, dtype=_np.int64, count=self.n)
-            else:
-                values = array("q", items)
-            return _Column("int", values)
-        return _Column(kind, items)
+            return _Column("int", self.ops.ints(self._items))
+        return _Column(kind, self._items)
 
     def _build_field_column(self, field: str) -> _Column:
         kind = self.field_kind(field)
@@ -435,21 +503,13 @@ class Encoding:
             source = self._sources[field]
             stride, repeat = self._strides[field]
             if kind == "int":
-                if using_numpy():
-                    base = _np.asarray(source, dtype=_np.int64)
-                    values = _np.tile(_np.repeat(base, stride), repeat)
-                else:
-                    values = array("q", _tile(source, stride, repeat))
+                values = self.ops.tiled_ints(source, stride, repeat)
             else:
                 values = _tile(source, stride, repeat)
             return _Column(kind, values)
         items = self._items
         if kind == "int":
-            if using_numpy():
-                values = _np.fromiter((item[field] for item in items),
-                                      dtype=_np.int64, count=self.n)
-            else:
-                values = array("q", (item[field] for item in items))
+            values = self.ops.ints(item[field] for item in items)
         else:
             values = [item[field] for item in items]
         return _Column(kind, values)
@@ -700,11 +760,8 @@ def _record_leaf_verdict(node: Any, encoding: Encoding) -> bool:
 def _int_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
                    ops: Any) -> Any:
     values = column.values
-    numpy_path = ops.name == "numpy"
     if op == "truthy":
-        if numpy_path:
-            return values != 0
-        return ops.from_iter(1 if v else 0 for v in values)
+        return ops.nonzero(values)
     if op == "eq":
         expected = decode_value(args[0])
         if isinstance(expected, bool):
@@ -714,37 +771,28 @@ def _int_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
         if isinstance(expected, int) and not \
                 _I64_MIN <= expected <= _I64_MAX:
             return ops.const(False)  # column values all fit in int64
-        if numpy_path:
-            return values == expected
-        return ops.from_iter(1 if v == expected else 0 for v in values)
+        return ops.equal(values, expected)
     if op == "le":
         bound = args[0]
         if bound >= _I64_MAX:
             return ops.const(True)
         if bound < _I64_MIN:
             return ops.const(False)
-        if numpy_path:
-            return values <= bound
-        return ops.from_iter(1 if v <= bound else 0 for v in values)
+        return ops.at_most(values, bound)
     if op == "ge":
         bound = args[0]
         if bound <= _I64_MIN:
             return ops.const(True)
         if bound > _I64_MAX:
             return ops.const(False)
-        if numpy_path:
-            return values >= bound
-        return ops.from_iter(1 if v >= bound else 0 for v in values)
+        return ops.at_least(values, bound)
     if op == "range":
         low, high = args
         if low > high:
             return ops.const(False)
         low = max(low, _I64_MIN)
         high = min(high, _I64_MAX)
-        if numpy_path:
-            return (values >= low) & (values <= high)
-        return ops.from_iter(
-            1 if low <= v <= high else 0 for v in values)
+        return ops.between(values, low, high)
     if op == "isa":
         types = tuple(_resolve_type(mod, qual) for mod, qual in args[0])
         return ops.const(isinstance(0, types))
@@ -758,17 +806,10 @@ def _int_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
 def _text_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
                     ops: Any, kind: str) -> Any:
     values = column.values
-    numpy_path = ops.name == "numpy"
     if op == "truthy":
-        if numpy_path:
-            return column.lengths() != 0
-        return ops.from_iter(1 if v else 0 for v in values)
+        return ops.nonzero(column.lengths(ops))
     if op == "lenle":
-        bound = args[0]
-        if numpy_path:
-            return column.lengths() <= bound
-        return ops.from_iter(
-            1 if length <= bound else 0 for length in column.lengths())
+        return ops.at_most(column.lengths(ops), args[0])
     if op == "eq":
         expected = decode_value(args[0])
         if not isinstance(expected, (str, bytes)):
@@ -924,6 +965,8 @@ class EncodingCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        #: Encodings stored so far, by mask backend.
+        self.backends: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -945,15 +988,19 @@ class EncodingCache:
     def put(self, digest: str, encoding: Optional[Encoding]) -> None:
         key = (digest, _config_stamp())
         with self._lock:
+            if encoding is not None:
+                name = encoding.ops.name
+                self.backends[name] = self.backends.get(name, 0) + 1
             self._data[key] = encoding
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "size": len(self._data), "maxsize": self.maxsize}
+                    "size": len(self._data), "maxsize": self.maxsize,
+                    "backends": dict(self.backends)}
 
 
 _ENCODINGS = EncodingCache()
@@ -1052,16 +1099,18 @@ def scan_program(program: Any, domain: Any, limit: int) -> Optional[List[Any]]:
         return None
 
 
-def kernel_available(program: Any, domain: Any) -> bool:
-    """Would :func:`scan_program` take this task?  Validates (and
-    memoizes) the kernel without computing any mask — the planner's
-    probe, cheap enough for per-task cost estimation."""
+def kernel_backend(program: Any, domain: Any) -> Optional[str]:
+    """Would :func:`scan_program` take this task?  The mask backend its
+    kernel would run on (``"numpy"`` or ``"stdlib"``), or ``None`` when
+    it would decline.  Validates (and memoizes) the kernel without
+    computing any mask — the planner's probe, cheap enough for per-task
+    cost estimation."""
     if not _ENABLED or program is None:
-        return False
+        return None
     encoding = encoding_for(domain)
-    if encoding is None:
-        return False
-    return encoding.kernel(program) is not None
+    if encoding is None or encoding.kernel(program) is None:
+        return None
+    return encoding.ops.name
 
 
 #: Leaf operators the kernels can lower; everything else is scalar-only.
@@ -1077,7 +1126,7 @@ def spec_vectorizable(program: Any) -> bool:
     """Structural pre-check, no domain needed: could this program's
     spec *ever* lower to column kernels?  ``False`` for opaque named
     predicates, nested ``attr``, or operators the kernels don't know.
-    Cheaper than :func:`kernel_available` (which must encode the domain
+    Cheaper than :func:`kernel_backend` (which must encode the domain
     and digest its content) — ``core.dist`` uses it to skip the
     shared-memory probe for tasks that can only ever run scalar."""
     if program is None:
@@ -1111,10 +1160,13 @@ def spec_vectorizable(program: Any) -> bool:
 
 
 def stats() -> Dict[str, Any]:
-    """Encoding-cache counters plus the active backend, for the CLI and
-    the benchmark payloads."""
+    """Encoding-cache counters plus the mask backend the encodings built
+    so far ran on — ``"numpy"`` once any reached ``_NUMPY_MIN_ROWS``
+    rows, ``"stdlib"`` otherwise — for the CLI and the benchmark
+    payloads."""
     payload: Dict[str, Any] = dict(_ENCODINGS.stats())
-    payload["backend"] = "numpy" if using_numpy() else "stdlib"
+    payload["backend"] = "numpy" if payload["backends"].get("numpy") \
+        else "stdlib"
     payload["enabled"] = _ENABLED
     payload["min_rows"] = _MIN_ROWS
     return payload
@@ -1168,11 +1220,8 @@ def _column_payloads(encoding: Encoding) -> Optional[List[Tuple[str, str, bytes]
 
 
 def _int_column_bytes(values: Any) -> bytes:
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tobytes()
-    if isinstance(values, array):
-        return values.tobytes()
-    return array("q", values).tobytes()
+    # ndarray, ``array('q')`` and cast memoryviews all serialize natively.
+    return values.tobytes()
 
 
 class SharedColumnarDomain:
@@ -1182,8 +1231,9 @@ class SharedColumnarDomain:
     segment, or inline pickled bytes where shared memory is
     unavailable) and ships this ref in every chunk payload instead of
     the domain.  Workers attach lazily on first access; ``int64``
-    columns map zero-copy (``np.frombuffer`` under numpy,
-    ``memoryview.cast('q')`` otherwise), other columns unpickle from the
+    columns map zero-copy through the mask backend the ref's row count
+    selects (``np.frombuffer`` for numpy, ``memoryview.cast('q')`` for
+    stdlib), other columns unpickle from the
     segment's blob.  The object quacks like a domain: sized, iterable
     (reconstructed rows), digest-stable — and :func:`encoding_for`
     short-circuits straight to the attached encoding, so scans over it
@@ -1274,8 +1324,9 @@ class SharedColumnarDomain:
         for name, kind, offset, length in self.layout:
             field = None if self.scalar_kind is not None else name
             if kind == "int":
-                values = _attach_int_column(raw, offset, self.n)
-                encoding._columns[field] = _Column("int", values)
+                view = memoryview(raw)[offset:offset + self.n * 8]
+                encoding._columns[field] = _Column(
+                    "int", encoding.ops.attach_ints(view))
             else:
                 values = pickle.loads(bytes(raw[offset:offset + length]))
                 if kind == "obj":
@@ -1288,13 +1339,6 @@ class SharedColumnarDomain:
         if _OBS.enabled:
             _OBS.incr("columnar.shm.attached")
         return encoding
-
-
-def _attach_int_column(raw: Any, offset: int, count: int) -> Any:
-    view = memoryview(raw)[offset:offset + count * 8]
-    if using_numpy():
-        return _np.frombuffer(view, dtype=_np.int64, count=count)
-    return view.cast("q")
 
 
 #: Worker-side attachment cache: segment name → SharedMemory.  Bounded;

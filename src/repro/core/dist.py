@@ -740,7 +740,7 @@ def _substitute_shared_domains(
             program = plan.program_for(task[2])
             if not columnar.spec_vectorizable(program):
                 continue
-            if not columnar.kernel_available(program, task[3]):
+            if columnar.kernel_backend(program, task[3]) is None:
                 continue
             ref = session.ref_for(task[3])
         except Exception:

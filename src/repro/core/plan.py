@@ -871,11 +871,10 @@ def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
         try:
             from . import columnar as _columnar
 
-            vectorizes = _columnar.kernel_available(program, domain)
+            backend = _columnar.kernel_backend(program, domain)
         except Exception:
-            vectorizes = False
-        if vectorizes:
-            backend = "numpy" if _columnar.using_numpy() else "stdlib"
+            backend = None
+        if backend is not None:
             factor = (_COLUMNAR_NUMPY_FACTOR if backend == "numpy"
                       else _COLUMNAR_STDLIB_FACTOR)
             return ScanPlan(

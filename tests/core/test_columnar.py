@@ -5,9 +5,10 @@ The engine's contract is *bit-for-bit equivalence*: whenever
 scalar scan exactly — same objects, same domain iteration order, same
 per-occurrence duplicates, same ``limit`` truncation.  The property
 tests here drive that claim over generated integer, text, and record
-domains, under both mask backends (numpy when installed, and the
-pure-stdlib big-int kernels via ``force_fallback``), and across a
-``ProcessPoolExecutor`` with shared-memory column transfer.
+domains, under both mask backends (numpy, forced onto these small
+domains by patching ``_NUMPY_MIN_ROWS``, and the pure-stdlib big-int
+kernels via ``force_fallback``), and across a ``ProcessPoolExecutor``
+with shared-memory column transfer.
 
 The unit tests pin the supporting machinery: encoding-cache sharing by
 domain digest, kernel bail-outs (named predicates, nested ``attr``,
@@ -62,6 +63,41 @@ def _tiny_threshold():
     columnar.release_attachments()
 
 
+def _drop_encodings():
+    columnar.encoding_cache().clear()
+    columnar._DOMAIN_MEMO.clear()
+
+
+def _patch_numpy_masks(patch):
+    """Give every encoding numpy masks, whatever its row count, by
+    dropping ``_NUMPY_MIN_ROWS`` to 0 (a test-only patch: the constant
+    has no setter).  Returns the backend encodings then get —
+    ``"stdlib"`` where numpy is missing or bypassed."""
+    patch.setattr(columnar, "_NUMPY_MIN_ROWS", 0)
+    _drop_encodings()
+    return columnar._make_ops(0).name
+
+
+@pytest.fixture
+def numpy_masks(monkeypatch):
+    yield _patch_numpy_masks(monkeypatch)
+    _drop_encodings()
+
+
+@pytest.fixture(scope="class", params=["numpy", "stdlib"],
+                ids=["numpy-or-default", "stdlib"])
+def backend(request):
+    """Run a test class once per mask backend; yields the backend the
+    class's encodings get."""
+    if request.param == "stdlib":
+        with columnar.force_fallback():
+            yield "stdlib"
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        yield _patch_numpy_masks(patch)
+    _drop_encodings()
+
+
 def _pfsm(spec, impl):
     return PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
                         impl_accepts=impl)
@@ -109,26 +145,20 @@ int_rows = st.lists(st.integers(min_value=-12, max_value=12),
 limits = st.integers(min_value=1, max_value=60)
 
 
-@pytest.mark.parametrize("fallback", [False, True],
-                         ids=["numpy-or-default", "stdlib"])
 class TestEquivalence:
     """columnar ≡ scalar over generated domains, both backends."""
 
-    def _check(self, spec, impl, rows, limit, fallback):
+    def _check(self, spec, impl, rows, limit, backend):
         domain = Domain(list(rows))
         pfsm = _pfsm(spec, impl)
         expected = _scalar(pfsm, domain, limit)
-        if fallback:
-            with columnar.force_fallback():
-                got = _columnar_witnesses(pfsm, domain, limit)
-        else:
-            got = _columnar_witnesses(pfsm, domain, limit)
-        assert got == expected
+        assert _columnar_witnesses(pfsm, domain, limit) == expected
+        assert columnar.encoding_for(domain).ops.name == backend
 
     @given(spec=int_pred, impl=int_pred, rows=int_rows, limit=limits)
     @settings(max_examples=60, deadline=None)
-    def test_integers(self, fallback, spec, impl, rows, limit):
-        self._check(spec, impl, rows, limit, fallback)
+    def test_integers(self, backend, spec, impl, rows, limit):
+        self._check(spec, impl, rows, limit, backend)
 
     @given(
         spec=st.one_of(
@@ -149,8 +179,8 @@ class TestEquivalence:
         limit=limits,
     )
     @settings(max_examples=60, deadline=None)
-    def test_text(self, fallback, spec, impl, rows, limit):
-        self._check(spec, impl, rows, limit, fallback)
+    def test_text(self, backend, spec, impl, rows, limit):
+        self._check(spec, impl, rows, limit, backend)
 
     @given(
         low=bounds, high=bounds,
@@ -162,27 +192,22 @@ class TestEquivalence:
         limit=limits,
     )
     @settings(max_examples=60, deadline=None)
-    def test_records(self, fallback, low, high, cap, rows, limit):
+    def test_records(self, backend, low, high, cap, rows, limit):
         lo, hi = min(low, high), max(low, high)
         spec = satisfies_all(attr("size", in_range(lo, hi)),
                              attr("name", length_le(cap)))
         impl = satisfies_any(attr("size", less_equal(hi + 3)),
                              attr("name", truthy()))
         records = [{"size": s, "name": n} for s, n in rows]
-        self._check(spec, impl, records, limit, fallback)
+        self._check(spec, impl, records, limit, backend)
 
-    def test_duplicates_reported_per_occurrence(self, fallback):
+    def test_duplicates_reported_per_occurrence(self, backend):
         domain = Domain([5, 5, 1, 5, 2, 5])
         pfsm = _pfsm(less_equal(2), always)  # hidden: every 5
         expected = [5, 5, 5, 5]
         assert _scalar(pfsm, domain, 10) == expected
-        if fallback:
-            with columnar.force_fallback():
-                assert _columnar_witnesses(pfsm, domain, 10) == expected
-                assert _columnar_witnesses(pfsm, domain, 3) == [5, 5, 5]
-        else:
-            assert _columnar_witnesses(pfsm, domain, 10) == expected
-            assert _columnar_witnesses(pfsm, domain, 3) == [5, 5, 5]
+        assert _columnar_witnesses(pfsm, domain, 10) == expected
+        assert _columnar_witnesses(pfsm, domain, 3) == [5, 5, 5]
 
 
 def test_range_domain_equivalence():
@@ -220,7 +245,7 @@ class TestBailouts:
         program = program_for(pfsm)
         assert program is not None
         assert columnar.scan_program(program, domain, 10) is None
-        assert not columnar.kernel_available(program, domain)
+        assert columnar.kernel_backend(program, domain) is None
         # The sweep still answers, via the scalar path.
         assert hidden_witness_scan(pfsm, domain, limit=4) == [1, 3, 5, 7]
 
@@ -236,10 +261,11 @@ class TestBailouts:
         needs_mixed = _pfsm(attr("size", less_equal(3)), always)
         program = program_for(needs_mixed)
         assert program is not None
-        assert not columnar.kernel_available(program, domain)
+        assert columnar.kernel_backend(program, domain) is None
         # A spec touching only the clean column still vectorizes.
         clean = _pfsm(attr("name", equals("a")), always)
-        assert columnar.kernel_available(program_for(clean), domain)
+        assert columnar.kernel_backend(program_for(clean), domain) \
+            == "stdlib"
         assert _columnar_witnesses(clean, domain, 50) == \
             _scalar(clean, domain, 50)
 
@@ -313,15 +339,16 @@ class TestEncodingCache:
         assert columnar.encoding_for(domain) is e1
         assert columnar.encoding_cache().stats() == before
 
-    def test_backend_switch_invalidates(self):
+    def test_backend_switch_invalidates(self, numpy_masks):
+        if numpy_masks != "numpy":
+            pytest.skip("numpy missing or bypassed: no numpy encoding")
         domain = Domain(list(range(48)))
         e1 = columnar.encoding_for(domain)
-        assert e1 is not None
-        if not columnar.using_numpy():
-            pytest.skip("no numpy: both stamps identical")
+        assert e1 is not None and e1.ops.name == "numpy"
         with columnar.force_fallback():
             e2 = columnar.encoding_for(domain)
             assert e2 is not None and e2 is not e1
+            assert e2.ops.name == "stdlib"
 
     def test_min_rows_threshold_gates(self):
         previous = columnar.set_min_rows(100)
@@ -348,8 +375,27 @@ def test_planner_reports_columnar_strategy():
     pfsm = _pfsm(satisfies_all(in_range(0, 99), truthy()), less_equal(400))
     plan = plan_scan(pfsm, domain)
     assert plan.strategy == "columnar"
+    assert "(stdlib kernels" in plan.reason  # 600 rows: stdlib masks
     with columnar.disabled():
         assert plan_scan(pfsm, domain).strategy != "columnar"
+
+
+def test_reporting_follows_the_encoding_backend(numpy_masks):
+    if numpy_masks != "numpy":
+        pytest.skip("numpy missing or bypassed: no numpy encoding")
+    domain = Domain(list(range(600)))
+    pfsm = _pfsm(satisfies_all(in_range(0, 99), truthy()), less_equal(400))
+    before = columnar.stats()["backends"].get("numpy", 0)
+    plan = plan_scan(pfsm, domain)
+    assert plan.strategy == "columnar"
+    assert "(numpy kernels" in plan.reason
+    with columnar.force_fallback():
+        stdlib_plan = plan_scan(pfsm, domain)
+    assert "(stdlib kernels" in stdlib_plan.reason
+    assert plan.est_cost < stdlib_plan.est_cost
+    stats = columnar.stats()
+    assert stats["backends"]["numpy"] == before + 1
+    assert stats["backend"] == "numpy"
 
 
 def test_sweep_counters_tag_columnar_scans():
@@ -401,6 +447,13 @@ def _record_rows(sizes):
 
 class TestSharedMemory:
     def test_export_roundtrip_same_process(self):
+        self._roundtrip("stdlib")
+
+    def test_export_roundtrip_numpy_masks(self, numpy_masks):
+        # The attaching side picks numpy from the ref's row count.
+        self._roundtrip(numpy_masks)
+
+    def _roundtrip(self, backend):
         rows = _record_rows(range(200))
         domain = Domain(rows)
         export = columnar.export_shared(domain)
@@ -410,6 +463,7 @@ class TestSharedMemory:
             assert isinstance(ref, columnar.SharedColumnarDomain)
             assert len(ref) == len(rows)
             assert list(ref) == rows
+            assert ref.encoding().ops.name == backend
             pfsm = _shared_pfsm()
             assert hidden_witness_scan(pfsm, ref, limit=25) == \
                 _scalar(pfsm, domain, 25)

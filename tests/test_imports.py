@@ -11,14 +11,21 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
 
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
-def run_fresh(code):
+def run_fresh(code, numpy=False):
     """Run ``code`` in a new interpreter importing ``repro`` from this
-    tree; return the JSON its last output line prints."""
+    tree; return the JSON its last output line prints.  ``numpy=True``
+    skips the test where numpy is missing or bypassed."""
+    if numpy:
+        pytest.importorskip("numpy")
+        if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
+            pytest.skip("numpy bypassed by REPRO_NO_NUMPY")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_SRC, env.get("PYTHONPATH")]))
@@ -101,3 +108,122 @@ def test_state_space_imports_networkx_on_first_use():
                           "reachable": space.compromise_reachable()}))
     """)
     assert result == {"before": False, "after": True, "reachable": True}
+
+
+def test_serving_tiled_corpus_scans_columnar_without_numpy():
+    # The bundled corpus with each probe domain tiled 40x by reference
+    # (the serve benchmark's corpus): every domain stays far below
+    # ``_NUMPY_MIN_ROWS``, so its columnar scans run on stdlib masks.
+    result = run_fresh("""
+        import json, sys
+        from repro import obs
+        from repro.core import Domain
+        from repro.models import all_extended_models, all_extended_pfsm_domains
+        from repro.serve import AnalysisCorpus
+        from repro.serve.batcher import _engine_compute
+
+        domains = {label: {name: Domain(list(dom) * 40)
+                           for name, dom in per_model.items()}
+                   for label, per_model
+                   in all_extended_pfsm_domains().items()}
+        corpus = AnalysisCorpus(models=all_extended_models(),
+                                domains=domains)
+        registry = obs.get_registry()
+        registry.enable()
+        answered = 0
+        for key in corpus.keys():
+            query = corpus.expand(key, 1000)
+            found = _engine_compute(list(query.tasks),
+                                    list(query.task_keys))
+            answered += any(found)
+        print(json.dumps({
+            "answered": answered,
+            "columnar": registry.counters().get("sweep.scans.columnar", 0),
+            "numpy": "numpy" in sys.modules,
+            "apps": sorted(m for m in sys.modules
+                           if m.startswith("repro.apps.")),
+        }))
+    """)
+    assert result["answered"] > 0
+    assert result["columnar"] > 0
+    assert result["numpy"] is False
+    assert result["apps"] == ["repro.apps.freebsd_syscall", "repro.apps.iis",
+                              "repro.apps.nullhttpd",
+                              "repro.apps.rsync_daemon"]
+
+
+def test_numpy_sized_domain_scans_with_numpy_masks():
+    result = run_fresh("""
+        import json, sys
+        from repro.core import (Domain, PrimitiveFSM, attr, columnar,
+                                hidden_witness_scan, in_range, length_le,
+                                less_equal, satisfies_all)
+
+        def records(n):
+            return Domain([{"size": i % 1000, "name": "n" * (i % 9)}
+                           for i in range(n)])
+
+        pfsm = PrimitiveFSM(
+            "p", "scan", "r",
+            spec_accepts=satisfies_all(attr("size", in_range(0, 900)),
+                                       attr("name", length_le(6))),
+            impl_accepts=attr("size", less_equal(950)))
+        rows = columnar._NUMPY_MIN_ROWS
+        below = records(rows - 1)
+        hidden_witness_scan(pfsm, below, limit=5)
+        small = {"backend": columnar.encoding_for(below).ops.name,
+                 "numpy": "numpy" in sys.modules}
+        domain = records(rows)
+        found = hidden_witness_scan(pfsm, domain, limit=10**9)
+        with columnar.disabled():
+            expected = hidden_witness_scan(pfsm, domain, limit=10**9)
+        print(json.dumps({
+            "rows": rows,
+            "small": small,
+            "backend": columnar.encoding_for(domain).ops.name,
+            "numpy": "numpy" in sys.modules,
+            "stats": columnar.stats()["backend"],
+            "equal": found == expected and len(found) > 0,
+        }))
+    """, numpy=True)
+    assert result["rows"] == 1 << 14
+    assert result["small"] == {"backend": "stdlib", "numpy": False}
+    assert result["backend"] == "numpy"
+    assert result["numpy"] is True
+    assert result["stats"] == "numpy"
+    assert result["equal"] is True
+
+
+def test_apps_names_resolve_lazily():
+    result = run_fresh("""
+        import json, sys
+        import repro.apps as apps
+        loaded = sorted(m for m in sys.modules
+                        if m.startswith("repro.apps."))
+        unresolved = [n for n in apps.__all__ if getattr(apps, n) is None]
+        namespace = {}
+        exec("from repro.apps import *", namespace)
+        try:
+            apps.no_such_app
+        except AttributeError as exc:
+            error = str(exc)
+        else:
+            error = None
+        print(json.dumps({
+            "count": len(apps.__all__),
+            "loaded_at_import": loaded,
+            "unresolved": unresolved,
+            "missing": [n for n in apps.__all__ if n not in namespace],
+            "unlisted": sorted(set(apps.__all__) - set(dir(apps))),
+            "aliases": [apps.make_env_world.__module__,
+                        apps.make_rwall_world.__module__],
+            "error": error,
+        }))
+    """)
+    assert result["count"] == 65
+    assert result["loaded_at_import"] == []
+    assert result["unresolved"] == []
+    assert result["missing"] == []
+    assert result["unlisted"] == []
+    assert result["aliases"] == ["repro.apps.envutil", "repro.apps.rwalld"]
+    assert "no_such_app" in result["error"]
