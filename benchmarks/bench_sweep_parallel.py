@@ -16,8 +16,8 @@ trajectory keeps recording:
   development) on the thread backend vs the process backend
   (acceptance: ≥2x at 4 workers).  The process backend wins by
   *remembering*: its scheduler keys every task by model fingerprint +
-  predicate-spec hash, so after the first sweep warms the worker pool
-  and the fingerprint memo, later sweeps in the session are lookups.
+  predicate-spec hash, so after the first sweep fills the fingerprint
+  memo, later sweeps in the session are lookups that fork no worker.
   The thread backend recomputes every time.  On a single-CPU runner the
   raw fork-and-pickle path has no parallelism advantage — the session
   framing is the honest one, and it is also the workload the scheduler
@@ -40,14 +40,16 @@ trajectory keeps recording:
   with the columnar engine disabled (compiled scalar scan) vs enabled
   (whole-column mask kernels; acceptance: ≥5x with numpy, ≥1.5x on the
   pure-stdlib fallback).  A shared-memory sub-check ships the same
-  corpus to pool workers and requires the per-task domain payload to
+  corpus to process-backend workers and requires the per-task domain payload to
   shrink ≥10x via ``multiprocessing.shared_memory`` column transfer;
 * **cluster** — scenario F: the corpus sweep dispatched through the
   :mod:`repro.cluster` fabric over loopback TCP (a coordinator plus two
-  worker agents) vs the local process backend.  The fabric pays
-  base64/JSON framing and socket round-trips for every chunk, so the
-  acceptance floor is *relative*: cluster throughput must stay ≥0.8x of
-  the process backend on the same machine, with bit-identical findings.
+  ``repro worker`` processes of two agents each) vs the local process
+  backend.  Both ride the same coordinator and framing; the fabric adds
+  TCP and ships domains in the payloads (shared memory does not cross
+  hosts), so the acceptance floor is *relative*: cluster throughput
+  must stay ≥0.8x of the process backend on the same machine, with
+  bit-identical findings.
   A reclaim-latency sub-stat measures the fault-recovery path: a worker
   claims a chunk and goes silent (connection open, no heartbeats), and
   the stat is how long the lease layer takes to reclaim the chunk —
@@ -121,8 +123,8 @@ BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "sweep_baseline.
 REGRESSION_FACTOR = 2.0
 
 #: Sweeps per backend-session measurement — the corpus is re-swept this
-#: many times per "session" so the process backend's warm pool and
-#: fingerprint memo have something to amortize over.
+#: many times per "session" so the process backend's fingerprint memo
+#: has something to amortize over.
 SESSION_REPEATS = 12
 
 #: Tiling for the session corpus — heavier than the one-shot sweep
@@ -145,10 +147,11 @@ COLUMNAR_ROWS = 60_000
 COLUMNAR_NUMPY_FLOOR = 5.0
 COLUMNAR_STDLIB_FLOOR = 1.5
 #: Floor for the shared-memory sub-check: the per-task domain payload
-#: shipped to pool workers must shrink at least this much.
+#: shipped to process-backend workers must shrink at least this much.
 SHM_PAYLOAD_FLOOR = 10.0
 
-#: Scenario F: worker agents on the loopback fabric, and the relative
+#: Scenario F: ``repro worker`` processes (two agents each) on the
+#: loopback fabric, and the relative
 #: throughput floor against the local process backend (the fabric adds
 #: framing + socket hops; it must stay within 20% on one machine).
 CLUSTER_AGENTS = 2
@@ -290,9 +293,13 @@ def _findings_of(sweeps):
 def _backend_session(models, domains, limit, mode, repeats=SESSION_REPEATS):
     """One analysis session: the corpus swept ``repeats`` times.
 
-    Starts from a cold scheduler (``dist.reset()`` drops the warm pool
-    and the fingerprint memo) so the process backend pays its full
-    startup cost inside the measurement.
+    Starts with an empty fingerprint memo (``dist.reset()``), so the
+    process backend's first sweep forks its workers and computes every
+    task inside the measurement.  It is not a cold process: plan caches
+    and columnar encodings built earlier in this interpreter survive
+    ``dist.reset()``, and forked workers inherit them — the first
+    session in an interpreter pays encoding and planning that repeat
+    sessions do not (EXPERIMENTS.md records both).
     """
     dist.reset()
     start = time.perf_counter()
@@ -301,7 +308,6 @@ def _backend_session(models, domains, limit, mode, repeats=SESSION_REPEATS):
         sweeps = sweep_models(models, domains, workers=4, limit=limit,
                               mode=mode)
     seconds = time.perf_counter() - start
-    dist.shutdown_pool()
     return seconds, sweeps
 
 
@@ -522,7 +528,6 @@ def _shm_payload_stats(rows=20_000):
     finally:
         registry.disable()
         registry.reset()
-        dist.shutdown_pool()
     shipped_tasks = counters.get("dist.shm.tasks", 0)
     saved = counters.get("dist.shm.bytes_saved", 0)
     if not shipped_tasks:
@@ -544,18 +549,17 @@ def _shm_payload_stats(rows=20_000):
 def _cluster_scenario(repeats=2):
     """Scenario F: loopback cluster fabric vs the local process backend.
 
-    Both sides sweep the identical scaled corpus from a cold scheduler
-    memo.  The cluster side runs one coordinator and
-    ``CLUSTER_AGENTS`` worker agents in-process (loopback TCP, real
-    framing, real leases) sharing the same warm pool the process
-    backend uses — so the measured difference is the fabric overhead,
-    not a different executor.
+    Both sides sweep the identical scaled corpus from an empty
+    fingerprint memo.  The cluster side runs one coordinator and
+    ``CLUSTER_AGENTS`` ``repro worker --workers 2`` processes (loopback
+    TCP, real framing, real leases), so both sides execute on four
+    forked single-slot agents — the measured difference is the fabric
+    overhead, not a different executor.
     """
-    from repro.cluster import (
-        ClusterCoordinator,
-        ClusterWorker,
-        coordinating,
-    )
+    import os
+    import subprocess
+
+    from repro.cluster import ClusterCoordinator, coordinating
 
     models = all_extended_models()
     domains = _scaled_domains(models, all_extended_pfsm_domains())
@@ -570,25 +574,32 @@ def _cluster_scenario(repeats=2):
     process_s, baseline = _best_of(process_side, repeats=repeats)
 
     dist.reset()
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop("REPRO_FAULTS", None)
     with ClusterCoordinator() as coordinator, coordinating(coordinator):
-        agents = [ClusterWorker(*coordinator.address, slots=2)
-                  for _ in range(CLUSTER_AGENTS)]
-        for agent in agents:
-            agent.start()
-        assert coordinator.wait_for_workers(CLUSTER_AGENTS, timeout=30.0)
+        agents = [subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--connect",
+             "127.0.0.1:%d" % coordinator.port, "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            for _ in range(CLUSTER_AGENTS)]
+        try:
+            assert coordinator.wait_for_workers(2 * CLUSTER_AGENTS,
+                                                timeout=60.0)
 
-        def cluster_side():
-            dist.clear_memo()
-            return sweep_models(models, domains, workers=4, limit=limit,
-                                mode="cluster")
+            def cluster_side():
+                dist.clear_memo()
+                return sweep_models(models, domains, workers=4,
+                                    limit=limit, mode="cluster")
 
-        cluster_s, sweeps = _best_of(cluster_side, repeats=repeats)
-        for agent in agents:
-            agent.stop()
-        counters = dict(coordinator.snapshot()["counters"])
+            cluster_s, sweeps = _best_of(cluster_side, repeats=repeats)
+            counters = dict(coordinator.snapshot()["counters"])
+        finally:
+            for agent in agents:
+                agent.terminate()
+            for agent in agents:
+                agent.wait(timeout=60)
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "cluster sweep diverged from the process backend"
-    dist.shutdown_pool()
     return {
         "agents": CLUSTER_AGENTS,
         "process_s": process_s,
@@ -638,8 +649,7 @@ def _reclaim_latency_stat():
         conn = _socket.create_connection(coordinator.address)
         reader = conn.makefile("rb")
         try:
-            conn.sendall(encode_line({"op": "hello", "worker": "mute",
-                                      "slots": 1}))
+            conn.sendall(encode_line({"op": "hello", "worker": "mute"}))
             read_line(reader)
             runner.start()
             claimed_at = None
@@ -701,11 +711,11 @@ def _faults_scenario(repeats=2):
     try:
         with ClusterCoordinator() as coordinator, \
                 coordinating(coordinator):
-            agents = [ClusterWorker(*coordinator.address, slots=2)
-                      for _ in range(CLUSTER_AGENTS)]
+            agents = [ClusterWorker(*coordinator.address)
+                      for _ in range(2 * CLUSTER_AGENTS)]
             for agent in agents:
                 agent.start()
-            assert coordinator.wait_for_workers(CLUSTER_AGENTS,
+            assert coordinator.wait_for_workers(2 * CLUSTER_AGENTS,
                                                 timeout=30.0)
             clean_s, baseline = _best_of(cluster_side, repeats=repeats)
             plan_obj = faults.parse_spec(FAULTS_SPEC)
@@ -718,7 +728,6 @@ def _faults_scenario(repeats=2):
         faults.install(previous)
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "faulted cluster sweep diverged from the fault-free run"
-    dist.shutdown_pool()
     return {
         "fault_spec": FAULTS_SPEC,
         "fault_free_s": clean_s,
@@ -1183,7 +1192,7 @@ def test_sweep_models_parallel(benchmark):
 
 
 def test_process_backend_session(benchmark):
-    """Repeated corpus sweep on the process backend (warm pool + memo)."""
+    """Repeated corpus sweep on the process backend (fingerprint memo)."""
     models = all_extended_models()
     domains = _scaled_domains(models, all_extended_pfsm_domains())
 

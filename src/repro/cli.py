@@ -69,12 +69,13 @@ Commands
     was shed (overloaded/timeout/draining) or the server was
     unreachable under ``--connect-timeout``, 1 = error.
 ``worker``
-    Cluster worker agent (``repro worker --connect HOST:PORT``): claim
-    sweep chunks from a coordinator (``repro sweep --backend cluster
-    --listen``), execute them on a local warm process pool
-    (``--workers N`` slots), and stream results and trace spans back.
-    Leases held by an agent that dies are reclaimed and its chunks
-    re-executed elsewhere; see ``repro.cluster``.
+    Cluster worker agents (``repro worker --connect HOST:PORT``): fork
+    ``--workers N`` single-slot agents that claim sweep chunks from a
+    coordinator (``repro sweep --backend cluster --listen``), execute
+    them, and stream results and trace spans back.  Leases held by an
+    agent that dies are reclaimed and its chunks re-executed elsewhere;
+    an agent stopped by ``--chunk-timeout`` is replaced; see
+    ``repro.cluster``.
 
 Every subcommand also understands the telemetry flags:
 
@@ -599,35 +600,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    import signal
+    import importlib
 
-    from .cluster import ClusterWorker, WorkerConnectError
     from .cluster.protocol import parse_address
+    from .cluster.worker import ClusterWorker, WorkerConnectError, supervise
 
     try:
         host, port = parse_address(args.connect, flag="--connect")
     except ValueError as exc:
         raise SystemExit(str(exc))
-    preload = [module for spec in args.preload
-               for module in spec.split(",") if module]
-    worker = ClusterWorker(
-        host, port, slots=args.workers, inline=args.inline,
-        connect_timeout=args.connect_timeout,
-        poll_interval=args.poll_ms / 1000.0, preload=preload,
-        chunk_timeout=args.chunk_timeout)
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda _s, _f: worker.stop(timeout=0.0))
-    print(f"repro worker {worker.id} connecting to {host}:{port} "
-          f"(slots={args.workers}, "
-          f"{'inline' if args.inline else 'local pool'})", flush=True)
+    # Imported once here; every forked agent inherits the registrations.
+    for spec in args.preload:
+        for module in filter(None, spec.split(",")):
+            importlib.import_module(module)
+
+    def agent() -> ClusterWorker:
+        worker = ClusterWorker(
+            host, port, connect_timeout=args.connect_timeout,
+            poll_interval=args.poll_ms / 1000.0,
+            chunk_timeout=args.chunk_timeout)
+        worker.connect()
+        return worker
+
+    print(f"repro worker connecting {args.workers} agent(s) to "
+          f"{host}:{port}", flush=True)
     try:
-        code = worker.run()
+        return supervise(args.workers, agent)
     except WorkerConnectError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(f"worker {worker.id} done: {worker.chunks_done} chunk(s) "
-          f"executed", flush=True)
-    return code
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -886,8 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "re-executes only what never landed")
     sweep.add_argument("--workers", type=_positive_int, default=None,
                        metavar="N",
-                       help="pool size of the process and cluster "
-                            "backends (the thread backend runs inline)")
+                       help="worker processes of the process backend, "
+                            "chunking width of the cluster backend (the "
+                            "thread backend runs inline)")
     sweep.add_argument("--limit", type=_positive_int, default=5,
                        metavar="N",
                        help="max witnesses recorded per pFSM")
@@ -991,20 +993,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="run a cluster worker agent: claim sweep chunks from a "
-             "coordinator (repro sweep --listen) and execute them on a "
-             "local warm pool",
+        help="run cluster worker agents: claim sweep chunks from a "
+             "coordinator (repro sweep --listen) and execute them in "
+             "forked single-slot processes",
         parents=[obs_flags],
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator to serve")
     worker.add_argument("--workers", type=_positive_int, default=2,
-                        help="concurrent execution slots (and the width "
-                             "of the local warm process pool)")
-    worker.add_argument("--inline", action="store_true",
-                        help="execute chunks in the agent process instead "
-                             "of a local process pool (slower; no "
-                             "subprocesses)")
+                        help="agent processes to fork, one execution slot "
+                             "each")
     worker.add_argument("--connect-timeout", type=float, default=10.0,
                         metavar="SECONDS",
                         help="exit 2 if the coordinator cannot be reached "
@@ -1016,10 +1014,11 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--chunk-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="hard per-chunk execution deadline: a chunk "
-                             "still running after SECONDS has its "
-                             "execution killed and is reported as failed "
-                             "(the coordinator's bounded retries take "
-                             "over); default: no deadline")
+                             "still running after SECONDS is reported as "
+                             "failed (the coordinator's bounded retries "
+                             "take over) and its agent exits, killing the "
+                             "scan; a fresh agent replaces it; default: "
+                             "no deadline")
     worker.add_argument("--preload", action="append", metavar="MODULE",
                         default=[],
                         help="import MODULE before executing (registers "
@@ -1072,8 +1071,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except faults.FaultSpecError as exc:
             print(f"invalid --faults spec: {exc}", file=sys.stderr)
             return 2
-        # Spawned workers (repro worker, pool children via the CLI)
-        # inherit the same plan through the environment.
+        # Processes started from this one inherit the same plan through
+        # the environment.
         os.environ[faults.ENV_VAR] = spec
     if getattr(args, "profile", False) or getattr(args, "trace_file", None):
         return _run_with_observability(args)

@@ -1,35 +1,38 @@
-"""Multi-host sweep fabric: socket work queue, worker agents, leases.
+"""The sweep transport: socket work queue, worker agents, leases.
 
-The distribution-scale step on top of :mod:`repro.core.dist`: the
-chunked scheduler's chunks, served over a line-JSON TCP protocol to
-worker agents on other processes or hosts, with a lease/heartbeat layer
-that reclaims chunks from workers that die or stall.  Three moving
-parts:
+The chunked scheduler in :mod:`repro.core.dist` moves every chunk that
+leaves its process through this package — to ``repro worker`` agents
+on other hosts (``backend="cluster"``) and to local worker processes
+forked for one sweep (``backend="process"``) alike — over a line-JSON
+protocol, with a lease/heartbeat layer that reclaims chunks from
+workers that die or stall.  Three moving parts:
 
 :class:`~repro.cluster.coordinator.ClusterCoordinator`
     Owns one chunk ledger per sweep, issues leases, reaps the dead,
     reassembles results, and hands each accepted chunk back to the
-    scheduler (which appends it to the sweep's result store).
-    ``sweep_models(..., backend="cluster")`` routes every chunk
-    through it.
+    scheduler (which appends it to the sweep's result store).  It
+    listens on TCP, or — built with ``host=None`` — only serves the
+    socketpairs of the local workers it adopted.
 :class:`~repro.cluster.worker.ClusterWorker`
-    The agent behind ``repro worker --connect host:port``: claims
-    chunks, executes them on its local warm process pool via the exact
-    code path of the process backend, and streams results (and trace
-    spans) back.
+    One single-slot agent: claims chunks, executes them in its own
+    process via the same :func:`repro.core.dist._chunk_worker` call for
+    both backends, and streams results (and trace spans) back.
+    :func:`~repro.cluster.worker.supervise` forks the agents behind
+    ``repro worker --connect host:port --workers N``;
+    :func:`~repro.cluster.worker.local_workers` forks a process sweep's.
 :class:`~repro.cluster.lease.ChunkLedger`
     The clock-free fault-recovery core: leases, bounded retries,
     deterministic reassembly under any claim interleaving.
 
-The scheduler finds the fabric through a process-ambient coordinator
-handle (:func:`set_coordinator` / :func:`get_coordinator`), set by the
-CLI (``repro sweep --listen``) or embedding code; :func:`coordinating`
-scopes it for tests.
+``backend="cluster"`` sweeps find the fabric through a process-ambient
+coordinator handle (:func:`set_coordinator` / :func:`get_coordinator`),
+set by the CLI (``repro sweep --listen``) or embedding code;
+:func:`coordinating` scopes it for tests.
 
-Determinism contract: a cluster sweep returns results bit-for-bit equal
-to ``backend="process"`` regardless of worker count, join/leave timing,
+Determinism contract: both backends return results bit-for-bit equal
+to the thread backend regardless of worker count, join/leave timing,
 or mid-sweep worker death — chunks are reassembled by task index, task
-payloads and scan execution are byte-identical to the local pool path,
+payloads and scan execution are byte-identical wherever a chunk runs,
 and duplicated work (a reclaimed chunk whose original result arrives
 late) collapses to a single deterministic outcome.
 """

@@ -1,36 +1,41 @@
-"""The cluster coordinator: the dist chunk scheduler, exposed over TCP.
+"""The cluster coordinator: the dist chunk scheduler's one transport.
 
 One coordinator serves many sweeps and many workers.  Sweeps enter
 through :meth:`ClusterCoordinator.run_chunks` — the scheduler hands
 over wire-ready chunks (lists of ``(task index, serialized task)``
 rows, exactly the payloads :func:`repro.core.dist._chunk_worker`
-executes) and blocks until every chunk has an outcome.  Workers enter
-through the line-JSON TCP protocol (:mod:`repro.cluster.protocol`):
-they claim chunks, execute them on their local warm pools, and stream
-results back.  In between sits one :class:`~repro.cluster.lease.ChunkLedger`
-per job: every claim carries a lease, heartbeats renew it, and a
-reaper thread reclaims chunks from workers that stop renewing —
-plus a fast path that reclaims immediately when a worker's connection
-drops (a SIGKILLed agent is detected in milliseconds, not a lease
-timeout later).
+executes) and blocks until every chunk has an outcome.  Workers speak
+the line-JSON protocol (:mod:`repro.cluster.protocol`): they claim
+chunks, execute them in their own process, and stream results back.
+A coordinator either listens on TCP for ``repro worker`` agents
+(``backend="cluster"``) or, built with ``host=None``, is *private*: it
+listens nowhere and serves only the socketpairs of the workers
+:func:`repro.cluster.worker.local_workers` forks for one
+``backend="process"`` sweep (:meth:`adopt`).  In between sits one
+:class:`~repro.cluster.lease.ChunkLedger` per job: every claim carries
+a lease, heartbeats renew it, and a reaper thread reclaims chunks from
+workers that stop renewing — plus a fast path that reclaims
+immediately when a worker's connection drops (a SIGKILLed worker is
+detected in milliseconds, not a lease timeout later).
 
 **Liveness without workers.**  The coordinator never strands a sweep:
 while no worker is connected, the submitting thread itself claims
-chunks and runs them inline (``cluster.chunks.inline``), so a cluster
-sweep with zero workers — or one whose every worker died mid-run —
-degrades to local execution and still completes.  Chunks whose retries
-are exhausted surface back to the scheduler, which falls back to its
-usual inline per-task path.  Either way the result set is bit-for-bit
-what ``backend="process"`` would have produced.
+chunks and runs them inline (``cluster.chunks.inline``), so a sweep
+with zero workers — or one whose every worker died mid-run — degrades
+to local execution and still completes.  Chunks whose retries are
+exhausted surface back to the scheduler, which falls back to its usual
+inline per-task path.  Either way the result set is bit-for-bit what
+the thread backend would have produced.
 
 **Observability.**  Counters are kept unconditionally in the
 coordinator (:meth:`snapshot` — the CLI's ``--json`` cluster block and
 the recovery tests read them) and mirrored to the obs registry under
-``cluster.*`` when it is enabled.  When the submitting sweep runs
-under an ambient trace, each chunk ships a ``traceparent`` continuing
-that trace; the worker's finished spans come back with the results and
-are replayed into this process's sinks under a per-chunk
-``cluster.chunk`` span — one timeline across hosts.
+``cluster.*`` when it is enabled; both backends share them.  When the
+submitting sweep runs under an ambient trace, each chunk ships a
+``traceparent`` continuing that trace; the worker's finished spans
+come back with the results and are replayed into this process's sinks
+under a per-chunk ``cluster.chunk`` span — one timeline across
+processes and hosts.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ class ClusterCoordinator:
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port; read the
         bound address back from :attr:`address` after :meth:`start`.
+        ``host=None`` makes a private coordinator that listens nowhere
+        and serves only the connections handed to :meth:`adopt`.
     lease_timeout:
         Seconds a claimed chunk may go un-renewed before it is
         reclaimed.  Workers are told to heartbeat at a quarter of this.
@@ -105,13 +112,15 @@ class ClusterCoordinator:
         per job.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+    def __init__(self, host: Optional[str] = "127.0.0.1", port: int = 0, *,
                  lease_timeout: float = 10.0, max_retries: int = 2) -> None:
         self._host = host
         self._port = port
         self.lease_timeout = lease_timeout
         self.max_retries = max_retries
         self._lock = threading.RLock()
+        #: Wakes claims parked waiting for work (see :meth:`_op_claim`).
+        self._work = threading.Condition(self._lock)
         self._jobs: "OrderedDict[int, _Job]" = OrderedDict()
         self._job_ids = itertools.count(1)
         self._workers: Dict[str, Dict[str, Any]] = {}
@@ -126,26 +135,37 @@ class ClusterCoordinator:
 
     # -- lifecycle --------------------------------------------------------
 
-    def start(self) -> Tuple[str, int]:
-        """Bind, listen, and spin up the accept + reaper threads.
-        Returns the bound ``(host, port)``."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(64)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="cluster-accept", daemon=True)
-        reaper = threading.Thread(target=self._reap_loop,
-                                  name="cluster-reaper", daemon=True)
-        self._threads = [accept, reaper]
-        accept.start()
-        reaper.start()
+    def start(self) -> Tuple[Optional[str], int]:
+        """Spin up the reaper thread and, unless private, bind, listen
+        and accept.  Returns the bound ``(host, port)``."""
+        self._threads = [threading.Thread(target=self._reap_loop,
+                                          name="cluster-reaper",
+                                          daemon=True)]
+        if self._host is not None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(64)
+            self._listener = listener
+            self._port = listener.getsockname()[1]
+            self._threads.append(threading.Thread(
+                target=self._accept_loop, name="cluster-accept",
+                daemon=True))
+        for thread in self._threads:
+            thread.start()
         return self.address
 
+    def adopt(self, conn: socket.socket, worker: str,
+              pid: Optional[int] = None) -> None:
+        """Serve one pre-connected worker (a forked local worker's end
+        of a socketpair).  The worker counts as joined at once, before
+        it sends anything, so the next job's claims go to it rather
+        than to the zero-worker inline path; it never says ``hello``."""
+        self._join(worker, pid, socket.gethostname())
+        self._serve(conn, worker)
+
     @property
-    def address(self) -> Tuple[str, int]:
+    def address(self) -> Tuple[Optional[str], int]:
         return (self._host, self._port)
 
     @property
@@ -181,6 +201,8 @@ class ClusterCoordinator:
                 pass
         for job in jobs:
             job.done.set()
+        with self._work:
+            self._work.notify_all()
         for thread in self._threads:
             thread.join(timeout=2.0)
 
@@ -245,8 +267,8 @@ class ClusterCoordinator:
         every chunk has an outcome.
 
         ``chunks`` are wire-ready payload rows — ``(task index,
-        serialized task bytes)`` — exactly what the local scheduler
-        would submit to its pool.  Returns ``(results, failed)``:
+        serialized task bytes)`` — the scheduler's dispatch payloads.
+        Returns ``(results, failed)``:
         ``results`` maps task index → finding for every task whose
         chunk completed anywhere on the fabric, ``failed`` lists the
         task indexes of retry-exhausted (or fabric-closed) chunks, for
@@ -266,9 +288,10 @@ class ClusterCoordinator:
         ledger = ChunkLedger(
             {cid: rows for cid, rows in enumerate(chunks)},
             max_retries=retries)
-        with self._lock:
+        with self._work:
             job = _Job(next(self._job_ids), ledger, trace_ctx)
             self._jobs[job.id] = job
+            self._work.notify_all()
         self._incr("jobs.submitted")
         if ledger.done:
             job.done.set()
@@ -343,18 +366,20 @@ class ClusterCoordinator:
         assert self._listener is not None
         while not self._closed.is_set():
             try:
-                conn, addr = self._listener.accept()
+                conn, _addr = self._listener.accept()
             except OSError:
                 return
-            with self._lock:
-                self._conns.append(conn)
-            handler = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name=f"cluster-conn-{addr[1]}", daemon=True)
-            handler.start()
+            self._serve(conn)
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        worker_id: Optional[str] = None
+    def _serve(self, conn: socket.socket,
+               worker: Optional[str] = None) -> None:
+        with self._lock:
+            self._conns.append(conn)
+        threading.Thread(target=self._serve_connection, args=(conn, worker),
+                         name="cluster-conn", daemon=True).start()
+
+    def _serve_connection(self, conn: socket.socket,
+                          worker_id: Optional[str] = None) -> None:
         clean = False
         reader = conn.makefile("rb")
         try:
@@ -463,27 +488,26 @@ class ClusterCoordinator:
             return self._op_bye(message)
         return self._op_ping(message)
 
-    def _op_hello(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        worker = message["worker"]
+    def _join(self, worker: str, pid: Any, host: Any) -> None:
+        """Count one more connection for ``worker``, registering it on
+        its first."""
         with self._lock:
             record = self._workers.get(worker)
-            if record is None:
-                record = {"pid": message.get("pid"),
-                          "host": message.get("host"),
-                          "slots": message.get("slots", 1),
-                          "conns": 0}
-                self._workers[worker] = record
-                joined = True
-            else:
-                joined = False
+            joined = record is None
+            if joined:
+                record = self._workers[worker] = {"pid": pid, "host": host,
+                                                  "conns": 0}
             record["conns"] += 1
             record["last_seen"] = time.monotonic()
         if joined:
             self._incr("workers.joined")
             if _OBS.enabled:
-                _OBS.event("cluster.worker.joined", worker=worker,
-                           pid=message.get("pid"),
-                           host=message.get("host"))
+                _OBS.event("cluster.worker.joined", worker=worker, pid=pid,
+                           host=host)
+
+    def _op_hello(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        self._join(message["worker"], message.get("pid"),
+                   message.get("host"))
         return {"status": STATUS_OK,
                 "lease_timeout": self.lease_timeout,
                 "heartbeat_interval": self.lease_timeout / 4.0}
@@ -493,46 +517,52 @@ class ClusterCoordinator:
         if record is not None:
             record["last_seen"] = time.monotonic()
 
+    def _claim_locked(self, worker: str) -> Optional[Tuple[_Job, Any]]:
+        """The first unclaimed chunk of any job, leased to ``worker``.
+        Caller holds the lock."""
+        now = time.monotonic()
+        for job in self._jobs.values():
+            lease = job.ledger.claim(worker, now=now,
+                                     ttl=self.lease_timeout)
+            if lease is not None:
+                return job, lease
+        return None
+
     def _op_claim(self, message: Dict[str, Any]) -> Dict[str, Any]:
         worker = message["worker"]
-        with self._lock:
+        with self._work:
             self._touch(worker)
-            now = time.monotonic()
-            active = False
-            for job in self._jobs.values():
-                if job.ledger.remaining():
-                    active = True
-                lease = job.ledger.claim(worker, now=now,
-                                         ttl=self.lease_timeout)
-                if lease is None:
-                    continue
-                rows = job.ledger.payload(lease.chunk_id)
-                traceparent = None
-                span_hex = None
-                if job.trace_ctx is not None:
-                    # Minted at claim so the worker's spans can parent
-                    # under the chunk span before it is emitted.
-                    span_hex = mint_span_id()
-                    traceparent = TraceContext(
-                        job.trace_ctx.trace_id, span_hex,
-                        job.trace_ctx.sampled).to_traceparent()
-                lease_meta = {"span_hex": span_hex,
-                              "claimed_mono": now,
-                              "claimed_wall": _OBS._wall(),
-                              "attempt": lease.attempt}
-                self._lease_meta[(job.id, lease.chunk_id)] = lease_meta
-                payload = encode_payload(rows)
-                shipped = sum(len(raw) for _i, raw in rows)
-                break
-            else:
+            claimed = self._claim_locked(worker)
+            if claimed is None and not self._closed.is_set():
+                # Park one idle interval: a job submitted meanwhile is
+                # claimed at once instead of one poll later (a forked
+                # local worker's first claim races its sweep's submit).
+                self._work.wait(_IDLE_RETRY_MS / 1000.0)
+                claimed = self._claim_locked(worker)
+            if claimed is None:
                 return {"status": STATUS_IDLE, "retry_ms": _IDLE_RETRY_MS,
-                        "active": active}
+                        "active": any(job.ledger.remaining()
+                                      for job in self._jobs.values())}
+            job, lease = claimed
+            rows = job.ledger.payload(lease.chunk_id)
+            traceparent = None
+            span_hex = None
+            if job.trace_ctx is not None:
+                # Minted at claim so the worker's spans can parent
+                # under the chunk span before it is emitted.
+                span_hex = mint_span_id()
+                traceparent = TraceContext(
+                    job.trace_ctx.trace_id, span_hex,
+                    job.trace_ctx.sampled).to_traceparent()
+            self._lease_meta[(job.id, lease.chunk_id)] = {
+                "span_hex": span_hex, "claimed_mono": time.monotonic(),
+                "claimed_wall": _OBS._wall(), "attempt": lease.attempt}
         self._incr("chunks.claimed")
-        self._incr("bytes.shipped", shipped)
+        self._incr("bytes.shipped", sum(len(raw) for _i, raw in rows))
         return {"status": STATUS_CHUNK, "job": job.id,
                 "chunk": lease.chunk_id, "lease": lease.token,
                 "attempt": lease.attempt, "traceparent": traceparent,
-                "payload": payload}
+                "payload": encode_payload(rows)}
 
     def _op_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
         worker = message["worker"]
@@ -646,7 +676,8 @@ class ClusterCoordinator:
                 return
             del self._workers[worker]
             reclaimed = self._release_worker_locked(worker)
-        if not clean:
+        # Connections this coordinator shut itself are not losses.
+        if not clean and not self._closed.is_set():
             self._incr("workers.lost")
             if _OBS.enabled:
                 _OBS.event("cluster.worker.lost", worker=worker,

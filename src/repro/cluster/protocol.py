@@ -1,4 +1,4 @@
-"""The cluster wire protocol: line-delimited JSON over TCP.
+"""The cluster wire protocol: line-delimited JSON over a stream socket.
 
 Same framing conventions as :mod:`repro.serve.protocol` — one message
 per newline-terminated JSON line, one response per request, strictly in
@@ -6,9 +6,11 @@ order on each connection — but between *workers* and the *coordinator*
 rather than clients and the service.  Worker-initiated operations:
 
 ``hello``
-    ``{"op": "hello", "worker": <hex id>, "pid": 1234, "host": "...",
-    "slots": 2}`` — announce a worker agent.  The response carries the
-    coordinator's lease timeout and suggested heartbeat interval.
+    ``{"op": "hello", "worker": <hex id>, "pid": 1234, "host": "..."}``
+    — announce a worker agent dialling in over TCP (local workers on a
+    socketpair are registered when adopted and skip it).  The response
+    carries the coordinator's lease timeout and suggested heartbeat
+    interval.
 ``claim``
     Ask for one chunk of work.  The response is either ``status:
     "chunk"`` — carrying ``job``/``chunk``/``lease`` identifiers, an
@@ -39,8 +41,8 @@ Every response echoes ``status``: ``ok``, ``chunk``, ``idle``, or
 ``error`` (with a ``message``).  Task payloads travel as base64-encoded
 *pickled bytes* produced by the scheduler's per-task serialization
 probe (:func:`repro.core.dist._serialize_task`); the codec here never
-re-pickles, so the bytes a worker unpickles are identical to what a
-local pool worker would have received.
+re-pickles, so the bytes a worker unpickles are identical for either
+backend.
 """
 
 from __future__ import annotations

@@ -51,11 +51,11 @@ Three layers:
 * **Zero-copy sharing.**  :func:`export_shared` serializes an encoding
   into one ``multiprocessing.shared_memory`` segment (``int64`` columns
   as raw buffers, other columns as one pickled blob) and returns a tiny
-  picklable :class:`SharedColumnarDomain` ref; pool workers attach the
-  segment (read-only, via ``np.frombuffer`` / ``memoryview.cast``) and
-  scan without the domain ever crossing the pipe.  The parent owns the
-  segment lifecycle — create before dispatch, unlink after the sweep —
-  while workers keep a small bounded attachment cache; see
+  picklable :class:`SharedColumnarDomain` ref; workers read the segment
+  (via ``np.frombuffer`` / ``memoryview.cast``) and scan without the
+  domain ever crossing the wire.  The parent owns the segment lifecycle
+  — create before its workers fork, unlink before dispatch, unmap after
+  the sweep — while workers keep a small bounded attachment cache; see
   :mod:`repro.core.dist` for the per-sweep session and its counters.
   Where shared memory is unavailable the ref degrades to carrying the
   column payload inline (pickled bytes — no sharing, but workers still
@@ -1173,7 +1173,7 @@ def stats() -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy sharing across the pool.
+# Zero-copy sharing with worker processes.
 # ---------------------------------------------------------------------------
 
 def shm_supported() -> bool:
@@ -1380,27 +1380,38 @@ def _attach_segment(name: str) -> Any:
 
 class SharedExport:
     """One exported domain: the picklable ref plus the parent-side
-    segment handle.  ``close()`` unlinks — call it exactly once, after
-    every chunk of the sweep has completed."""
+    segment handle.  :meth:`unlink` drops the segment's name once every
+    process that needs the mapping has it (forked workers inherit it);
+    :meth:`close` unlinks if that has not happened yet and unmaps —
+    call it exactly once, after every chunk of the sweep has completed."""
 
-    __slots__ = ("ref", "_segment", "nbytes")
+    __slots__ = ("ref", "_segment", "nbytes", "_linked")
 
     def __init__(self, ref: SharedColumnarDomain, segment: Any,
                  nbytes: int) -> None:
         self.ref = ref
         self._segment = segment
         self.nbytes = nbytes
+        self._linked = segment is not None
+
+    def unlink(self) -> None:
+        if self._linked:
+            self._linked = False
+            try:
+                self._segment.unlink()
+            except Exception:
+                pass
 
     def close(self) -> None:
+        self.unlink()
         segment = self._segment
         self._segment = None
         if segment is not None:
+            with _ATTACH_LOCK:
+                if _ATTACHED.get(self.ref.segment) is segment:
+                    del _ATTACHED[self.ref.segment]
             try:
                 segment.close()
-            except Exception:
-                pass
-            try:
-                segment.unlink()
             except Exception:
                 pass
 
@@ -1446,7 +1457,8 @@ def export_shared(domain: Any) -> Optional[SharedExport]:
         )
         # The exporting process reads through the same attachment path
         # as workers (inline chunk fallback); prime its cache with the
-        # owning handle so it never re-opens its own segment.
+        # owning handle so it never re-opens its own segment.  Workers
+        # forked after this point inherit the entry, and the mapping.
         with _ATTACH_LOCK:
             _ATTACHED[name] = segment
         return SharedExport(ref, segment, offset)

@@ -5,16 +5,18 @@
 the scheduler that runs that list across process boundaries.  It adds
 three layers on top of the plain executor in :mod:`repro.core.sweep`:
 
-**Chunked dispatch over a warm pool.**  Tasks are grouped into
+**Chunked dispatch over one transport.**  Tasks are grouped into
 size-balanced chunks (greedy longest-processing-time packing, with
-domain cardinality as the cost estimate) so a handful of huge domains
-cannot serialize the sweep behind one worker.  Chunks are dispatched to
-a persistent, module-level :class:`~concurrent.futures.ProcessPoolExecutor`
-that survives across ``sweep_models`` calls — fork/spawn cost is paid
-once per session, not once per sweep (``dist.pool.created`` vs
-``dist.pool.reused`` counters).  A chunk whose worker crashes is retried
-on a fresh pool, then — still failing — run inline in the parent, so a
-poisoned worker degrades throughput, never correctness.
+the plan cost estimate) so a handful of huge domains cannot serialize
+the sweep behind one worker.  Both backends hand the chunks to a
+:class:`~repro.cluster.ClusterCoordinator`: ``"cluster"`` to the
+ambient one that ``repro worker`` agents join over TCP, ``"process"``
+to a private one served by local agents forked for this one call
+(:func:`repro.cluster.worker.local_workers`, one ``socketpair`` each —
+nothing listens on a port, and a memo-only call forks none).  Leases,
+reclaim on worker death and the coordinator's inline path are the same
+code for both; a chunk whose retries run out runs inline here, per
+task, so a poisoned worker degrades throughput, never correctness.
 
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
@@ -25,8 +27,8 @@ tasks, ``dist.memo.hits``) and can be persisted to a JSONL
 :class:`ResultStore` (the cold tier — ``sweep_models(resume_from=...)``
 re-runs only the delta after a corpus change, ``dist.resume.skips``).
 Handed a store, :func:`run_tasks` appends each chunk's keyed results as
-that chunk completes — on the local pool and on the cluster fabric
-alike — so a sweep killed mid-run resumes from every chunk that landed.
+that chunk completes, so a sweep killed mid-run resumes from every
+chunk that landed.
 Keys are purely semantic: a rebound predicate, an edited domain, or a
 different witness limit all change the key, so reuse is never stale.
 
@@ -39,12 +41,12 @@ re-pickled into every chunk payload.  With the columnar engine enabled,
 :func:`repro.core.columnar.export_shared`), publishes its columns in a
 ``multiprocessing.shared_memory`` segment, and substitutes a tiny
 picklable :class:`~repro.core.columnar.SharedColumnarDomain` ref into
-the chunk payloads; pool workers attach the segment read-only and scan
-the columns in place.  The parent owns every segment for exactly one
-``run_tasks`` call — created before dispatch, unlinked in a ``finally``
-after the last chunk completes (crash-retry and inline fallbacks always
-re-run the *original* tasks, so a failed attach degrades, never
-corrupts).  A substitution only happens when it strictly shrinks the
+the chunk payloads; workers read the columns in place.  The segment
+is created before the local workers fork, so they inherit its mapping,
+and its name is unlinked before the first chunk is dispatched: no
+segment name outlives the call, or a kill.  The parent closes its own
+mapping when the call returns (inline fallbacks always re-run the
+*original* tasks, so a failed attach degrades, never corrupts).  A substitution only happens when it strictly shrinks the
 payload, and where shared memory is unavailable the ref degrades to
 inline pickled columns (``dist.shm.fallback``).  Counters:
 ``dist.shm.segments`` / ``bytes_shared`` / ``bytes_saved`` / ``tasks``.
@@ -57,16 +59,15 @@ import json
 import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
 from ..obs.sinks import MemorySink
-from ..obs.trace import TraceContext, emit_span, mint_span_id
+from ..obs.trace import TraceContext
 from .predspec import decode_value, encode_value, spec_digest
 from .sweep import SweepFinding, _scan_task
 
@@ -81,8 +82,6 @@ __all__ = [
     "memo_discard",
     "clear_memo",
     "set_shm_enabled",
-    "shutdown_pool",
-    "kill_pool",
     "reset",
 ]
 
@@ -90,7 +89,7 @@ __all__ = [
 _PENDING = object()
 
 #: Chunks per worker — mild oversubscription so LPT imbalance and
-#: straggler chunks backfill instead of idling the pool.
+#: straggler chunks backfill instead of idling workers.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -444,73 +443,8 @@ def clear_memo() -> None:
         _RESULT_MEMO.clear()
 
 
-# ---------------------------------------------------------------------------
-# The warm process pool.
-# ---------------------------------------------------------------------------
-
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_WORKERS: Optional[int] = None
-_POOL_LOCK = threading.Lock()
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The session's persistent pool, recreated only when the requested
-    width changes (or after :func:`shutdown_pool`)."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL_WORKERS == workers:
-            if _OBS.enabled:
-                _OBS.incr("dist.pool.reused")
-            return _POOL
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        _POOL = ProcessPoolExecutor(max_workers=workers)
-        _POOL_WORKERS = workers
-        if _OBS.enabled:
-            _OBS.incr("dist.pool.created")
-        return _POOL
-
-
-def shutdown_pool() -> None:
-    """Tear down the warm pool (tests, benches, session end)."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_WORKERS = None
-
-
-def kill_pool() -> None:
-    """Forcibly terminate the warm pool's processes *now*.
-
-    The cooperative :func:`shutdown_pool` waits for in-flight work — a
-    worker wedged inside a hung scan would stall it forever.  The chunk
-    deadline watchdog (``repro worker --chunk-timeout``) calls this
-    instead: SIGTERM every pool process, then discard the executor
-    without waiting.  The next :func:`_get_pool` builds a fresh pool.
-    """
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        pool, _POOL, _POOL_WORKERS = _POOL, None, None
-    if pool is None:
-        return
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - pre-3.9 signature
-        pool.shutdown(wait=False)
-    if _OBS.enabled:
-        _OBS.incr("dist.pool.killed")
-
-
 def reset() -> None:
-    """Fresh-session state: no warm pool, no memoized results."""
-    shutdown_pool()
+    """Fresh-session state: no memoized results."""
     clear_memo()
 
 
@@ -667,7 +601,8 @@ def set_shm_enabled(on: bool) -> bool:
 
 class _ShmSession:
     """The per-``run_tasks`` shared-domain registry: one export per
-    distinct domain object, every export unlinked at :meth:`close`."""
+    distinct domain object, every export unlinked by :meth:`unlink` (or
+    at the latest :meth:`close`) and unmapped at :meth:`close`."""
 
     def __init__(self) -> None:
         self._exports: Dict[int, Any] = {}
@@ -694,9 +629,11 @@ class _ShmSession:
                     _OBS.incr("dist.shm.fallback")
         return None if export is None else export.ref
 
-    def shipped_any(self) -> bool:
-        return any(export is not None
-                   for export in self._exports.values())
+    def unlink(self) -> None:
+        """Drop every segment's name; existing mappings stay valid."""
+        for export in self._exports.values():
+            if export is not None:
+                export.unlink()
 
     def close(self) -> None:
         for export in self._exports.values():
@@ -774,7 +711,7 @@ def run_tasks(
     store: Optional[ResultStore] = None,
     max_retries: int = 2,
 ) -> List[Optional[SweepFinding]]:
-    """Execute scan tasks through the chunked process scheduler.
+    """Execute scan tasks through the chunked scheduler.
 
     Parameters
     ----------
@@ -782,13 +719,15 @@ def run_tasks(
         ``(model_name, operation_name, pfsm, domain, limit)`` tuples (the
         :mod:`repro.core.sweep` task shape).
     workers:
-        Process-pool width.
+        Local worker processes to fork (``"process"``); the chunking
+        width hint (``"cluster"``).
     backend:
-        ``"process"`` dispatches chunks to the warm local pool;
-        ``"cluster"`` ships them through the ambient :mod:`repro.cluster`
-        coordinator to remote worker agents (lease-tracked, reclaimed on
-        worker death, inline fallback on retry exhaustion — results stay
-        bit-for-bit equal to ``"process"``).
+        ``"process"`` forks ``workers`` local workers on a private
+        coordinator for this call; ``"cluster"`` ships chunks through
+        the ambient :mod:`repro.cluster` coordinator to remote worker
+        agents.  Both are lease-tracked, reclaimed on worker death, and
+        fall back inline on retry exhaustion — results stay bit-for-bit
+        equal to the thread backend's.
     keys:
         Optional per-task result keys (from :func:`task_key`).  Keyed
         tasks hit the in-memory result memo; ``None`` entries always
@@ -798,7 +737,7 @@ def run_tasks(
         once: memo hits up front, computed results chunk by chunk as
         each chunk completes, so a killed run keeps what landed.
     max_retries:
-        Per-chunk resubmissions after a worker crash before the chunk
+        Per-chunk reclaims after a worker failure before the chunk
         falls back to inline execution.
 
     Returns results in task order, exactly like the inline executor.
@@ -859,16 +798,9 @@ def run_tasks(
     try:
         with _OBS.span("dist.run", backend=backend, tasks=count,
                        pending=len(pending), workers=workers) as span:
-            if pending and backend == "cluster":
-                _run_cluster_chunks(tasks, payload_list, pending,
-                                    workers, results, max_retries, persist)
-            elif pending:
-                chunks = chunk_tasks(tasks, pending,
-                                     workers * _CHUNKS_PER_WORKER)
-                if obs_on:
-                    _OBS.incr("dist.chunks", len(chunks))
-                _execute_chunks(tasks, payload_list, chunks, workers,
-                                results, max_retries, persist)
+            if pending:
+                _run_chunks(tasks, payload_list, pending, workers, backend,
+                            results, max_retries, persist, shared_session)
 
             # Parent-side inline degrade for tasks that never pickled.
             for index in inline_indexes:
@@ -890,42 +822,57 @@ def run_tasks(
     return [None if r is _PENDING else r for r in results]
 
 
-def _run_cluster_chunks(
+def _run_chunks(
     tasks: Sequence[Any],
     payloads: Sequence[Optional[bytes]],
     pending: Sequence[int],
     workers: int,
+    backend: str,
     results: List[Any],
     max_retries: int,
     persist: Callable[[Sequence[Tuple[int, Any]]], None],
+    shared_session: Optional[_ShmSession],
 ) -> None:
-    """Ship the pending chunks through the ambient cluster coordinator.
+    """Ship the pending chunks through a coordinator: the ambient one
+    (``"cluster"``), or a private one with freshly forked local workers
+    (``"process"``).
 
     Chunk width scales with the fabric (connected workers beat the
-    local ``workers`` hint when larger), execution happens wherever a
-    worker claims the chunk, and chunks whose reclaim retries are
-    exhausted — or that a closing fabric handed back — degrade to the
-    scheduler's usual inline per-task path.  Either way every pending
-    index is filled, with results identical to ``backend="process"``.
-    ``persist`` sees each chunk's pairs as the coordinator accepts them.
+    ``workers`` hint when larger), execution happens wherever a worker
+    claims the chunk, and chunks whose reclaim retries are exhausted —
+    or that a closing fabric handed back — degrade to the scheduler's
+    usual inline per-task path.  Either way every pending index is
+    filled.  ``persist`` sees each chunk's pairs as the coordinator
+    accepts them.
     """
-    from .. import cluster
+    from ..cluster import get_coordinator
+    from ..cluster.worker import local_workers
 
-    coordinator = cluster.get_coordinator()
-    if coordinator is None:
-        raise RuntimeError(
-            "backend='cluster' needs a running coordinator: start one "
-            "with `repro sweep --listen HOST:PORT` or "
-            "repro.cluster.set_coordinator()")
-    width = max(int(workers), coordinator.worker_count(), 1)
+    if backend == "cluster":
+        coordinator = get_coordinator()
+        if coordinator is None:
+            raise RuntimeError(
+                "backend='cluster' needs a running coordinator: start one "
+                "with `repro sweep --listen HOST:PORT` or "
+                "repro.cluster.set_coordinator()")
+        width = max(int(workers), coordinator.worker_count(), 1)
+    else:
+        width = max(int(workers), 1)
     chunks = chunk_tasks(tasks, pending, width * _CHUNKS_PER_WORKER)
     if _OBS.enabled:
         _OBS.incr("dist.chunks", len(chunks))
     payload_chunks = [[(index, payloads[index]) for index in chunk]
                       for chunk in chunks]
-    got, failed = coordinator.run_chunks(payload_chunks,
-                                         max_retries=max_retries,
-                                         on_chunk=persist)
+    fabric = (nullcontext(coordinator) if backend == "cluster" else
+              local_workers(min(width, len(chunks))))
+    with fabric as coordinator:
+        if shared_session is not None:
+            # The local workers have forked and hold the mappings: no
+            # segment name needs to outlive dispatch.
+            shared_session.unlink()
+        got, failed = coordinator.run_chunks(payload_chunks,
+                                             max_retries=max_retries,
+                                             on_chunk=persist)
     for index, finding in got.items():
         results[index] = finding
     if failed and _OBS.enabled:
@@ -933,109 +880,3 @@ def _run_cluster_chunks(
     for index in failed:
         results[index] = _scan_task(tasks[index])
     persist([(index, results[index]) for index in failed])
-
-
-def _execute_chunks(
-    tasks: Sequence[Any],
-    payloads: Sequence[Optional[bytes]],
-    chunks: List[List[int]],
-    workers: int,
-    results: List[Any],
-    max_retries: int,
-    persist: Callable[[Sequence[Tuple[int, Any]]], None],
-) -> None:
-    """Dispatch chunks to the warm pool; retry crashed chunks on a fresh
-    pool; last resort runs the chunk inline in the parent.  ``persist``
-    sees each chunk's pairs as that chunk completes.
-
-    When an ambient trace context is live (the serving path sets one
-    around the engine dispatch, and the enclosing ``dist.run`` span
-    narrows it to itself), every chunk ships a child context as a
-    serialized traceparent: the worker continues the trace and returns
-    its finished spans with the results, which are replayed into this
-    process's sinks under a per-chunk ``dist.chunk`` span.
-    """
-    obs_on = _OBS.enabled
-    trace_ctx = _OBS.current_trace() if obs_on else None
-    pending_chunks = chunks
-    attempt = 0
-    while pending_chunks and attempt <= max_retries:
-        pool = _get_pool(workers)
-        failed: List[List[int]] = []
-        futures = {}
-        submit_at: Dict[Any, float] = {}
-        submit_wall: Dict[Any, float] = {}
-        chunk_hexes: Dict[Any, Optional[str]] = {}
-        for position, chunk in enumerate(pending_chunks):
-            payload = [(i, payloads[i]) for i in chunk]
-            chunk_hex: Optional[str] = None
-            try:
-                if _faults.fire("dist.dispatch.crash") is not None:
-                    raise _faults.InjectedFault("dist.dispatch.crash")
-                if trace_ctx is not None:
-                    # The chunk span's id is minted at submission so the
-                    # worker's spans can parent under it before the span
-                    # itself is emitted (on completion).
-                    chunk_hex = mint_span_id()
-                    header = TraceContext(
-                        trace_ctx.trace_id, chunk_hex,
-                        trace_ctx.sampled).to_traceparent()
-                    future = pool.submit(_chunk_worker, payload, header)
-                else:
-                    future = pool.submit(_chunk_worker, payload)
-            except Exception:
-                # Pool broke at submission time; this chunk and every
-                # later one join the retry set.
-                failed.extend(pending_chunks[position:])
-                break
-            futures[future] = chunk
-            submit_at[future] = time.monotonic()
-            submit_wall[future] = _OBS._wall()
-            chunk_hexes[future] = chunk_hex
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding,
-                                     return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk = futures[future]
-                try:
-                    outcome = future.result()
-                    if isinstance(outcome, tuple) and len(outcome) == 2:
-                        pairs, remote_spans = outcome
-                    else:
-                        pairs, remote_spans = outcome, ()
-                    for index, finding in pairs:
-                        results[index] = finding
-                    persist(pairs)
-                    elapsed = time.monotonic() - submit_at[future]
-                    if chunk_hexes.get(future) is not None:
-                        emit_span(
-                            _OBS, "dist.chunk", trace_ctx,
-                            submit_wall[future], elapsed,
-                            span_hex=chunk_hexes[future],
-                            tasks=len(chunk), attempt=attempt,
-                        )
-                        for event in remote_spans:
-                            _OBS._emit(event)
-                    if obs_on:
-                        _OBS.incr("dist.chunk.completed")
-                        _OBS.event(
-                            "dist.chunk",
-                            tasks=len(chunk),
-                            seconds=elapsed,
-                        )
-                except Exception:
-                    failed.append(chunk)
-        if failed:
-            # A crashed worker poisons the whole pool; start fresh.
-            shutdown_pool()
-            if attempt < max_retries and obs_on:
-                _OBS.incr("dist.chunk.retries", len(failed))
-        pending_chunks = failed
-        attempt += 1
-    for chunk in pending_chunks:
-        if obs_on:
-            _OBS.incr("dist.chunk.inline_fallback")
-        for index in chunk:
-            results[index] = _scan_task(tasks[index])
-        persist([(index, results[index]) for index in chunk])

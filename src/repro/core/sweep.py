@@ -37,9 +37,9 @@ per-task spans, scan-strategy counters (``sweep.scans.fastpath`` /
 ``plan.strategy.*`` picks) and executor decisions (``sweep.pool.*``).
 The checks are hoisted to once per scan/task — the per-object loops are
 untouched, so a disabled registry costs nothing measurable.
-(Process-pool children carry their own disabled registries, so per-task
-telemetry under ``mode="process"`` stays in the children; the parent
-still records the pool decision and queue size.)
+(Worker processes keep their own registries, so per-task telemetry
+under ``mode="process"`` stays in the workers; the parent still records
+the executor decision and queue size.)
 """
 
 from __future__ import annotations
@@ -358,8 +358,8 @@ def _run_tasks(
 
     * ``"thread"`` — every task runs on the calling thread, sharing the
       plan ``memo``; ``workers`` is ignored.
-    * ``"process"`` — the chunked warm-pool scheduler in
-      :mod:`repro.core.dist` with ``workers`` processes (``keys``
+    * ``"process"`` — the chunked scheduler in :mod:`repro.core.dist`
+      with ``workers`` forked local worker processes (``keys``
       enables fingerprint-keyed result reuse, and a ``store`` receives
       each chunk's keyed results as it completes).
     * ``"cluster"`` — the same scheduler, dispatching chunks through
@@ -460,12 +460,13 @@ def sweep_models(
     limit:
         Max witnesses recorded per pFSM.
     workers:
-        Pool size of the process and cluster backends (``None`` means
-        1); the thread backend ignores it.
+        Worker processes of the process backend, chunking width of the
+        cluster backend (``None`` means 1); the thread backend ignores
+        it.
     mode:
         ``"thread"`` (default: every task on the calling thread),
-        ``"process"`` (the chunked warm-pool scheduler of
-        :mod:`repro.core.dist`, which also reuses fingerprint-keyed
+        ``"process"`` (the chunked scheduler of :mod:`repro.core.dist`
+        on forked local workers, which also reuses fingerprint-keyed
         results within the session), or
         ``"cluster"`` (the same scheduler dispatching through the
         ambient :mod:`repro.cluster` coordinator to worker agents —

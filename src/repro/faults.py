@@ -4,8 +4,8 @@ The paper's method makes failure modes *enumerable*: each exploit is a
 finite sequence of elementary violations that can be walked
 deliberately.  This module gives the runtime the same treatment — a
 process-wide :class:`FaultPlan` of injection points that the hot seams
-consult (cluster socket send/recv, worker chunk execution, dist pool
-dispatch, serve admission/batch dispatch, result-store appends), so a
+consult (cluster socket send/recv, worker chunk execution, serve
+admission/batch dispatch, result-store appends), so a
 fault *sequence* can be generated from a seed and replayed exactly.
 
 Ambient like :func:`repro.cluster.coordinating`: install a plan with

@@ -54,8 +54,8 @@ def _cluster_sweep(plan=None, workers=2, chunk_timeout=None, limit=4):
     models, domains = _models()
     with ClusterCoordinator(lease_timeout=5.0) as coordinator, \
             coordinating(coordinator):
-        agents = [ClusterWorker(*coordinator.address, slots=1,
-                                inline=True, chunk_timeout=chunk_timeout)
+        agents = [ClusterWorker(*coordinator.address,
+                                chunk_timeout=chunk_timeout)
                   for _ in range(workers)]
         for agent in agents:
             agent.start()

@@ -1,6 +1,7 @@
-"""End-to-end cluster fabric tests: parity with the process backend,
-zero-worker liveness, connection-drop recovery, SIGKILL recovery
-through a real worker subprocess, and the serve fan-out."""
+"""End-to-end cluster fabric tests: zero-worker liveness,
+connection-drop recovery, heartbeat renewal, SIGKILL recovery through
+a real worker subprocess, and the agent lifecycle.  Parity with the
+other backends lives in ``tests/core/test_dist.py::TestBackendParity``."""
 
 import os
 import pickle
@@ -69,28 +70,7 @@ def _witnesses(results):
     return [tuple(r.witnesses) if r is not None else None for r in results]
 
 
-class TestClusterBackendParity:
-    def test_sweep_matches_process_backend_with_workers(self):
-        models, domains = _models()
-        expected = _flat(sweep_models(models, domains, limit=4,
-                                      mode="process", workers=2))
-        dist.reset()
-        dist.clear_memo()
-        with ClusterCoordinator() as coordinator, \
-                coordinating(coordinator):
-            agents = [ClusterWorker(*coordinator.address, slots=1,
-                                    inline=True) for _ in range(2)]
-            for agent in agents:
-                agent.start()
-            assert coordinator.wait_for_workers(2, timeout=10.0)
-            got = _flat(sweep_models(models, domains, limit=4,
-                                     backend="cluster", workers=2))
-            for agent in agents:
-                agent.stop()
-            assert coordinator.counter("chunks.completed") >= 1
-            assert coordinator.counter("chunks.inline") == 0
-        assert got == expected
-
+class TestZeroWorkers:
     def test_zero_workers_degrades_to_inline_and_matches(self):
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
@@ -105,17 +85,6 @@ class TestClusterBackendParity:
             assert completed >= 1
             assert coordinator.counter("chunks.inline") == completed
         assert got == expected
-
-    def test_backend_kwarg_is_an_alias_for_mode(self):
-        models, domains = _models()
-        expected = _flat(sweep_models(models, domains, limit=3,
-                                      mode="thread"))
-        assert _flat(sweep_models(models, domains, limit=3,
-                                  backend="thread")) == expected
-
-    def test_cluster_without_coordinator_is_a_clear_error(self):
-        with pytest.raises(RuntimeError, match="coordinator"):
-            dist.run_tasks(_tasks(1), 2, backend="cluster")
 
 
 class TestConnectionDropRecovery:
@@ -337,7 +306,7 @@ class TestSigkillRecovery:
             agent = subprocess.Popen(
                 [sys.executable, "-m", "repro", "worker",
                  "--connect", "127.0.0.1:%d" % coordinator.port,
-                 "--workers", "1", "--inline",
+                 "--workers", "1",
                  "--preload", "tests.cluster.slowpred",
                  "--connect-timeout", "10"],
                 cwd=_REPO_ROOT, env=env,
@@ -380,18 +349,51 @@ class TestWorkerAgent:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()  # nothing listens here
-        agent = ClusterWorker("127.0.0.1", port, connect_timeout=0.3,
-                              inline=True)
+        agent = ClusterWorker("127.0.0.1", port, connect_timeout=0.3)
         with pytest.raises(WorkerConnectError):
             agent.run()
 
     def test_worker_exits_cleanly_when_coordinator_goes_away(self):
         coordinator = ClusterCoordinator()
         coordinator.start()
-        agent = ClusterWorker(*coordinator.address, slots=1, inline=True,
-                              connect_timeout=0.5)
+        agent = ClusterWorker(*coordinator.address, connect_timeout=0.5)
         agent.start()
         assert coordinator.wait_for_workers(1, timeout=10.0)
         coordinator.close()
         agent.stop(timeout=10.0)
         assert not agent._run_thread.is_alive()
+
+    def test_timed_out_agent_is_replaced_and_the_sweep_matches(self):
+        """``repro worker --chunk-timeout``: the agent whose chunk hangs
+        fails it and exits; its supervisor forks a replacement, and the
+        sweep still returns the thread backend's results.  (Each forked
+        agent holds its own copy of the fault plan, so a replacement
+        hangs on its first chunk too; retries and the inline paths
+        finish the sweep.)"""
+        tasks = _tasks(2)
+        expected = _witnesses([_scan_task(t) for t in tasks])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(_REPO_ROOT, "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        with ClusterCoordinator() as coordinator, \
+                coordinating(coordinator):
+            supervisor = subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--connect", "127.0.0.1:%d" % coordinator.port,
+                 "--workers", "1", "--chunk-timeout", "0.5",
+                 "--connect-timeout", "1",
+                 "--faults", "worker.chunk.hang:1@max=1@ms=60000"],
+                cwd=_REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            try:
+                assert coordinator.wait_for_workers(1, timeout=20.0)
+                got = dist.run_tasks(tasks, 1, backend="cluster")
+                assert coordinator.counter("chunks.reclaimed") >= 1
+                # The hung agent left, and a replacement dialled in.
+                _until(lambda: coordinator.counter("workers.joined") >= 2)
+            finally:
+                coordinator.close()
+                code = supervisor.wait(timeout=30.0)
+        assert code == 0
+        assert _witnesses(got) == expected

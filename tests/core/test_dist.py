@@ -1,5 +1,5 @@
-"""The distributed sweep scheduler: chunking, the warm pool, the
-fingerprint memo, crash retry, backend validation, and JSONL resume."""
+"""The distributed sweep scheduler: chunking, backend parity, the
+fingerprint memo, crash recovery, backend validation, and JSONL resume."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro import faults, obs
+from repro.cluster import ClusterCoordinator, ClusterWorker, coordinating
 from repro.core import (
     Domain,
     PrimitiveFSM,
@@ -101,56 +102,130 @@ class TestChunking:
         assert len(dist.chunk_tasks(tasks, [0, 1], 8)) <= 2
 
 
-class TestRunTasks:
-    def test_process_backend_matches_inline(self):
+@pytest.fixture(params=["process", "cluster"])
+def backend(request):
+    """Each chunked backend: ``process`` forks its own local workers;
+    ``cluster`` gets an ambient TCP coordinator with two agents."""
+    if request.param == "process":
+        yield "process"
+        return
+    with ClusterCoordinator() as coordinator, coordinating(coordinator):
+        agents = [ClusterWorker(*coordinator.address) for _ in range(2)]
+        for agent in agents:
+            agent.start()
+        assert coordinator.wait_for_workers(2, timeout=10.0)
+        yield "cluster"
+        for agent in agents:
+            agent.stop()
+
+
+def _flat(sweeps):
+    return [(s.model_name, f.pfsm_name, tuple(f.witnesses))
+            for s in sweeps for f in s.findings]
+
+
+def _counting(fn):
+    """``(fn(), counters)`` with the registry counting from zero."""
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        return fn(), registry.counters()
+    finally:
+        registry.disable()
+        registry.reset()
+
+
+class TestBackendParity:
+    """Both chunked backends return what the thread backend returns —
+    through one scheduler path, on the same counters."""
+
+    def test_matches_inline(self, backend):
         tasks = [_task(Domain.integers(-5, 20)),
                  _task(Domain.integers(0, 40), limit=3)]
         from repro.core.sweep import _scan_task
         expected = [_scan_task(t) for t in tasks]
-        got = dist.run_tasks(tasks, 2, backend="process")
+        got = dist.run_tasks(tasks, 2, backend=backend)
         assert _witnesses(got) == _witnesses(expected)
 
-    def test_memo_serves_repeat_keys_without_rescanning(self):
+    def test_memo_serves_repeat_keys_without_rescanning(self, backend):
         tasks = [_task(Domain.integers(-5, 20))]
         keys = ["stable-key"]
-        first = dist.run_tasks(tasks, 2, backend="process", keys=keys)
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable()
-        try:
-            second = dist.run_tasks(tasks, 2, backend="process", keys=keys)
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.reset()
+        first = dist.run_tasks(tasks, 2, backend=backend, keys=keys)
+        second, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend=backend, keys=keys))
         assert _witnesses(second) == _witnesses(first)
         assert counters.get("dist.memo.hits") == 1
         assert "dist.chunks" not in counters
 
-    def test_unpicklable_task_runs_inline(self):
+    def test_unpicklable_task_runs_inline(self, backend):
         from repro.core import Predicate
         opaque = _pfsm(spec=Predicate(lambda x: 0 <= x <= 5, "opaque"))
         tasks = [_task(Domain.integers(-5, 20), pfsm=opaque)]
         from repro.core.sweep import _scan_task
         expected = [_scan_task(t) for t in tasks]
-        got = dist.run_tasks(tasks, 2, backend="process")
+        got = dist.run_tasks(tasks, 2, backend=backend)
         assert _witnesses(got) == _witnesses(expected)
 
-    def test_worker_crash_falls_back_inline(self):
+    def test_sweep_matches_thread_backend_on_workers(self, backend):
+        from repro.models import wuftpd_model
+
+        models = {"sendmail": sendmail_model.build_model(),
+                  "wuftpd": wuftpd_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains(),
+                   "wuftpd": wuftpd_model.pfsm_domains()}
+        expected = _flat(sweep_models(models, domains, limit=4))
+        got, counters = _counting(lambda: _flat(sweep_models(
+            models, domains, limit=4, mode=backend, workers=2)))
+        assert got == expected
+        # Healthy workers claim every chunk: none runs in the parent.
+        assert counters.get("cluster.chunks.completed", 0) >= 1
+        assert "cluster.chunks.inline" not in counters
+
+    def test_concurrent_sweeps_agree(self, backend):
+        import threading
+
+        models = {"sendmail": sendmail_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains()}
+        expected = _flat(sweep_models(models, domains, limit=3,
+                                      mode=backend, workers=2))
+        results = {}
+        barrier = threading.Barrier(4)
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = _flat(sweep_models(
+                models, domains, limit=3, mode=backend, workers=2))
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(results) == 4
+        for slot in results:
+            assert results[slot] == expected
+
+
+class TestLocalWorkers:
+    def test_worker_crash_is_reclaimed_then_run_inline(self):
         tasks = [_task(Domain.integers(-5, 20), pfsm=_pfsm(spec=crashy))]
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable()
-        try:
-            got = dist.run_tasks(tasks, 2, backend="process")
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.reset()
+        got, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend="process"))
         # Hidden path: spec rejects (outside 0..5), impl accepts (<=10).
         assert got[0] is not None
-        assert counters.get("dist.chunk.retries", 0) >= 1
-        assert counters.get("dist.chunk.inline_fallback", 0) >= 1
+        assert counters.get("cluster.chunks.reclaimed", 0) >= 1
+        assert counters.get("cluster.chunks.inline", 0) >= 1
+
+    def test_memo_only_sweep_forks_no_worker(self):
+        tasks = [_task(Domain.integers(-5, 20))]
+        dist.run_tasks(tasks, 2, backend="process", keys=["k"])
+        _, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend="process",
+                                   keys=["k"]))
+        assert counters.get("dist.memo.hits") == 1
+        assert "cluster.workers.joined" not in counters
 
 
 class TestBackendNames:
@@ -169,6 +244,23 @@ class TestBackendNames:
         with pytest.raises(ValueError, match="process, cluster"):
             dist.run_tasks([_task(Domain.integers(-5, 20))], 2,
                            backend=name)
+
+    def test_backend_kwarg_is_an_alias_for_mode(self):
+        from repro.models import wuftpd_model
+
+        models = {"sendmail": sendmail_model.build_model(),
+                  "wuftpd": wuftpd_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains(),
+                   "wuftpd": wuftpd_model.pfsm_domains()}
+        expected = _flat(sweep_models(models, domains, limit=3,
+                                      mode="thread"))
+        assert _flat(sweep_models(models, domains, limit=3,
+                                  backend="thread")) == expected
+
+    def test_cluster_without_coordinator_is_a_clear_error(self):
+        with pytest.raises(RuntimeError, match="coordinator"):
+            dist.run_tasks([_task(Domain.integers(-5, 20))], 2,
+                           backend="cluster")
 
 
 class TestChunkedStore:
@@ -531,67 +623,8 @@ class TestMemoHooks:
 
 
 class TestConcurrentSweeps:
-    """Thread-safety of the shared warm tiers (satellite: concurrent
-    sweeps over one process's pool and memo)."""
-
-    def test_concurrent_pool_acquisition_builds_one_pool(self):
-        import threading
-
-        pools = []
-        barrier = threading.Barrier(8)
-
-        def grab():
-            barrier.wait()
-            pools.append(dist._get_pool(2))
-
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable()
-        try:
-            threads = [threading.Thread(target=grab) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.reset()
-        assert len(set(id(p) for p in pools)) == 1
-        assert counters.get("dist.pool.created") == 1
-
-    def test_concurrent_sweep_models_share_pool_and_agree(self):
-        import threading
-
-        from repro.models import sendmail_model
-
-        models = {"sendmail": sendmail_model.build_model()}
-        domains = {"sendmail": sendmail_model.pfsm_domains()}
-        baseline = sweep_models(models, domains, limit=3, mode="process",
-                                workers=2)
-
-        def flat(sweeps):
-            return [(f.pfsm_name, tuple(f.witnesses))
-                    for s in sweeps for f in s.findings]
-
-        expected = flat(baseline)
-        results = {}
-        barrier = threading.Barrier(4)
-
-        def run(slot):
-            barrier.wait()
-            results[slot] = flat(sweep_models(
-                models, domains, limit=3, mode="process", workers=2))
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(results) == 4
-        for slot in results:
-            assert results[slot] == expected
+    """Thread-safety of the shared warm tier (concurrent sweeps over
+    one process's memo)."""
 
     def test_memo_race_hammering_stays_consistent(self):
         import threading
@@ -690,6 +723,23 @@ class TestSharedDomainShipping:
         saved_per_task = counters["dist.shm.bytes_saved"] // 2
         substituted = original - saved_per_task
         assert original >= 10 * substituted
+
+    def test_exporter_keeps_no_attachment_after_a_sweep(self):
+        # The exporting process primes its attachment cache with each
+        # segment's owning handle; closing the export must drop it, or
+        # the cache grows one unlinked segment per sweep.
+        from repro.core import columnar
+
+        if not columnar.shm_supported():
+            pytest.skip("no shared memory on this platform")
+        columnar.release_attachments()
+        for n in range(3):
+            domain = self._big_domain(4000 + n)
+            tasks = [_task(domain, pfsm=self._record_pfsm(), limit=5)]
+            _, counters = _counting(
+                lambda: dist.run_tasks(tasks, 2, backend="process"))
+            assert counters.get("dist.shm.segments") == 1
+            assert not columnar._ATTACHED
 
     def test_shm_disabled_leaves_counters_silent(self):
         domain = self._big_domain(1000)

@@ -4,8 +4,8 @@ The acceptance scenario for the tracing layer: a traced request must
 reassemble into ONE trace containing the admission, queue-wait, batch
 (linked to every coalesced request), cache-write and request spans,
 with the engine spans parented under the batch — including the
-worker-side spans shipped back when a batch is computed through the
-process pool.  The suite also covers coalesced-link fan-in,
+worker-side spans shipped back when a batch is computed on the
+process backend's forked workers.  The suite also covers coalesced-link fan-in,
 traceparent continuation, head-sampling drops with tail keeps, and the
 cross-process span-inheritance contract at the dist layer directly.
 """
@@ -95,8 +95,8 @@ def record_for(handle, trace_id):
 
 
 def process_pool_compute(tasks, keys):
-    """A batch compute function that ships the batch through the warm
-    process pool, so the engine spans of one request cross a process
+    """A batch compute function that ships the batch to forked local
+    workers, so the engine spans of one request cross a process
     boundary."""
     return dist.run_tasks(tasks, workers=2, backend="process", keys=keys)
 
@@ -122,7 +122,7 @@ class TestEndToEndProcessBackend:
             assert "serve.batch" in names
             assert "serve.cache_write" in names
             assert "serve.request" in names
-            assert "dist.chunk" in names
+            assert "cluster.chunk" in names
             # all spans agree on the trace or link into it
             for span in record["spans"]:
                 assert span["trace_id"] == trace_id or any(
@@ -135,14 +135,14 @@ class TestEndToEndProcessBackend:
             assert any(link["trace_id"] == trace_id
                        for link in batch["links"])
 
-            # worker-side engine spans were shipped back from the pool:
-            # they carry a foreign pid and parent under a dist.chunk
+            # worker-side engine spans were shipped back from a worker:
+            # they carry a foreign pid and parent under a cluster.chunk
             # span's id (the context the chunk shipped with)
             remote = [s for s in record["spans"] if s.get("pid")]
             assert remote, "no worker-side spans were replayed"
             assert all(s["pid"] != os.getpid() for s in remote)
             chunk_hexes = {s["trace_span"] for s in record["spans"]
-                           if s["name"] == "dist.chunk"}
+                           if s["name"] == "cluster.chunk"}
             remote_hexes = {s["trace_span"] for s in remote}
             for span in remote:
                 assert span["trace_parent"] in chunk_hexes | remote_hexes
@@ -158,7 +158,7 @@ class TestEndToEndProcessBackend:
         assert not obs.get_registry().enabled
 
     def test_worker_spans_inherit_chunk_context_at_dist_layer(self):
-        """Satellite contract: under the process backend, a pool
+        """Satellite contract: under the process backend, a local
         worker's root spans parent under the context its chunk shipped
         with — no orphan spans across the process boundary."""
         registry = obs.get_registry()
@@ -180,7 +180,7 @@ class TestEndToEndProcessBackend:
             registry.reset()
         spans = [e for e in sink.events if e.get("type") == "span"]
         assert all(s["trace_id"] == ctx.trace_id for s in spans)
-        chunk_spans = [s for s in spans if s["name"] == "dist.chunk"]
+        chunk_spans = [s for s in spans if s["name"] == "cluster.chunk"]
         assert chunk_spans
         remote = [s for s in spans if s.get("pid")]
         assert remote, "worker spans did not ship back"

@@ -152,6 +152,28 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
                               "repro.apps.rsync_daemon"]
 
 
+def test_serving_never_loads_the_sweep_transport():
+    # Serving computes inline: neither the cluster transport nor the
+    # stdlib's process pool is imported to answer a query.
+    result = run_fresh("""
+        import json, sys
+        from repro.serve import AnalysisCorpus
+        from repro.serve.batcher import _engine_compute
+
+        corpus = AnalysisCorpus()
+        query = corpus.expand(corpus.keys()[0], 5)
+        found = _engine_compute(list(query.tasks), list(query.task_keys))
+        print(json.dumps({
+            "answered": len(found),
+            "loaded": sorted(m for m in sys.modules
+                             if m.startswith("repro.cluster")
+                             or m == "concurrent.futures.process"),
+        }))
+    """)
+    assert result["answered"] > 0
+    assert result["loaded"] == []
+
+
 def test_numpy_sized_domain_scans_with_numpy_masks():
     result = run_fresh("""
         import json, sys
