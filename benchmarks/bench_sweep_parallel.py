@@ -31,10 +31,11 @@ trajectory keeps recording:
   interval fast path, no identity-memo shortcuts) swept with the
   predicate compiler disabled vs enabled (acceptance: the compiled
   path, including compile time, is ≥2x the uncompiled throughput).
-  The compiled path wins three ways: flat fused closures instead of
-  nested shielded combinator calls, selectivity-ordered short-circuit
-  evaluation, and cross-task CSE — the shared sub-DAG is judged once
-  per object per sweep, not once per model;
+  The compiled path wins two ways: flat fused closures instead of
+  nested shielded combinator calls, and selectivity-ordered
+  short-circuit evaluation (each task runs its own scan; no verdict
+  is shared between tasks).  With the columnar engine on, most of
+  these scans run as whole-column mask passes;
 * **columnar** — scenario E: a numeric-heavy record corpus whose specs
   are multi-field conjunctions (no interval algebra applies), swept
   with the columnar engine disabled (compiled scalar scan) vs enabled
@@ -347,8 +348,8 @@ def _plan_corpus(tile=120):
     malformed objects (over-long or ``%n``-bearing — most of the corpus)
     are rejected by a length or substring check before any regex runs.
     The specs also embed one shared guard sub-DAG, structurally
-    identical across every model, so cross-task CSE judges it once per
-    object per sweep.  Every domain object is a *distinct* string (no
+    identical across every model; each task judges it in its own
+    scan.  Every domain object is a *distinct* string (no
     identity-memo shortcuts, no interval fast path): the engines must
     evaluate per object, which is exactly what the compiler accelerates.
     """

@@ -39,7 +39,7 @@ Commands
     keyed by model fingerprint and predicate-spec hash (with every
     backend; process and cluster append chunk by chunk, so a killed
     sweep resumes).  ``--explain`` prints each task's chosen scan
-    strategy, estimated cost, and CSE reuse (the decisions of the
+    strategy and estimated cost (the decisions of the
     planner in ``repro.core.plan``; also the ``plans`` block of
     ``--json``), with tasks served whole from the dist fingerprint memo
     tagged ``memo``; ``--no-plan`` disables the predicate compiler for
@@ -440,9 +440,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "compiles": delta.get("plan.compiles", 0),
         "cache_hits": delta.get("plan.cache.hits", 0),
         "cache_misses": delta.get("plan.cache.misses", 0),
-        "cse_shared": delta.get("plan.cse.shared", 0),
-        "cse_hits": delta.get("plan.cse.hits", 0),
-        "cse_misses": delta.get("plan.cse.misses", 0),
     }
     total = sum(len(sweep.findings) for sweep in sweeps)
     cluster_block = None
@@ -513,11 +510,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             name = f"{row['model']}/{row['operation']}/{row['pfsm']}"
             print(f"{name:<{width}}  {row['strategy']:<9} "
                   f"{row['est_cost']:>10.1f}  {row['reason']}")
-        cse_nodes = sum(row.get("cse_nodes", 0) for row in plans)
         print(f"plan cache: {plan_stats['cache_hits']} hits, "
-              f"{plan_stats['compiles']} compiles; "
-              f"{plan_stats['cse_shared']} subtrees promoted to CSE, "
-              f"{cse_nodes} CSE nodes across plans\n")
+              f"{plan_stats['compiles']} compiles\n")
     for sweep in sweeps:
         verdict = "VULNERABLE" if sweep.vulnerable else "clean"
         print(f"{sweep.model_name}: {verdict} "
@@ -894,10 +888,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="max witnesses recorded per pFSM")
     sweep.add_argument("--explain", action="store_true",
-                       help="print each task's chosen scan strategy, "
-                            "estimated cost, and CSE reuse (the "
-                            "planner's decisions; also in --json as "
-                            "the 'plans' block)")
+                       help="print each task's chosen scan strategy "
+                            "and estimated cost (the planner's "
+                            "decisions; also in --json as the 'plans' "
+                            "block)")
     sweep.add_argument("--no-plan", action="store_true",
                        help="disable the predicate compiler / planner "
                             "for this sweep (scalar strategies only)")

@@ -41,7 +41,6 @@ from .dist import (
     task_key,
 )
 from .plan import (
-    NodeMemo,
     PlanCache,
     ScanPlan,
     ScanProgram,
@@ -155,7 +154,6 @@ __all__ = [
     "EncodingCache",
     "SharedColumnarDomain",
     "encoding_for",
-    "NodeMemo",
     "PlanCache",
     "ScanPlan",
     "ScanProgram",

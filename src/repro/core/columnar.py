@@ -4,8 +4,7 @@ whole-column predicate kernels.
 Every non-interval strategy in :func:`repro.core.sweep.
 hidden_witness_scan` judges one Python object at a time: the compiled
 :class:`~repro.core.plan.ScanProgram` is a fused closure, but it is
-still *called* once per object, through cache round-trips and identity
-memos.  For the corpus-scale domains the ROADMAP targets — millions of
+still *called* once per object, through the scan's identity memo.  For the corpus-scale domains the ROADMAP targets — millions of
 integers, tiled probe strings, record products — that per-object
 dispatch dominates the sweep.  This module adds the standard analytical
 fix: **columnar execution**.
@@ -34,8 +33,8 @@ Three layers:
   ``0x00``/``0x01`` byte per row (``&``/``|`` are then single C-level
   big-int operations, and witness selection is a C-level ``bytes.find``
   scan).  Node masks are cached on the encoding by structural digest,
-  so tasks and fused serve batches sharing subpredicates over one
-  domain reuse each other's masks.
+  so tasks sharing subpredicates over one domain — in one sweep or
+  across serve batches — reuse each other's masks.
 
   Kernels are *bit-for-bit equivalent* to the scalar scan: every leaf
   verdict is derived analytically per column type, including the
@@ -123,8 +122,8 @@ _DUP_GATE_MIN_ROWS = 4096
 #: Encoding (and lazy-product materialization) ceiling — memory guard.
 _DEFAULT_MAX_ROWS = 1 << 22
 
-#: Node masks cheaper than this are not worth caching (mirrors the CSE
-#: threshold in :mod:`repro.core.plan`).
+#: Node masks cheaper than this are not worth caching (the dict probe
+#: would cost more than recomputing them).
 _MASK_CACHE_MIN_COST = 0.9
 #: Per-encoding mask cache bound (each entry is ~one byte per row).
 _MASK_CACHE_ENTRIES = 32
@@ -432,10 +431,9 @@ class Encoding:
     _LazyProduct`, whose columns tile without building the dicts), or
     ``"shared"`` (attached from a :class:`SharedColumnarDomain`).
     Column buffers, node masks, and compiled kernels are all memoized
-    here, so every consumer of one domain shares them.  Like
-    :class:`~repro.core.plan.NodeMemo` this is deliberately lock-free:
-    kernels are pure, so a racing double-computation wastes work but
-    never corrupts a verdict.
+    here, so every consumer of one domain shares them.  This is
+    deliberately lock-free: kernels are pure, so a racing
+    double-computation wastes work but never corrupts a verdict.
     """
 
     __slots__ = ("n", "mode", "scalar_kind", "fields", "ops",

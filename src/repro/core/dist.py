@@ -17,6 +17,9 @@ nothing listens on a port, and a memo-only call forks none).  Leases,
 reclaim on worker death and the coordinator's inline path are the same
 code for both; a chunk whose retries run out runs inline here, per
 task, so a poisoned worker degrades throughput, never correctness.
+A chunk ships its tasks pickled one by one; a worker compiles each
+task's program through its own plan cache and runs each task as its
+own scan.
 
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
@@ -507,14 +510,9 @@ def _chunk_worker(
 ) -> Any:
     """Run one chunk of serialized tasks in a worker process.
 
-    Tasks rebuild through predicate specs (see
-    :mod:`repro.core.predspec`).
-
-    Each payload is a pickled ``(task, program)`` pair: the compiled
-    plan primes the worker's plan cache (and imports the parent's CSE
-    marks) as it unpickles.  All tasks of a chunk share one
-    :class:`~repro.core.plan.NodeMemo`, so subpredicates shared across
-    the chunk's models evaluate once per object.
+    Each payload is one pickled task; it rebuilds through predicate
+    specs (see :mod:`repro.core.predspec`), and each task runs its own
+    scan, compiling its program through the worker's plan cache.
 
     With a ``traceparent`` (the shipping chunk's trace context,
     serialized W3C-style), the worker continues the parent's trace: its
@@ -524,8 +522,6 @@ def _chunk_worker(
     the chunk results for the parent to replay into its own sinks.
     Without one, the return shape is the bare results list, unchanged.
     """
-    from . import plan
-
     ctx = TraceContext.from_traceparent(traceparent) \
         if traceparent is not None else None
     sink: Optional[MemorySink] = None
@@ -536,11 +532,8 @@ def _chunk_worker(
         _OBS.enable(sink)
         restore = _OBS.set_trace(ctx)
     try:
-        memo = plan.NodeMemo() if plan.is_enabled() else None
-        results: List[Tuple[int, Optional[SweepFinding]]] = []
-        for index, raw in chunk:
-            task = pickle.loads(raw)[0]  # [1], the plan, primed the cache
-            results.append((index, _scan_task(task, memo=memo)))
+        results = [(index, _scan_task(pickle.loads(raw)))
+                   for index, raw in chunk]
     finally:
         if sink is not None:
             _OBS.set_trace(restore)
@@ -563,23 +556,10 @@ def _chunk_worker(
 # ---------------------------------------------------------------------------
 
 def _serialize_task(task: Any) -> Optional[bytes]:
-    """Dispatch payload of one task: ``(task, compiled plan)`` — the
-    plan degrades to ``None`` rather than blocking distribution."""
-    from . import plan
-
-    program = None
+    """Dispatch payload of one task: the pickled task, or ``None`` when
+    it does not pickle (it then runs inline in the parent)."""
     try:
-        if plan.is_enabled():
-            program = plan.program_for(task[2])
-    except Exception:
-        program = None
-    if program is not None:
-        try:
-            return pickle.dumps((task, program))
-        except Exception:
-            pass
-    try:
-        return pickle.dumps((task, None))
+        return pickle.dumps(task)
     except Exception:
         return None
 

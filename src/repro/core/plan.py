@@ -4,9 +4,7 @@ The sweep engine evaluates pFSM hidden-path conditions —
 ``¬spec ∧ impl`` — interpretively: every :class:`~repro.core.predicates.
 Predicate` node is a Python closure calling ``evaluate`` on its
 children, each call re-paying the exception shield and the attribute
-indirection.  Structurally shared subpredicates across the corpus
-(every model checking ``length(·) <= N`` and ``· does not contain
-"%n"`` over the same probe strings) re-do identical work per model.
+indirection.
 
 This module lowers the declarative *spec* terms of
 :mod:`repro.core.predspec` into fused single-pass scan programs, in the
@@ -24,26 +22,21 @@ interval-algebra machinery of :mod:`repro.core.predicates`:
   captured by their closed-form integer intervals collapse to a single
   membership test for ``int`` inputs (non-``int`` objects fall back to
   the general program, preserving the constructors' coercion rules).
-* **Cross-task common-subexpression elimination** — every compiled node
-  is keyed by its :func:`~repro.core.predspec.spec_digest`-style
-  structural digest; once a digest is seen in two programs (or twice in
-  one), it is promoted to *shared* and evaluated through a
-  ``(digest, object)``-keyed :class:`NodeMemo`, so the shared subtree
-  runs once per object across every task in a sweep.
 
 Compiled :class:`ScanProgram` objects are verdict-equivalent to the
 interpretive path, including its fail-secure exception semantics: the
 interpreter shields every node (``evaluate`` maps exceptions to
 ``False``), while programs shield only where a propagating exception
-could change the verdict — the program root, disjunct and negation
-children, and memoized shared nodes.  Inside a pure conjunction an
-exception propagating to the nearest shield yields ``False`` exactly
-where the interpreter's ``False`` would land.
+could change the verdict — the program root and the disjunct and
+negation children.  Inside a pure conjunction an exception propagating
+to the nearest shield yields ``False`` exactly where the interpreter's
+``False`` would land.
 
-Programs are picklable (they ship as ``(spec, shared digests)`` and
-recompile through the receiving process's :class:`PlanCache`), so
-``mode="process"`` sweeps dispatch compiled plans inside their task
-payloads and workers inherit the parent's CSE marks.
+Each program is judged object by object within one scan; the scan's
+identity memo (:mod:`repro.core.sweep`) is the only verdict memo, and
+no verdict is shared between tasks.  Programs are picklable: they ship
+as their spec alone and recompile through the receiving process's
+:class:`PlanCache`.
 
 The planner can be bypassed wholesale (``set_enabled`` /
 :func:`disabled` — the benchmark's A/B switch and the CLI's
@@ -74,7 +67,6 @@ from .predicates import (
 from .predspec import _lookup_named, _resolve_type, decode_value, spec_digest
 
 __all__ = [
-    "NodeMemo",
     "PlanCache",
     "ScanPlan",
     "ScanProgram",
@@ -115,10 +107,6 @@ _LEAF_SELECTIVITY: Dict[str, float] = {
     "contains": 0.3, "ncontains": 0.7, "matches": 0.3,
     "isa": 0.6, "named": 0.5,
 }
-
-#: Nodes cheaper than this are never CSE-memoized — the dict probe would
-#: cost more than re-evaluating them.
-_CSE_MIN_COST = 0.9
 
 #: Estimated interpretive cost per object for uncompilable predicates
 #: (two shielded ``Predicate.evaluate`` calls plus cache probes).
@@ -285,133 +273,73 @@ def _build(spec: Any) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# The per-object CSE memo.
-# ---------------------------------------------------------------------------
-
-class NodeMemo:
-    """``(node digest, object) → verdict`` memo shared across the tasks
-    of one sweep (or one dispatch chunk, or one fused serve batch).
-
-    Deliberately lock-free: dict operations are atomic under the GIL and
-    predicates are pure, so a racing double-computation is wasted work,
-    never a wrong verdict.  ``hits``/``misses`` are advisory counters
-    (drained into ``plan.cse.*``); the bound is enforced by a crude
-    clear-on-overflow, keeping memory flat on adversarial domains.
-    """
-
-    __slots__ = ("data", "hits", "misses", "maxsize")
-
-    def __init__(self, maxsize: int = 1 << 16) -> None:
-        self.data: Dict[Tuple[str, Any], bool] = {}
-        self.hits = 0
-        self.misses = 0
-        self.maxsize = maxsize
-
-    def drain(self) -> Tuple[int, int]:
-        """``(hits, misses)`` since the previous drain, resetting both."""
-        hits, misses = self.hits, self.misses
-        self.hits = 0
-        self.misses = 0
-        return hits, misses
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "size": len(self.data), "maxsize": self.maxsize}
-
-
-# ---------------------------------------------------------------------------
 # Emission: node trees → closures.
 #
-# Every emitted callable takes ``(obj, memo)`` where ``memo`` is a
-# :class:`NodeMemo` or ``None``.  ``_emit_node`` returns ``(fn, safe)``
-# — ``safe`` meaning the callable can never raise (already shielded).
+# Every emitted callable takes the object and returns its verdict.
 # ---------------------------------------------------------------------------
 
-_EmitFn = Callable[[Any, Optional[NodeMemo]], bool]
+_EmitFn = Callable[[Any], bool]
 
 
 def _shield(fn: _EmitFn) -> _EmitFn:
-    def shielded(obj: Any, memo: Optional[NodeMemo]) -> bool:
+    def shielded(obj: Any) -> bool:
         try:
-            return fn(obj, memo)
+            return fn(obj)
         except Exception:
             return False
     return shielded
 
 
-def _cse_wrap(digest: str, inner: _EmitFn) -> _EmitFn:
-    """Memoize a *shielded* node through the scan's :class:`NodeMemo`."""
-    def memoized(obj: Any, memo: Optional[NodeMemo]) -> bool:
-        if memo is None:
-            return inner(obj, memo)
-        try:
-            key = (digest, obj)
-            data = memo.data
-            if key in data:
-                memo.hits += 1
-                return data[key]
-        except TypeError:  # unhashable object — evaluate directly
-            return inner(obj, memo)
-        value = inner(obj, memo)
-        memo.misses += 1
-        if len(data) >= memo.maxsize:
-            data.clear()
-        data[key] = value
-        return value
-    return memoized
-
-
 def _emit_leaf(node: _Node) -> _EmitFn:
     op, args = node.op, node.args
     if op == "true":
-        return lambda obj, memo: True
+        return lambda obj: True
     if op == "false":
-        return lambda obj, memo: False
+        return lambda obj: False
     if op == "truthy":
-        return lambda obj, memo: bool(obj)
+        return lambda obj: bool(obj)
     if op == "eq":
         expected = decode_value(args[0])
-        return lambda obj, memo: bool(obj == expected)
+        return lambda obj: bool(obj == expected)
     if op == "range":
         low, high = args
-        return lambda obj, memo: low <= int(obj) <= high
+        return lambda obj: low <= int(obj) <= high
     if op == "le":
         bound = args[0]
-        return lambda obj, memo: int(obj) <= bound
+        return lambda obj: int(obj) <= bound
     if op == "ge":
         bound = args[0]
-        return lambda obj, memo: int(obj) >= bound
+        return lambda obj: int(obj) >= bound
     if op == "lenle":
         bound = args[0]
-        return lambda obj, memo: len(obj) <= bound
+        return lambda obj: len(obj) <= bound
     if op == "contains":
         needle = decode_value(args[0])
-        return lambda obj, memo: needle in obj
+        return lambda obj: needle in obj
     if op == "ncontains":
         needle = decode_value(args[0])
-        return lambda obj, memo: needle not in obj
+        return lambda obj: needle not in obj
     if op == "matches":
         pattern = args[0]
         compiled = re.compile(pattern)
         encoded = pattern.encode("latin-1")
 
-        def search(obj: Any, memo: Optional[NodeMemo]) -> bool:
+        def search(obj: Any) -> bool:
             if isinstance(obj, bytes):
                 return bool(re.search(encoded, obj))
             return bool(compiled.search(obj))
         return search
     if op == "isa":
         types = tuple(_resolve_type(mod, qual) for mod, qual in args[0])
-        return lambda obj, memo: isinstance(obj, types)
+        return lambda obj: isinstance(obj, types)
     if op == "named":
         evaluate = _lookup_named(args[0], args[1]).evaluate
-        return lambda obj, memo: evaluate(obj)  # self-shields
+        return evaluate  # self-shields
     raise ValueError(f"unknown spec operator: {op!r}")
 
 
-def _emit_raw(node: _Node, shared: Set[str], ctx: Dict[str, int]) -> _EmitFn:
-    """The node's evaluator, *without* CSE wrapping or an own shield."""
-    op = node.op
+def _emit_node(node: _Node, ctx: Dict[str, int]) -> _EmitFn:
+    """The node's evaluator, without a shield of its own."""
     if node.closed and node.children and node.leaves >= 2:
         # Interval lowering: the whole comparison subtree is one
         # membership test for exact ints.  The guard is ``type(obj) is
@@ -420,68 +348,51 @@ def _emit_raw(node: _Node, shared: Set[str], ctx: Dict[str, int]) -> _EmitFn:
         # program to reproduce that asymmetry (bools included: ``eq``
         # over bools never gets an interval form).
         intervals = node.intervals
-        general = _emit_general(node, shared, ctx)
+        general = _emit_general(node, ctx)
         ctx["lowered"] += 1
 
-        def fused(obj: Any, memo: Optional[NodeMemo]) -> bool:
+        def fused(obj: Any) -> bool:
             if type(obj) is int:
                 return _interval_contains(intervals, obj)
-            return general(obj, memo)
+            return general(obj)
         return fused
-    return _emit_general(node, shared, ctx)
+    return _emit_general(node, ctx)
 
 
-def _emit_general(node: _Node, shared: Set[str],
-                  ctx: Dict[str, int]) -> _EmitFn:
+def _emit_general(node: _Node, ctx: Dict[str, int]) -> _EmitFn:
     op = node.op
     if op == "and":
-        fns = [_emit_node(c, shared, ctx)[0] for c in node.children]
+        fns = [_emit_node(c, ctx) for c in node.children]
         if len(fns) == 2:
             first, second = fns
-            return lambda obj, memo: first(obj, memo) and second(obj, memo)
+            return lambda obj: first(obj) and second(obj)
 
-        def conjunction(obj: Any, memo: Optional[NodeMemo]) -> bool:
+        def conjunction(obj: Any) -> bool:
             for fn in fns:
-                if not fn(obj, memo):
+                if not fn(obj):
                     return False
             return True
         return conjunction
     if op == "or":
-        fns = [_emit_shielded(c, shared, ctx) for c in node.children]
+        fns = [_shield(_emit_node(c, ctx)) for c in node.children]
         if len(fns) == 2:
             first, second = fns
-            return lambda obj, memo: first(obj, memo) or second(obj, memo)
+            return lambda obj: first(obj) or second(obj)
 
-        def disjunction(obj: Any, memo: Optional[NodeMemo]) -> bool:
+        def disjunction(obj: Any) -> bool:
             for fn in fns:
-                if fn(obj, memo):
+                if fn(obj):
                     return True
             return False
         return disjunction
     if op == "not":
-        inner = _emit_shielded(node.children[0], shared, ctx)
-        return lambda obj, memo: not inner(obj, memo)
+        inner = _shield(_emit_node(node.children[0], ctx))
+        return lambda obj: not inner(obj)
     if op == "attr":
-        inner = _emit_node(node.children[0], shared, ctx)[0]
+        inner = _emit_node(node.children[0], ctx)
         name = node.args[0]
-        return lambda obj, memo: inner(_get(obj, name), memo)
+        return lambda obj: inner(_get(obj, name))
     return _emit_leaf(node)
-
-
-def _emit_node(node: _Node, shared: Set[str],
-               ctx: Dict[str, int]) -> Tuple[_EmitFn, bool]:
-    """``(fn, safe)`` — shared nodes come back memoized and shielded."""
-    raw = _emit_raw(node, shared, ctx)
-    if node.digest in shared and node.cost >= _CSE_MIN_COST:
-        ctx["cse"] += 1
-        return _cse_wrap(node.digest, _shield(raw)), True
-    return raw, False
-
-
-def _emit_shielded(node: _Node, shared: Set[str],
-                   ctx: Dict[str, int]) -> _EmitFn:
-    fn, safe = _emit_node(node, shared, ctx)
-    return fn if safe else _shield(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -491,43 +402,39 @@ def _emit_shielded(node: _Node, shared: Set[str],
 class ScanProgram:
     """A predicate spec fused into one shielded single-pass evaluator.
 
-    ``evaluate(obj, memo)`` is verdict-identical to building the spec's
-    predicate via :func:`repro.core.predspec.from_spec` and calling it
-    — see the module header for the exception-semantics argument.
-    Pickling ships ``(spec, shared digests)`` and recompiles through the
-    receiving process's :class:`PlanCache`, carrying the sender's CSE
-    marks along.
+    ``evaluate(obj)`` (or calling the program) is verdict-identical to
+    building the spec's predicate via
+    :func:`repro.core.predspec.from_spec` and calling it — see the
+    module header for the exception-semantics argument.  Pickling ships
+    the spec alone and recompiles through the receiving process's
+    :class:`PlanCache`.
     """
 
     __slots__ = ("spec", "digest", "cost", "selectivity", "leaves",
-                 "lowered", "cse_nodes", "shared", "_fn")
+                 "lowered", "_fn")
 
     def __init__(self, spec: Any, digest: str, fn: _EmitFn, cost: float,
-                 selectivity: float, leaves: int, lowered: int,
-                 cse_nodes: int, shared: frozenset) -> None:
+                 selectivity: float, leaves: int, lowered: int) -> None:
         self.spec = spec
         self.digest = digest
         self.cost = cost
         self.selectivity = selectivity
         self.leaves = leaves
         self.lowered = lowered
-        self.cse_nodes = cse_nodes
-        self.shared = shared
         self._fn = fn
 
-    def evaluate(self, obj: Any, memo: Optional[NodeMemo] = None) -> bool:
-        return self._fn(obj, memo)
+    def evaluate(self, obj: Any) -> bool:
+        return self._fn(obj)
 
-    def __call__(self, obj: Any) -> bool:
-        return self._fn(obj, None)
+    __call__ = evaluate
 
     def __reduce__(self):
-        return (_rebuild_program, (self.spec, tuple(sorted(self.shared))))
+        return (_rebuild_program, (self.spec,))
 
     def __repr__(self) -> str:
         return (f"ScanProgram(digest={self.digest[:12]}, "
                 f"cost={self.cost:.2f}, leaves={self.leaves}, "
-                f"cse={self.cse_nodes}, lowered={self.lowered})")
+                f"lowered={self.lowered})")
 
 
 class PlanCache:
@@ -544,10 +451,16 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.compiles = 0
-        self.cse_promotions = 0
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def __reduce__(self):
+        # A pFSM pickles with its program memo, whose stamp names the
+        # cache the program was compiled into.  The receiver gets a new
+        # empty cache, so the memo is stale there and the program is
+        # looked up in (or compiled into) the receiver's own cache.
+        return (PlanCache, (self.maxsize,))
 
     def get(self, digest: str) -> Optional[ScanProgram]:
         with self._lock:
@@ -577,14 +490,6 @@ class PlanCache:
             if evicted:
                 _OBS.incr("plan.cache.evictions", evicted)
 
-    def discard(self, digest: str) -> None:
-        with self._lock:
-            self._data.pop(digest, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -592,7 +497,6 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "cse_promotions": self.cse_promotions,
                 "size": len(self._data),
                 "maxsize": self.maxsize,
             }
@@ -605,22 +509,6 @@ def plan_cache() -> PlanCache:
     """The process-wide compiled-program cache."""
     return _CACHE
 
-
-# ---------------------------------------------------------------------------
-# Cross-task CSE registry.
-#
-# Node digests are counted across every compiled root; a digest seen in
-# two distinct roots (or twice inside one) is promoted to *shared*, and
-# stale programs compiled before the promotion are evicted so their next
-# use recompiles with the memo wrapper in place.
-# ---------------------------------------------------------------------------
-
-_STATE_LOCK = threading.RLock()
-_SHARED: Set[str] = set()
-_NODE_ROOTS: Dict[str, Set[str]] = {}
-#: Bumped whenever the shared set changes (promotion, pickle import,
-#: reset) — validates per-pFSM program memos.
-_GENERATION = 0
 
 _ENABLED = True
 
@@ -649,67 +537,16 @@ def disabled():
 
 
 def reset() -> None:
-    """Fresh planner state: empty cache, no CSE marks (tests, benches)."""
-    global _GENERATION
-    with _STATE_LOCK:
-        _CACHE.clear()
-        _SHARED.clear()
-        _NODE_ROOTS.clear()
-        _GENERATION += 1  # never reuse a generation: stale memos miss
+    """Fresh planner state: a new, empty program cache (tests, benches).
+    Per-pFSM program memos are stamped with the cache their program was
+    compiled into, so none of them survives a reset."""
+    global _CACHE
+    _CACHE = PlanCache(_CACHE.maxsize)
 
 
 def stats() -> Dict[str, Any]:
-    """PlanCache counters plus the CSE registry's shared-node count."""
-    payload = _CACHE.stats()
-    with _STATE_LOCK:
-        payload["shared_nodes"] = len(_SHARED)
-    return payload
-
-
-def _node_costs(root: _Node) -> Dict[str, Tuple[int, float]]:
-    """``digest → (occurrences within this root, cost)`` for every node
-    expensive enough to be a CSE candidate."""
-    counts: Dict[str, Tuple[int, float]] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.cost >= _CSE_MIN_COST:
-            seen, _cost = counts.get(node.digest, (0, 0.0))
-            counts[node.digest] = (seen + 1, node.cost)
-        stack.extend(node.children)
-    return counts
-
-
-def _register_root(root: _Node) -> Set[str]:
-    """Fold one root's nodes into the CSE registry; returns the digests
-    (of this tree) that are shared and must compile memoized.  Evicts
-    programs made stale by a fresh promotion."""
-    global _GENERATION
-    root_digest = root.digest
-    counts = _node_costs(root)
-    shared_here: Set[str] = set()
-    stale_roots: Set[str] = set()
-    promotions = 0
-    with _STATE_LOCK:
-        for digest, (occurrences, _cost) in counts.items():
-            if digest == root_digest:
-                continue
-            roots = _NODE_ROOTS.setdefault(digest, set())
-            roots.add(root_digest)
-            if digest not in _SHARED and (occurrences >= 2 or len(roots) >= 2):
-                _SHARED.add(digest)
-                promotions += 1
-                stale_roots.update(r for r in roots if r != root_digest)
-            if digest in _SHARED:
-                shared_here.add(digest)
-        if promotions:
-            _GENERATION += 1
-            _CACHE.cse_promotions += promotions
-    for stale in stale_roots:
-        _CACHE.discard(stale)
-    if promotions and _OBS.enabled:
-        _OBS.incr("plan.cse.shared", promotions)
-    return shared_here
+    """The process-wide :class:`PlanCache` counters."""
+    return _CACHE.stats()
 
 
 def compile_spec(spec: Any) -> ScanProgram:
@@ -723,33 +560,20 @@ def compile_spec(spec: Any) -> ScanProgram:
     cached = _CACHE.get(root.digest)
     if cached is not None:
         return cached
-    shared_here = _register_root(root)
-    ctx = {"lowered": 0, "cse": 0}
-    fn, safe = _emit_node(root, shared_here, ctx)
-    if not safe:
-        fn = _shield(fn)
+    ctx = {"lowered": 0}
     program = ScanProgram(
-        spec=spec, digest=root.digest, fn=fn, cost=root.cost,
-        selectivity=root.selectivity, leaves=root.leaves,
-        lowered=ctx["lowered"], cse_nodes=ctx["cse"],
-        shared=frozenset(shared_here),
+        spec=spec, digest=root.digest, fn=_shield(_emit_node(root, ctx)),
+        cost=root.cost, selectivity=root.selectivity, leaves=root.leaves,
+        lowered=ctx["lowered"],
     )
     _CACHE.put(root.digest, program)
     return program
 
 
-def _rebuild_program(spec: Any, shared_digests: Sequence[str]
-                     ) -> Optional[ScanProgram]:
-    """Unpickle hook: import the sender's CSE marks, then recompile
-    through this process's cache.  Degrades to ``None`` (the payload's
-    task still runs interpretively) rather than poisoning the chunk."""
-    global _GENERATION
-    if shared_digests:
-        with _STATE_LOCK:
-            before = len(_SHARED)
-            _SHARED.update(shared_digests)
-            if len(_SHARED) != before:
-                _GENERATION += 1
+def _rebuild_program(spec: Any) -> Optional[ScanProgram]:
+    """Unpickle hook: recompile through this process's cache.  Degrades
+    to ``None`` (the payload's task still runs interpretively) rather
+    than poisoning the chunk."""
     try:
         return compile_spec(spec)
     except Exception:
@@ -780,16 +604,14 @@ def program_for(pfsm: Any) -> Optional[ScanProgram]:
     planner is bypassed or the pFSM is not compilable.
 
     Memoized on the pFSM object, validated against both predicates'
-    mutation-aware cache keys and the CSE generation (a promotion
-    elsewhere in the corpus invalidates the memo so the program picks up
-    its memo wrappers).
+    mutation-aware cache keys and the current :class:`PlanCache` (see
+    :func:`reset`).
     """
     if not _ENABLED:
         return None
     impl = pfsm.impl_accepts
     stamp = (pfsm.spec_accepts.cache_key,
-             impl.cache_key if impl is not None else None,
-             _GENERATION)
+             impl.cache_key if impl is not None else None, _CACHE)
     memo = getattr(pfsm, "_plan_program", None)
     if memo is not None and memo[0] == stamp:
         return memo[1]
@@ -890,8 +712,7 @@ def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
             est_cost=max(1.0, program.cost * objects),
             est_objects=objects,
             reason=f"fused single-pass program over {program.leaves} "
-                   f"leaves ({program.cse_nodes} shared, "
-                   f"{program.lowered} interval-lowered)",
+                   f"leaves ({program.lowered} interval-lowered)",
         )
     return ScanPlan(
         strategy="plain", program=None,
@@ -931,6 +752,5 @@ def describe_plan(pfsm: Any, domain: Any, limit: int = 10) -> Dict[str, Any]:
             "selectivity": round(program.selectivity, 3),
             "leaves": program.leaves,
             "lowered_nodes": program.lowered,
-            "cse_nodes": program.cse_nodes,
         })
     return payload

@@ -17,7 +17,8 @@ work, in two layers:
    (:mod:`repro.core.plan`); or the scalar predicate calls.  The
    compiled and scalar scans share one per-scan identity memo: each
    distinct object is judged once per scan, however often the domain
-   repeats it.  Nothing outlives the scan.
+   repeats it.  Nothing outlives the scan, and every task — inline, in
+   a worker's chunk or in a serve batch — runs its own scan.
 2. **The sweep executor.**  :func:`sweep_models` runs the per-pFSM
    witness searches and reassembles results in deterministic (model,
    operation, pFSM) order.  The ``thread`` backend runs every task on
@@ -127,10 +128,10 @@ def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
     return sum(1 for obj in domain if takes(obj))
 
 
-def _identity_scan(judge: Callable[[Any, Any], bool], memo: Any,
-                   domain: Iterable[Any], limit: int) -> Tuple[List[Any], int]:
-    """Collect up to ``limit`` objects of ``domain`` that
-    ``judge(obj, memo)`` accepts, in domain order.
+def _identity_scan(judge: Callable[[Any], bool], domain: Iterable[Any],
+                   limit: int) -> Tuple[List[Any], int]:
+    """Collect up to ``limit`` objects of ``domain`` that ``judge``
+    accepts, in domain order.
 
     The per-scan identity memo: each distinct object reference is
     judged once, however often the domain repeats it, and each judged
@@ -144,7 +145,7 @@ def _identity_scan(judge: Callable[[Any, Any], bool], memo: Any,
         ident = id(candidate)
         hidden = seen.get(ident, _MISS)
         if hidden is _MISS:
-            hidden = judge(candidate, memo)
+            hidden = judge(candidate)
             seen[ident] = hidden
             pinned.append(candidate)
         if hidden:
@@ -158,7 +159,6 @@ def hidden_witness_scan(
     pfsm: Any,
     domain: Iterable[Any],
     limit: int = 10,
-    memo: Any = None,
 ) -> List[Any]:
     """Hidden-path witnesses of one pFSM over one domain.
 
@@ -172,15 +172,14 @@ def hidden_witness_scan(
       :mod:`repro.core.columnar`; requires the planner, bypass with
       :func:`repro.core.columnar.set_enabled`);
     * a compiled single-pass scan program when both predicates carry
-      specs and the planner is enabled (see :mod:`repro.core.plan`) —
-      ``memo`` optionally shares CSE verdicts across the tasks of one
-      sweep (``None`` gets a scan-local one);
+      specs and the planner is enabled (see :mod:`repro.core.plan`);
     * a scalar scan calling the predicates themselves otherwise
       (counted as ``plain``).
 
     The compiled and scalar scans run one loop, the per-scan identity
     memo: each distinct object is judged once per scan, however often
-    it recurs.  Witness order always matches domain iteration order,
+    it recurs.  It is the only verdict memo: nothing is shared between
+    scans.  Witness order always matches domain iteration order,
     and repeated occurrences of a witness are reported per occurrence.
     Objects are assumed value-stable for the duration of one scan
     (predicates are pure).  ``limit <= 0`` returns no witnesses.
@@ -215,26 +214,17 @@ def hidden_witness_scan(
                     pass
                 _OBS.incr("sweep.witnesses", len(found))
             return found
-        if memo is None:
-            memo = _plan.NodeMemo()
-        found, judged = _identity_scan(program.evaluate, memo, domain,
-                                       limit)
+        found, judged = _identity_scan(program.evaluate, domain, limit)
         strategy = "compiled"
     else:
-        takes = pfsm.takes_hidden_path
-        found, judged = _identity_scan(lambda obj, _memo: takes(obj), None,
-                                       domain, limit)
+        found, judged = _identity_scan(pfsm.takes_hidden_path, domain,
+                                       limit)
         strategy = "plain"
     if _OBS.enabled:
         _OBS.incr(f"sweep.scans.{strategy}")
         _OBS.incr(f"plan.strategy.{strategy}")
         _OBS.incr("sweep.objects.judged", judged)
         _OBS.incr("sweep.witnesses", len(found))
-        if program is not None:
-            hits, misses = memo.drain()
-            if hits or misses:
-                _OBS.incr("plan.cse.hits", hits)
-                _OBS.incr("plan.cse.misses", misses)
     return found
 
 
@@ -323,12 +313,12 @@ class ModelSweep:
 SweepTask = Tuple[str, str, Any, Any, int]
 
 
-def _scan_task(task: SweepTask, memo: Any = None) -> Optional[SweepFinding]:
+def _scan_task(task: SweepTask) -> Optional[SweepFinding]:
     """One unit of sweep work: scan a single pFSM's domain."""
     model_name, operation_name, pfsm, domain, limit = task
     with _OBS.span("sweep.task", model=model_name,
                    operation=operation_name, pfsm=pfsm.name) as span:
-        witnesses = hidden_witness_scan(pfsm, domain, limit=limit, memo=memo)
+        witnesses = hidden_witness_scan(pfsm, domain, limit=limit)
         span.set(witnesses=len(witnesses))
     if _OBS.enabled:
         _OBS.incr("sweep.tasks.completed")
@@ -348,7 +338,6 @@ def _run_tasks(
     workers: Optional[int],
     mode: str,
     keys: Optional[Sequence[Optional[str]]] = None,
-    memo: Any = None,
     store: Any = None,
 ) -> List[Optional[SweepFinding]]:
     """Execute scan tasks, preserving submission order in the results.
@@ -356,8 +345,8 @@ def _run_tasks(
     ``mode`` selects the executor (anything outside :data:`BACKENDS`
     raises :class:`ValueError`):
 
-    * ``"thread"`` — every task runs on the calling thread, sharing the
-      plan ``memo``; ``workers`` is ignored.
+    * ``"thread"`` — every task runs on the calling thread; ``workers``
+      is ignored.
     * ``"process"`` — the chunked scheduler in :mod:`repro.core.dist`
       with ``workers`` forked local worker processes (``keys``
       enables fingerprint-keyed result reuse, and a ``store`` receives
@@ -388,14 +377,12 @@ def _run_tasks(
     if obs_on:
         _OBS.incr("sweep.pool.inline")
         _OBS.event("sweep.pool", kind="inline", tasks=len(tasks))
-    return [_scan_task(task, memo=memo) for task in tasks]
+    return [_scan_task(task) for task in tasks]
 
 
 def _sweep_tasks(tasks: Sequence[SweepTask]) -> List[SweepFinding]:
-    """Run ``tasks`` inline under one plan memo; the findings only."""
-    memo = _plan.NodeMemo() if _plan.is_enabled() else None
-    return [f for f in _run_tasks(tasks, None, "thread", memo=memo)
-            if f is not None]
+    """Run ``tasks`` inline; the findings only."""
+    return [f for f in _run_tasks(tasks, None, "thread") if f is not None]
 
 
 def sweep_operation(
@@ -533,11 +520,9 @@ def sweep_models(
     with _OBS.span("sweep.models", models=len(models), tasks=len(tasks),
                    workers=workers or 1, mode=mode,
                    resumed=len(resumed)) as span:
-        memo = _plan.NodeMemo() if _plan.is_enabled() else None
         computed = _run_tasks(
             [tasks[i] for i in remaining], workers, mode,
             keys=[keys[i] for i in remaining] if keys is not None else None,
-            memo=memo,
             store=chunked_store,
         )
         results: List[Optional[SweepFinding]] = [None] * len(tasks)

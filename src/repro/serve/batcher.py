@@ -29,16 +29,8 @@ server is dispatched at once.  Batches form under load alone: one
 dispatch runs at a time, and while it computes, new identical requests
 coalesce and new distinct requests accumulate into the next batch (or
 shed, once the queue fills — that is admission control doing its job).
-
-**Sub-predicate batch fusion.**  Before the executor dispatches,
-compiled-strategy tasks sharing a domain (by content digest) are fused:
-one pass over the shared domain evaluates every member's compiled
-program per object, with one :class:`~repro.core.plan.NodeMemo`
-carrying CSE sub-predicate verdicts *across* the member programs — two
-models in one batch that share ``length_le(64) ∧ contains("%n")``
-evaluate that conjunct once per object, not once per model.  Interval
-fast-path tasks, opaque tasks, and singleton digests fall through to
-the normal dispatch unchanged.
+Each unique task is one scan (:func:`repro.core.sweep._scan_task`), the
+same as in a sweep, so its ``sweep.task`` span times its own work.
 """
 
 from __future__ import annotations
@@ -78,154 +70,12 @@ def _traced_compute(fn: Any, tasks: List[Any], keys: List[Optional[str]],
         _OBS.set_trace(previous)
 
 
-def _fusion_groups(tasks: List[Any]):
-    """Fusable task groups: compiled-strategy tasks (program available,
-    interval fast path not applicable) bucketed by domain content
-    digest.  Returns ``(groups, programs)`` where groups are index
-    lists of size >= 2 and ``programs`` maps task index to its compiled
-    :class:`~repro.core.plan.ScanProgram`."""
-    from ..core import dist, plan
-    from ..core.sweep import _hidden_intervals, _range_backing
-
-    programs: Dict[int, Any] = {}
-    if not plan.is_enabled():
-        return [], programs
-    buckets: Dict[str, List[int]] = {}
-    for index, task in enumerate(tasks):
-        _model, _op, pfsm, domain, _limit = task
-        if _range_backing(domain) is not None \
-                and _hidden_intervals(pfsm) is not None:
-            continue  # the closed-form scan is already O(limit)
-        try:
-            program = plan.program_for(pfsm)
-        except Exception:
-            program = None
-        if program is None:
-            continue
-        digest = dist.domain_digest(domain)
-        if digest is None:
-            continue
-        buckets.setdefault(digest, []).append(index)
-        programs[index] = program
-    return [group for group in buckets.values() if len(group) >= 2], \
-        programs
-
-
-def _fused_group_scan(tasks: List[Any], indexes: List[int],
-                      programs: Dict[int, Any]) -> Dict[int, Any]:
-    """One pass over a shared domain evaluating every member program
-    per object.  A single shared :class:`~repro.core.plan.NodeMemo`
-    carries CSE sub-predicate verdicts across the member programs; each
-    member keeps its own identity memo and witness limit, so results
-    are exactly what per-task scans would produce.
-
-    Members whose program vectorizes over the domain's
-    struct-of-arrays encoding resolve through one columnar mask pass
-    each instead of joining the object loop — the batch shares a single
-    :class:`~repro.core.columnar.Encoding`, whose digest-keyed mask
-    cache lets member programs with common subpredicates reuse each
-    other's column masks (``serve.batch.columnar_tasks``)."""
-    from ..core import columnar, plan
-    from ..core.sweep import SweepFinding
-
-    memo = plan.NodeMemo()
-    miss = object()
-    members = []
-    for index in indexes:
-        model_name, operation_name, pfsm, _domain, limit = tasks[index]
-        members.append({
-            "index": index, "pfsm": pfsm, "model": model_name,
-            "operation": operation_name, "program": programs[index],
-            "limit": limit, "found": [], "verdicts": {}, "pinned": [],
-            "columnar": False,
-        })
-    domain = tasks[indexes[0]][3]  # same content digest: any member's
-    columnar_members = 0
-    scalar_members = []
-    for member in members:
-        witnesses = columnar.scan_program(
-            member["program"], domain, member["limit"])
-        if witnesses is not None:
-            member["found"] = witnesses
-            member["columnar"] = True
-            columnar_members += 1
-        else:
-            scalar_members.append(member)
-    if _OBS.enabled and columnar_members:
-        _OBS.incr("serve.batch.columnar_tasks", columnar_members)
-        _OBS.incr("serve.batch.columnar_groups")
-    open_members = [m for m in scalar_members if m["limit"] > 0]
-    for candidate in domain:
-        if not open_members:
-            break
-        ident = id(candidate)
-        still = []
-        for member in open_members:
-            hidden = member["verdicts"].get(ident, miss)
-            if hidden is miss:
-                hidden = member["program"].evaluate(candidate, memo)
-                member["verdicts"][ident] = hidden
-                member["pinned"].append(candidate)
-            if hidden:
-                member["found"].append(candidate)
-                if len(member["found"]) >= member["limit"]:
-                    continue  # member filled: drop from the open set
-            still.append(member)
-        open_members = still
-    results: Dict[int, Any] = {}
-    for member in members:
-        found = member["found"]
-        if _OBS.enabled:
-            with _OBS.span("sweep.task", model=member["model"],
-                           operation=member["operation"],
-                           pfsm=member["pfsm"].name) as span:
-                span.set(witnesses=len(found), fused=True,
-                         columnar=member["columnar"])
-            strategy = "columnar" if member["columnar"] else "compiled"
-            _OBS.incr("sweep.tasks.completed")
-            _OBS.incr(f"sweep.scans.{strategy}")
-            _OBS.incr(f"plan.strategy.{strategy}")
-            judged = len(domain) if member["columnar"] \
-                else len(member["verdicts"])
-            _OBS.incr("sweep.objects.judged", judged)
-            _OBS.incr("sweep.witnesses", len(found))
-        results[member["index"]] = None if not found else SweepFinding(
-            model_name=member["model"],
-            operation_name=member["operation"],
-            pfsm_name=member["pfsm"].name,
-            activity=member["pfsm"].activity,
-            witnesses=tuple(found),
-        )
-    if _OBS.enabled:
-        hits, misses = memo.drain()
-        if hits or misses:
-            _OBS.incr("plan.cse.hits", hits)
-            _OBS.incr("plan.cse.misses", misses)
-    return results
-
-
 def _engine_compute(tasks: List[Any],
                     keys: List[Optional[str]]) -> List[Any]:
     """The default compute function: one inline engine dispatch on an
     executor thread (never the event loop).  ``keys`` completes the
     compute-function signature; the inline path does not need them."""
-    groups, programs = _fusion_groups(tasks)
-    if not groups:
-        return _run_tasks(tasks, 1, "thread")
-    fused_total = sum(len(group) for group in groups)
-    if _OBS.enabled:
-        _OBS.incr("sweep.tasks.queued", fused_total)
-        _OBS.incr("serve.batch.fused_groups", len(groups))
-        _OBS.incr("serve.batch.fused_tasks", fused_total)
-    resolved_by_index: Dict[int, Any] = {}
-    for group in groups:
-        resolved_by_index.update(_fused_group_scan(tasks, group, programs))
-    leftover = [i for i in range(len(tasks)) if i not in resolved_by_index]
-    if leftover:
-        sub = _run_tasks([tasks[i] for i in leftover], 1, "thread")
-        for index, finding in zip(leftover, sub):
-            resolved_by_index[index] = finding
-    return [resolved_by_index[i] for i in range(len(tasks))]
+    return _run_tasks(tasks, 1, "thread")
 
 
 class MicroBatcher:

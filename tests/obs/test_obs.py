@@ -270,8 +270,7 @@ class TestEngineTelemetry:
             obs.disable()
         stats = plan.stats()
         assert set(stats) == {"compiles", "hits", "misses", "evictions",
-                              "cse_promotions", "size", "maxsize",
-                              "shared_nodes"}
+                              "size", "maxsize"}
         delta = {key: stats[key] - before[key]
                  for key in ("compiles", "misses", "hits")}
         # the twin is served the first pFSM's program

@@ -24,6 +24,7 @@ from repro.core import (
     VulnerabilityModel,
     in_range,
     less_equal,
+    named_predicate,
 )
 from repro.core import dist
 from repro.obs import MemorySink
@@ -36,6 +37,19 @@ from repro.serve import (
 )
 
 TOY_NAME = "Toy Overflow"
+SLOW_NAME = "Slow Check"
+#: Distinct objects in the slow model's one domain.
+SLOW_OBJECTS = 20
+
+
+def _slow_small(value):
+    time.sleep(0.001)
+    return 0 <= value <= 5
+
+
+slow_small = named_predicate(
+    "serve_slow_small", _slow_small,
+    "in [0, 5], at least 1 ms per verdict (scan span timing)")
 
 
 @pytest.fixture(autouse=True)
@@ -390,3 +404,42 @@ class TestThreadBackendTrace:
             handle.shutdown()
         # the server owned the obs registry and restored it on drain
         assert not obs.get_registry().enabled
+
+
+def slow_corpus():
+    """Two pFSMs over one domain of distinct ints, each judging every
+    object with a named predicate that takes at least 1 ms a verdict."""
+    pfsms = [PrimitiveFSM(f"pFSM{i}", "check x", "x",
+                          spec_accepts=slow_small,
+                          impl_accepts=less_equal(bound))
+             for i, bound in enumerate((100, 200), start=1)]
+    model = VulnerabilityModel(SLOW_NAME,
+                               [Operation("check x", "an integer", pfsms)])
+    domain = Domain(list(range(SLOW_OBJECTS)))
+    return AnalysisCorpus(models={SLOW_NAME: model},
+                          domains={SLOW_NAME: {p.name: domain
+                                               for p in pfsms}},
+                          keys={"slow": SLOW_NAME})
+
+
+class TestScanSpans:
+    def test_each_sweep_task_span_times_its_own_scan(self):
+        handle = ServerThread(ServeConfig(port=0, drain_grace=2.0,
+                                          trace=True),
+                              corpus=slow_corpus()).start()
+        try:
+            with client_for(handle) as client:
+                response = client.query("slow", limit=SLOW_OBJECTS,
+                                        trace=True)
+            assert response["status"] == "ok"
+            record = record_for(handle, response["trace_id"])
+            assert record is not None
+            tasks = [span for span in record["spans"]
+                     if span["name"] == "sweep.task"]
+            assert sorted(span["attrs"]["pfsm"] for span in tasks) == \
+                ["pFSM1", "pFSM2"]
+            # Each task judges every object once, at >= 1 ms a verdict.
+            for span in tasks:
+                assert span["duration"] >= SLOW_OBJECTS / 1000.0
+        finally:
+            handle.shutdown()
