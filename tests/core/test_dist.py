@@ -3,6 +3,7 @@ fingerprint memo, crash recovery, backend validation, and JSONL resume."""
 
 import json
 import os
+import pickle
 import threading
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core import (
 )
 from repro.core import dist
 from repro.core.predspec import encode_value
+from repro.core.sweep import _scan_task
 from repro.models import sendmail_model
 
 #: Recorded at import so a forked worker (different pid) can tell it is
@@ -587,6 +589,22 @@ class TestTruncatedStore:
         assert store.load() == {}  # empty file
         store.record("a", None)
         assert set(store.load()) == {"a"}
+
+
+class TestChunkWorker:
+    def test_chunk_worker_runs_bare_pickled_tasks(self):
+        tasks = [_task(Domain.integers(-5, 15), limit=4),
+                 _task(Domain.of(9, 7, 6, 0), _pfsm(impl=less_equal(8)))]
+        payloads = [dist._serialize_task(task) for task in tasks]
+        for task, raw in zip(tasks, payloads):
+            shipped = pickle.loads(raw)  # the task itself, no program
+            assert len(shipped) == len(task) == 5
+            assert shipped[:2] == task[:2] and shipped[4] == task[4]
+        results = dist._chunk_worker(list(enumerate(payloads)))
+        assert [index for index, _finding in results] == [0, 1]
+        assert _witnesses([f for _index, f in results]) == \
+            [(-5, -4, -3, -2), (7, 6)] == \
+            _witnesses([_scan_task(task) for task in tasks])
 
 
 class TestMemoHooks:
