@@ -40,15 +40,17 @@ trajectory keeps recording:
   are multi-field conjunctions (no interval algebra applies), swept
   with the columnar engine disabled (compiled scalar scan) vs enabled
   (whole-column mask kernels; acceptance: ≥5x with numpy, ≥1.5x on the
-  pure-stdlib fallback).  A shared-memory sub-check ships the same
-  corpus to process-backend workers and requires the per-task domain payload to
-  shrink ≥10x via ``multiprocessing.shared_memory`` column transfer;
+  pure-stdlib fallback).  A payload sub-check sweeps the same corpus
+  on the process backend and requires the task bytes its chunks ship
+  (``cluster.bytes.shipped``) to be ≥10x below the pickled task a
+  cluster chunk carries; forked workers inherit the task list, so they
+  should ship none.  A run in which no chunk reached a worker fails;
 * **cluster** — scenario F: the corpus sweep dispatched through the
   :mod:`repro.cluster` fabric over loopback TCP (a coordinator plus two
   ``repro worker`` processes of two agents each) vs the local process
   backend.  Both ride the same coordinator and framing; the fabric adds
-  TCP and ships domains in the payloads (shared memory does not cross
-  hosts), so the acceptance floor is *relative*: cluster throughput
+  TCP and ships pickled tasks, domains included, where process workers
+  inherit them, so the acceptance floor is *relative*: cluster throughput
   must stay ≥0.8x of the process backend on the same machine, with
   bit-identical findings.
   A reclaim-latency sub-stat measures the fault-recovery path: a worker
@@ -147,9 +149,9 @@ COLUMNAR_MODELS = 4
 COLUMNAR_ROWS = 60_000
 COLUMNAR_NUMPY_FLOOR = 5.0
 COLUMNAR_STDLIB_FLOOR = 1.5
-#: Floor for the shared-memory sub-check: the per-task domain payload
-#: shipped to process-backend workers must shrink at least this much.
-SHM_PAYLOAD_FLOOR = 10.0
+#: Floor for the payload sub-check: the task bytes a process chunk ships
+#: must be at least this much smaller than the pickled task.
+PROCESS_PAYLOAD_FLOOR = 10.0
 
 #: Scenario F: ``repro worker`` processes (two agents each) on the
 #: loopback fabric, and the relative
@@ -279,7 +281,7 @@ def _instrumented_metrics(models, domains, limit, witness_pfsm,
         "columnar_fraction": derived.get("columnar_fraction", 0.0),
         "counters": {
             name: value for name, value in sorted(counters.items())
-            if name.startswith(("sweep.", "plan.", "columnar.", "dist.shm."))
+            if name.startswith(("sweep.", "plan.", "columnar."))
         },
     }
 
@@ -503,22 +505,22 @@ def _columnar_scenario(repeats=3):
         "columnar_objs_per_s": objects / vector_s,
         "floor": (COLUMNAR_NUMPY_FLOOR if backend == "numpy"
                   else COLUMNAR_STDLIB_FLOOR),
-        "shm": _shm_payload_stats(),
+        "process_payload": _process_payload_stats(),
     }
 
 
-def _shm_payload_stats(rows=20_000):
-    """The zero-copy sub-check: per-task payload bytes with and without
-    shared-memory column shipping, measured through the dist counters."""
-    if not columnar.shm_supported():
-        return {"supported": False}
+def _process_payload_stats(rows=20_000):
+    """The payload sub-check: task bytes a process sweep ships per task
+    (``cluster.bytes.shipped``) against the pickled task a cluster chunk
+    would carry.  A zero-byte payload counts as one byte, keeping the
+    ratio finite."""
     models, domains, _objects = _columnar_corpus(rows=rows)
     label = next(iter(models))
     model = models[label]
     domain = domains[label]["p1"]
     pfsm = next(p for _op, p in model.all_pfsms())
     tasks = [(model.name, "ingest record", pfsm, domain, 5)] * 2
-    original = len(dist._serialize_task(tasks[0]))
+    pickled = len(dist._serialize_task(tasks[0]))
     registry = obs.get_registry()
     registry.reset()
     registry.enable()
@@ -529,21 +531,16 @@ def _shm_payload_stats(rows=20_000):
     finally:
         registry.disable()
         registry.reset()
-    shipped_tasks = counters.get("dist.shm.tasks", 0)
-    saved = counters.get("dist.shm.bytes_saved", 0)
-    if not shipped_tasks:
-        return {"supported": True, "tasks": 0}
-    substituted = original - saved // shipped_tasks
+    shipped = counters.get("cluster.bytes.shipped", 0)
+    per_task = shipped / len(tasks)
     return {
-        "supported": True,
-        "tasks": shipped_tasks,
-        "segments": counters.get("dist.shm.segments", 0),
-        "bytes_shared": counters.get("dist.shm.bytes_shared", 0),
-        "bytes_saved": saved,
-        "task_payload_before": original,
-        "task_payload_after": substituted,
-        "payload_reduction": (original / substituted if substituted
-                              else float("inf")),
+        "tasks": len(tasks),
+        "chunks_shipped": (counters.get("cluster.chunks.completed", 0)
+                           - counters.get("cluster.chunks.inline", 0)),
+        "bytes_shipped": shipped,
+        "task_payload_pickled": pickled,
+        "task_payload_shipped": per_task,
+        "payload_reduction": pickled / max(per_task, 1.0),
     }
 
 
@@ -978,14 +975,15 @@ def check(payload, update_baseline=False):
             f"{columnar_stats['speedup']:.2f}x over the compiled scalar "
             f"path (need >={columnar_stats['floor']}x)"
         )
-    shm = columnar_stats["shm"]
-    if shm.get("tasks"):
-        if shm["payload_reduction"] < SHM_PAYLOAD_FLOOR:
-            failures.append(
-                f"shared-memory task payload only shrank "
-                f"{shm['payload_reduction']:.1f}x "
-                f"(need >={SHM_PAYLOAD_FLOOR}x)"
-            )
+    shipping = columnar_stats["process_payload"]
+    if not shipping["chunks_shipped"]:
+        failures.append("process payload check: no chunk reached a worker")
+    elif shipping["payload_reduction"] < PROCESS_PAYLOAD_FLOOR:
+        failures.append(
+            f"process task payload only "
+            f"{shipping['payload_reduction']:.1f}x below the pickled task "
+            f"(need >={PROCESS_PAYLOAD_FLOOR}x)"
+        )
     cluster_stats = payload["cluster"]
     if cluster_stats["relative_throughput"] < cluster_stats["floor"]:
         failures.append(
@@ -1133,13 +1131,11 @@ def main(argv=None):
           f"scalar {columnar_stats['scalar_s']:.4f}s, "
           f"columnar {columnar_stats['columnar_s']:.4f}s "
           f"({columnar_stats['speedup']:.1f}x)")
-    shm = columnar_stats["shm"]
-    if shm.get("tasks"):
-        print(f"shared-memory shipping: task payload "
-              f"{shm['task_payload_before']:,}B -> "
-              f"{shm['task_payload_after']:,}B "
-              f"({shm['payload_reduction']:.0f}x smaller, "
-              f"{shm['segments']} segment(s))")
+    shipping = columnar_stats["process_payload"]
+    print(f"process shipping: {shipping['chunks_shipped']} chunk(s), "
+          f"{shipping['task_payload_shipped']:,.0f}B per task vs "
+          f"{shipping['task_payload_pickled']:,}B pickled "
+          f"({shipping['payload_reduction']:,.0f}x smaller)")
     cluster_stats = payload["cluster"]
     print(f"cluster fabric ({cluster_stats['agents']} loopback agents): "
           f"process {cluster_stats['process_s']:.4f}s, "

@@ -897,8 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "for this sweep (scalar strategies only)")
     sweep.add_argument("--no-columnar", action="store_true",
                        help="disable the columnar domain engine "
-                            "(struct-of-arrays kernels and shared-memory "
-                            "domain transfer; see repro.core.columnar)")
+                            "(struct-of-arrays kernels; see "
+                            "repro.core.columnar)")
     sweep.add_argument("--fail-on-witness", action="store_true",
                        help="exit nonzero if any hidden-path witness is "
                             "found (CI gate)")

@@ -31,9 +31,10 @@ set by the CLI (``repro sweep --listen``) or embedding code;
 
 Determinism contract: both backends return results bit-for-bit equal
 to the thread backend regardless of worker count, join/leave timing,
-or mid-sweep worker death — chunks are reassembled by task index, task
-payloads and scan execution are byte-identical wherever a chunk runs,
-and duplicated work (a reclaimed chunk whose original result arrives
+or mid-sweep worker death — chunks are reassembled by task index, each
+task is scanned identically wherever its chunk runs (unpickled on a
+remote agent, inherited through the fork on a local one), and
+duplicated work (a reclaimed chunk whose original result arrives
 late) collapses to a single deterministic outcome.
 """
 

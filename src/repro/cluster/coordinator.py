@@ -4,9 +4,11 @@ One coordinator serves many sweeps and many workers.  Sweeps enter
 through :meth:`ClusterCoordinator.run_chunks` — the scheduler hands
 over wire-ready chunks (lists of ``(task index, serialized task)``
 rows, exactly the payloads :func:`repro.core.dist._chunk_worker`
-executes) and blocks until every chunk has an outcome.  Workers speak
-the line-JSON protocol (:mod:`repro.cluster.protocol`): they claim
-chunks, execute them in their own process, and stream results back.
+executes; a process sweep's rows carry no task bytes, because its
+forked workers hold the task list) and blocks until every chunk has
+an outcome.  Workers speak the line-JSON protocol
+(:mod:`repro.cluster.protocol`): they claim chunks, execute them in
+their own process, and stream results back.
 A coordinator either listens on TCP for ``repro worker`` agents
 (``backend="cluster"``) or, built with ``host=None``, is *private*: it
 listens nowhere and serves only the socketpairs of the workers
@@ -46,7 +48,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
@@ -80,15 +82,18 @@ _STALE_FACTOR = 3.0
 
 class _Job:
     """One ``run_chunks`` call in flight: its ledger and completion
-    signal, plus the submitting sweep's trace context."""
+    signal, the submitting sweep's trace context, and the task list its
+    rows index when they carry no task bytes."""
 
-    __slots__ = ("id", "ledger", "trace_ctx", "done")
+    __slots__ = ("id", "ledger", "trace_ctx", "tasks", "done")
 
     def __init__(self, job_id: int, ledger: ChunkLedger,
-                 trace_ctx: Optional[TraceContext]) -> None:
+                 trace_ctx: Optional[TraceContext],
+                 tasks: Optional[Sequence[Any]]) -> None:
         self.id = job_id
         self.ledger = ledger
         self.trace_ctx = trace_ctx
+        self.tasks = tasks
         self.done = threading.Event()
 
 
@@ -262,6 +267,7 @@ class ClusterCoordinator:
         *,
         max_retries: Optional[int] = None,
         on_chunk: Optional[Callable[[Any], None]] = None,
+        tasks: Optional[Sequence[Any]] = None,
     ) -> Tuple[Dict[int, Any], List[int]]:
         """Dispatch one sweep's chunks across the fabric and block until
         every chunk has an outcome.
@@ -276,6 +282,8 @@ class ClusterCoordinator:
 
         While no worker is connected the submitting thread executes
         chunks itself, so completion never depends on external agents.
+        Given ``tasks`` (the list a process sweep's rows index), that
+        inline path scans ``tasks[index]`` instead of unpickling rows.
 
         ``on_chunk(pairs)`` is called once per accepted chunk with its
         ``(task index, finding)`` pairs — on the submitting thread,
@@ -289,7 +297,7 @@ class ClusterCoordinator:
             {cid: rows for cid, rows in enumerate(chunks)},
             max_retries=retries)
         with self._work:
-            job = _Job(next(self._job_ids), ledger, trace_ctx)
+            job = _Job(next(self._job_ids), ledger, trace_ctx, tasks)
             self._jobs[job.id] = job
             self._work.notify_all()
         self._incr("jobs.submitted")
@@ -329,7 +337,7 @@ class ClusterCoordinator:
             payload = job.ledger.payload(lease.chunk_id)
         self._incr("chunks.claimed")
         try:
-            pairs = _chunk_worker(payload)
+            pairs = _chunk_worker(payload, None, job.tasks)
         except Exception:
             with self._lock:
                 disposition = job.ledger.release(lease.chunk_id)

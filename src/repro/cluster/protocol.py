@@ -15,9 +15,9 @@ rather than clients and the service.  Worker-initiated operations:
     Ask for one chunk of work.  The response is either ``status:
     "chunk"`` — carrying ``job``/``chunk``/``lease`` identifiers, an
     optional ``traceparent`` continuing the submitting sweep's trace,
-    and the serialized task ``payload`` — or ``status: "idle"`` with a
-    suggested ``retry_ms`` backoff and an ``active`` flag (are there
-    jobs in flight at all?).
+    and the chunk ``payload`` of ``[task index, task bytes]`` rows — or
+    ``status: "idle"`` with a suggested ``retry_ms`` backoff and an
+    ``active`` flag (are there jobs in flight at all?).
 ``result``
     Return one finished chunk: ``{"op": "result", "worker": ...,
     "job": J, "chunk": C, "lease": L, "data": <base64>}``.  ``data`` is
@@ -38,11 +38,12 @@ rather than clients and the service.  Worker-initiated operations:
     Liveness probe: worker/chunk gauges (tests and the CLI use it).
 
 Every response echoes ``status``: ``ok``, ``chunk``, ``idle``, or
-``error`` (with a ``message``).  Task payloads travel as base64-encoded
-*pickled bytes* produced by the scheduler's per-task serialization
-probe (:func:`repro.core.dist._serialize_task`); the codec here never
-re-pickles, so the bytes a worker unpickles are identical for either
-backend.
+``error`` (with a ``message``).  A cluster sweep's task bytes are the
+base64-encoded *pickled task* produced by the scheduler's per-task
+serialization probe (:func:`repro.core.dist._serialize_task`); the
+codec here never re-pickles, so a worker unpickles exactly those
+bytes.  A process sweep's rows carry empty task bytes: its workers
+are forked after the task list exists and scan ``tasks[index]``.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ __all__ = [
     "read_line",
 ]
 
-#: Hard per-line bound.  Chunk payloads carry pickled tasks (domains
-#: included when shared memory cannot cross the host boundary), so the
-#: bound is far above the serve protocol's 1 MiB.
+#: Hard per-line bound.  Cluster chunk payloads carry pickled tasks,
+#: domains included, so the bound is far above the serve protocol's
+#: 1 MiB.
 MAX_LINE = 1 << 26
 
 STATUS_OK = "ok"

@@ -6,10 +6,12 @@ response line under a lock — the serve framing) and runs two loops:
 
 * the claim loop, on the thread that calls :meth:`ClusterWorker.run`:
   *claim → execute → result*.  Execution is the same
-  :func:`repro.core.dist._chunk_worker` call on the same ``(task index,
-  pickled task)`` rows whichever backend shipped them.  A chunk that
-  raises is reported with ``fail`` so the coordinator requeues it under
-  its bounded-retry budget;
+  :func:`repro.core.dist._chunk_worker` call on ``(task index, pickled
+  task)`` rows whichever backend shipped them; an agent handed its
+  sweep's task list (a local agent) scans ``tasks[index]`` instead of
+  unpickling, and a process sweep's rows carry no task bytes.  A chunk
+  that raises is reported with ``fail`` so the coordinator requeues it
+  under its bounded-retry budget;
 * the heartbeat thread renews the agent's lease at the interval the
   coordinator announced in its ``hello`` response, so a *busy* agent
   is never mistaken for a dead one mid-chunk.  Each heartbeat names the
@@ -23,10 +25,11 @@ agents, each dialled over TCP before its fork, and a replacement for
 any agent that exits on its chunk deadline.  A ``backend="process"``
 sweep runs :func:`local_workers`: N agents on a private coordinator,
 each connected over a ``socketpair`` so nothing listens on a port,
-living for that one sweep.  Every forked agent holds the read end of a
-*lifeline* pipe whose write end only its parent keeps; when the parent
-dies (SIGKILL included) the pipe reaches EOF and the agent exits at
-once, mid-scan or not.  No agent outlives the process that forked it.
+forked after the sweep's task list exists and living for that one
+sweep.  Every forked agent holds the read end of a *lifeline* pipe
+whose write end only its parent keeps; when the parent dies (SIGKILL
+included) the pipe reaches EOF and the agent exits at once, mid-scan
+or not.  No agent outlives the process that forked it.
 
 Trace contexts ride along: a claimed chunk may carry a ``traceparent``
 (the submitting sweep's trace), which the agent passes straight through
@@ -116,6 +119,11 @@ class ClusterWorker:
         reassign it, and the agent stops (:attr:`timed_out`) — a forked
         agent exits with :data:`EXIT_TIMED_OUT`, taking the hung scan
         with it.
+    tasks:
+        The sweep's task list, for an agent forked after it exists
+        (:func:`local_workers`): each chunk row names its task by index
+        and the agent scans ``tasks[index]``.  Without it, rows carry
+        pickled tasks.
     """
 
     def __init__(self, host: Optional[str] = None, port: int = 0, *,
@@ -123,13 +131,15 @@ class ClusterWorker:
                  connect_timeout: float = 10.0,
                  rpc_timeout: float = 120.0, poll_interval: float = 0.05,
                  worker_id: Optional[str] = None,
-                 chunk_timeout: Optional[float] = None) -> None:
+                 chunk_timeout: Optional[float] = None,
+                 tasks: Optional[Sequence[Any]] = None) -> None:
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
         self.rpc_timeout = rpc_timeout
         self.poll_interval = poll_interval
         self.chunk_timeout = chunk_timeout
+        self.tasks = tasks
         self.id = worker_id or f"w-{uuid.uuid4().hex[:12]}"
         self.heartbeat_interval = 2.0
         self.chunks_done = 0
@@ -302,7 +312,7 @@ class ClusterWorker:
             or _faults.fire("worker.chunk.slow")
         if rule is not None:
             _faults.sleep_ms(rule)
-        return dist._chunk_worker(payload, traceparent)
+        return dist._chunk_worker(payload, traceparent, self.tasks)
 
     def _claim_loop(self) -> None:
         while not self._stop.is_set():
@@ -332,6 +342,8 @@ class ClusterWorker:
         try:
             payload = decode_payload(response.get("payload"))
             outcome = self._execute(payload, response.get("traceparent"))
+            # A witness from an inherited domain need not pickle.
+            data = encode_blob(pickle.dumps(outcome))
         except Exception as exc:
             self._rpc({"op": "fail", "worker": self.id, "job": job,
                        "chunk": chunk, "lease": lease,
@@ -339,7 +351,6 @@ class ClusterWorker:
             if self.timed_out:
                 self._stop.set()
             return
-        data = encode_blob(pickle.dumps(outcome))
         reply = self._rpc({"op": "result", "worker": self.id, "job": job,
                            "chunk": chunk, "lease": lease, "data": data})
         if reply is not None:
@@ -448,17 +459,20 @@ def _fork_agent(worker: ClusterWorker, lifeline: int,
 
 
 @contextmanager
-def local_workers(count: int) -> Iterator[ClusterCoordinator]:
+def local_workers(count: int,
+                  tasks: Sequence[Any]) -> Iterator[ClusterCoordinator]:
     """A private coordinator served by ``count`` forked agents.
 
     Each agent talks to the coordinator over its own ``socketpair`` and
     is registered before the block runs, so the block's first job is
     claimed by agents, not run by the coordinator's zero-worker inline
     path.  Forking happens on entry: whatever the caller set up before
-    (shared-memory mappings, plan caches) is the agents' too.  Leaving
-    the block closes the coordinator; the agents exit and are reaped
-    before it returns.  Without ``os.fork`` the coordinator has no
-    workers and runs every chunk inline.
+    (the ``tasks`` list with its domains, encodings, plan caches) is
+    the agents' too, and each agent scans ``tasks[index]`` for the
+    index rows it claims.  Leaving the block closes the coordinator;
+    the agents exit and are reaped before it returns.  Without
+    ``os.fork`` the coordinator has no workers and runs every chunk
+    inline.
     """
     coordinator = ClusterCoordinator(host=None)
     adopted: List[Any] = []  # (our socket end, worker id, pid)
@@ -468,7 +482,8 @@ def local_workers(count: int) -> Iterator[ClusterCoordinator]:
             for n in range(count if hasattr(os, "fork") else 0):
                 ours, theirs = socket.socketpair()
                 worker = ClusterWorker(
-                    sock=theirs, worker_id=f"local-{os.getpid()}-{n}")
+                    sock=theirs, worker_id=f"local-{os.getpid()}-{n}",
+                    tasks=tasks)
                 inherited = [keep_alive, ours] + [a[0] for a in adopted]
                 adopted.append((ours, worker.id,
                                 _fork_agent(worker, lifeline, inherited)))

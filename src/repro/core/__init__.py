@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .columnar import (
     EncodingCache,
-    SharedColumnarDomain,
     encoding_for,
 )
 from .dist import (
@@ -152,7 +151,6 @@ __all__ = [
     "domain_digest",
     "task_key",
     "EncodingCache",
-    "SharedColumnarDomain",
     "encoding_for",
     "PlanCache",
     "ScanPlan",

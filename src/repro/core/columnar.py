@@ -9,7 +9,7 @@ integers, tiled probe strings, record products — that per-object
 dispatch dominates the sweep.  This module adds the standard analytical
 fix: **columnar execution**.
 
-Three layers:
+Two layers:
 
 * **The encoder.**  :func:`encoding_for` converts a domain into a
   struct-of-arrays :class:`Encoding` — one typed column per field (or
@@ -47,18 +47,10 @@ Three layers:
   mixed type) *bails*: :func:`scan_program` returns ``None`` and the
   caller falls through to the compiled scalar scan.
 
-* **Zero-copy sharing.**  :func:`export_shared` serializes an encoding
-  into one ``multiprocessing.shared_memory`` segment (``int64`` columns
-  as raw buffers, other columns as one pickled blob) and returns a tiny
-  picklable :class:`SharedColumnarDomain` ref; workers read the segment
-  (via ``np.frombuffer`` / ``memoryview.cast``) and scan without the
-  domain ever crossing the wire.  The parent owns the segment lifecycle
-  — create before its workers fork, unlink before dispatch, unmap after
-  the sweep — while workers keep a small bounded attachment cache; see
-  :mod:`repro.core.dist` for the per-sweep session and its counters.
-  Where shared memory is unavailable the ref degrades to carrying the
-  column payload inline (pickled bytes — no sharing, but workers still
-  scan columnar).
+Process-backend workers are forked after their sweep's task list
+exists, so they scan the very domain objects the parent holds, along
+with every encoding the parent had already built; no column ever
+crosses a process boundary.
 
 ``numpy`` is strictly optional, and imported only when the first
 encoding large enough to use it is built: a process whose domains stay
@@ -72,13 +64,12 @@ strategy can be bypassed with :func:`set_enabled` (``repro sweep
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import weakref
 from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import DEFAULT as _OBS
 from . import plan as _plan
@@ -87,11 +78,9 @@ from .predspec import decode_value, spec_fields, _resolve_type
 __all__ = [
     "Encoding",
     "EncodingCache",
-    "SharedColumnarDomain",
     "disabled",
     "encoding_cache",
     "encoding_for",
-    "export_shared",
     "force_fallback",
     "is_enabled",
     "kernel_backend",
@@ -99,7 +88,6 @@ __all__ = [
     "scan_program",
     "set_enabled",
     "set_min_rows",
-    "shm_supported",
     "stats",
 ]
 
@@ -256,9 +244,6 @@ class _NumpyOps:
         base = np.asarray(source, dtype=np.int64)
         return np.tile(np.repeat(base, stride), repeat)
 
-    def attach_ints(self, view: memoryview) -> Any:
-        return self.np.frombuffer(view, dtype=self.np.int64, count=self.n)
-
     def lengths(self, values: Any) -> Any:
         return self.np.fromiter((len(v) for v in values),
                                 dtype=self.np.int64, count=len(values))
@@ -325,9 +310,6 @@ class _IntOps:
     def tiled_ints(self, source: List[int], stride: int, repeat: int) -> Any:
         return array("q", _tile(source, stride, repeat))
 
-    def attach_ints(self, view: memoryview) -> Any:
-        return view.cast("q")
-
     def lengths(self, values: Any) -> Any:
         return array("q", map(len, values))
 
@@ -368,10 +350,10 @@ def _make_ops(n: int) -> Any:
 
 class _Column:
     """One typed column: ``kind`` is ``int``/``str``/``bytes``/``obj``.
-    ``values`` is an ``int64`` buffer (ndarray, ``array('q')``, or a
-    cast memoryview over shared memory) for ``int`` columns and a value
-    sequence otherwise; ``lengths`` is built lazily for ``str``/``bytes``
-    columns (the vectorized ``lenle``/``truthy`` path)."""
+    ``values`` is an ``int64`` buffer (ndarray or ``array('q')``) for
+    ``int`` columns and a value sequence otherwise; ``lengths`` is built
+    lazily for ``str``/``bytes`` columns (the vectorized
+    ``lenle``/``truthy`` path)."""
 
     __slots__ = ("kind", "values", "_lengths")
 
@@ -428,8 +410,7 @@ class Encoding:
     ``mode`` records the source shape: ``"range"`` / ``"scalar"``
     (materialized ints, strings, or bytes), ``"record"`` (homogeneous
     dicts), ``"product"`` (a lazy :class:`~repro.core.witness.
-    _LazyProduct`, whose columns tile without building the dicts), or
-    ``"shared"`` (attached from a :class:`SharedColumnarDomain`).
+    _LazyProduct`, whose columns tile without building the dicts).
     Column buffers, node masks, and compiled kernels are all memoized
     here, so every consumer of one domain shares them.  This is
     deliberately lock-free: kernels are pure, so a racing
@@ -521,28 +502,12 @@ class Encoding:
             return self._items[index]
         if self._range is not None:
             return self._range[index]
-        if self.mode == "product":
-            sources, strides = self._sources, self._strides
-            return {
-                name: sources[name][
-                    (index // strides[name][0]) % len(sources[name])]
-                for name in self.fields
-            }
-        # shared: rebuild from the attached columns
-        if self.scalar_kind is not None:
-            column = self.column(None)
-            value = column.values[index]
-            return int(value) if column.kind == "int" else value
-        out = {}
-        for name in self.fields:
-            column = self.column(name)
-            if column.kind == "int":
-                out[name] = int(column.values[index])
-            elif column.kind == "obj":
-                out[name] = self._sources[name][index]
-            else:
-                out[name] = column.values[index]
-        return out
+        sources, strides = self._sources, self._strides  # a product
+        return {
+            name: sources[name][
+                (index // strides[name][0]) % len(sources[name])]
+            for name in self.fields
+        }
 
     def rows(self, indices: Iterable[int]) -> List[Any]:
         return [self.row(i) for i in indices]
@@ -1017,8 +982,6 @@ def encoding_for(domain: Any) -> Optional[Encoding]:
     threshold configuration) and shared across equal-content domains
     through the digest-keyed :func:`encoding_cache`.
     """
-    if isinstance(domain, SharedColumnarDomain):
-        return domain.encoding()
     stamp = _config_stamp()
     try:
         memo = _DOMAIN_MEMO.get(domain)
@@ -1111,52 +1074,6 @@ def kernel_backend(program: Any, domain: Any) -> Optional[str]:
     return encoding.ops.name
 
 
-#: Leaf operators the kernels can lower; everything else is scalar-only.
-_VECTOR_LEAVES = frozenset({
-    "true", "false", "truthy", "eq", "range", "le", "ge",
-    "lenle", "contains", "ncontains", "matches", "isa",
-})
-
-_SPEC_VECTOR_MEMO: Dict[str, bool] = {}
-
-
-def spec_vectorizable(program: Any) -> bool:
-    """Structural pre-check, no domain needed: could this program's
-    spec *ever* lower to column kernels?  ``False`` for opaque named
-    predicates, nested ``attr``, or operators the kernels don't know.
-    Cheaper than :func:`kernel_backend` (which must encode the domain
-    and digest its content) — ``core.dist`` uses it to skip the
-    shared-memory probe for tasks that can only ever run scalar."""
-    if program is None:
-        return False
-    digest = getattr(program, "digest", None)
-    if digest is not None:
-        memo = _SPEC_VECTOR_MEMO.get(digest)
-        if memo is not None:
-            return memo
-
-    def walk(node: Any, inside_attr: bool) -> bool:
-        if not isinstance(node, (list, tuple)) or not node:
-            return False
-        op = node[0]
-        if op == "named":
-            return False
-        if op == "attr":
-            if inside_attr or len(node) < 3 or not isinstance(node[1], str):
-                return False
-            return walk(node[2], True)
-        if op in ("and", "or", "not"):
-            return all(walk(child, inside_attr) for child in node[1:])
-        return op in _VECTOR_LEAVES
-
-    ok = walk(program.spec, False)
-    if digest is not None:
-        if len(_SPEC_VECTOR_MEMO) > 4096:
-            _SPEC_VECTOR_MEMO.clear()
-        _SPEC_VECTOR_MEMO[digest] = ok
-    return ok
-
-
 def stats() -> Dict[str, Any]:
     """Encoding-cache counters plus the mask backend the encodings built
     so far ran on — ``"numpy"`` once any reached ``_NUMPY_MIN_ROWS``
@@ -1168,320 +1085,3 @@ def stats() -> Dict[str, Any]:
     payload["enabled"] = _ENABLED
     payload["min_rows"] = _MIN_ROWS
     return payload
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy sharing with worker processes.
-# ---------------------------------------------------------------------------
-
-def shm_supported() -> bool:
-    """Is ``multiprocessing.shared_memory`` usable on this platform?"""
-    try:
-        from multiprocessing import shared_memory
-
-        probe = shared_memory.SharedMemory(create=True, size=8)
-        probe.close()
-        probe.unlink()
-        return True
-    except Exception:
-        return False
-
-
-def _column_payloads(encoding: Encoding) -> Optional[List[Tuple[str, str, bytes]]]:
-    """``(field, kind, raw bytes)`` per column — int columns as native
-    ``int64`` buffers, everything else as one pickled value list.
-    ``None`` when any column fails to serialize."""
-    parts: List[Tuple[str, str, bytes]] = []
-    try:
-        if encoding.scalar_kind is not None:
-            kind = encoding.scalar_kind
-            if kind == "int":
-                column = encoding.column(None)
-                data = _int_column_bytes(column.values)
-            else:
-                data = pickle.dumps(list(encoding._items),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-            parts.append(("", kind, data))
-            return parts
-        for name in encoding.fields:
-            kind = encoding.field_kind(name)
-            if kind == "int":
-                data = _int_column_bytes(encoding.column(name).values)
-            else:
-                values = [item[name] for item in encoding._items]
-                data = pickle.dumps(values,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-            parts.append((name, kind, data))
-        return parts
-    except Exception:
-        return None
-
-
-def _int_column_bytes(values: Any) -> bytes:
-    # ndarray, ``array('q')`` and cast memoryviews all serialize natively.
-    return values.tobytes()
-
-
-class SharedColumnarDomain:
-    """A tiny picklable stand-in for a large materialized domain.
-
-    The parent exports the domain's columns once (to a shared-memory
-    segment, or inline pickled bytes where shared memory is
-    unavailable) and ships this ref in every chunk payload instead of
-    the domain.  Workers attach lazily on first access; ``int64``
-    columns map zero-copy through the mask backend the ref's row count
-    selects (``np.frombuffer`` for numpy, ``memoryview.cast('q')`` for
-    stdlib), other columns unpickle from the
-    segment's blob.  The object quacks like a domain: sized, iterable
-    (reconstructed rows), digest-stable — and :func:`encoding_for`
-    short-circuits straight to the attached encoding, so scans over it
-    take the columnar strategy without re-encoding.
-
-    Lifecycle contract: the ref never owns the segment.  The *parent*
-    creates and unlinks it (one sweep session brackets dispatch);
-    workers only ever attach, through a small bounded cache whose
-    evictions close defensively (a mapped buffer in use keeps the
-    memory alive regardless).
-    """
-
-    def __init__(self, *, segment: Optional[str], payload: Optional[bytes],
-                 layout: List[Tuple[str, str, int, int]], n: int,
-                 scalar_kind: Optional[str], fields: Tuple[str, ...],
-                 description: str, digest: Optional[str]) -> None:
-        self.segment = segment
-        self.payload = payload
-        self.layout = layout
-        self.n = n
-        self.scalar_kind = scalar_kind
-        self.fields = fields
-        self.description = description
-        if digest:
-            self._dist_digest = digest
-        self._encoding: Optional[Encoding] = None
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = {
-            "segment": self.segment, "payload": self.payload,
-            "layout": self.layout, "n": self.n,
-            "scalar_kind": self.scalar_kind, "fields": self.fields,
-            "description": self.description,
-            "digest": getattr(self, "_dist_digest", None),
-        }
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(
-            segment=state["segment"], payload=state["payload"],
-            layout=state["layout"], n=state["n"],
-            scalar_kind=state["scalar_kind"], fields=tuple(state["fields"]),
-            description=state["description"], digest=state["digest"],
-        )
-
-    # -- the domain protocol ----------------------------------------------
-
-    @property
-    def backing(self) -> Any:
-        return self
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        encoding = self.encoding()
-        if encoding is None:
-            raise RuntimeError(
-                f"shared columnar segment {self.segment!r} is not attachable")
-        for index in range(self.n):
-            yield encoding.row(index)
-
-    def __repr__(self) -> str:
-        where = self.segment or "inline"
-        return f"SharedColumnarDomain({self.description!r}, via {where})"
-
-    # -- attachment --------------------------------------------------------
-
-    def _raw(self) -> Any:
-        if self.payload is not None:
-            return self.payload
-        return _attach_segment(self.segment).buf
-
-    def encoding(self) -> Optional[Encoding]:
-        if self._encoding is not None:
-            return self._encoding
-        try:
-            raw = self._raw()
-        except Exception:
-            if _OBS.enabled:
-                _OBS.incr("columnar.shm.attach_failures")
-            return None
-        encoding = Encoding(self.n, "shared")
-        encoding.scalar_kind = self.scalar_kind
-        encoding.fields = self.fields
-        for name, kind, offset, length in self.layout:
-            field = None if self.scalar_kind is not None else name
-            if kind == "int":
-                view = memoryview(raw)[offset:offset + self.n * 8]
-                encoding._columns[field] = _Column(
-                    "int", encoding.ops.attach_ints(view))
-            else:
-                values = pickle.loads(bytes(raw[offset:offset + length]))
-                if kind == "obj":
-                    encoding._sources[name] = values
-                else:
-                    encoding._columns[field] = _Column(kind, values)
-            if field is not None:
-                encoding._field_kinds[name] = kind
-        self._encoding = encoding
-        if _OBS.enabled:
-            _OBS.incr("columnar.shm.attached")
-        return encoding
-
-
-#: Worker-side attachment cache: segment name → SharedMemory.  Bounded;
-#: evicted handles close defensively (BufferError means a column is
-#: still mapped — the OS keeps the pages alive either way).
-_ATTACHED: "OrderedDict[str, Any]" = OrderedDict()
-_ATTACH_LOCK = threading.Lock()
-_ATTACH_MAX = 8
-
-
-def _attach_segment(name: str) -> Any:
-    from multiprocessing import resource_tracker, shared_memory
-
-    with _ATTACH_LOCK:
-        cached = _ATTACHED.get(name)
-        if cached is not None:
-            _ATTACHED.move_to_end(name)
-            return cached
-        # Attaching must not re-register the segment with this process's
-        # resource tracker: the parent owns the lifecycle, and a second
-        # registration would have the tracker unlink (or warn about) a
-        # segment it never created.  ``track=False`` only exists on
-        # 3.13+, so the register call is stubbed out for the duration.
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-        _ATTACHED[name] = segment
-        while len(_ATTACHED) > _ATTACH_MAX:
-            _name, stale = _ATTACHED.popitem(last=False)
-            try:
-                stale.close()
-            except Exception:
-                pass
-        return segment
-
-
-class SharedExport:
-    """One exported domain: the picklable ref plus the parent-side
-    segment handle.  :meth:`unlink` drops the segment's name once every
-    process that needs the mapping has it (forked workers inherit it);
-    :meth:`close` unlinks if that has not happened yet and unmaps —
-    call it exactly once, after every chunk of the sweep has completed."""
-
-    __slots__ = ("ref", "_segment", "nbytes", "_linked")
-
-    def __init__(self, ref: SharedColumnarDomain, segment: Any,
-                 nbytes: int) -> None:
-        self.ref = ref
-        self._segment = segment
-        self.nbytes = nbytes
-        self._linked = segment is not None
-
-    def unlink(self) -> None:
-        if self._linked:
-            self._linked = False
-            try:
-                self._segment.unlink()
-            except Exception:
-                pass
-
-    def close(self) -> None:
-        self.unlink()
-        segment = self._segment
-        self._segment = None
-        if segment is not None:
-            with _ATTACH_LOCK:
-                if _ATTACHED.get(self.ref.segment) is segment:
-                    del _ATTACHED[self.ref.segment]
-            try:
-                segment.close()
-            except Exception:
-                pass
-
-
-def export_shared(domain: Any) -> Optional[SharedExport]:
-    """Export one materialized domain's columns for zero-copy worker
-    access.  ``None`` when the domain is not encodable, not materialized
-    (ranges and lazy products already pickle small), or its columns fail
-    to serialize.  Degrades to an inline-payload ref (pickled bytes, no
-    sharing) when shared memory is unavailable."""
-    if isinstance(domain, SharedColumnarDomain):
-        return None
-    encoding = encoding_for(domain)
-    if encoding is None or encoding.mode not in ("scalar", "record"):
-        return None
-    parts = _column_payloads(encoding)
-    if parts is None:
-        return None
-    layout: List[Tuple[str, str, int, int]] = []
-    offset = 0
-    for name, kind, data in parts:
-        layout.append((name, kind, offset, len(data)))
-        offset += len(data)
-    digest = getattr(domain, "_dist_digest", None)
-    description = getattr(domain, "description", "") or \
-        f"{encoding.n} objects"
-    segment = None
-    payload: Optional[bytes] = None
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=max(1, offset))
-        cursor = 0
-        for _name, _kind, data in parts:
-            segment.buf[cursor:cursor + len(data)] = data
-            cursor += len(data)
-        name = segment.name.lstrip("/")
-        ref = SharedColumnarDomain(
-            segment=name, payload=None, layout=layout, n=encoding.n,
-            scalar_kind=encoding.scalar_kind, fields=encoding.fields,
-            description=description, digest=digest,
-        )
-        # The exporting process reads through the same attachment path
-        # as workers (inline chunk fallback); prime its cache with the
-        # owning handle so it never re-opens its own segment.  Workers
-        # forked after this point inherit the entry, and the mapping.
-        with _ATTACH_LOCK:
-            _ATTACHED[name] = segment
-        return SharedExport(ref, segment, offset)
-    except Exception:
-        if segment is not None:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:
-                pass
-        payload = b"".join(data for _name, _kind, data in parts)
-        ref = SharedColumnarDomain(
-            segment=None, payload=payload, layout=layout, n=encoding.n,
-            scalar_kind=encoding.scalar_kind, fields=encoding.fields,
-            description=description, digest=digest,
-        )
-        return SharedExport(ref, None, offset)
-
-
-def release_attachments() -> None:
-    """Close every cached worker-side attachment (tests, session end)."""
-    with _ATTACH_LOCK:
-        while _ATTACHED:
-            _name, segment = _ATTACHED.popitem(last=False)
-            try:
-                segment.close()
-            except Exception:
-                pass

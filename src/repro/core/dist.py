@@ -17,9 +17,16 @@ nothing listens on a port, and a memo-only call forks none).  Leases,
 reclaim on worker death and the coordinator's inline path are the same
 code for both; a chunk whose retries run out runs inline here, per
 task, so a poisoned worker degrades throughput, never correctness.
-A chunk ships its tasks pickled one by one; a worker compiles each
-task's program through its own plan cache and runs each task as its
-own scan.
+A worker compiles each task's program through its own plan cache and
+runs each task as its own scan.
+
+**What a chunk carries.**  A process chunk names its tasks by index
+and carries no task bytes: its workers are forked after the task list
+exists, so each scans ``tasks[index]`` from the list it inherited,
+domains and already-built columnar encodings included.  A cluster
+chunk crosses hosts, so it ships each task pickled; a task that does
+not pickle (an unregistered opaque predicate) runs inline in the
+parent instead of dragging the whole sweep onto threads.
 
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
@@ -34,25 +41,6 @@ that chunk completes, so a sweep killed mid-run resumes from every
 chunk that landed.
 Keys are purely semantic: a rebound predicate, an edited domain, or a
 different witness limit all change the key, so reuse is never stale.
-
-A task that does not pickle (an unregistered opaque predicate) runs
-inline in the parent instead of dragging the whole sweep onto threads.
-
-**Zero-copy domain sharing.**  Large materialized domains used to be
-re-pickled into every chunk payload.  With the columnar engine enabled,
-:func:`run_tasks` now encodes each such domain once (see
-:func:`repro.core.columnar.export_shared`), publishes its columns in a
-``multiprocessing.shared_memory`` segment, and substitutes a tiny
-picklable :class:`~repro.core.columnar.SharedColumnarDomain` ref into
-the chunk payloads; workers read the columns in place.  The segment
-is created before the local workers fork, so they inherit its mapping,
-and its name is unlinked before the first chunk is dispatched: no
-segment name outlives the call, or a kill.  The parent closes its own
-mapping when the call returns (inline fallbacks always re-run the
-*original* tasks, so a failed attach degrades, never corrupts).  A substitution only happens when it strictly shrinks the
-payload, and where shared memory is unavailable the ref degrades to
-inline pickled columns (``dist.shm.fallback``).  Counters:
-``dist.shm.segments`` / ``bytes_shared`` / ``bytes_saved`` / ``tasks``.
 """
 
 from __future__ import annotations
@@ -84,7 +72,6 @@ __all__ = [
     "memo_store",
     "memo_discard",
     "clear_memo",
-    "set_shm_enabled",
     "reset",
 ]
 
@@ -507,12 +494,17 @@ def chunk_tasks(tasks: Sequence[Any], indexes: Sequence[int],
 def _chunk_worker(
     chunk: List[Tuple[int, bytes]],
     traceparent: Optional[str] = None,
+    tasks: Optional[Sequence[Any]] = None,
 ) -> Any:
-    """Run one chunk of serialized tasks in a worker process.
+    """Run one chunk of ``(task index, task bytes)`` rows in a worker
+    process.
 
-    Each payload is one pickled task; it rebuilds through predicate
-    specs (see :mod:`repro.core.predspec`), and each task runs its own
-    scan, compiling its program through the worker's plan cache.
+    Handed ``tasks`` (the sweep's task list, inherited through the
+    fork), the worker scans ``tasks[index]`` and ignores the row's
+    bytes, which a process chunk leaves empty.  Otherwise each row's
+    bytes are one pickled task, rebuilt through predicate specs (see
+    :mod:`repro.core.predspec`).  Each task runs its own scan,
+    compiling its program through the worker's plan cache.
 
     With a ``traceparent`` (the shipping chunk's trace context,
     serialized W3C-style), the worker continues the parent's trace: its
@@ -532,7 +524,8 @@ def _chunk_worker(
         _OBS.enable(sink)
         restore = _OBS.set_trace(ctx)
     try:
-        results = [(index, _scan_task(pickle.loads(raw)))
+        results = [(index, _scan_task(pickle.loads(raw) if tasks is None
+                                      else tasks[index]))
                    for index, raw in chunk]
     finally:
         if sink is not None:
@@ -556,130 +549,12 @@ def _chunk_worker(
 # ---------------------------------------------------------------------------
 
 def _serialize_task(task: Any) -> Optional[bytes]:
-    """Dispatch payload of one task: the pickled task, or ``None`` when
+    """Cluster payload of one task: the pickled task, or ``None`` when
     it does not pickle (it then runs inline in the parent)."""
     try:
         return pickle.dumps(task)
     except Exception:
         return None
-
-
-#: Gate for the shared-memory domain substitution (tests flip it;
-#: ``repro sweep --no-columnar`` disables it with the rest of the
-#: columnar engine).
-_SHM_ENABLED = True
-
-
-def set_shm_enabled(on: bool) -> bool:
-    """Enable/disable zero-copy domain sharing; returns the previous
-    setting."""
-    global _SHM_ENABLED
-    previous = _SHM_ENABLED
-    _SHM_ENABLED = bool(on)
-    return previous
-
-
-class _ShmSession:
-    """The per-``run_tasks`` shared-domain registry: one export per
-    distinct domain object, every export unlinked by :meth:`unlink` (or
-    at the latest :meth:`close`) and unmapped at :meth:`close`."""
-
-    def __init__(self) -> None:
-        self._exports: Dict[int, Any] = {}
-        self._pinned: List[Any] = []  # keep ids unique for the session
-
-    def ref_for(self, domain: Any) -> Optional[Any]:
-        from . import columnar
-
-        ident = id(domain)
-        if ident in self._exports:
-            export = self._exports[ident]
-        else:
-            try:
-                export = columnar.export_shared(domain)
-            except Exception:
-                export = None
-            self._exports[ident] = export
-            self._pinned.append(domain)
-            if export is not None and _OBS.enabled:
-                if export.ref.segment is not None:
-                    _OBS.incr("dist.shm.segments")
-                    _OBS.incr("dist.shm.bytes_shared", export.nbytes)
-                else:
-                    _OBS.incr("dist.shm.fallback")
-        return None if export is None else export.ref
-
-    def unlink(self) -> None:
-        """Drop every segment's name; existing mappings stay valid."""
-        for export in self._exports.values():
-            if export is not None:
-                export.unlink()
-
-    def close(self) -> None:
-        for export in self._exports.values():
-            if export is not None:
-                export.close()
-        self._exports.clear()
-        self._pinned.clear()
-
-
-def _substitute_shared_domains(
-    tasks: Sequence[Any],
-    pending: Sequence[int],
-    payload_list: List[Optional[bytes]],
-) -> Optional[_ShmSession]:
-    """Replace big materialized domains in the pending payloads with
-    shared-memory refs.  Returns the session owning the segments (close
-    it after dispatch), or ``None`` when nothing was substituted.
-
-    Two gates keep this strictly a win.  A task is only eligible when
-    its compiled program vectorizes over the domain's encoding — a
-    worker scanning a shared ref on the *scalar* path would have to
-    rebuild every row from columns, which is slower than iterating the
-    pickled original.  And each substitution is accepted only if it
-    strictly shrinks the payload, so the worst case is byte-for-byte
-    the status quo."""
-    try:
-        from . import columnar, plan
-
-        if not columnar.is_enabled():
-            return None
-    except Exception:
-        return None
-    session = _ShmSession()
-    shipped = 0
-    saved = 0
-    for index in pending:
-        task = tasks[index]
-        try:
-            # Cheapest gate first: a structurally scalar-only spec never
-            # justifies encoding (and content-digesting) a big domain.
-            program = plan.program_for(task[2])
-            if not columnar.spec_vectorizable(program):
-                continue
-            if columnar.kernel_backend(program, task[3]) is None:
-                continue
-            ref = session.ref_for(task[3])
-        except Exception:
-            ref = None
-        if ref is None:
-            continue
-        original = payload_list[index]
-        substituted = _serialize_task(
-            (task[0], task[1], task[2], ref, task[4]))
-        if substituted is None or original is None or \
-                len(substituted) >= len(original):
-            continue
-        payload_list[index] = substituted
-        shipped += 1
-        saved += len(original) - len(substituted)
-    if not shipped:
-        session.close()
-        return None
-    if _OBS.enabled:
-        _OBS.incr("dist.shm.tasks", shipped)
-        _OBS.incr("dist.shm.bytes_saved", saved)
-    return session
 
 
 def run_tasks(
@@ -750,68 +625,57 @@ def run_tasks(
         if obs_on and hits:
             _OBS.incr("dist.memo.hits", len(hits))
 
-    # Serialized bytes are the dispatch payload; unpicklable tasks run
-    # inline in the parent.
-    payload_list: List[Optional[bytes]] = [None] * count
+    # Cluster chunks ship pickled tasks, and a task that does not
+    # pickle runs inline in the parent.  Process chunks ship bare
+    # indexes: their workers inherit the task list.
+    payloads: List[bytes] = [b""] * count
     pending: List[int] = []
     inline_indexes: List[int] = []
     for index in range(count):
         if results[index] is not _PENDING:
             continue
-        payload_list[index] = _serialize_task(tasks[index])
-        if payload_list[index] is None:
-            inline_indexes.append(index)
-        else:
-            pending.append(index)
+        if backend == "cluster":
+            raw = _serialize_task(tasks[index])
+            if raw is None:
+                inline_indexes.append(index)
+                continue
+            payloads[index] = raw
+        pending.append(index)
     if obs_on and inline_indexes:
         _OBS.incr("dist.tasks.unpicklable", len(inline_indexes))
 
-    # Encode-once domain sharing: big materialized domains leave the
-    # payloads and ride shared memory instead (see module docstring).
-    # Cluster payloads skip it — shared-memory segments do not cross
-    # the host boundary, and the refs would fail to attach remotely.
-    shared_session: Optional[_ShmSession] = None
-    if pending and _SHM_ENABLED and backend != "cluster":
-        shared_session = _substitute_shared_domains(
-            tasks, pending, payload_list)
+    with _OBS.span("dist.run", backend=backend, tasks=count,
+                   pending=len(pending), workers=workers) as span:
+        if pending:
+            _run_chunks(tasks, payloads, pending, workers, backend,
+                        results, max_retries, persist)
 
-    try:
-        with _OBS.span("dist.run", backend=backend, tasks=count,
-                       pending=len(pending), workers=workers) as span:
-            if pending:
-                _run_chunks(tasks, payload_list, pending, workers, backend,
-                            results, max_retries, persist, shared_session)
+        # Parent-side inline degrade for tasks that never pickled.
+        for index in inline_indexes:
+            results[index] = _scan_task(tasks[index])
+        persist([(index, results[index]) for index in inline_indexes])
 
-            # Parent-side inline degrade for tasks that never pickled.
-            for index in inline_indexes:
-                results[index] = _scan_task(tasks[index])
-            persist([(index, results[index]) for index in inline_indexes])
-
-            memoized = 0
-            if keys is not None:
-                computed_indexes = set(pending).union(inline_indexes)
-                for index, key in enumerate(keys):
-                    if key is not None and index in computed_indexes:
-                        _memo_put(key, results[index])
-                        memoized += 1
-            span.set(computed=len(pending) + len(inline_indexes),
-                     memoized=memoized)
-    finally:
-        if shared_session is not None:
-            shared_session.close()
+        memoized = 0
+        if keys is not None:
+            computed_indexes = set(pending).union(inline_indexes)
+            for index, key in enumerate(keys):
+                if key is not None and index in computed_indexes:
+                    _memo_put(key, results[index])
+                    memoized += 1
+        span.set(computed=len(pending) + len(inline_indexes),
+                 memoized=memoized)
     return [None if r is _PENDING else r for r in results]
 
 
 def _run_chunks(
     tasks: Sequence[Any],
-    payloads: Sequence[Optional[bytes]],
+    payloads: Sequence[bytes],
     pending: Sequence[int],
     workers: int,
     backend: str,
     results: List[Any],
     max_retries: int,
     persist: Callable[[Sequence[Tuple[int, Any]]], None],
-    shared_session: Optional[_ShmSession],
 ) -> None:
     """Ship the pending chunks through a coordinator: the ambient one
     (``"cluster"``), or a private one with freshly forked local workers
@@ -843,16 +707,16 @@ def _run_chunks(
         _OBS.incr("dist.chunks", len(chunks))
     payload_chunks = [[(index, payloads[index]) for index in chunk]
                       for chunk in chunks]
-    fabric = (nullcontext(coordinator) if backend == "cluster" else
-              local_workers(min(width, len(chunks))))
+    # Local workers inherit the task list through the fork; the private
+    # coordinator's zero-worker inline path reads the same list.
+    inherited = None if backend == "cluster" else tasks
+    fabric = (nullcontext(coordinator) if inherited is None else
+              local_workers(min(width, len(chunks)), inherited))
     with fabric as coordinator:
-        if shared_session is not None:
-            # The local workers have forked and hold the mappings: no
-            # segment name needs to outlive dispatch.
-            shared_session.unlink()
         got, failed = coordinator.run_chunks(payload_chunks,
                                              max_retries=max_retries,
-                                             on_chunk=persist)
+                                             on_chunk=persist,
+                                             tasks=inherited)
     for index, finding in got.items():
         results[index] = finding
     if failed and _OBS.enabled:

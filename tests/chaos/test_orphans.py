@@ -1,10 +1,10 @@
 """A SIGKILLed process sweep leaves nothing behind.
 
 The parent of a ``backend="process"`` sweep is killed mid-dispatch,
-over a record domain big enough for the shared-memory column export.
-Within five seconds no process it started (local workers, the
-``multiprocessing`` resource tracker) may still run, and ``/dev/shm``
-may hold no segment the sweep created.
+over a 16,384-row record domain its forked workers inherit.  Within
+five seconds no process it started (its two local workers) may still
+run, and ``/dev/shm`` may hold no new entry: a process sweep never
+creates a shared-memory segment at all.
 """
 
 import os
@@ -19,9 +19,9 @@ import pytest
 _SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
 
-#: A sweep whose first task exports a 16,384-row record domain to
-#: shared memory and whose other tasks keep both workers busy for
-#: seconds (each verdict of the named predicate sleeps).
+#: A sweep whose first task scans a 16,384-row record domain and whose
+#: other tasks keep both workers busy for seconds (each verdict of the
+#: named predicate sleeps).
 _VICTIM = textwrap.dedent("""
     import time
     from repro.core import (Domain, PrimitiveFSM, attr, dist, in_range,
@@ -35,14 +35,14 @@ _VICTIM = textwrap.dedent("""
     slow = named_predicate("orphan_test_slow", _slow, "sleeps 200ms")
     records = Domain([{"size": i % 1000, "name": "n" * (i % 9)}
                       for i in range(1 << 14)])
-    exported = PrimitiveFSM(
+    columnar = PrimitiveFSM(
         "p", "scan", "r",
         spec_accepts=satisfies_all(attr("size", in_range(0, 900)),
                                    attr("name", length_le(6))),
         impl_accepts=attr("size", less_equal(950)))
     sleepy = PrimitiveFSM("q", "scan", "x", spec_accepts=slow,
                           impl_accepts=less_equal(10))
-    tasks = [("m", "export", exported, records, 5)] + [
+    tasks = [("m", "records", columnar, records, 5)] + [
         ("m", f"slow{i}", sleepy, Domain.integers(0, 20), 5)
         for i in range(8)]
     dist.run_tasks(tasks, 2, backend="process")
@@ -83,10 +83,6 @@ def _segments():
                          hasattr(os, "fork")),
                     reason="needs /proc, /dev/shm and fork")
 def test_sigkilled_process_sweep_leaves_no_process_or_segment():
-    from repro.core import columnar
-
-    if not columnar.shm_supported():
-        pytest.skip("no shared memory on this platform")
     before = _segments()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -96,9 +92,9 @@ def test_sigkilled_process_sweep_leaves_no_process_or_segment():
                               stderr=subprocess.DEVNULL,
                               start_new_session=True)
     try:
-        # Two workers plus the resource tracker mean dispatch is on.
+        # Both workers forked means dispatch is on.
         deadline = time.monotonic() + 60.0
-        while len(_children(victim.pid)) < 3:
+        while len(_children(victim.pid)) < 2:
             assert victim.poll() is None, "the sweep ended before the kill"
             assert time.monotonic() < deadline, "workers never started"
             time.sleep(0.02)

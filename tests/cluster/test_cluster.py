@@ -87,6 +87,27 @@ class TestZeroWorkers:
         assert got == expected
 
 
+class TestInheritedTasks:
+    def test_agent_with_a_task_list_scans_index_rows(self):
+        # An agent handed the task list needs no task bytes: each row
+        # names its task, and the coordinator ships nothing.
+        tasks = _tasks(n=3)
+        with ClusterCoordinator() as coordinator:
+            agent = ClusterWorker(*coordinator.address, tasks=tasks)
+            agent.start()
+            try:
+                assert coordinator.wait_for_workers(1, timeout=10.0)
+                got, failed = coordinator.run_chunks(
+                    [[(0, b""), (2, b"")], [(1, b"")]])
+            finally:
+                agent.stop()
+            assert coordinator.counter("chunks.inline") == 0
+            assert coordinator.counter("bytes.shipped") == 0
+        assert failed == []
+        assert _witnesses([got[i] for i in range(3)]) == \
+            _witnesses([_scan_task(task) for task in tasks])
+
+
 class TestConnectionDropRecovery:
     def test_dead_connection_frees_its_lease_immediately(self):
         """A raw-socket 'worker' claims a chunk and vanishes without a

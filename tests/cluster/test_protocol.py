@@ -67,7 +67,8 @@ class TestCodecs:
             decode_blob("@@@not-base64@@@")
 
     def test_payload_round_trip_preserves_order_and_bytes(self):
-        rows = [(4, b"\x00\x01task"), (0, b"other")]
+        # A process chunk's rows name their tasks and carry no bytes.
+        rows = [(4, b"\x00\x01task"), (0, b"other"), (3, b"")]
         assert decode_payload(encode_payload(rows)) == rows
 
     def test_payload_rejects_malformed_rows(self):

@@ -7,18 +7,13 @@ per-occurrence duplicates, same ``limit`` truncation.  The property
 tests here drive that claim over generated integer, text, and record
 domains, under both mask backends (numpy, forced onto these small
 domains by patching ``_NUMPY_MIN_ROWS``, and the pure-stdlib big-int
-kernels via ``force_fallback``), and across a ``ProcessPoolExecutor``
-with shared-memory column transfer.
+kernels via ``force_fallback``), and in the forked workers of a
+process-backend sweep, which scan the domain they inherit.
 
 The unit tests pin the supporting machinery: encoding-cache sharing by
 domain digest, kernel bail-outs (named predicates, nested ``attr``,
-mixed-type columns), ``spec_fields`` pre-flight, the shared-memory
-export/attach lifecycle, and the inline-payload degradation path.
+mixed-type columns) and ``spec_fields`` pre-flight.
 """
-
-import gc
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -60,7 +55,6 @@ def _tiny_threshold():
     yield
     columnar.set_min_rows(previous)
     columnar.encoding_cache().clear()
-    columnar.release_attachments()
 
 
 def _drop_encodings():
@@ -418,10 +412,10 @@ def test_sweep_counters_tag_columnar_scans():
 
 
 # ---------------------------------------------------------------------------
-# Shared memory: export, attach, scan in a worker, degrade inline.
+# Process sweeps: forked workers scan the record domain they inherit.
 # ---------------------------------------------------------------------------
 
-def _shared_pfsm():
+def _record_pfsm():
     return _pfsm(
         satisfies_all(attr("size", in_range(0, 40)),
                       attr("name", length_le(3))),
@@ -429,109 +423,31 @@ def _shared_pfsm():
     )
 
 
-def _worker_scan(blob, limit):
-    """Pool worker: unpickle the shared ref, attach, scan."""
-    from repro.core import columnar as col
-    from repro.core import hidden_witness_scan as scan
-
-    ref = pickle.loads(blob)
-    try:
-        return scan(_shared_pfsm(), ref, limit=limit)
-    finally:
-        col.release_attachments()
-
-
 def _record_rows(sizes):
     return [{"size": s, "name": "x" * (abs(s) % 5)} for s in sizes]
 
 
-class TestSharedMemory:
-    def test_export_roundtrip_same_process(self):
-        self._roundtrip("stdlib")
+class TestProcessSweep:
+    """A process sweep's forked workers match the scalar scan."""
 
-    def test_export_roundtrip_numpy_masks(self, numpy_masks):
-        # The attaching side picks numpy from the ref's row count.
-        self._roundtrip(numpy_masks)
+    @staticmethod
+    def _check(pfsm, domain, limit):
+        from repro.core import dist
 
-    def _roundtrip(self, backend):
-        rows = _record_rows(range(200))
-        domain = Domain(rows)
-        export = columnar.export_shared(domain)
-        assert export is not None
-        try:
-            ref = pickle.loads(pickle.dumps(export.ref))
-            assert isinstance(ref, columnar.SharedColumnarDomain)
-            assert len(ref) == len(rows)
-            assert list(ref) == rows
-            assert ref.encoding().ops.name == backend
-            pfsm = _shared_pfsm()
-            assert hidden_witness_scan(pfsm, ref, limit=25) == \
-                _scalar(pfsm, domain, 25)
-            # Drop the attached column views before unlinking, or the
-            # still-mapped buffer makes the handle's close() unraisable.
-            # (encoding ↔ kernel memo is a cycle: collect explicitly.)
-            del ref
-        finally:
-            gc.collect()
-            export.close()
-            columnar.release_attachments()
-
-    def test_ref_pickles_much_smaller_than_domain(self):
-        rows = _record_rows(range(5000))
-        domain = Domain(rows)
-        export = columnar.export_shared(domain)
-        assert export is not None
-        try:
-            if export.ref.segment is None:
-                pytest.skip("shared memory unavailable on this platform")
-            ref_bytes = len(pickle.dumps(export.ref))
-            domain_bytes = len(pickle.dumps(rows))
-            assert ref_bytes * 10 <= domain_bytes
-        finally:
-            export.close()
-
-    def test_inline_payload_fallback_scans(self):
-        rows = _record_rows(range(150))
-        domain = Domain(rows)
-        export = columnar.export_shared(domain)
-        assert export is not None
-        try:
-            # Rebuild the ref with the segment stripped — the shape a
-            # platform without shared memory produces.
-            state = export.ref.__getstate__()
-            encoding = columnar.encoding_for(domain)
-            parts = columnar._column_payloads(encoding)
-            state["segment"] = None
-            state["payload"] = b"".join(data for _n, _k, data in parts)
-            inline = columnar.SharedColumnarDomain.__new__(
-                columnar.SharedColumnarDomain)
-            inline.__setstate__(state)
-            pfsm = _shared_pfsm()
-            assert hidden_witness_scan(pfsm, inline, limit=30) == \
-                _scalar(pfsm, domain, 30)
-        finally:
-            export.close()
-            columnar.release_attachments()
-
-    def test_lazy_domains_are_not_exported(self):
-        assert columnar.export_shared(Domain.integers(0, 5000)) is None
+        [finding] = dist.run_tasks([("m", "op", pfsm, domain, limit)], 1,
+                                   backend="process")
+        assert (list(finding.witnesses) if finding else []) == \
+            _scalar(pfsm, domain, limit)
 
     @given(sizes=st.lists(st.integers(min_value=-50, max_value=99),
                           min_size=1, max_size=300),
            limit=st.integers(min_value=1, max_value=40))
     @settings(max_examples=8, deadline=None)
-    def test_pool_scan_over_shared_columns(self, sizes, limit):
-        rows = _record_rows(sizes)
-        domain = Domain(rows)
-        expected = _scalar(_shared_pfsm(), domain, limit)
-        export = columnar.export_shared(domain)
-        assert export is not None
-        try:
-            blob = pickle.dumps(export.ref)
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                got = pool.submit(_worker_scan, blob, limit).result(
-                    timeout=60)
-            assert got == expected
-        finally:
-            export.close()
-            columnar.release_attachments()
+    def test_process_sweep_matches_scalar(self, sizes, limit):
+        self._check(_record_pfsm(), Domain(_record_rows(sizes)), limit)
+
+    @given(spec=int_pred, impl=int_pred, rows=int_rows, limit=limits)
+    @settings(max_examples=8, deadline=None)
+    def test_process_sweep_matches_scalar_on_integers(self, spec, impl,
+                                                      rows, limit):
+        self._check(_pfsm(spec, impl), Domain(list(rows)), limit)

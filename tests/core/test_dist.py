@@ -15,6 +15,7 @@ from repro.core import (
     PrimitiveFSM,
     ResultStore,
     SweepFinding,
+    attr,
     domain_digest,
     in_range,
     less_equal,
@@ -160,14 +161,52 @@ class TestBackendParity:
         assert counters.get("dist.memo.hits") == 1
         assert "dist.chunks" not in counters
 
-    def test_unpicklable_task_runs_inline(self, backend):
+    @pytest.mark.parametrize("opaque", ["predicate", "domain"])
+    def test_unpicklable_task_runs_where_it_can(self, backend, opaque):
+        # A process worker inherits the task through the fork; a cluster
+        # agent could not unpickle it, so there it runs inline.
         from repro.core import Predicate
-        opaque = _pfsm(spec=Predicate(lambda x: 0 <= x <= 5, "opaque"))
-        tasks = [_task(Domain.integers(-5, 20), pfsm=opaque)]
-        from repro.core.sweep import _scan_task
+        domain = Domain.integers(-5, 20)
+        pfsm = _pfsm()
+        if opaque == "predicate":
+            pfsm = _pfsm(spec=Predicate(lambda x: 0 <= x <= 5, "opaque"))
+        else:
+            domain.handle = threading.Lock()  # a live handle never pickles
+        tasks = [_task(domain, pfsm=pfsm)]
         expected = [_scan_task(t) for t in tasks]
-        got = dist.run_tasks(tasks, 2, backend=backend)
+        got, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend=backend))
         assert _witnesses(got) == _witnesses(expected)
+        if backend == "process":
+            assert counters.get("cluster.chunks.completed", 0) >= 1
+            assert "dist.tasks.unpicklable" not in counters
+        else:
+            assert counters.get("dist.tasks.unpicklable") == 1
+            assert "cluster.chunks.completed" not in counters
+
+    def test_record_domain_ships_bytes_only_across_hosts(self, backend,
+                                                         monkeypatch):
+        # Process chunks name their tasks by index: nothing is pickled
+        # and no task byte is shipped.  Cluster chunks pickle each task.
+        domain = Domain([{"size": i % 97, "name": "x" * (i % 7)}
+                         for i in range(4000)])
+        pfsm = PrimitiveFSM(
+            "p", "scan", "x",
+            spec_accepts=attr("size", in_range(0, 40)),
+            impl_accepts=attr("size", less_equal(90)))
+        tasks = [_task(domain, pfsm=pfsm, limit=7),
+                 _task(domain, pfsm=pfsm, limit=3)]
+        expected = [_scan_task(t) for t in tasks]
+        if backend == "process":
+            def never(task):
+                raise AssertionError("a process sweep pickled a task")
+            monkeypatch.setattr(dist, "_serialize_task", never)
+        got, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend=backend))
+        assert _witnesses(got) == _witnesses(expected)
+        assert counters.get("cluster.chunks.completed", 0) >= 1
+        shipped = counters.get("cluster.bytes.shipped", 0)
+        assert (shipped == 0) if backend == "process" else (shipped > 0)
 
     def test_sweep_matches_thread_backend_on_workers(self, backend):
         from repro.models import wuftpd_model
@@ -219,6 +258,34 @@ class TestLocalWorkers:
         assert got[0] is not None
         assert counters.get("cluster.chunks.reclaimed", 0) >= 1
         assert counters.get("cluster.chunks.inline", 0) >= 1
+
+    def test_unpicklable_witnesses_fall_back_inline(self):
+        # The workers scan the inherited locks but cannot send them back:
+        # each attempt fails, and the retry-exhausted chunk runs here.
+        from repro.core import Predicate
+
+        locks = [threading.Lock() for _ in range(4)]
+        pfsm = _pfsm(spec=Predicate(lambda lock: False, "none"),
+                     impl=Predicate(lambda lock: True, "all"))
+        tasks = [_task(Domain.of(*locks), pfsm=pfsm, limit=3)]
+        got, counters = _counting(
+            lambda: dist.run_tasks(tasks, 2, backend="process"))
+        assert got[0].witnesses == tuple(locks[:3])
+        assert counters.get("cluster.chunks.failed") == 1
+        assert counters.get("dist.chunk.inline_fallback") == 1
+
+    def test_zero_worker_inline_path_scans_the_handed_tasks(self):
+        from repro.cluster.worker import local_workers
+
+        tasks = [_task(Domain.integers(-5, 20)),
+                 _task(Domain.of(9, 7, 6, 0), _pfsm(impl=less_equal(8)))]
+        with local_workers(0, tasks) as coordinator:
+            got, failed = coordinator.run_chunks(
+                [[(0, b""), (1, b"")]], tasks=tasks)
+        assert failed == []
+        assert coordinator.counter("chunks.inline") == 1
+        assert _witnesses([got[0], got[1]]) == \
+            _witnesses([_scan_task(task) for task in tasks])
 
     def test_memo_only_sweep_forks_no_worker(self):
         tasks = [_task(Domain.integers(-5, 20))]
@@ -606,6 +673,14 @@ class TestChunkWorker:
             [(-5, -4, -3, -2), (7, 6)] == \
             _witnesses([_scan_task(task) for task in tasks])
 
+    def test_chunk_worker_scans_inherited_tasks(self):
+        tasks = [_task(Domain.integers(-5, 15), limit=4),
+                 _task(Domain.of(9, 7, 6, 0), _pfsm(impl=less_equal(8)))]
+        results = dist._chunk_worker([(1, b""), (0, b"")], None, tasks)
+        assert [index for index, _finding in results] == [1, 0]
+        assert _witnesses([f for _index, f in results]) == \
+            [(7, 6), (-5, -4, -3, -2)]
+
 
 class TestMemoHooks:
     """The public warm-tier hooks the serve cache layers on."""
@@ -684,113 +759,3 @@ class TestConcurrentSweeps:
         for t in threads:
             t.join()
         assert not errors
-
-
-class TestSharedDomainShipping:
-    """Zero-copy column transfer: one export per domain, counters, and
-    bit-equal results with sharing on or off."""
-
-    @staticmethod
-    def _big_domain(n=4000):
-        return Domain([{"size": i % 97, "name": "x" * (i % 7)}
-                       for i in range(n)])
-
-    @staticmethod
-    def _record_pfsm():
-        from repro.core import attr, length_le, satisfies_all, truthy
-
-        return PrimitiveFSM(
-            "p", "scan", "x",
-            spec_accepts=satisfies_all(attr("size", in_range(0, 40)),
-                                       attr("name", length_le(3))),
-            impl_accepts=attr("size", less_equal(90)))
-
-    def test_process_backend_ships_columns_and_matches_inline(self):
-        from repro.core import columnar
-
-        if not columnar.shm_supported():
-            pytest.skip("no shared memory on this platform")
-        domain = self._big_domain()
-        tasks = [_task(domain, pfsm=self._record_pfsm(), limit=7),
-                 _task(domain, pfsm=self._record_pfsm(), limit=3)]
-        previous = dist.set_shm_enabled(False)
-        try:
-            baseline = _witnesses(dist.run_tasks(tasks, 2,
-                                                 backend="process"))
-        finally:
-            dist.set_shm_enabled(previous)
-        sink = obs.MemorySink()
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable(sink)
-        try:
-            shared = _witnesses(dist.run_tasks(tasks, 2,
-                                               backend="process"))
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.clear_sinks()
-            registry.reset()
-        assert shared == baseline
-        assert counters.get("dist.shm.segments") == 1
-        assert counters.get("dist.shm.tasks") == 2
-        assert counters.get("dist.shm.bytes_saved", 0) > 0
-        # ≥10x: each shipped task payload shrinks by an order of
-        # magnitude against the pickled original.
-        original = len(dist._serialize_task(tasks[0]))
-        saved_per_task = counters["dist.shm.bytes_saved"] // 2
-        substituted = original - saved_per_task
-        assert original >= 10 * substituted
-
-    def test_exporter_keeps_no_attachment_after_a_sweep(self):
-        # The exporting process primes its attachment cache with each
-        # segment's owning handle; closing the export must drop it, or
-        # the cache grows one unlinked segment per sweep.
-        from repro.core import columnar
-
-        if not columnar.shm_supported():
-            pytest.skip("no shared memory on this platform")
-        columnar.release_attachments()
-        for n in range(3):
-            domain = self._big_domain(4000 + n)
-            tasks = [_task(domain, pfsm=self._record_pfsm(), limit=5)]
-            _, counters = _counting(
-                lambda: dist.run_tasks(tasks, 2, backend="process"))
-            assert counters.get("dist.shm.segments") == 1
-            assert not columnar._ATTACHED
-
-    def test_shm_disabled_leaves_counters_silent(self):
-        domain = self._big_domain(1000)
-        tasks = [_task(domain, pfsm=self._record_pfsm(), limit=5)]
-        previous = dist.set_shm_enabled(False)
-        sink = obs.MemorySink()
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable(sink)
-        try:
-            results = dist.run_tasks(tasks, 2, backend="process")
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.clear_sinks()
-            registry.reset()
-            dist.set_shm_enabled(previous)
-        assert results[0] is not None
-        assert not any(k.startswith("dist.shm.") for k in counters)
-
-    def test_small_domains_are_not_exported(self):
-        domain = Domain([{"size": 50 + i, "name": "y"} for i in range(10)])
-        tasks = [_task(domain, pfsm=self._record_pfsm(), limit=5)]
-        sink = obs.MemorySink()
-        registry = obs.get_registry()
-        registry.reset()
-        registry.enable(sink)
-        try:
-            results = dist.run_tasks(tasks, 2, backend="process")
-            counters = registry.counters()
-        finally:
-            registry.disable()
-            registry.clear_sinks()
-            registry.reset()
-        assert results[0] is not None
-        assert "dist.shm.segments" not in counters

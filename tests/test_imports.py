@@ -216,6 +216,34 @@ def test_numpy_sized_domain_scans_with_numpy_masks():
     assert result["equal"] is True
 
 
+def test_process_sweep_never_loads_shared_memory():
+    # Forked workers scan the domain they inherit: a process sweep over
+    # a numpy-sized record domain publishes no column anywhere.
+    result = run_fresh("""
+        import json, sys
+        from repro.core import (Domain, PrimitiveFSM, attr, columnar, dist,
+                                hidden_witness_scan, in_range, less_equal)
+
+        domain = Domain([{"size": i % 1000}
+                         for i in range(columnar._NUMPY_MIN_ROWS)])
+        pfsm = PrimitiveFSM("p", "scan", "r",
+                            spec_accepts=attr("size", in_range(0, 900)),
+                            impl_accepts=attr("size", less_equal(950)))
+        [finding] = dist.run_tasks([("m", "op", pfsm, domain, 5)], 2,
+                                   backend="process")
+        with columnar.disabled():
+            expected = hidden_witness_scan(pfsm, domain, limit=5)
+        print(json.dumps({
+            "rows": len(domain),
+            "equal": list(finding.witnesses) == expected,
+            "loaded": "multiprocessing.shared_memory" in sys.modules,
+        }))
+    """)
+    assert result["rows"] == 1 << 14
+    assert result["equal"] is True
+    assert result["loaded"] is False
+
+
 def test_apps_names_resolve_lazily():
     result = run_fresh("""
         import json, sys
