@@ -172,8 +172,9 @@ def bench_overload():
     everything, and keep refusals fast."""
     handle = ServerThread(ServeConfig(port=0, max_depth=2,
                                       max_batch=1)).start()
-    # Slow the engine (not the event loop) so the backlog outlives the
-    # producers: admission control, not compute speed, is under test.
+    # Slow the engine (not the connection threads) so the backlog
+    # outlives the producers: admission control, not compute speed, is
+    # under test.
     original = handle.server.batcher._compute_fn
 
     def slowed(tasks, keys):

@@ -36,7 +36,7 @@ Packages
     chunk execution, dist dispatch, serving, and the result stores
     (``repro … --faults SPEC`` / ``REPRO_FAULTS``).
 ``repro.serve``
-    The analysis service: a resident asyncio server with admission
+    The analysis service: a resident server with admission
     control, single-flight coalescing, micro-batched dispatch, a tiered
     result cache, and graceful drain (``repro serve`` / ``repro query``).
 

@@ -540,8 +540,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .serve import AnalysisServer, ServeConfig
 
     buckets = None
@@ -572,17 +570,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     server = AnalysisServer(config)
-
-    async def run() -> None:
-        await server.start()
-        print(f"repro serve listening on {server.host}:{server.port} "
-              f"(depth={config.max_depth}, "
-              f"store={config.store_path or 'none'}, "
-              f"trace={'on' if config.trace else 'off'})", flush=True)
-        server.install_signal_handlers()
-        await server.serve_until_stopped()
-
-    asyncio.run(run())
+    server.start()
+    print(f"repro serve listening on {server.host}:{server.port} "
+          f"(depth={config.max_depth}, "
+          f"store={config.store_path or 'none'}, "
+          f"trace={'on' if config.trace else 'off'})", flush=True)
+    server.install_signal_handlers()
+    server.serve_until_stopped()
     served = server.stats.counter("requests.query")
     shed = server.stats.counter("shed.overload") + \
         server.stats.counter("shed.deadline") + \

@@ -189,21 +189,36 @@ def _model_fingerprint(model: Any) -> str:
     return fingerprint
 
 
+def task_stem(model: Any, operation_name: str, pfsm: Any,
+              domain: Any) -> Any:
+    """The limit-free part of a task's key (see
+    :func:`repro.core.serialize.sweep_task_stem`), or ``None`` when the
+    task has no stable cross-run identity.  ``model`` may be the model
+    or its :func:`_model_fingerprint`."""
+    digest = domain_digest(domain)
+    if digest is None:
+        return None
+    from .serialize import sweep_task_stem
+
+    # The model fingerprint dominates the cost; hand over the memoized
+    # digest instead of the model.
+    return sweep_task_stem(
+        model if isinstance(model, str) else _model_fingerprint(model),
+        operation_name, pfsm, digest,
+    )
+
+
 def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
     """The resumable-result key of one sweep task, or ``None`` when the
     task has no stable cross-run identity (see
     :func:`repro.core.serialize.sweep_task_fingerprint`)."""
     _model_name, operation_name, pfsm, domain, limit = task
-    digest = domain_digest(domain)
-    if digest is None:
+    stem = task_stem(model, operation_name, pfsm, domain)
+    if stem is None:
         return None
-    from .serialize import sweep_task_fingerprint
+    from .serialize import stem_fingerprint
 
-    # The model fingerprint dominates the cost; hand over the memoized
-    # digest instead of the model.
-    return sweep_task_fingerprint(
-        _model_fingerprint(model), operation_name, pfsm, digest, limit,
-    )
+    return stem_fingerprint(stem, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +303,21 @@ class ResultStore:
             _OBS.incr("dist.store.write_errors")
             _OBS.event("dist.store.write_error", path=self.path)
 
-    def _tail_truncated(self) -> bool:
-        """Does the file end mid-record (non-empty, no final newline)?"""
+    def _append_prefix(self, handle: Any) -> bytes:
+        """``b"\\n"`` when the previous append died mid-line (the file
+        open on ``handle`` is non-empty and does not end in a newline),
+        else ``b""`` — counting and reporting the repair."""
         try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False  # missing or empty file
-
-    def _append_prefix(self) -> str:
-        """``"\\n"`` when the previous append died mid-line, else ``""``
-        (counting and reporting the repair)."""
-        if not self._tail_truncated():
-            return ""
+            handle.seek(-1, os.SEEK_END)
+        except OSError:
+            return b""  # empty file
+        if handle.read(1) == b"\n":
+            return b""
         if _OBS.enabled:
             _OBS.incr("dist.store.truncated")
             _OBS.event("dist.store.truncated", path=self.path,
                        action="repaired")
-        return "\n"
+        return b"\n"
 
     def load(self) -> Dict[str, Optional[SweepFinding]]:
         """Every stored ``key → finding`` (``None`` = scanned, clean)."""
@@ -354,10 +365,13 @@ class ResultStore:
                     _OBS.incr("dist.store.unencodable")
         if not lines:
             return 0
+        blob = ("\n".join(lines) + "\n").encode("utf-8")
         with self._lock:
-            blob = self._append_prefix() + "\n".join(lines) + "\n"
             try:
-                with open(self.path, "a", encoding="utf-8") as handle:
+                # One open: the tail check reads through the handle the
+                # append writes through (appends always land at the end).
+                with open(self.path, "a+b") as handle:
+                    blob = self._append_prefix(handle) + blob
                     if _faults.fire("store.append.enospc") is not None:
                         raise OSError(28, "injected: store.append.enospc")
                     if _faults.fire("store.append.torn") is not None:

@@ -232,6 +232,16 @@ def hidden_witness_scan(
 # Layer 2: the sweep executor.
 # ---------------------------------------------------------------------------
 
+#: ``json.dumps(value, separators=(",", ":"))``, with the encoder built
+#: once.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+#: A finding's wire text is joined from one dumped fragment per distinct
+#: witness object when each distinct object appears at least this many
+#: times on average (EXPERIMENTS.md, "Wire text from fragments").
+_REPEATS_PER_FRAGMENT = 4
+
+
 @dataclass(frozen=True)
 class SweepFinding:
     """One pFSM with hidden-path witnesses, located within a sweep."""
@@ -243,6 +253,35 @@ class SweepFinding:
     witnesses: Tuple[Any, ...]
 
     @cached_property
+    def _wire(self) -> Tuple[Optional[List[Any]], Optional[str]]:
+        """``(wire_witnesses, wire_json)``, built in one pass, or
+        ``(None, None)`` when a witness falls outside the codec.
+
+        Each distinct witness object is encoded once (an identity memo,
+        as in ``dist._digest_items``), because tiled domains repeat the
+        same objects by reference.  When few of the witnesses are
+        distinct objects, each distinct object is also dumped once and
+        the text joined from those fragments; otherwise the list is
+        dumped whole, which is cheaper per item than a dump per object
+        (EXPERIMENTS.md, "Wire text from fragments").  Either way the
+        text equals ``json.dumps(wire_witnesses, separators=(",",
+        ":"))``.
+        """
+        ids = list(map(id, self.witnesses))
+        distinct = dict(zip(ids, self.witnesses))
+        try:
+            values = {key: encode_value(w) for key, w in distinct.items()}
+        except ValueError:
+            return None, None
+        wire = list(map(values.__getitem__, ids))
+        if len(values) * _REPEATS_PER_FRAGMENT <= len(ids):
+            texts = {key: _dumps(value) for key, value in values.items()}
+            return wire, "[" + ",".join(map(texts.__getitem__, ids)) + "]"
+        # No sort_keys: record-shaped witnesses must round-trip with
+        # their field order intact.
+        return wire, _dumps(wire)
+
+    @property
     def wire_witnesses(self) -> Optional[List[Any]]:
         """The witnesses in the tagged-JSON codec, or ``None`` when any
         witness falls outside it.
@@ -250,27 +289,15 @@ class SweepFinding:
         The one wire form of a finding: the cold store and every server
         response (computed or cached) reuse this list and its text
         (:attr:`wire_json`), so each finding is encoded and serialized
-        once.  Each distinct witness object is encoded once
-        too (an identity memo, as in ``dist._digest_items``), because
-        tiled domains repeat the same objects by reference.  Not a
-        field, so ``==``, ``hash`` and ``dataclasses.replace`` ignore
-        it.  Assumes witnesses are domain objects that are not mutated
-        after a scan — the assumption ``dist.domain_digest`` already
-        makes.  Callers must not mutate the returned list.
+        once.  Memoized on the finding but not a field, so ``==``,
+        ``hash`` and ``dataclasses.replace`` ignore it.  Assumes
+        witnesses are domain objects that are not mutated after a scan
+        — the assumption ``dist.domain_digest`` already makes.  Callers
+        must not mutate the returned list.
         """
-        by_id: Dict[int, Any] = {}
-        encoded: List[Any] = []
-        try:
-            for witness in self.witnesses:
-                key = id(witness)
-                if key not in by_id:
-                    by_id[key] = encode_value(witness)
-                encoded.append(by_id[key])
-        except ValueError:
-            return None
-        return encoded
+        return self._wire[0]
 
-    @cached_property
+    @property
     def wire_json(self) -> Optional[str]:
         """:attr:`wire_witnesses` as compact JSON text, or ``None`` when
         a witness falls outside the codec.
@@ -280,12 +307,7 @@ class SweepFinding:
         (``serve.protocol.encode_line``) splice this text verbatim
         instead of dumping the witness list again.
         """
-        witnesses = self.wire_witnesses
-        if witnesses is None:
-            return None
-        # No sort_keys: record-shaped witnesses must round-trip with
-        # their field order intact.
-        return json.dumps(witnesses, separators=(",", ":"))
+        return self._wire[1]
 
     def __str__(self) -> str:
         sample = self.witnesses[0] if self.witnesses else None

@@ -1,7 +1,8 @@
 """Distributed request tracing on top of :mod:`repro.obs`.
 
-The serving pipeline scatters one request across an asyncio event loop,
-a micro-batch shared with other requests, and (under the process
+The serving pipeline scatters one request across its connection's
+thread, a micro-batch shared with other requests (run on whichever
+request thread dispatches it), and (under the process
 backend) worker processes — so a span tree keyed by thread-local parent
 ids stops at every one of those boundaries.  This module adds the
 *trace* layer that crosses them:
@@ -18,8 +19,9 @@ ids stops at every one of those boundaries.  This module adds the
   ambient context to itself for its duration, so nesting works exactly
   like the thread-local parent stack.
 * :func:`emit_span` — a synthesized span event for code that cannot use
-  an ambient ``with`` block (the asyncio serving path, where awaits
-  interleave unrelated requests on one thread).
+  an ambient ``with`` block (the serving path, where one request's
+  stages run on more than one thread and one batch serves many
+  requests).
 * :class:`TraceCollector` — a registry sink that reassembles span
   events back into per-trace records, applying **head sampling** (the
   ``sampled`` flag minted at admission) plus **tail-keep rules**: a
@@ -137,10 +139,10 @@ def emit_span(
 ) -> Optional[str]:
     """Emit one synthesized span event under ``ctx``.
 
-    The asyncio serving path cannot use ambient ``with registry.span``
-    blocks — awaits interleave unrelated requests on the loop thread —
-    so it measures stages itself and emits the finished span in one
-    shot.  ``span_hex`` pins the span's trace id (so children can be
+    The serving path cannot use ambient ``with registry.span`` blocks —
+    a request's queue wait ends on the dispatching thread, and one batch
+    span serves every request in the batch — so it measures stages
+    itself and emits the finished span in one shot.  ``span_hex`` pins the span's trace id (so children can be
     parented under it before it is emitted); ``parent_hex`` overrides
     the parent (default: ``ctx.span_id``).  ``links`` are
     :class:`TraceContext`-likes recorded as causal links.  Returns the
@@ -217,8 +219,8 @@ class TraceCollector:
     (:meth:`traces`); everything else is dropped on the spot, so memory
     stays flat under arbitrarily long serving sessions.
 
-    Thread-safe: spans arrive from executor threads and replayed worker
-    processes while begin/finish run on the event loop.
+    Thread-safe: spans arrive from connection threads and replayed
+    worker processes while begin/finish run on each request's thread.
     """
 
     def __init__(

@@ -2,9 +2,10 @@
 
 The ROADMAP's serving step: instead of paying pool spin-up, corpus
 construction, and predicate evaluation per CLI invocation, a resident
-asyncio server keeps the engine warm and answers "does model X have a
-hidden path?" queries over a line-delimited JSON protocol, with a thin
-HTTP façade for ``/healthz`` and ``/metrics``.
+server keeps the engine warm and answers "does model X have a hidden
+path?" queries over a line-delimited JSON protocol, with a thin HTTP
+façade for ``/healthz`` and ``/metrics``.  It serves each connection on
+a blocking thread of its own.
 
 The pipeline, front to back:
 
@@ -15,7 +16,7 @@ The pipeline, front to back:
   per-request deadlines (admission control);
 * :mod:`~repro.serve.batcher` — single-flight coalescing by request
   fingerprint plus micro-batched, task-deduplicated dispatch to the
-  engine, run inline on one executor thread;
+  engine, run inline by the request thread that finds the engine idle;
 * :mod:`~repro.serve.cache` — the tiered result cache: the scheduler's
   in-process fingerprint memo (warm) over an optional JSONL
   :class:`~repro.core.dist.ResultStore` (cold, shared with

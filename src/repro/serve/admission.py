@@ -13,16 +13,18 @@ shed (status ``timeout``) by the batcher at dequeue time, so a burst
 cannot make old requests consume compute their clients have already
 given up on.
 
-The implementation is asyncio-native and single-consumer (the batcher),
-multi-producer (connection handlers — all on the event loop thread).
-``close()`` starts drain semantics: no further offers are accepted, and
-``get`` returns ``None`` once the backlog is fully consumed.
+The queue itself never blocks and holds no lock: the batcher guards it,
+together with its single-flight map and its dispatcher slot, with one
+lock (see :mod:`repro.serve.batcher`).  ``close()`` starts drain
+semantics: no further offers are accepted, and the batcher runs the
+backlog dry.
 """
 
 from __future__ import annotations
 
-import asyncio
+import threading
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -34,15 +36,18 @@ class AdmittedRequest:
     """One admitted query waiting for (or undergoing) dispatch."""
 
     query: Any  # ExpandedQuery
-    future: "asyncio.Future[Any]"
-    enqueued_at: float  # loop.time() at admission
-    deadline_at: Optional[float] = None  # loop.time() bound, or None
+    future: "Future[Any]"
+    enqueued_at: float  # time.monotonic() at admission
+    deadline_at: Optional[float] = None  # time.monotonic() bound, or None
     #: Per-task result tokens, filled at batch-formation time.
     tokens: list = field(default_factory=list)
     #: Trace context of the owning request (None on untraced servers).
     ctx: Any = None
     #: Wall-clock admission time (span timestamps use wall time).
     wall_enqueued: float = 0.0
+    #: Set when the request is resolved, or when its thread is handed
+    #: the dispatcher role.
+    wake: threading.Event = field(default_factory=threading.Event)
 
     def expired(self, now: float) -> bool:
         return self.deadline_at is not None and now > self.deadline_at
@@ -57,13 +62,6 @@ class AdmissionQueue:
         self.max_depth = max_depth
         self._items: "deque[Any]" = deque()
         self._closed = False
-        self._event: Optional[asyncio.Event] = None
-
-    def _signal(self) -> asyncio.Event:
-        # Created lazily so the queue can be constructed off-loop.
-        if self._event is None:
-            self._event = asyncio.Event()
-        return self._event
 
     def depth(self) -> int:
         return len(self._items)
@@ -78,36 +76,16 @@ class AdmissionQueue:
         if self._closed or len(self._items) >= self.max_depth:
             return False
         self._items.append(item)
-        self._signal().set()
         return True
+
+    def peek(self) -> Optional[Any]:
+        """The head without removing it (``None`` when empty)."""
+        return self._items[0] if self._items else None
 
     def get_nowait(self) -> Optional[Any]:
         """Pop the head if one is ready (``None`` otherwise)."""
-        if self._items:
-            item = self._items.popleft()
-            if not self._items:
-                self._signal().clear()
-            return item
-        return None
-
-    async def get(self) -> Optional[Any]:
-        """Await the next item; ``None`` means closed *and* drained.
-
-        Cancellation-safe: an item is only removed atomically after the
-        wait completes, so a timed-out waiter (``asyncio.wait_for``)
-        never loses work.
-        """
-        while True:
-            item = self.get_nowait()
-            if item is not None:
-                return item
-            if self._closed:
-                return None
-            await self._signal().wait()
-            # Loop: the event may have been set by close() or the item
-            # may already be consumed in a race with get_nowait callers.
+        return self._items.popleft() if self._items else None
 
     def close(self) -> None:
-        """Refuse all future offers; wake the consumer to drain."""
+        """Refuse all future offers; what is queued stays to drain."""
         self._closed = True
-        self._signal().set()

@@ -20,9 +20,7 @@ for a batch to fill: as soon as the engine is free it takes the queue
 head plus whatever is already queued behind it (up to ``max_batch``
 requests), expires overdue deadlines, dedupes the union of their tasks
 by fingerprint key (two *different* requests that share a pFSM×domain
-compute it once), and runs the remaining unique tasks inline on one
-executor thread (the scans are GIL-bound Python, so a pool would add
-set-up and no parallelism).
+compute it once), and runs the remaining unique tasks inline.
 A failed dispatch answers every member of its batch with status
 ``error``; the next batch dispatches afresh.  A lone request on an idle
 server is dispatched at once.  Batches form under load alone: one
@@ -31,12 +29,24 @@ coalesce and new distinct requests accumulate into the next batch (or
 shed, once the queue fills — that is admission control doing its job).
 Each unique task is one scan (:func:`repro.core.sweep._scan_task`), the
 same as in a sweep, so its ``sweep.task`` span times its own work.
+
+**Leader/follower dispatch.**  No thread of the batcher's own runs
+batches: :meth:`MicroBatcher.submit` is a blocking call, and the request
+admitted while no batch is running becomes the *dispatcher*.  It runs
+batches on its own thread (the scans are GIL-bound Python, so a second
+thread would add a hand-off and no parallelism) until its own request
+is resolved, then hands the dispatcher role to the thread of the oldest
+queued request, if any, and returns.  So a lone query on an idle server
+is scanned on the thread that read it.  One lock guards the
+single-flight map, the cache fast path, the queue and the dispatcher
+slot.
 """
 
 from __future__ import annotations
 
-import asyncio
-from functools import partial
+import threading
+import time
+from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
 from .. import faults as _faults
@@ -45,6 +55,7 @@ from ..obs import DEFAULT as _OBS
 from ..obs.trace import TraceContext, emit_span, mint_span_id
 from .admission import AdmissionQueue, AdmittedRequest
 from .protocol import (
+    STATUS_DRAINING,
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_TIMEOUT,
@@ -57,33 +68,19 @@ __all__ = ["MicroBatcher"]
 _PENDING = object()
 
 
-def _traced_compute(fn: Any, tasks: List[Any], keys: List[Optional[str]],
-                    ctx: Any) -> Any:
-    """Run the compute function with ``ctx`` as the executor thread's
-    ambient trace context, so engine spans (``dist.run`` and below)
-    chain under the batch span — restored before the thread returns to
-    the pool."""
-    previous = _OBS.set_trace(ctx)
-    try:
-        return fn(tasks, keys)
-    finally:
-        _OBS.set_trace(previous)
-
-
 def _engine_compute(tasks: List[Any],
                     keys: List[Optional[str]]) -> List[Any]:
-    """The default compute function: one inline engine dispatch on an
-    executor thread (never the event loop).  ``keys`` completes the
-    compute-function signature; the inline path does not need them."""
+    """The default compute function: one inline engine dispatch on the
+    dispatching thread.  ``keys`` completes the compute-function
+    signature; the inline path does not need them."""
     return _run_tasks(tasks, 1, "thread")
 
 
 class MicroBatcher:
     """Coalesces, batches, and dispatches admitted queries.
 
-    Construct and :meth:`start` on the event loop; submit from
-    connection handlers; :meth:`stop` drains the backlog and returns
-    once every admitted request has been resolved.
+    Submit from any thread; :meth:`stop` drains the backlog and
+    returns once every admitted request has been resolved.
     """
 
     def __init__(
@@ -100,19 +97,25 @@ class MicroBatcher:
         self._queue = AdmissionQueue(max_depth)
         self._max_batch = max_batch
         self._compute_fn = compute_fn or _engine_compute
-        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
+        self._inflight: Dict[str, "Future[Any]"] = {}
         #: Trace contexts of coalesced requests, keyed by fingerprint —
         #: the batch span links to every one, so each coalesced trace
         #: still sees the batch that computed its answer.
         self._trace_links: Dict[str, List[Any]] = {}
-        self._task: Optional["asyncio.Task[Any]"] = None
         self._serial = 0
+        #: Guards the single-flight map, the trace links, the queue and
+        #: the dispatcher slot.
+        self._lock = threading.Lock()
+        #: Notified when the dispatcher slot frees (the queue is empty).
+        self._idle = threading.Condition(self._lock)
+        #: Is a thread running batches (the dispatcher slot)?
+        self._dispatching = False
 
     # -- guarded dispatch --------------------------------------------------
 
     def _guarded_compute(self, tasks: List[Any],
                          keys: List[Optional[str]]) -> List[Any]:
-        """One batch dispatch (executor thread, never the event loop).
+        """One batch dispatch, on the dispatching thread.
         The ``serve.dispatch.crash`` fault tap fires in front of the
         compute call, so chaos tests can fail a batch on demand."""
         if _faults.fire("serve.dispatch.crash") is not None:
@@ -121,16 +124,14 @@ class MicroBatcher:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the batch loop on the running event loop."""
-        self._task = asyncio.get_running_loop().create_task(self._run())
-
-    async def stop(self) -> None:
-        """Close admission, drain the backlog, flush the cold store."""
-        self._queue.close()
-        if self._task is not None:
-            await self._task
-            self._task = None
+    def stop(self) -> None:
+        """Close admission, wait for the backlog to run dry, flush the
+        cold store.  (The dispatcher slot is only ever freed with the
+        queue empty, and a closed queue admits nothing more.)"""
+        with self._lock:
+            self._queue.close()
+            while self._dispatching:
+                self._idle.wait()
         self._cache.flush()
 
     def queue_depth(self) -> int:
@@ -141,87 +142,108 @@ class MicroBatcher:
 
     # -- the request path --------------------------------------------------
 
-    async def submit(self, query: Any,
-                     deadline_ms: Optional[float] = None,
-                     ctx: Any = None) -> Dict[str, Any]:
-        """Resolve one expanded query to a response payload.
+    def submit(self, query: Any,
+               deadline_ms: Optional[float] = None,
+               ctx: Any = None) -> Dict[str, Any]:
+        """Resolve one expanded query to a response payload; blocks the
+        calling thread until it is resolved.
 
         Fast paths (coalesce, full cache hit) answer inline; otherwise
-        the query is admitted (or refused) and awaited.  ``ctx`` is the
+        the query is admitted (or refused) and waited for — on an idle
+        engine the calling thread dispatches it itself.  ``ctx`` is the
         request's :class:`~repro.obs.trace.TraceContext` on a tracing
         server; the admission decision is emitted as a span under it.
         The returned dict is freshly owned by the caller.
         """
-        loop = asyncio.get_running_loop()
         tracing = ctx is not None and _OBS.enabled
         admit_wall = _OBS._wall() if tracing else 0.0
-        admit_at = loop.time() if tracing else 0.0
+        admit_at = time.monotonic() if tracing else 0.0
 
         def admission_span(outcome: str) -> None:
             if tracing:
                 emit_span(_OBS, "serve.admission", ctx, admit_wall,
-                          max(0.0, loop.time() - admit_at),
+                          max(0.0, time.monotonic() - admit_at),
                           outcome=outcome, queue_depth=self._queue.depth())
 
-        fingerprint = query.fingerprint
         register = getattr(self._cache, "register", None)
         if register is not None:
             register(query.model_key, query.task_keys)
+        with self._lock:
+            outcome, value = self._admit(query, deadline_ms,
+                                         ctx if tracing else None,
+                                         admit_wall)
+        admission_span(outcome)
+        if outcome == "coalesced":
+            response = dict(value.result())
+            response["coalesced"] = True
+            return response
+        if outcome != "admitted":
+            return value
+        value.wake.wait()
+        if not value.future.done():  # handed the dispatcher role
+            self._lead(value)
+        return dict(value.future.result())
 
+    def _admit(self, query: Any, deadline_ms: Optional[float], ctx: Any,
+               admit_wall: float) -> Any:
+        """The admission decision (caller holds the lock), as
+        ``(outcome, value)``: ``("coalesced", leader future)``,
+        ``("admitted", AdmittedRequest)``, or a shed or cached outcome
+        with its response.  A request admitted while no batch runs
+        takes the dispatcher slot — its ``wake`` is set, so its thread
+        dispatches at once."""
+        fingerprint = query.fingerprint
         leader = self._inflight.get(fingerprint)
         if leader is not None:
             self._stats.incr("coalesced")
-            if tracing:
+            if ctx is not None:
                 # Link this trace into the leader's batch span.
                 self._trace_links.setdefault(fingerprint, []).append(ctx)
-            admission_span("coalesced")
-            response = dict(await leader)
-            response["coalesced"] = True
-            return response
-
+            return "coalesced", leader
         cached = self._lookup_all(query)
         if cached is not None:
             self._stats.incr("requests.cached")
             cached["cached"] = True
-            admission_span("cached")
-            return cached
-
+            return "cached", cached
         if _faults.fire("serve.admission.refuse") is not None:
             self._stats.incr("shed.injected")
-            admission_span("injected_refusal")
-            return {
+            return "injected_refusal", {
                 "status": STATUS_OVERLOADED,
                 "model": query.model_key,
                 "error": "admission refused (injected fault)",
             }
-
-        now = loop.time()
+        now = time.monotonic()
         item = AdmittedRequest(
             query=query,
-            future=loop.create_future(),
+            future=Future(),
             enqueued_at=now,
             deadline_at=(now + deadline_ms / 1000.0)
             if deadline_ms is not None else None,
-            ctx=ctx if tracing else None,
+            ctx=ctx,
             wall_enqueued=admit_wall,
         )
-        # No awaits between registering the leader and offering — the
-        # single-flight map and the queue stay consistent.
-        self._inflight[fingerprint] = item.future
         if not self._queue.offer(item):
-            del self._inflight[fingerprint]
+            if self._queue.closed:  # a drain began after the state check
+                self._stats.incr("shed.draining")
+                return "draining", {
+                    "status": STATUS_DRAINING,
+                    "model": query.model_key,
+                    "error": "server is draining; no new work admitted",
+                }
             self._stats.incr("shed.overload")
-            admission_span("overloaded")
-            return {
+            return "overloaded", {
                 "status": STATUS_OVERLOADED,
                 "model": query.model_key,
                 "error": f"admission queue full "
                          f"(depth {self._queue.max_depth})",
             }
+        self._inflight[fingerprint] = item.future
         self._stats.incr("admitted")
         self._stats.gauge("queue.depth", self._queue.depth())
-        admission_span("admitted")
-        return dict(await item.future)
+        if not self._dispatching:
+            self._dispatching = True
+            item.wake.set()
+        return "admitted", item
 
     def _lookup_all(self, query: Any) -> Optional[Dict[str, Any]]:
         """The full response if *every* task key is cached, else None
@@ -256,35 +278,48 @@ class MicroBatcher:
 
     def _resolve(self, item: AdmittedRequest,
                  response: Dict[str, Any]) -> None:
-        # Drop the single-flight entry *before* resolving so a request
-        # arriving after resolution starts fresh (and hits the cache).
-        self._inflight.pop(item.query.fingerprint, None)
-        # Any link contexts not consumed by a batch span (timeout and
-        # error paths) must not accumulate.
-        self._trace_links.pop(item.query.fingerprint, None)
+        with self._lock:
+            # Drop the single-flight entry *before* resolving so a
+            # request arriving after resolution starts fresh (and hits
+            # the cache).
+            self._inflight.pop(item.query.fingerprint, None)
+            # Any link contexts not consumed by a batch span (timeout
+            # and error paths) must not accumulate.
+            self._trace_links.pop(item.query.fingerprint, None)
         if not item.future.done():
             item.future.set_result(response)
+        item.wake.set()
 
-    # -- the batch loop ----------------------------------------------------
+    # -- the dispatcher ----------------------------------------------------
 
-    async def _run(self) -> None:
-        while True:
-            first = await self._queue.get()
-            if first is None:
-                break
-            batch = [first]
-            while len(batch) < self._max_batch:
-                nxt = self._queue.get_nowait()
-                if nxt is None:
+    def _lead(self, mine: AdmittedRequest) -> None:
+        """Run batches on this thread (which holds the dispatcher slot)
+        until ``mine`` is resolved, then hand the slot to the oldest
+        queued request's thread, or free it."""
+        try:
+            while not mine.future.done():
+                with self._lock:
+                    batch = []
+                    while len(batch) < self._max_batch:
+                        item = self._queue.get_nowait()
+                        if item is None:
+                            break
+                        batch.append(item)
+                if not batch:
                     break
-                batch.append(nxt)
-            await self._process(batch)
-            self._stats.gauge("queue.depth", self._queue.depth())
-        self._cache.flush()
+                self._process(batch)
+                self._stats.gauge("queue.depth", self._queue.depth())
+        finally:
+            with self._lock:
+                head = self._queue.peek()
+                if head is not None:
+                    head.wake.set()  # its thread dispatches next
+                else:
+                    self._dispatching = False
+                    self._idle.notify_all()
 
-    async def _process(self, batch: List[AdmittedRequest]) -> None:
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+    def _process(self, batch: List[AdmittedRequest]) -> None:
+        now = time.monotonic()
         live: List[AdmittedRequest] = []
         for item in batch:
             expired = item.expired(now)
@@ -361,21 +396,21 @@ class MicroBatcher:
             batch_hex = mint_span_id()
             batch_ctx = TraceContext(lead.trace_id, batch_hex, lead.sampled)
             batch_wall = _OBS._wall()
-            batch_started = loop.time()
+            batch_started = time.monotonic()
 
         if compute_tasks:
-            engine_started = loop.time()
-            if batch_ctx is not None:
-                call = partial(_traced_compute, self._guarded_compute,
-                               compute_tasks, compute_keys, batch_ctx)
-            else:
-                call = partial(self._guarded_compute, compute_tasks,
-                               compute_keys)
+            engine_started = time.monotonic()
+            # The batch context is this thread's ambient trace context
+            # during compute, so engine spans (``dist.run`` and below)
+            # chain under the batch span.
+            previous = _OBS.set_trace(batch_ctx)
             try:
-                findings = await loop.run_in_executor(None, call)
+                findings = self._guarded_compute(compute_tasks,
+                                                 compute_keys)
             except Exception as exc:  # engine failure, not protocol
                 self._stats.incr("errors.compute")
-                self._stats.observe("engine", loop.time() - engine_started)
+                self._stats.observe("engine",
+                                    time.monotonic() - engine_started)
                 for item in live:
                     self._resolve(item, {
                         "status": "error",
@@ -383,8 +418,10 @@ class MicroBatcher:
                         "error": f"analysis failed: {exc!r}",
                     })
                 return
-            self._stats.observe("engine", loop.time() - engine_started)
-            write_started = loop.time()
+            finally:
+                _OBS.set_trace(previous)
+            self._stats.observe("engine", time.monotonic() - engine_started)
+            write_started = time.monotonic()
             write_wall = _OBS._wall() if batch_ctx is not None else 0.0
             for token, key, finding in zip(compute_tokens, compute_keys,
                                            findings):
@@ -392,7 +429,7 @@ class MicroBatcher:
                 if key is not None:
                     self._cache.insert(key, finding)
             self._cache.flush()
-            write_s = loop.time() - write_started
+            write_s = time.monotonic() - write_started
             self._stats.observe("cache_write", write_s)
             if batch_ctx is not None:
                 emit_span(_OBS, "serve.cache_write", batch_ctx,
@@ -400,11 +437,12 @@ class MicroBatcher:
 
         if batch_ctx is not None:
             links = [item.ctx for item in traced]
-            for item in live:
-                links.extend(
-                    self._trace_links.pop(item.query.fingerprint, ()))
+            with self._lock:
+                for item in live:
+                    links.extend(
+                        self._trace_links.pop(item.query.fingerprint, ()))
             emit_span(_OBS, "serve.batch", traced[0].ctx, batch_wall,
-                      max(0.0, loop.time() - batch_started),
+                      max(0.0, time.monotonic() - batch_started),
                       span_hex=batch_hex, parent_hex=traced[0].ctx.span_id,
                       links=links, requests=len(live),
                       unique_tasks=len(compute_tasks))

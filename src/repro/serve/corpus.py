@@ -6,7 +6,10 @@ key → label mapping and turns ``(key, limit)`` into the engine's sweep
 task shape once, memoizing the expansion: the corpus is fixed for the
 server's lifetime, so task tuples, per-task fingerprint keys
 (:func:`repro.core.dist.task_key`) and the request-level fingerprint are
-all computed on first use and reused for every later request.
+all computed on first use and reused for every later request.  The part
+of those keys that does not depend on the limit is kept per model
+(:func:`repro.core.dist.task_stem`), so the first request at a new limit
+only finishes one hash per task.
 
 The request fingerprint folds the model key, the witness limit, the
 model's predicate *mutation stamp* (every pFSM predicate's
@@ -28,6 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import dist
 from ..core.predspec import spec_digest
+from ..core.serialize import stem_fingerprint
 
 __all__ = ["MODEL_KEYS", "ExpandedQuery", "AnalysisCorpus"]
 
@@ -99,6 +103,9 @@ class AnalysisCorpus:
         #: guards against serving a stale expansion of a mutated model.
         self._expanded: Dict[Tuple[str, int],
                              Tuple[Any, ExpandedQuery]] = {}
+        #: ``key -> (mutation stamp, stamp term, [(operation name, pfsm,
+        #: domain, key stem)])`` — the limit-free half of an expansion.
+        self._stems: Dict[str, Tuple[Any, Any, List[Any]]] = {}
         self._lock = threading.Lock()
 
     def keys(self) -> List[str]:
@@ -125,38 +132,56 @@ class AnalysisCorpus:
             cached = self._expanded.get(memo_key)
         if cached is not None and stamp is not None and cached[0] == stamp:
             return cached[1]
-        model_domains = self._domains.get(label, {})
-        tasks: List[Any] = []
-        task_keys: List[Optional[str]] = []
-        for operation, pfsm in model.all_pfsms():
-            domain = model_domains.get(pfsm.name)
-            if domain is None:
-                continue
-            task = (model.name, operation.name, pfsm, domain, limit)
-            tasks.append(task)
-            task_keys.append(dist.task_key(model, task))
+        with self._lock:
+            stems = self._stems.get(key)
+        if stems is None or stamp is None or stems[0] != stamp:
+            stems = (stamp, _stamp_term(stamp), self._task_stems(label))
+            with self._lock:
+                self._stems[key] = stems
+        _stamp, stamp_term, parts = stems
+        tasks = tuple((model.name, operation_name, pfsm, domain, limit)
+                      for operation_name, pfsm, domain, _stem in parts)
+        task_keys = tuple(
+            None if stem is None else stem_fingerprint(stem, limit)
+            for _operation, _pfsm, _domain, stem in parts)
         fingerprint = spec_digest(
-            ["serve.query", key, limit, _stamp_term(stamp),
+            ["serve.query", key, limit, stamp_term,
              [k if k is not None else "" for k in task_keys]]
         )
         expanded = ExpandedQuery(
             model_key=key,
             model_name=model.name,
             limit=limit,
-            tasks=tuple(tasks),
-            task_keys=tuple(task_keys),
+            tasks=tasks,
+            task_keys=task_keys,
             fingerprint=fingerprint,
         )
         with self._lock:
             self._expanded[memo_key] = (stamp, expanded)
         return expanded
 
+    def _task_stems(self, label: str) -> List[Any]:
+        """``(operation name, pfsm, domain, key stem)`` per task of
+        model ``label``, in cascade order."""
+        model = self._models[label]
+        model_domains = self._domains.get(label, {})
+        fingerprint = dist._model_fingerprint(model)
+        parts: List[Any] = []
+        for operation, pfsm in model.all_pfsms():
+            domain = model_domains.get(pfsm.name)
+            if domain is not None:
+                parts.append((operation.name, pfsm, domain,
+                              dist.task_stem(fingerprint, operation.name,
+                                             pfsm, domain)))
+        return parts
+
     def invalidate(self, key: str) -> int:
-        """Drop every memoized expansion of model ``key``; returns how
-        many ``(key, limit)`` entries were evicted.  The stamp check in
+        """Drop every memoized expansion of model ``key`` (its key stems
+        too); returns how many ``(key, limit)`` entries were evicted.  The stamp check in
         :meth:`expand` makes this automatic for in-place predicate
         mutations; this hook covers wholesale model replacement."""
         with self._lock:
+            self._stems.pop(key, None)
             stale = [memo_key for memo_key in self._expanded
                      if memo_key[0] == key]
             for memo_key in stale:

@@ -1,6 +1,9 @@
 """The long-running analysis server: lifecycle, connections, drain.
 
-A single asyncio event loop front-ends the engine.  Each connection
+A listening socket and an accept thread front-end the engine, and each
+connection gets one thread of its own that reads a line, answers it and
+writes the answer back; a request that finds the engine idle is scanned
+on that same thread (see :mod:`repro.serve.batcher`).  Each connection
 speaks the line-JSON protocol of :mod:`repro.serve.protocol` — except
 that a first line starting with an HTTP method gets the thin HTTP
 façade instead: ``GET /healthz`` (readiness: 200 while ``ready``, 503
@@ -19,22 +22,25 @@ arriving on open connections are answered with status ``draining``
 closed and the batcher finishes every admitted request, the cold store
 is flushed, and only then — after in-flight responses hit their
 sockets and clients close, bounded by a grace period — does the server
-stop.  ``zero dropped responses`` is the invariant the serve benchmark
-measures.
+stop, shutting down the sockets of clients still connected so their
+threads exit.  ``zero dropped responses`` is the invariant the serve
+benchmark measures.
 
-Embedding: :class:`ServerThread` runs the whole thing on a daemon
-thread for tests and benchmarks; ``repro serve`` runs it on the main
-thread with signal handlers installed.
+Every method is a plain blocking call, safe from any thread.
+:class:`ServerThread` is the embedding tests and benchmarks use;
+``repro serve`` waits in :meth:`AnalysisServer.serve_until_stopped` on
+the main thread with signal handlers installed.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import signal
+import socket
 import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from ..obs import DEFAULT as _OBS
 from ..obs.prometheus import render_exposition
@@ -99,8 +105,14 @@ class ServeConfig:
                              f"got {self.trace_sample!r}")
 
 
+#: How often a blocked ``accept`` re-checks for a drain where shutting
+#: the listener down does not wake it (seconds).
+_ACCEPT_POLL = 0.5
+
+
 class AnalysisServer:
-    """One corpus, one admission queue, one batcher, one event loop."""
+    """One corpus, one admission queue, one batcher, a thread per
+    connection."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  corpus: Optional[AnalysisCorpus] = None) -> None:
@@ -116,17 +128,23 @@ class AnalysisServer:
         self.tracer: Optional[TraceCollector] = None
         self._trace_sink: Optional[JsonlSink] = None
         self._obs_owned = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._conn_tasks: Set["asyncio.Task[Any]"] = set()
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._stopped = threading.Event()
+        #: Guards the lifecycle transition, the connections and the
+        #: pending-response count.
+        self._lock = threading.Lock()
+        #: Connection thread -> its socket, or ``None`` once the
+        #: connection is closed (the entry stays until the thread is
+        #: seen dead, so drain can join every thread it started).
+        self._connections: Dict[threading.Thread,
+                                Optional[socket.socket]] = {}
         self._pending_responses = 0
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind and report ready.  Must run on the loop that will
-        serve."""
-        self._stopped = asyncio.Event()
+    def start(self) -> None:
+        """Bind, start accepting, and report ready."""
         if self.config.trace:
             # The collector reassembles per-request traces; the optional
             # JSONL sink persists raw spans for `repro trace export`.
@@ -148,51 +166,57 @@ class AnalysisServer:
             max_depth=self.config.max_depth,
             max_batch=self.config.max_batch,
         )
-        self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            limit=MAX_LINE,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=128)
+        self._listener.settimeout(_ACCEPT_POLL)
+        self.port = self._listener.getsockname()[1]
         self.state = READY
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(self._listener,), daemon=True,
+            name="repro-serve-accept")
+        self._accept_thread.start()
         if _OBS.enabled:
             _OBS.event("serve.started", host=self.host, port=self.port,
                        store=bool(self.config.store_path))
 
-    async def serve_until_stopped(self) -> None:
-        """Block until :meth:`drain` completes, then reap connections."""
-        assert self._stopped is not None, "start() first"
-        await self._stopped.wait()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+    def serve_until_stopped(self) -> None:
+        """Block until :meth:`drain` completes."""
+        self._stopped.wait()
 
-    async def drain(self) -> None:
+    def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish admitted work,
-        flush the store, release waiters."""
-        if self.state in (DRAINING, STOPPED):
-            return
-        self.state = DRAINING
+        flush the store, release waiters, and close the connections
+        still open."""
+        with self._lock:
+            if self.state in (DRAINING, STOPPED):
+                return
+            self.state = DRAINING
         self.stats.incr("lifecycle.drains")
         if _OBS.enabled:
             _OBS.event("serve.drain", phase="begin",
                        queue_depth=self.batcher.queue_depth()
                        if self.batcher else 0)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        if self._listener is not None:
+            # Shut down before closing: a plain close leaves a blocked
+            # accept — and the listening socket — alive until it returns.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not every platform shuts a listening socket down
+            self._listener.close()
+            self._accept_thread.join()
         if self.batcher is not None:
-            await self.batcher.stop()  # runs the backlog dry, flushes
+            self.batcher.stop()  # runs the backlog dry, flushes
         # Let in-flight responses reach their sockets and clients hang
         # up on their own; the grace bound keeps shutdown finite even
         # against a client that never closes.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_grace
-        while loop.time() < deadline:
-            if self._pending_responses == 0 and not self._conn_tasks:
-                break
-            await asyncio.sleep(0.01)
+        deadline = time.monotonic() + self.config.drain_grace
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self._pending_responses == 0 and \
+                        not any(self._connections.values()):
+                    break
+            time.sleep(0.01)
         self.cache.flush()
         self.state = STOPPED
         if _OBS.enabled:
@@ -208,18 +232,27 @@ class AnalysisServer:
                 self._trace_sink = None
             if self._obs_owned:
                 _OBS.disable()
-        if self._stopped is not None:
-            self._stopped.set()
+        with self._lock:
+            # Under the lock, so no thread closes a socket in between.
+            for conn in filter(None, self._connections.values()):
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # its reader sees EOF
+                except OSError:
+                    pass  # the client already left
+            threads = list(self._connections)
+        for thread in threads:
+            thread.join()
+        self._stopped.set()
 
     def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → drain (where the platform allows it)."""
-        loop = asyncio.get_running_loop()
+        """SIGTERM/SIGINT → drain, on a thread of its own (call from
+        the main thread)."""
+        def handler(_signum: int, _frame: Any) -> None:
+            threading.Thread(target=self.drain,
+                             name="repro-serve-drain").start()
+
         for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, lambda: asyncio.ensure_future(self.drain()))
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix event loops
+            signal.signal(signum, handler)
 
     # -- metrics -----------------------------------------------------------
 
@@ -273,49 +306,63 @@ class AnalysisServer:
 
     # -- connections -------------------------------------------------------
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while self.state == READY:
+            try:
+                conn, _address = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return  # drain() closed the listener
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(target=self._on_connection,
+                                      args=(conn,), daemon=True,
+                                      name="repro-serve-conn")
+            with self._lock:
+                for done in [t for t, c in self._connections.items()
+                             if c is None and not t.is_alive()]:
+                    del self._connections[done]
+                self._connections[thread] = conn
+            thread.start()
+
+    def _on_connection(self, conn: socket.socket) -> None:
         self.stats.incr("connections")
+        reader = conn.makefile("rb")
         try:
-            raw = await reader.readline()
+            raw = reader.readline(MAX_LINE)
             if not raw:
                 return
             first = raw.decode("utf-8", "replace").rstrip("\r\n")
             if first.split(" ", 1)[0] in ("GET", "HEAD", "POST"):
-                await self._serve_http(first, reader, writer)
+                self._serve_http(first, reader, conn)
                 return
-            line: Optional[str] = first
+            line = first
             while True:
+                if len(raw) >= MAX_LINE and not raw.endswith(b"\n"):
+                    raise ConnectionError("request line over MAX_LINE")
                 if line:
-                    self._pending_responses += 1
+                    with self._lock:
+                        self._pending_responses += 1
                     try:
-                        response = await self._dispatch(line)
-                        writer.write(encode_line(response))
-                        await writer.drain()
+                        response = self._dispatch(line)
+                        conn.sendall(encode_line(response))
                     finally:
-                        self._pending_responses -= 1
-                raw = await reader.readline()
+                        with self._lock:
+                            self._pending_responses -= 1
+                raw = reader.readline(MAX_LINE)
                 if not raw:
                     break
                 line = raw.decode("utf-8", "replace").strip()
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except OSError:
             self.stats.incr("connections.aborted")
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            with self._lock:
+                self._connections[threading.current_thread()] = None
+            reader.close()
+            conn.close()
 
-    async def _dispatch(self, line: str) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+    def _dispatch(self, line: str) -> Dict[str, Any]:
+        started = time.monotonic()
         try:
             request = decode_request(line)
         except ProtocolError as exc:
@@ -369,10 +416,10 @@ class AnalysisServer:
                             "models": self.corpus.keys()}
             if query is not None:
                 assert self.batcher is not None
-                response = await self.batcher.submit(
+                response = self.batcher.submit(
                     query, request["deadline_ms"], ctx=request_ctx)
                 response["id"] = rid
-        elapsed = loop.time() - started
+        elapsed = time.monotonic() - started
         response["elapsed_ms"] = round(elapsed * 1000.0, 3)
         if response["status"] == STATUS_OK:
             self.stats.record_latency(elapsed)
@@ -399,12 +446,11 @@ class AnalysisServer:
                 self.stats.incr("trace.dropped")
         return response
 
-    async def _serve_http(self, first_line: str,
-                          reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
+    def _serve_http(self, first_line: str, reader: Any,
+                    conn: socket.socket) -> None:
         """The two-endpoint HTTP façade (one request per connection)."""
         while True:  # consume headers
-            raw = await reader.readline()
+            raw = reader.readline(MAX_LINE)
             if not raw or raw in (b"\r\n", b"\n"):
                 break
         parts = first_line.split()
@@ -434,47 +480,24 @@ class AnalysisServer:
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         ).encode("ascii")
-        writer.write(head + payload)
-        await writer.drain()
+        conn.sendall(head + payload)
         self.stats.incr("http.requests")
 
 
 class ServerThread:
-    """An :class:`AnalysisServer` running on a daemon thread.
+    """An :class:`AnalysisServer` serving on threads of its own.
 
-    The embedding used by tests and the benchmark: ``start()`` blocks
-    until the server is ready (host/port resolved), ``shutdown()``
-    drains it from any thread.
+    The embedding used by tests and the benchmark: ``start()`` returns
+    once the server is ready (host/port resolved), ``shutdown()``
+    drains it from any thread and returns once its threads have exited.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  corpus: Optional[AnalysisCorpus] = None) -> None:
         self.server = AnalysisServer(config, corpus=corpus)
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name="repro-serve")
-        self._error: Optional[BaseException] = None
 
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surfaced by start()/join()
-            self._error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        await self.server.start()
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await self.server.serve_until_stopped()
-
-    def start(self, timeout: float = 30.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server did not become ready in time")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to start: {self._error!r}")
+    def start(self) -> "ServerThread":
+        self.server.start()
         return self
 
     @property
@@ -486,13 +509,6 @@ class ServerThread:
         assert self.server.port is not None
         return self.server.port
 
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain and join; idempotent."""
-        if self._loop is not None and self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.drain(), self._loop)
-            try:
-                future.result(timeout)
-            except Exception:
-                pass
-        self._thread.join(timeout)
+    def shutdown(self) -> None:
+        """Drain; idempotent."""
+        self.server.drain()

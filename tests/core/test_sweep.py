@@ -18,6 +18,7 @@ Four families of guarantees:
 
 import dataclasses
 import inspect
+import json
 from contextlib import contextmanager
 
 import pytest
@@ -54,6 +55,7 @@ from repro.core import (
 from repro import obs
 from repro.core import columnar, plan
 from repro.core import sweep as sweep_module
+from repro.core.predspec import encode_value
 from repro.core.sweep import SweepFinding
 from repro.models import (
     all_extended_exploit_inputs,
@@ -82,6 +84,18 @@ closed_form = st.one_of(
 ranges = st.tuples(
     bounds, bounds, st.integers(min_value=-4, max_value=4).filter(bool)
 ).map(lambda t: range(t[0], t[1], t[2]))
+
+#: Values inside the witness codec, nested ones included.
+_CODEC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False) | st.binary(max_size=4),
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=3)
+    | st.frozensets(st.integers(), max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+#: Values outside it.
+_OUTSIDE_CODEC = st.builds(object) | st.dictionaries(
+    st.integers(), st.integers(), min_size=1, max_size=2)
 
 
 def _scalar_batch(pred, objects):
@@ -265,19 +279,68 @@ class TestSweepDeterminism:
             return value
 
         monkeypatch.setattr(sweep_module, "encode_value", recording)
+        dumps = []
+        dump = sweep_module._dumps
+
+        def dumping(value):
+            dumps.append(value)
+            return dump(value)
+
+        monkeypatch.setattr(sweep_module, "_dumps", dumping)
         tile = ["a", "b"]
         finding = SweepFinding("m", "op", "p", "scan", tuple(tile * 40))
         assert finding.wire_witnesses == tile * 40
         assert calls == tile
         assert finding.wire_witnesses is finding.wire_witnesses
         assert len(calls) == 2
+        # one dump per distinct object, none of the whole list
+        assert finding.wire_json == '["a","b"' + ',"a","b"' * 39 + "]"
+        assert dumps == tile
+        assert finding.wire_json is finding.wire_json
+        assert len(dumps) == 2
+
+    def test_mostly_distinct_witnesses_dump_the_list_once(
+            self, monkeypatch):
+        dumps = []
+        dump = sweep_module._dumps
+
+        def dumping(value):
+            dumps.append(value)
+            return dump(value)
+
+        monkeypatch.setattr(sweep_module, "_dumps", dumping)
+        witnesses = tuple(f"w{i}" for i in range(8)) * 2
+        finding = SweepFinding("m", "op", "p", "scan", witnesses)
+        assert finding.wire_json == json.dumps(list(witnesses),
+                                               separators=(",", ":"))
+        assert dumps == [list(witnesses)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CODEC_VALUES | _OUTSIDE_CODEC, min_size=1,
+                    max_size=6),
+           st.lists(st.integers(0, 5), max_size=40))
+    def test_wire_json_is_the_dump_of_wire_witnesses(self, pool, picks):
+        # Witnesses repeat a few objects by reference, as tiled domains
+        # do; the text must equal one dump of the list either way.
+        witnesses = tuple(pool[i % len(pool)] for i in picks)
+        finding = SweepFinding("m", "op", "p", "scan", witnesses)
+        try:
+            expected = [encode_value(w) for w in witnesses]
+        except ValueError:
+            assert (finding.wire_witnesses, finding.wire_json) == \
+                (None, None)
+            return
+        assert finding.wire_witnesses == expected
+        assert finding.wire_json == json.dumps(finding.wire_witnesses,
+                                               separators=(",", ":"))
 
     def test_wire_witnesses_are_not_a_field(self):
         finding = SweepFinding("m", "op", "p", "scan", ((1, 2),))
         twin = SweepFinding("m", "op", "p", "scan", ((1, 2),))
         assert finding.wire_witnesses == [{"__tuple__": [1, 2]}]
         assert finding == twin and hash(finding) == hash(twin)
-        assert "wire_witnesses" not in vars(
+        assert "_wire" in vars(finding)
+        assert "_wire" not in vars(
             dataclasses.replace(finding, pfsm_name="q"))
 
 

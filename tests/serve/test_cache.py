@@ -176,6 +176,41 @@ class TestMutatedModelStaleness:
         assert corpus.invalidate("m") == 2
         assert corpus.invalidate("m") == 0
 
+    def test_invalidate_drops_the_key_stems_too(self):
+        # A replaced domain leaves the mutation stamp as it was: only
+        # invalidate() makes a new limit see it.
+        from repro.core import Domain
+
+        corpus, _spec = self._corpus_and_model()
+        first = corpus.expand("m", 5)
+        domain = Domain.integers(-9, 30)
+        corpus._domains["m-label"]["p"] = domain
+        assert corpus.invalidate("m") == 1
+        second = corpus.expand("m", 5)
+        assert second.tasks[0][3] is domain
+        assert second.task_keys != first.task_keys
+        assert second.task_keys[0] == dist.task_key(
+            corpus._models["m-label"], second.tasks[0])
+
+
+class TestCorpusKeys:
+    @pytest.mark.parametrize("limit", [0, 1, 7, 1000])
+    def test_task_keys_equal_dist_task_key_for_every_bundled_model(
+            self, limit):
+        # The server's store is resumed by `repro sweep`, which keys
+        # tasks with dist.task_key: the two must agree everywhere.
+        from repro.serve import MODEL_KEYS
+        from repro.serve.corpus import AnalysisCorpus
+
+        corpus = AnalysisCorpus()
+        for key, label in MODEL_KEYS.items():
+            query = corpus.expand(key, limit)
+            model = corpus._models[label]
+            assert query.tasks, key
+            assert list(query.task_keys) == \
+                [dist.task_key(model, task) for task in query.tasks], key
+            assert all(task[4] == limit for task in query.tasks)
+
 
 class TestStoreInterop:
     def test_interoperates_with_sweep_resume_store(self, tmp_path):

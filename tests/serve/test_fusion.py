@@ -2,8 +2,8 @@
 one domain each get exactly what their own scan would produce, at their
 own witness limit, and the thread dispatch runs inline."""
 
-import asyncio
 import threading
+import time
 
 import pytest
 
@@ -22,7 +22,7 @@ from repro.core import (
     not_contains,
     satisfies_all,
 )
-from repro.core import plan
+from repro.core import dist, plan
 from repro.core.predspec import decode_value
 from repro.core.sweep import _run_tasks
 from repro.serve import AnalysisCorpus
@@ -34,8 +34,10 @@ from repro.serve.stats import ServeStats
 @pytest.fixture(autouse=True)
 def _fresh_planner():
     plan.reset()
+    dist.reset()  # no result memo: every blocker request computes
     yield
     plan.reset()
+    dist.reset()
 
 
 def _witnesses(results):
@@ -78,36 +80,60 @@ def _reference_scan(pfsm, domain, limit):
 
 def _batch_two_queries(domain, limits, pfsms=None):
     """Serve one model of ``pfsms`` (default: the three string pFSMs)
-    to one request per limit, all admitted before the batch loop
-    starts, so they dispatch as one batch.  ``domain`` is one domain
-    for every pFSM or a dict of them by pFSM name.  Returns ``(pfsms,
-    responses, batch task counts)``."""
+    to one request per limit, all queued while a blocker request holds
+    the engine, so they dispatch as one batch.  ``domain`` is one
+    domain for every pFSM or a dict of them by pFSM name.  Returns
+    ``(pfsms, responses, batch task counts)``; the blocker's own batch
+    is not counted."""
     pfsms = pfsms or _string_pfsms()
     domains = domain if isinstance(domain, dict) else \
         {p.name: domain for p in pfsms}
-    model = VulnerabilityModel("M", [Operation("op", "scan", pfsms)])
-    corpus = AnalysisCorpus(models={"M": model}, domains={"M": domains},
-                            keys={"m": "M"})
+    blocker = PrimitiveFSM("blocker", "scan", "x",
+                           spec_accepts=in_range(0, 5),
+                           impl_accepts=less_equal(8))
+    models = {"M": VulnerabilityModel("M", [Operation("op", "scan", pfsms)]),
+              "B": VulnerabilityModel("B", [Operation("op", "scan",
+                                                      [blocker])])}
+    corpus = AnalysisCorpus(
+        models=models,
+        domains={"M": domains, "B": {"blocker": Domain.integers(-5, 15)}},
+        keys={"m": "M", "b": "B"})
     batches = []
+    entered, release = threading.Event(), threading.Event()
 
     def compute(tasks, keys):
-        batches.append(len(tasks))
+        if tasks[0][0] == "B":
+            entered.set()
+            assert release.wait(10.0), "blocker never released"
+        else:
+            batches.append(len(tasks))
         return _engine_compute(tasks, keys)
 
-    async def scenario():
-        stats = ServeStats()
-        batcher = MicroBatcher(TieredResultCache(stats=stats), stats,
-                               compute_fn=compute)
-        pending = [asyncio.ensure_future(
-                       batcher.submit(corpus.expand("m", limit)))
-                   for limit in limits]
-        await asyncio.sleep(0)  # every request is queued
-        batcher.start()
-        responses = await asyncio.gather(*pending)
-        await batcher.stop()
-        return responses
+    stats = ServeStats()
+    batcher = MicroBatcher(TieredResultCache(stats=stats), stats,
+                           compute_fn=compute)
+    responses = {}
 
-    return pfsms, asyncio.run(scenario()), batches
+    def submit(key, limit):
+        responses[key, limit] = batcher.submit(corpus.expand(key, limit))
+
+    threads = [threading.Thread(target=submit, args=("b", 5))]
+    threads[0].start()
+    assert entered.wait(10.0)
+    threads += [threading.Thread(target=submit, args=("m", limit))
+                for limit in limits]
+    for thread in threads[1:]:
+        thread.start()
+    deadline = time.monotonic() + 10.0
+    while batcher.queue_depth() < len(limits):  # every request is queued
+        assert time.monotonic() < deadline, "requests never queued"
+        time.sleep(0.005)
+    release.set()
+    for thread in threads:
+        thread.join(10.0)
+    batcher.stop()
+    assert responses["b", 5]["status"] == "ok"
+    return pfsms, [responses["m", limit] for limit in limits], batches
 
 
 def _assert_reference_findings(pfsms, domain, limits, responses):

@@ -1,14 +1,16 @@
 """The analysis server end to end: correctness, coalescing, admission
-control, deadlines, graceful drain, and the HTTP façade.
+control, deadlines, graceful drain, the HTTP façade, and the threads it
+serves on.
 
 Every test runs against a tiny toy corpus (one model, two pFSMs, small
 integer domains) so the serving machinery — not the engine — dominates
-the runtime.  ``pytest-asyncio`` is not a dependency; the server runs
-on its own daemon thread (:class:`ServerThread`) and tests drive it
-with the blocking client, exactly as the CLI and benchmark do.
+the runtime.  The server runs on its own threads (:class:`ServerThread`)
+and tests drive it with the blocking client, exactly as the CLI and
+benchmark do.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -393,15 +395,10 @@ class TestDrain:
     def test_draining_requests_get_explicit_refusal(self):
         # Unit-level: a query dispatched while not READY is answered
         # with status "draining", never dropped.
-        import asyncio
-
-        async def scenario():
-            analysis = AnalysisServer(corpus=toy_corpus())
-            analysis.state = DRAINING
-            return await analysis._dispatch(
-                '{"op": "query", "model": "toy", "id": 4}')
-
-        response = asyncio.run(scenario())
+        analysis = AnalysisServer(corpus=toy_corpus())
+        analysis.state = DRAINING
+        response = analysis._dispatch(
+            '{"op": "query", "model": "toy", "id": 4}')
         assert response["status"] == "draining"
         assert response["id"] == 4
 
@@ -496,3 +493,130 @@ class TestHttpFacade:
         code, body, ctype = self._get(server, "/nope")
         assert code == 404
         assert json.loads(body) == {"error": "not found"}
+
+
+def _refused(handle):
+    try:
+        socket.create_connection((handle.host, handle.port), 1.0).close()
+    except OSError:
+        return True
+    return False
+
+
+def server_threads(before=()):
+    """Server threads alive now that were not in ``before``."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-serve") and t not in before]
+
+
+class TestThreads:
+    """One blocking thread per connection: a request that finds the
+    engine idle is scanned on its own connection's thread, and drain
+    leaves no server thread behind."""
+
+    def test_concurrent_clients_each_get_a_correct_answer(self):
+        before = set(threading.enumerate())
+        handle = ServerThread(ServeConfig(port=0, drain_grace=2.0),
+                              corpus=toy_corpus()).start()
+        barrier = threading.Barrier(32)
+        responses = {}
+
+        def fire(limit):
+            with client_for(handle) as client:
+                barrier.wait()
+                responses[limit] = client.query("toy", limit=limit)
+
+        threads = [threading.Thread(target=fire, args=(limit,))
+                   for limit in range(1, 33)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        handle.shutdown()
+        assert sorted(responses) == list(range(1, 33))
+        for limit, response in responses.items():
+            reference = sweep_model(toy_model(), toy_domains()[TOY_NAME],
+                                    limit=limit)
+            assert response["status"] == "ok", response
+            assert [(f["pfsm"], f["witnesses"])
+                    for f in response["findings"]] == \
+                [(f.pfsm_name, list(f.witnesses))
+                 for f in reference.findings]
+        assert server_threads(before) == []
+
+    def test_idle_client_is_closed_by_drain(self):
+        before = set(threading.enumerate())
+        handle = ServerThread(ServeConfig(port=0, drain_grace=0.2),
+                              corpus=toy_corpus()).start()
+        client = client_for(handle)
+        assert client.query("toy", limit=3)["status"] == "ok"
+        try:
+            started = time.monotonic()
+            handle.shutdown()  # the client never hangs up
+            assert time.monotonic() - started < 5.0
+            assert handle.server.state == STOPPED
+            assert server_threads(before) == []
+        finally:
+            client.close()
+
+    def test_drain_during_a_gated_compute_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        handle = ServerThread(ServeConfig(port=0, drain_grace=2.0),
+                              corpus=toy_corpus()).start()
+        gate = _GatedCompute(handle)
+        responses = []
+        thread = _query_async(handle, 3, responses)
+        assert gate.entered.wait(10.0)
+        with client_for(handle) as open_client:
+            assert open_client.ping()["state"] == "ready"
+            stopper = threading.Thread(target=handle.shutdown)
+            stopper.start()
+            _until(lambda: _refused(handle))
+            assert open_client.query("toy", limit=4)["status"] == \
+                "draining"
+        gate.release.set()
+        stopper.join(10.0)
+        thread.join(10.0)
+        assert [r["status"] for r in responses] == ["ok"]
+        assert handle.server.state == STOPPED
+        assert server_threads(before) == []
+
+    def test_dispatcher_hands_the_queue_to_another_thread(self, server):
+        # The first request's thread runs its own batch, answers, and
+        # returns; the two requests queued behind it are dispatched by
+        # the oldest one's thread while the first is already answered.
+        batcher = server.server.batcher
+        original = batcher._compute_fn
+        entered = threading.Semaphore(0)
+        release = threading.Semaphore(0)
+        calls, threads_seen = [], []
+
+        def gate(tasks, keys):
+            calls.append(len(tasks))
+            threads_seen.append(threading.current_thread().name)
+            entered.release()
+            assert release.acquire(timeout=10.0), "never released"
+            return original(tasks, keys)
+
+        batcher._compute_fn = gate
+        responses = []
+        first = _query_async(server, 3, responses)
+        assert entered.acquire(timeout=10.0)
+        queued = [_query_async(server, limit, responses)
+                  for limit in (4, 5)]
+        _until(lambda: batcher.queue_depth() == 2)
+        release.release()  # the first batch finishes
+        assert entered.acquire(timeout=10.0)  # the second one started
+        first.join(10.0)
+        assert not first.is_alive()
+        assert [r["limit"] for r in responses] == [3]
+        release.release()
+        for thread in queued:
+            thread.join(10.0)
+        assert sorted(r["limit"] for r in responses) == [3, 4, 5]
+        assert all(r["status"] == "ok" for r in responses)
+        assert calls == [2, 4]
+        assert threads_seen == ["repro-serve-conn"] * 2
+        counters = server.server.stats.snapshot()["counters"]
+        assert counters["batches"] == 2
+        assert counters["batch.requests"] == 3

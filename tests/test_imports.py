@@ -174,6 +174,37 @@ def test_serving_never_loads_the_sweep_transport():
     assert result["loaded"] == []
 
 
+def test_serving_a_query_never_imports_asyncio():
+    # The server answers on blocking threads: starting it, answering a
+    # query over the wire and draining it loads no event loop.
+    result = run_fresh("""
+        import json, sys, threading
+        from repro.core import (Domain, Operation, PrimitiveFSM,
+                                VulnerabilityModel, in_range, less_equal)
+        from repro.serve import (AnalysisCorpus, ServeClient, ServeConfig,
+                                 ServerThread)
+
+        pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=in_range(0, 5),
+                            impl_accepts=less_equal(10))
+        model = VulnerabilityModel("M", [Operation("op", "x", [pfsm])])
+        corpus = AnalysisCorpus(models={"M": model},
+                                domains={"M": {"p": Domain(range(-5, 20))}},
+                                keys={"m": "M"})
+        handle = ServerThread(ServeConfig(port=0), corpus=corpus).start()
+        with ServeClient(handle.host, handle.port) as client:
+            response = client.query("m", limit=3)
+        handle.shutdown()
+        print(json.dumps({
+            "status": response["status"],
+            "asyncio": sorted(m for m in sys.modules
+                              if m.split(".")[0] == "asyncio"),
+            "threads": [t.name for t in threading.enumerate()],
+        }))
+    """)
+    assert result == {"status": "ok", "asyncio": [],
+                      "threads": ["MainThread"]}
+
+
 def test_numpy_sized_domain_scans_with_numpy_masks():
     result = run_fresh("""
         import json, sys
