@@ -535,8 +535,7 @@ def _process_payload_stats(rows=20_000):
     per_task = shipped / len(tasks)
     return {
         "tasks": len(tasks),
-        "chunks_shipped": (counters.get("cluster.chunks.completed", 0)
-                           - counters.get("cluster.chunks.inline", 0)),
+        "chunks_shipped": counters.get("cluster.chunks.completed", 0),
         "bytes_shipped": shipped,
         "task_payload_pickled": pickled,
         "task_payload_shipped": per_task,

@@ -453,7 +453,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "chunks_completed": counters.get("chunks.completed", 0),
             "chunks_reclaimed": counters.get("chunks.reclaimed", 0),
             "chunks_failed": counters.get("chunks.failed", 0),
-            "chunks_inline": counters.get("chunks.inline", 0),
+            "tasks_inline": {
+                key[len("dist.inline."):]: n for key, n in delta.items()
+                if key.startswith("dist.inline.") and n},
             "bytes_shipped": counters.get("bytes.shipped", 0),
             "bytes_received": counters.get("bytes.received", 0),
         }
@@ -531,9 +533,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"cluster: {cluster_block['workers_joined']} workers joined "
               f"({cluster_block['workers_lost']} lost), "
               f"{cluster_block['chunks_completed']} chunks completed "
-              f"({cluster_block['chunks_reclaimed']} reclaimed, "
-              f"{cluster_block['chunks_inline']} inline), "
-              f"{cluster_block['bytes_shipped']} bytes shipped")
+              f"({cluster_block['chunks_reclaimed']} reclaimed), "
+              f"{sum(cluster_block['tasks_inline'].values())} tasks "
+              f"inline, {cluster_block['bytes_shipped']} bytes shipped")
     if exit_code:
         print("failing: hidden-path witnesses found (--fail-on-witness)")
     return exit_code
@@ -854,9 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--wait-workers", type=_positive_int, default=None,
                        metavar="N",
                        help="(cluster backend) wait for N workers to "
-                            "join before sweeping (without it the sweep "
-                            "starts immediately and runs inline until "
-                            "workers arrive)")
+                            "join before sweeping (without it, a sweep "
+                            "that finds no worker runs in the parent)")
     sweep.add_argument("--wait-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="how long --wait-workers waits before "

@@ -6,7 +6,7 @@ over wire-ready chunks (lists of ``(task index, serialized task)``
 rows, exactly the payloads :func:`repro.core.dist._chunk_worker`
 executes; a process sweep's rows carry no task bytes, because its
 forked workers hold the task list) and blocks until every chunk has
-an outcome.  Workers speak the line-JSON protocol
+an outcome or has come back unrun.  Workers speak the line-JSON protocol
 (:mod:`repro.cluster.protocol`): they claim chunks, execute them in
 their own process, and stream results back.
 A coordinator either listens on TCP for ``repro worker`` agents
@@ -20,14 +20,14 @@ workers that stop renewing — plus a fast path that reclaims
 immediately when a worker's connection drops (a SIGKILLed worker is
 detected in milliseconds, not a lease timeout later).
 
-**Liveness without workers.**  The coordinator never strands a sweep:
-while no worker is connected, the submitting thread itself claims
-chunks and runs them inline (``cluster.chunks.inline``), so a sweep
-with zero workers — or one whose every worker died mid-run — degrades
-to local execution and still completes.  Chunks whose retries are
-exhausted surface back to the scheduler, which falls back to its usual
-inline per-task path.  Either way the result set is bit-for-bit what
-the thread backend would have produced.
+**Liveness without workers.**  The coordinator never strands a sweep
+and never scans anything itself: while no worker is connected,
+:meth:`~ClusterCoordinator.run_chunks` stops waiting and hands every
+unfinished chunk back as ``unplaced``, exactly as :meth:`close` does;
+a chunk whose retries ran out comes back ``exhausted``.  The scheduler
+runs what came back in its one inline loop, so a sweep with zero
+workers — or one whose every worker died mid-run — still completes
+with the result set the thread backend would have produced.
 
 **Observability.**  Counters are kept unconditionally in the
 coordinator (:meth:`snapshot` — the CLI's ``--json`` cluster block and
@@ -48,7 +48,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
 from ..obs import DEFAULT as _OBS
@@ -82,18 +82,15 @@ _STALE_FACTOR = 3.0
 
 class _Job:
     """One ``run_chunks`` call in flight: its ledger and completion
-    signal, the submitting sweep's trace context, and the task list its
-    rows index when they carry no task bytes."""
+    signal, and the submitting sweep's trace context."""
 
-    __slots__ = ("id", "ledger", "trace_ctx", "tasks", "done")
+    __slots__ = ("id", "ledger", "trace_ctx", "done")
 
     def __init__(self, job_id: int, ledger: ChunkLedger,
-                 trace_ctx: Optional[TraceContext],
-                 tasks: Optional[Sequence[Any]]) -> None:
+                 trace_ctx: Optional[TraceContext]) -> None:
         self.id = job_id
         self.ledger = ledger
         self.trace_ctx = trace_ctx
-        self.tasks = tasks
         self.done = threading.Event()
 
 
@@ -111,18 +108,16 @@ class ClusterCoordinator:
     lease_timeout:
         Seconds a claimed chunk may go un-renewed before it is
         reclaimed.  Workers are told to heartbeat at a quarter of this.
-    max_retries:
-        Default per-chunk reclaim budget (mirrors the process
-        scheduler's crash-retry bound); :meth:`run_chunks` can override
-        per job.
+
+    Each chunk gets the :class:`~repro.cluster.lease.ChunkLedger`'s
+    default reclaim budget.
     """
 
     def __init__(self, host: Optional[str] = "127.0.0.1", port: int = 0, *,
-                 lease_timeout: float = 10.0, max_retries: int = 2) -> None:
+                 lease_timeout: float = 10.0) -> None:
         self._host = host
         self._port = port
         self.lease_timeout = lease_timeout
-        self.max_retries = max_retries
         self._lock = threading.RLock()
         #: Wakes claims parked waiting for work (see :meth:`_op_claim`).
         self._work = threading.Condition(self._lock)
@@ -164,8 +159,9 @@ class ClusterCoordinator:
               pid: Optional[int] = None) -> None:
         """Serve one pre-connected worker (a forked local worker's end
         of a socketpair).  The worker counts as joined at once, before
-        it sends anything, so the next job's claims go to it rather
-        than to the zero-worker inline path; it never says ``hello``."""
+        it sends anything, so the next job waits for its claims rather
+        than handing every chunk back unplaced; it never says
+        ``hello``."""
         self._join(worker, pid, socket.gethostname())
         self._serve(conn, worker)
 
@@ -180,9 +176,9 @@ class ClusterCoordinator:
     def close(self) -> None:
         """Stop accepting, drop every connection, wake pending jobs.
 
-        Chunks still unfinished surface to their submitters as failed
-        (the scheduler's inline fallback picks them up) — closing the
-        fabric degrades sweeps, never loses them.
+        Chunks still unfinished go back to their submitters as
+        ``unplaced`` (the scheduler's inline loop runs them) — closing
+        the fabric degrades sweeps, never loses them.
         """
         if self._closed.is_set():
             return
@@ -265,25 +261,20 @@ class ClusterCoordinator:
         self,
         chunks: List[List[Tuple[int, bytes]]],
         *,
-        max_retries: Optional[int] = None,
         on_chunk: Optional[Callable[[Any], None]] = None,
-        tasks: Optional[Sequence[Any]] = None,
-    ) -> Tuple[Dict[int, Any], List[int]]:
+    ) -> Tuple[Dict[int, Any], List[Tuple[str, List[int]]]]:
         """Dispatch one sweep's chunks across the fabric and block until
-        every chunk has an outcome.
+        every chunk has an outcome, no worker is connected, or the
+        fabric closes.  Nothing runs on this thread.
 
         ``chunks`` are wire-ready payload rows — ``(task index,
         serialized task bytes)`` — the scheduler's dispatch payloads.
-        Returns ``(results, failed)``:
-        ``results`` maps task index → finding for every task whose
-        chunk completed anywhere on the fabric, ``failed`` lists the
-        task indexes of retry-exhausted (or fabric-closed) chunks, for
-        the caller's inline fallback.
-
-        While no worker is connected the submitting thread executes
-        chunks itself, so completion never depends on external agents.
-        Given ``tasks`` (the list a process sweep's rows index), that
-        inline path scans ``tasks[index]`` instead of unpickling rows.
+        Returns ``(results, returned)``: ``results`` maps task index →
+        finding for every task whose chunk completed on a worker, and
+        ``returned`` lists each unfinished chunk as ``(reason, task
+        indexes)`` — ``"exhausted"`` when its retries ran out,
+        ``"unplaced"`` when no worker was left to run it or the fabric
+        closed — for the caller to run inline.
 
         ``on_chunk(pairs)`` is called once per accepted chunk with its
         ``(task index, finding)`` pairs — on the submitting thread,
@@ -291,13 +282,10 @@ class ClusterCoordinator:
         acceptance and always before this method returns.  The
         scheduler appends them to its result store.
         """
-        retries = self.max_retries if max_retries is None else max_retries
         trace_ctx = _OBS.current_trace() if _OBS.enabled else None
-        ledger = ChunkLedger(
-            {cid: rows for cid, rows in enumerate(chunks)},
-            max_retries=retries)
+        ledger = ChunkLedger({cid: rows for cid, rows in enumerate(chunks)})
         with self._work:
-            job = _Job(next(self._job_ids), ledger, trace_ctx, tasks)
+            job = _Job(next(self._job_ids), ledger, trace_ctx)
             self._jobs[job.id] = job
             self._work.notify_all()
         self._incr("jobs.submitted")
@@ -305,10 +293,9 @@ class ClusterCoordinator:
             job.done.set()
         delivered = 0
         try:
-            while not job.done.is_set() and not self._closed.is_set():
+            while (not job.done.is_set() and not self._closed.is_set()
+                   and self.worker_count()):
                 delivered = self._deliver(job, on_chunk, delivered)
-                if self.worker_count() == 0 and self._run_one_inline(job):
-                    continue
                 job.done.wait(0.02)
         finally:
             with self._lock:
@@ -316,44 +303,14 @@ class ClusterCoordinator:
         self._deliver(job, on_chunk, delivered)
         self._incr("jobs.completed")
         results: Dict[int, Any] = {}
-        for outcome in job.ledger.outcomes.values():
+        for outcome in ledger.outcomes.values():
             for index, finding in outcome:
                 results[index] = finding
-        every = {index for rows in chunks for index, _raw in rows}
-        failed = sorted(every - set(results))
-        return results, failed
-
-    def _run_one_inline(self, job: _Job) -> bool:
-        """Claim and execute one chunk in the submitting thread (the
-        zero-workers degrade path).  ``True`` if a chunk ran."""
-        from ..core.dist import _chunk_worker
-
-        with self._lock:
-            lease = job.ledger.claim(
-                "coordinator-inline", now=time.monotonic(),
-                ttl=float("inf"))
-            if lease is None:
-                return False
-            payload = job.ledger.payload(lease.chunk_id)
-        self._incr("chunks.claimed")
-        try:
-            pairs = _chunk_worker(payload, None, job.tasks)
-        except Exception:
-            with self._lock:
-                disposition = job.ledger.release(lease.chunk_id)
-                if job.ledger.done:
-                    job.done.set()
-            if disposition == "exhausted":
-                self._incr("chunks.failed")
-            return True
-        with self._lock:
-            accepted = job.ledger.complete(lease.chunk_id, pairs)
-            if job.ledger.done:
-                job.done.set()
-        if accepted:
-            self._incr("chunks.inline")
-            self._incr("chunks.completed")
-        return True
+        returned = [
+            ("exhausted" if cid in ledger.failed else "unplaced",
+             [index for index, _raw in rows])
+            for cid, rows in enumerate(chunks) if cid not in ledger.outcomes]
+        return results, returned
 
     def _deliver(self, job: _Job, on_chunk: Optional[Callable[[Any], None]],
                  delivered: int) -> int:
@@ -707,15 +664,9 @@ class ClusterCoordinator:
             if job.ledger.done:
                 job.done.set()
         if reclaimed:
-            self._counters["chunks.reclaimed"] = \
-                self._counters.get("chunks.reclaimed", 0) + reclaimed
-            if _OBS.enabled:
-                _OBS.incr("cluster.chunks.reclaimed", reclaimed)
+            self._incr("chunks.reclaimed", reclaimed)
         if failed:
-            self._counters["chunks.failed"] = \
-                self._counters.get("chunks.failed", 0) + failed
-            if _OBS.enabled:
-                _OBS.incr("cluster.chunks.failed", failed)
+            self._incr("chunks.failed", failed)
         return reclaimed
 
     def _reap_loop(self) -> None:
@@ -724,19 +675,13 @@ class ClusterCoordinator:
             expired_total = 0
             with self._lock:
                 for job in self._jobs.values():
-                    for chunk_id, claimant, disposition in \
+                    for chunk_id, _claimant, disposition in \
                             job.ledger.reap(now):
-                        if claimant == "coordinator-inline":
-                            continue  # inline leases never expire
                         self._lease_meta.pop((job.id, chunk_id), None)
                         expired_total += 1
-                        name = ("chunks.reclaimed"
-                                if disposition == "requeued"
-                                else "chunks.failed")
-                        self._counters[name] = \
-                            self._counters.get(name, 0) + 1
-                        if _OBS.enabled:
-                            _OBS.incr(f"cluster.{name}")
+                        self._incr("chunks.reclaimed"
+                                   if disposition == "requeued"
+                                   else "chunks.failed")
                     if job.ledger.done:
                         job.done.set()
                 stale_cutoff = now - _STALE_FACTOR * self.lease_timeout

@@ -464,15 +464,15 @@ def local_workers(count: int,
     """A private coordinator served by ``count`` forked agents.
 
     Each agent talks to the coordinator over its own ``socketpair`` and
-    is registered before the block runs, so the block's first job is
-    claimed by agents, not run by the coordinator's zero-worker inline
-    path.  Forking happens on entry: whatever the caller set up before
-    (the ``tasks`` list with its domains, encodings, plan caches) is
-    the agents' too, and each agent scans ``tasks[index]`` for the
-    index rows it claims.  Leaving the block closes the coordinator;
-    the agents exit and are reaped before it returns.  Without
-    ``os.fork`` the coordinator has no workers and runs every chunk
-    inline.
+    is registered before the block runs, so the block's first job waits
+    for agents to claim it instead of coming back unplaced.  Forking
+    happens on entry: whatever the caller set up before (the ``tasks``
+    list with its domains, encodings, plan caches) is the agents' too,
+    and each agent scans ``tasks[index]`` for the index rows it claims.
+    Leaving the block closes the coordinator; the agents exit and are
+    reaped before it returns.  Without ``os.fork`` the coordinator has
+    no workers and hands every chunk back unplaced, for the caller to
+    run inline.
     """
     coordinator = ClusterCoordinator(host=None)
     adopted: List[Any] = []  # (our socket end, worker id, pid)

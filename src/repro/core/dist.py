@@ -13,20 +13,25 @@ the sweep behind one worker.  Both backends hand the chunks to a
 ambient one that ``repro worker`` agents join over TCP, ``"process"``
 to a private one served by local agents forked for this one call
 (:func:`repro.cluster.worker.local_workers`, one ``socketpair`` each —
-nothing listens on a port, and a memo-only call forks none).  Leases,
-reclaim on worker death and the coordinator's inline path are the same
-code for both; a chunk whose retries run out runs inline here, per
-task, so a poisoned worker degrades throughput, never correctness.
-A worker compiles each task's program through its own plan cache and
-runs each task as its own scan.
+nothing listens on a port, and a memo-only call forks none).  Leases
+and reclaim on worker death are the same code for both.  A worker
+compiles each task's program through its own plan cache and runs each
+task as its own scan.
+
+**One degrade path.**  The coordinator never scans: it hands back
+every chunk no worker ran, tagged ``exhausted`` (its retries ran out)
+or ``unplaced`` (no worker was connected, or the fabric closed).  A
+cluster task that does not pickle (an unregistered opaque predicate)
+joins them as ``unpicklable``.  :func:`run_tasks` runs all of it in
+one inline loop in the parent, counting each task under
+``dist.inline.<reason>``, so a poisoned worker or an empty fabric
+degrades throughput, never correctness.
 
 **What a chunk carries.**  A process chunk names its tasks by index
 and carries no task bytes: its workers are forked after the task list
 exists, so each scans ``tasks[index]`` from the list it inherited,
 domains and already-built columnar encodings included.  A cluster
-chunk crosses hosts, so it ships each task pickled; a task that does
-not pickle (an unregistered opaque predicate) runs inline in the
-parent instead of dragging the whole sweep onto threads.
+chunk crosses hosts, so it ships each task pickled.
 
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
@@ -37,8 +42,8 @@ tasks, ``dist.memo.hits``) and can be persisted to a JSONL
 :class:`ResultStore` (the cold tier — ``sweep_models(resume_from=...)``
 re-runs only the delta after a corpus change, ``dist.resume.skips``).
 Handed a store, :func:`run_tasks` appends each chunk's keyed results as
-that chunk completes, so a sweep killed mid-run resumes from every
-chunk that landed.
+that chunk completes, on a worker or in the inline loop, so a sweep
+killed mid-run resumes from every chunk that landed.
 Keys are purely semantic: a rebound predicate, an edited domain, or a
 different witness limit all change the key, so reuse is never stale.
 """
@@ -564,7 +569,7 @@ def _chunk_worker(
 
 def _serialize_task(task: Any) -> Optional[bytes]:
     """Cluster payload of one task: the pickled task, or ``None`` when
-    it does not pickle (it then runs inline in the parent)."""
+    it does not pickle (it then runs in the inline loop)."""
     try:
         return pickle.dumps(task)
     except Exception:
@@ -578,7 +583,6 @@ def run_tasks(
     backend: str = "process",
     keys: Optional[Sequence[Optional[str]]] = None,
     store: Optional[ResultStore] = None,
-    max_retries: int = 2,
 ) -> List[Optional[SweepFinding]]:
     """Execute scan tasks through the chunked scheduler.
 
@@ -594,9 +598,9 @@ def run_tasks(
         ``"process"`` forks ``workers`` local workers on a private
         coordinator for this call; ``"cluster"`` ships chunks through
         the ambient :mod:`repro.cluster` coordinator to remote worker
-        agents.  Both are lease-tracked, reclaimed on worker death, and
-        fall back inline on retry exhaustion — results stay bit-for-bit
-        equal to the thread backend's.
+        agents.  Both are lease-tracked and reclaimed on worker death;
+        whatever no worker ran runs in this process's inline loop —
+        results stay bit-for-bit equal to the thread backend's.
     keys:
         Optional per-task result keys (from :func:`task_key`).  Keyed
         tasks hit the in-memory result memo; ``None`` entries always
@@ -605,9 +609,6 @@ def run_tasks(
         Optional :class:`ResultStore`.  Every keyed result is appended
         once: memo hits up front, computed results chunk by chunk as
         each chunk completes, so a killed run keeps what landed.
-    max_retries:
-        Per-chunk reclaims after a worker failure before the chunk
-        falls back to inline execution.
 
     Returns results in task order, exactly like the inline executor.
     """
@@ -639,45 +640,47 @@ def run_tasks(
         if obs_on and hits:
             _OBS.incr("dist.memo.hits", len(hits))
 
-    # Cluster chunks ship pickled tasks, and a task that does not
-    # pickle runs inline in the parent.  Process chunks ship bare
-    # indexes: their workers inherit the task list.
+    # Cluster chunks ship pickled tasks; a task that does not pickle
+    # goes to the inline loop.  Process chunks ship bare indexes: their
+    # workers inherit the task list.
     payloads: List[bytes] = [b""] * count
     pending: List[int] = []
-    inline_indexes: List[int] = []
+    unpicklable: List[int] = []
     for index in range(count):
         if results[index] is not _PENDING:
             continue
         if backend == "cluster":
             raw = _serialize_task(tasks[index])
             if raw is None:
-                inline_indexes.append(index)
+                unpicklable.append(index)
                 continue
             payloads[index] = raw
         pending.append(index)
-    if obs_on and inline_indexes:
-        _OBS.incr("dist.tasks.unpicklable", len(inline_indexes))
 
     with _OBS.span("dist.run", backend=backend, tasks=count,
                    pending=len(pending), workers=workers) as span:
+        inline = [("unpicklable", unpicklable)] if unpicklable else []
         if pending:
-            _run_chunks(tasks, payloads, pending, workers, backend,
-                        results, max_retries, persist)
+            inline += _run_chunks(tasks, payloads, pending, workers,
+                                  backend, results, persist)
 
-        # Parent-side inline degrade for tasks that never pickled.
-        for index in inline_indexes:
-            results[index] = _scan_task(tasks[index])
-        persist([(index, results[index]) for index in inline_indexes])
+        # The one parent-side scan loop: every chunk no worker ran,
+        # stored as each chunk finishes.
+        for reason, indexes in inline:
+            if obs_on:
+                _OBS.incr(f"dist.inline.{reason}", len(indexes))
+            for index in indexes:
+                results[index] = _scan_task(tasks[index])
+            persist([(index, results[index]) for index in indexes])
 
+        computed = pending + unpicklable
         memoized = 0
         if keys is not None:
-            computed_indexes = set(pending).union(inline_indexes)
-            for index, key in enumerate(keys):
-                if key is not None and index in computed_indexes:
-                    _memo_put(key, results[index])
+            for index in computed:
+                if keys[index] is not None:
+                    _memo_put(keys[index], results[index])
                     memoized += 1
-        span.set(computed=len(pending) + len(inline_indexes),
-                 memoized=memoized)
+        span.set(computed=len(computed), memoized=memoized)
     return [None if r is _PENDING else r for r in results]
 
 
@@ -688,20 +691,18 @@ def _run_chunks(
     workers: int,
     backend: str,
     results: List[Any],
-    max_retries: int,
     persist: Callable[[Sequence[Tuple[int, Any]]], None],
-) -> None:
+) -> List[Tuple[str, List[int]]]:
     """Ship the pending chunks through a coordinator: the ambient one
     (``"cluster"``), or a private one with freshly forked local workers
     (``"process"``).
 
     Chunk width scales with the fabric (connected workers beat the
-    ``workers`` hint when larger), execution happens wherever a worker
-    claims the chunk, and chunks whose reclaim retries are exhausted —
-    or that a closing fabric handed back — degrade to the scheduler's
-    usual inline per-task path.  Either way every pending index is
-    filled.  ``persist`` sees each chunk's pairs as the coordinator
-    accepts them.
+    ``workers`` hint when larger) and execution happens wherever a
+    worker claims the chunk.  Fills ``results`` for every chunk a
+    worker ran (``persist`` sees each chunk's pairs as the coordinator
+    accepts them) and returns the rest as ``(reason, task indexes)``
+    per chunk, for the inline loop.
     """
     from ..cluster import get_coordinator
     from ..cluster.worker import local_workers
@@ -721,20 +722,12 @@ def _run_chunks(
         _OBS.incr("dist.chunks", len(chunks))
     payload_chunks = [[(index, payloads[index]) for index in chunk]
                       for chunk in chunks]
-    # Local workers inherit the task list through the fork; the private
-    # coordinator's zero-worker inline path reads the same list.
-    inherited = None if backend == "cluster" else tasks
-    fabric = (nullcontext(coordinator) if inherited is None else
-              local_workers(min(width, len(chunks)), inherited))
+    # Local workers inherit the task list through the fork.
+    fabric = (nullcontext(coordinator) if backend == "cluster" else
+              local_workers(min(width, len(chunks)), tasks))
     with fabric as coordinator:
-        got, failed = coordinator.run_chunks(payload_chunks,
-                                             max_retries=max_retries,
-                                             on_chunk=persist,
-                                             tasks=inherited)
+        got, returned = coordinator.run_chunks(payload_chunks,
+                                               on_chunk=persist)
     for index, finding in got.items():
         results[index] = finding
-    if failed and _OBS.enabled:
-        _OBS.incr("dist.chunk.inline_fallback", len(failed))
-    for index in failed:
-        results[index] = _scan_task(tasks[index])
-    persist([(index, results[index]) for index in failed])
+    return returned

@@ -12,8 +12,9 @@ of those keys that does not depend on the limit is kept per model
 only finishes one hash per task.
 
 The request fingerprint folds the model key, the witness limit, the
-model's predicate *mutation stamp* (every pFSM predicate's
-``cache_key`` — see :func:`repro.core.dist._model_stamp`), and every
+digest of the model's predicate *mutation stamp* (every pFSM
+predicate's ``cache_key`` — see :func:`repro.core.dist._model_stamp`;
+digested once per stamp and kept with the key stems), and every
 task's :func:`~repro.core.serialize.sweep_task_fingerprint` into one
 digest — it is the single-flight coalescing identity in
 :mod:`repro.serve.batcher`: two requests with the same fingerprint are
@@ -69,13 +70,13 @@ class ExpandedQuery:
     fingerprint: str = field(compare=False)
 
 
-def _stamp_term(stamp: Any) -> Any:
-    """JSON-safe form of a model mutation stamp for digesting (``""``
-    when the stamp could not be computed)."""
-    if stamp is None:
-        return ""
-    return [[list(spec_key), list(impl_key) if impl_key else None]
-            for spec_key, impl_key in stamp]
+def _stamp_digest(stamp: Any) -> str:
+    """Digest of a model mutation stamp's JSON-safe form (``""`` when
+    the stamp could not be computed)."""
+    term = "" if stamp is None else [
+        [list(spec_key), list(impl_key) if impl_key else None]
+        for spec_key, impl_key in stamp]
+    return spec_digest(term)
 
 
 class AnalysisCorpus:
@@ -103,9 +104,10 @@ class AnalysisCorpus:
         #: guards against serving a stale expansion of a mutated model.
         self._expanded: Dict[Tuple[str, int],
                              Tuple[Any, ExpandedQuery]] = {}
-        #: ``key -> (mutation stamp, stamp term, [(operation name, pfsm,
-        #: domain, key stem)])`` — the limit-free half of an expansion.
-        self._stems: Dict[str, Tuple[Any, Any, List[Any]]] = {}
+        #: ``key -> (mutation stamp, stamp digest, [(operation name,
+        #: pfsm, domain, key stem)])`` — the limit-free half of an
+        #: expansion.
+        self._stems: Dict[str, Tuple[Any, str, List[Any]]] = {}
         self._lock = threading.Lock()
 
     def keys(self) -> List[str]:
@@ -135,17 +137,17 @@ class AnalysisCorpus:
         with self._lock:
             stems = self._stems.get(key)
         if stems is None or stamp is None or stems[0] != stamp:
-            stems = (stamp, _stamp_term(stamp), self._task_stems(label))
+            stems = (stamp, _stamp_digest(stamp), self._task_stems(label))
             with self._lock:
                 self._stems[key] = stems
-        _stamp, stamp_term, parts = stems
+        _stamp, stamp_digest, parts = stems
         tasks = tuple((model.name, operation_name, pfsm, domain, limit)
                       for operation_name, pfsm, domain, _stem in parts)
         task_keys = tuple(
             None if stem is None else stem_fingerprint(stem, limit)
             for _operation, _pfsm, _domain, stem in parts)
         fingerprint = spec_digest(
-            ["serve.query", key, limit, stamp_term,
+            ["serve.query", key, limit, stamp_digest,
              [k if k is not None else "" for k in task_keys]]
         )
         expanded = ExpandedQuery(

@@ -140,8 +140,9 @@ class TestChunkDeadline:
 
 class TestClusterStoreResume:
     """The cluster backend resumes from the same ``ResultStore`` as every
-    other backend.  No workers join, so the coordinator runs every
-    chunk inline and the counters see each executed task."""
+    other backend.  No workers join, so the coordinator hands every
+    chunk back, the scheduler runs it inline, and the counters see
+    each executed task."""
 
     def _sweep(self, store, limit=4):
         models, domains = _models()
@@ -182,7 +183,7 @@ class TestClusterStoreResume:
         assert got == expected
         assert counters["dist.resume.skips"] == kept
         assert counters["sweep.tasks.completed"] == total - kept
-        assert counters["cluster.chunks.inline"] >= 1
+        assert counters["dist.inline.unplaced"] >= 1
         assert counters["dist.store.appended"] == total - kept
         assert len(ResultStore(partial).load()) == total
 
@@ -195,7 +196,7 @@ class TestClusterStoreResume:
         assert counters["dist.resume.skips"] == \
             first["sweep.tasks.completed"]
         assert "sweep.tasks.completed" not in counters
-        assert "cluster.chunks.inline" not in counters
+        assert "dist.inline.unplaced" not in counters
 
     def test_store_of_a_different_limit_resumes_nothing(self, tmp_path):
         store = str(tmp_path / "store.jsonl")

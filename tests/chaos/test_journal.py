@@ -45,7 +45,8 @@ def _sweep(store, names=("nullhttpd", "xterm"), limit=4, mode="thread"):
     registry.enable()
     try:
         if mode == "cluster":
-            # No workers join: the coordinator runs every chunk inline.
+            # No workers join: the coordinator hands every chunk back
+            # and the scheduler runs it inline.
             with ClusterCoordinator() as coordinator, \
                     coordinating(coordinator):
                 sweeps = sweep_models(models, domains, limit=limit,
@@ -161,6 +162,6 @@ class TestCoordinatorResume:
         got, counters = _sweep(path, names=("xterm",), mode="cluster")
         assert got == _baseline(names=("xterm",))
         assert "dist.resume.skips" not in counters
-        assert counters["cluster.chunks.inline"] >= 1
+        assert counters["dist.inline.unplaced"] >= 1
         assert counters["dist.store.appended"] == \
             counters["sweep.tasks.completed"]

@@ -77,14 +77,30 @@ class TestZeroWorkers:
                                       mode="process", workers=2))
         dist.reset()
         dist.clear_memo()
-        with ClusterCoordinator() as coordinator, \
-                coordinating(coordinator):
-            got = _flat(sweep_models(models, domains, limit=4,
-                                     backend="cluster", workers=2))
-            completed = coordinator.counter("chunks.completed")
-            assert completed >= 1
-            assert coordinator.counter("chunks.inline") == completed
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            with ClusterCoordinator() as coordinator, \
+                    coordinating(coordinator):
+                got = _flat(sweep_models(models, domains, limit=4,
+                                         backend="cluster", workers=2))
+                assert coordinator.counter("chunks.claimed") == 0
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
         assert got == expected
+        assert counters["dist.inline.unplaced"] == \
+            counters["sweep.tasks.completed"]
+
+    def test_coordinator_without_workers_hands_every_chunk_back(self):
+        with ClusterCoordinator() as coordinator:
+            got, returned = coordinator.run_chunks(
+                [[(0, b"task"), (2, b"task")], [(1, b"task")]])
+            assert coordinator.counter("chunks.claimed") == 0
+        assert got == {}
+        assert returned == [("unplaced", [0, 2]), ("unplaced", [1])]
 
 
 class TestInheritedTasks:
@@ -101,7 +117,7 @@ class TestInheritedTasks:
                     [[(0, b""), (2, b"")], [(1, b"")]])
             finally:
                 agent.stop()
-            assert coordinator.counter("chunks.inline") == 0
+            assert coordinator.counter("chunks.completed") == 2
             assert coordinator.counter("bytes.shipped") == 0
         assert failed == []
         assert _witnesses([got[i] for i in range(3)]) == \
@@ -200,8 +216,7 @@ class TestConnectionDropRecovery:
                 thread.start()
                 assert coordinator.wait_for_workers(1, timeout=10.0)
                 try:
-                    got = dist.run_tasks(tasks, 2, backend="cluster",
-                                         max_retries=1)
+                    got = dist.run_tasks(tasks, 2, backend="cluster")
                 finally:
                     stop.set()
                     thread.join(timeout=10.0)
@@ -211,7 +226,7 @@ class TestConnectionDropRecovery:
             registry.disable()
             registry.reset()
         assert _witnesses(got) == expected
-        assert counters.get("dist.chunk.inline_fallback", 0) >= 1
+        assert counters.get("dist.inline.exhausted", 0) >= 1
 
 
 def _until(predicate, timeout=10.0, tick=None):

@@ -127,6 +127,12 @@ def _flat(sweeps):
             for s in sweeps for f in s.findings]
 
 
+def _inline_counters(counters):
+    """The ``dist.inline.<reason>`` counters that were set."""
+    return {name: n for name, n in counters.items()
+            if name.startswith("dist.inline.")}
+
+
 def _counting(fn):
     """``(fn(), counters)`` with the registry counting from zero."""
     registry = obs.get_registry()
@@ -179,9 +185,9 @@ class TestBackendParity:
         assert _witnesses(got) == _witnesses(expected)
         if backend == "process":
             assert counters.get("cluster.chunks.completed", 0) >= 1
-            assert "dist.tasks.unpicklable" not in counters
+            assert "dist.inline.unpicklable" not in counters
         else:
-            assert counters.get("dist.tasks.unpicklable") == 1
+            assert counters.get("dist.inline.unpicklable") == 1
             assert "cluster.chunks.completed" not in counters
 
     def test_record_domain_ships_bytes_only_across_hosts(self, backend,
@@ -221,7 +227,7 @@ class TestBackendParity:
         assert got == expected
         # Healthy workers claim every chunk: none runs in the parent.
         assert counters.get("cluster.chunks.completed", 0) >= 1
-        assert "cluster.chunks.inline" not in counters
+        assert _inline_counters(counters) == {}
 
     def test_concurrent_sweeps_agree(self, backend):
         import threading
@@ -249,6 +255,16 @@ class TestBackendParity:
             assert results[slot] == expected
 
 
+def _lock_tasks():
+    """One task whose witnesses are locks, which never pickle."""
+    from repro.core import Predicate
+
+    locks = [threading.Lock() for _ in range(4)]
+    pfsm = _pfsm(spec=Predicate(lambda lock: False, "none"),
+                 impl=Predicate(lambda lock: True, "all"))
+    return [_task(Domain.of(*locks), pfsm=pfsm, limit=3)]
+
+
 class TestLocalWorkers:
     def test_worker_crash_is_reclaimed_then_run_inline(self):
         tasks = [_task(Domain.integers(-5, 20), pfsm=_pfsm(spec=crashy))]
@@ -257,35 +273,17 @@ class TestLocalWorkers:
         # Hidden path: spec rejects (outside 0..5), impl accepts (<=10).
         assert got[0] is not None
         assert counters.get("cluster.chunks.reclaimed", 0) >= 1
-        assert counters.get("cluster.chunks.inline", 0) >= 1
+        assert counters.get("dist.inline.unplaced", 0) >= 1
 
     def test_unpicklable_witnesses_fall_back_inline(self):
         # The workers scan the inherited locks but cannot send them back:
         # each attempt fails, and the retry-exhausted chunk runs here.
-        from repro.core import Predicate
-
-        locks = [threading.Lock() for _ in range(4)]
-        pfsm = _pfsm(spec=Predicate(lambda lock: False, "none"),
-                     impl=Predicate(lambda lock: True, "all"))
-        tasks = [_task(Domain.of(*locks), pfsm=pfsm, limit=3)]
+        tasks = _lock_tasks()
         got, counters = _counting(
             lambda: dist.run_tasks(tasks, 2, backend="process"))
-        assert got[0].witnesses == tuple(locks[:3])
+        assert got[0].witnesses == tuple(tasks[0][3])[:3]
         assert counters.get("cluster.chunks.failed") == 1
-        assert counters.get("dist.chunk.inline_fallback") == 1
-
-    def test_zero_worker_inline_path_scans_the_handed_tasks(self):
-        from repro.cluster.worker import local_workers
-
-        tasks = [_task(Domain.integers(-5, 20)),
-                 _task(Domain.of(9, 7, 6, 0), _pfsm(impl=less_equal(8)))]
-        with local_workers(0, tasks) as coordinator:
-            got, failed = coordinator.run_chunks(
-                [[(0, b""), (1, b"")]], tasks=tasks)
-        assert failed == []
-        assert coordinator.counter("chunks.inline") == 1
-        assert _witnesses([got[0], got[1]]) == \
-            _witnesses([_scan_task(task) for task in tasks])
+        assert counters.get("dist.inline.exhausted") == 1
 
     def test_memo_only_sweep_forks_no_worker(self):
         tasks = [_task(Domain.integers(-5, 20))]
@@ -295,6 +293,69 @@ class TestLocalWorkers:
                                    keys=["k"]))
         assert counters.get("dist.memo.hits") == 1
         assert "cluster.workers.joined" not in counters
+
+
+def _unpicklable_on_cluster():
+    from repro.core import Predicate
+
+    pfsm = _pfsm(spec=Predicate(lambda x: 0 <= x <= 5, "opaque"))
+    tasks = [_task(Domain.integers(-5, 20), pfsm=pfsm)]
+    with ClusterCoordinator() as coordinator, coordinating(coordinator):
+        agent = ClusterWorker(*coordinator.address)
+        agent.start()
+        try:
+            assert coordinator.wait_for_workers(1, timeout=10.0)
+            return tasks, dist.run_tasks(tasks, 1, backend="cluster")
+        finally:
+            agent.stop()
+
+
+def _exhausted_on_process():
+    tasks = _lock_tasks()
+    return tasks, dist.run_tasks(tasks, 1, backend="process")
+
+
+def _unplaced_after_a_lone_crash():
+    tasks = [_task(Domain.integers(-5, 20), pfsm=_pfsm(spec=crashy))]
+    return tasks, dist.run_tasks(tasks, 1, backend="process")
+
+
+class TestInlineLoop:
+    """Whatever no worker ran comes back to one loop in the parent,
+    counted under ``dist.inline.<reason>``."""
+
+    @pytest.mark.parametrize("reason, sweep", [
+        ("unpicklable", _unpicklable_on_cluster),
+        ("exhausted", _exhausted_on_process),
+        ("unplaced", _unplaced_after_a_lone_crash),
+    ])
+    def test_each_reason_runs_inline_and_matches(self, reason, sweep):
+        (tasks, got), counters = _counting(sweep)
+        assert _witnesses(got) == \
+            _witnesses([_scan_task(task) for task in tasks])
+        assert _inline_counters(counters) == {f"dist.inline.{reason}": 1}
+
+    def test_zero_worker_sweep_stores_each_chunk_before_a_failure(
+            self, tmp_path, monkeypatch):
+        # The inline loop appends chunk by chunk: a task that raises
+        # loses only its own chunk's results, as a kill would.
+        tasks = [_task(Domain.integers(-5, 20 + n)) for n in range(3)]
+        tasks.append(("model", "boom", _pfsm(), Domain.integers(-5, 20), 5))
+        keys = [f"k{n}" for n in range(len(tasks))]
+        store = ResultStore(tmp_path / "store.jsonl")
+
+        def scan(task):
+            if task[1] == "boom":
+                raise RuntimeError("boom")
+            return _scan_task(task)
+
+        monkeypatch.setattr(dist, "_scan_task", scan)
+        with ClusterCoordinator() as coordinator, \
+                coordinating(coordinator):
+            with pytest.raises(RuntimeError, match="boom"):
+                dist.run_tasks(tasks, 2, backend="cluster", keys=keys,
+                               store=store)
+        assert sorted(store.load()) == keys[:-1]
 
 
 class TestBackendNames:

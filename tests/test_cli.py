@@ -314,8 +314,8 @@ class TestClusterCli:
             main(["sweep", "--backend", "cluster"])
 
     def test_cluster_sweep_completes_inline_without_workers(self, capsys):
-        # Zero workers: the coordinator degrades to inline execution,
-        # and the JSON report carries the cluster block.
+        # Zero workers: the coordinator hands every chunk back, the
+        # scheduler runs it inline, and the JSON report says so.
         code, out = run(capsys, "sweep", "--json", "--backend", "cluster",
                         "--listen", "127.0.0.1:%d" % self._free_port(),
                         "--limit", "2")
@@ -324,8 +324,9 @@ class TestClusterCli:
         assert data["settings"]["backend"] == "cluster"
         cluster = data["cluster"]
         assert cluster["workers_joined"] == 0
-        assert cluster["chunks_inline"] >= 1
-        assert cluster["chunks_inline"] == cluster["chunks_completed"]
+        assert cluster["chunks_claimed"] == 0
+        assert set(cluster["tasks_inline"]) == {"unplaced"}
+        assert cluster["tasks_inline"]["unplaced"] >= 1
 
     def test_cluster_json_matches_process_backend(self, capsys):
         code, cluster_out = run(
