@@ -246,15 +246,14 @@ def _timed_compute_run(traced):
 
     A fresh server per measurement keeps repeats identical: replaying
     the same pairs against a warm server would time the cache, not the
-    engine.  The process-wide result tiers are cleared too — the dist
-    fingerprint memo and planner state both outlive a server, so
-    without this only the first server in the process ever computes
-    (later ones answer from the warm tier and skip the batch window
-    entirely)."""
-    from repro.core import dist, plan
+    engine.  Each server builds its own models, so every program is
+    compiled anew.  The process-wide dist fingerprint memo outlives a
+    server, so it is cleared too: without this only the first server in
+    the process ever computes (later ones answer from the warm tier and
+    skip the batch window entirely)."""
+    from repro.core import dist
 
     dist.reset()
-    plan.reset()
     config = ServeConfig(port=0, trace=True) if traced else \
         ServeConfig(port=0)
     handle = ServerThread(config).start()

@@ -261,7 +261,8 @@ def _instrumented_metrics(models, domains, limit, witness_pfsm,
     hidden-witness search (which rides the interval fast path) and the
     corpus sweep twice — then derives the strategy coverage fractions
     from the standard ``sweep.*`` counters.  Untimed: the throughput
-    comparisons all run with telemetry disabled.
+    comparisons run with telemetry disabled, except the plan scenario's
+    compiled side, which counts its compiles.
     """
     registry = obs.get_registry()
     registry.reset()
@@ -298,11 +299,12 @@ def _backend_session(models, domains, limit, mode, repeats=SESSION_REPEATS):
 
     Starts with an empty fingerprint memo (``dist.reset()``), so the
     process backend's first sweep forks its workers and computes every
-    task inside the measurement.  It is not a cold process: plan caches
-    and columnar encodings built earlier in this interpreter survive
-    ``dist.reset()``, and forked workers inherit them — the first
-    session in an interpreter pays encoding and planning that repeat
-    sessions do not (EXPERIMENTS.md records both).
+    task inside the measurement.  It is not a cold process: programs
+    compiled and columnar encodings built earlier in this interpreter
+    (memoized on their pFSMs and domains) survive ``dist.reset()``, and
+    forked workers inherit them — the first session in an interpreter
+    pays encoding and planning that repeat sessions do not
+    (EXPERIMENTS.md records both).
     """
     dist.reset()
     start = time.perf_counter()
@@ -387,28 +389,43 @@ def _plan_scenario(repeats=3):
     """Uncompiled vs compiled sweep over the repeated-predicate corpus.
 
     Both sides run the identical inline engine; the only variable is
-    the planner.  The
-    compiled side starts from a cold plan cache (``plan.reset()``), so
-    compile time is inside the measurement.
+    the planner.  Each compiled repeat sweeps newly built models (the
+    same domains) whose pFSMs were never compiled, so compile time is
+    inside the measurement.  The telemetry registry counts the compiled
+    side's ``plan.compiles`` (a few counter bumps per task, charged to
+    the compiled side): a cold start that turned warm reads 0.
     """
     models, domains, objects = _plan_corpus()
     limit = 10**9
+    fresh = {}
 
     def uncompiled():
         with plan.disabled():
             return sweep_models(models, domains, limit=limit)
 
+    def never_compiled():
+        fresh["models"] = _plan_corpus()[0]
+
     def compiled():
-        plan.reset()
-        return sweep_models(models, domains, limit=limit)
+        return sweep_models(fresh["models"], domains, limit=limit)
 
     uncompiled_s, baseline = _best_of(uncompiled, repeats=repeats)
-    compiled_s, sweeps = _best_of(compiled, repeats=repeats)
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        compiled_s, sweeps = _best_of(compiled, repeats=repeats,
+                                      setup=never_compiled)
+        compiles = registry.counters().get("plan.compiles", 0)
+    finally:
+        registry.disable()
+        registry.reset()
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "compiled sweep diverged from the uncompiled engine"
     return {
         "models": PLAN_MODELS,
         "objects_per_sweep": objects,
+        "compiles": compiles,
         "uncompiled_s": uncompiled_s,
         "compiled_s": compiled_s,
         "speedup": (uncompiled_s / compiled_s
@@ -432,8 +449,8 @@ def _columnar_corpus(rows=COLUMNAR_ROWS):
 
     All models audit the *same* corpus — the common shape where several
     vulnerability models are swept over one telemetry capture.  The
-    digest-keyed ``EncodingCache`` encodes the domain once and serves
-    every model's kernel from the shared columns.
+    domain's encoding memo encodes it once and serves every model's
+    kernel from the shared columns.
     """
     items = [{"size": (i * 37) % 10_000,
               "depth": (i * 11) % 128,
@@ -481,7 +498,6 @@ def _columnar_scenario(repeats=3):
             return sweep_models(models, domains, limit=limit)
 
     def vectorized():
-        columnar.encoding_cache().clear()
         columnar._DOMAIN_MEMO.clear()
         return sweep_models(models, domains, limit=limit)
 
@@ -823,11 +839,14 @@ def _store_resume_stat():
         }
 
 
-def _best_of(fn, repeats=5):
-    """(best wall-clock seconds, last result) over ``repeats`` runs."""
+def _best_of(fn, repeats=5, setup=None):
+    """(best wall-clock seconds, last result) over ``repeats`` runs;
+    ``setup``, when given, runs untimed before each one."""
     best = float("inf")
     result = None
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
@@ -1122,7 +1141,8 @@ def main(argv=None):
           f"{plan_stats['objects_per_sweep']:,} objects: "
           f"uncompiled {plan_stats['uncompiled_s']:.4f}s, "
           f"compiled {plan_stats['compiled_s']:.4f}s "
-          f"({plan_stats['speedup']:.1f}x)")
+          f"({plan_stats['speedup']:.1f}x, "
+          f"{plan_stats['compiles']} compiles)")
     columnar_stats = payload["columnar"]
     print(f"columnar corpus of {columnar_stats['models']} models x "
           f"{columnar_stats['objects_per_sweep']:,} records "
@@ -1207,7 +1227,6 @@ def test_compiled_sweep_beats_uncompiled(benchmark):
     models, domains, _objects = _plan_corpus()
 
     def compiled():
-        plan.reset()
         return sweep_models(models, domains, limit=10**9)
 
     sweeps = benchmark.pedantic(compiled, rounds=1, iterations=1) \
@@ -1220,7 +1239,6 @@ def test_columnar_sweep_beats_compiled_scalar(benchmark):
     models, domains, _objects = _columnar_corpus(rows=20_000)
 
     def vectorized():
-        columnar.encoding_cache().clear()
         return sweep_models(models, domains, limit=10**9)
 
     sweeps = benchmark.pedantic(vectorized, rounds=1, iterations=1) \

@@ -438,8 +438,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan_stats = {
         "enabled": not args.no_plan,
         "compiles": delta.get("plan.compiles", 0),
-        "cache_hits": delta.get("plan.cache.hits", 0),
-        "cache_misses": delta.get("plan.cache.misses", 0),
     }
     total = sum(len(sweep.findings) for sweep in sweeps)
     cluster_block = None
@@ -492,7 +490,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "faults": _faults_block(),
             "settings": {
                 "columnar": not args.no_columnar,
-                "columnar_backend": _columnar.stats()["backend"],
+                "columnar_backend": ("numpy" if delta.get(
+                    "columnar.encodings.numpy", 0) else "stdlib"),
                 "backend": args.backend,
                 "workers": args.workers,
                 "limit": args.limit,
@@ -512,8 +511,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             name = f"{row['model']}/{row['operation']}/{row['pfsm']}"
             print(f"{name:<{width}}  {row['strategy']:<9} "
                   f"{row['est_cost']:>10.1f}  {row['reason']}")
-        print(f"plan cache: {plan_stats['cache_hits']} hits, "
-              f"{plan_stats['compiles']} compiles\n")
+        print(f"plan: {plan_stats['compiles']} compiles\n")
     for sweep in sweeps:
         verdict = "VULNERABLE" if sweep.vulnerable else "clean"
         print(f"{sweep.model_name}: {verdict} "

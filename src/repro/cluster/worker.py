@@ -467,8 +467,9 @@ def local_workers(count: int,
     is registered before the block runs, so the block's first job waits
     for agents to claim it instead of coming back unplaced.  Forking
     happens on entry: whatever the caller set up before (the ``tasks``
-    list with its domains, encodings, plan caches) is the agents' too,
-    and each agent scans ``tasks[index]`` for the index rows it claims.
+    list with its domains, encodings and compiled programs) is the
+    agents' too, and each agent scans ``tasks[index]`` for the index
+    rows it claims.
     Leaving the block closes the coordinator; the agents exit and are
     reaped before it returns.  Without ``os.fork`` the coordinator has
     no workers and hands every chunk back unplaced, for the caller to

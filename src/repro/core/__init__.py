@@ -30,22 +30,17 @@ from .metrics import (
     mean_effort_to_foil,
     pfsm_rates,
 )
-from .columnar import (
-    EncodingCache,
-    encoding_for,
-)
+from .columnar import encoding_for
 from .dist import (
     ResultStore,
     domain_digest,
     task_key,
 )
 from .plan import (
-    PlanCache,
     ScanPlan,
     ScanProgram,
     compile_spec,
     describe_plan,
-    plan_cache,
     plan_scan,
     program_for,
 )
@@ -150,14 +145,11 @@ __all__ = [
     "ResultStore",
     "domain_digest",
     "task_key",
-    "EncodingCache",
     "encoding_for",
-    "PlanCache",
     "ScanPlan",
     "ScanProgram",
     "compile_spec",
     "describe_plan",
-    "plan_cache",
     "plan_scan",
     "program_for",
     "UnknownPredicateError",

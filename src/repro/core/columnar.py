@@ -17,10 +17,9 @@ Two layers:
   Integer domains encode as ``int64`` buffers, strings/bytes keep their
   value list plus a vectorizable length column; ``range`` backings and
   lazy record products encode without materializing the product's
-  dicts.  Encodings are memoized on the domain object and shared
-  through a bounded :class:`EncodingCache` keyed by
-  :func:`repro.core.dist.domain_digest`, so every task of a sweep over
-  one domain pays the encoding once.
+  dicts.  Encodings are memoized on the domain object (a weak side
+  table), so every task of a sweep over one domain pays the encoding
+  once; equal-content but distinct domain objects each encode their own.
 
 * **The kernels.**  :func:`scan_program` lowers a closed predspec DAG
   (through the same folded node trees as :mod:`repro.core.plan`) into
@@ -64,7 +63,6 @@ strategy can be bypassed with :func:`set_enabled` (``repro sweep
 from __future__ import annotations
 
 import os
-import threading
 import weakref
 from array import array
 from collections import OrderedDict
@@ -77,26 +75,20 @@ from .predspec import decode_value, spec_fields, _resolve_type
 
 __all__ = [
     "Encoding",
-    "EncodingCache",
     "disabled",
-    "encoding_cache",
     "encoding_for",
     "force_fallback",
     "is_enabled",
     "kernel_backend",
-    "reset",
     "scan_program",
     "set_enabled",
     "set_min_rows",
-    "stats",
 ]
 
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-#: Domains smaller than this scan faster scalar than they encode.
-_DEFAULT_MIN_ROWS = 256
 
 #: Encodings with at least this many rows use numpy masks; smaller ones
 #: use the stdlib kernels, which are as fast there, so a process whose
@@ -108,7 +100,7 @@ _NUMPY_MIN_ROWS = 1 << 14
 #: ids costs more than it saves and tests use tiny corpora anyway).
 _DUP_GATE_MIN_ROWS = 4096
 #: Encoding (and lazy-product materialization) ceiling — memory guard.
-_DEFAULT_MAX_ROWS = 1 << 22
+_MAX_ROWS = 1 << 22
 
 #: Node masks cheaper than this are not worth caching (the dict probe
 #: would cost more than recomputing them).
@@ -117,8 +109,8 @@ _MASK_CACHE_MIN_COST = 0.9
 _MASK_CACHE_ENTRIES = 32
 
 _ENABLED = True
-_MIN_ROWS = _DEFAULT_MIN_ROWS
-_MAX_ROWS = _DEFAULT_MAX_ROWS
+#: Domains smaller than this scan faster scalar than they encode.
+_MIN_ROWS = 256
 _FORCE_FALLBACK = os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0")
 
 
@@ -158,12 +150,10 @@ def force_fallback():
     global _FORCE_FALLBACK
     previous = _FORCE_FALLBACK
     _FORCE_FALLBACK = True
-    _ENCODINGS.clear()
     try:
         yield
     finally:
         _FORCE_FALLBACK = previous
-        _ENCODINGS.clear()
 
 
 def set_min_rows(rows: int) -> int:
@@ -172,21 +162,11 @@ def set_min_rows(rows: int) -> int:
     global _MIN_ROWS
     previous = _MIN_ROWS
     _MIN_ROWS = max(0, int(rows))
-    _ENCODINGS.clear()
     return previous
 
 
-def reset() -> None:
-    """Fresh module state: default thresholds, empty encoding cache."""
-    global _ENABLED, _MIN_ROWS, _MAX_ROWS
-    _ENABLED = True
-    _MIN_ROWS = _DEFAULT_MIN_ROWS
-    _MAX_ROWS = _DEFAULT_MAX_ROWS
-    _ENCODINGS.clear()
-
-
 def _config_stamp() -> Tuple[Any, ...]:
-    return (_FORCE_FALLBACK, _MIN_ROWS, _MAX_ROWS)
+    return (_FORCE_FALLBACK, _MIN_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -913,74 +893,13 @@ def _build_encoding(domain: Any) -> Optional[Encoding]:
     return encoding
 
 
-class EncodingCache:
-    """Bounded LRU of encodings keyed by domain content digest — the
-    per-sweep share point: tasks over equal-content domains (and repeat
-    sweeps in one session) reuse one encoding, its columns, and its
-    cached masks."""
-
-    def __init__(self, maxsize: int = 32) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Tuple[Any, ...], Optional[Encoding]]" = \
-            OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: Encodings stored so far, by mask backend.
-        self.backends: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def get(self, digest: str) -> Tuple[bool, Optional[Encoding]]:
-        key = (digest, _config_stamp())
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return True, self._data[key]
-            self.misses += 1
-        return False, None
-
-    def put(self, digest: str, encoding: Optional[Encoding]) -> None:
-        key = (digest, _config_stamp())
-        with self._lock:
-            if encoding is not None:
-                name = encoding.ops.name
-                self.backends[name] = self.backends.get(name, 0) + 1
-            self._data[key] = encoding
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "size": len(self._data), "maxsize": self.maxsize,
-                    "backends": dict(self.backends)}
-
-
-_ENCODINGS = EncodingCache()
-
-
-def encoding_cache() -> EncodingCache:
-    """The process-wide digest-keyed :class:`EncodingCache`."""
-    return _ENCODINGS
-
-
 def encoding_for(domain: Any) -> Optional[Encoding]:
     """The struct-of-arrays encoding of ``domain``, or ``None`` when the
     domain is not encodable (or outside the size thresholds).
 
-    Memoized on the domain object (validated against the backend/
-    threshold configuration) and shared across equal-content domains
-    through the digest-keyed :func:`encoding_cache`.
+    Memoized on the domain object, validated against the backend/
+    threshold configuration.  Each encoding built counts under
+    ``columnar.encodings.<backend>`` (``numpy`` or ``stdlib``).
     """
     stamp = _config_stamp()
     try:
@@ -989,29 +908,16 @@ def encoding_for(domain: Any) -> Optional[Encoding]:
         memo = None
     if memo is not None and memo[0] == stamp:
         return memo[1]
-    digest: Optional[str] = None
-    try:
-        from . import dist
-
-        digest = dist.domain_digest(domain)
-    except Exception:
-        digest = None
-    if digest is not None:
-        hit, encoding = _ENCODINGS.get(digest)
-        if hit:
-            if _OBS.enabled:
-                _OBS.incr("columnar.encoding.hits")
-            _remember(domain, stamp, encoding)
-            return encoding
     try:
         encoding = _build_encoding(domain)
     except Exception:
         encoding = None
     if encoding is not None and _OBS.enabled:
-        _OBS.incr("columnar.encodings")
-    if digest is not None:
-        _ENCODINGS.put(digest, encoding)
-    _remember(domain, stamp, encoding)
+        _OBS.incr(f"columnar.encodings.{encoding.ops.name}")
+    try:
+        _DOMAIN_MEMO[domain] = (stamp, encoding)
+    except TypeError:
+        pass  # not weakly referenceable: encoded again on every call
     return encoding
 
 
@@ -1022,14 +928,6 @@ def encoding_for(domain: Any) -> Optional[Encoding]:
 #: dead domains.
 _DOMAIN_MEMO: "weakref.WeakKeyDictionary[Any, Tuple[Any, ...]]" = \
     weakref.WeakKeyDictionary()
-
-
-def _remember(domain: Any, stamp: Tuple[Any, ...],
-              encoding: Optional[Encoding]) -> None:
-    try:
-        _DOMAIN_MEMO[domain] = (stamp, encoding)
-    except TypeError:
-        pass  # unhashable/unweakrefable: the digest cache still serves
 
 
 # ---------------------------------------------------------------------------
@@ -1072,16 +970,3 @@ def kernel_backend(program: Any, domain: Any) -> Optional[str]:
     if encoding is None or encoding.kernel(program) is None:
         return None
     return encoding.ops.name
-
-
-def stats() -> Dict[str, Any]:
-    """Encoding-cache counters plus the mask backend the encodings built
-    so far ran on — ``"numpy"`` once any reached ``_NUMPY_MIN_ROWS``
-    rows, ``"stdlib"`` otherwise — for the CLI and the benchmark
-    payloads."""
-    payload: Dict[str, Any] = dict(_ENCODINGS.stats())
-    payload["backend"] = "numpy" if payload["backends"].get("numpy") \
-        else "stdlib"
-    payload["enabled"] = _ENABLED
-    payload["min_rows"] = _MIN_ROWS
-    return payload

@@ -14,9 +14,10 @@ ambient one that ``repro worker`` agents join over TCP, ``"process"``
 to a private one served by local agents forked for this one call
 (:func:`repro.cluster.worker.local_workers`, one ``socketpair`` each —
 nothing listens on a port, and a memo-only call forks none).  Leases
-and reclaim on worker death are the same code for both.  A worker
-compiles each task's program through its own plan cache and runs each
-task as its own scan.
+and reclaim on worker death are the same code for both.  A worker runs
+each task as its own scan, with the program its pFSM already carries
+(inherited through the fork) or one it compiles itself (a cluster
+task, whose pickled pFSM ships without it).
 
 **One degrade path.**  The coordinator never scans: it hands back
 every chunk no worker ran, tagged ``exhausted`` (its retries ran out)
@@ -75,7 +76,6 @@ __all__ = [
     "run_tasks",
     "memo_lookup",
     "memo_store",
-    "memo_discard",
     "clear_memo",
     "reset",
 ]
@@ -438,14 +438,6 @@ def memo_store(key: str, finding: Optional[SweepFinding]) -> None:
     _memo_put(key, finding)
 
 
-def memo_discard(key: str) -> bool:
-    """Drop one fingerprint-keyed result from the warm tier; ``True``
-    when an entry was actually evicted.  The invalidation hook of the
-    serving layer's :class:`~repro.serve.cache.TieredResultCache`."""
-    with _MEMO_LOCK:
-        return _RESULT_MEMO.pop(key, _PENDING) is not _PENDING
-
-
 def clear_memo() -> None:
     """Drop every memoized task result (the in-process warm tier)."""
     with _MEMO_LOCK:
@@ -522,8 +514,8 @@ def _chunk_worker(
     fork), the worker scans ``tasks[index]`` and ignores the row's
     bytes, which a process chunk leaves empty.  Otherwise each row's
     bytes are one pickled task, rebuilt through predicate specs (see
-    :mod:`repro.core.predspec`).  Each task runs its own scan,
-    compiling its program through the worker's plan cache.
+    :mod:`repro.core.predspec`).  Each task runs its own scan; a
+    rebuilt pFSM compiles its program in this worker.
 
     With a ``traceparent`` (the shipping chunk's trace context,
     serialized W3C-style), the worker continues the parent's trace: its

@@ -28,7 +28,7 @@ path — the elementary security-check opportunity of Observation 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .classification import PfsmType
 from .predicates import Predicate
@@ -95,6 +95,14 @@ class PrimitiveFSM:
     accept_action: str = ""
     transform: Optional[Callable[[Any], Any]] = None
     check_type: Optional[PfsmType] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The compiled-program memo of :func:`repro.core.plan.program_for`
+        # is stamped with this process's predicate cache keys: it never
+        # ships, so the receiver compiles its own program.
+        state = dict(self.__dict__)
+        state.pop("_plan_program", None)
+        return state
 
     # -- derived predicates ----------------------------------------------
 

@@ -34,9 +34,10 @@ to the nearest shield yields ``False`` exactly where the interpreter's
 
 Each program is judged object by object within one scan; the scan's
 identity memo (:mod:`repro.core.sweep`) is the only verdict memo, and
-no verdict is shared between tasks.  Programs are picklable: they ship
-as their spec alone and recompile through the receiving process's
-:class:`PlanCache`.
+no verdict is shared between tasks.  A program is memoized only on the
+pFSM it was compiled for (:func:`program_for`); that memo survives a
+fork but never a pickle.  Programs are picklable: they ship as their
+spec alone and recompile in the receiving process.
 
 The planner can be bypassed wholesale (``set_enabled`` /
 :func:`disabled` — the benchmark's A/B switch and the CLI's
@@ -46,8 +47,6 @@ The planner can be bypassed wholesale (``set_enabled`` /
 from __future__ import annotations
 
 import re
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -67,7 +66,6 @@ from .predicates import (
 from .predspec import _lookup_named, _resolve_type, decode_value, spec_digest
 
 __all__ = [
-    "PlanCache",
     "ScanPlan",
     "ScanProgram",
     "compile_spec",
@@ -75,12 +73,9 @@ __all__ = [
     "disabled",
     "hidden_spec",
     "is_enabled",
-    "plan_cache",
     "plan_scan",
     "program_for",
-    "reset",
     "set_enabled",
-    "stats",
     "task_cost",
 ]
 
@@ -406,8 +401,7 @@ class ScanProgram:
     building the spec's predicate via
     :func:`repro.core.predspec.from_spec` and calling it — see the
     module header for the exception-semantics argument.  Pickling ships
-    the spec alone and recompiles through the receiving process's
-    :class:`PlanCache`.
+    the spec alone and recompiles it in the receiving process.
     """
 
     __slots__ = ("spec", "digest", "cost", "selectivity", "leaves",
@@ -437,79 +431,6 @@ class ScanProgram:
                 f"lowered={self.lowered})")
 
 
-class PlanCache:
-    """Bounded, stats-instrumented LRU of compiled programs, keyed by
-    the root node's structural digest."""
-
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[str, ScanProgram]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.compiles = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __reduce__(self):
-        # A pFSM pickles with its program memo, whose stamp names the
-        # cache the program was compiled into.  The receiver gets a new
-        # empty cache, so the memo is stale there and the program is
-        # looked up in (or compiled into) the receiver's own cache.
-        return (PlanCache, (self.maxsize,))
-
-    def get(self, digest: str) -> Optional[ScanProgram]:
-        with self._lock:
-            program = self._data.get(digest)
-            if program is not None:
-                self._data.move_to_end(digest)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if _OBS.enabled:
-            _OBS.incr("plan.cache.hits" if program is not None
-                      else "plan.cache.misses")
-        return program
-
-    def put(self, digest: str, program: ScanProgram) -> None:
-        evicted = 0
-        with self._lock:
-            self._data[digest] = program
-            self._data.move_to_end(digest)
-            self.compiles += 1
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if _OBS.enabled:
-            _OBS.incr("plan.compiles")
-            if evicted:
-                _OBS.incr("plan.cache.evictions", evicted)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "compiles": self.compiles,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-
-_CACHE = PlanCache()
-
-
-def plan_cache() -> PlanCache:
-    """The process-wide compiled-program cache."""
-    return _CACHE
-
-
 _ENABLED = True
 
 
@@ -536,42 +457,27 @@ def disabled():
         _ENABLED = previous
 
 
-def reset() -> None:
-    """Fresh planner state: a new, empty program cache (tests, benches).
-    Per-pFSM program memos are stamped with the cache their program was
-    compiled into, so none of them survives a reset."""
-    global _CACHE
-    _CACHE = PlanCache(_CACHE.maxsize)
-
-
-def stats() -> Dict[str, Any]:
-    """The process-wide :class:`PlanCache` counters."""
-    return _CACHE.stats()
-
-
 def compile_spec(spec: Any) -> ScanProgram:
-    """Compile a predspec term into a :class:`ScanProgram` (cached).
+    """Compile a predspec term into a :class:`ScanProgram`.
 
     Raises for malformed terms and unresolvable named predicates —
     callers on hot paths go through :func:`program_for`, which degrades
     to ``None`` (interpretive fallback) instead.
     """
     root = _build(spec)
-    cached = _CACHE.get(root.digest)
-    if cached is not None:
-        return cached
     ctx = {"lowered": 0}
     program = ScanProgram(
         spec=spec, digest=root.digest, fn=_shield(_emit_node(root, ctx)),
         cost=root.cost, selectivity=root.selectivity, leaves=root.leaves,
         lowered=ctx["lowered"],
     )
-    _CACHE.put(root.digest, program)
+    if _OBS.enabled:
+        _OBS.incr("plan.compiles")
     return program
 
 
 def _rebuild_program(spec: Any) -> Optional[ScanProgram]:
-    """Unpickle hook: recompile through this process's cache.  Degrades
+    """Unpickle hook: recompile in this process.  Degrades
     to ``None`` (the payload's task still runs interpretively) rather
     than poisoning the chunk."""
     try:
@@ -604,14 +510,16 @@ def program_for(pfsm: Any) -> Optional[ScanProgram]:
     planner is bypassed or the pFSM is not compilable.
 
     Memoized on the pFSM object, validated against both predicates'
-    mutation-aware cache keys and the current :class:`PlanCache` (see
-    :func:`reset`).
+    mutation-aware cache keys.  The memo is left out of a pickled pFSM
+    (:meth:`~repro.core.pfsm.PrimitiveFSM.__getstate__`): cache keys
+    come from a per-process counter, so a shipped stamp could match an
+    unrelated predicate of the receiver.
     """
     if not _ENABLED:
         return None
     impl = pfsm.impl_accepts
     stamp = (pfsm.spec_accepts.cache_key,
-             impl.cache_key if impl is not None else None, _CACHE)
+             impl.cache_key if impl is not None else None)
     memo = getattr(pfsm, "_plan_program", None)
     if memo is not None and memo[0] == stamp:
         return memo[1]

@@ -165,9 +165,6 @@ class MicroBatcher:
                           max(0.0, time.monotonic() - admit_at),
                           outcome=outcome, queue_depth=self._queue.depth())
 
-        register = getattr(self._cache, "register", None)
-        if register is not None:
-            register(query.model_key, query.task_keys)
         with self._lock:
             outcome, value = self._admit(query, deadline_ms,
                                          ctx if tracing else None,

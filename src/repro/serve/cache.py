@@ -18,9 +18,6 @@ Because cached findings are keyed by fingerprints that fold in every
 predicate's behaviour (model fingerprint + per-task spec digests, both
 validated against predicate mutation stamps — see
 :func:`repro.core.dist.task_key`), a mutated model naturally misses.
-:meth:`TieredResultCache.invalidate` additionally evicts everything a
-model key ever :meth:`registered <TieredResultCache.register>`, for
-explicit cache hygiene after a known mutation.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ class TieredResultCache:
         self._known: Dict[str, Any] = (self._store.load()
                                        if self._store is not None else {})
         self._buffer: List[Tuple[str, Any]] = []
-        #: model key -> every task fingerprint key seen for it, so
-        #: :meth:`invalidate` can evict a mutated model's entries.
-        self._by_model: Dict[str, set] = {}
         self._lock = threading.Lock()
 
     @property
@@ -85,35 +79,6 @@ class TieredResultCache:
             if self._store is not None and key not in self._known:
                 self._known[key] = finding
                 self._buffer.append((key, finding))
-
-    def register(self, model_key: str, task_keys: Any) -> None:
-        """Remember which task fingerprint keys belong to ``model_key``
-        (idempotent; ``None`` keys are skipped)."""
-        keys = [k for k in task_keys if k is not None]
-        if not keys:
-            return
-        with self._lock:
-            self._by_model.setdefault(model_key, set()).update(keys)
-
-    def invalidate(self, model_key: str) -> int:
-        """Evict every registered entry for ``model_key`` from the warm
-        memo, the in-memory store index, and the append buffer; returns
-        how many keys were dropped from at least one tier.  (Records
-        already persisted in the cold JSONL file are not rewritten —
-        they become unreachable through this cache.)"""
-        with self._lock:
-            keys = self._by_model.pop(model_key, set())
-            for key in keys:
-                self._known.pop(key, None)
-            if keys and self._buffer:
-                self._buffer = [(k, f) for k, f in self._buffer
-                                if k not in keys]
-        for key in keys:
-            dist.memo_discard(key)
-        dropped = len(keys)
-        if dropped and self.stats is not None:
-            self.stats.incr("cache.invalidated", dropped)
-        return dropped
 
     def flush(self) -> int:
         """Append buffered results to the cold store; returns how many

@@ -6,8 +6,10 @@ key → label mapping and turns ``(key, limit)`` into the engine's sweep
 task shape once, memoizing the expansion: the corpus is fixed for the
 server's lifetime, so task tuples, per-task fingerprint keys
 (:func:`repro.core.dist.task_key`) and the request-level fingerprint are
-all computed on first use and reused for every later request.  The part
-of those keys that does not depend on the limit is kept per model
+all computed on first use and reused for every later request.  The
+protocol accepts any limit, so the expansion memo keeps only the
+``_EXPANDED_ENTRIES`` most recently used ``(key, limit)`` pairs.  The
+part of those keys that does not depend on the limit is kept per model
 (:func:`repro.core.dist.task_stem`), so the first request at a new limit
 only finishes one hash per task.
 
@@ -27,6 +29,7 @@ and therefore stale cached findings — forever.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -35,6 +38,11 @@ from ..core.predspec import spec_digest
 from ..core.serialize import stem_fingerprint
 
 __all__ = ["MODEL_KEYS", "ExpandedQuery", "AnalysisCorpus"]
+
+#: Bound of the ``(key, limit)`` expansion memo (least recently used
+#: entries go first).  A hit saves rebuilding the task keys from the
+#: per-model stems: ~15 us per request.
+_EXPANDED_ENTRIES = 1024
 
 #: Short CLI/service keys for the modeled vulnerabilities (the paper's
 #: seven Table 2 rows plus the additional named cases).
@@ -100,10 +108,11 @@ class AnalysisCorpus:
         self._models = models
         self._domains = domains
         self._keys = dict(keys if keys is not None else MODEL_KEYS)
-        #: ``(key, limit) -> (mutation stamp, expansion)`` — the stamp
-        #: guards against serving a stale expansion of a mutated model.
-        self._expanded: Dict[Tuple[str, int],
-                             Tuple[Any, ExpandedQuery]] = {}
+        #: ``(key, limit) -> (mutation stamp, expansion)``, an LRU — the
+        #: stamp guards against serving a stale expansion of a mutated
+        #: model.
+        self._expanded: OrderedDict[
+            Tuple[str, int], Tuple[Any, ExpandedQuery]] = OrderedDict()
         #: ``key -> (mutation stamp, stamp digest, [(operation name,
         #: pfsm, domain, key stem)])`` — the limit-free half of an
         #: expansion.
@@ -132,6 +141,8 @@ class AnalysisCorpus:
         memo_key = (key, limit)
         with self._lock:
             cached = self._expanded.get(memo_key)
+            if cached is not None:
+                self._expanded.move_to_end(memo_key)
         if cached is not None and stamp is not None and cached[0] == stamp:
             return cached[1]
         with self._lock:
@@ -160,6 +171,9 @@ class AnalysisCorpus:
         )
         with self._lock:
             self._expanded[memo_key] = (stamp, expanded)
+            self._expanded.move_to_end(memo_key)
+            if len(self._expanded) > _EXPANDED_ENTRIES:
+                self._expanded.popitem(last=False)
         return expanded
 
     def _task_stems(self, label: str) -> List[Any]:
@@ -176,16 +190,3 @@ class AnalysisCorpus:
                               dist.task_stem(fingerprint, operation.name,
                                              pfsm, domain)))
         return parts
-
-    def invalidate(self, key: str) -> int:
-        """Drop every memoized expansion of model ``key`` (its key stems
-        too); returns how many ``(key, limit)`` entries were evicted.  The stamp check in
-        :meth:`expand` makes this automatic for in-place predicate
-        mutations; this hook covers wholesale model replacement."""
-        with self._lock:
-            self._stems.pop(key, None)
-            stale = [memo_key for memo_key in self._expanded
-                     if memo_key[0] == key]
-            for memo_key in stale:
-                del self._expanded[memo_key]
-        return len(stale)

@@ -10,8 +10,8 @@ domains by patching ``_NUMPY_MIN_ROWS``, and the pure-stdlib big-int
 kernels via ``force_fallback``), and in the forked workers of a
 process-backend sweep, which scan the domain they inherit.
 
-The unit tests pin the supporting machinery: encoding-cache sharing by
-domain digest, kernel bail-outs (named predicates, nested ``attr``,
+The unit tests pin the supporting machinery: the per-domain encoding
+memo, kernels shared by program digest, kernel bail-outs (named predicates, nested ``attr``,
 mixed-type columns) and ``spec_fields`` pre-flight.
 """
 
@@ -54,12 +54,25 @@ def _tiny_threshold():
     previous = columnar.set_min_rows(1)
     yield
     columnar.set_min_rows(previous)
-    columnar.encoding_cache().clear()
+    _drop_encodings()
 
 
 def _drop_encodings():
-    columnar.encoding_cache().clear()
     columnar._DOMAIN_MEMO.clear()
+
+
+def _counted(fn):
+    """``(fn(), the telemetry counters it bumped)``."""
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        result = fn()
+        counters = registry.counters()
+    finally:
+        registry.disable()
+        registry.reset()
+    return result, counters
 
 
 def _patch_numpy_masks(patch):
@@ -314,24 +327,65 @@ class TestSpecFields:
 
 
 # ---------------------------------------------------------------------------
-# Encoding cache: shared by content digest, invalidated by config.
+# Encoding memo: one encoding per domain object, invalidated by config.
 # ---------------------------------------------------------------------------
 
-class TestEncodingCache:
-    def test_equal_content_domains_share_encoding(self):
-        columnar.encoding_cache().clear()
+class TestEncodingMemo:
+    def test_per_domain_memo_encodes_once(self):
+        domain = Domain(list(range(32)))
+        e1, counters = _counted(lambda: columnar.encoding_for(domain))
+        assert e1 is not None
+        assert counters.get(f"columnar.encodings.{e1.ops.name}") == 1
+        again, counters = _counted(lambda: columnar.encoding_for(domain))
+        assert again is e1
+        assert not [name for name in counters
+                    if name.startswith("columnar.encodings")]
+
+    def test_equal_content_domains_encode_their_own(self):
         d1 = Domain(list(range(64)))
         d2 = Domain(list(range(64)))
         e1 = columnar.encoding_for(d1)
         e2 = columnar.encoding_for(d2)
-        assert e1 is not None and e1 is e2
+        assert e1 is not None and e2 is not None and e1 is not e2
 
-    def test_per_domain_memo_avoids_cache_traffic(self):
-        domain = Domain(list(range(32)))
-        e1 = columnar.encoding_for(domain)
-        before = columnar.encoding_cache().stats()
-        assert columnar.encoding_for(domain) is e1
-        assert columnar.encoding_cache().stats() == before
+    def test_encoding_computes_no_domain_digest(self):
+        domain = Domain([f"row {i}" for i in range(300)])
+        assert columnar.encoding_for(domain) is not None
+        assert not hasattr(domain, "_dist_digest")
+
+    def test_memo_does_not_keep_domains_alive(self):
+        import gc
+
+        domain = Domain(list(range(40)))
+        assert columnar.encoding_for(domain) is not None
+        assert domain in columnar._DOMAIN_MEMO
+        entries = len(columnar._DOMAIN_MEMO)
+        del domain
+        gc.collect()
+        assert len(columnar._DOMAIN_MEMO) == entries - 1
+
+    def test_unreferenceable_domains_encode_on_every_call(self):
+        rows = list(range(50))  # a bare list takes no weak reference
+        first = columnar.encoding_for(rows)
+        second = columnar.encoding_for(rows)
+        assert first is not None and second is not None
+        assert first is not second
+        assert first.rows([3, 7]) == second.rows([3, 7]) == [3, 7]
+
+    def test_structural_twins_share_one_kernel(self):
+        domain = Domain(list(range(80)))
+
+        def twin():
+            return _pfsm(satisfies_all(in_range(0, 9), truthy()),
+                         less_equal(40))
+
+        first, second = program_for(twin()), program_for(twin())
+        assert first is not second and first.digest == second.digest
+        encoding = columnar.encoding_for(domain)
+        kernels, counters = _counted(
+            lambda: (encoding.kernel(first), encoding.kernel(second)))
+        assert kernels[0] is not None and kernels[0] is kernels[1]
+        assert counters.get("columnar.kernels") == 1
 
     def test_backend_switch_invalidates(self, numpy_masks):
         if numpy_masks != "numpy":
@@ -353,16 +407,6 @@ class TestEncodingCache:
         finally:
             columnar.set_min_rows(previous)
 
-    def test_lru_bound_holds(self):
-        cache = columnar.EncodingCache(maxsize=4)
-        for i in range(10):
-            cache.put(f"digest-{i}", None)
-        assert len(cache) == 4
-        hit, _ = cache.get("digest-9")
-        assert hit
-        hit, _ = cache.get("digest-0")
-        assert not hit
-
 
 def test_planner_reports_columnar_strategy():
     domain = Domain(list(range(600)))
@@ -379,17 +423,15 @@ def test_reporting_follows_the_encoding_backend(numpy_masks):
         pytest.skip("numpy missing or bypassed: no numpy encoding")
     domain = Domain(list(range(600)))
     pfsm = _pfsm(satisfies_all(in_range(0, 99), truthy()), less_equal(400))
-    before = columnar.stats()["backends"].get("numpy", 0)
-    plan = plan_scan(pfsm, domain)
+    plan, counters = _counted(lambda: plan_scan(pfsm, domain))
     assert plan.strategy == "columnar"
     assert "(numpy kernels" in plan.reason
+    assert counters.get("columnar.encodings.numpy") == 1
     with columnar.force_fallback():
-        stdlib_plan = plan_scan(pfsm, domain)
+        stdlib_plan, counters = _counted(lambda: plan_scan(pfsm, domain))
     assert "(stdlib kernels" in stdlib_plan.reason
+    assert counters.get("columnar.encodings.stdlib") == 1
     assert plan.est_cost < stdlib_plan.est_cost
-    stats = columnar.stats()
-    assert stats["backends"]["numpy"] == before + 1
-    assert stats["backend"] == "numpy"
 
 
 def test_sweep_counters_tag_columnar_scans():

@@ -7,10 +7,12 @@ same exception-shielding, the same coercion asymmetries (``in_range``
 coerces via ``int()``, ``equals`` does not), the same short-circuiting
 verdicts — including after pickling across a process boundary.  The
 rest covers the optimizer units: constant folding, order-insensitive
-digests, interval lowering, the plan cache, and cost-based strategy
-selection.
+digests, interval lowering, the per-pFSM program memo, and cost-based
+strategy selection.
 """
 
+import json
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -40,6 +42,7 @@ from repro.core import (
     to_spec,
     truthy,
 )
+from repro import obs
 from repro.core import plan
 from repro.core.sweep import hidden_witness_scan
 
@@ -68,11 +71,18 @@ mixed = st.one_of(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_planner():
-    plan.reset()
-    yield
-    plan.reset()
+def _compiling(fn):
+    """``(fn(), programs compiled while it ran)``."""
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        result = fn()
+    finally:
+        registry.disable()
+        compiles = registry.counters().get("plan.compiles", 0)
+        registry.reset()
+    return result, compiles
 
 
 def _constructors():
@@ -184,9 +194,7 @@ class TestCrossProcessPrograms:
         pred = satisfies_all(is_instance(str), length_le(6),
                              not_contains("%n")) & contains("/")
         b = plan.compile_spec(to_spec(pred))
-        blob = pickle.dumps(b)
-        plan.reset()  # the clone recompiles from its spec alone
-        clone = pickle.loads(blob)
+        clone = pickle.loads(pickle.dumps(b))
         assert clone is not b
         assert clone.digest == b.digest and clone.spec == b.spec
         for value in ("hello", "%n" * 4, "a/b", 9):
@@ -198,10 +206,18 @@ class TestCrossProcessPrograms:
         program = plan.compile_spec(to_spec(pred))
         rebuild, args = program.__reduce__()
         assert args == (program.spec,)
-        compiles = plan.stats()["compiles"]
-        # Unpickled where its spec is cached, it is the cached program.
-        assert pickle.loads(pickle.dumps(program)) is program
-        assert plan.stats()["compiles"] == compiles
+        # Unpickled, it is compiled anew from its spec.
+        clone, compiles = _compiling(
+            lambda: pickle.loads(pickle.dumps(program)))
+        assert compiles == 1
+        assert clone is not program and clone.digest == program.digest
+
+    def test_unrebuildable_program_unpickles_as_none(self):
+        program = plan.compile_spec(to_spec(in_range(0, 5)))
+        # An unknown operator (say, from a newer sender) fails to rebuild:
+        # the task degrades to the interpretive scan.
+        program.spec = ["no_such_op", 1]
+        assert pickle.loads(pickle.dumps(program)) is None
 
 
 class TestScanProgramCalls:
@@ -300,60 +316,68 @@ class TestIntervalLowering:
         assert program.evaluate("5") == pred.evaluate("5") == False  # noqa: E712
 
 
-class TestPlanCache:
-    def test_lru_eviction_and_stats(self):
-        cache = plan.PlanCache(maxsize=2)
-        for i in range(3):
-            cache.put(f"d{i}", plan.compile_spec(to_spec(equals(i))))
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["size"] == 2 and stats["maxsize"] == 2
-        assert cache.get("d0") is None  # evicted oldest
-        assert cache.get("d2") is not None
+class TestProgramMemo:
+    """A compiled program is memoized on its pFSM alone."""
 
-    def test_compile_spec_reuses_the_module_cache(self):
-        spec = to_spec(in_range(0, 5) & contains("x"))
-        first = plan.compile_spec(spec)
-        second = plan.compile_spec(spec)
-        assert first is second
-        assert plan.stats()["hits"] >= 1
+    @staticmethod
+    def _pfsm():
+        return PrimitiveFSM("p", "scan", "x",
+                            spec_accepts=in_range(0, 5) & contains("x"),
+                            impl_accepts=length_le(9))
 
     def test_malformed_spec_raises(self):
         with pytest.raises(Exception):
             plan.compile_spec(["no_such_op", 1, 2])
 
-    def test_reset_invalidates_program_memos(self):
-        pfsm = PrimitiveFSM("p", "scan", "x",
-                            spec_accepts=in_range(0, 5) & contains("x"),
-                            impl_accepts=length_le(9))
-        first = plan.program_for(pfsm)
-        assert plan.program_for(pfsm) is first
-        plan.reset()
-        second = plan.program_for(pfsm)
-        assert second is not first and second.digest == first.digest
-        assert plan.stats()["compiles"] == 1  # compiled into the new cache
+    def test_memo_serves_the_same_pfsm_without_compiling(self):
+        pfsm = self._pfsm()
+        first, compiles = _compiling(lambda: plan.program_for(pfsm))
+        assert first is not None and compiles == 1
+        again, compiles = _compiling(lambda: plan.program_for(pfsm))
+        assert again is first and compiles == 0
 
-    def test_shared_subtree_does_not_churn_other_programs(self):
-        def shared():
-            return satisfies_all(is_instance(str), length_le(64),
-                                 not_contains("%n"))
+    def test_structural_twins_compile_their_own_programs(self):
+        a, b = self._pfsm(), self._pfsm()
+        (pa, pb), compiles = _compiling(
+            lambda: (plan.program_for(a), plan.program_for(b)))
+        assert compiles == 2
+        assert pa is not pb and pa.digest == pb.digest
 
-        a = PrimitiveFSM("a", "scan", "x",
-                         spec_accepts=shared() & not_contains("%s"),
-                         impl_accepts=length_le(200))
-        b = PrimitiveFSM("b", "scan", "x",
-                         spec_accepts=shared() & contains("/"),
-                         impl_accepts=length_le(200))
-        first = plan.program_for(a)
-        assert first is not None
-        assert plan.program_for(b) is not None
-        before = plan.stats()
-        # Compiling b, which shares a costly subtree with a, neither
-        # evicts a's program nor invalidates a's memo.
-        assert plan.program_for(a) is first
-        after = plan.stats()
-        assert after["compiles"] == before["compiles"]
-        assert after["evictions"] == before["evictions"]
+    def test_pickled_pfsm_compiles_once_in_the_receiver(self):
+        pfsm = self._pfsm()
+        domain = Domain.of("x", "xy", "abc", "x" * 8, "x" * 12, 3)
+        found = hidden_witness_scan(pfsm, domain, limit=10)
+        assert plan.program_for(pfsm) is not None  # the memo is warm
+        blob = pickle.dumps(pfsm)
+        clone = pickle.loads(blob)
+        assert "_plan_program" not in vars(clone)
+
+        def scan_twice():
+            return [hidden_witness_scan(clone, domain, limit=10)
+                    for _ in range(2)]
+
+        scans, compiles = _compiling(scan_twice)
+        assert compiles == 1
+        assert scans == [found, found] and found
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_reuses_the_parents_program(self):
+        pfsm = self._pfsm()
+        program = plan.program_for(pfsm)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                child, compiles = _compiling(lambda: plan.program_for(pfsm))
+                os.write(write_end, json.dumps(
+                    [child is program, compiles]).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            reply = pipe.read()
+        os.waitpid(pid, 0)
+        assert json.loads(reply) == [True, 0]
 
 
 class TestStrategySelection:
@@ -400,3 +424,13 @@ class TestStrategySelection:
         assert plan.program_for(pfsm) is not None
         spec.rebind(lambda x: True)  # opaque now
         assert plan.program_for(pfsm) is None
+
+    def test_impl_rebind_invalidates_the_program_memo(self):
+        impl = less_equal(10)
+        pfsm = self._pfsm(impl=impl)
+        assert plan.program_for(pfsm) is not None
+        impl.rebind(lambda x: x <= 3)  # opaque now
+        assert plan.program_for(pfsm) is None
+        # the rebound check, not the compiled one, decides the witnesses
+        assert hidden_witness_scan(pfsm, Domain.of(*range(-2, 12))) \
+            == [-2, -1]

@@ -35,6 +35,7 @@ from repro.core import (
     to_spec,
     truthy,
 )
+from repro import obs
 from repro.core import plan
 
 #: A named predicate at module scope: workers re-register it when they
@@ -153,38 +154,22 @@ class TestCrossProcess:
         assert remote == local
 
 
-class TestPredicateCacheSpecHits:
-    """Structural twins share one compiled program in the plan cache;
-    opaque predicates never reach it."""
+class TestOpaquePredicates:
+    """Opaque predicates never reach the compiler."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_planner(self):
-        plan.reset()
-        yield
-        plan.reset()
-
-    @staticmethod
-    def _pfsm(spec):
-        return PrimitiveFSM("p", "a", "x", spec_accepts=spec,
-                            impl_accepts=length_le(8))
-
-    def test_structural_twins_share_cache_entries(self):
-        first, twin = in_range(0, 5), in_range(0, 5)
-        assert first is not twin and first.spec_hash == twin.spec_hash
-        program = plan.program_for(self._pfsm(first))
-        before = plan.stats()
-        assert plan.program_for(self._pfsm(twin)) is program
-        after = plan.stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["compiles"] == before["compiles"]
-        assert after["size"] == before["size"] == 1
-
-    def test_opaque_predicates_never_spec_hit(self):
+    def test_opaque_predicates_never_compile(self):
         opaque = Predicate(lambda x: x > 0, "positive")
         assert opaque.spec is None
-        before = plan.stats()
-        for _ in range(2):
-            assert plan.program_for(self._pfsm(opaque)) is None
-        after = plan.stats()
-        for key in ("hits", "misses", "compiles", "size"):
-            assert after[key] == before[key], key
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            for _ in range(2):
+                pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=opaque,
+                                    impl_accepts=length_le(8))
+                assert plan.program_for(pfsm) is None
+        finally:
+            registry.disable()
+            compiles = registry.counters().get("plan.compiles", 0)
+            registry.reset()
+        assert compiles == 0

@@ -5,6 +5,8 @@ import pytest
 from repro.core import dist
 from repro.core.sweep import SweepFinding
 from repro.serve import TieredResultCache
+from repro.serve import corpus as corpus_module
+from repro.serve.corpus import AnalysisCorpus
 from repro.serve.stats import ServeStats
 
 
@@ -13,6 +15,23 @@ def _fresh_scheduler():
     dist.reset()
     yield
     dist.reset()
+
+
+def _one_model_corpus():
+    """``(corpus, spec)``: one model whose pFSM checks ``spec``."""
+    from repro.core import (Domain, Operation, PrimitiveFSM,
+                            VulnerabilityModel, in_range, less_equal)
+
+    spec = in_range(0, 5)
+    pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
+                        impl_accepts=less_equal(10))
+    model = VulnerabilityModel("m", [Operation("op", "x", [pfsm])])
+    corpus = AnalysisCorpus(
+        models={"m-label": model},
+        domains={"m-label": {"p": Domain.integers(-5, 15)}},
+        keys={"m": "m-label"},
+    )
+    return corpus, spec
 
 
 def _finding(tag="w"):
@@ -97,65 +116,18 @@ class TestStoreTier:
         assert cache.flush() == 0
         assert cache.store_keys == 0
 
-class TestInvalidation:
-    def test_invalidate_evicts_registered_keys(self):
-        cache = TieredResultCache()
-        cache.register("m", ("k1", None, "k2"))
-        cache.insert("k1", _finding())
-        cache.insert("k2", None)
-        assert cache.invalidate("m") == 2
-        assert cache.lookup("k1") == (None, None)
-        assert cache.lookup("k2") == (None, None)
-        assert cache.invalidate("m") == 0  # registration consumed
-
-    def test_invalidate_drops_buffered_store_appends(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        cache = TieredResultCache(path)
-        cache.register("m", ("k1",))
-        cache.insert("k1", _finding())
-        cache.insert("other", _finding("o"))
-        assert cache.invalidate("m") == 1
-        assert cache.flush() == 1  # only the unaffected record persists
-        assert set(dist.ResultStore(path).load()) == {"other"}
-
-    def test_invalidate_counts_to_stats(self):
-        stats = ServeStats()
-        cache = TieredResultCache(stats=stats)
-        cache.register("m", ("k1",))
-        cache.insert("k1", _finding())
-        cache.invalidate("m")
-        assert stats.snapshot()["counters"]["cache.invalidated"] == 1
-
-
 class TestMutatedModelStaleness:
     """A model mutated in place must not keep serving pre-mutation
     results through the expansion memo and the tiered cache."""
 
-    def _corpus_and_model(self):
-        from repro.core import (Domain, Operation, PrimitiveFSM,
-                                VulnerabilityModel, in_range, less_equal)
-        from repro.serve.corpus import AnalysisCorpus
-
-        spec = in_range(0, 5)
-        pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
-                            impl_accepts=less_equal(10))
-        model = VulnerabilityModel("m", [Operation("op", "x", [pfsm])])
-        corpus = AnalysisCorpus(
-            models={"m-label": model},
-            domains={"m-label": {"p": Domain.integers(-5, 15)}},
-            keys={"m": "m-label"},
-        )
-        return corpus, spec
-
     def test_rebind_changes_fingerprint_and_task_keys(self):
-        corpus, spec = self._corpus_and_model()
+        corpus, spec = _one_model_corpus()
         first = corpus.expand("m", 5)
         assert first is corpus.expand("m", 5)  # memoized while unchanged
         assert first.task_keys[0] is not None
 
         from repro.core.sweep import _scan_task
         cache = TieredResultCache()
-        cache.register("m", first.task_keys)
         stale = _scan_task(first.tasks[0])
         assert stale is not None  # (0..5 spec) x (<=10 impl): hidden
         cache.insert(first.task_keys[0], stale)
@@ -169,28 +141,65 @@ class TestMutatedModelStaleness:
         assert second.task_keys[0] is None
         assert _scan_task(second.tasks[0]) is None  # nothing hidden now
 
-    def test_corpus_invalidate_drops_memoized_expansions(self):
-        corpus, _spec = self._corpus_and_model()
-        corpus.expand("m", 5)
-        corpus.expand("m", 9)
-        assert corpus.invalidate("m") == 2
-        assert corpus.invalidate("m") == 0
 
-    def test_invalidate_drops_the_key_stems_too(self):
-        # A replaced domain leaves the mutation stamp as it was: only
-        # invalidate() makes a new limit see it.
-        from repro.core import Domain
 
-        corpus, _spec = self._corpus_and_model()
+class TestExpansionMemo:
+    def test_distinct_limits_leave_at_most_the_bound(self):
+        corpus, _spec = _one_model_corpus()
         first = corpus.expand("m", 5)
-        domain = Domain.integers(-9, 30)
-        corpus._domains["m-label"]["p"] = domain
-        assert corpus.invalidate("m") == 1
-        second = corpus.expand("m", 5)
-        assert second.tasks[0][3] is domain
-        assert second.task_keys != first.task_keys
-        assert second.task_keys[0] == dist.task_key(
-            corpus._models["m-label"], second.tasks[0])
+        assert corpus.expand("m", 5) is first
+        for limit in range(6, 20_006):
+            corpus.expand("m", limit)
+        assert len(corpus._expanded) <= corpus_module._EXPANDED_ENTRIES
+        latest = corpus.expand("m", 20_005)
+        assert corpus.expand("m", 20_005) is latest
+        again = corpus.expand("m", 5)  # evicted long ago: rebuilt equal
+        assert again is not first and again == first
+        assert again.fingerprint == first.fingerprint
+
+    def test_recently_used_expansions_outlive_older_ones(self):
+        corpus, _spec = _one_model_corpus()
+        bound = corpus_module._EXPANDED_ENTRIES
+        kept = corpus.expand("m", 1)
+        dropped = corpus.expand("m", 2)
+        for limit in range(3, bound + 1):
+            corpus.expand("m", limit)
+        assert corpus.expand("m", 1) is kept  # touched: now the newest
+        corpus.expand("m", bound + 1)  # evicts the least recently used
+        assert corpus.expand("m", 1) is kept
+        assert corpus.expand("m", 2) is not dropped
+
+    def test_concurrent_expansions_keep_the_bound(self):
+        import sys
+        import threading
+
+        corpus, _spec = _one_model_corpus()
+        bound = corpus_module._EXPANDED_ENTRIES
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(bound):
+                    query = corpus.expand("m", 1 + (offset * 97 + i) % (
+                        2 * bound))
+                    assert query.limit == 1 + (offset * 97 + i) % (2 * bound)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(corpus._expanded) <= bound
 
 
 class TestCorpusKeys:

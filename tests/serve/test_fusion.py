@@ -32,11 +32,9 @@ from repro.serve.stats import ServeStats
 
 
 @pytest.fixture(autouse=True)
-def _fresh_planner():
-    plan.reset()
+def _fresh_memo():
     dist.reset()  # no result memo: every blocker request computes
     yield
-    plan.reset()
     dist.reset()
 
 
@@ -186,9 +184,18 @@ class TestBatchedRequests:
     def test_disabled_planner_batches_match_reference(self):
         domain = Domain(["ok", "%n" * 40, "a/b", "x" * 100] * 6)
         limits = (4, 8)
-        with plan.disabled():
-            pfsms, responses, batches = _batch_two_queries(domain, limits)
-        assert plan.stats()["compiles"] == 0  # no scan was compiled
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            with plan.disabled():
+                pfsms, responses, batches = _batch_two_queries(domain,
+                                                               limits)
+            compiles = registry.counters().get("plan.compiles", 0)
+        finally:
+            registry.disable()
+            registry.reset()
+        assert compiles == 0  # no scan was compiled
         assert batches == [len(pfsms) * len(limits)]
         _assert_reference_findings(pfsms, domain, limits, responses)
 
@@ -215,7 +222,6 @@ class TestEngineCompute:
         mixed = _string_tasks(str_domain) + interval[:1]
         baselines = [_run_tasks(tasks, 2, "thread")
                      for tasks in (interval, mixed)]
-        plan.reset()
 
         threads = set()
 

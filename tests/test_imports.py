@@ -208,6 +208,7 @@ def test_serving_a_query_never_imports_asyncio():
 def test_numpy_sized_domain_scans_with_numpy_masks():
     result = run_fresh("""
         import json, sys
+        from repro import obs
         from repro.core import (Domain, PrimitiveFSM, attr, columnar,
                                 hidden_witness_scan, in_range, length_le,
                                 less_equal, satisfies_all)
@@ -222,6 +223,7 @@ def test_numpy_sized_domain_scans_with_numpy_masks():
                                        attr("name", length_le(6))),
             impl_accepts=attr("size", less_equal(950)))
         rows = columnar._NUMPY_MIN_ROWS
+        obs.enable()
         below = records(rows - 1)
         hidden_witness_scan(pfsm, below, limit=5)
         small = {"backend": columnar.encoding_for(below).ops.name,
@@ -235,7 +237,8 @@ def test_numpy_sized_domain_scans_with_numpy_masks():
             "small": small,
             "backend": columnar.encoding_for(domain).ops.name,
             "numpy": "numpy" in sys.modules,
-            "stats": columnar.stats()["backend"],
+            "encodings": {name: n for name, n in obs.counters().items()
+                          if name.startswith("columnar.encodings.")},
             "equal": found == expected and len(found) > 0,
         }))
     """, numpy=True)
@@ -243,7 +246,8 @@ def test_numpy_sized_domain_scans_with_numpy_masks():
     assert result["small"] == {"backend": "stdlib", "numpy": False}
     assert result["backend"] == "numpy"
     assert result["numpy"] is True
-    assert result["stats"] == "numpy"
+    assert result["encodings"] == {"columnar.encodings.stdlib": 1,
+                                   "columnar.encodings.numpy": 1}
     assert result["equal"] is True
 
 
