@@ -17,7 +17,7 @@ recording:
   responses return fast (admission control refuses in microseconds —
   it never queues the refusal behind the backlog).
 * **tracing overhead** — cold compute requests (distinct model × limit
-  pairs, process-wide result tiers cleared so every run pays the full
+  pairs, the process-wide result memo cleared so every run pays the full
   pipeline) replayed against fresh untraced and traced servers, plus
   an all-cache-hit replay for the fixed per-request tracer cost.
   Acceptance: traced end-to-end overhead under 5%, and every traced
@@ -162,7 +162,6 @@ def bench_throughput():
             metrics["derived"]["request_cache_hit_rate"], 4),
         "task_cache_hit_rate": round(
             metrics["derived"]["task_cache_hit_rate"], 4),
-        "store_keys_flushed": metrics["store_keys"],
         "errors": errors,
     }
 
@@ -253,7 +252,7 @@ def _timed_compute_run(traced):
     skip the batch window entirely)."""
     from repro.core import dist
 
-    dist.reset()
+    dist.clear_memo()
     config = ServeConfig(port=0, trace=True) if traced else \
         ServeConfig(port=0)
     handle = ServerThread(config).start()

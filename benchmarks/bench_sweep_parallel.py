@@ -297,16 +297,16 @@ def _findings_of(sweeps):
 def _backend_session(models, domains, limit, mode, repeats=SESSION_REPEATS):
     """One analysis session: the corpus swept ``repeats`` times.
 
-    Starts with an empty fingerprint memo (``dist.reset()``), so the
-    process backend's first sweep forks its workers and computes every
-    task inside the measurement.  It is not a cold process: programs
-    compiled and columnar encodings built earlier in this interpreter
-    (memoized on their pFSMs and domains) survive ``dist.reset()``, and
-    forked workers inherit them — the first session in an interpreter
+    Starts with an empty fingerprint memo (``dist.clear_memo()``), so
+    the process backend's first sweep forks its workers and computes
+    every task inside the measurement.  It is not a cold process:
+    programs compiled and columnar encodings built earlier in this
+    interpreter (memoized on their pFSMs and domains) survive
+    ``dist.clear_memo()``, and forked workers inherit them — the first session in an interpreter
     pays encoding and planning that repeat sessions do not
     (EXPERIMENTS.md records both).
     """
-    dist.reset()
+    dist.clear_memo()
     start = time.perf_counter()
     sweeps = None
     for _ in range(repeats):
@@ -324,12 +324,12 @@ def _resume_scenario(models, domains, limit):
     """
     with tempfile.TemporaryDirectory() as tmp:
         store = str(Path(tmp) / "resume.jsonl")
-        dist.reset()
+        dist.clear_memo()
         start = time.perf_counter()
         cold = sweep_models(models, domains, limit=limit,
                             mode="thread", resume_from=store)
         cold_s = time.perf_counter() - start
-        dist.reset()
+        dist.clear_memo()
         start = time.perf_counter()
         warm = sweep_models(models, domains, limit=limit,
                             mode="thread", resume_from=store)
@@ -541,7 +541,7 @@ def _process_payload_stats(rows=20_000):
     registry.reset()
     registry.enable()
     try:
-        dist.reset()
+        dist.clear_memo()
         dist.run_tasks(tasks, 2, backend="process")
         counters = registry.counters()
     finally:
@@ -583,10 +583,10 @@ def _cluster_scenario(repeats=2):
         return sweep_models(models, domains, workers=4, limit=limit,
                             mode="process")
 
-    dist.reset()
+    dist.clear_memo()
     process_s, baseline = _best_of(process_side, repeats=repeats)
 
-    dist.reset()
+    dist.clear_memo()
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     env.pop("REPRO_FAULTS", None)
     with ClusterCoordinator() as coordinator, coordinating(coordinator):
@@ -649,7 +649,6 @@ def _reclaim_latency_stat():
                         impl_accepts=less_equal(10))
     tasks = [("model", f"op{i}", pfsm, Domain.integers(0, 50), 5)
              for i in range(4)]
-    dist.reset()
     dist.clear_memo()
     with ClusterCoordinator(lease_timeout=CLUSTER_LEASE_TIMEOUT) as \
             coordinator, coordinating(coordinator):
@@ -719,7 +718,7 @@ def _faults_scenario(repeats=2):
         return sweep_models(models, domains, workers=4, limit=limit,
                             mode="cluster")
 
-    dist.reset()
+    dist.clear_memo()
     previous = faults.install(None)
     try:
         with ClusterCoordinator() as coordinator, \

@@ -37,8 +37,9 @@ Packages
     (``repro … --faults SPEC`` / ``REPRO_FAULTS``).
 ``repro.serve``
     The analysis service: a resident server with admission
-    control, single-flight coalescing, micro-batched dispatch, a tiered
-    result cache, and graceful drain (``repro serve`` / ``repro query``).
+    control, single-flight coalescing, micro-batched dispatch, the
+    scheduler's result memo and store as its cache, and graceful drain
+    (``repro serve`` / ``repro query``).
 
 Each package is imported on first use (``repro.serve``,
 ``from repro import models``), so a process loads only what it runs.

@@ -913,8 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max queued requests folded into one engine "
                             "dispatch (dispatch never waits to fill it)")
     serve.add_argument("--store", metavar="PATH", default=None,
-                       help="JSONL result store for the cold cache tier "
-                            "(compatible with repro sweep --resume-from)")
+                       help="JSONL result store: loaded into the result "
+                            "memo at start-up, appended to as results are "
+                            "computed (compatible with repro sweep "
+                            "--resume-from)")
     serve.add_argument("--trace", action="store_true",
                        help="end-to-end request tracing: mint/accept a "
                             "W3C traceparent per request and reassemble "

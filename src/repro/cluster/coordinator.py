@@ -280,7 +280,7 @@ class ClusterCoordinator:
         ``(task index, finding)`` pairs — on the submitting thread,
         outside the coordinator lock, within one poll interval of the
         acceptance and always before this method returns.  The
-        scheduler appends them to its result store.
+        scheduler memoizes them and appends them to its result store.
         """
         trace_ctx = _OBS.current_trace() if _OBS.enabled else None
         ledger = ChunkLedger({cid: rows for cid, rows in enumerate(chunks)})

@@ -150,7 +150,7 @@ class DiscoveryEngine:
     """
 
     def __init__(self, known_vulnerable: Iterable[str] = ()) -> None:
-        self._known = frozenset(known_vulnerable)
+        self._reported = frozenset(known_vulnerable)
 
     def sweep_operation(
         self,
@@ -174,7 +174,7 @@ class DiscoveryEngine:
                     spec_description=specs[found.pfsm_name]
                     .spec_accepts.description,
                     witnesses=found.witnesses,
-                    known=found.pfsm_name in self._known,
+                    known=found.pfsm_name in self._reported,
                 )
                 for found in _sweep_operation(operation, domains,
                                               limit=limit)
@@ -226,7 +226,7 @@ class DiscoveryEngine:
                             activity=activity,
                             spec_description=spec.description,
                             witnesses=tuple(witnesses),
-                            known=pfsm_name in self._known,
+                            known=pfsm_name in self._reported,
                         )
                     )
             span.set(findings=len(findings))

@@ -44,7 +44,10 @@ tasks, ``dist.memo.hits``) and can be persisted to a JSONL
 re-runs only the delta after a corpus change, ``dist.resume.skips``).
 Handed a store, :func:`run_tasks` appends each chunk's keyed results as
 that chunk completes, on a worker or in the inline loop, so a sweep
-killed mid-run resumes from every chunk that landed.
+killed mid-run resumes from every chunk that landed.  The memo and the
+store are :mod:`repro.serve`'s result cache too: the server reads
+through :func:`memo_lookup` and writes each batch through
+:func:`record_results`, the function that records every chunk here.
 Keys are purely semantic: a rebound predicate, an edited domain, or a
 different witness limit all change the key, so reuse is never stale.
 """
@@ -75,9 +78,8 @@ __all__ = [
     "task_key",
     "run_tasks",
     "memo_lookup",
-    "memo_store",
+    "record_results",
     "clear_memo",
-    "reset",
 ]
 
 #: Result slot not yet filled (``None`` is a real "no finding" result).
@@ -401,52 +403,46 @@ _MEMO_LOCK = threading.Lock()
 _RESULT_MEMO: "OrderedDict[str, Optional[SweepFinding]]" = OrderedDict()
 
 
-def _memo_get(key: str) -> Any:
-    with _MEMO_LOCK:
-        if key in _RESULT_MEMO:
-            _RESULT_MEMO.move_to_end(key)
-            return _RESULT_MEMO[key]
-        return _PENDING
-
-
-def _memo_put(key: str, finding: Optional[SweepFinding]) -> None:
-    with _MEMO_LOCK:
-        _RESULT_MEMO[key] = finding
-        _RESULT_MEMO.move_to_end(key)
-        while len(_RESULT_MEMO) > _MEMO_MAX:
-            _RESULT_MEMO.popitem(last=False)
-
-
 def memo_lookup(key: str) -> Tuple[bool, Optional[SweepFinding]]:
     """``(hit, finding)`` for one fingerprint key in the warm tier.
 
-    The public face of the in-process result memo, shared with external
-    front-ends (the :mod:`repro.serve` tiered cache): a hit refreshes
-    the key's LRU position exactly like scheduler-internal reuse, and
-    ``None`` findings ("scanned, clean") are distinguishable from
-    misses by the boolean.
+    A hit refreshes the key's LRU position, and ``None`` findings
+    ("scanned, clean") are distinguishable from misses by the boolean.
+    The scheduler and :mod:`repro.serve` share this one memo.
     """
-    found = _memo_get(key)
-    if found is _PENDING:
-        return False, None
-    return True, found
+    with _MEMO_LOCK:
+        if key in _RESULT_MEMO:
+            _RESULT_MEMO.move_to_end(key)
+            return True, _RESULT_MEMO[key]
+    return False, None
 
 
-def memo_store(key: str, finding: Optional[SweepFinding]) -> None:
-    """Install one fingerprint-keyed result into the warm tier, making
-    it visible to every scheduler and service sharing this process."""
-    _memo_put(key, finding)
+def record_results(
+    pairs: Sequence[Tuple[str, Optional[SweepFinding]]],
+    store: Optional[ResultStore] = None,
+) -> None:
+    """Memoize fingerprint-keyed results, then append them to ``store``.
+
+    The one write path for computed results: :func:`run_tasks` records
+    each chunk through it, and :mod:`repro.serve` each batch.  The memo
+    keeps the :data:`_MEMO_MAX` most recent keys; a key it has evicted
+    is recomputed and appended again, which :meth:`ResultStore.load`
+    absorbs (the last record per key wins).
+    """
+    with _MEMO_LOCK:
+        for key, finding in pairs:
+            _RESULT_MEMO[key] = finding
+            _RESULT_MEMO.move_to_end(key)
+        while len(_RESULT_MEMO) > _MEMO_MAX:
+            _RESULT_MEMO.popitem(last=False)
+    if store is not None:
+        store.record_many(pairs)
 
 
 def clear_memo() -> None:
     """Drop every memoized task result (the in-process warm tier)."""
     with _MEMO_LOCK:
         _RESULT_MEMO.clear()
-
-
-def reset() -> None:
-    """Fresh-session state: no memoized results."""
-    clear_memo()
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +594,10 @@ def run_tasks(
         tasks hit the in-memory result memo; ``None`` entries always
         compute.
     store:
-        Optional :class:`ResultStore`.  Every keyed result is appended
-        once: memo hits up front, computed results chunk by chunk as
-        each chunk completes, so a killed run keeps what landed.
+        Optional :class:`ResultStore`.  Every keyed result is recorded
+        (:func:`record_results`) once: memo hits up front, computed
+        results chunk by chunk as each chunk completes, so a killed run
+        keeps what landed.
 
     Returns results in task order, exactly like the inline executor.
     """
@@ -612,10 +609,10 @@ def run_tasks(
     results: List[Any] = [_PENDING] * count
 
     def persist(pairs: Sequence[Tuple[int, Optional[SweepFinding]]]) -> None:
-        if store is not None and keys is not None:
-            store.record_many([(keys[index], finding)
-                               for index, finding in pairs
-                               if keys[index] is not None])
+        if keys is not None:
+            record_results([(keys[index], finding)
+                            for index, finding in pairs
+                            if keys[index] is not None], store)
 
     # Warm tier: reuse fingerprint-keyed results computed earlier in the
     # session.
@@ -624,8 +621,8 @@ def run_tasks(
         for index, key in enumerate(keys):
             if key is None:
                 continue
-            memoized = _memo_get(key)
-            if memoized is not _PENDING:
+            hit, memoized = memo_lookup(key)
+            if hit:
                 results[index] = memoized
                 hits.append((index, memoized))
         persist(hits)
@@ -665,14 +662,7 @@ def run_tasks(
                 results[index] = _scan_task(tasks[index])
             persist([(index, results[index]) for index in indexes])
 
-        computed = pending + unpicklable
-        memoized = 0
-        if keys is not None:
-            for index in computed:
-                if keys[index] is not None:
-                    _memo_put(keys[index], results[index])
-                    memoized += 1
-        span.set(computed=len(computed), memoized=memoized)
+        span.set(computed=len(pending) + len(unpicklable))
     return [None if r is _PENDING else r for r in results]
 
 

@@ -16,11 +16,11 @@ The pipeline, front to back:
   per-request deadlines (admission control);
 * :mod:`~repro.serve.batcher` — single-flight coalescing by request
   fingerprint plus micro-batched, task-deduplicated dispatch to the
-  engine, run inline by the request thread that finds the engine idle;
-* :mod:`~repro.serve.cache` — the tiered result cache: the scheduler's
-  in-process fingerprint memo (warm) over an optional JSONL
-  :class:`~repro.core.dist.ResultStore` (cold, shared with
-  ``repro sweep --resume-from``);
+  engine, run inline by the request thread that finds the engine idle.
+  Its result cache is the scheduler's own: the in-process fingerprint
+  memo of :mod:`repro.core.dist`, written through together with an
+  optional JSONL :class:`~repro.core.dist.ResultStore` (the format of
+  ``repro sweep --resume-from``, loaded into the memo at start-up);
 * :mod:`~repro.serve.server` — lifecycle (starting → ready → draining
   → stopped), graceful SIGTERM drain, the HTTP façade, and the
   :class:`~repro.serve.server.ServerThread` embedding;
@@ -34,7 +34,6 @@ CLI: ``repro serve`` runs the server; ``repro query`` is the client.
 
 from .admission import AdmissionQueue, AdmittedRequest
 from .batcher import MicroBatcher
-from .cache import TieredResultCache
 from .client import ServeClient, wait_until_ready
 from .corpus import MODEL_KEYS, AnalysisCorpus, ExpandedQuery
 from .protocol import (
@@ -63,7 +62,6 @@ __all__ = [
     "AdmissionQueue",
     "AdmittedRequest",
     "MicroBatcher",
-    "TieredResultCache",
     "ServeClient",
     "wait_until_ready",
     "MODEL_KEYS",

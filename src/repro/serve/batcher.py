@@ -11,9 +11,12 @@ they consume no queue depth and no compute, and every waiter receives
 the leader's response (including its sheds; a coalesced request shares
 its leader's fate).
 
-**Cache fast path.**  A query whose every task key hits the tiered
-cache is answered inline — it never touches the queue, so warm traffic
-cannot crowd out cold traffic at admission.
+**Cache fast path.**  A query whose every task key hits the
+scheduler's result memo (:func:`repro.core.dist.memo_lookup`) is
+answered inline — it never touches the queue, so warm traffic cannot
+crowd out cold traffic at admission.  Each batch records its computed
+keyed results through :func:`repro.core.dist.record_results`, into the
+memo and the optional JSONL store, as a sweep records its chunks.
 
 **Work-conserving, deduplicated dispatch.**  The batcher never waits
 for a batch to fill: as soon as the engine is free it takes the queue
@@ -50,6 +53,7 @@ from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
 from .. import faults as _faults
+from ..core import dist
 from ..core.sweep import _run_tasks
 from ..obs import DEFAULT as _OBS
 from ..obs.trace import TraceContext, emit_span, mint_span_id
@@ -85,15 +89,15 @@ class MicroBatcher:
 
     def __init__(
         self,
-        cache: Any,
         stats: Any,
         *,
+        store: Optional[dist.ResultStore] = None,
         max_depth: int = 64,
         max_batch: int = 16,
         compute_fn: Any = None,
     ) -> None:
-        self._cache = cache
         self._stats = stats
+        self._store = store
         self._queue = AdmissionQueue(max_depth)
         self._max_batch = max_batch
         self._compute_fn = compute_fn or _engine_compute
@@ -125,14 +129,13 @@ class MicroBatcher:
     # -- lifecycle ---------------------------------------------------------
 
     def stop(self) -> None:
-        """Close admission, wait for the backlog to run dry, flush the
-        cold store.  (The dispatcher slot is only ever freed with the
-        queue empty, and a closed queue admits nothing more.)"""
+        """Close admission and wait for the backlog to run dry.  (The
+        dispatcher slot is only ever freed with the queue empty, and a
+        closed queue admits nothing more.)"""
         with self._lock:
             self._queue.close()
             while self._dispatching:
                 self._idle.wait()
-        self._cache.flush()
 
     def queue_depth(self) -> int:
         return self._queue.depth()
@@ -243,21 +246,18 @@ class MicroBatcher:
         return "admitted", item
 
     def _lookup_all(self, query: Any) -> Optional[Dict[str, Any]]:
-        """The full response if *every* task key is cached, else None
-        (recording tier hits only on full success — partial probes are
+        """The full response if *every* task key is memoized, else None
+        (counting hits only on full success — partial probes are
         re-counted at batch time)."""
         if not query.task_keys or any(k is None for k in query.task_keys):
             return None if query.task_keys else self._ok_response(query, [])
         findings = []
-        tiers = []
         for key in query.task_keys:
-            tier, finding = self._cache.lookup(key)
-            if tier is None:
+            hit, finding = dist.memo_lookup(key)
+            if not hit:
                 return None
-            tiers.append(tier)
             findings.append(finding)
-        for tier in tiers:
-            self._stats.incr(f"cache.{tier}_hits")
+        self._stats.incr("cache.memo_hits", len(findings))
         return self._ok_response(query, findings)
 
     def _ok_response(self, query: Any, findings: List[Any]) -> Dict[str, Any]:
@@ -360,9 +360,9 @@ class MicroBatcher:
                 if token in resolved:
                     continue
                 if key is not None:
-                    tier, finding = self._cache.lookup(key)
-                    if tier is not None:
-                        self._stats.incr(f"cache.{tier}_hits")
+                    hit, finding = dist.memo_lookup(key)
+                    if hit:
+                        self._stats.incr("cache.memo_hits")
                         resolved[token] = finding
                         continue
                     self._stats.incr("cache.misses")
@@ -420,12 +420,13 @@ class MicroBatcher:
             self._stats.observe("engine", time.monotonic() - engine_started)
             write_started = time.monotonic()
             write_wall = _OBS._wall() if batch_ctx is not None else 0.0
+            keyed = []
             for token, key, finding in zip(compute_tokens, compute_keys,
                                            findings):
                 resolved[token] = finding
                 if key is not None:
-                    self._cache.insert(key, finding)
-            self._cache.flush()
+                    keyed.append((key, finding))
+            dist.record_results(keyed, self._store)
             write_s = time.monotonic() - write_started
             self._stats.observe("cache_write", write_s)
             if batch_ctx is not None:

@@ -19,11 +19,11 @@ Lifecycle is a strict state machine::
 of the contract: the listener closes (no new connections), requests
 arriving on open connections are answered with status ``draining``
 (an explicit response, never a dropped byte), the admission queue is
-closed and the batcher finishes every admitted request, the cold store
-is flushed, and only then — after in-flight responses hit their
-sockets and clients close, bounded by a grace period — does the server
-stop, shutting down the sockets of clients still connected so their
-threads exit.  ``zero dropped responses`` is the invariant the serve
+closed and the batcher finishes every admitted request (each batch
+has already appended its results to the store), and only then — after
+in-flight responses hit their sockets and clients close, bounded by a
+grace period — does the server stop, shutting down the sockets of
+clients still connected so their threads exit.  ``zero dropped responses`` is the invariant the serve
 benchmark measures.
 
 Every method is a plain blocking call, safe from any thread.
@@ -54,8 +54,8 @@ from ..obs.trace import (
     trace_timeline,
 )
 from .. import faults as _faults
+from ..core import dist
 from .batcher import MicroBatcher
-from .cache import TieredResultCache
 from .corpus import AnalysisCorpus
 from .protocol import (
     MAX_LINE,
@@ -86,7 +86,7 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced
     max_depth: int = 64  # admission queue bound
     max_batch: int = 16  # requests per dispatch
-    store_path: Optional[str] = None  # cold-tier JSONL (optional)
+    store_path: Optional[str] = None  # resumable result JSONL (optional)
     max_limit: int = 1000  # witness-limit clamp per query
     drain_grace: float = 5.0  # seconds to wait for sockets to flush
     trace: bool = False  # end-to-end request tracing (repro.obs.trace)
@@ -119,8 +119,12 @@ class AnalysisServer:
         self.config = config or ServeConfig()
         self.corpus = corpus or AnalysisCorpus()
         self.stats = ServeStats(buckets=self.config.latency_buckets)
-        self.cache = TieredResultCache(self.config.store_path,
-                                       stats=self.stats)
+        #: The result store each batch appends to; its records are
+        #: loaded once, into the scheduler's memo.
+        self.store: Optional[dist.ResultStore] = None
+        if self.config.store_path is not None:
+            self.store = dist.ResultStore(self.config.store_path)
+            dist.record_results(list(self.store.load().items()))
         self.state = STARTING
         self.host = self.config.host
         self.port: Optional[int] = None
@@ -161,8 +165,8 @@ class AnalysisServer:
             self._obs_owned = not _OBS.enabled
             _OBS.enable(*sinks)
         self.batcher = MicroBatcher(
-            self.cache,
             self.stats,
+            store=self.store,
             max_depth=self.config.max_depth,
             max_batch=self.config.max_batch,
         )
@@ -185,8 +189,7 @@ class AnalysisServer:
 
     def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish admitted work,
-        flush the store, release waiters, and close the connections
-        still open."""
+        release waiters, and close the connections still open."""
         with self._lock:
             if self.state in (DRAINING, STOPPED):
                 return
@@ -206,7 +209,7 @@ class AnalysisServer:
             self._listener.close()
             self._accept_thread.join()
         if self.batcher is not None:
-            self.batcher.stop()  # runs the backlog dry, flushes
+            self.batcher.stop()  # runs the backlog dry
         # Let in-flight responses reach their sockets and clients hang
         # up on their own; the grace bound keeps shutdown finite even
         # against a client that never closes.
@@ -217,7 +220,6 @@ class AnalysisServer:
                         not any(self._connections.values()):
                     break
             time.sleep(0.01)
-        self.cache.flush()
         self.state = STOPPED
         if _OBS.enabled:
             _OBS.event("serve.drain", phase="complete")
@@ -263,7 +265,6 @@ class AnalysisServer:
                                    if self.batcher is not None else 0)
         snapshot["inflight"] = (self.batcher.inflight_count()
                                 if self.batcher is not None else 0)
-        snapshot["store_keys"] = self.cache.store_keys
         snapshot["config"] = {
             "max_depth": self.config.max_depth,
             "max_batch": self.config.max_batch,
@@ -284,7 +285,6 @@ class AnalysisServer:
                                  if self.batcher is not None else 0)
         gauges["inflight"] = (self.batcher.inflight_count()
                               if self.batcher is not None else 0)
-        gauges["store.keys"] = self.cache.store_keys
         gauges["up"] = 1.0 if self.state == READY else 0.0
         histograms = {
             f"stage.{name}.seconds": snap

@@ -155,8 +155,7 @@ class ServeStats:
         coalesced = counters.get("coalesced", 0)
         cached = counters.get("requests.cached", 0)
         shed = sum(v for k, v in counters.items() if k.startswith("shed."))
-        task_hits = (counters.get("cache.memo_hits", 0)
-                     + counters.get("cache.store_hits", 0))
+        task_hits = counters.get("cache.memo_hits", 0)
         task_lookups = task_hits + counters.get("cache.misses", 0)
         if _OBS.enabled:
             # An empty-at-snapshot window must reset the mirrored

@@ -29,11 +29,9 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(
 @pytest.fixture(autouse=True)
 def _fresh_state():
     previous = faults.install(None)
-    dist.reset()
     dist.clear_memo()
     yield
     faults.install(previous)
-    dist.reset()
     dist.clear_memo()
 
 
@@ -79,7 +77,6 @@ class TestSeededFaultMatrix:
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
                                       mode="process", workers=2))
-        dist.reset()
         dist.clear_memo()
         plan = faults.parse_spec(
             "seed=13;"
@@ -94,7 +91,6 @@ class TestSeededFaultMatrix:
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
                                       mode="process", workers=2))
-        dist.reset()
         dist.clear_memo()
         plan = faults.parse_spec("seed=3;worker.chunk.crash:1@max=2")
         got = _cluster_sweep(plan)
@@ -106,7 +102,6 @@ class TestSeededFaultMatrix:
                 "worker.chunk.slow:1@max=2@ms=20")
         runs = []
         for _ in range(2):
-            dist.reset()
             dist.clear_memo()
             plan = faults.parse_spec(spec)
             results = _cluster_sweep(plan)
@@ -124,7 +119,6 @@ class TestChunkDeadline:
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
                                       mode="process", workers=2))
-        dist.reset()
         dist.clear_memo()
         # One chunk hangs for 60s; the 0.5s deadline kills it and the
         # bounded retry (hang budget spent) completes it normally.
@@ -166,7 +160,7 @@ class TestClusterStoreResume:
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
                                       mode="process", workers=2))
-        dist.reset()
+        dist.clear_memo()
         return expected
 
     def test_partial_store_re_executes_only_missing_tasks(self, tmp_path):

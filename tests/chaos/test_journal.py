@@ -15,11 +15,9 @@ from repro.models import nullhttpd_model, sendmail_model, xterm_model
 @pytest.fixture(autouse=True)
 def _fresh_state():
     previous = faults.install(None)
-    dist.reset()
     dist.clear_memo()
     yield
     faults.install(previous)
-    dist.reset()
     dist.clear_memo()
 
 

@@ -39,10 +39,10 @@ def _toy_domains():
 @pytest.fixture(autouse=True)
 def _fresh_state():
     previous = faults.install(None)
-    dist.reset()
+    dist.clear_memo()
     yield
     faults.install(previous)
-    dist.reset()
+    dist.clear_memo()
 
 
 @pytest.fixture

@@ -39,10 +39,8 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(
 
 @pytest.fixture(autouse=True)
 def _fresh_scheduler():
-    dist.reset()
     dist.clear_memo()
     yield
-    dist.reset()
     dist.clear_memo()
 
 
@@ -75,7 +73,6 @@ class TestZeroWorkers:
         models, domains = _models()
         expected = _flat(sweep_models(models, domains, limit=4,
                                       mode="process", workers=2))
-        dist.reset()
         dist.clear_memo()
         registry = obs.get_registry()
         registry.reset()

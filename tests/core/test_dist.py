@@ -45,9 +45,9 @@ crashy = named_predicate("crash_off_parent", _crash_off_parent,
 
 @pytest.fixture(autouse=True)
 def _fresh_scheduler():
-    dist.reset()
+    dist.clear_memo()
     yield
-    dist.reset()
+    dist.clear_memo()
 
 
 def _pfsm(spec=None, impl=None):
@@ -585,7 +585,7 @@ class TestResume:
         recorded = sum(1 for line in open(store_path) if line.strip())
         assert recorded > 0
 
-        dist.reset()  # reuse must come from the store, not the memo
+        dist.clear_memo()  # reuse must come from the store, not the memo
         registry = obs.get_registry()
         registry.reset()
         registry.enable()
@@ -744,15 +744,16 @@ class TestChunkWorker:
 
 
 class TestMemoHooks:
-    """The public warm-tier hooks the serve cache layers on."""
+    """The public warm-tier hooks the analysis server reads and writes
+    its results through."""
 
     def test_lookup_miss_then_store_then_hit(self):
         assert dist.memo_lookup("k") == (False, None)
-        dist.memo_store("k", None)
+        dist.record_results([("k", None)])
         assert dist.memo_lookup("k") == (True, None)
 
     def test_none_finding_distinguished_from_miss(self):
-        dist.memo_store("clean", None)
+        dist.record_results([("clean", None)])
         hit, finding = dist.memo_lookup("clean")
         assert hit is True and finding is None
 
@@ -761,7 +762,7 @@ class TestMemoHooks:
         expected = dist.run_tasks(tasks, 1, backend="process",
                                   keys=["hook-key"])
         dist.clear_memo()
-        dist.memo_store("hook-key", expected[0])
+        dist.record_results([("hook-key", expected[0])])
         registry = obs.get_registry()
         registry.reset()
         registry.enable()
@@ -791,7 +792,8 @@ class TestConcurrentSweeps:
         def writer():
             i = 0
             while not stop.is_set():
-                dist.memo_store(f"key-{i % 50}", finding if i % 2 else None)
+                dist.record_results(
+                    [(f"key-{i % 50}", finding if i % 2 else None)])
                 i += 1
 
         def reader():

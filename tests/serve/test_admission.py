@@ -14,7 +14,6 @@ from repro.serve import (
     ExpandedQuery,
     MicroBatcher,
     ServeStats,
-    TieredResultCache,
 )
 
 
@@ -83,9 +82,7 @@ class _Gate:
 
 
 def _batcher(gate, **kwargs):
-    stats = ServeStats()
-    return MicroBatcher(TieredResultCache(stats=stats), stats,
-                        compute_fn=gate, **kwargs)
+    return MicroBatcher(ServeStats(), compute_fn=gate, **kwargs)
 
 
 def _submit(batcher, query, responses, deadline_ms=None):

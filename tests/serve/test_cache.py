@@ -1,10 +1,14 @@
-"""The tiered result cache: memo over JSONL store, shared with dist."""
+"""The server's result cache is the scheduler's own: reads go through
+``dist.memo_lookup``, each batch's writes through ``dist.record_results``
+(the memo plus an optional JSONL store shared with ``repro sweep``)."""
+
+import gc
 
 import pytest
 
 from repro.core import dist
-from repro.core.sweep import SweepFinding
-from repro.serve import TieredResultCache
+from repro.core.sweep import SweepFinding, sweep_models
+from repro.serve import MicroBatcher, ServeClient, ServeConfig, ServerThread
 from repro.serve import corpus as corpus_module
 from repro.serve.corpus import AnalysisCorpus
 from repro.serve.stats import ServeStats
@@ -12,9 +16,9 @@ from repro.serve.stats import ServeStats
 
 @pytest.fixture(autouse=True)
 def _fresh_scheduler():
-    dist.reset()
+    dist.clear_memo()
     yield
-    dist.reset()
+    dist.clear_memo()
 
 
 def _one_model_corpus():
@@ -39,86 +43,167 @@ def _finding(tag="w"):
                         pfsm_name="p", activity="scan", witnesses=(tag,))
 
 
-class TestMemoTier:
-    def test_insert_then_memo_hit(self):
-        cache = TieredResultCache()
-        assert cache.lookup("k1") == (None, None)
-        finding = _finding()
-        cache.insert("k1", finding)
-        assert cache.lookup("k1") == ("memo", finding)
+def _live_findings():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, SweepFinding))
 
+
+class TestResultMemo:
     def test_none_finding_is_a_hit_not_a_miss(self):
         # "Scanned, clean" must be cacheable — a None result is not
         # the same as never having computed.
-        cache = TieredResultCache()
-        cache.insert("clean", None)
-        assert cache.lookup("clean") == ("memo", None)
+        dist.record_results([("clean", None)])
+        assert dist.memo_lookup("clean") == (True, None)
 
-    def test_shared_with_dist_memo(self):
-        # The warm tier IS the scheduler's memo: results installed by
-        # either side are visible to the other.
-        cache = TieredResultCache()
-        finding = _finding()
-        dist.memo_store("shared", finding)
-        assert cache.lookup("shared") == ("memo", finding)
-        cache.insert("mine", finding)
-        assert dist.memo_lookup("mine") == (True, finding)
-
-    def test_none_key_misses(self):
-        assert TieredResultCache().lookup(None) == (None, None)
-
-
-class TestStoreTier:
-    def test_flush_persists_and_reloads(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        cache = TieredResultCache(path)
-        finding = _finding()
-        cache.insert("k1", finding)
-        cache.insert("k2", None)
-        assert cache.flush() == 2
-        assert cache.flush() == 0  # buffer drained
-
-        dist.clear_memo()
-        reloaded = TieredResultCache(path)
-        assert reloaded.store_keys == 2
-        tier, got = reloaded.lookup("k1")
-        assert tier == "store"
-        assert got.witnesses == finding.witnesses
-
-    def test_store_hit_promotes_to_memo(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        cache = TieredResultCache(path)
-        cache.insert("k1", _finding())
-        cache.flush()
-
-        dist.clear_memo()
-        warm = TieredResultCache(path)
-        assert warm.lookup("k1")[0] == "store"
-        assert warm.lookup("k1")[0] == "memo"  # promoted
-
-    def test_duplicate_insert_not_rewritten(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        cache = TieredResultCache(path)
-        cache.insert("k1", _finding())
-        cache.insert("k1", _finding())
-        assert cache.flush() == 1
-
-    def test_flush_counts_to_stats(self, tmp_path):
+    def test_shared_between_serve_and_sweep(self):
+        # A batch's results are the scheduler's memo entries, and a
+        # result the scheduler memoized answers the server's fast path.
+        corpus, _spec = _one_model_corpus()
         stats = ServeStats()
-        cache = TieredResultCache(str(tmp_path / "r.jsonl"), stats=stats)
-        cache.insert("k1", _finding())
-        cache.flush()
-        assert stats.snapshot()["counters"]["cache.flushed"] == 1
+        batcher = MicroBatcher(stats)
+        computed = batcher.submit(corpus.expand("m", 5))
+        assert computed["cached"] is False and computed["vulnerable"]
+        key = corpus.expand("m", 5).task_keys[0]
+        hit, finding = dist.memo_lookup(key)
+        assert hit and finding.witnesses
 
-    def test_storeless_cache_flush_is_noop(self):
-        cache = TieredResultCache()
-        cache.insert("k1", _finding())
-        assert cache.flush() == 0
-        assert cache.store_keys == 0
+        other = corpus.expand("m", 6)
+        dist.record_results([(other.task_keys[0], _finding("sweep"))])
+        answered = batcher.submit(other)
+        assert answered["cached"] is True
+        assert answered["findings"][0]["witnesses"] == ["sweep"]
+        counters = stats.snapshot()["counters"]
+        assert counters["cache.memo_hits"] == 1
+        assert counters["batches"] == 1
+
+
+class TestStoreWrites:
+    def test_batch_appends_its_results_to_the_store(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        corpus, _spec = _one_model_corpus()
+        batcher = MicroBatcher(ServeStats(), store=dist.ResultStore(path))
+        query = corpus.expand("m", 5)
+        batcher.submit(query)
+        loaded = dist.ResultStore(path).load()
+        assert set(loaded) == set(query.task_keys)
+        assert loaded[query.task_keys[0]] == dist.memo_lookup(
+            query.task_keys[0])[1]
+
+    def test_duplicate_write_is_harmless(self, tmp_path):
+        # A key evicted from the memo is recomputed and appended again:
+        # the store keeps the last record per key.
+        path = str(tmp_path / "results.jsonl")
+        store = dist.ResultStore(path)
+        dist.record_results([("k1", _finding("old"))], store)
+        dist.record_results([("k1", _finding("new"))], store)
+        assert dist.memo_lookup("k1") == (True, _finding("new"))
+        loaded = store.load()
+        assert set(loaded) == {"k1"}
+        assert loaded["k1"].witnesses == ("new",)
+
+    def test_server_loads_the_store_into_the_memo(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        dist.record_results([("k1", _finding()), ("k2", None)],
+                            dist.ResultStore(path))
+        dist.clear_memo()
+        handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            assert dist.memo_lookup("k1")[1].witnesses == ("w",)
+            assert dist.memo_lookup("k2") == (True, None)
+        finally:
+            handle.shutdown()
+
+    def test_store_larger_than_the_memo_loads_its_latest_keys(
+            self, tmp_path):
+        # The memo is the only in-process tier: a store holding more
+        # keys than the memo bound answers only its most recent ones.
+        path = str(tmp_path / "results.jsonl")
+        extra = 16
+        keys = [f"k{i}" for i in range(dist._MEMO_MAX + extra)]
+        dist.record_results([(key, None) for key in keys],
+                            dist.ResultStore(path))
+        dist.clear_memo()
+        handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            assert len(dist._RESULT_MEMO) == dist._MEMO_MAX
+            assert all(dist.memo_lookup(key) == (False, None)
+                       for key in keys[:extra])
+            assert all(dist.memo_lookup(key) == (True, None)
+                       for key in keys[extra:])
+        finally:
+            handle.shutdown()
+        assert set(dist.ResultStore(path).load()) == set(keys)
+
+    def test_results_reach_the_store_before_drain(self, tmp_path):
+        # Each batch appends as it lands, so a running server's store
+        # already answers a restarted server without any batch.
+        path = str(tmp_path / "results.jsonl")
+        first = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            with ServeClient(first.host, first.port) as client:
+                computed = client.query("sendmail", limit=5)
+            assert computed["status"] == "ok" and not computed["cached"]
+            stored = dist.ResultStore(path).load()
+            assert stored
+        finally:
+            first.shutdown()
+        assert dist.ResultStore(path).load() == stored
+
+        dist.clear_memo()
+        second = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            with ServeClient(second.host, second.port) as client:
+                answered = client.query("sendmail", limit=5)
+                counters = client.metrics()["counters"]
+        finally:
+            second.shutdown()
+        assert answered["cached"] is True
+        assert answered["findings"] == computed["findings"]
+        assert "batches" not in counters
+
+    def test_keyless_tasks_compute_and_are_never_stored(self, tmp_path):
+        # A task with no stable identity has no key to look up or to
+        # write: it computes on every request and never reaches the
+        # memo or the store.
+        corpus, spec = _one_model_corpus()
+        spec.rebind(lambda x: x <= 5)  # opaque: no cache key
+        query = corpus.expand("m", 5)
+        assert list(query.task_keys) == [None]
+        path = str(tmp_path / "results.jsonl")
+        stats = ServeStats()
+        batcher = MicroBatcher(stats, store=dist.ResultStore(path))
+        for _ in range(2):
+            response = batcher.submit(query)
+            assert response["status"] == "ok" and not response["cached"]
+        counters = stats.snapshot()["counters"]
+        assert counters["batches"] == 2
+        assert "cache.memo_hits" not in counters
+        assert "cache.misses" not in counters
+        assert len(dist._RESULT_MEMO) == 0
+        assert dist.ResultStore(path).load() == {}
+
+
+class TestMemoBound:
+    def test_store_backed_batcher_keeps_no_finding_past_the_memo(
+            self, tmp_path):
+        # Every distinct limit is a distinct task key: more computed
+        # results than the memo holds.  Only the memo may keep them
+        # alive; the store keeps them on disk.
+        corpus, _spec = _one_model_corpus()
+        batcher = MicroBatcher(
+            ServeStats(), store=dist.ResultStore(str(tmp_path / "r.jsonl")))
+        before = _live_findings()
+        extra = 512
+        for limit in range(1, dist._MEMO_MAX + extra + 1):
+            response = batcher.submit(corpus.expand("m", limit))
+            assert response["vulnerable"], response
+        assert len(dist._RESULT_MEMO) == dist._MEMO_MAX
+        assert _live_findings() - before <= dist._MEMO_MAX + extra // 4
+
 
 class TestMutatedModelStaleness:
     """A model mutated in place must not keep serving pre-mutation
-    results through the expansion memo and the tiered cache."""
+    results through the expansion memo and the result memo."""
 
     def test_rebind_changes_fingerprint_and_task_keys(self):
         corpus, spec = _one_model_corpus()
@@ -127,10 +212,9 @@ class TestMutatedModelStaleness:
         assert first.task_keys[0] is not None
 
         from repro.core.sweep import _scan_task
-        cache = TieredResultCache()
         stale = _scan_task(first.tasks[0])
         assert stale is not None  # (0..5 spec) x (<=10 impl): hidden
-        cache.insert(first.task_keys[0], stale)
+        dist.record_results([(first.task_keys[0], stale)])
 
         spec.rebind(lambda x: True)  # secure the check: spec = accept all
         second = corpus.expand("m", 5)
@@ -222,12 +306,61 @@ class TestCorpusKeys:
 
 
 class TestStoreInterop:
-    def test_interoperates_with_sweep_resume_store(self, tmp_path):
+    def test_stored_lines_resume_a_sweep(self, tmp_path):
         # A store the server wrote is a valid --resume-from store.
         path = str(tmp_path / "results.jsonl")
-        cache = TieredResultCache(path)
-        cache.insert("k1", _finding())
-        cache.flush()
-        loaded = dist.ResultStore(path).load()
-        assert set(loaded) == {"k1"}
-        assert loaded["k1"].witnesses == ("w",)
+        handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                assert client.query("sendmail", limit=5)["status"] == "ok"
+        finally:
+            handle.shutdown()
+        stored = dist.ResultStore(path).load()
+        assert stored
+
+        from repro import obs
+        from repro.models import (all_extended_models,
+                                  all_extended_pfsm_domains)
+
+        dist.clear_memo()
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            resumed = sweep_models(all_extended_models(),
+                                   all_extended_pfsm_domains(), limit=5,
+                                   resume_from=path)
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        assert counters["dist.resume.skips"] == len(stored)
+        fresh = sweep_models(all_extended_models(),
+                             all_extended_pfsm_domains(), limit=5)
+        assert resumed == fresh
+
+    def test_sweep_store_answers_a_fresh_server_from_the_memo(
+            self, tmp_path):
+        # The reverse direction: a `repro sweep --resume-from` store
+        # answers every query of a fresh server without a batch.
+        from repro.models import (all_extended_models,
+                                  all_extended_pfsm_domains)
+        from repro.serve import MODEL_KEYS
+
+        path = str(tmp_path / "sweep.jsonl")
+        sweep_models(all_extended_models(), all_extended_pfsm_domains(),
+                     limit=5, resume_from=path)
+        dist.clear_memo()
+        handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                for key in MODEL_KEYS:
+                    response = client.query(key, limit=5)
+                    assert response["status"] == "ok", response
+                    assert response["cached"] is True, response
+                counters = client.metrics()["counters"]
+        finally:
+            handle.shutdown()
+        assert counters["cache.memo_hits"] == 28
+        assert "batches" not in counters
+        assert counters["requests.cached"] == len(MODEL_KEYS)

@@ -27,15 +27,14 @@ from repro.core.predspec import decode_value
 from repro.core.sweep import _run_tasks
 from repro.serve import AnalysisCorpus
 from repro.serve.batcher import MicroBatcher, _engine_compute
-from repro.serve.cache import TieredResultCache
 from repro.serve.stats import ServeStats
 
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    dist.reset()  # no result memo: every blocker request computes
+    dist.clear_memo()  # no result memo: every blocker request computes
     yield
-    dist.reset()
+    dist.clear_memo()
 
 
 def _witnesses(results):
@@ -107,9 +106,7 @@ def _batch_two_queries(domain, limits, pfsms=None):
             batches.append(len(tasks))
         return _engine_compute(tasks, keys)
 
-    stats = ServeStats()
-    batcher = MicroBatcher(TieredResultCache(stats=stats), stats,
-                           compute_fn=compute)
+    batcher = MicroBatcher(ServeStats(), compute_fn=compute)
     responses = {}
 
     def submit(key, limit):

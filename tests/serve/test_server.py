@@ -42,9 +42,9 @@ TOY_NAME = "Toy Overflow"
 
 @pytest.fixture(autouse=True)
 def _fresh_scheduler():
-    dist.reset()
+    dist.clear_memo()
     yield
-    dist.reset()
+    dist.clear_memo()
 
 
 def toy_model():

@@ -62,8 +62,7 @@ class TestServeStats:
             stats.incr("requests.query")
         stats.incr("coalesced", 2)
         stats.incr("requests.cached", 5)
-        stats.incr("cache.memo_hits", 3)
-        stats.incr("cache.store_hits", 1)
+        stats.incr("cache.memo_hits", 4)
         stats.incr("cache.misses", 4)
         stats.incr("shed.overload", 2)
         stats.incr("shed.deadline")

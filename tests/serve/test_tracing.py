@@ -54,9 +54,9 @@ slow_small = named_predicate(
 
 @pytest.fixture(autouse=True)
 def _fresh_scheduler():
-    dist.reset()
+    dist.clear_memo()
     yield
-    dist.reset()
+    dist.clear_memo()
     registry = obs.get_registry()
     registry.disable()
     registry.clear_sinks()

@@ -79,7 +79,7 @@ def rich_corpus():
 def recorded(monkeypatch):
     """Every ``(response dict, line, reference line)`` the server wrote,
     the reference taken in the same call as the encoding."""
-    dist.reset()
+    dist.clear_memo()
     lines = []
     original = protocol.encode_line
 
@@ -95,7 +95,7 @@ def recorded(monkeypatch):
     ).start()
     yield handle, lines
     handle.shutdown()
-    dist.reset()
+    dist.clear_memo()
 
 
 def client_for(handle):
