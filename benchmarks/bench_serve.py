@@ -1,8 +1,8 @@
 """Benchmark of the ``repro.serve`` analysis service.
 
-Four scenarios, each asserting the serving contract from the issue and
-all recorded to ``BENCH_serve.json`` so the BENCH_* trajectory keeps
-recording:
+Four scenarios, each asserting the serving contract and all written to
+the ``--json`` payload, which CI uploads as the ``BENCH_serve``
+artifact (no copy is committed):
 
 * **throughput** — 8 concurrent clients replay a duplicate-heavy
   request mix against one warm server (a synchronized cold burst first,

@@ -1,7 +1,8 @@
 """Before/after benchmark of the batched sweep engine.
 
-Four comparisons, each recorded to ``BENCH_sweep.json`` so the BENCH_*
-trajectory keeps recording:
+Four comparisons, each written to the ``--json`` payload.  CI uploads
+that payload as the ``BENCH_sweep`` artifact on every run; no copy is
+committed, so no stale file stands in for a measurement:
 
 * **hidden-witness search** — the 20k-element integer-domain search of
   ``bench_scale.py``, seed-style scalar scan vs the closed-form batch
@@ -9,7 +10,7 @@ trajectory keeps recording:
 * **model sweep** — the full hidden-path sweep over every bundled model,
   seed-style naive serial engine vs the engine's inline thread backend
   (``sweep_models()``; acceptance: the engine — interval, columnar and
-  compiled scans plus the per-scan identity memo — beats the serial
+  compiled scans over each domain's distinct-row index — beats the serial
   baseline);
 * **backend session** — a repeated-analysis session (the same corpus
   swept ``SESSION_REPEATS`` times, the shape of iterative model
@@ -28,7 +29,7 @@ trajectory keeps recording:
   sweep);
 * **plan** — a repeated-predicate corpus (several models whose specs
   share deep sub-predicate DAGs, over distinct string corpora — no
-  interval fast path, no identity-memo shortcuts) swept with the
+  interval fast path, no repeated objects to skip) swept with the
   predicate compiler disabled vs enabled (acceptance: the compiled
   path, including compile time, is ≥2x the uncompiled throughput).
   The compiled path wins two ways: flat fused closures instead of
@@ -204,7 +205,7 @@ def _scaled_domains(models, domains, range_target=100_000, tile_factor=200):
     ``range_target`` integers (the batch path answers arithmetically)
     and tiles every other probe set ``tile_factor``-fold by reference
     repetition — a corpus that re-probes the same objects over and over,
-    exactly what the engine's per-scan identity memo absorbs.  Both
+    exactly what the scans' distinct-row index absorbs.  Both
     engines under comparison get the
     identical scaled corpus.
     """

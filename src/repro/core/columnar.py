@@ -4,7 +4,8 @@ whole-column predicate kernels.
 Every non-interval strategy in :func:`repro.core.sweep.
 hidden_witness_scan` judges one Python object at a time: the compiled
 :class:`~repro.core.plan.ScanProgram` is a fused closure, but it is
-still *called* once per object, through the scan's identity memo.  For the corpus-scale domains the ROADMAP targets — millions of
+still *called* once per distinct object of the domain.  For the
+corpus-scale domains the ROADMAP targets — millions of
 integers, tiled probe strings, record products — that per-object
 dispatch dominates the sweep.  This module adds the standard analytical
 fix: **columnar execution**.
@@ -72,6 +73,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..obs import DEFAULT as _OBS
 from . import plan as _plan
 from .predspec import decode_value, spec_fields, _resolve_type
+from .witness import _LazyProduct, distinct_rows
 
 __all__ = [
     "Encoding",
@@ -81,6 +83,7 @@ __all__ = [
     "is_enabled",
     "kernel_backend",
     "scan_program",
+    "scan_rows",
     "set_enabled",
     "set_min_rows",
 ]
@@ -96,8 +99,9 @@ _I64_MAX = (1 << 63) - 1
 #: EXPERIMENTS.md, "numpy only where it pays".
 _NUMPY_MIN_ROWS = 1 << 14
 
-#: Rows before the duplicate-density gate engages (below it, counting
-#: ids costs more than it saves and tests use tiny corpora anyway).
+#: Rows before the duplicate-density gate engages (below it, building
+#: the domain's distinct-row index for the gate alone costs more than it
+#: saves, and tests use tiny corpora anyway).
 _DUP_GATE_MIN_ROWS = 4096
 #: Encoding (and lazy-product materialization) ceiling — memory guard.
 _MAX_ROWS = 1 << 22
@@ -490,6 +494,8 @@ class Encoding:
         }
 
     def rows(self, indices: Iterable[int]) -> List[Any]:
+        if self._items is not None:
+            return list(map(self._items.__getitem__, indices))
         return [self.row(i) for i in indices]
 
     # -- mask cache --------------------------------------------------------
@@ -544,8 +550,8 @@ _UNVECTORIZABLE = object()
 class Kernel:
     """One compiled columnar scan: a folded spec tree bound to an
     encoding.  ``mask()`` evaluates bottom-up through the encoding's
-    digest-keyed mask cache; ``witnesses(limit)`` selects the first
-    ``limit`` set rows in domain order."""
+    digest-keyed mask cache; ``rows(limit)`` selects the positions of
+    the first ``limit`` set rows in domain order."""
 
     __slots__ = ("encoding", "root")
 
@@ -556,10 +562,8 @@ class Kernel:
     def mask(self) -> Any:
         return _node_mask(self.root, self.encoding, None)
 
-    def witnesses(self, limit: int) -> List[Any]:
-        encoding = self.encoding
-        indices = encoding.ops.indices(self.mask(), limit)
-        return encoding.rows(indices)
+    def rows(self, limit: int) -> List[int]:
+        return self.encoding.ops.indices(self.mask(), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +840,6 @@ def _build_encoding(domain: Any) -> Optional[Encoding]:
         encoding.scalar_kind = "int"
         encoding._range = backing
         return encoding
-    from .witness import _LazyProduct
-
     if isinstance(backing, _LazyProduct):
         names = backing._names
         columns = backing._columns
@@ -862,11 +864,11 @@ def _build_encoding(domain: Any) -> Optional[Encoding]:
         return None
     if n >= _DUP_GATE_MIN_ROWS:
         # Duplicate-dominated corpora (the same object references tiled
-        # thousands of times) are the scalar scan's best case: its
-        # per-scan identity memo judges each distinct object once, in
-        # O(distinct), while column kernels would grind all n rows.
+        # thousands of times) are the scalar scan's best case: it judges
+        # each distinct object of the domain's distinct-row index once,
+        # in O(distinct), while column kernels would grind all n rows.
         # Decline so the planner keeps those on the compiled path.
-        if len({id(item) for item in items}) * 20 < n:
+        if len(distinct_rows(domain).objects) * 20 < n:
             return None
     kind = _scan_kind(items)
     if kind != "obj":
@@ -944,6 +946,18 @@ def scan_program(program: Any, domain: Any, limit: int) -> Optional[List[Any]]:
     returns: witnesses in domain iteration order, repeated occurrences
     reported per occurrence, truncated at ``limit``.
     """
+    found = scan_rows(program, domain, limit)
+    if found is None:
+        return None
+    encoding, rows = found
+    return encoding.rows(rows)
+
+
+def scan_rows(program: Any, domain: Any,
+              limit: int) -> Optional[Tuple[Encoding, List[int]]]:
+    """:func:`scan_program` by row position: ``(encoding, rows)``, where
+    ``encoding.rows(rows)`` are the witnesses, or ``None`` when the
+    strategy does not apply."""
     if not _ENABLED or program is None:
         return None
     encoding = encoding_for(domain)
@@ -953,7 +967,7 @@ def scan_program(program: Any, domain: Any, limit: int) -> Optional[List[Any]]:
     if kernel is None:
         return None
     try:
-        return kernel.witnesses(limit)
+        return encoding, kernel.rows(limit)
     except Exception:
         return None
 

@@ -70,6 +70,7 @@ from ..obs.sinks import MemorySink
 from ..obs.trace import TraceContext
 from .predspec import decode_value, encode_value, spec_digest
 from .sweep import SweepFinding, _scan_task
+from .witness import DistinctRows, _LazyProduct, distinct_rows
 
 __all__ = [
     "ResultStore",
@@ -94,27 +95,26 @@ _CHUNKS_PER_WORKER = 4
 # Stable task identity.
 # ---------------------------------------------------------------------------
 
-def _digest_items(items: Sequence[Any]) -> str:
-    """Incremental digest of a materialized item sequence.
+#: Rows hashed per joined slice of a domain digest.
+_DIGEST_ROWS = 1 << 14
 
-    Corpus-scale domains are routinely built by tiling a small probe set
-    (the same objects repeated by reference), so the canonical encoding
-    is memoized by object identity — each distinct object is encoded
-    once, and repeats cost a dict lookup plus a hash update.  ``items``
-    must be a realized sequence (it keeps every id alive for the scan).
+
+def _digest_items(index: DistinctRows) -> str:
+    """Digest of a materialized item sequence, from its distinct-row
+    index.
+
+    Each distinct object's canonical encoding is computed once, and the
+    rows are hashed as the concatenation of their objects' encodings
+    (each followed by ``\x1f``), joined a slice at a time.
     """
+    parts = [json.dumps(encode_value(item), sort_keys=True,
+                        separators=(",", ":")).encode("utf-8") + b"\x1f"
+             for item in index.objects]
     hasher = hashlib.sha256(b"items\x1f")
-    by_id: Dict[int, bytes] = {}
-    for item in items:
-        key = id(item)
-        encoded = by_id.get(key)
-        if encoded is None:
-            encoded = json.dumps(
-                encode_value(item), sort_keys=True, separators=(",", ":"),
-            ).encode("utf-8")
-            by_id[key] = encoded
-        hasher.update(encoded)
-        hasher.update(b"\x1f")
+    codes = index.codes
+    for start in range(0, len(codes), _DIGEST_ROWS):
+        hasher.update(b"".join(map(parts.__getitem__,
+                                   codes[start:start + _DIGEST_ROWS])))
     return hasher.hexdigest()
 
 
@@ -125,8 +125,10 @@ def domain_digest(domain: Any) -> Optional[str]:
     Works from the raw backing container (``Domain.backing``): ranges
     digest from their arithmetic triple in O(1), lazy record products
     from their field columns (never materializing the product), anything
-    else from the materialized item sequence via the spec value codec.
-    The digest is memoized on the domain object.
+    else from the materialized item sequence via the spec value codec,
+    encoding each distinct object of the domain's distinct-row index
+    (:func:`repro.core.witness.distinct_rows`, the index its scans walk)
+    once.  The digest is memoized on the domain object.
     """
     cached = getattr(domain, "_dist_digest", None)
     if cached is not None:
@@ -137,16 +139,13 @@ def domain_digest(domain: Any) -> Optional[str]:
         if isinstance(backing, range):
             digest = spec_digest(["range", backing.start, backing.stop,
                                   backing.step])
+        elif isinstance(backing, _LazyProduct):
+            digest = spec_digest(encode_value(
+                ["records", list(backing._names),
+                 [list(column) for column in backing._columns]]
+            ))
         else:
-            from .witness import _LazyProduct
-
-            if isinstance(backing, _LazyProduct):
-                digest = spec_digest(encode_value(
-                    ["records", list(backing._names),
-                     [list(column) for column in backing._columns]]
-                ))
-            else:
-                digest = _digest_items(list(backing))
+            digest = _digest_items(distinct_rows(domain))
     except (ValueError, TypeError):
         digest = ""
     try:

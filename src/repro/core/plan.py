@@ -32,9 +32,9 @@ negation children.  Inside a pure conjunction an exception propagating
 to the nearest shield yields ``False`` exactly where the interpreter's
 ``False`` would land.
 
-Each program is judged object by object within one scan; the scan's
-identity memo (:mod:`repro.core.sweep`) is the only verdict memo, and
-no verdict is shared between tasks.  A program is memoized only on the
+Each program judges each distinct object of one scan once (the scan
+walks the domain's distinct-row index, :mod:`repro.core.sweep`); there
+is no verdict memo, and no verdict is shared between tasks.  A program is memoized only on the
 pFSM it was compiled for (:func:`program_for`); that memo survives a
 fork but never a pickle.  Programs are picklable: they ship as their
 spec alone and recompile in the receiving process.

@@ -15,10 +15,14 @@ work, in two layers:
    (witness *counting* is O(1), *listing* O(limit)); a columnar mask
    pass (:mod:`repro.core.columnar`); a compiled single-pass program
    (:mod:`repro.core.plan`); or the scalar predicate calls.  The
-   compiled and scalar scans share one per-scan identity memo: each
-   distinct object is judged once per scan, however often the domain
-   repeats it.  Nothing outlives the scan, and every task — inline, in
-   a worker's chunk or in a serve batch — runs its own scan.
+   compiled and scalar scans walk the domain's distinct-row index
+   (:func:`repro.core.witness.distinct_rows`, built once per domain
+   object): each distinct object is judged once per scan, however often
+   the domain repeats it, and the repeats are selected at C speed.  No
+   verdict outlives the scan, and every task — inline, in a worker's
+   chunk or in a serve batch — runs its own scan.  A finding from such
+   a scan encodes its witnesses from the index's per-object fragments,
+   so each distinct object is encoded once for the domain's lifetime.
 2. **The sweep executor.**  :func:`sweep_models` runs the per-pFSM
    witness searches and reassembles results in deterministic (model,
    operation, pFSM) order.  The ``thread`` backend runs every task on
@@ -48,11 +52,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, islice
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -71,6 +77,7 @@ from .predicates import (
     _range_backing,
 )
 from .predspec import encode_value
+from .witness import DistinctRows, distinct_rows
 
 __all__ = [
     "hidden_witness_scan",
@@ -85,9 +92,6 @@ __all__ = [
 
 #: The executors a sweep can run on (``mode=`` / ``backend=``).
 BACKENDS = ("thread", "process", "cluster")
-
-#: Identity-memo miss sentinel (``False`` is a real verdict).
-_MISS = object()
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +132,112 @@ def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
     return sum(1 for obj in domain if takes(obj))
 
 
-def _identity_scan(judge: Callable[[Any], bool], domain: Iterable[Any],
-                   limit: int) -> Tuple[List[Any], int]:
-    """Collect up to ``limit`` objects of ``domain`` that ``judge``
-    accepts, in domain order.
+def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
+                limit: int) -> Tuple[List[int], int]:
+    """The codes (``index.objects`` positions) of up to ``limit`` domain
+    rows that ``judge`` accepts, in domain order, and how many distinct
+    objects it judged.
 
-    The per-scan identity memo: each distinct object reference is
-    judged once, however often the domain repeats it, and each judged
-    object is pinned so its id cannot be reused while the scan runs.
-    Returns ``(witnesses, judged)``.
+    Each distinct object of ``index`` is judged once, in order of first
+    appearance.  Before the object first seen at row ``r`` is judged,
+    the rows below ``r`` not yet taken repeat only objects already
+    judged, so their witnesses are selected at C speed over the code
+    array: one ``bytes.translate`` through the verdict table, then
+    ``compress``.  The scan stops at ``limit``, having judged exactly
+    the objects that first appear before the stopping row, and no
+    verdict outlives it.
     """
-    found: List[Any] = []
-    seen: Dict[int, bool] = {}  # id(obj) -> rides the hidden path
-    pinned: List[Any] = []  # keep memoized objects alive: no id reuse
-    for candidate in domain:
-        ident = id(candidate)
-        hidden = seen.get(ident, _MISS)
-        if hidden is _MISS:
-            hidden = judge(candidate)
-            seen[ident] = hidden
-            pinned.append(candidate)
-        if hidden:
-            found.append(candidate)
+    objects, codes = index.objects, index.codes
+    narrow = isinstance(codes, bytes)
+    # code -> rides the hidden path (a translate table when narrow)
+    hidden: Any = bytearray(256) if narrow else [False] * len(objects)
+
+    def repeats(start: int, stop: Optional[int]) -> Iterator[int]:
+        part = codes[start:stop]
+        flags = part.translate(hidden) if narrow \
+            else map(hidden.__getitem__, part)
+        return islice(compress(part, flags), limit - len(found))
+
+    found: List[int] = []
+    done = 0  # rows below ``done`` are decided
+    for code, row in enumerate(index.first_rows):
+        if row > done and found:
+            found += repeats(done, row)
             if len(found) >= limit:
-                break
-    return found, len(seen)
+                return found, code
+        if judge(objects[code]):
+            hidden[code] = 1
+            found.append(code)
+            if len(found) >= limit:
+                return found, code + 1
+        done = row + 1
+    if found and done < len(codes):
+        found += repeats(done, None)
+    return found, len(objects)
+
+
+def _scan(pfsm: Any, domain: Iterable[Any], limit: int
+          ) -> Tuple[List[Any], Optional[DistinctRows], Optional[List[int]]]:
+    """:func:`hidden_witness_scan`'s witnesses, with the domain's
+    distinct-row index and the witnesses' codes in it when the domain
+    has one (``None, None`` otherwise)."""
+    if limit <= 0:
+        return [], None, None
+    backing = _range_backing(domain)
+    if backing is not None:
+        hidden = _hidden_intervals(pfsm)
+        if hidden is not None:
+            found: List[Any] = []
+            for sub in _clipped_subranges(backing, hidden):
+                take = min(limit - len(found), len(sub))
+                found.extend(sub[:take])
+                if len(found) >= limit:
+                    break
+            if _OBS.enabled:
+                _OBS.incr("sweep.scans.fastpath")
+                _OBS.incr("plan.strategy.interval")
+                _OBS.incr("sweep.witnesses", len(found))
+            return found, None, None
+    program = _plan.program_for(pfsm)
+    if program is not None:
+        columns = _columnar.scan_rows(program, domain, limit)
+        if columns is not None:
+            encoding, rows = columns
+            found = encoding.rows(rows)
+            if _OBS.enabled:
+                _OBS.incr("sweep.scans.columnar")
+                _OBS.incr("plan.strategy.columnar")
+                _OBS.incr("sweep.objects.judged", encoding.n)
+                _OBS.incr("sweep.witnesses", len(found))
+            # A raw sequence would build a fresh index for the codes alone.
+            index = distinct_rows(domain) if hasattr(domain, "backing") \
+                else None
+            codes = None if index is None \
+                else list(map(index.codes.__getitem__, rows))
+            return found, index, codes
+        judge, strategy = program.evaluate, "compiled"
+    else:
+        judge, strategy = pfsm.takes_hidden_path, "plain"
+    index = distinct_rows(domain)
+    codes = None
+    if index is None:
+        # No row repeats a reference: judge each row as it comes.
+        found = []
+        judged = 0
+        for judged, candidate in enumerate(domain, 1):
+            if judge(candidate):
+                found.append(candidate)
+                if len(found) >= limit:
+                    break
+    else:
+        codes, judged = _scan_codes(judge, index, limit)
+        found = list(map(index.objects.__getitem__, codes))
+    if _OBS.enabled:
+        _OBS.incr(f"sweep.scans.{strategy}")
+        _OBS.incr(f"plan.strategy.{strategy}")
+        _OBS.incr("sweep.objects.judged", judged)
+        _OBS.incr("sweep.witnesses", len(found))
+    return found, index, codes
 
 
 def hidden_witness_scan(
@@ -176,56 +261,19 @@ def hidden_witness_scan(
     * a scalar scan calling the predicates themselves otherwise
       (counted as ``plain``).
 
-    The compiled and scalar scans run one loop, the per-scan identity
-    memo: each distinct object is judged once per scan, however often
-    it recurs.  It is the only verdict memo: nothing is shared between
-    scans.  Witness order always matches domain iteration order,
-    and repeated occurrences of a witness are reported per occurrence.
-    Objects are assumed value-stable for the duration of one scan
-    (predicates are pure).  ``limit <= 0`` returns no witnesses.
+    The compiled and scalar scans walk the domain's distinct-row index
+    (:func:`repro.core.witness.distinct_rows`): each distinct object is
+    judged once per scan, in order of first appearance, and the rows
+    that repeat an object already judged are selected without a Python
+    step per row.  Domains whose rows never repeat a reference
+    (``range`` and record-product backings) are judged row by row.  No
+    verdict outlives its scan.  Witness order always matches domain
+    iteration order, and repeated occurrences of a witness are reported
+    per occurrence.  Objects are assumed value-stable for the duration
+    of one scan (predicates are pure).  ``limit <= 0`` returns no
+    witnesses.
     """
-    if limit <= 0:
-        return []
-    backing = _range_backing(domain)
-    if backing is not None:
-        hidden = _hidden_intervals(pfsm)
-        if hidden is not None:
-            found: List[Any] = []
-            for sub in _clipped_subranges(backing, hidden):
-                take = min(limit - len(found), len(sub))
-                found.extend(sub[:take])
-                if len(found) >= limit:
-                    break
-            if _OBS.enabled:
-                _OBS.incr("sweep.scans.fastpath")
-                _OBS.incr("plan.strategy.interval")
-                _OBS.incr("sweep.witnesses", len(found))
-            return found
-    program = _plan.program_for(pfsm)
-    if program is not None:
-        found = _columnar.scan_program(program, domain, limit)
-        if found is not None:
-            if _OBS.enabled:
-                _OBS.incr("sweep.scans.columnar")
-                _OBS.incr("plan.strategy.columnar")
-                try:
-                    _OBS.incr("sweep.objects.judged", len(domain))
-                except TypeError:
-                    pass
-                _OBS.incr("sweep.witnesses", len(found))
-            return found
-        found, judged = _identity_scan(program.evaluate, domain, limit)
-        strategy = "compiled"
-    else:
-        found, judged = _identity_scan(pfsm.takes_hidden_path, domain,
-                                       limit)
-        strategy = "plain"
-    if _OBS.enabled:
-        _OBS.incr(f"sweep.scans.{strategy}")
-        _OBS.incr(f"plan.strategy.{strategy}")
-        _OBS.incr("sweep.objects.judged", judged)
-        _OBS.incr("sweep.witnesses", len(found))
-    return found
+    return _scan(pfsm, domain, limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +290,30 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _REPEATS_PER_FRAGMENT = 4
 
 
+def _indexed_wire(index: DistinctRows, codes: List[int]
+                  ) -> Tuple[Optional[List[Any]], Optional[str]]:
+    """A scanned finding's ``(wire_witnesses, wire_json)``, joined from
+    ``index``'s per-object fragments, encoding only the distinct
+    witness objects no earlier finding encoded.  An object outside the
+    codec has the text ``""``, which no JSON value has."""
+    values, texts = index.wire_values, index.wire_texts
+    for code in set(codes):
+        text = texts[code]
+        if text is None:
+            try:
+                value = encode_value(index.objects[code])
+            except ValueError:
+                text = ""
+            else:
+                values[code] = value
+                text = _dumps(value)
+            texts[code] = text
+        if not text:
+            return None, None
+    return (list(map(values.__getitem__, codes)),
+            "[" + ",".join(map(texts.__getitem__, codes)) + "]")
+
+
 @dataclass(frozen=True)
 class SweepFinding:
     """One pFSM with hidden-path witnesses, located within a sweep."""
@@ -252,21 +324,35 @@ class SweepFinding:
     activity: str
     witnesses: Tuple[Any, ...]
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle without the scan's codes: their distinct-row index
+        would carry every distinct object of the domain along."""
+        state = self.__dict__.copy()
+        state.pop("_codes", None)
+        return state
+
     @cached_property
     def _wire(self) -> Tuple[Optional[List[Any]], Optional[str]]:
         """``(wire_witnesses, wire_json)``, built in one pass, or
         ``(None, None)`` when a witness falls outside the codec.
 
-        Each distinct witness object is encoded once (an identity memo,
-        as in ``dist._digest_items``), because tiled domains repeat the
-        same objects by reference.  When few of the witnesses are
-        distinct objects, each distinct object is also dumped once and
-        the text joined from those fragments; otherwise the list is
-        dumped whole, which is cheaper per item than a dump per object
-        (EXPERIMENTS.md, "Wire text from fragments").  Either way the
-        text equals ``json.dumps(wire_witnesses, separators=(",",
+        A finding fresh from a scan of an indexed domain keeps the
+        domain's distinct-row index and its witnesses' codes in it
+        (outside its fields, and out of its pickles), and joins both
+        forms from the index's fragments: each distinct object is
+        encoded and dumped once for the index's lifetime, however many
+        findings and limits name it.  Any other finding (decoded from a
+        store, returned by a worker) encodes each distinct witness
+        object once; when few of them are distinct, each is also dumped
+        once and the text joined from those fragments, otherwise the
+        list is dumped whole, which is cheaper per item than a dump per
+        object (EXPERIMENTS.md, "Wire text from fragments").  Either way
+        the text equals ``json.dumps(wire_witnesses, separators=(",",
         ":"))``.
         """
+        scanned = self.__dict__.get("_codes")
+        if scanned is not None:
+            return _indexed_wire(*scanned)
         ids = list(map(id, self.witnesses))
         distinct = dict(zip(ids, self.witnesses))
         try:
@@ -293,7 +379,8 @@ class SweepFinding:
         ``hash`` and ``dataclasses.replace`` ignore it.  Assumes
         witnesses are domain objects that are not mutated after a scan
         — the assumption ``dist.domain_digest`` already makes.  Callers
-        must not mutate the returned list.
+        must not mutate the returned list or its values, which a
+        scanned finding shares with every finding over the same domain.
         """
         return self._wire[0]
 
@@ -340,19 +427,22 @@ def _scan_task(task: SweepTask) -> Optional[SweepFinding]:
     model_name, operation_name, pfsm, domain, limit = task
     with _OBS.span("sweep.task", model=model_name,
                    operation=operation_name, pfsm=pfsm.name) as span:
-        witnesses = hidden_witness_scan(pfsm, domain, limit=limit)
+        witnesses, index, codes = _scan(pfsm, domain, limit)
         span.set(witnesses=len(witnesses))
     if _OBS.enabled:
         _OBS.incr("sweep.tasks.completed")
     if not witnesses:
         return None
-    return SweepFinding(
+    finding = SweepFinding(
         model_name=model_name,
         operation_name=operation_name,
         pfsm_name=pfsm.name,
         activity=pfsm.activity,
         witnesses=tuple(witnesses),
     )
+    if index is not None:
+        finding.__dict__["_codes"] = (index, codes)
+    return finding
 
 
 def _run_tasks(

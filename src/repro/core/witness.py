@@ -15,18 +15,29 @@ in :mod:`repro.core.predicates` can answer witness queries
 arithmetically), and :meth:`Domain.records` holds a re-iterable
 Cartesian product instead of the full list of dicts — O(∑|fields|)
 memory instead of O(∏|fields|) before any predicate runs.
+
+A materialized domain also knows which of its rows repeat which object:
+:func:`distinct_rows` gives its :class:`DistinctRows` index, built once
+per domain object.  Corpus domains are routinely a small probe set tiled
+by reference, and the scans, the cross-run digest and the columnar
+duplicate gate all read that one index instead of keeping their own
+identity memo.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import string
+import threading
+import weakref
+from array import array
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set
 
 from ..obs import DEFAULT as _OBS
 
-__all__ = ["Domain"]
+__all__ = ["Domain", "DistinctRows", "distinct_rows"]
 
 
 class _LazyProduct:
@@ -222,3 +233,104 @@ class Domain:
             rng.sample(items, count),
             description=f"sample({count}) of {self.description}",
         )
+
+
+# ---------------------------------------------------------------------------
+# Which rows repeat which object.
+# ---------------------------------------------------------------------------
+
+def _code_array(distinct: int, codes: Iterable[int]) -> Any:
+    """``codes`` (each ``< distinct``) in the narrowest unsigned array:
+    ``bytes`` up to 256 distinct objects, so a 256-byte table maps a
+    slice of them in one ``bytes.translate``."""
+    if distinct <= 1 << 8:
+        return bytes(codes)
+    return array("H" if distinct <= 1 << 16 else "I", codes)
+
+
+class DistinctRows:
+    """The distinct-row index of one materialized sequence of objects.
+
+    ``objects`` holds each distinct object reference once, in the order
+    of its first appearance; ``codes[row]`` is the position in
+    ``objects`` of the object at ``row`` (its *code*; a compact unsigned
+    array, ``bytes`` when there are at most 256 codes);
+    ``first_rows[code]`` is the row where ``objects[code]`` first
+    appears, so ``first_rows`` ascends.  Rows are told apart by
+    identity, not equality: equal but distinct objects get codes of
+    their own, exactly as each would be judged on its own.
+
+    ``wire_values`` and ``wire_texts`` are filled by
+    :class:`repro.core.sweep.SweepFinding`: one tagged-JSON value and one
+    dumped text per distinct witness object, for the index's lifetime.
+    """
+
+    __slots__ = ("objects", "codes", "first_rows", "wire_values",
+                 "wire_texts")
+
+    def __init__(self, items: Sequence[Any]) -> None:
+        # id -> first row: walking backwards, the earliest row writes last.
+        first = dict(zip(map(id, reversed(items)),
+                         range(len(items) - 1, -1, -1)))
+        self.first_rows: List[int] = sorted(first.values())
+        self.objects: List[Any] = list(map(items.__getitem__,
+                                           self.first_rows))
+        code_of = dict(zip(map(id, self.objects), itertools.count()))
+        self.codes = _code_array(len(self.objects),
+                                 map(code_of.__getitem__, map(id, items)))
+        self.wire_values: List[Any] = [None] * len(self.objects)
+        self.wire_texts: List[Optional[str]] = [None] * len(self.objects)
+        if _OBS.enabled:
+            _OBS.incr("domain.distinct.built")
+
+
+#: Per-domain-object index table.  A weak side table, never a domain
+#: attribute: an attribute would ride along in every pickle of the
+#: domain (cluster task payloads), and weak keys keep an index from
+#: pinning a dead domain.
+_DISTINCT: "weakref.WeakKeyDictionary[Any, DistinctRows]" = \
+    weakref.WeakKeyDictionary()
+_DISTINCT_LOCK = threading.Lock()
+
+
+def _new_lock_in_child() -> None:
+    # A worker forked while another thread was building an index would
+    # otherwise inherit the lock held, and wait on it forever.
+    global _DISTINCT_LOCK
+    _DISTINCT_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_lock_in_child)
+
+
+def distinct_rows(domain: Any) -> Optional[DistinctRows]:
+    """The :class:`DistinctRows` index of a domain, or ``None`` for a
+    ``range`` or record-product backing, whose rows never repeat a
+    reference.
+
+    A :class:`Domain` (anything with a ``backing``) over a list or tuple
+    builds its index once and keeps it in a weak side table.  A raw list
+    or tuple, which cannot be weakly referenced, gets a fresh index on
+    every call, and any other iterable is materialized into one.  Each
+    build counts as ``domain.distinct.built``.  Assumes, as every memo
+    keyed on a domain does, that the backing is not mutated once
+    scanned.
+    """
+    backing = getattr(domain, "backing", domain)
+    if isinstance(backing, (range, _LazyProduct)):
+        return None
+    if not isinstance(backing, (list, tuple)):
+        return DistinctRows(list(backing))
+    if backing is domain:
+        return DistinctRows(backing)
+    try:
+        index = _DISTINCT.get(domain)
+    except TypeError:  # not weakly referenceable
+        return DistinctRows(backing)
+    if index is None:
+        with _DISTINCT_LOCK:
+            index = _DISTINCT.get(domain)
+            if index is None:
+                index = DistinctRows(backing)
+                _DISTINCT[domain] = index
+    return index

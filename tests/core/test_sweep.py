@@ -19,10 +19,12 @@ Four families of guarantees:
 import dataclasses
 import inspect
 import json
+import operator
+import pickle
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -53,7 +55,7 @@ from repro.core import (
     sweep_models,
 )
 from repro import obs
-from repro.core import columnar, plan
+from repro.core import columnar, dist, plan, witness
 from repro.core import sweep as sweep_module
 from repro.core.predspec import encode_value
 from repro.core.sweep import SweepFinding
@@ -485,7 +487,7 @@ class TestPredicateCache:
     def test_scan_entry_points_take_no_memo(self):
         from repro.core import dist
         entry_points = (hidden_witness_scan, sweep_models,
-                        sweep_module._identity_scan,
+                        sweep_module._scan, sweep_module._scan_codes,
                         sweep_module._scan_task, sweep_module._run_tasks,
                         sweep_module._sweep_tasks, dist._chunk_worker)
         for fn in entry_points:
@@ -504,6 +506,168 @@ class TestPredicateCache:
         # No verdict outlives its scan: the next scan judges again.
         assert hidden_witness_scan(pfsm, domain) == [-1, -1]
         assert calls["n"] == 4
+
+
+def _seed_judged(pfsm, domain, limit):
+    """How many distinct references a scan that memoizes verdicts by
+    identity judges: those seen up to the row of the ``limit``-th
+    witness."""
+    seen = set()
+    found = 0
+    for candidate in domain if limit > 0 else ():
+        seen.add(id(candidate))  # the domain keeps every object alive
+        if pfsm.takes_hidden_path(candidate):
+            found += 1
+            if found >= limit:
+                break
+    return len(seen)
+
+
+def _twin(obj):
+    """An equal object that is not ``obj`` (where one can exist)."""
+    if isinstance(obj, dict):
+        return dict(obj)
+    if isinstance(obj, str):
+        return "".join(list(obj))  # a new object from two characters up
+    if isinstance(obj, int):
+        return int(str(obj))  # a new object outside the small-int cache
+    return obj
+
+
+#: Domain objects: small and large ints, short strings, unhashable
+#: dicts, and objects outside the witness codec.
+_ROW_OBJECTS = st.one_of(
+    st.integers(-3, 3), st.integers(1000, 1003),
+    st.text(alphabet="ab%", max_size=3),
+    st.builds(lambda n, k: {"n": n, "k": k},
+              st.integers(-2, 2), st.text(alphabet="xy", max_size=2)),
+    st.builds(object))
+
+
+@st.composite
+def _repeating_domains(draw):
+    """``(domain, limit)``: a few objects, some with equal twins, tiled
+    by reference in any order, on a list, tuple or raw-list backing."""
+    pool = draw(st.lists(_ROW_OBJECTS, min_size=1, max_size=6))
+    pool += [_twin(obj) for obj in pool if draw(st.booleans())]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    items = [pool[i] for i in picks]
+    backing = draw(st.sampled_from(("list", "tuple", "raw")))
+    domain = {"list": lambda: Domain(items),
+              "tuple": lambda: Domain(tuple(items)),
+              "raw": lambda: items}[backing]()
+    return domain, draw(st.integers(0, 3) | st.integers(0, len(items) + 2))
+
+
+def _mixed_pfsms():
+    """A compiled and an opaque (plain) pFSM over mixed-type objects."""
+    compiled = PrimitiveFSM(
+        "c", "scan", "x",
+        spec_accepts=satisfies_any(is_instance(int), length_le(1),
+                                   attr("n", less_equal(0))),
+        impl_accepts=always)
+    opaque = PrimitiveFSM(
+        "o", "scan", "x",
+        spec_accepts=Predicate(
+            lambda x: not (isinstance(x, dict) and x["n"] > 0
+                           or isinstance(x, int) and x > 1000),
+            "no positive n, no large int"),
+        impl_accepts=None)
+    assert plan.program_for(compiled) is not None
+    assert plan.program_for(opaque) is None
+    return {"compiled": compiled, "plain": opaque}
+
+
+def _response_line(finding):
+    from repro.serve.protocol import encode_line, finding_payload
+
+    return encode_line({"status": "ok", "model": "m",
+                        "findings": [finding_payload(finding)]})
+
+
+class TestDistinctRowScan:
+    """The compiled and plain scans walk the domain's distinct-row
+    index: the same witnesses, judgements and wire bytes as a scan that
+    memoizes verdicts by identity row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_repeating_domains(), st.sampled_from(("compiled", "plain")))
+    # The limit is reached on a repeat, before "x"/1 is ever judged.
+    @example((Domain(["ab", "ab", "x", 1]), 2), "compiled")
+    @example(([{"n": 1, "k": ""}] * 2 + [1001], 2), "plain")
+    def test_scan_matches_the_seed_scan_by_identity(self, case, strategy):
+        domain, limit = case
+        pfsm = _mixed_pfsms()[strategy]
+        expected = _seed_scan(pfsm, domain, limit) if limit > 0 else []
+        with _counters() as counters:
+            found = hidden_witness_scan(pfsm, domain, limit=limit)
+        assert len(found) == len(expected)
+        assert all(map(operator.is_, found, expected))
+        assert counters.get("sweep.objects.judged", 0) == \
+            _seed_judged(pfsm, domain, limit)
+        if limit > 0:
+            assert counters[f"sweep.scans.{strategy}"] == 1
+
+        finding = sweep_module._scan_task(("m", "op", pfsm, domain, limit))
+        if not expected:
+            assert finding is None
+            return
+        assert "_codes" in vars(finding)
+        assert all(map(operator.is_, finding.witnesses, expected))
+        plain = dataclasses.replace(finding)  # the same finding, no rows
+        assert "_codes" not in vars(plain)
+        assert finding.wire_witnesses == plain.wire_witnesses
+        if finding.wire_json is None:
+            assert plain.wire_json is None
+            return
+        assert finding.wire_json == json.dumps(finding.wire_witnesses,
+                                               separators=(",", ":"))
+        assert dist._store_line("k", finding) == \
+            dist._store_line("k", plain)
+        assert _response_line(finding) == _response_line(plain)
+
+    def test_each_distinct_object_is_encoded_once_per_domain(
+            self, monkeypatch):
+        calls = []
+        encode = sweep_module.encode_value
+
+        def recording(value):
+            calls.append(value)
+            return encode(value)
+
+        monkeypatch.setattr(sweep_module, "encode_value", recording)
+        pfsm = _mixed_pfsms()["compiled"]
+        domain = Domain(["ab", 1, "%%", {"n": 1, "k": ""}] * 30)
+        findings = [sweep_module._scan_task(("m", "op", pfsm, domain, limit))
+                    for limit in (1, 7, 50, 10**6)]
+        texts = [finding.wire_json for finding in findings]
+        assert calls == ["ab", "%%", {"n": 1, "k": ""}]
+        assert texts[-1] == json.dumps(
+            [encode_value(w) for w in findings[-1].witnesses],
+            separators=(",", ":"))
+        assert [len(f.witnesses) for f in findings] == [1, 7, 50, 90]
+
+    def test_domain_and_finding_pickle_as_if_never_scanned(self):
+        label = "Sendmail Signed Integer Overflow"
+        model = all_extended_models()[label]
+        operation, pfsm = next((op, p) for op, p in model.all_pfsms()
+                               if p.name == "pFSM1")
+        items = list(all_extended_pfsm_domains()[label]["pFSM1"]) * 40
+        scanned = Domain(items, description="tiled probes")
+        pristine = Domain(list(items), description="tiled probes")
+        finding = sweep_module._scan_task(
+            (model.name, operation.name, pfsm, scanned, 5))
+        assert witness._DISTINCT.get(scanned) is not None
+        assert "_codes" in vars(finding)
+        twin = dataclasses.replace(finding)
+        assert pickle.dumps(scanned) == pickle.dumps(pristine)
+        assert pickle.dumps(finding) == pickle.dumps(twin)
+        assert finding.wire_json == twin.wire_json
+        assert pickle.dumps(finding) == pickle.dumps(twin)
+        assert len(pickle.dumps(finding)) < 2048
+        returned = pickle.loads(pickle.dumps(finding))
+        assert "_codes" not in vars(returned)
+        assert returned == finding and returned.wire_json == twin.wire_json
 
 
 class TestEvaluateDigestMany:

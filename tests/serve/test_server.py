@@ -620,3 +620,42 @@ class TestThreads:
         counters = server.server.stats.snapshot()["counters"]
         assert counters["batches"] == 2
         assert counters["batch.requests"] == 3
+
+
+class TestDistinctRowIndex:
+    """The scans of a long-running server read one distinct-row index
+    per domain, built at its first digest or scan."""
+
+    def test_each_scanned_domain_builds_its_index_once(self):
+        from repro import obs
+        from repro.models import (all_extended_models,
+                                  all_extended_pfsm_domains)
+        from repro.serve import MODEL_KEYS
+
+        # The probe domains tiled by reference, as a corpus re-probes
+        # the same objects: every one of them list-backed.
+        domains = {label: {name: Domain(list(domain) * 4)
+                           for name, domain in per_model.items()}
+                   for label, per_model in
+                   all_extended_pfsm_domains().items()}
+        corpus = AnalysisCorpus(models=all_extended_models(),
+                                domains=domains)
+        keys = list(MODEL_KEYS)
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        handle = ServerThread(ServeConfig(port=0), corpus=corpus).start()
+        try:
+            with client_for(handle) as client:
+                for i in range(200):  # 200 distinct (key, limit) queries
+                    response = client.query(keys[i % len(keys)],
+                                            limit=1 + i // len(keys))
+                    assert response["status"] == "ok", response
+                    assert response["cached"] is False
+            counters = registry.counters()
+        finally:
+            handle.shutdown()
+            registry.disable()
+            registry.reset()
+        assert counters["sweep.tasks.completed"] > 28
+        assert counters["domain.distinct.built"] == 28
