@@ -6,7 +6,7 @@ hidden_witness_scan` judges one Python object at a time: the compiled
 :class:`~repro.core.plan.ScanProgram` is a fused closure, but it is
 still *called* once per distinct object of the domain.  For the
 corpus-scale domains the ROADMAP targets — millions of
-integers, tiled probe strings, record products — that per-object
+integers, record products, telemetry captures — that per-object
 dispatch dominates the sweep.  This module adds the standard analytical
 fix: **columnar execution**.
 
@@ -14,27 +14,33 @@ Two layers:
 
 * **The encoder.**  :func:`encoding_for` converts a domain into a
   struct-of-arrays :class:`Encoding` — one typed column per field (or
-  one column for scalar domains), with the row id implicit in position.
-  Integer domains encode as ``int64`` buffers, strings/bytes keep their
-  value list plus a vectorizable length column; ``range`` backings and
-  lazy record products encode without materializing the product's
-  dicts.  Encodings are memoized on the domain object (a weak side
-  table), so every task of a sweep over one domain pays the encoding
-  once; equal-content but distinct domain objects each encode their own.
+  one column for scalar domains).  A list- or tuple-backed domain
+  encodes the distinct objects of its distinct-row index
+  (:func:`repro.core.witness.distinct_rows`), so a column position is
+  a *code* of that index and a repeated object is encoded once;
+  ``range`` backings and lazy record products have no index, their
+  codes are their rows, and they encode without materializing the
+  product's dicts.  Integer columns are ``int64`` buffers, strings/bytes
+  keep their value list plus a vectorizable length column.  Encodings
+  are memoized on the domain object (a weak side table), so every task
+  of a sweep over one domain pays the encoding once; equal-content but
+  distinct domain objects each encode their own.
 
-* **The kernels.**  :func:`scan_program` lowers a closed predspec DAG
-  (through the same folded node trees as :mod:`repro.core.plan`) into
-  whole-column mask operations: comparisons become vectorized compares,
-  boolean combinators become mask algebra, ``attr`` nodes switch to the
-  field's column.  Each encoding picks its mask backend from its row
-  count: from ``_NUMPY_MIN_ROWS`` rows up, with ``numpy`` installed,
-  masks are boolean ndarrays; below it (or without numpy) a pure-stdlib
-  backend represents each mask as a big integer over one
-  ``0x00``/``0x01`` byte per row (``&``/``|`` are then single C-level
-  big-int operations, and witness selection is a C-level ``bytes.find``
-  scan).  Node masks are cached on the encoding by structural digest,
-  so tasks sharing subpredicates over one domain — in one sweep or
-  across serve batches — reuse each other's masks.
+* **The kernels.**  :meth:`Encoding.kernel` lowers a closed predspec
+  DAG (through the same folded node trees as :mod:`repro.core.plan`)
+  into whole-column mask operations: comparisons become vectorized
+  compares, boolean combinators become mask algebra, ``attr`` nodes
+  switch to the field's column.  Each encoding picks its mask backend
+  from the number of objects it encodes: from ``_NUMPY_MIN_ROWS`` up,
+  with ``numpy`` installed, masks are boolean ndarrays; below it (or
+  without numpy) big integers over one ``0x00``/``0x01`` byte per code,
+  whose ``&``/``|`` are single C-level operations.  :func:`verdicts`
+  turns the root mask into one verdict byte per code, and the sweep
+  selects the witness rows from those with the ``bytes.translate``/
+  ``compress`` step the compiled scan uses.  Node masks are cached on
+  the encoding by structural digest, so tasks sharing subpredicates
+  over one domain — in one sweep or across serve batches — reuse each
+  other's masks.
 
   Kernels are *bit-for-bit equivalent* to the scalar scan: every leaf
   verdict is derived analytically per column type, including the
@@ -44,8 +50,8 @@ Two layers:
   constructors' ``int(·)`` coercion (``le`` over a string column falls
   back to an elementwise guarded coercion).  A spec that cannot be
   vectorized exactly (``named`` predicates, nested ``attr``, columns of
-  mixed type) *bails*: :func:`scan_program` returns ``None`` and the
-  caller falls through to the compiled scalar scan.
+  mixed type) *bails*: :func:`verdicts` returns ``None`` and the caller
+  falls through to the compiled scalar scan.
 
 Process-backend workers are forked after their sweep's task list
 exists, so they scan the very domain objects the parent holds, along
@@ -73,7 +79,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..obs import DEFAULT as _OBS
 from . import plan as _plan
 from .predspec import decode_value, spec_fields, _resolve_type
-from .witness import _LazyProduct, distinct_rows
+from .witness import DistinctRows, _LazyProduct, distinct_rows
 
 __all__ = [
     "Encoding",
@@ -82,10 +88,9 @@ __all__ = [
     "force_fallback",
     "is_enabled",
     "kernel_backend",
-    "scan_program",
-    "scan_rows",
     "set_enabled",
     "set_min_rows",
+    "verdicts",
 ]
 
 
@@ -93,16 +98,16 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-#: Encodings with at least this many rows use numpy masks; smaller ones
+# The row thresholds below count the objects an encoding holds (the
+# distinct objects of an indexed domain), which is what a kernel's work
+# scales with.
+
+#: Encodings of at least this many objects use numpy masks; smaller ones
 #: use the stdlib kernels, which are as fast there, so a process whose
 #: domains all stay below it never imports numpy.  Measured crossover:
 #: EXPERIMENTS.md, "numpy only where it pays".
 _NUMPY_MIN_ROWS = 1 << 14
 
-#: Rows before the duplicate-density gate engages (below it, building
-#: the domain's distinct-row index for the gate alone costs more than it
-#: saves, and tests use tiny corpora anyway).
-_DUP_GATE_MIN_ROWS = 4096
 #: Encoding (and lazy-product materialization) ceiling — memory guard.
 _MAX_ROWS = 1 << 22
 
@@ -113,7 +118,8 @@ _MASK_CACHE_MIN_COST = 0.9
 _MASK_CACHE_ENTRIES = 32
 
 _ENABLED = True
-#: Domains smaller than this scan faster scalar than they encode.
+#: Domains with fewer objects than this scan faster scalar than they
+#: encode.
 _MIN_ROWS = 256
 _FORCE_FALLBACK = os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0")
 
@@ -161,8 +167,9 @@ def force_fallback():
 
 
 def set_min_rows(rows: int) -> int:
-    """Set the minimum domain size for columnar encoding; returns the
-    previous threshold.  Tests drop it to exercise tiny domains."""
+    """Set the minimum number of objects a columnar encoding holds;
+    returns the previous threshold.  Tests drop it to exercise tiny
+    domains."""
     global _MIN_ROWS
     previous = _MIN_ROWS
     _MIN_ROWS = max(0, int(rows))
@@ -176,14 +183,14 @@ def _config_stamp() -> Tuple[Any, ...]:
 # ---------------------------------------------------------------------------
 # Mask backends.
 #
-# Each encoding holds one ops object, chosen from its row count when it
-# is built, and every backend-specific step (int64 column buffers,
-# length columns, vectorized compares, mask algebra, witness selection)
-# asks it.  numpy masks are boolean ndarrays.  Stdlib masks are
-# non-negative big integers holding one 0x00/0x01 byte per row
-# (little-endian): ``&`` and ``|`` are then single big-int operations,
-# negation XORs against the all-ones constant, and witness selection is
-# a C-level ``bytes.find``.
+# Each encoding holds one ops object, chosen from its size when it is
+# built, and every backend-specific step (int64 column buffers, length
+# columns, vectorized compares, mask algebra, verdict bytes) asks it.
+# numpy masks are boolean ndarrays.  Stdlib masks are non-negative big
+# integers holding one 0x00/0x01 byte per code (little-endian): ``&``
+# and ``|`` are then single big-int operations, and negation XORs
+# against the all-ones constant.  Both turn a mask into one verdict byte
+# per code in C (``flags``).
 # ---------------------------------------------------------------------------
 
 class _NumpyOps:
@@ -208,11 +215,8 @@ class _NumpyOps:
     def from_iter(self, flags: Iterable[int]) -> Any:
         return self.np.fromiter(flags, dtype=bool, count=self.n)
 
-    def indices(self, mask: Any, limit: int) -> List[int]:
-        hits = self.np.flatnonzero(mask)
-        if limit < len(hits):
-            hits = hits[:limit]
-        return [int(i) for i in hits]
+    def flags(self, mask: Any) -> bytes:
+        return mask.tobytes()
 
     # -- int64 columns -----------------------------------------------------
 
@@ -272,16 +276,8 @@ class _IntOps:
     def from_iter(self, flags: Iterable[int]) -> int:
         return int.from_bytes(bytes(bytearray(flags)), "little")
 
-    def indices(self, mask: int, limit: int) -> List[int]:
-        found: List[int] = []
-        if mask == 0 or limit <= 0:
-            return found
-        data = mask.to_bytes(self.n, "little")
-        position = data.find(1)
-        while position != -1 and len(found) < limit:
-            found.append(position)
-            position = data.find(1, position + 1)
-        return found
+    def flags(self, mask: int) -> bytes:
+        return mask.to_bytes(self.n, "little")
 
     # -- int64 columns -----------------------------------------------------
 
@@ -316,8 +312,8 @@ class _IntOps:
 
 
 def _make_ops(n: int) -> Any:
-    """The mask backend of an ``n``-row encoding: numpy from
-    ``_NUMPY_MIN_ROWS`` rows up (imported here, on the first such
+    """The mask backend of an ``n``-object encoding: numpy from
+    ``_NUMPY_MIN_ROWS`` objects up (imported here, on the first such
     encoding) unless it is missing or bypassed, stdlib otherwise."""
     if n >= _NUMPY_MIN_ROWS and not _FORCE_FALLBACK:
         try:
@@ -389,29 +385,33 @@ def _tile(values: List[Any], stride: int, repeat: int) -> List[Any]:
 # ---------------------------------------------------------------------------
 
 class Encoding:
-    """Struct-of-arrays form of one domain.
+    """Struct-of-arrays form of one domain, one position per code.
 
     ``mode`` records the source shape: ``"range"`` / ``"scalar"``
-    (materialized ints, strings, or bytes), ``"record"`` (homogeneous
-    dicts), ``"product"`` (a lazy :class:`~repro.core.witness.
-    _LazyProduct`, whose columns tile without building the dicts).
-    Column buffers, node masks, and compiled kernels are all memoized
-    here, so every consumer of one domain shares them.  This is
-    deliberately lock-free: kernels are pure, so a racing
-    double-computation wastes work but never corrupts a verdict.
+    (ints, strings, or bytes), ``"record"`` (homogeneous dicts),
+    ``"product"`` (a lazy :class:`~repro.core.witness._LazyProduct`,
+    whose columns tile without building the dicts).  ``index`` is the
+    domain's distinct-row index for the ``"scalar"`` and ``"record"``
+    modes, whose ``n`` positions are its codes (``index.objects``), and
+    ``None`` for the other two, whose codes are their rows.  Column
+    buffers, node masks, and compiled kernels are all memoized here, so
+    every consumer of one domain shares them.  This is deliberately
+    lock-free: kernels are pure, so a racing double-computation wastes
+    work but never corrupts a verdict.
     """
 
-    __slots__ = ("n", "mode", "scalar_kind", "fields", "ops",
-                 "_items", "_range", "_sources", "_strides", "_columns",
-                 "_field_kinds", "_masks", "_kernels", "_row_keys")
+    __slots__ = ("n", "mode", "index", "scalar_kind", "fields", "ops",
+                 "_range", "_sources", "_strides", "_columns",
+                 "_field_kinds", "_masks", "_kernels")
 
-    def __init__(self, n: int, mode: str) -> None:
+    def __init__(self, n: int, mode: str,
+                 index: Optional[DistinctRows] = None) -> None:
         self.n = n
         self.mode = mode
+        self.index = index
         self.scalar_kind: Optional[str] = None
         self.fields: Tuple[str, ...] = ()
         self.ops = _make_ops(n)
-        self._items: Any = None
         self._range: Optional[range] = None
         self._sources: Dict[str, List[Any]] = {}
         self._strides: Dict[str, Tuple[int, int]] = {}
@@ -420,7 +420,6 @@ class Encoding:
         self._masks: "OrderedDict[Tuple[str, Optional[str]], Any]" = \
             OrderedDict()
         self._kernels: Dict[str, Any] = {}
-        self._row_keys: Tuple[str, ...] = ()
 
     # -- column access -----------------------------------------------------
 
@@ -431,7 +430,7 @@ class Encoding:
             if name in self._sources:
                 kind = _scan_kind(self._sources[name])
             else:
-                kind = _scan_kind(item[name] for item in self._items)
+                kind = _scan_kind(item[name] for item in self.index.objects)
             self._field_kinds[name] = kind
         return kind
 
@@ -455,8 +454,8 @@ class Encoding:
         if self._range is not None:
             return _Column("int", self.ops.int_range(self._range))
         if kind == "int":
-            return _Column("int", self.ops.ints(self._items))
-        return _Column(kind, self._items)
+            return _Column("int", self.ops.ints(self.index.objects))
+        return _Column(kind, self.index.objects)
 
     def _build_field_column(self, field: str) -> _Column:
         kind = self.field_kind(field)
@@ -470,7 +469,7 @@ class Encoding:
             else:
                 values = _tile(source, stride, repeat)
             return _Column(kind, values)
-        items = self._items
+        items = self.index.objects
         if kind == "int":
             values = self.ops.ints(item[field] for item in items)
         else:
@@ -479,24 +478,18 @@ class Encoding:
 
     # -- witness materialization -------------------------------------------
 
-    def row(self, index: int) -> Any:
-        """The domain object at ``index`` — the original reference for
-        materialized domains, an equal reconstruction otherwise."""
-        if self._items is not None:
-            return self._items[index]
+    def row(self, position: int) -> Any:
+        """The object at row ``position`` of a backing without an index:
+        the integer of a ``range``, an equal reconstruction of a
+        product's dict."""
         if self._range is not None:
-            return self._range[index]
-        sources, strides = self._sources, self._strides  # a product
+            return self._range[position]
+        sources, strides = self._sources, self._strides
         return {
             name: sources[name][
-                (index // strides[name][0]) % len(sources[name])]
+                (position // strides[name][0]) % len(sources[name])]
             for name in self.fields
         }
-
-    def rows(self, indices: Iterable[int]) -> List[Any]:
-        if self._items is not None:
-            return list(map(self._items.__getitem__, indices))
-        return [self.row(i) for i in indices]
 
     # -- mask cache --------------------------------------------------------
 
@@ -550,8 +543,7 @@ _UNVECTORIZABLE = object()
 class Kernel:
     """One compiled columnar scan: a folded spec tree bound to an
     encoding.  ``mask()`` evaluates bottom-up through the encoding's
-    digest-keyed mask cache; ``rows(limit)`` selects the positions of
-    the first ``limit`` set rows in domain order."""
+    digest-keyed mask cache, one verdict per code."""
 
     __slots__ = ("encoding", "root")
 
@@ -561,9 +553,6 @@ class Kernel:
 
     def mask(self) -> Any:
         return _node_mask(self.root, self.encoding, None)
-
-    def rows(self, limit: int) -> List[int]:
-        return self.encoding.ops.indices(self.mask(), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -824,29 +813,28 @@ def _text_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
 # The encoder.
 # ---------------------------------------------------------------------------
 
-def _build_encoding(domain: Any) -> Optional[Encoding]:
-    try:
-        n = len(domain)
-    except TypeError:
-        return None
-    if n < max(1, _MIN_ROWS) or n > _MAX_ROWS:
-        return None
+def _encodable_size(n: int) -> bool:
+    return max(1, _MIN_ROWS) <= n <= _MAX_ROWS
+
+
+def _build_encoding(domain: Any,
+                    index: Optional[DistinctRows]) -> Optional[Encoding]:
     backing = getattr(domain, "backing", domain)
     if isinstance(backing, range):
-        if not (_I64_MIN <= backing.start <= _I64_MAX
+        if not _encodable_size(len(backing)) or not (
+                _I64_MIN <= backing.start <= _I64_MAX
                 and _I64_MIN <= backing[-1] <= _I64_MAX):
             return None
-        encoding = Encoding(n, "range")
+        encoding = Encoding(len(backing), "range")
         encoding.scalar_kind = "int"
         encoding._range = backing
         return encoding
     if isinstance(backing, _LazyProduct):
+        n = len(backing)
         names = backing._names
         columns = backing._columns
-        if len(set(names)) != len(names) or any(
+        if not _encodable_size(n) or len(set(names)) != len(names) or any(
                 not isinstance(name, str) for name in names):
-            return None
-        if any(len(column) == 0 for column in columns):
             return None
         encoding = Encoding(n, "product")
         encoding.fields = tuple(names)
@@ -856,25 +844,17 @@ def _build_encoding(domain: Any) -> Optional[Encoding]:
             encoding._strides[name] = (stride, n // (stride * len(column)))
             stride *= len(column)
         return encoding
-    if isinstance(backing, (list, tuple)):
-        items = backing
-    else:
-        items = list(domain)
-    if len(items) != n:
+    if index is None:
+        if not isinstance(backing, (list, tuple)):
+            return None  # a one-shot iterable is read once, by its scan
+        index = distinct_rows(domain)
+    items = index.objects
+    if not _encodable_size(len(items)):
         return None
-    if n >= _DUP_GATE_MIN_ROWS:
-        # Duplicate-dominated corpora (the same object references tiled
-        # thousands of times) are the scalar scan's best case: it judges
-        # each distinct object of the domain's distinct-row index once,
-        # in O(distinct), while column kernels would grind all n rows.
-        # Decline so the planner keeps those on the compiled path.
-        if len(distinct_rows(domain).objects) * 20 < n:
-            return None
     kind = _scan_kind(items)
     if kind != "obj":
-        encoding = Encoding(n, "scalar")
+        encoding = Encoding(len(items), "scalar", index)
         encoding.scalar_kind = kind
-        encoding._items = items
         return encoding
     first = items[0]
     if type(first) is not dict:
@@ -889,16 +869,21 @@ def _build_encoding(domain: Any) -> Optional[Encoding]:
         for name in fields:
             if name not in item:
                 return None
-    encoding = Encoding(n, "record")
+    encoding = Encoding(len(items), "record", index)
     encoding.fields = fields
-    encoding._items = items
     return encoding
 
 
-def encoding_for(domain: Any) -> Optional[Encoding]:
+def encoding_for(domain: Any,
+                 index: Optional[DistinctRows] = None) -> Optional[Encoding]:
     """The struct-of-arrays encoding of ``domain``, or ``None`` when the
     domain is not encodable (or outside the size thresholds).
 
+    A list- or tuple-backed domain encodes the objects of its
+    distinct-row index: ``index`` when the caller holds it already,
+    :func:`~repro.core.witness.distinct_rows` otherwise.  Any other
+    iterable encodes only from the ``index`` its scan built, so that
+    nothing else consumes it.
     Memoized on the domain object, validated against the backend/
     threshold configuration.  Each encoding built counts under
     ``columnar.encodings.<backend>`` (``numpy`` or ``stdlib``).
@@ -911,7 +896,7 @@ def encoding_for(domain: Any) -> Optional[Encoding]:
     if memo is not None and memo[0] == stamp:
         return memo[1]
     try:
-        encoding = _build_encoding(domain)
+        encoding = _build_encoding(domain, index)
     except Exception:
         encoding = None
     if encoding is not None and _OBS.enabled:
@@ -936,51 +921,43 @@ _DOMAIN_MEMO: "weakref.WeakKeyDictionary[Any, Tuple[Any, ...]]" = \
 # The scan entry points.
 # ---------------------------------------------------------------------------
 
-def scan_program(program: Any, domain: Any, limit: int) -> Optional[List[Any]]:
-    """Columnar witnesses of one compiled hidden-set program over one
-    domain — ``None`` when the strategy does not apply (disabled, domain
-    not encodable, or spec not vectorizable), in which case the caller
-    falls through to the compiled scalar scan.
-
-    When it applies, the result is bit-for-bit what the scalar scan
-    returns: witnesses in domain iteration order, repeated occurrences
-    reported per occurrence, truncated at ``limit``.
-    """
-    found = scan_rows(program, domain, limit)
-    if found is None:
-        return None
-    encoding, rows = found
-    return encoding.rows(rows)
-
-
-def scan_rows(program: Any, domain: Any,
-              limit: int) -> Optional[Tuple[Encoding, List[int]]]:
-    """:func:`scan_program` by row position: ``(encoding, rows)``, where
-    ``encoding.rows(rows)`` are the witnesses, or ``None`` when the
-    strategy does not apply."""
+def _kernel(program: Any, domain: Any,
+            index: Optional[DistinctRows] = None) -> Optional[Kernel]:
     if not _ENABLED or program is None:
         return None
-    encoding = encoding_for(domain)
-    if encoding is None:
-        return None
-    kernel = encoding.kernel(program)
+    encoding = encoding_for(domain, index)
+    return None if encoding is None else encoding.kernel(program)
+
+
+def verdicts(program: Any, domain: Any,
+             index: Optional[DistinctRows] = None
+             ) -> Optional[Tuple[Encoding, bytes]]:
+    """The columnar verdicts of one compiled hidden-set program over
+    one domain: ``(encoding, flags)``, where ``flags[code]`` is 1 when
+    the object of that code rides the hidden path and 0 otherwise, or
+    ``None`` when the strategy does not apply (disabled, domain not
+    encodable, or spec not vectorizable), in which case the caller
+    falls through to the compiled scalar scan.
+
+    A code is a position in ``encoding.index.objects`` when the
+    encoding has an index (``index``, if given, must be the domain's),
+    and a row otherwise.  The flags equal the scalar program's verdict
+    on each object, bit for bit.
+    """
+    kernel = _kernel(program, domain, index)
     if kernel is None:
         return None
     try:
-        return encoding, kernel.rows(limit)
+        return kernel.encoding, kernel.encoding.ops.flags(kernel.mask())
     except Exception:
         return None
 
 
 def kernel_backend(program: Any, domain: Any) -> Optional[str]:
-    """Would :func:`scan_program` take this task?  The mask backend its
+    """Would :func:`verdicts` take this task?  The mask backend its
     kernel would run on (``"numpy"`` or ``"stdlib"``), or ``None`` when
     it would decline.  Validates (and memoizes) the kernel without
     computing any mask — the planner's probe, cheap enough for per-task
     cost estimation."""
-    if not _ENABLED or program is None:
-        return None
-    encoding = encoding_for(domain)
-    if encoding is None or encoding.kernel(program) is None:
-        return None
-    return encoding.ops.name
+    kernel = _kernel(program, domain)
+    return None if kernel is None else kernel.encoding.ops.name

@@ -34,10 +34,10 @@ to the nearest shield yields ``False`` exactly where the interpreter's
 
 Each program judges each distinct object of one scan once (the scan
 walks the domain's distinct-row index, :mod:`repro.core.sweep`); there
-is no verdict memo, and no verdict is shared between tasks.  A program is memoized only on the
-pFSM it was compiled for (:func:`program_for`); that memo survives a
-fork but never a pickle.  Programs are picklable: they ship as their
-spec alone and recompile in the receiving process.
+is no verdict memo, and no verdict is shared between tasks.  A program
+is memoized only on the pFSM it was compiled for (:func:`program_for`);
+that memo survives a fork but never a pickle.  Programs are picklable:
+they ship as their spec alone and recompile in the receiving process.
 
 The planner can be bypassed wholesale (``set_enabled`` /
 :func:`disabled` — the benchmark's A/B switch and the CLI's
@@ -538,8 +538,9 @@ def program_for(pfsm: Any) -> Optional[ScanProgram]:
 
 
 def _hidden_interval_set(pfsm: Any) -> Optional[IntervalSet]:
-    """Interval form of ``¬spec ∧ impl`` (the machinery behind
-    ``sweep._hidden_intervals``), or ``None`` if either side is opaque."""
+    """Interval form of ``¬spec ∧ impl``, or ``None`` if either side is
+    opaque: the one interval probe of the planner and of the sweep's
+    scans and counts."""
     spec_iv = pfsm.spec_accepts.intervals
     if spec_iv is None:
         return None

@@ -14,11 +14,12 @@ work, in two layers:
    :mod:`repro.core.predicates`) and the domain is ``range``-backed
    (witness *counting* is O(1), *listing* O(limit)); a columnar mask
    pass (:mod:`repro.core.columnar`); a compiled single-pass program
-   (:mod:`repro.core.plan`); or the scalar predicate calls.  The
-   compiled and scalar scans walk the domain's distinct-row index
+   (:mod:`repro.core.plan`); or the scalar predicate calls.  All but
+   the interval scan walk the domain's distinct-row index
    (:func:`repro.core.witness.distinct_rows`, built once per domain
    object): each distinct object is judged once per scan, however often
-   the domain repeats it, and the repeats are selected at C speed.  No
+   the domain repeats it — by one column mask over all of them, or one
+   call at a time — and the repeats are selected at C speed.  No
    verdict outlives the scan, and every task — inline, in a worker's
    chunk or in a serve batch — runs its own scan.  A finding from such
    a scan encodes its witnesses from the index's per-object fragments,
@@ -69,13 +70,7 @@ from typing import (
 from ..obs import DEFAULT as _OBS
 from . import columnar as _columnar
 from . import plan as _plan
-from .predicates import (
-    _clipped_subranges,
-    _complement_intervals,
-    _intersect_intervals,
-    _FULL_LINE,
-    _range_backing,
-)
+from .predicates import _clipped_subranges, _range_backing
 from .predspec import encode_value
 from .witness import DistinctRows, distinct_rows
 
@@ -98,28 +93,12 @@ BACKENDS = ("thread", "process", "cluster")
 # Layer 1: hidden-path scans.
 # ---------------------------------------------------------------------------
 
-def _hidden_intervals(pfsm: Any):
-    """The interval set of ``¬spec ∧ impl``, or None if either predicate
-    is opaque."""
-    spec_iv = pfsm.spec_accepts.intervals
-    if spec_iv is None:
-        return None
-    impl = pfsm.impl_accepts
-    if impl is None:
-        impl_iv = _FULL_LINE  # no check at all accepts everything
-    else:
-        impl_iv = impl.intervals
-        if impl_iv is None:
-            return None
-    return _intersect_intervals(_complement_intervals(spec_iv), impl_iv)
-
-
 def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
     """How many domain objects ride the hidden path — O(1) per interval
     on the closed-form path, an O(n) scan otherwise."""
     backing = _range_backing(domain)
     if backing is not None:
-        hidden = _hidden_intervals(pfsm)
+        hidden = _plan._hidden_interval_set(pfsm)
         if hidden is not None:
             if _OBS.enabled:
                 _OBS.incr("sweep.counts.fastpath")
@@ -132,6 +111,30 @@ def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
     return sum(1 for obj in domain if takes(obj))
 
 
+def _verdict_table(index: DistinctRows, flags: bytes = b"") -> bytearray:
+    """A verdict table for ``index``'s codes, one byte per code, 1 when
+    the object of that code rides the hidden path, ``flags`` filling its
+    head.  When codes are narrow it is 256 bytes long, so a slice of
+    codes maps through it in one ``bytes.translate``."""
+    table = bytearray(256 if isinstance(index.codes, bytes)
+                      else len(index.objects))
+    table[:len(flags)] = flags
+    return table
+
+
+def _hidden_codes(codes: Any, table: bytearray, count: int,
+                  start: int = 0, stop: Optional[int] = None
+                  ) -> Iterator[int]:
+    """The codes of up to ``count`` rows of ``codes[start:stop]`` whose
+    verdict in ``table`` is 1, in row order, selected at C speed: one
+    ``bytes.translate`` through the table (a lookup per row for wide
+    codes), then ``compress``."""
+    part = codes[start:stop]
+    flags = part.translate(table) if isinstance(part, bytes) \
+        else map(table.__getitem__, part)
+    return islice(compress(part, flags), count)
+
+
 def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
                 limit: int) -> Tuple[List[int], int]:
     """The codes (``index.objects`` positions) of up to ``limit`` domain
@@ -139,30 +142,21 @@ def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
     objects it judged.
 
     Each distinct object of ``index`` is judged once, in order of first
-    appearance.  Before the object first seen at row ``r`` is judged,
-    the rows below ``r`` not yet taken repeat only objects already
-    judged, so their witnesses are selected at C speed over the code
-    array: one ``bytes.translate`` through the verdict table, then
-    ``compress``.  The scan stops at ``limit``, having judged exactly
-    the objects that first appear before the stopping row, and no
-    verdict outlives it.
+    appearance, and its verdict entered in a :func:`_verdict_table`.
+    Before the object first seen at row ``r`` is judged, the rows below
+    ``r`` not yet taken repeat only objects already judged, so their
+    witnesses are selected by :func:`_hidden_codes`.  The scan stops at
+    ``limit``, having judged exactly the objects that first appear
+    before the stopping row, and no verdict outlives it.
     """
     objects, codes = index.objects, index.codes
-    narrow = isinstance(codes, bytes)
-    # code -> rides the hidden path (a translate table when narrow)
-    hidden: Any = bytearray(256) if narrow else [False] * len(objects)
-
-    def repeats(start: int, stop: Optional[int]) -> Iterator[int]:
-        part = codes[start:stop]
-        flags = part.translate(hidden) if narrow \
-            else map(hidden.__getitem__, part)
-        return islice(compress(part, flags), limit - len(found))
-
+    hidden = _verdict_table(index)
     found: List[int] = []
     done = 0  # rows below ``done`` are decided
     for code, row in enumerate(index.first_rows):
         if row > done and found:
-            found += repeats(done, row)
+            found += _hidden_codes(codes, hidden, limit - len(found),
+                                   done, row)
             if len(found) >= limit:
                 return found, code
         if judge(objects[code]):
@@ -172,7 +166,7 @@ def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
                 return found, code + 1
         done = row + 1
     if found and done < len(codes):
-        found += repeats(done, None)
+        found += _hidden_codes(codes, hidden, limit - len(found), done)
     return found, len(objects)
 
 
@@ -185,7 +179,7 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int
         return [], None, None
     backing = _range_backing(domain)
     if backing is not None:
-        hidden = _hidden_intervals(pfsm)
+        hidden = _plan._hidden_interval_set(pfsm)
         if hidden is not None:
             found: List[Any] = []
             for sub in _clipped_subranges(backing, hidden):
@@ -199,38 +193,37 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int
                 _OBS.incr("sweep.witnesses", len(found))
             return found, None, None
     program = _plan.program_for(pfsm)
-    if program is not None:
-        columns = _columnar.scan_rows(program, domain, limit)
-        if columns is not None:
-            encoding, rows = columns
-            found = encoding.rows(rows)
-            if _OBS.enabled:
-                _OBS.incr("sweep.scans.columnar")
-                _OBS.incr("plan.strategy.columnar")
-                _OBS.incr("sweep.objects.judged", encoding.n)
-                _OBS.incr("sweep.witnesses", len(found))
-            # A raw sequence would build a fresh index for the codes alone.
-            index = distinct_rows(domain) if hasattr(domain, "backing") \
-                else None
-            codes = None if index is None \
-                else list(map(index.codes.__getitem__, rows))
-            return found, index, codes
-        judge, strategy = program.evaluate, "compiled"
-    else:
-        judge, strategy = pfsm.takes_hidden_path, "plain"
     index = distinct_rows(domain)
-    codes = None
-    if index is None:
-        # No row repeats a reference: judge each row as it comes.
-        found = []
-        judged = 0
-        for judged, candidate in enumerate(domain, 1):
-            if judge(candidate):
-                found.append(candidate)
-                if len(found) >= limit:
-                    break
+    codes: Optional[List[int]] = None
+    columns = _columnar.verdicts(program, domain, index)
+    if columns is not None:
+        encoding, flags = columns
+        strategy, judged = "columnar", encoding.n
+        if index is None or len(index.codes) == judged:
+            # No row repeats an object, so each row is its own code.
+            picked = islice(compress(range(judged), flags), limit)
+        else:
+            picked = _hidden_codes(index.codes,
+                                   _verdict_table(index, flags), limit)
+        if index is None:
+            found = list(map(encoding.row, picked))
+        else:
+            codes = list(picked)
     else:
-        codes, judged = _scan_codes(judge, index, limit)
+        judge, strategy = (program.evaluate, "compiled") \
+            if program is not None else (pfsm.takes_hidden_path, "plain")
+        if index is None:
+            # No row repeats a reference: judge each row as it comes.
+            found = []
+            judged = 0
+            for judged, candidate in enumerate(domain, 1):
+                if judge(candidate):
+                    found.append(candidate)
+                    if len(found) >= limit:
+                        break
+        else:
+            codes, judged = _scan_codes(judge, index, limit)
+    if codes is not None:
         found = list(map(index.objects.__getitem__, codes))
     if _OBS.enabled:
         _OBS.incr(f"sweep.scans.{strategy}")
@@ -261,12 +254,14 @@ def hidden_witness_scan(
     * a scalar scan calling the predicates themselves otherwise
       (counted as ``plain``).
 
-    The compiled and scalar scans walk the domain's distinct-row index
-    (:func:`repro.core.witness.distinct_rows`): each distinct object is
-    judged once per scan, in order of first appearance, and the rows
-    that repeat an object already judged are selected without a Python
-    step per row.  Domains whose rows never repeat a reference
-    (``range`` and record-product backings) are judged row by row.  No
+    The columnar, compiled and scalar scans walk the domain's
+    distinct-row index (:func:`repro.core.witness.distinct_rows`): each
+    distinct object is judged once per scan — all at once by a column
+    mask, or in order of first appearance by a program or the
+    predicates — and the rows that repeat an object already judged are
+    selected without a Python step per row.  Domains whose rows never
+    repeat a reference (``range`` and record-product backings) are
+    judged row by row.  No
     verdict outlives its scan.  Witness order always matches domain
     iteration order, and repeated occurrences of a witness are reported
     per occurrence.  Objects are assumed value-stable for the duration

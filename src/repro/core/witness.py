@@ -19,9 +19,9 @@ memory instead of O(∏|fields|) before any predicate runs.
 A materialized domain also knows which of its rows repeat which object:
 :func:`distinct_rows` gives its :class:`DistinctRows` index, built once
 per domain object.  Corpus domains are routinely a small probe set tiled
-by reference, and the scans, the cross-run digest and the columnar
-duplicate gate all read that one index instead of keeping their own
-identity memo.
+by reference, and the scans, the columnar encodings and the cross-run
+digest all read that one index instead of keeping their own identity
+memo.
 """
 
 from __future__ import annotations

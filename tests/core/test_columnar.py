@@ -1,7 +1,7 @@
 """The columnar domain engine (repro.core.columnar).
 
-The engine's contract is *bit-for-bit equivalence*: whenever
-``scan_program`` takes a task, its witnesses must match the compiled
+The engine's contract is *bit-for-bit equivalence*: whenever the
+columnar strategy takes a task, its witnesses must match the compiled
 scalar scan exactly — same objects, same domain iteration order, same
 per-occurrence duplicates, same ``limit`` truncation.  The property
 tests here drive that claim over generated integer, text, and record
@@ -10,10 +10,15 @@ domains by patching ``_NUMPY_MIN_ROWS``, and the pure-stdlib big-int
 kernels via ``force_fallback``), and in the forked workers of a
 process-backend sweep, which scan the domain they inherit.
 
+A repeat-heavy domain pins that a kernel masks each distinct object
+once and that its findings are the compiled scan's, wire text included.
 The unit tests pin the supporting machinery: the per-domain encoding
-memo, kernels shared by program digest, kernel bail-outs (named predicates, nested ``attr``,
-mixed-type columns) and ``spec_fields`` pre-flight.
+memo, kernels shared by program digest, kernel bail-outs (named
+predicates, nested ``attr``, mixed-type columns) and ``spec_fields``
+pre-flight.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -117,10 +122,12 @@ def _scalar(pfsm, domain, limit):
 
 
 def _columnar_witnesses(pfsm, domain, limit):
-    """Witnesses via the columnar kernel itself (not the sweep
-    dispatcher), so tests fail loudly if the kernel declines."""
-    found = columnar.scan_program(program_for(pfsm), domain, limit)
-    assert found is not None, "columnar kernel unexpectedly declined"
+    """Witnesses of a scan that must take the columnar strategy, so
+    tests fail loudly if the kernel declines."""
+    found, counters = _counted(
+        lambda: hidden_witness_scan(pfsm, domain, limit=limit))
+    assert counters.get("sweep.scans.columnar") == 1, \
+        "columnar kernel unexpectedly declined"
     return found
 
 
@@ -150,22 +157,25 @@ int_pred = st.one_of(
 int_rows = st.lists(st.integers(min_value=-12, max_value=12),
                     min_size=1, max_size=48)
 limits = st.integers(min_value=1, max_value=60)
+#: The sequence a generated domain is backed by.
+containers = st.sampled_from([list, tuple])
 
 
 class TestEquivalence:
     """columnar ≡ scalar over generated domains, both backends."""
 
-    def _check(self, spec, impl, rows, limit, backend):
-        domain = Domain(list(rows))
+    def _check(self, spec, impl, rows, limit, backend, container):
+        domain = Domain(container(rows))
         pfsm = _pfsm(spec, impl)
         expected = _scalar(pfsm, domain, limit)
         assert _columnar_witnesses(pfsm, domain, limit) == expected
         assert columnar.encoding_for(domain).ops.name == backend
 
-    @given(spec=int_pred, impl=int_pred, rows=int_rows, limit=limits)
+    @given(spec=int_pred, impl=int_pred, rows=int_rows, limit=limits,
+           container=containers)
     @settings(max_examples=60, deadline=None)
-    def test_integers(self, backend, spec, impl, rows, limit):
-        self._check(spec, impl, rows, limit, backend)
+    def test_integers(self, backend, spec, impl, rows, limit, container):
+        self._check(spec, impl, rows, limit, backend, container)
 
     @given(
         spec=st.one_of(
@@ -184,10 +194,11 @@ class TestEquivalence:
             st.text(alphabet="ab%n", min_size=0, max_size=6),
             min_size=1, max_size=40),
         limit=limits,
+        container=containers,
     )
     @settings(max_examples=60, deadline=None)
-    def test_text(self, backend, spec, impl, rows, limit):
-        self._check(spec, impl, rows, limit, backend)
+    def test_text(self, backend, spec, impl, rows, limit, container):
+        self._check(spec, impl, rows, limit, backend, container)
 
     @given(
         low=bounds, high=bounds,
@@ -197,16 +208,18 @@ class TestEquivalence:
                       st.text(alphabet="xyz", min_size=0, max_size=5)),
             min_size=1, max_size=40),
         limit=limits,
+        container=containers,
     )
     @settings(max_examples=60, deadline=None)
-    def test_records(self, backend, low, high, cap, rows, limit):
+    def test_records(self, backend, low, high, cap, rows, limit,
+                     container):
         lo, hi = min(low, high), max(low, high)
         spec = satisfies_all(attr("size", in_range(lo, hi)),
                              attr("name", length_le(cap)))
         impl = satisfies_any(attr("size", less_equal(hi + 3)),
                              attr("name", truthy()))
         records = [{"size": s, "name": n} for s, n in rows]
-        self._check(spec, impl, records, limit, backend)
+        self._check(spec, impl, records, limit, backend, container)
 
     def test_duplicates_reported_per_occurrence(self, backend):
         domain = Domain([5, 5, 1, 5, 2, 5])
@@ -239,6 +252,60 @@ def test_product_domain_equivalence():
 
 
 # ---------------------------------------------------------------------------
+# Repeat-heavy domains: the kernels judge each distinct object once.
+# ---------------------------------------------------------------------------
+
+def _repeat_heavy(container):
+    """8 distinct string objects, three of them equal-but-distinct
+    twins of others, tiled 600 times by reference: 4,800 rows, past the
+    4,096-row point where a columnar scan used to decline domains with
+    this few distinct objects."""
+    twin = "".join
+    base = ["", "a", "%n", "ab%n%n", "xyz",
+            twin(["%", "n"]), twin(["xy", "z"]), twin(["ab%n", "%n"])]
+    assert len(set(map(id, base))) == 8
+    return Domain(container(base * 600))
+
+
+class TestRepeatHeavy:
+    """columnar ≡ compiled on a repeat-heavy domain, both backends."""
+
+    # hidden: the probes longer than 3 characters or carrying "%n"
+    PFSM = _pfsm(satisfies_all(length_le(3), not_contains("%n")), truthy())
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_matches_the_compiled_scan(self, backend, container):
+        from repro.core.sweep import _scan_task
+        from repro.core.witness import distinct_rows
+
+        domain = _repeat_heavy(container)
+        n = len(domain)
+        encoding = columnar.encoding_for(domain)
+        assert encoding.ops.name == backend
+        assert encoding.n == len(distinct_rows(domain).objects) == 8
+        for limit in (0, 1, 7, n, n + 2):
+            task = ("m", "op", self.PFSM, domain, limit)
+            with columnar.disabled():
+                expected = _scan_task(task)
+            found, counters = _counted(lambda: _scan_task(task))
+            if limit == 0:
+                assert found is None and expected is None
+                continue
+            assert counters.get("sweep.scans.columnar") == 1
+            assert counters.get("sweep.objects.judged") == 8
+            assert len(found.witnesses) == len(expected.witnesses)
+            assert all(a is b for a, b in
+                       zip(found.witnesses, expected.witnesses))
+            # the same index and codes as the compiled finding carries
+            index, codes = found.__dict__["_codes"]
+            assert index is expected.__dict__["_codes"][0]
+            assert codes == expected.__dict__["_codes"][1]
+            assert found.wire_json == expected.wire_json
+            assert found.wire_json == json.dumps(
+                list(found.witnesses), separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
 # Kernel bail-outs: decline, never guess.
 # ---------------------------------------------------------------------------
 
@@ -251,7 +318,7 @@ class TestBailouts:
         pfsm = _pfsm(_IS_EVEN, always)
         program = program_for(pfsm)
         assert program is not None
-        assert columnar.scan_program(program, domain, 10) is None
+        assert columnar.verdicts(program, domain) is None
         assert columnar.kernel_backend(program, domain) is None
         # The sweep still answers, via the scalar path.
         assert hidden_witness_scan(pfsm, domain, limit=4) == [1, 3, 5, 7]
@@ -260,7 +327,7 @@ class TestBailouts:
         domain = Domain(list(range(10)))
         pfsm = _pfsm(predicate("opaque")(lambda obj: obj < 5), always)
         assert program_for(pfsm) is None
-        assert columnar.scan_program(None, domain, 10) is None
+        assert columnar.verdicts(None, domain) is None
 
     def test_mixed_type_column_declines(self):
         rows = [{"size": 1, "name": "a"}, {"size": "two", "name": "b"}] * 8
@@ -283,7 +350,7 @@ class TestBailouts:
         program = program_for(pfsm)
         if program is None:
             pytest.skip("planner does not compile nested attr")
-        assert columnar.scan_program(program, domain, 10) is None
+        assert columnar.verdicts(program, domain) is None
 
     def test_isinstance_spec_vectorizes(self):
         domain = Domain(["a", "bb", "ccc"] * 6)
@@ -297,7 +364,7 @@ class TestBailouts:
         domain = Domain([True, False] * 10)
         pfsm = _pfsm(less_equal(0), always)
         program = program_for(pfsm)
-        assert columnar.scan_program(program, domain, 10) is None
+        assert columnar.verdicts(program, domain) is None
         assert hidden_witness_scan(pfsm, domain, limit=4) == \
             _scalar(pfsm, domain, 4)
 
@@ -370,7 +437,9 @@ class TestEncodingMemo:
         second = columnar.encoding_for(rows)
         assert first is not None and second is not None
         assert first is not second
-        assert first.rows([3, 7]) == second.rows([3, 7]) == [3, 7]
+        # each over a fresh distinct-row index of the same objects
+        assert first.index is not second.index
+        assert first.index.objects == second.index.objects == rows
 
     def test_structural_twins_share_one_kernel(self):
         domain = Domain(list(range(80)))

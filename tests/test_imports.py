@@ -112,12 +112,15 @@ def test_state_space_imports_networkx_on_first_use():
 
 def test_serving_tiled_corpus_scans_columnar_without_numpy():
     # The bundled corpus with each probe domain tiled 40x by reference
-    # (the serve benchmark's corpus): every domain stays far below
-    # ``_NUMPY_MIN_ROWS``, so its columnar scans run on stdlib masks.
+    # (the serve benchmark's corpus).  A columnar encoding holds a
+    # domain's distinct objects, at most 54 here: below ``_MIN_ROWS``,
+    # so by default every scan runs compiled.  Forced onto columnar,
+    # every encoding stays far below ``_NUMPY_MIN_ROWS``, so its scans
+    # run on stdlib masks.
     result = run_fresh("""
         import json, sys
         from repro import obs
-        from repro.core import Domain
+        from repro.core import Domain, columnar
         from repro.models import all_extended_models, all_extended_pfsm_domains
         from repro.serve import AnalysisCorpus
         from repro.serve.batcher import _engine_compute
@@ -130,22 +133,34 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
                                 domains=domains)
         registry = obs.get_registry()
         registry.enable()
-        answered = 0
-        for key in corpus.keys():
-            query = corpus.expand(key, 1000)
-            found = _engine_compute(list(query.tasks),
-                                    list(query.task_keys))
-            answered += any(found)
+
+        def serve_all():
+            registry.reset()
+            answered = 0
+            for key in corpus.keys():
+                query = corpus.expand(key, 1000)
+                found = _engine_compute(list(query.tasks),
+                                        list(query.task_keys))
+                answered += any(found)
+            return answered, registry.counters().get(
+                "sweep.scans.columnar", 0)
+
+        answered, default = serve_all()
+        columnar.set_min_rows(1)
+        forced_answered, forced = serve_all()
         print(json.dumps({
-            "answered": answered,
-            "columnar": registry.counters().get("sweep.scans.columnar", 0),
+            "answered": [answered, forced_answered],
+            "columnar": [default, forced],
             "numpy": "numpy" in sys.modules,
             "apps": sorted(m for m in sys.modules
                            if m.startswith("repro.apps.")),
         }))
     """)
-    assert result["answered"] > 0
-    assert result["columnar"] > 0
+    answered, forced_answered = result["answered"]
+    assert answered > 0 and forced_answered == answered
+    default, forced = result["columnar"]
+    assert default == 0
+    assert forced > 0
     assert result["numpy"] is False
     assert result["apps"] == ["repro.apps.freebsd_syscall", "repro.apps.iis",
                               "repro.apps.nullhttpd",
