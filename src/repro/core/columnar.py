@@ -26,20 +26,20 @@ Two layers:
   of a sweep over one domain pays the encoding once; equal-content but
   distinct domain objects each encode their own.
 
-* **The kernels.**  :meth:`Encoding.kernel` lowers a closed predspec
-  DAG (through the same folded node trees as :mod:`repro.core.plan`)
-  into whole-column mask operations: comparisons become vectorized
-  compares, boolean combinators become mask algebra, ``attr`` nodes
-  switch to the field's column.  Each encoding picks its mask backend
-  from the number of objects it encodes: from ``_NUMPY_MIN_ROWS`` up,
-  with ``numpy`` installed, masks are boolean ndarrays; below it (or
-  without numpy) big integers over one ``0x00``/``0x01`` byte per code,
-  whose ``&``/``|`` are single C-level operations.  :func:`verdicts`
+* **The kernels.**  :meth:`Encoding.kernel` binds a compiled
+  program's folded node tree (:attr:`repro.core.plan.ScanProgram.root`,
+  the tree its scalar closures were emitted from) to whole-column mask
+  operations: comparisons become vectorized compares, boolean
+  combinators become mask algebra, ``attr`` nodes switch to the
+  field's column.  Each encoding picks its mask backend from the
+  number of objects it encodes: from ``_NUMPY_MIN_ROWS`` up, with
+  ``numpy`` installed, masks are boolean ndarrays; below it (or without
+  numpy) big integers over one ``0x00``/``0x01`` byte per code, whose
+  ``&``/``|`` are single C-level operations.  :meth:`Kernel.flags`
   turns the root mask into one verdict byte per code, and the sweep
-  selects the witness rows from those with the ``bytes.translate``/
-  ``compress`` step the compiled scan uses.  Node masks are cached on
-  the encoding by structural digest, so tasks sharing subpredicates
-  over one domain — in one sweep or across serve batches — reuse each
+  selects the witness rows from those.  Node masks are cached on the
+  encoding by structural digest, so tasks sharing subpredicates over
+  one domain — in one sweep or across serve batches — reuse each
   other's masks.
 
   Kernels are *bit-for-bit equivalent* to the scalar scan: every leaf
@@ -50,8 +50,9 @@ Two layers:
   constructors' ``int(·)`` coercion (``le`` over a string column falls
   back to an elementwise guarded coercion).  A spec that cannot be
   vectorized exactly (``named`` predicates, nested ``attr``, columns of
-  mixed type) *bails*: :func:`verdicts` returns ``None`` and the caller
-  falls through to the compiled scalar scan.
+  mixed type) *bails*: :func:`kernel_for` returns ``None`` and the
+  planner (:func:`repro.core.plan.plan_scan`) picks the compiled scalar
+  scan.
 
 Process-backend workers are forked after their sweep's task list
 exists, so they scan the very domain objects the parent holds, along
@@ -77,8 +78,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import DEFAULT as _OBS
-from . import plan as _plan
-from .predspec import decode_value, spec_fields, _resolve_type
+from .predspec import decode_value, _resolve_type
 from .witness import DistinctRows, _LazyProduct, distinct_rows
 
 __all__ = [
@@ -87,10 +87,9 @@ __all__ = [
     "encoding_for",
     "force_fallback",
     "is_enabled",
-    "kernel_backend",
+    "kernel_for",
     "set_enabled",
     "set_min_rows",
-    "verdicts",
 ]
 
 
@@ -510,26 +509,19 @@ class Encoding:
     # -- kernels -----------------------------------------------------------
 
     def kernel(self, program: Any) -> Optional["Kernel"]:
-        """A validated columnar kernel for one compiled program, or
-        ``None`` when its spec cannot be vectorized exactly over this
+        """A validated columnar kernel for one compiled program's folded
+        tree, or ``None`` when it cannot be vectorized exactly over this
         encoding (memoized per program digest)."""
         digest = program.digest
         cached = self._kernels.get(digest)
         if cached is not None:
             return cached if cached is not _UNVECTORIZABLE else None
         try:
-            # Pre-flight: a spec touching a mixed-type ("obj") column can
-            # never vectorize — reject before building the node tree.
-            for name in spec_fields(program.spec):
-                if self.fields and name in self.fields \
-                        and self.field_kind(name) == "obj":
-                    raise _Bail(f"mixed-type column {name!r}")
-            root = _plan._build(program.spec)
-            _validate(root, self, None)
+            _validate(program.root, self, None)
         except Exception:
             self._kernels[digest] = _UNVECTORIZABLE
             return None
-        kernel = Kernel(self, root)
+        kernel = Kernel(self, program.root)
         self._kernels[digest] = kernel
         if _OBS.enabled:
             _OBS.incr("columnar.kernels")
@@ -542,8 +534,7 @@ _UNVECTORIZABLE = object()
 
 class Kernel:
     """One compiled columnar scan: a folded spec tree bound to an
-    encoding.  ``mask()`` evaluates bottom-up through the encoding's
-    digest-keyed mask cache, one verdict per code."""
+    encoding."""
 
     __slots__ = ("encoding", "root")
 
@@ -551,8 +542,19 @@ class Kernel:
         self.encoding = encoding
         self.root = root
 
-    def mask(self) -> Any:
-        return _node_mask(self.root, self.encoding, None)
+    def flags(self) -> Optional[bytes]:
+        """One verdict byte per code — 1 when the object of that code
+        rides the hidden path, bit for bit the scalar program's verdict —
+        evaluated bottom-up through the encoding's digest-keyed mask
+        cache; ``None`` if a mask cannot be computed, and the caller
+        runs the compiled program instead.  A code is a position in
+        ``encoding.index.objects`` when the encoding has an index, and a
+        row otherwise."""
+        try:
+            return self.encoding.ops.flags(
+                _node_mask(self.root, self.encoding, None))
+        except Exception:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +846,9 @@ def _build_encoding(domain: Any,
             encoding._strides[name] = (stride, n // (stride * len(column)))
             stride *= len(column)
         return encoding
+    if not isinstance(backing, (list, tuple)):
+        return None  # a one-shot iterable is read once, by its scan
     if index is None:
-        if not isinstance(backing, (list, tuple)):
-            return None  # a one-shot iterable is read once, by its scan
         index = distinct_rows(domain)
     items = index.objects
     if not _encodable_size(len(items)):
@@ -882,8 +884,7 @@ def encoding_for(domain: Any,
     A list- or tuple-backed domain encodes the objects of its
     distinct-row index: ``index`` when the caller holds it already,
     :func:`~repro.core.witness.distinct_rows` otherwise.  Any other
-    iterable encodes only from the ``index`` its scan built, so that
-    nothing else consumes it.
+    iterable is not encoded, so nothing but its scan reads it.
     Memoized on the domain object, validated against the backend/
     threshold configuration.  Each encoding built counts under
     ``columnar.encodings.<backend>`` (``numpy`` or ``stdlib``).
@@ -918,46 +919,23 @@ _DOMAIN_MEMO: "weakref.WeakKeyDictionary[Any, Tuple[Any, ...]]" = \
 
 
 # ---------------------------------------------------------------------------
-# The scan entry points.
+# The entry point.
 # ---------------------------------------------------------------------------
 
-def _kernel(program: Any, domain: Any,
-            index: Optional[DistinctRows] = None) -> Optional[Kernel]:
+def kernel_for(program: Any, domain: Any,
+               index: Optional[DistinctRows] = None) -> Optional[Kernel]:
+    """The columnar kernel of one compiled hidden-set program over one
+    domain, or ``None`` when the strategy does not apply (disabled, no
+    program, domain not encodable, or tree not vectorizable).
+
+    ``index``, if given, must be the domain's distinct-row index.
+    Validates (and memoizes) the kernel without computing any mask; its
+    :meth:`Kernel.flags` give the verdicts, and
+    ``kernel.encoding.ops.name`` the mask backend (``"numpy"`` or
+    ``"stdlib"``).  The planner's strategy decision calls this
+    (:func:`repro.core.plan.plan_scan`).
+    """
     if not _ENABLED or program is None:
         return None
     encoding = encoding_for(domain, index)
     return None if encoding is None else encoding.kernel(program)
-
-
-def verdicts(program: Any, domain: Any,
-             index: Optional[DistinctRows] = None
-             ) -> Optional[Tuple[Encoding, bytes]]:
-    """The columnar verdicts of one compiled hidden-set program over
-    one domain: ``(encoding, flags)``, where ``flags[code]`` is 1 when
-    the object of that code rides the hidden path and 0 otherwise, or
-    ``None`` when the strategy does not apply (disabled, domain not
-    encodable, or spec not vectorizable), in which case the caller
-    falls through to the compiled scalar scan.
-
-    A code is a position in ``encoding.index.objects`` when the
-    encoding has an index (``index``, if given, must be the domain's),
-    and a row otherwise.  The flags equal the scalar program's verdict
-    on each object, bit for bit.
-    """
-    kernel = _kernel(program, domain, index)
-    if kernel is None:
-        return None
-    try:
-        return kernel.encoding, kernel.encoding.ops.flags(kernel.mask())
-    except Exception:
-        return None
-
-
-def kernel_backend(program: Any, domain: Any) -> Optional[str]:
-    """Would :func:`verdicts` take this task?  The mask backend its
-    kernel would run on (``"numpy"`` or ``"stdlib"``), or ``None`` when
-    it would decline.  Validates (and memoizes) the kernel without
-    computing any mask — the planner's probe, cheap enough for per-task
-    cost estimation."""
-    kernel = _kernel(program, domain)
-    return None if kernel is None else kernel.encoding.ops.name

@@ -39,9 +39,11 @@ is memoized only on the pFSM it was compiled for (:func:`program_for`);
 that memo survives a fork but never a pickle.  Programs are picklable:
 they ship as their spec alone and recompile in the receiving process.
 
-The planner can be bypassed wholesale (``set_enabled`` /
-:func:`disabled` — the benchmark's A/B switch and the CLI's
-``--no-plan``).
+The planner is the one place a scan's strategy is chosen
+(:func:`plan_scan`): the sweep runs that choice, and a columnar kernel
+evaluates its program's own folded tree (``ScanProgram.root``).  It can
+be bypassed wholesale (``set_enabled`` / :func:`disabled` — the
+benchmark's A/B switch and the CLI's ``--no-plan``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import DEFAULT as _OBS
+from . import columnar as _columnar
 from .predicates import (
     IntervalSet,
     _FULL_LINE,
@@ -64,6 +67,7 @@ from .predicates import (
     _union_intervals,
 )
 from .predspec import _lookup_named, _resolve_type, decode_value, spec_digest
+from .witness import DistinctRows, distinct_rows
 
 __all__ = [
     "ScanPlan",
@@ -400,20 +404,23 @@ class ScanProgram:
     ``evaluate(obj)`` (or calling the program) is verdict-identical to
     building the spec's predicate via
     :func:`repro.core.predspec.from_spec` and calling it — see the
-    module header for the exception-semantics argument.  Pickling ships
+    module header for the exception-semantics argument.  ``root`` is
+    the folded node tree the program was emitted from, which columnar
+    kernels (:mod:`repro.core.columnar`) evaluate too.  Pickling ships
     the spec alone and recompiles it in the receiving process.
     """
 
-    __slots__ = ("spec", "digest", "cost", "selectivity", "leaves",
+    __slots__ = ("spec", "root", "digest", "cost", "selectivity", "leaves",
                  "lowered", "_fn")
 
-    def __init__(self, spec: Any, digest: str, fn: _EmitFn, cost: float,
-                 selectivity: float, leaves: int, lowered: int) -> None:
+    def __init__(self, spec: Any, root: _Node, fn: _EmitFn,
+                 lowered: int) -> None:
         self.spec = spec
-        self.digest = digest
-        self.cost = cost
-        self.selectivity = selectivity
-        self.leaves = leaves
+        self.root = root
+        self.digest = root.digest
+        self.cost = root.cost
+        self.selectivity = root.selectivity
+        self.leaves = root.leaves
         self.lowered = lowered
         self._fn = fn
 
@@ -466,11 +473,8 @@ def compile_spec(spec: Any) -> ScanProgram:
     """
     root = _build(spec)
     ctx = {"lowered": 0}
-    program = ScanProgram(
-        spec=spec, digest=root.digest, fn=_shield(_emit_node(root, ctx)),
-        cost=root.cost, selectivity=root.selectivity, leaves=root.leaves,
-        lowered=ctx["lowered"],
-    )
+    program = ScanProgram(spec, root, _shield(_emit_node(root, ctx)),
+                          ctx["lowered"])
     if _OBS.enabled:
         _OBS.incr("plan.compiles")
     return program
@@ -539,8 +543,8 @@ def program_for(pfsm: Any) -> Optional[ScanProgram]:
 
 def _hidden_interval_set(pfsm: Any) -> Optional[IntervalSet]:
     """Interval form of ``¬spec ∧ impl``, or ``None`` if either side is
-    opaque: the one interval probe of the planner and of the sweep's
-    scans and counts."""
+    opaque.  Read from the predicates, not the program's tree: a named
+    predicate carries intervals its spec term lacks."""
     spec_iv = pfsm.spec_accepts.intervals
     if spec_iv is None:
         return None
@@ -549,6 +553,33 @@ def _hidden_interval_set(pfsm: Any) -> Optional[IntervalSet]:
     if impl_iv is None:
         return None
     return _intersect_intervals(_complement_intervals(spec_iv), impl_iv)
+
+
+def _choose(pfsm: Any, domain: Any, scan: bool = False
+            ) -> Tuple[str, Optional[ScanProgram], Optional[_columnar.Kernel],
+                       Optional[DistinctRows]]:
+    """The one scan-strategy decision: ``(strategy, program, kernel,
+    index)``, in the dominance order :func:`plan_scan` documents.
+
+    ``kernel`` is the columnar kernel of a ``"columnar"`` choice and
+    ``index`` the domain's distinct-row index (``None`` for ``range``
+    and record-product backings, and for an ``"interval"`` choice).
+    :func:`repro.core.sweep.hidden_witness_scan` runs what this returns
+    (``scan=True``, which materializes a one-shot iterable into its
+    index); planning leaves such an iterable unread, and no columnar
+    kernel ever takes one, so both see the same strategy.
+    """
+    if _range_backing(domain) is not None \
+            and _hidden_interval_set(pfsm) is not None:
+        return "interval", None, None, None
+    program = program_for(pfsm)
+    index = None
+    if scan or isinstance(getattr(domain, "backing", domain), (list, tuple)):
+        index = distinct_rows(domain)
+    kernel = _columnar.kernel_for(program, domain, index)
+    if kernel is not None:
+        return "columnar", program, kernel, index
+    return ("plain" if program is None else "compiled"), program, None, index
 
 
 def _domain_size(domain: Any, default: int = 1024) -> int:
@@ -577,58 +608,40 @@ _COLUMNAR_STDLIB_FACTOR = 0.4
 
 
 def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
-    """Pick the scan strategy and estimate its cost.
+    """The strategy a scan of ``domain`` runs, and its estimated cost.
 
     Dominance order: closed-form **interval** algebra (O(limit)) ≻
     **columnar** whole-domain mask pass ≻ **compiled** program ≻
-    **plain** interpretive scan of the predicates themselves.  This
-    mirrors the dispatch in
-    :func:`repro.core.sweep.hidden_witness_scan`; the cost estimates
-    additionally size chunks in :mod:`repro.core.dist` and surface
-    through ``repro sweep --explain``.
+    **plain** interpretive scan of the predicates themselves.
+    :func:`repro.core.sweep.hidden_witness_scan` runs the same choice;
+    the cost estimates size chunks in :mod:`repro.core.dist` and
+    surface through ``repro sweep --explain``.  ``est_objects`` counts
+    what the scan judges: the domain's distinct objects when it has a
+    distinct-row index, its rows otherwise.  Never reads a one-shot
+    iterable.
     """
-    objects = _domain_size(domain)
-    if _range_backing(domain) is not None:
-        if _hidden_interval_set(pfsm) is not None:
-            return ScanPlan(
-                strategy="interval", program=None,
-                est_cost=float(max(1, min(limit, objects))),
-                est_objects=objects,
-                reason="closed-form interval algebra over a range-backed "
-                       "domain (O(limit), independent of domain size)",
-            )
-    program = program_for(pfsm)
-    if program is not None:
-        try:
-            from . import columnar as _columnar
-
-            backend = _columnar.kernel_backend(program, domain)
-        except Exception:
-            backend = None
-        if backend is not None:
-            factor = (_COLUMNAR_NUMPY_FACTOR if backend == "numpy"
-                      else _COLUMNAR_STDLIB_FACTOR)
-            return ScanPlan(
-                strategy="columnar", program=program,
-                est_cost=max(1.0, program.cost * objects * factor),
-                est_objects=objects,
-                reason=f"whole-column mask pass over the domain's "
-                       f"struct-of-arrays encoding ({backend} kernels, "
-                       f"{program.leaves} leaves)",
-            )
-        return ScanPlan(
-            strategy="compiled", program=program,
-            est_cost=max(1.0, program.cost * objects),
-            est_objects=objects,
-            reason=f"fused single-pass program over {program.leaves} "
-                   f"leaves ({program.lowered} interval-lowered)",
-        )
-    return ScanPlan(
-        strategy="plain", program=None,
-        est_cost=max(1.0, _INTERP_COST * objects),
-        est_objects=objects,
-        reason="opaque predicate — interpretive scan",
-    )
+    strategy, program, kernel, index = _choose(pfsm, domain)
+    objects = _domain_size(domain) if index is None else len(index.objects)
+    if strategy == "interval":
+        cost = float(min(limit, objects))
+        reason = ("closed-form interval algebra over a range-backed "
+                  "domain (O(limit), independent of domain size)")
+    elif strategy == "columnar":
+        backend = kernel.encoding.ops.name
+        cost = program.cost * objects * (
+            _COLUMNAR_NUMPY_FACTOR if backend == "numpy"
+            else _COLUMNAR_STDLIB_FACTOR)
+        reason = (f"whole-column mask pass over the domain's "
+                  f"struct-of-arrays encoding ({backend} kernels, "
+                  f"{program.leaves} leaves)")
+    elif strategy == "compiled":
+        cost = program.cost * objects
+        reason = (f"fused single-pass program over {program.leaves} "
+                  f"leaves ({program.lowered} interval-lowered)")
+    else:
+        cost = _INTERP_COST * objects
+        reason = "opaque predicate — interpretive scan"
+    return ScanPlan(strategy, program, max(1.0, cost), objects, reason)
 
 
 def task_cost(task: Sequence[Any]) -> Optional[float]:

@@ -47,7 +47,7 @@ import hashlib
 import importlib
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .predicates import (
     Predicate,
@@ -72,7 +72,6 @@ __all__ = [
     "to_spec",
     "from_spec",
     "spec_digest",
-    "spec_fields",
     "encode_value",
     "decode_value",
     "try_encode_value",
@@ -165,36 +164,6 @@ def spec_digest(spec: Any) -> str:
     payload = json.dumps(spec, sort_keys=True, separators=(",", ":"),
                          ensure_ascii=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def spec_fields(spec: Any) -> Tuple[str, ...]:
-    """Record field names referenced by ``attr`` terms of ``spec``.
-
-    Returned in first-reference order — these are exactly the columns a
-    columnar kernel (:mod:`repro.core.columnar`) would have to
-    materialize to evaluate the spec over a record domain, which makes
-    this the cheap pre-flight check before committing to an encoding.
-    Malformed terms contribute nothing (the interpreter would shield
-    them to ``False`` anyway).
-    """
-    found: List[str] = []
-
-    def walk(node: Any) -> None:
-        if not isinstance(node, (list, tuple)) or not node:
-            return
-        op = node[0]
-        if op == "attr":
-            if len(node) >= 2 and isinstance(node[1], str) \
-                    and node[1] not in found:
-                found.append(node[1])
-            for child in node[2:]:
-                walk(child)
-        elif op in ("and", "or", "not"):
-            for child in node[1:]:
-                walk(child)
-
-    walk(spec)
-    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,13 @@ the *sweep* — many pFSMs × many domains × many models — the unit of
 work, in two layers:
 
 1. **Hidden-path scans.**  A pFSM's hidden set is ``¬spec ∧ impl``
-   over its object domain.  :func:`hidden_witness_scan` finds it with
-   the fastest of four strategies: closed-form interval algebra when
-   both predicates carry an integer denotation (see
-   :mod:`repro.core.predicates`) and the domain is ``range``-backed
-   (witness *counting* is O(1), *listing* O(limit)); a columnar mask
-   pass (:mod:`repro.core.columnar`); a compiled single-pass program
-   (:mod:`repro.core.plan`); or the scalar predicate calls.  All but
-   the interval scan walk the domain's distinct-row index
-   (:func:`repro.core.witness.distinct_rows`, built once per domain
-   object): each distinct object is judged once per scan, however often
-   the domain repeats it — by one column mask over all of them, or one
-   call at a time — and the repeats are selected at C speed.  No
-   verdict outlives the scan, and every task — inline, in a worker's
-   chunk or in a serve batch — runs its own scan.  A finding from such
-   a scan encodes its witnesses from the index's per-object fragments,
-   so each distinct object is encoded once for the domain's lifetime.
+   over its object domain.  :func:`hidden_witness_scan` runs the
+   strategy :func:`repro.core.plan.plan_scan` reports for the task.
+   No verdict outlives the scan, and every task — inline, in a
+   worker's chunk or in a serve batch — runs its own scan.  A finding
+   from a scan of an indexed domain encodes its witnesses from the
+   index's per-object fragments, so each distinct object is encoded
+   once for the domain's lifetime.
 2. **The sweep executor.**  :func:`sweep_models` runs the per-pFSM
    witness searches and reassembles results in deterministic (model,
    operation, pFSM) order.  The ``thread`` backend runs every task on
@@ -39,8 +30,8 @@ The module deliberately duck-types models and operations (anything with
 
 Every layer reports through :mod:`repro.obs` when telemetry is enabled:
 per-task spans, scan-strategy counters (``sweep.scans.fastpath`` /
-``.columnar`` / ``.compiled`` / ``.plain``, mirrored as
-``plan.strategy.*`` picks) and executor decisions (``sweep.pool.*``).
+``.columnar`` / ``.compiled`` / ``.plain``) and executor decisions
+(``sweep.pool.*``).
 The checks are hoisted to once per scan/task — the per-object loops are
 untouched, so a disabled registry costs nothing measurable.
 (Worker processes keep their own registries, so per-task telemetry
@@ -51,6 +42,7 @@ the executor decision and queue size.)
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
@@ -68,11 +60,10 @@ from typing import (
 )
 
 from ..obs import DEFAULT as _OBS
-from . import columnar as _columnar
 from . import plan as _plan
 from .predicates import _clipped_subranges, _range_backing
 from .predspec import encode_value
-from .witness import DistinctRows, distinct_rows
+from .witness import DistinctRows
 
 __all__ = [
     "hidden_witness_scan",
@@ -94,21 +85,40 @@ BACKENDS = ("thread", "process", "cluster")
 # ---------------------------------------------------------------------------
 
 def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
-    """How many domain objects ride the hidden path — O(1) per interval
-    on the closed-form path, an O(n) scan otherwise."""
-    backing = _range_backing(domain)
-    if backing is not None:
-        hidden = _plan._hidden_interval_set(pfsm)
-        if hidden is not None:
-            if _OBS.enabled:
-                _OBS.incr("sweep.counts.fastpath")
-            return sum(
-                len(sub) for sub in _clipped_subranges(backing, hidden)
-            )
+    """How many domain rows ride the hidden path: the rows an unlimited
+    :func:`hidden_witness_scan` selects, summed in closed form (O(1) per
+    interval) when the scan is an interval one."""
+    chosen = _plan._choose(pfsm, domain, scan=True)
+    if chosen[0] != "interval":
+        return len(_scan(pfsm, domain, sys.maxsize, chosen)[0])
     if _OBS.enabled:
-        _OBS.incr("sweep.counts.scan")
-    takes = pfsm.takes_hidden_path
-    return sum(1 for obj in domain if takes(obj))
+        _OBS.incr("sweep.scans.fastpath")
+    return sum(map(len, _clipped_subranges(
+        _range_backing(domain), _plan._hidden_interval_set(pfsm))))
+
+
+#: Flag selection switches from ``bytes.find`` to ``compress`` once hits
+#: are denser than one per this many rows.
+_SPARSE_ROWS = 16
+
+
+def _flagged_rows(flags: bytes, limit: int) -> List[int]:
+    """The first ``limit`` rows whose flag is 1, in order.  Hits are
+    taken one ``bytes.find`` at a time while sparse; once a hit lands
+    before row ``_SPARSE_ROWS`` × (hits so far), the rest of the flags
+    are selected by ``compress`` in one C pass."""
+    found: List[int] = []
+    row = flags.find(1)
+    while row >= 0:
+        found.append(row)
+        if len(found) >= limit:
+            break
+        if row < _SPARSE_ROWS * len(found):
+            found += islice(compress(range(row + 1, len(flags)),
+                                     flags[row + 1:]), limit - len(found))
+            break
+        row = flags.find(1, row + 1)
+    return found
 
 
 def _verdict_table(index: DistinctRows, flags: bytes = b"") -> bytearray:
@@ -170,45 +180,41 @@ def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
     return found, len(objects)
 
 
-def _scan(pfsm: Any, domain: Iterable[Any], limit: int
+def _scan(pfsm: Any, domain: Iterable[Any], limit: int,
+          chosen: Optional[Tuple[Any, ...]] = None
           ) -> Tuple[List[Any], Optional[DistinctRows], Optional[List[int]]]:
     """:func:`hidden_witness_scan`'s witnesses, with the domain's
     distinct-row index and the witnesses' codes in it when the domain
-    has one (``None, None`` otherwise)."""
+    has one (``None, None`` otherwise).  Runs ``chosen``, the planner's
+    strategy decision for the task (made here when not given)."""
     if limit <= 0:
         return [], None, None
-    backing = _range_backing(domain)
-    if backing is not None:
-        hidden = _plan._hidden_interval_set(pfsm)
-        if hidden is not None:
-            found: List[Any] = []
-            for sub in _clipped_subranges(backing, hidden):
-                take = min(limit - len(found), len(sub))
-                found.extend(sub[:take])
-                if len(found) >= limit:
-                    break
-            if _OBS.enabled:
-                _OBS.incr("sweep.scans.fastpath")
-                _OBS.incr("plan.strategy.interval")
-                _OBS.incr("sweep.witnesses", len(found))
-            return found, None, None
-    program = _plan.program_for(pfsm)
-    index = distinct_rows(domain)
+    strategy, program, kernel, index = \
+        chosen or _plan._choose(pfsm, domain, scan=True)
+    if strategy == "interval":
+        found: List[Any] = []
+        for sub in _clipped_subranges(_range_backing(domain),
+                                      _plan._hidden_interval_set(pfsm)):
+            found.extend(sub[:limit - len(found)])
+            if len(found) >= limit:
+                break
+        if _OBS.enabled:
+            _OBS.incr("sweep.scans.fastpath")
+            _OBS.incr("sweep.witnesses", len(found))
+        return found, None, None
     codes: Optional[List[int]] = None
-    columns = _columnar.verdicts(program, domain, index)
-    if columns is not None:
-        encoding, flags = columns
-        strategy, judged = "columnar", encoding.n
-        if index is None or len(index.codes) == judged:
-            # No row repeats an object, so each row is its own code.
-            picked = islice(compress(range(judged), flags), limit)
-        else:
-            picked = _hidden_codes(index.codes,
-                                   _verdict_table(index, flags), limit)
+    flags = None if kernel is None else kernel.flags()
+    if flags is not None:
+        strategy, judged = "columnar", len(flags)
         if index is None:
-            found = list(map(encoding.row, picked))
+            found = list(map(kernel.encoding.row,
+                             _flagged_rows(flags, limit)))
+        elif len(index.codes) == judged:
+            # No row repeats an object, so each row is its own code.
+            codes = _flagged_rows(flags, limit)
         else:
-            codes = list(picked)
+            codes = list(_hidden_codes(index.codes,
+                                       _verdict_table(index, flags), limit))
     else:
         judge, strategy = (program.evaluate, "compiled") \
             if program is not None else (pfsm.takes_hidden_path, "plain")
@@ -227,7 +233,6 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int
         found = list(map(index.objects.__getitem__, codes))
     if _OBS.enabled:
         _OBS.incr(f"sweep.scans.{strategy}")
-        _OBS.incr(f"plan.strategy.{strategy}")
         _OBS.incr("sweep.objects.judged", judged)
         _OBS.incr("sweep.witnesses", len(found))
     return found, index, codes
@@ -240,29 +245,14 @@ def hidden_witness_scan(
 ) -> List[Any]:
     """Hidden-path witnesses of one pFSM over one domain.
 
-    Four strategies, fastest applicable wins (the dominance order of
-    :func:`repro.core.plan.plan_scan`):
-
-    * closed-form interval algebra when both predicates have one and the
-      domain is ``range``-backed (O(limit), not O(n));
-    * a columnar whole-domain mask pass when the compiled program
-      vectorizes over the domain's struct-of-arrays encoding (see
-      :mod:`repro.core.columnar`; requires the planner, bypass with
-      :func:`repro.core.columnar.set_enabled`);
-    * a compiled single-pass scan program when both predicates carry
-      specs and the planner is enabled (see :mod:`repro.core.plan`);
-    * a scalar scan calling the predicates themselves otherwise
-      (counted as ``plain``).
-
-    The columnar, compiled and scalar scans walk the domain's
+    Runs the strategy :func:`repro.core.plan.plan_scan` reports for the
+    task.  Every strategy but the interval one walks the domain's
     distinct-row index (:func:`repro.core.witness.distinct_rows`): each
-    distinct object is judged once per scan — all at once by a column
-    mask, or in order of first appearance by a program or the
-    predicates — and the rows that repeat an object already judged are
-    selected without a Python step per row.  Domains whose rows never
-    repeat a reference (``range`` and record-product backings) are
-    judged row by row.  No
-    verdict outlives its scan.  Witness order always matches domain
+    distinct object is judged once per scan, and the rows that repeat
+    an object already judged are selected without a Python step per
+    row.  Domains whose rows never repeat a reference (``range`` and
+    record-product backings) are judged row by row.  No verdict
+    outlives its scan.  Witness order always matches domain
     iteration order, and repeated occurrences of a witness are reported
     per occurrence.  Objects are assumed value-stable for the duration
     of one scan (predicates are pure).  ``limit <= 0`` returns no

@@ -13,9 +13,8 @@ process-backend sweep, which scan the domain they inherit.
 A repeat-heavy domain pins that a kernel masks each distinct object
 once and that its findings are the compiled scan's, wire text included.
 The unit tests pin the supporting machinery: the per-domain encoding
-memo, kernels shared by program digest, kernel bail-outs (named
-predicates, nested ``attr``, mixed-type columns) and ``spec_fields``
-pre-flight.
+memo, kernels shared by program digest, and kernel bail-outs (named
+predicates, nested ``attr``, mixed-type columns).
 """
 
 import json
@@ -49,7 +48,7 @@ from repro.core import (
     truthy,
 )
 from repro.core import columnar
-from repro.core.predspec import named_predicate, spec_fields, to_spec
+from repro.core.predspec import named_predicate
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -318,8 +317,7 @@ class TestBailouts:
         pfsm = _pfsm(_IS_EVEN, always)
         program = program_for(pfsm)
         assert program is not None
-        assert columnar.verdicts(program, domain) is None
-        assert columnar.kernel_backend(program, domain) is None
+        assert columnar.kernel_for(program, domain) is None
         # The sweep still answers, via the scalar path.
         assert hidden_witness_scan(pfsm, domain, limit=4) == [1, 3, 5, 7]
 
@@ -327,7 +325,7 @@ class TestBailouts:
         domain = Domain(list(range(10)))
         pfsm = _pfsm(predicate("opaque")(lambda obj: obj < 5), always)
         assert program_for(pfsm) is None
-        assert columnar.verdicts(None, domain) is None
+        assert columnar.kernel_for(None, domain) is None
 
     def test_mixed_type_column_declines(self):
         rows = [{"size": 1, "name": "a"}, {"size": "two", "name": "b"}] * 8
@@ -335,11 +333,11 @@ class TestBailouts:
         needs_mixed = _pfsm(attr("size", less_equal(3)), always)
         program = program_for(needs_mixed)
         assert program is not None
-        assert columnar.kernel_backend(program, domain) is None
+        assert columnar.kernel_for(program, domain) is None
         # A spec touching only the clean column still vectorizes.
         clean = _pfsm(attr("name", equals("a")), always)
-        assert columnar.kernel_backend(program_for(clean), domain) \
-            == "stdlib"
+        assert columnar.kernel_for(program_for(clean), domain) \
+            .encoding.ops.name == "stdlib"
         assert _columnar_witnesses(clean, domain, 50) == \
             _scalar(clean, domain, 50)
 
@@ -350,7 +348,7 @@ class TestBailouts:
         program = program_for(pfsm)
         if program is None:
             pytest.skip("planner does not compile nested attr")
-        assert columnar.verdicts(program, domain) is None
+        assert columnar.kernel_for(program, domain) is None
 
     def test_isinstance_spec_vectorizes(self):
         domain = Domain(["a", "bb", "ccc"] * 6)
@@ -364,33 +362,9 @@ class TestBailouts:
         domain = Domain([True, False] * 10)
         pfsm = _pfsm(less_equal(0), always)
         program = program_for(pfsm)
-        assert columnar.verdicts(program, domain) is None
+        assert columnar.kernel_for(program, domain) is None
         assert hidden_witness_scan(pfsm, domain, limit=4) == \
             _scalar(pfsm, domain, 4)
-
-
-# ---------------------------------------------------------------------------
-# spec_fields: the pre-flight column census.
-# ---------------------------------------------------------------------------
-
-class TestSpecFields:
-    def test_collects_in_first_reference_order(self):
-        spec = to_spec(satisfies_all(attr("size", in_range(0, 9)),
-                                     attr("name", length_le(4)),
-                                     attr("size", truthy())))
-        assert spec_fields(spec) == ("size", "name")
-
-    def test_walks_or_and_not(self):
-        spec = to_spec(satisfies_any(
-            attr("a", truthy()),
-            satisfies_all(attr("b", truthy()), attr("a", truthy()))))
-        assert spec_fields(spec) == ("a", "b")
-
-    def test_leaf_and_malformed_specs(self):
-        assert spec_fields(to_spec(less_equal(3))) == ()
-        assert spec_fields(None) == ()
-        assert spec_fields(["attr"]) == ()
-        assert spec_fields(42) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +492,6 @@ def test_sweep_counters_tag_columnar_scans():
         registry.clear_sinks()
         registry.reset()
     assert counters.get("sweep.scans.columnar") == 1
-    assert counters.get("plan.strategy.columnar") == 1
     assert "sweep.scans.compiled" not in counters
 
 

@@ -7,8 +7,9 @@ same exception-shielding, the same coercion asymmetries (``in_range``
 coerces via ``int()``, ``equals`` does not), the same short-circuiting
 verdicts — including after pickling across a process boundary.  The
 rest covers the optimizer units: constant folding, order-insensitive
-digests, interval lowering, the per-pFSM program memo, and cost-based
-strategy selection.
+digests, interval lowering, the per-pFSM program memo, cost-based
+strategy selection, and the one strategy decision the planner reports
+and the scan runs.
 """
 
 import json
@@ -43,8 +44,10 @@ from repro.core import (
     truthy,
 )
 from repro import obs
-from repro.core import plan
-from repro.core.sweep import hidden_witness_scan
+from repro.core import columnar, plan
+from repro.core.sweep import hidden_witness_count, hidden_witness_scan
+from repro.core.witness import distinct_rows
+from repro.models import all_extended_models, all_extended_pfsm_domains
 
 #: Module-scope named predicate: workers re-register it on import, so
 #: ``["named", ...]`` nodes resolve inside pickled programs too.
@@ -434,3 +437,152 @@ class TestStrategySelection:
         # the rebound check, not the compiled one, decides the witnesses
         assert hidden_witness_scan(pfsm, Domain.of(*range(-2, 12))) \
             == [-2, -1]
+
+
+# ---------------------------------------------------------------------------
+# One strategy decision: the strategy the planner reports is the one the
+# scan runs.
+# ---------------------------------------------------------------------------
+
+#: ``sweep.scans.*`` counter suffix → the planner's strategy name.
+_PLANNED = {"fastpath": "interval", "columnar": "columnar",
+            "compiled": "compiled", "plain": "plain"}
+
+
+def _scan_counted(pfsm, domain, limit):
+    """``(witnesses, the strategy the scan counted, counters)``."""
+    registry = obs.get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        found = hidden_witness_scan(pfsm, domain, limit=limit)
+        counters = registry.counters()
+    finally:
+        registry.disable()
+        registry.reset()
+    ran = {_PLANNED[name[len("sweep.scans."):]]: count
+           for name, count in counters.items()
+           if name.startswith("sweep.scans.")}
+    assert list(ran.values()) == [1], ran
+    return found, next(iter(ran)), counters
+
+
+def _agrees(pfsm, domain, limit=5):
+    """Assert the planner and the scan agree on ``domain`` (re-iterable),
+    and return the plan's description."""
+    info = plan.describe_plan(pfsm, domain, limit=limit)
+    found, ran, _ = _scan_counted(pfsm, domain, limit)
+    assert info["strategy"] == ran, (pfsm.name, info, ran)
+    index = distinct_rows(domain)
+    if index is not None:
+        assert info["objects"] == len(index.objects)
+    assert plan.plan_scan(pfsm, domain, limit).est_objects == \
+        info["objects"]
+    assert hidden_witness_count(pfsm, domain) == \
+        len(hidden_witness_scan(pfsm, domain, limit=len(domain)))
+    return info
+
+
+def _bundled_tasks(tile):
+    models = all_extended_models()
+    for label, per_model in all_extended_pfsm_domains().items():
+        for _operation, pfsm in models[label].all_pfsms():
+            domain = per_model.get(pfsm.name)
+            if domain is not None:
+                yield pfsm, Domain(list(domain) * tile)
+
+
+@pytest.fixture
+def tiny_columnar():
+    """Let columnar kernels take domains of any size."""
+    previous = columnar.set_min_rows(1)
+    yield
+    columnar.set_min_rows(previous)
+    columnar._DOMAIN_MEMO.clear()
+
+
+class TestOneDecision:
+    def _pfsm(self, spec, impl):
+        return PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
+                            impl_accepts=impl)
+
+    @pytest.mark.parametrize("tile", [1, 40])
+    def test_bundled_models(self, tile):
+        strategies = {_agrees(pfsm, domain)["strategy"]
+                      for pfsm, domain in _bundled_tasks(tile)}
+        assert strategies == {"compiled"}
+
+    def test_bundled_models_columnar(self, tiny_columnar):
+        strategies = {_agrees(pfsm, domain)["strategy"]
+                      for pfsm, domain in _bundled_tasks(40)}
+        assert "columnar" in strategies
+
+    def test_tiled_estimates_count_distinct_objects(self):
+        for pfsm, domain in _bundled_tasks(40):
+            chosen = plan.plan_scan(pfsm, domain)
+            base = len(distinct_rows(domain).objects)
+            assert chosen.est_objects == base < len(domain)
+            assert chosen.est_cost == max(1.0, chosen.program.cost * base)
+
+    def test_record_domain_columnar(self, tiny_columnar):
+        rows = [{"size": s, "name": "x" * (s % 4)} for s in range(-8, 40)]
+        pfsm = self._pfsm(
+            satisfies_all(attr("size", in_range(0, 20)),
+                          attr("name", length_le(2))),
+            attr("size", less_equal(30)))
+        for domain in (Domain(rows * 3), Domain(tuple(rows))):
+            assert _agrees(pfsm, domain, limit=7)["strategy"] == "columnar"
+
+    def test_raw_list_is_indexed_once_per_scan(self, tiny_columnar):
+        pfsm = self._pfsm(in_range(0, 9), less_equal(20))
+        rows = list(range(-5, 30)) * 2
+        assert _agrees(pfsm, rows)["strategy"] == "columnar"
+        found, _, counters = _scan_counted(pfsm, rows, 100)
+        assert found == [x for x in rows if not 0 <= x <= 9 and x <= 20]
+        assert counters.get("domain.distinct.built") == 1
+
+    def test_range_with_interval_predicates(self):
+        pfsm = self._pfsm(in_range(0, 99), less_equal(10**5))
+        domain = Domain.integers(-50, 10**6)
+        assert _agrees(pfsm, domain)["strategy"] == "interval"
+        assert plan.plan_scan(pfsm, domain).est_objects == len(domain)
+
+    def test_range_without_interval_form(self):
+        pfsm = self._pfsm(satisfies_all(in_range(0, 99), truthy()),
+                          less_equal(400))
+        assert _agrees(pfsm, Domain.integers(-50, 500))["strategy"] \
+            in ("columnar", "compiled")
+
+    def test_opaque_pfsm(self):
+        pfsm = self._pfsm(Predicate(lambda x: x > 3, "opaque"),
+                          less_equal(10))
+        for domain in (Domain(list(range(-5, 20)) * 4),
+                       Domain.integers(-5, 20)):
+            assert _agrees(pfsm, domain)["strategy"] == "plain"
+
+    @pytest.mark.parametrize("min_rows", [None, 1])
+    def test_generator_is_not_read_by_planning(self, min_rows):
+        pfsm = self._pfsm(in_range(0, 9), less_equal(20))
+        items = list(range(-5, 30)) * 3
+        reads = []
+
+        def source():
+            for item in items:
+                reads.append(item)
+                yield item
+
+        previous = columnar.set_min_rows(min_rows) if min_rows else None
+        try:
+            domain = source()
+            info = plan.describe_plan(pfsm, domain)
+            plan.plan_scan(pfsm, domain)
+            plan.task_cost(("m", "op", pfsm, domain, 5))
+            assert reads == []
+            found, ran, _ = _scan_counted(pfsm, domain, 100)
+            assert ran == info["strategy"] == "compiled"
+            assert len(reads) == len(items)
+            assert found == hidden_witness_scan(pfsm, items, limit=100)
+            assert hidden_witness_count(pfsm, source()) == len(found)
+        finally:
+            if previous is not None:
+                columnar.set_min_rows(previous)

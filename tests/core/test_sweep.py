@@ -229,6 +229,21 @@ class TestHiddenWitnessScan:
             assert hidden_witness_scan(pfsm, domain, limit=100) \
                 == _seed_scan(pfsm, domain, 100)
 
+    @given(
+        runs=st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                                st.integers(min_value=0, max_value=40)),
+                      max_size=30),
+        limit=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=150)
+    def test_flagged_rows_switch_from_find_to_compress(self, runs, limit):
+        # alternating runs of 0 and 1 flags: sparse hits, dense hits and
+        # every mix of the two
+        flags = b"".join(b"\x00" * zeros + b"\x01" * ones
+                         for zeros, ones in runs)
+        expected = [row for row, flag in enumerate(flags) if flag][:limit]
+        assert sweep_module._flagged_rows(flags, limit) == expected
+
 
 # ---------------------------------------------------------------------------
 # parallel ≡ serial sweeps
