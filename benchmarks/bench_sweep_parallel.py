@@ -190,45 +190,20 @@ def _scalar_hidden_witnesses(pfsm, domain, limit):
     return found
 
 
-def _closed_form(pfsm) -> bool:
-    return pfsm.spec_accepts.intervals is not None and (
-        pfsm.impl_accepts is None or pfsm.impl_accepts.intervals is not None
-    )
-
-
-def _scaled_domains(models, domains, range_target=100_000, tile_factor=200):
+def _scaled_domains(domains, tile_factor=200):
     """Corpus-scale versions of the bundled pFSM domains.
 
     The bundled domains are probe sets of a handful of values — fine for
-    correctness, useless for measuring a sweep engine.  This widens each
-    ``range``-backed domain whose pFSM has closed-form predicates to
-    ``range_target`` integers (the batch path answers arithmetically)
-    and tiles every other probe set ``tile_factor``-fold by reference
-    repetition — a corpus that re-probes the same objects over and over,
-    exactly what the scans' distinct-row index absorbs.  Both
-    engines under comparison get the
-    identical scaled corpus.
+    correctness, useless for measuring a sweep engine.  This tiles every
+    probe set ``tile_factor``-fold by reference repetition — a corpus
+    that re-probes the same objects over and over, exactly what the
+    scans' distinct-row index absorbs.  Both engines under comparison
+    get the identical scaled corpus.
     """
-    pfsms = {
-        label: {pfsm.name: pfsm for _op, pfsm in model.all_pfsms()}
-        for label, model in models.items()
-    }
     scaled = {}
     for label, per_model in domains.items():
         scaled_model = {}
         for name, dom in per_model.items():
-            backing = getattr(dom, "backing", None)
-            pfsm = pfsms.get(label, {}).get(name)
-            if (isinstance(backing, range) and len(backing)
-                    and pfsm is not None and _closed_form(pfsm)):
-                pad = max(0, (range_target - len(backing)) // 2)
-                step = backing.step
-                widened = range(backing.start - pad * step,
-                                backing.stop + pad * step, step)
-                scaled_model[name] = Domain(
-                    widened, description=f"scaled({dom.description})"
-                )
-                continue
             items = list(dom)
             scaled_model[name] = Domain(
                 items * tile_factor,
@@ -576,7 +551,7 @@ def _cluster_scenario(repeats=2):
     from repro.cluster import ClusterCoordinator, coordinating
 
     models = all_extended_models()
-    domains = _scaled_domains(models, all_extended_pfsm_domains())
+    domains = _scaled_domains(all_extended_pfsm_domains())
     limit = 10**9
 
     def process_side():
@@ -711,7 +686,7 @@ def _faults_scenario(repeats=2):
     )
 
     models = all_extended_models()
-    domains = _scaled_domains(models, all_extended_pfsm_domains())
+    domains = _scaled_domains(all_extended_pfsm_domains())
     limit = 10**9
 
     def cluster_side():
@@ -870,7 +845,7 @@ def measure(witness_repeats=5, sweep_repeats=3):
     assert len(batch_found) == 10000
 
     models = all_extended_models()
-    domains = _scaled_domains(models, all_extended_pfsm_domains())
+    domains = _scaled_domains(all_extended_pfsm_domains())
     # Full witness enumeration: with a truncating limit both engines
     # early-exit after a handful of hits and nothing is measured.
     limit = 10**9
@@ -887,8 +862,7 @@ def measure(witness_repeats=5, sweep_repeats=3):
         "engine sweep diverged from the serial baseline"
 
     session_domains = _scaled_domains(
-        models, all_extended_pfsm_domains(),
-        tile_factor=SESSION_TILE_FACTOR,
+        all_extended_pfsm_domains(), tile_factor=SESSION_TILE_FACTOR,
     )
     thread_session_s, thread_sweeps = _backend_session(
         models, session_domains, limit, mode="thread")
@@ -1202,7 +1176,7 @@ def test_hidden_witness_batch_vs_scalar(benchmark):
 def test_sweep_models_parallel(benchmark):
     """Whole-corpus sweep through the inline batched engine."""
     models = all_extended_models()
-    domains = _scaled_domains(models, all_extended_pfsm_domains())
+    domains = _scaled_domains(all_extended_pfsm_domains())
     sweeps = benchmark(lambda: sweep_models(models, domains, limit=10**9))
     assert sum(len(s.findings) for s in sweeps) > 0
 
@@ -1210,7 +1184,7 @@ def test_sweep_models_parallel(benchmark):
 def test_process_backend_session(benchmark):
     """Repeated corpus sweep on the process backend (fingerprint memo)."""
     models = all_extended_models()
-    domains = _scaled_domains(models, all_extended_pfsm_domains())
+    domains = _scaled_domains(all_extended_pfsm_domains())
 
     def session():
         seconds, sweeps = _backend_session(models, domains, 10**9,

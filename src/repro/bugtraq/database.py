@@ -141,8 +141,8 @@ class BugtraqDatabase:
         return self.category_counts()[category] / len(self._reports)
 
     def count_matching(self, pred: Any) -> int:
-        """Reports satisfying a :class:`~repro.core.predicates.Predicate`,
-        counted through its batch path (one call, not N)."""
+        """Reports satisfying a :class:`~repro.core.predicates.Predicate`
+        (its ``evaluate`` called once per report)."""
         if _OBS.enabled:
             _OBS.incr("bugtraq.queries.count_matching")
-        return sum(pred.evaluate_batch(self._reports))
+        return sum(map(pred.evaluate, self._reports))

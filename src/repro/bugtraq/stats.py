@@ -39,13 +39,13 @@ __all__ = [
 ]
 
 #: Remote exploitability as a first-class predicate — evaluated over the
-#: whole corpus through the batch path.
+#: whole corpus.
 REMOTE = Predicate(lambda report: report.remote, "remotely exploitable")
 
 
 def remote_share(db: BugtraqDatabase) -> Tuple[int, float]:
-    """(count, fraction) of remotely exploitable reports, counted via
-    the predicate batch path (one sweep over the corpus)."""
+    """(count, fraction) of remotely exploitable reports, counted in
+    one sweep over the corpus."""
     count = db.count_matching(REMOTE)
     return count, count / (len(db) or 1)
 

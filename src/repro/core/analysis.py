@@ -72,7 +72,7 @@ def hidden_path_report(
     enumerable, e.g. raw memory states).
 
     Delegates to :func:`repro.core.sweep.sweep_model`: per-pFSM scans
-    take the closed-form batch path where available and run inline in
+    take the interval strategy where available and run inline in
     cascade order.
     """
     sweep = sweep_model(model, domains, limit=limit)

@@ -160,7 +160,7 @@ class DiscoveryEngine:
     ) -> List[Finding]:
         """Check every pFSM of ``operation`` against its object domain.
 
-        Scans ride the sweep engine (closed-form batch paths where
+        Scans ride the sweep engine (interval algebra where
         available); results stay in activity order.
         """
         specs = {pfsm.name: pfsm for pfsm in operation.pfsms}

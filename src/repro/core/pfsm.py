@@ -97,9 +97,9 @@ class PrimitiveFSM:
     check_type: Optional[PfsmType] = None
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The compiled-program memo of :func:`repro.core.plan.program_for`
-        # is stamped with this process's predicate cache keys: it never
-        # ships, so the receiver compiles its own program.
+        # The folded-tree and program memo of :mod:`repro.core.plan` is
+        # stamped with this process's predicate cache keys: it never
+        # ships, so the receiver builds its own.
         state = dict(self.__dict__)
         state.pop("_plan_program", None)
         return state

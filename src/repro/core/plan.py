@@ -8,8 +8,8 @@ indirection.
 
 This module lowers the declarative *spec* terms of
 :mod:`repro.core.predspec` into fused single-pass scan programs, in the
-spirit of compiled query plans (Neumann, VLDB 2011) over the
-interval-algebra machinery of :mod:`repro.core.predicates`:
+spirit of compiled query plans (Neumann, VLDB 2011), through a folded
+node tree:
 
 * **Constant folding and flattening** — ``and``/``or`` chains become
   n-ary nodes, ``true``/``false`` units and double negations dissolve,
@@ -23,6 +23,12 @@ interval-algebra machinery of :mod:`repro.core.predicates`:
   membership test for ``int`` inputs (non-``int`` objects fall back to
   the general program, preserving the constructors' coercion rules).
 
+The folded tree is the only place a closed-form interval denotation
+exists (predicates carry none).  Each pFSM memoizes the tree of its
+hidden set and the program emitted from it (:func:`program_for`); the
+tree is built even when the planner is bypassed, so a ``range``-backed
+domain is answered by the tree's intervals either way.
+
 Compiled :class:`ScanProgram` objects are verdict-equivalent to the
 interpretive path, including its fail-secure exception semantics: the
 interpreter shields every node (``evaluate`` maps exceptions to
@@ -35,8 +41,8 @@ to the nearest shield yields ``False`` exactly where the interpreter's
 Each program judges each distinct object of one scan once (the scan
 walks the domain's distinct-row index, :mod:`repro.core.sweep`); there
 is no verdict memo, and no verdict is shared between tasks.  A program
-is memoized only on the pFSM it was compiled for (:func:`program_for`);
-that memo survives a fork but never a pickle.  Programs are picklable:
+is memoized only on the pFSM it was compiled for, and that memo
+survives a fork but never a pickle.  Programs are picklable:
 they ship as their spec alone and recompile in the receiving process.
 
 The planner is the one place a scan's strategy is chosen
@@ -51,21 +57,12 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..obs import DEFAULT as _OBS
 from . import columnar as _columnar
-from .predicates import (
-    IntervalSet,
-    _FULL_LINE,
-    _complement_intervals,
-    _get,
-    _intersect_intervals,
-    _interval_contains,
-    _normalize_intervals,
-    _range_backing,
-    _union_intervals,
-)
+from .predicates import _get
 from .predspec import _lookup_named, _resolve_type, decode_value, spec_digest
 from .witness import DistinctRows, distinct_rows
 
@@ -82,6 +79,133 @@ __all__ = [
     "set_enabled",
     "task_cost",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form interval semantics.
+#
+# The comparison leaves (``range``, ``le``, ``ge``, integer ``eq``,
+# ``true``, ``false``) denote *interval sets* over the integers, and the
+# folded tree carries that denotation through ``and``/``or``/``not``.
+# Over a ``range``-backed domain a hidden set with one is answered
+# arithmetically: witness counting becomes interval intersection, O(1)
+# instead of an O(n) scan.
+#
+# An interval set is a sorted tuple of disjoint ``(low, high)`` pairs
+# with ``None`` meaning unbounded on that side.  The combinators below
+# keep the representation normalized so ``and``/``or``/``not`` compose
+# exact closed forms.
+# ---------------------------------------------------------------------------
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+
+Interval = Tuple[Optional[int], Optional[int]]
+IntervalSet = Tuple[Interval, ...]
+
+
+def _lo(bound: Optional[int]) -> Any:
+    return _NEG_INF if bound is None else bound
+
+
+def _hi(bound: Optional[int]) -> Any:
+    return _POS_INF if bound is None else bound
+
+
+def _normalize_intervals(intervals: Iterable[Interval]) -> IntervalSet:
+    """Sort, drop empties, and merge touching/overlapping intervals."""
+    cleaned = [iv for iv in intervals if _lo(iv[0]) <= _hi(iv[1])]
+    cleaned.sort(key=lambda iv: (_lo(iv[0]), _hi(iv[1])))
+    merged: List[Interval] = []
+    for low, high in cleaned:
+        if merged:
+            plow, phigh = merged[-1]
+            # Adjacent integer intervals (e.g. [0,5] and [6,9]) merge.
+            if _lo(low) <= _hi(phigh) + 1:
+                if _hi(high) > _hi(phigh):
+                    merged[-1] = (plow, high)
+                continue
+        merged.append((low, high))
+    return tuple(merged)
+
+
+def _intersect_intervals(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    out: List[Interval] = []
+    for alow, ahigh in a:
+        for blow, bhigh in b:
+            low = alow if _lo(alow) >= _lo(blow) else blow
+            high = ahigh if _hi(ahigh) <= _hi(bhigh) else bhigh
+            if _lo(low) <= _hi(high):
+                out.append((low, high))
+    return _normalize_intervals(out)
+
+
+def _union_intervals(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return _normalize_intervals(list(a) + list(b))
+
+
+def _complement_intervals(a: IntervalSet) -> IntervalSet:
+    """Integer complement of a *normalized* interval set."""
+    out: List[Interval] = []
+    cursor: Any = _NEG_INF  # first value not yet covered by ``a``
+    for low, high in a:
+        if _lo(low) > cursor:
+            out.append((None if cursor == _NEG_INF else int(cursor), low - 1))
+        if high is None:
+            return _normalize_intervals(out)
+        cursor = high + 1
+    out.append((None if cursor == _NEG_INF else int(cursor), None))
+    return _normalize_intervals(out)
+
+
+def _interval_contains(intervals: IntervalSet, value: int) -> bool:
+    return any(_lo(low) <= value <= _hi(high) for low, high in intervals)
+
+
+#: Full integer line — the interval form of ``true``.
+_FULL_LINE: IntervalSet = ((None, None),)
+
+
+def _range_backing(objects: Any) -> Optional[range]:
+    """The ``range`` behind an iterable, if there is one.
+
+    Recognizes raw ``range`` objects and anything exposing a ``backing``
+    attribute that is one (``Domain.integers`` keeps its range lazy).
+    """
+    if isinstance(objects, range):
+        return objects
+    backing = getattr(objects, "backing", None)
+    if isinstance(backing, range):
+        return backing
+    return None
+
+
+def _clip_range(backing: range, low: Optional[int], high: Optional[int]) -> range:
+    """The sub-range of ``backing`` whose values lie in ``[low, high]``,
+    preserving the backing's stride, phase, and iteration direction."""
+    step = backing.step
+    start, stop = backing.start, backing.stop
+    if step > 0:
+        if low is not None and low > start:
+            start += -(-(low - start) // step) * step  # ceil to stride
+        if high is not None:
+            stop = min(stop, high + 1)
+    else:
+        if high is not None and high < start:
+            start += -(-(start - high) // -step) * step
+        if low is not None:
+            stop = max(stop, low - 1)
+    return range(start, stop, step)
+
+
+def _clipped_subranges(backing: range, intervals: IntervalSet) -> List[range]:
+    """``backing`` ∩ ``intervals`` as sub-ranges, in iteration order."""
+    ordered = intervals if backing.step > 0 else tuple(reversed(intervals))
+    return [
+        clipped
+        for low, high in ordered
+        if len(clipped := _clip_range(backing, low, high))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +248,7 @@ class _Node:
     """One node of a folded spec tree, annotated bottom-up."""
 
     __slots__ = ("op", "args", "children", "digest", "cost",
-                 "selectivity", "intervals", "closed", "leaves")
+                 "selectivity", "intervals", "leaves")
 
     def __init__(self, op: str, args: Tuple[Any, ...] = (),
                  children: Tuple["_Node", ...] = ()) -> None:
@@ -134,11 +258,10 @@ class _Node:
         self.digest = ""
         self.cost = 0.0
         self.selectivity = 0.5
-        #: Closed-form integer denotation of the subtree, or ``None``.
+        #: Closed-form integer denotation of the subtree, or ``None``:
+        #: when set, the subtree's verdict on an ``int`` is interval
+        #: membership (the lowering precondition).
         self.intervals: Optional[IntervalSet] = None
-        #: True when, for ``int`` inputs, the subtree's verdict is fully
-        #: decided by interval membership (the lowering precondition).
-        self.closed = False
         self.leaves = 1
 
 
@@ -148,22 +271,20 @@ def _leaf(op: str, args: Tuple[Any, ...]) -> _Node:
     node.cost = _LEAF_COST.get(op, 1.0)
     node.selectivity = _LEAF_SELECTIVITY.get(op, 0.5)
     if op == "true":
-        node.intervals, node.closed = _FULL_LINE, True
+        node.intervals = _FULL_LINE
     elif op == "false":
-        node.intervals, node.closed = (), True
+        node.intervals = ()
     elif op == "range":
         low, high = args
         node.intervals = _normalize_intervals([(low, high)])
-        node.closed = True
     elif op == "le":
-        node.intervals, node.closed = ((None, args[0]),), True
+        node.intervals = ((None, args[0]),)
     elif op == "ge":
-        node.intervals, node.closed = ((args[0], None),), True
+        node.intervals = ((args[0], None),)
     elif op == "eq":
         expected = decode_value(args[0])
         if isinstance(expected, int) and not isinstance(expected, bool):
             node.intervals = ((expected, expected),)
-            node.closed = True
     return node
 
 
@@ -174,7 +295,6 @@ def _make_not(child: _Node) -> _Node:
     node.selectivity = 1.0 - child.selectivity
     if child.intervals is not None:
         node.intervals = _complement_intervals(child.intervals)
-    node.closed = child.closed and node.intervals is not None
     node.leaves = child.leaves
     return node
 
@@ -218,7 +338,6 @@ def _make_junction(op: str, kids: List[_Node]) -> _Node:
             break
         intervals = combine(intervals, child.intervals)
     node.intervals = intervals
-    node.closed = intervals is not None and all(c.closed for c in unique)
     node.leaves = sum(c.leaves for c in unique)
     if op == "and":
         unique.sort(key=lambda c: (
@@ -339,7 +458,7 @@ def _emit_leaf(node: _Node) -> _EmitFn:
 
 def _emit_node(node: _Node, ctx: Dict[str, int]) -> _EmitFn:
     """The node's evaluator, without a shield of its own."""
-    if node.closed and node.children and node.leaves >= 2:
+    if node.intervals is not None and node.children and node.leaves >= 2:
         # Interval lowering: the whole comparison subtree is one
         # membership test for exact ints.  The guard is ``type(obj) is
         # int`` because the comparison constructors coerce (``int(obj)``)
@@ -471,7 +590,11 @@ def compile_spec(spec: Any) -> ScanProgram:
     callers on hot paths go through :func:`program_for`, which degrades
     to ``None`` (interpretive fallback) instead.
     """
-    root = _build(spec)
+    return _emit(spec, _build(spec))
+
+
+def _emit(spec: Any, root: _Node) -> ScanProgram:
+    """The program of ``spec``, emitted from its folded tree ``root``."""
     ctx = {"lowered": 0}
     program = ScanProgram(spec, root, _shield(_emit_node(root, ctx)),
                           ctx["lowered"])
@@ -509,77 +632,94 @@ def hidden_spec(pfsm: Any) -> Optional[Any]:
     return ["and", ["not", spec], impl_spec]
 
 
-def program_for(pfsm: Any) -> Optional[ScanProgram]:
-    """The compiled hidden-set program of one pFSM, or ``None`` when the
-    planner is bypassed or the pFSM is not compilable.
+#: A memo's program before :func:`program_for` first emits it.
+_UNEMITTED: Any = object()
 
-    Memoized on the pFSM object, validated against both predicates'
-    mutation-aware cache keys.  The memo is left out of a pickled pFSM
+
+def _remember(pfsm: Any, memo: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    try:
+        object.__setattr__(pfsm, "_plan_program", memo)
+    except Exception:
+        pass
+    return memo
+
+
+def _lowered(pfsm: Any) -> Tuple[Any, Optional[_Node], Any]:
+    """The pFSM's memo ``(stamp, root, program)``: the folded tree of its
+    hidden set (``None`` when a predicate is opaque or the term is
+    malformed) and the program emitted from it (:data:`_UNEMITTED`
+    until :func:`program_for` asks).
+
+    The tree is built whether or not the planner is enabled: it is the
+    one interval denotation the interval strategy reads.  The memo is
+    validated against both predicates' mutation-aware cache keys, and
+    left out of a pickled pFSM
     (:meth:`~repro.core.pfsm.PrimitiveFSM.__getstate__`): cache keys
     come from a per-process counter, so a shipped stamp could match an
     unrelated predicate of the receiver.
     """
-    if not _ENABLED:
-        return None
     impl = pfsm.impl_accepts
     stamp = (pfsm.spec_accepts.cache_key,
              impl.cache_key if impl is not None else None)
     memo = getattr(pfsm, "_plan_program", None)
     if memo is not None and memo[0] == stamp:
-        return memo[1]
+        return memo
     term = hidden_spec(pfsm)
-    program: Optional[ScanProgram] = None
-    if term is not None:
+    try:
+        root = None if term is None else _build(term)
+    except Exception:
+        root = None
+    return _remember(pfsm, (stamp, root, _UNEMITTED))
+
+
+def program_for(pfsm: Any) -> Optional[ScanProgram]:
+    """The compiled hidden-set program of one pFSM, or ``None`` when the
+    planner is bypassed or the pFSM is not compilable.  Emitted once
+    from the pFSM's memoized tree (:func:`_lowered`)."""
+    if not _ENABLED:
+        return None
+    stamp, root, program = _lowered(pfsm)
+    if program is _UNEMITTED:
         try:
-            program = compile_spec(term)
+            program = None if root is None else _emit(hidden_spec(pfsm), root)
         except Exception:
             program = None
-    try:
-        object.__setattr__(pfsm, "_plan_program", (stamp, program))
-    except Exception:
-        pass
+        _remember(pfsm, (stamp, root, program))
     return program
-
-
-def _hidden_interval_set(pfsm: Any) -> Optional[IntervalSet]:
-    """Interval form of ``¬spec ∧ impl``, or ``None`` if either side is
-    opaque.  Read from the predicates, not the program's tree: a named
-    predicate carries intervals its spec term lacks."""
-    spec_iv = pfsm.spec_accepts.intervals
-    if spec_iv is None:
-        return None
-    impl = pfsm.impl_accepts
-    impl_iv = _FULL_LINE if impl is None else impl.intervals
-    if impl_iv is None:
-        return None
-    return _intersect_intervals(_complement_intervals(spec_iv), impl_iv)
 
 
 def _choose(pfsm: Any, domain: Any, scan: bool = False
             ) -> Tuple[str, Optional[ScanProgram], Optional[_columnar.Kernel],
-                       Optional[DistinctRows]]:
+                       Optional[DistinctRows], Optional[IntervalSet]]:
     """The one scan-strategy decision: ``(strategy, program, kernel,
-    index)``, in the dominance order :func:`plan_scan` documents.
+    index, intervals)``, in the dominance order :func:`plan_scan`
+    documents.
 
     ``kernel`` is the columnar kernel of a ``"columnar"`` choice and
     ``index`` the domain's distinct-row index (``None`` for ``range``
     and record-product backings, and for an ``"interval"`` choice).
+    ``intervals`` is the hidden set's interval set, read from the
+    pFSM's folded tree, of an ``"interval"`` choice, which takes a
+    ``range``-backed domain whose tree has one, planner bypassed or
+    not.
     :func:`repro.core.sweep.hidden_witness_scan` runs what this returns
     (``scan=True``, which materializes a one-shot iterable into its
     index); planning leaves such an iterable unread, and no columnar
     kernel ever takes one, so both see the same strategy.
     """
-    if _range_backing(domain) is not None \
-            and _hidden_interval_set(pfsm) is not None:
-        return "interval", None, None, None
+    if _range_backing(domain) is not None:
+        root = _lowered(pfsm)[1]
+        if root is not None and root.intervals is not None:
+            return "interval", None, None, None, root.intervals
     program = program_for(pfsm)
     index = None
     if scan or isinstance(getattr(domain, "backing", domain), (list, tuple)):
         index = distinct_rows(domain)
     kernel = _columnar.kernel_for(program, domain, index)
     if kernel is not None:
-        return "columnar", program, kernel, index
-    return ("plain" if program is None else "compiled"), program, None, index
+        return "columnar", program, kernel, index, None
+    return ("plain" if program is None else "compiled"), program, None, \
+        index, None
 
 
 def _domain_size(domain: Any, default: int = 1024) -> int:
@@ -620,7 +760,7 @@ def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
     distinct-row index, its rows otherwise.  Never reads a one-shot
     iterable.
     """
-    strategy, program, kernel, index = _choose(pfsm, domain)
+    strategy, program, kernel, index, _ = _choose(pfsm, domain)
     objects = _domain_size(domain) if index is None else len(index.objects)
     if strategy == "interval":
         cost = float(min(limit, objects))

@@ -24,13 +24,20 @@ distributed sweep runner uses), and transportable to worker processes and, event
 hosts.  Predicates built from raw callables are *opaque* (``spec`` is
 ``None``) unless registered by name through
 :func:`repro.core.predspec.named_predicate`.
+
+Predicates carry no closed form of their own: the interval denotation
+of the comparison constructors (``in_range``, ``less_equal``,
+``greater_equal``, integer ``equals``, ``always``, ``never``) lives on
+the folded spec tree of :mod:`repro.core.plan`, which answers
+hidden-set scans over ``range``-backed domains by interval algebra.
+:meth:`Predicate.witnesses` is the plain object-by-object loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Predicate",
@@ -53,132 +60,7 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Closed-form interval semantics.
-#
-# The comparison constructors (``in_range``, ``less_equal``,
-# ``greater_equal``, integer ``equals``) denote *interval sets* over the
-# integers.  Carrying that denotation on the predicate lets batch
-# evaluation over ``range``-backed domains run arithmetically — witness
-# counting becomes interval intersection, O(1) instead of an O(n) scan.
-#
-# An interval set is a sorted tuple of disjoint ``(low, high)`` pairs
-# with ``None`` meaning unbounded on that side.  The combinators below
-# keep the representation normalized so ``&``/``|``/``~`` compose exact
-# closed forms.
-# ---------------------------------------------------------------------------
-
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
-
-Interval = Tuple[Optional[int], Optional[int]]
-IntervalSet = Tuple[Interval, ...]
-
-
-def _lo(bound: Optional[int]) -> Any:
-    return _NEG_INF if bound is None else bound
-
-
-def _hi(bound: Optional[int]) -> Any:
-    return _POS_INF if bound is None else bound
-
-
-def _normalize_intervals(intervals: Iterable[Interval]) -> IntervalSet:
-    """Sort, drop empties, and merge touching/overlapping intervals."""
-    cleaned = [iv for iv in intervals if _lo(iv[0]) <= _hi(iv[1])]
-    cleaned.sort(key=lambda iv: (_lo(iv[0]), _hi(iv[1])))
-    merged: List[Interval] = []
-    for low, high in cleaned:
-        if merged:
-            plow, phigh = merged[-1]
-            # Adjacent integer intervals (e.g. [0,5] and [6,9]) merge.
-            if _lo(low) <= _hi(phigh) + 1:
-                if _hi(high) > _hi(phigh):
-                    merged[-1] = (plow, high)
-                continue
-        merged.append((low, high))
-    return tuple(merged)
-
-
-def _intersect_intervals(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    out: List[Interval] = []
-    for alow, ahigh in a:
-        for blow, bhigh in b:
-            low = alow if _lo(alow) >= _lo(blow) else blow
-            high = ahigh if _hi(ahigh) <= _hi(bhigh) else bhigh
-            if _lo(low) <= _hi(high):
-                out.append((low, high))
-    return _normalize_intervals(out)
-
-
-def _union_intervals(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _normalize_intervals(list(a) + list(b))
-
-
-def _complement_intervals(a: IntervalSet) -> IntervalSet:
-    """Integer complement of a *normalized* interval set."""
-    out: List[Interval] = []
-    cursor: Any = _NEG_INF  # first value not yet covered by ``a``
-    for low, high in a:
-        if _lo(low) > cursor:
-            out.append((None if cursor == _NEG_INF else int(cursor), low - 1))
-        if high is None:
-            return _normalize_intervals(out)
-        cursor = high + 1
-    out.append((None if cursor == _NEG_INF else int(cursor), None))
-    return _normalize_intervals(out)
-
-
-def _interval_contains(intervals: IntervalSet, value: int) -> bool:
-    return any(_lo(low) <= value <= _hi(high) for low, high in intervals)
-
-
-#: Full integer line — the interval form of ``always``.
-_FULL_LINE: IntervalSet = ((None, None),)
-
 _cache_tokens = itertools.count(1)
-
-
-def _range_backing(objects: Any) -> Optional[range]:
-    """The ``range`` behind an iterable, if there is one.
-
-    Recognizes raw ``range`` objects and anything exposing a ``backing``
-    attribute that is one (``Domain.integers`` keeps its range lazy).
-    """
-    if isinstance(objects, range):
-        return objects
-    backing = getattr(objects, "backing", None)
-    if isinstance(backing, range):
-        return backing
-    return None
-
-
-def _clip_range(backing: range, low: Optional[int], high: Optional[int]) -> range:
-    """The sub-range of ``backing`` whose values lie in ``[low, high]``,
-    preserving the backing's stride, phase, and iteration direction."""
-    step = backing.step
-    start, stop = backing.start, backing.stop
-    if step > 0:
-        if low is not None and low > start:
-            start += -(-(low - start) // step) * step  # ceil to stride
-        if high is not None:
-            stop = min(stop, high + 1)
-    else:
-        if high is not None and high < start:
-            start += -(-(start - high) // -step) * step
-        if low is not None:
-            stop = max(stop, low - 1)
-    return range(start, stop, step)
-
-
-def _clipped_subranges(backing: range, intervals: IntervalSet) -> List[range]:
-    """``backing`` ∩ ``intervals`` as sub-ranges, in iteration order."""
-    ordered = intervals if backing.step > 0 else tuple(reversed(intervals))
-    return [
-        clipped
-        for low, high in ordered
-        if len(clipped := _clip_range(backing, low, high))
-    ]
 
 
 class Predicate:
@@ -195,14 +77,10 @@ class Predicate:
         self,
         fn: Callable[[Any], bool],
         description: str,
-        intervals: Optional[IntervalSet] = None,
         spec: Optional[Any] = None,
     ) -> None:
         self._fn = fn
         self.description = description
-        #: Closed-form integer denotation, when one exists (see module
-        #: header).  ``None`` means "opaque — evaluate the callable".
-        self._intervals = intervals
         #: Declarative rebuild term (see :mod:`repro.core.predspec`);
         #: ``None`` means the predicate cannot be serialized by meaning.
         self._spec = spec
@@ -221,11 +99,6 @@ class Predicate:
         for memoization (see :func:`repro.core.plan.program_for` and
         :func:`repro.core.dist.task_key`)."""
         return (self._cache_token, self._cache_version)
-
-    @property
-    def intervals(self) -> Optional[IntervalSet]:
-        """The closed-form integer denotation, or ``None`` if opaque."""
-        return self._intervals
 
     @property
     def spec(self) -> Optional[Any]:
@@ -262,13 +135,12 @@ class Predicate:
         """Mutate this predicate in place to a new condition.
 
         Bumps the cache version so any memoized verdicts for the old
-        callable are invalidated; drops the closed form and the spec
-        (the new callable is opaque).  Returns ``self`` for chaining.
+        callable are invalidated; drops the spec (the new callable is
+        opaque).  Returns ``self`` for chaining.
         """
         self._fn = fn
         if description is not None:
             self.description = description
-        self._intervals = None
         self._spec = None
         self._spec_hash = None
         self._cache_version += 1
@@ -291,41 +163,29 @@ class Predicate:
     # -- combinators --------------------------------------------------------
 
     def __and__(self, other: "Predicate") -> "Predicate":
-        intervals = None
-        if self._intervals is not None and other._intervals is not None:
-            intervals = _intersect_intervals(self._intervals, other._intervals)
         spec = None
         if self._spec is not None and other._spec is not None:
             spec = ["and", self._spec, other._spec]
         return Predicate(
             lambda obj: self.evaluate(obj) and other.evaluate(obj),
             f"({self.description}) and ({other.description})",
-            intervals=intervals,
             spec=spec,
         )
 
     def __or__(self, other: "Predicate") -> "Predicate":
-        intervals = None
-        if self._intervals is not None and other._intervals is not None:
-            intervals = _union_intervals(self._intervals, other._intervals)
         spec = None
         if self._spec is not None and other._spec is not None:
             spec = ["or", self._spec, other._spec]
         return Predicate(
             lambda obj: self.evaluate(obj) or other.evaluate(obj),
             f"({self.description}) or ({other.description})",
-            intervals=intervals,
             spec=spec,
         )
 
     def __invert__(self) -> "Predicate":
-        intervals = None
-        if self._intervals is not None:
-            intervals = _complement_intervals(self._intervals)
         return Predicate(
             lambda obj: not self.evaluate(obj),
             f"not ({self.description})",
-            intervals=intervals,
             spec=None if self._spec is None else ["not", self._spec],
         )
 
@@ -336,67 +196,20 @@ class Predicate:
     def renamed(self, description: str) -> "Predicate":
         """Same condition, new display name (and, being semantically
         identical, the same spec and spec hash)."""
-        return Predicate(self._fn, description, intervals=self._intervals,
-                         spec=self._spec)
-
-    # -- batch evaluation -----------------------------------------------------
-
-    def evaluate_batch(self, objects: Iterable[Any]) -> List[bool]:
-        """Evaluate over many objects at once.
-
-        Semantically identical to ``[self.evaluate(o) for o in objects]``.
-        Predicates with a closed-form integer denotation evaluated over a
-        ``range`` skip the per-object callable entirely and answer by
-        interval membership; everything else takes the loop fallback.
-        """
-        backing = _range_backing(objects)
-        if backing is not None and self._intervals is not None:
-            intervals = self._intervals
-            return [_interval_contains(intervals, value) for value in backing]
-        evaluate = self.evaluate
-        return [evaluate(obj) for obj in objects]
-
-    def count_over(self, domain: Iterable[Any]) -> int:
-        """How many domain objects satisfy the predicate.
-
-        O(1) per interval for closed-form predicates over ``range``-backed
-        domains; an O(n) scan otherwise.
-        """
-        backing = _range_backing(domain)
-        if backing is not None and self._intervals is not None:
-            return sum(
-                len(sub) for sub in _clipped_subranges(backing, self._intervals)
-            )
-        evaluate = self.evaluate
-        return sum(1 for obj in domain if evaluate(obj))
+        return Predicate(self._fn, description, spec=self._spec)
 
     # -- domain queries -------------------------------------------------------
 
     def witnesses(self, domain: Iterable[Any], limit: int = 10) -> List[Any]:
-        """Up to ``limit`` objects from ``domain`` satisfying the predicate."""
-        backing = _range_backing(domain)
-        if backing is not None and self._intervals is not None:
-            found: List[Any] = []
-            for sub in _clipped_subranges(backing, self._intervals):
-                take = min(limit - len(found), len(sub))
-                found.extend(sub[:take])
-                if len(found) >= limit:
-                    break
-            return found
-        found = []
+        """Up to ``limit`` objects from ``domain`` satisfying the predicate,
+        in domain order."""
+        found: List[Any] = []
         for candidate in domain:
             if self.evaluate(candidate):
                 found.append(candidate)
                 if len(found) >= limit:
                     break
         return found
-
-    def holds_over(self, domain: Iterable[Any]) -> bool:
-        """True when the predicate holds for every element of ``domain``."""
-        backing = _range_backing(domain)
-        if backing is not None and self._intervals is not None:
-            return self.count_over(backing) == len(backing)
-        return all(self.evaluate(candidate) for candidate in domain)
 
     def __repr__(self) -> str:
         return f"Predicate({self.description!r})"
@@ -413,11 +226,10 @@ def predicate(description: str) -> Callable[[Callable[[Any], bool]], Predicate]:
 
 #: The vacuous check — accepts everything.  An implementation predicate
 #: of ``always`` is the paper's "no check performed" (IMPL_REJ absent).
-always = Predicate(lambda _obj: True, "true", intervals=_FULL_LINE,
-                   spec=["true"])
+always = Predicate(lambda _obj: True, "true", spec=["true"])
 
 #: Rejects everything.
-never = Predicate(lambda _obj: False, "false", intervals=(), spec=["false"])
+never = Predicate(lambda _obj: False, "false", spec=["false"])
 
 
 def truthy(description: str = "the object is truthy") -> Predicate:
@@ -455,33 +267,28 @@ def _value_spec(op: str, value: Any) -> Optional[List[Any]]:
 
 def equals(expected: Any) -> Predicate:
     """``· == expected``."""
-    intervals: Optional[IntervalSet] = None
-    if isinstance(expected, int) and not isinstance(expected, bool):
-        intervals = ((expected, expected),)
     return Predicate(lambda obj: obj == expected, f"· == {expected!r}",
-                     intervals=intervals, spec=_value_spec("eq", expected))
+                     spec=_value_spec("eq", expected))
 
 
 def in_range(low: int, high: int) -> Predicate:
     """``low <= · <= high`` — the corrected Sendmail predicate is
     ``in_range(0, 100)``."""
     return Predicate(lambda obj: low <= int(obj) <= high,
-                     f"{low} <= · <= {high}",
-                     intervals=_normalize_intervals([(low, high)]),
-                     spec=["range", low, high])
+                     f"{low} <= · <= {high}", spec=["range", low, high])
 
 
 def less_equal(bound: int) -> Predicate:
     """``· <= bound`` — the *incomplete* Sendmail check is
     ``less_equal(100)``."""
     return Predicate(lambda obj: int(obj) <= bound, f"· <= {bound}",
-                     intervals=((None, bound),), spec=["le", bound])
+                     spec=["le", bound])
 
 
 def greater_equal(bound: int) -> Predicate:
     """``· >= bound`` — e.g. ``contentLen >= 0`` (Figure 4 pFSM1)."""
     return Predicate(lambda obj: int(obj) >= bound, f"· >= {bound}",
-                     intervals=((bound, None),), spec=["ge", bound])
+                     spec=["ge", bound])
 
 
 def length_le(bound: int) -> Predicate:

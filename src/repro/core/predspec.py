@@ -19,8 +19,9 @@ Three operations are exposed:
 ``to_spec(pred)`` / ``from_spec(spec)``
     Round-trip between predicates and spec terms.  ``from_spec`` rebuilds
     through the ordinary :mod:`repro.core.predicates` constructors, so
-    the result carries the same closed-form interval denotation (and the
-    same spec) as the original.
+    the result carries the same spec as the original.  Its closures are
+    the reference semantics the compiled evaluators of
+    :mod:`repro.core.plan` are tested against.
 
 ``spec_digest(spec)``
     A stable SHA-256 digest of the canonical JSON encoding — equal for
@@ -183,8 +184,9 @@ def named_predicate(
     """Register an application check and return its spec-carrying form.
 
     ``fn`` may be a plain callable or an existing :class:`Predicate`
-    (whose callable, closed form, and — absent an explicit
-    ``description`` — display name are reused).  ``module`` defaults to
+    (whose callable and — absent an explicit ``description`` — display
+    name are reused).  A named leaf is opaque to the planner, like any
+    other: it has no interval form.  ``module`` defaults to
     the caller's module; it must be importable in worker processes,
     since ``from_spec(["named", module, name])`` resolves unknown names
     by importing ``module`` and expecting the registration to re-run.
@@ -205,7 +207,6 @@ def named_predicate(
         pred = Predicate(
             fn._fn,
             description if description is not None else fn.description,
-            intervals=fn.intervals,
             spec=spec,
         )
     else:

@@ -61,7 +61,7 @@ from typing import (
 
 from ..obs import DEFAULT as _OBS
 from . import plan as _plan
-from .predicates import _clipped_subranges, _range_backing
+from .plan import _clipped_subranges, _range_backing
 from .predspec import encode_value
 from .witness import DistinctRows
 
@@ -89,12 +89,13 @@ def hidden_witness_count(pfsm: Any, domain: Iterable[Any]) -> int:
     :func:`hidden_witness_scan` selects, summed in closed form (O(1) per
     interval) when the scan is an interval one."""
     chosen = _plan._choose(pfsm, domain, scan=True)
-    if chosen[0] != "interval":
+    intervals = chosen[4]
+    if intervals is None:
         return len(_scan(pfsm, domain, sys.maxsize, chosen)[0])
     if _OBS.enabled:
         _OBS.incr("sweep.scans.fastpath")
-    return sum(map(len, _clipped_subranges(
-        _range_backing(domain), _plan._hidden_interval_set(pfsm))))
+    return sum(map(len, _clipped_subranges(_range_backing(domain),
+                                           intervals)))
 
 
 #: Flag selection switches from ``bytes.find`` to ``compress`` once hits
@@ -189,12 +190,11 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int,
     strategy decision for the task (made here when not given)."""
     if limit <= 0:
         return [], None, None
-    strategy, program, kernel, index = \
+    strategy, program, kernel, index, intervals = \
         chosen or _plan._choose(pfsm, domain, scan=True)
-    if strategy == "interval":
+    if intervals is not None:
         found: List[Any] = []
-        for sub in _clipped_subranges(_range_backing(domain),
-                                      _plan._hidden_interval_set(pfsm)):
+        for sub in _clipped_subranges(_range_backing(domain), intervals):
             found.extend(sub[:limit - len(found)])
             if len(found) >= limit:
                 break

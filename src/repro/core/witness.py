@@ -10,11 +10,11 @@ tests and benchmarks need reproducibility, so samplers take explicit
 seeds.
 
 Domains are also *lazy where laziness is free*: integer domains keep
-their ``range`` backing unmaterialized (so the closed-form batch paths
-in :mod:`repro.core.predicates` can answer witness queries
-arithmetically), and :meth:`Domain.records` holds a re-iterable
-Cartesian product instead of the full list of dicts — O(∑|fields|)
-memory instead of O(∏|fields|) before any predicate runs.
+their ``range`` backing unmaterialized (so the interval strategy of
+:mod:`repro.core.plan` can answer witness queries arithmetically), and
+:meth:`Domain.records` holds a re-iterable Cartesian product instead of
+the full list of dicts — O(∑|fields|) memory instead of O(∏|fields|)
+before any predicate runs.
 
 A materialized domain also knows which of its rows repeat which object:
 :func:`distinct_rows` gives its :class:`DistinctRows` index, built once
@@ -79,7 +79,7 @@ class Domain:
     @property
     def backing(self) -> Any:
         """The raw container behind the domain (``range`` for integer
-        domains — the hook the closed-form predicate paths key on)."""
+        domains — the hook the interval strategy keys on)."""
         return self._items
 
     def __iter__(self) -> Iterator[Any]:

@@ -20,7 +20,7 @@ from repro.bugtraq import (
     studied_family_share,
     table1_ambiguity,
 )
-from repro.core import ActivityKind, BugtraqCategory
+from repro.core import ActivityKind, BugtraqCategory, Predicate, never
 
 
 class TestSchema:
@@ -138,6 +138,11 @@ class TestDatabase:
 
     def test_remote_filter(self, db):
         assert all(r.remote for r in db.remote_only())
+
+    def test_count_matching_counts_each_satisfying_report(self, db):
+        remote = Predicate(lambda report: report.remote, "remote")
+        assert db.count_matching(remote) == len(db.remote_only())
+        assert db.count_matching(never) == 0
 
     def test_add_and_duplicate_rejected(self):
         db = BugtraqDatabase()

@@ -2,6 +2,9 @@
 monotonicity, state-space structure on random chain models, and
 serialization stability."""
 
+# State-space queries import networkx on first use; importing it here
+# keeps that one-time cost out of the first timed hypothesis example.
+import networkx  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -53,6 +53,8 @@ from repro.models import all_extended_models, all_extended_pfsm_domains
 #: ``["named", ...]`` nodes resolve inside pickled programs too.
 plan_is_odd = named_predicate("plan_is_odd", lambda n: n % 2 == 1,
                               "the value is odd")
+#: A named leaf wrapping a comparison: opaque to the planner.
+plan_named_range = named_predicate("plan_named_range", in_range(0, 9))
 
 
 class Box:
@@ -318,6 +320,14 @@ class TestIntervalLowering:
         program = plan.compile_spec(to_spec(pred))
         assert program.evaluate("5") == pred.evaluate("5") == False  # noqa: E712
 
+    def test_folding_absorbs_opaque_parts_into_closed_forms(self):
+        assert plan.compile_spec(
+            to_spec(truthy() & never)).root.intervals == ()
+        assert plan.compile_spec(
+            to_spec(equals(True) | always)).root.intervals == ((None, None),)
+        assert plan.compile_spec(
+            to_spec(truthy() & always)).root.intervals is None
+
 
 class TestProgramMemo:
     """A compiled program is memoized on its pFSM alone."""
@@ -404,6 +414,22 @@ class TestStrategySelection:
         opaque = self._pfsm(spec=Predicate(lambda x: x > 0, "opaque"))
         domain = Domain.of(*range(50))
         assert plan.plan_scan(opaque, domain).strategy == "plain"
+
+    def test_named_leaf_is_opaque(self):
+        pfsm = self._pfsm(spec=plan_named_range)
+        domain = Domain.integers(-5, 20)
+        assert plan.plan_scan(pfsm, domain).strategy == "compiled"
+        assert hidden_witness_scan(pfsm, domain, limit=30) == \
+            [-5, -4, -3, -2, -1, 10]
+
+    def test_program_is_emitted_from_the_memoized_tree(self):
+        pfsm = self._pfsm()
+        with plan.disabled():
+            root = plan._lowered(pfsm)[1]
+            assert root is not None and root.intervals is not None
+            assert plan.program_for(pfsm) is None
+        program, compiles = _compiling(lambda: plan.program_for(pfsm))
+        assert compiles == 1 and program.root is root
 
     def test_disabled_planner_compiles_nothing(self):
         pfsm = self._pfsm()

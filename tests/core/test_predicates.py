@@ -161,7 +161,3 @@ class TestDomainQueries:
 
     def test_witness_limit(self):
         assert len(always.witnesses(range(100), limit=3)) == 3
-
-    def test_holds_over(self):
-        assert in_range(0, 10).holds_over(range(0, 11))
-        assert not in_range(0, 10).holds_over(range(0, 12))

@@ -113,8 +113,11 @@ class TestSpecRoundTrip:
                 _sample(pred, label, value), label
 
     def test_intervals_survive_round_trip(self):
-        assert from_spec(["range", 0, 100]).intervals == ((0, 100),)
-        assert from_spec(to_spec(in_range(-3, 9))).intervals == ((-3, 9),)
+        assert plan.compile_spec(["range", 0, 100]).root.intervals == \
+            ((0, 100),)
+        assert plan.compile_spec(
+            to_spec(from_spec(to_spec(in_range(-3, 9))))).root.intervals \
+            == ((-3, 9),)
 
     def test_opaque_predicate_raises(self):
         opaque = Predicate(lambda x: x > 0, "positive")

@@ -2,9 +2,10 @@
 
 Four families of guarantees:
 
-* **batch ≡ scalar** — ``Predicate.evaluate_batch`` (and the other
-  closed-form domain queries) agree with per-object evaluation for
-  every predicate constructor, over range-backed and list domains;
+* **scan ≡ scalar** — every scan strategy, the closed-form interval
+  one included, finds the witnesses of a per-object scan for combinator
+  trees of the comparison constructors, over stepped and descending
+  ranges;
 * **sweep ≡ serial** — ``sweep_models`` returns identical findings in
   identical order regardless of worker count;
 * **memo correctness** — each distinct object is judged once per scan,
@@ -43,7 +44,6 @@ from repro.core import (
     is_instance,
     length_le,
     less_equal,
-    matches,
     minimal_foil_points,
     named_predicate,
     never,
@@ -53,6 +53,7 @@ from repro.core import (
     satisfies_all,
     satisfies_any,
     sweep_models,
+    truthy,
 )
 from repro import obs
 from repro.core import columnar, dist, plan, witness
@@ -66,13 +67,13 @@ from repro.models import (
 )
 
 # ---------------------------------------------------------------------------
-# batch ≡ scalar, for every constructor
+# Input strategies
 # ---------------------------------------------------------------------------
 
 bounds = st.integers(min_value=-50, max_value=50)
 interval = st.tuples(bounds, bounds).map(lambda p: (min(p), max(p)))
 
-#: Every closed-form (interval-carrying) constructor, parameterized.
+#: Every constructor whose spec leaf has an interval form, parameterized.
 closed_form = st.one_of(
     st.just(always),
     st.just(never),
@@ -81,6 +82,29 @@ closed_form = st.one_of(
     bounds.map(less_equal),
     bounds.map(greater_equal),
 )
+
+#: Opaque parts, alone and where constant folding absorbs them
+#: (``truthy() & never`` folds to ``false``, ``equals(True) | always``
+#: to ``true``), which gives the absorbing ones a closed form.
+opaque_parts = st.sampled_from([
+    truthy(), equals(True), truthy() & never, equals(True) | always,
+    never & truthy(), always | truthy(),
+])
+
+
+def _combined(inner):
+    pairs = st.tuples(inner, inner)
+    return st.one_of(
+        pairs.map(lambda pq: pq[0] & pq[1]),
+        pairs.map(lambda pq: pq[0] | pq[1]),
+        inner.map(lambda p: ~p),
+        pairs.map(lambda pq: pq[0].implies(pq[1])),
+        inner.map(lambda p: p.renamed("renamed")),
+    )
+
+
+#: Combinator trees over the closed-form constructors and opaque parts.
+trees = st.recursive(closed_form | opaque_parts, _combined, max_leaves=5)
 
 #: Arbitrary stepped/descending integer ranges.
 ranges = st.tuples(
@@ -100,62 +124,6 @@ _OUTSIDE_CODEC = st.builds(object) | st.dictionaries(
     st.integers(), st.integers(), min_size=1, max_size=2)
 
 
-def _scalar_batch(pred, objects):
-    return [pred.evaluate(obj) for obj in objects]
-
-
-class TestBatchEqualsScalar:
-    @given(closed_form, ranges)
-    @settings(max_examples=120)
-    def test_closed_form_over_range_domain(self, pred, backing):
-        domain = Domain(backing, description="r")
-        assert pred.evaluate_batch(domain) == _scalar_batch(pred, domain)
-        assert pred.evaluate_batch(backing) == _scalar_batch(pred, backing)
-
-    @given(closed_form, st.lists(bounds, max_size=30))
-    @settings(max_examples=80)
-    def test_closed_form_over_list_domain(self, pred, items):
-        assert pred.evaluate_batch(items) == _scalar_batch(pred, items)
-
-    @given(closed_form, closed_form, ranges)
-    @settings(max_examples=80)
-    def test_combinators_compose_closed_forms(self, p, q, backing):
-        for combined in (p & q, p | q, ~p, p.implies(q), p.renamed("x")):
-            assert combined.evaluate_batch(backing) == \
-                _scalar_batch(combined, backing)
-
-    @given(closed_form, ranges)
-    @settings(max_examples=80)
-    def test_count_witnesses_holds_over_agree(self, pred, backing):
-        domain = Domain(backing, description="r")
-        verdicts = _scalar_batch(pred, domain)
-        assert pred.count_over(domain) == sum(verdicts)
-        assert pred.holds_over(domain) == all(verdicts)
-        expected = [obj for obj, v in zip(domain, verdicts) if v]
-        assert pred.witnesses(domain, limit=7) == expected[:7]
-
-    def test_opaque_constructors_over_object_domains(self):
-        strings = ["", "a", "ab", "../x", "%n%n", "abc", 7, None]
-        records = [{"n": i} for i in range(-3, 4)]
-        cases = [
-            (length_le(2), strings),
-            (contains("../"), strings),
-            (not_contains("%n"), strings),
-            (matches(r"%[ns]"), strings),
-            (is_instance(str), strings),
-            (equals("ab"), strings),
-            (attr("n", in_range(0, 2)), records),
-            (satisfies_all(is_instance(str), length_le(2)), strings),
-            (satisfies_any(contains("a"), contains("%")), strings),
-            (predicate("short")(lambda s: len(s) < 2), strings),
-            (satisfies_all(), strings),   # vacuous -> always
-            (satisfies_any(), strings),   # vacuous -> never
-        ]
-        for pred, objects in cases:
-            assert pred.evaluate_batch(objects) == \
-                _scalar_batch(pred, objects), pred.description
-
-
 # ---------------------------------------------------------------------------
 # hidden-path scans: closed form ≡ compiled ≡ plain scalar
 # ---------------------------------------------------------------------------
@@ -170,25 +138,59 @@ def _seed_scan(pfsm, domain, limit):
     return found
 
 
+def _has_closed_form(pfsm):
+    return plan._build(plan.hidden_spec(pfsm)).intervals is not None
+
+
 class TestHiddenWitnessScan:
-    @given(closed_form, st.one_of(st.none(), closed_form), ranges,
+    @given(trees, st.one_of(st.none(), trees), ranges,
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=120)
+    @example(truthy() & never, None, range(-5, 5), 3)
+    @example(~truthy(), equals(True) | always, range(4, -4, -2), 8)
     def test_all_strategies_match_seed_scan(self, spec, impl, backing, limit):
         pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
                             impl_accepts=impl)
         domain = Domain(backing, description="r")
         expected = _seed_scan(pfsm, domain, limit)
-        assert hidden_witness_scan(pfsm, domain, limit=limit) == expected
+        with _counters() as counters:
+            found = hidden_witness_scan(pfsm, domain, limit=limit)
+        assert found == expected
+        # The folded spec tree alone decides the interval strategy.
+        assert counters.get("sweep.scans.fastpath", 0) == \
+            int(_has_closed_form(pfsm))
 
-    @given(closed_form, st.one_of(st.none(), closed_form), ranges)
+    @given(trees, st.one_of(st.none(), trees), ranges)
     @settings(max_examples=100)
+    @example(equals(True) | always, truthy() & never, range(-3, 3))
     def test_count_matches_brute_force(self, spec, impl, backing):
         pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=spec,
                             impl_accepts=impl)
         expected = sum(1 for obj in backing if pfsm.takes_hidden_path(obj))
-        assert hidden_witness_count(pfsm, Domain(backing, description="r")) \
-            == expected
+        with _counters() as counters:
+            count = hidden_witness_count(pfsm, Domain(backing, description="r"))
+        assert count == expected
+        assert counters.get("sweep.scans.fastpath", 0) == \
+            int(_has_closed_form(pfsm))
+
+    def test_bypassed_planner_still_answers_by_intervals(self):
+        pfsm = PrimitiveFSM("p", "a", "x", spec_accepts=in_range(0, 99),
+                            impl_accepts=less_equal(10**6))
+        domain = Domain.integers(-50, 10**6)
+        with plan.disabled(), _counters() as counters:
+            found = hidden_witness_scan(pfsm, domain, limit=5)
+            count = hidden_witness_count(pfsm, domain)
+        assert found == [-50, -49, -48, -47, -46]
+        assert count == 50 + (10**6 - 99)
+        assert counters["sweep.scans.fastpath"] == 2
+        assert "plan.compiles" not in counters
+
+    @given(trees, ranges)
+    @settings(max_examples=80)
+    def test_predicate_witnesses_are_the_plain_loop(self, pred, backing):
+        domain = Domain(backing, description="r")
+        expected = [obj for obj in domain if pred.evaluate(obj)]
+        assert pred.witnesses(domain, limit=7) == expected[:7]
 
     @staticmethod
     def _counting_tiled_scan():
