@@ -236,13 +236,16 @@ _COMPACT = (",", ":")
 
 def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
     """One compact store record, ``{"key": …, "finding": {…}}``, with
-    the finding's memoized witness text (``wire_json``) spliced in
-    rather than serialized again.  Raises :class:`ValueError` for
+    the finding's memoized witness table text (``wire_table``) spliced
+    in rather than serialized again.  Raises :class:`ValueError` for
     witnesses outside the value codec."""
     if finding is None:
         return json.dumps({"key": key, "finding": None}, separators=_COMPACT)
-    witnesses = finding.wire_json
-    if witnesses is None:
+    table = finding.wire_table
+    # The text search spares the scan of values when nothing degraded.
+    if '{"__repr__":' in table.text and any(
+            type(value) is dict and "__repr__" in value
+            for value in table.values):
         raise ValueError(f"{finding.model_name}/{finding.pfsm_name}: "
                          f"a witness is outside the value codec")
     head = json.dumps({"key": key, "finding": {
@@ -252,18 +255,26 @@ def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
         "activity": finding.activity,
     }}, separators=_COMPACT)
     # head ends in the two closing braces; witnesses go last.
-    return head[:-2] + ',"witnesses":' + witnesses + "}}"
+    return head[:-2] + ',"witnesses":' + table.text + "}}"
 
 
 def _decode_finding(payload: Any) -> Optional[SweepFinding]:
+    """A stored finding, decoding each distinct witness value once."""
     if payload is None:
         return None
+    witnesses = payload["witnesses"]
+    if isinstance(witnesses, dict):
+        keys, raw = witnesses["codes"], dict(enumerate(witnesses["values"]))
+    else:  # list form, written before witness tables: key by JSON text
+        keys = list(map(json.dumps, witnesses))
+        raw = dict(zip(keys, witnesses))
+    decoded = dict(zip(raw, map(decode_value, raw.values())))
     return SweepFinding(
         model_name=payload["model_name"],
         operation_name=payload["operation_name"],
         pfsm_name=payload["pfsm_name"],
         activity=payload["activity"],
-        witnesses=tuple(decode_value(w) for w in payload["witnesses"]),
+        witnesses=tuple(map(decoded.__getitem__, keys)),
     )
 
 
@@ -271,12 +282,14 @@ class ResultStore:
     """Append-only JSONL store of sweep results keyed by task fingerprint.
 
     One record per line, in compact JSON: ``{"key": <fingerprint>,
-    "finding": <tagged JSON or null>}``.  ``load`` parses any JSON
-    spacing, so stores written with the default ``", "``/``": "``
-    separators still load and resume.  ``load`` returns the last record
-    per key (so re-recording a key supersedes, no compaction needed);
-    malformed lines are skipped and counted (``dist.store.malformed``),
-    keeping a store that died mid-write usable for resume.
+    "finding": <its fields and witness table, or null>}``, the table
+    being the finding's ``wire_table``.  ``load`` parses any JSON
+    spacing and reads records whose ``witnesses`` are a list (written
+    before witness tables), so older stores still load and resume.
+    ``load`` returns the last record per key (so re-recording a key
+    supersedes, no compaction needed); malformed lines are skipped and
+    counted (``dist.store.malformed``), keeping a store that died
+    mid-write usable for resume.
 
     A process that crashes mid-append leaves a truncated trailing line
     with no newline.  Both halves of the failure are tolerated: ``load``

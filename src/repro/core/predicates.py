@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Predicate",

@@ -74,6 +74,7 @@ __all__ = [
     "from_spec",
     "spec_digest",
     "encode_value",
+    "encode_witness",
     "decode_value",
     "try_encode_value",
 ]
@@ -121,6 +122,16 @@ def encode_value(value: Any) -> Any:
             raise ValueError("only str-keyed mappings are encodable")
         return {"__dict__": {k: encode_value(v) for k, v in value.items()}}
     raise ValueError(f"value of type {type(value).__name__} is not encodable")
+
+
+def encode_witness(value: Any) -> Any:
+    """A witness in tagged JSON, degrading to ``{"__repr__": ...}`` for
+    values outside the codec (a response must always render).  No
+    :func:`encode_value` result is such a dict."""
+    try:
+        return encode_value(value)
+    except ValueError:
+        return {"__repr__": repr(value)}
 
 
 def try_encode_value(value: Any) -> Tuple[Any, bool]:

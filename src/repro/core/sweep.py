@@ -54,6 +54,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -62,13 +63,14 @@ from typing import (
 from ..obs import DEFAULT as _OBS
 from . import plan as _plan
 from .plan import _clipped_subranges, _range_backing
-from .predspec import encode_value
+from .predspec import encode_witness
 from .witness import DistinctRows
 
 __all__ = [
     "hidden_witness_scan",
     "hidden_witness_count",
     "SweepFinding",
+    "WitnessTable",
     "ModelSweep",
     "sweep_operation",
     "sweep_model",
@@ -269,34 +271,49 @@ def hidden_witness_scan(
 #: once.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-#: A finding's wire text is joined from one dumped fragment per distinct
-#: witness object when each distinct object appears at least this many
-#: times on average (EXPERIMENTS.md, "Wire text from fragments").
-_REPEATS_PER_FRAGMENT = 4
+
+class WitnessTable(NamedTuple):
+    """A finding's one wire form: each distinct witness once, in
+    tagged JSON and in order of first appearance (``values``), and one
+    index into ``values`` per witness (``codes``).  ``text`` is
+    ``{"values": values, "codes": codes}`` as compact JSON.  A witness
+    outside the codec degrades to ``{"__repr__": ...}``, which no codec
+    value is."""
+
+    values: List[Any]
+    codes: List[int]
+    text: str
 
 
-def _indexed_wire(index: DistinctRows, codes: List[int]
-                  ) -> Tuple[Optional[List[Any]], Optional[str]]:
-    """A scanned finding's ``(wire_witnesses, wire_json)``, joined from
-    ``index``'s per-object fragments, encoding only the distinct
-    witness objects no earlier finding encoded.  An object outside the
-    codec has the text ``""``, which no JSON value has."""
+def _table(keys: Sequence[Any], distinct: List[Any], values: List[Any],
+           values_text: str) -> WitnessTable:
+    """The table of ``values`` (whose compact JSON is ``values_text``),
+    one per key of ``distinct``, coding each of ``keys`` by its key's
+    position."""
+    positions = range(len(distinct))
+    # When every witness is distinct, each code is its position.
+    codes = list(positions) if len(distinct) == len(keys) else list(
+        map(dict(zip(distinct, positions)).__getitem__, keys))
+    # A join of one text per code: dumping the int list costs more.
+    texts = list(map(str, positions))
+    return WitnessTable(values, codes, '{"values":' + values_text
+                        + ',"codes":[' + ",".join(map(texts.__getitem__,
+                                                       codes)) + "]}")
+
+
+def _indexed_table(index: DistinctRows, codes: List[int]) -> WitnessTable:
+    """A scanned finding's table, its values joined from ``index``'s
+    per-object fragments, encoding only the distinct witness objects
+    no earlier finding encoded.  A scan's codes first appear in
+    increasing order, so sorting them orders them by first appearance."""
     values, texts = index.wire_values, index.wire_texts
-    for code in set(codes):
-        text = texts[code]
-        if text is None:
-            try:
-                value = encode_value(index.objects[code])
-            except ValueError:
-                text = ""
-            else:
-                values[code] = value
-                text = _dumps(value)
-            texts[code] = text
-        if not text:
-            return None, None
-    return (list(map(values.__getitem__, codes)),
-            "[" + ",".join(map(texts.__getitem__, codes)) + "]")
+    distinct = sorted(set(codes))
+    for code in distinct:
+        if texts[code] is None:
+            values[code] = value = encode_witness(index.objects[code])
+            texts[code] = _dumps(value)
+    return _table(codes, distinct, list(map(values.__getitem__, distinct)),
+                  "[" + ",".join(map(texts.__getitem__, distinct)) + "]")
 
 
 @dataclass(frozen=True)
@@ -317,69 +334,33 @@ class SweepFinding:
         return state
 
     @cached_property
-    def _wire(self) -> Tuple[Optional[List[Any]], Optional[str]]:
-        """``(wire_witnesses, wire_json)``, built in one pass, or
-        ``(None, None)`` when a witness falls outside the codec.
+    def wire_table(self) -> WitnessTable:
+        """The witnesses as a :class:`WitnessTable`, built once: the
+        one wire form of a finding, whose text the store record and
+        every server response splice.  A finding fresh from a scan of
+        an indexed domain keeps the domain's distinct-row index and its
+        witnesses' codes (outside its fields, and out of its pickles)
+        and joins the table from the index's fragments, so each
+        distinct object is encoded and dumped once for the index's
+        lifetime.  Any other finding (decoded from a store, returned by
+        a worker) takes its distinct witnesses by identity.  Either way
+        the table decodes to :attr:`witnesses`, in order.
 
-        A finding fresh from a scan of an indexed domain keeps the
-        domain's distinct-row index and its witnesses' codes in it
-        (outside its fields, and out of its pickles), and joins both
-        forms from the index's fragments: each distinct object is
-        encoded and dumped once for the index's lifetime, however many
-        findings and limits name it.  Any other finding (decoded from a
-        store, returned by a worker) encodes each distinct witness
-        object once; when few of them are distinct, each is also dumped
-        once and the text joined from those fragments, otherwise the
-        list is dumped whole, which is cheaper per item than a dump per
-        object (EXPERIMENTS.md, "Wire text from fragments").  Either way
-        the text equals ``json.dumps(wire_witnesses, separators=(",",
-        ":"))``.
+        Memoized but not a field, so ``==``, ``hash`` and
+        ``dataclasses.replace`` ignore it.  Assumes witnesses are not
+        mutated after a scan, as ``dist.domain_digest`` does.  Callers
+        must not mutate the table's lists or values, which a scanned
+        finding shares with every finding over the same domain.
         """
         scanned = self.__dict__.get("_codes")
         if scanned is not None:
-            return _indexed_wire(*scanned)
+            return _indexed_table(*scanned)
         ids = list(map(id, self.witnesses))
         distinct = dict(zip(ids, self.witnesses))
-        try:
-            values = {key: encode_value(w) for key, w in distinct.items()}
-        except ValueError:
-            return None, None
-        wire = list(map(values.__getitem__, ids))
-        if len(values) * _REPEATS_PER_FRAGMENT <= len(ids):
-            texts = {key: _dumps(value) for key, value in values.items()}
-            return wire, "[" + ",".join(map(texts.__getitem__, ids)) + "]"
         # No sort_keys: record-shaped witnesses must round-trip with
         # their field order intact.
-        return wire, _dumps(wire)
-
-    @property
-    def wire_witnesses(self) -> Optional[List[Any]]:
-        """The witnesses in the tagged-JSON codec, or ``None`` when any
-        witness falls outside it.
-
-        The one wire form of a finding: the cold store and every server
-        response (computed or cached) reuse this list and its text
-        (:attr:`wire_json`), so each finding is encoded and serialized
-        once.  Memoized on the finding but not a field, so ``==``,
-        ``hash`` and ``dataclasses.replace`` ignore it.  Assumes
-        witnesses are domain objects that are not mutated after a scan
-        — the assumption ``dist.domain_digest`` already makes.  Callers
-        must not mutate the returned list or its values, which a
-        scanned finding shares with every finding over the same domain.
-        """
-        return self._wire[0]
-
-    @property
-    def wire_json(self) -> Optional[str]:
-        """:attr:`wire_witnesses` as compact JSON text, or ``None`` when
-        a witness falls outside the codec.
-
-        Serialized once per finding: the store line
-        (``dist.ResultStore.record_many``) and every response line
-        (``serve.protocol.encode_line``) splice this text verbatim
-        instead of dumping the witness list again.
-        """
-        return self._wire[1]
+        values = list(map(encode_witness, distinct.values()))
+        return _table(ids, list(distinct), values, _dumps(values))
 
     def __str__(self) -> str:
         sample = self.witnesses[0] if self.witnesses else None

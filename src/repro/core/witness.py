@@ -261,7 +261,8 @@ class DistinctRows:
     their own, exactly as each would be judged on its own.
 
     ``wire_values`` and ``wire_texts`` are filled by
-    :class:`repro.core.sweep.SweepFinding`: one tagged-JSON value and one
+    :class:`repro.core.sweep.SweepFinding`'s witness tables: one
+    tagged-JSON value (``{"__repr__": ...}`` outside the codec) and one
     dumped text per distinct witness object, for the index's lifetime.
     """
 

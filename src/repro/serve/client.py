@@ -20,6 +20,15 @@ seconds, or ``"p95"`` for a delay derived from this client's observed
 latencies) is *also* sent on a second, fresh connection; the first
 response wins.  Hedges trade duplicate server work for tail latency —
 coalescing on the server makes the duplicate nearly free.
+
+Responses
+---------
+A response line carries each finding's witnesses as a witness table
+(``{"values": [...], "codes": [...]}``, see :mod:`repro.serve.protocol`).
+Every method returns the response with each table expanded back into
+its witness list, as tagged JSON values in witness order.  A witness
+that repeats in a list is one decoded object, not a copy per
+occurrence: mutating one occurrence mutates them all.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from collections import deque
 from queue import Empty, Queue
 from typing import Any, Dict, Optional, Union
 
-from .protocol import MAX_LINE
+from .protocol import MAX_LINE, expand_findings
 
 __all__ = ["ServeClient", "wait_until_ready"]
 
@@ -145,7 +154,7 @@ class ServeClient:
         line = self._file.readline(MAX_LINE)
         if not line:
             raise ConnectionError("server closed the connection")
-        response = json.loads(line.decode("utf-8"))
+        response = expand_findings(json.loads(line.decode("utf-8")))
         self._latencies.append(time.monotonic() - started)
         return response
 
@@ -239,8 +248,8 @@ class ServeClient:
                     if not line:
                         raise ConnectionError(
                             "server closed the hedge connection")
-                    results.put(("hedge",
-                                 json.loads(line.decode("utf-8"))))
+                    results.put(("hedge", expand_findings(
+                        json.loads(line.decode("utf-8")))))
             except BaseException as exc:
                 results.put(("hedge", exc))
 

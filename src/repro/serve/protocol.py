@@ -31,19 +31,22 @@ Every response carries ``id`` (echoed verbatim) and ``status``:
 * ``error`` — malformed request or unknown model.
 
 The three shed statuses are deliberate *responses*: the contract is
-explicit refusal over unbounded latency.  Witness values travel in the
-tagged-JSON codec of :mod:`repro.core.predspec`; values outside the
-codec degrade to ``{"__repr__": ...}`` so a response can always be
-rendered.
+explicit refusal over unbounded latency.  A finding's ``witnesses``
+travel as a witness table, ``{"values": [...], "codes": [...]}``: each
+distinct witness once, in the tagged-JSON codec of
+:mod:`repro.core.predspec` (values outside it degrade to
+``{"__repr__": ...}`` so a response can always be rendered), then one
+index into ``values`` per witness.  :func:`expand_findings`, which the
+client runs on every response, turns each table back into its list.
 """
 
 from __future__ import annotations
 
 import json
 from operator import is_
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..core.predspec import encode_value
+from ..core.predspec import encode_witness
 
 __all__ = [
     "ProtocolError",
@@ -58,6 +61,7 @@ __all__ = [
     "decode_request",
     "encode_line",
     "encode_witness",
+    "expand_findings",
     "finding_payload",
 ]
 
@@ -138,7 +142,8 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     Byte-identical to ``json.dumps(payload, separators=(",", ":"),
     default=str)``.  A query response's findings are spliced in as
     text: each unmodified :func:`finding_payload` contributes its
-    finding's memoized witness text, so no witness is serialized again.
+    finding's memoized witness-table text, so no witness is serialized
+    again.
     """
     findings = payload.get("findings")
     if isinstance(findings, list) and findings:
@@ -169,61 +174,60 @@ def _splice(obj: Dict[str, Any], key: str, text: str) -> str:
 def _finding_text(payload: Any) -> str:
     """One element of ``findings`` as JSON text."""
     if isinstance(payload, _FindingPayload) and payload.pristine():
-        return _splice(payload, "witnesses", payload.finding.wire_json)
+        return _splice(payload, "witnesses", payload.finding.wire_table.text)
     return _encode(payload)
-
-
-def encode_witness(value: Any) -> Any:
-    """A witness in tagged JSON, degrading to ``{"__repr__": ...}`` for
-    values outside the codec (the response must always render)."""
-    try:
-        return encode_value(value)
-    except ValueError:
-        return {"__repr__": repr(value)}
 
 
 class _FindingPayload(dict):
     """A finding's response dict that remembers its finding and the
-    witness list it was built with, so the finding's memoized text is
-    only spliced while the dict still holds that list, unchanged."""
+    witness table it was built with, so the finding's memoized text is
+    only spliced while the dict still holds that table, unchanged."""
 
     __slots__ = ("finding", "given")
 
     def pristine(self) -> bool:
         """Does ``self["witnesses"]`` still encode as the finding's
-        ``wire_json``?  (Same list, same length, the same objects in
-        the same slots.)"""
-        witnesses = self.get("witnesses")
-        wire = self.finding.wire_witnesses
-        return (witnesses is self.given
-                and len(witnesses) == len(wire)
-                and all(map(is_, witnesses, wire)))
+        table text?  (The same dict with its two keys in order, each
+        list of the same length with the same objects in its slots.)"""
+        given, table = self.given, self.finding.wire_table
+        values, codes = given.get("values"), given.get("codes")
+        return (self.get("witnesses") is given
+                and list(given) == ["values", "codes"]
+                and isinstance(values, list) and isinstance(codes, list)
+                and len(values) == len(table.values)
+                and len(codes) == len(table.codes)
+                and all(map(is_, values, table.values))
+                and all(map(is_, codes, table.codes)))
 
 
 def finding_payload(finding: Any) -> Dict[str, Any]:
     """The response form of one :class:`~repro.core.sweep.SweepFinding`.
 
-    Reuses the finding's memoized wire form (a shallow copy, so a caller
-    mutating one response's list cannot corrupt the next) and carries
-    its memoized text for :func:`encode_line`.  A caller that replaces
-    or edits the list or a field is encoded from the dict as it stands;
-    the tagged values inside the list are shared with the finding and
-    must not be mutated.  Only a finding with a witness outside the
-    codec is degraded per witness.
+    Its ``witnesses`` are the finding's memoized witness table as a
+    dict (copies of both lists, so a caller mutating one response cannot
+    corrupt the next), and it carries the table's text for
+    :func:`encode_line`.  A caller that replaces or edits the table or a
+    field is encoded from the dict as it stands; the tagged values in
+    the table are shared with the finding and must not be mutated.
     """
-    if finding.wire_json is None:
-        return {
-            "operation": finding.operation_name,
-            "pfsm": finding.pfsm_name,
-            "activity": finding.activity,
-            "witnesses": [encode_witness(w) for w in finding.witnesses],
-        }
+    table = finding.wire_table
+    witnesses = {"values": list(table.values), "codes": list(table.codes)}
     payload = _FindingPayload(
-        operation=finding.operation_name,
-        pfsm=finding.pfsm_name,
-        activity=finding.activity,
-        witnesses=list(finding.wire_witnesses),
-    )
+        operation=finding.operation_name, pfsm=finding.pfsm_name,
+        activity=finding.activity, witnesses=witnesses)
     payload.finding = finding
-    payload.given = payload["witnesses"]
+    payload.given = witnesses
     return payload
+
+
+def expand_findings(response: Dict[str, Any]) -> Dict[str, Any]:
+    """``response`` with each finding's witness table replaced, in
+    place, by its list, ``values[code]`` per code: a repeated witness
+    is one decoded object, so mutating one occurrence mutates them all.
+    A list (from a server that predates tables) is left as it is."""
+    for finding in response.get("findings") or ():
+        table = finding["witnesses"]
+        if isinstance(table, dict):
+            finding["witnesses"] = list(map(table["values"].__getitem__,
+                                            table["codes"]))
+    return response

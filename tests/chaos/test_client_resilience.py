@@ -204,6 +204,26 @@ class TestHedging:
                 time.sleep(0.01)
             assert server.received[0]["id"] == server.received[1]["id"]
 
+    def test_both_paths_expand_witness_tables(self):
+        table = {"findings": [{"pfsm": "p", "witnesses": {
+            "values": ["a", {"__tuple__": [1]}], "codes": [1, 0, 1]}}]}
+        expected = [{"__tuple__": [1]}, "a", {"__tuple__": [1]}]
+        server = ScriptedServer(respond(extra=table, delay=1.0),
+                                respond(extra=table))
+        with server:
+            with ServeClient(server.host, server.port, timeout=5.0,
+                             hedge_after=0.05) as client:
+                hedged = client.query("toy")
+                assert client.hedge_wins == 1
+        with ScriptedServer(respond(extra=table)) as server:
+            with ServeClient(server.host, server.port,
+                             timeout=5.0) as client:
+                plain = client.query("toy")
+        for response in (hedged, plain):
+            witnesses = response["findings"][0]["witnesses"]
+            assert witnesses == expected
+            assert witnesses[0] is witnesses[2]
+
     def test_fast_primary_never_hedges(self):
         with ScriptedServer(respond(extra={"origin": "primary"}),
                             respond(extra={"origin": "hedge"})) as server:

@@ -17,8 +17,6 @@ memo, kernels shared by program digest, and kernel bail-outs (named
 predicates, nested ``attr``, mixed-type columns).
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,9 +297,10 @@ class TestRepeatHeavy:
             index, codes = found.__dict__["_codes"]
             assert index is expected.__dict__["_codes"][0]
             assert codes == expected.__dict__["_codes"][1]
-            assert found.wire_json == expected.wire_json
-            assert found.wire_json == json.dumps(
-                list(found.witnesses), separators=(",", ":"))
+            assert found.wire_table == expected.wire_table
+            table = found.wire_table
+            assert [table.values[c] for c in table.codes] == \
+                list(found.witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,7 @@ class TestResultStore:
         loaded = store.load()
         assert tuple(loaded["k"].witnesses) == tuple(finding.witnesses)
 
-    def test_lines_match_a_per_witness_encoding(self, tmp_path):
+    def test_lines_match_a_witness_table_encoding(self, tmp_path):
         tile = [(1, "a"), b"\x00\xff", frozenset({3, 4})]
         finding = SweepFinding(
             model_name="model", operation_name="op", pfsm_name="p",
@@ -466,11 +466,16 @@ class TestResultStore:
         reference = json.dumps({"key": "k", "finding": {
             "model_name": "model", "operation_name": "op",
             "pfsm_name": "p", "activity": "scan",
-            "witnesses": [encode_value(w) for w in finding.witnesses],
+            "witnesses": {"values": [encode_value(w) for w in tile],
+                          "codes": [0, 1, 2] * 3},
         }}, separators=(",", ":")) + "\n"
         with open(store.path, encoding="utf-8") as handle:
             assert handle.read() == reference
-        assert store.load() == {"k": finding}
+        loaded = store.load()
+        assert loaded == {"k": finding}
+        # each distinct value is decoded once: repeats are one object
+        witnesses = loaded["k"].witnesses
+        assert all(witnesses[i] is witnesses[i % 3] for i in range(9))
 
     def test_default_separator_lines_still_load(self, tmp_path):
         # Stores written before lines became compact JSON still resume.
@@ -606,6 +611,67 @@ class TestResume:
         assert flat(second) == flat(baseline)
         # No duplicate records were appended by the resumed run.
         assert sum(1 for line in open(store_path) if line.strip()) == recorded
+
+    def test_list_form_store_resumes_with_equal_findings(self, tmp_path):
+        # A store written before witness tables holds one tagged value
+        # per witness; it must still resume every task it recorded.
+        from repro.models import (
+            all_extended_models,
+            all_extended_pfsm_domains,
+        )
+
+        models, domains = all_extended_models(), all_extended_pfsm_domains()
+        table_path = str(tmp_path / "tables.jsonl")
+        baseline = sweep_models(models, domains, limit=5,
+                                resume_from=table_path)
+        list_path = tmp_path / "lists.jsonl"
+        with open(table_path, encoding="utf-8") as source, \
+                open(list_path, "w", encoding="utf-8") as legacy:
+            for line in source:
+                record = json.loads(line)
+                finding = record["finding"]
+                if finding is not None:
+                    table = finding["witnesses"]
+                    finding["witnesses"] = [table["values"][code]
+                                            for code in table["codes"]]
+                legacy.write(json.dumps(record, separators=(",", ":"))
+                             + "\n")
+        recorded = sum(1 for line in open(list_path) if line.strip())
+        assert '"codes"' not in list_path.read_text(encoding="utf-8")
+
+        dist.clear_memo()  # reuse must come from the store, not the memo
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            resumed = sweep_models(models, domains, limit=5,
+                                   resume_from=str(list_path))
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        assert recorded > 0
+        assert counters.get("dist.resume.skips") == recorded
+        assert counters.get("sweep.tasks.completed", 0) == 0
+        assert resumed == baseline
+
+    def test_list_form_record_decodes_each_distinct_value_once(self):
+        tagged = [{"__tuple__": [1, "x"]}, "y", {"__tuple__": [1, "x"]},
+                  "y", {"__tuple__": [1, "x"]}]
+        finding = dist._decode_finding({
+            "model_name": "m", "operation_name": "op", "pfsm_name": "p",
+            "activity": "scan", "witnesses": tagged})
+        assert finding.witnesses == ((1, "x"), "y", (1, "x"), "y", (1, "x"))
+        # repeats are one object, so the table dedupes them as the
+        # table form of the same record does
+        assert finding.witnesses[0] is finding.witnesses[2]
+        assert finding.witnesses[0] is finding.witnesses[4]
+        assert finding.wire_table.values == [{"__tuple__": [1, "x"]}, "y"]
+        assert finding.wire_table.codes == [0, 1, 0, 1, 0]
+        table_form = dist._decode_finding(
+            json.loads(dist._store_line("k", finding))["finding"])
+        assert table_form == finding
+        assert table_form.wire_table == finding.wire_table
 
     def test_task_key_is_stable_across_rebuilds(self):
         model_a = sendmail_model.build_model()

@@ -58,7 +58,7 @@ from repro.core import (
 from repro import obs
 from repro.core import columnar, dist, plan, witness
 from repro.core import sweep as sweep_module
-from repro.core.predspec import encode_value
+from repro.core.predspec import encode_value, encode_witness
 from repro.core.sweep import SweepFinding
 from repro.models import (
     all_extended_exploit_inputs,
@@ -122,6 +122,20 @@ _CODEC_VALUES = st.recursive(
 #: Values outside it.
 _OUTSIDE_CODEC = st.builds(object) | st.dictionaries(
     st.integers(), st.integers(), min_size=1, max_size=2)
+
+
+def _encodable(value):
+    try:
+        encode_value(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _degraded(value):
+    """Is a table value the ``{"__repr__": ...}`` of a witness outside
+    the codec?"""
+    return type(value) is dict and "__repr__" in value
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +303,7 @@ class TestSweepDeterminism:
         text = str(sweeps[0].findings[0])
         assert finding[2] in text and finding[0] in text
 
-    def test_wire_witnesses_encode_each_distinct_object_once(
+    def test_wire_table_encodes_each_distinct_object_once(
             self, monkeypatch):
         calls = []
 
@@ -297,7 +311,7 @@ class TestSweepDeterminism:
             calls.append(value)
             return value
 
-        monkeypatch.setattr(sweep_module, "encode_value", recording)
+        monkeypatch.setattr(sweep_module, "encode_witness", recording)
         dumps = []
         dump = sweep_module._dumps
 
@@ -308,17 +322,16 @@ class TestSweepDeterminism:
         monkeypatch.setattr(sweep_module, "_dumps", dumping)
         tile = ["a", "b"]
         finding = SweepFinding("m", "op", "p", "scan", tuple(tile * 40))
-        assert finding.wire_witnesses == tile * 40
+        table = finding.wire_table
+        assert table.values == tile and table.codes == [0, 1] * 40
         assert calls == tile
-        assert finding.wire_witnesses is finding.wire_witnesses
-        assert len(calls) == 2
-        # one dump per distinct object, none of the whole list
-        assert finding.wire_json == '["a","b"' + ',"a","b"' * 39 + "]"
-        assert dumps == tile
-        assert finding.wire_json is finding.wire_json
-        assert len(dumps) == 2
+        assert finding.wire_table is table
+        # one dump of the distinct values, none per witness
+        assert table.text == '{"values":["a","b"],"codes":[0,1' \
+            + ",0,1" * 39 + "]}"
+        assert dumps == [tile]
 
-    def test_mostly_distinct_witnesses_dump_the_list_once(
+    def test_mostly_distinct_witnesses_dump_the_values_once(
             self, monkeypatch):
         dumps = []
         dump = sweep_module._dumps
@@ -330,36 +343,79 @@ class TestSweepDeterminism:
         monkeypatch.setattr(sweep_module, "_dumps", dumping)
         witnesses = tuple(f"w{i}" for i in range(8)) * 2
         finding = SweepFinding("m", "op", "p", "scan", witnesses)
-        assert finding.wire_json == json.dumps(list(witnesses),
-                                               separators=(",", ":"))
-        assert dumps == [list(witnesses)]
+        codes = list(range(8)) * 2
+        assert finding.wire_table.text == json.dumps(
+            {"values": list(witnesses[:8]), "codes": codes},
+            separators=(",", ":"))
+        assert dumps == [list(witnesses[:8])]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(_CODEC_VALUES | _OUTSIDE_CODEC, min_size=1,
                     max_size=6),
-           st.lists(st.integers(0, 5), max_size=40))
-    def test_wire_json_is_the_dump_of_wire_witnesses(self, pool, picks):
-        # Witnesses repeat a few objects by reference, as tiled domains
-        # do; the text must equal one dump of the list either way.
-        witnesses = tuple(pool[i % len(pool)] for i in picks)
-        finding = SweepFinding("m", "op", "p", "scan", witnesses)
-        try:
-            expected = [encode_value(w) for w in witnesses]
-        except ValueError:
-            assert (finding.wire_witnesses, finding.wire_json) == \
-                (None, None)
-            return
-        assert finding.wire_witnesses == expected
-        assert finding.wire_json == json.dumps(finding.wire_witnesses,
-                                               separators=(",", ":"))
+           st.lists(st.integers(0, 5), max_size=40),
+           st.sampled_from(("shared", "distinct", "copies")),
+           st.booleans())
+    def test_table_decodes_to_the_witnesses(self, pool, picks, sharing,
+                                            scanned):
+        from repro.serve.protocol import finding_payload
 
-    def test_wire_witnesses_are_not_a_field(self):
+        # "shared" repeats a few objects by reference, as tiled domains
+        # do; "distinct" makes every witness its own object; "copies"
+        # makes equal objects that are not the same object.
+        picked = [pool[i % len(pool)] for i in picks]
+        if sharing == "distinct":
+            witnesses = pool
+        elif sharing == "shared":
+            witnesses = picked
+        else:
+            witnesses = [pickle.loads(pickle.dumps(w)) for w in picked]
+        if not witnesses:
+            return
+        if scanned:
+            # every row rides the hidden path, so the scan keeps them all
+            pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=never,
+                                impl_accepts=None)
+            finding = sweep_module._scan_task(
+                ("m", "op", pfsm, Domain(witnesses), len(witnesses)))
+            assert "_codes" in vars(finding)
+        else:
+            finding = SweepFinding("m", "op", "p", "scan",
+                                   tuple(witnesses))
+        table = finding.wire_table
+        expected = [encode_witness(w) for w in witnesses]
+        assert [table.values[code] for code in table.codes] == expected
+        # values in order of first appearance
+        assert list(dict.fromkeys(table.codes)) == \
+            list(range(len(table.values)))
+        assert len(table.values) == len(set(map(id, witnesses)))
+        assert table.text == json.dumps(
+            {"values": table.values, "codes": table.codes},
+            separators=(",", ":"))
+        exact = all(map(_encodable, witnesses))
+        assert exact == all(not _degraded(v) for v in table.values)
+        # the response and the store carry one table
+        payload = finding_payload(finding)
+        assert payload["witnesses"] == json.loads(table.text)
+        line = _response_line(finding)
+        assert json.loads(line)["findings"][0]["witnesses"] == \
+            json.loads(table.text)
+        if not exact:
+            with pytest.raises(ValueError):
+                dist._store_line("k", finding)
+            return
+        record = json.loads(dist._store_line("k", finding))
+        assert record["finding"]["witnesses"] == json.loads(table.text)
+        decoded = dist._decode_finding(record["finding"])
+        assert decoded == finding
+        assert decoded.wire_table == table
+
+    def test_wire_table_is_not_a_field(self):
         finding = SweepFinding("m", "op", "p", "scan", ((1, 2),))
         twin = SweepFinding("m", "op", "p", "scan", ((1, 2),))
-        assert finding.wire_witnesses == [{"__tuple__": [1, 2]}]
+        assert finding.wire_table.values == [{"__tuple__": [1, 2]}]
         assert finding == twin and hash(finding) == hash(twin)
-        assert "_wire" in vars(finding)
-        assert "_wire" not in vars(
+        assert "wire_table" in vars(finding)
+        assert "wire_table" not in vars(
             dataclasses.replace(finding, pfsm_name="q"))
 
 
@@ -633,36 +689,33 @@ class TestDistinctRowScan:
         assert all(map(operator.is_, finding.witnesses, expected))
         plain = dataclasses.replace(finding)  # the same finding, no rows
         assert "_codes" not in vars(plain)
-        assert finding.wire_witnesses == plain.wire_witnesses
-        if finding.wire_json is None:
-            assert plain.wire_json is None
-            return
-        assert finding.wire_json == json.dumps(finding.wire_witnesses,
-                                               separators=(",", ":"))
-        assert dist._store_line("k", finding) == \
-            dist._store_line("k", plain)
+        assert finding.wire_table == plain.wire_table
         assert _response_line(finding) == _response_line(plain)
+        if not any(map(_degraded, finding.wire_table.values)):
+            assert dist._store_line("k", finding) == \
+                dist._store_line("k", plain)
 
     def test_each_distinct_object_is_encoded_once_per_domain(
             self, monkeypatch):
         calls = []
-        encode = sweep_module.encode_value
+        encode = sweep_module.encode_witness
 
         def recording(value):
             calls.append(value)
             return encode(value)
 
-        monkeypatch.setattr(sweep_module, "encode_value", recording)
+        monkeypatch.setattr(sweep_module, "encode_witness", recording)
         pfsm = _mixed_pfsms()["compiled"]
         domain = Domain(["ab", 1, "%%", {"n": 1, "k": ""}] * 30)
         findings = [sweep_module._scan_task(("m", "op", pfsm, domain, limit))
                     for limit in (1, 7, 50, 10**6)]
-        texts = [finding.wire_json for finding in findings]
+        tables = [finding.wire_table for finding in findings]
         assert calls == ["ab", "%%", {"n": 1, "k": ""}]
-        assert texts[-1] == json.dumps(
-            [encode_value(w) for w in findings[-1].witnesses],
-            separators=(",", ":"))
+        assert tables[-1].text == json.dumps(
+            {"values": ["ab", "%%", {"__dict__": {"n": 1, "k": ""}}],
+             "codes": [0, 1, 2] * 30}, separators=(",", ":"))
         assert [len(f.witnesses) for f in findings] == [1, 7, 50, 90]
+        assert [len(t.values) for t in tables] == [1, 3, 3, 3]
 
     def test_domain_and_finding_pickle_as_if_never_scanned(self):
         label = "Sendmail Signed Integer Overflow"
@@ -679,12 +732,13 @@ class TestDistinctRowScan:
         twin = dataclasses.replace(finding)
         assert pickle.dumps(scanned) == pickle.dumps(pristine)
         assert pickle.dumps(finding) == pickle.dumps(twin)
-        assert finding.wire_json == twin.wire_json
+        assert finding.wire_table == twin.wire_table
         assert pickle.dumps(finding) == pickle.dumps(twin)
         assert len(pickle.dumps(finding)) < 2048
         returned = pickle.loads(pickle.dumps(finding))
         assert "_codes" not in vars(returned)
-        assert returned == finding and returned.wire_json == twin.wire_json
+        assert returned == finding
+        assert returned.wire_table == twin.wire_table
 
 
 class TestEvaluateDigestMany:

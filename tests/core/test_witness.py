@@ -167,7 +167,7 @@ class TestDistinctRows:
         def scan(slot):
             start.wait(timeout=10.0)
             findings[slot] = _scan_task(("m", "op", pfsm, domain, 500))
-            findings[slot].wire_json  # fills the shared fragments
+            findings[slot].wire_table  # fills the shared fragments
 
         def run():
             threads = [threading.Thread(target=scan, args=(slot,))
@@ -186,11 +186,14 @@ class TestDistinctRows:
         finally:
             sys.setswitchinterval(interval)
         assert built == 1
-        text = json.dumps(expected, separators=(",", ":"))
+        values = list(dict.fromkeys(expected))
+        text = json.dumps({"values": values,
+                           "codes": list(map(values.index, expected))},
+                          separators=(",", ":"))
         for finding in findings:
             assert len(finding.witnesses) == len(expected)
             assert all(a is b for a, b in zip(finding.witnesses, expected))
-            assert finding.wire_json == text
+            assert finding.wire_table.text == text
 
     def test_a_child_forked_mid_build_builds_its_own(self):
         from repro.core import witness

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.core import dist, predspec, sweep
-from repro.serve import protocol
+from repro.core import dist, predspec
 
 
 @pytest.fixture
 def encode_calls(monkeypatch):
     """Counts every top-level :func:`~repro.core.predspec.encode_value`
     call made by the engine, the store and the protocol, in any thread
-    (``calls[0]``)."""
+    (``calls[0]``).  The engine and the protocol encode witnesses
+    through :func:`~repro.core.predspec.encode_witness`, which calls it
+    in :mod:`~repro.core.predspec`."""
     calls = [0]
     original = predspec.encode_value
 
@@ -18,6 +19,6 @@ def encode_calls(monkeypatch):
         calls[0] += 1
         return original(value)
 
-    for module in (predspec, sweep, dist, protocol):
+    for module in (predspec, dist):
         monkeypatch.setattr(module, "encode_value", counting)
     return calls

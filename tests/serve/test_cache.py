@@ -71,7 +71,8 @@ class TestResultMemo:
         dist.record_results([(other.task_keys[0], _finding("sweep"))])
         answered = batcher.submit(other)
         assert answered["cached"] is True
-        assert answered["findings"][0]["witnesses"] == ["sweep"]
+        assert answered["findings"][0]["witnesses"] == {
+            "values": ["sweep"], "codes": [0]}
         counters = stats.snapshot()["counters"]
         assert counters["cache.memo_hits"] == 1
         assert counters["batches"] == 1

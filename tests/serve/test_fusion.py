@@ -2,6 +2,7 @@
 one domain each get exactly what their own scan would produce, at their
 own witness limit, and the thread dispatch runs inline."""
 
+import json
 import threading
 import time
 
@@ -27,6 +28,7 @@ from repro.core.predspec import decode_value
 from repro.core.sweep import _run_tasks
 from repro.serve import AnalysisCorpus
 from repro.serve.batcher import MicroBatcher, _engine_compute
+from repro.serve.protocol import encode_line, expand_findings
 from repro.serve.stats import ServeStats
 
 
@@ -131,6 +133,12 @@ def _batch_two_queries(domain, limits, pfsms=None):
     return pfsms, [responses["m", limit] for limit in limits], batches
 
 
+def _as_a_client_sees_it(response):
+    """``response`` encoded on the wire, decoded, and each witness
+    table expanded into its witness list."""
+    return expand_findings(json.loads(encode_line(response)))
+
+
 def _assert_reference_findings(pfsms, domain, limits, responses):
     """Each response holds, per pFSM with a witness, the reference scan
     of that pFSM's domain at the response's own limit."""
@@ -138,6 +146,7 @@ def _assert_reference_findings(pfsms, domain, limits, responses):
         {p.name: domain for p in pfsms}
     for limit, response in zip(limits, responses):
         assert response["status"] == "ok"
+        response = _as_a_client_sees_it(response)
         got = {f["pfsm"]: [decode_value(w) for w in f["witnesses"]]
                for f in response["findings"]}
         expected = {p.name: _reference_scan(p, domains[p.name], limit)
@@ -204,7 +213,8 @@ class TestBatchedRequests:
         for limit, response in zip(limits, responses):
             assert len(response["findings"]) == len(pfsms)
             for finding in response["findings"]:
-                assert len(finding["witnesses"]) == limit
+                assert finding["witnesses"]["values"] == ["%n" * 40]
+                assert finding["witnesses"]["codes"] == [0] * limit
 
 
 class TestEngineCompute:

@@ -10,6 +10,7 @@ from repro.serve.protocol import (
     KNOWN_OPS,
     SHED_STATUSES,
     encode_witness,
+    expand_findings,
     finding_payload,
 )
 
@@ -114,7 +115,8 @@ class TestEncoding:
         assert payload["operation"] == "op"
         assert payload["pfsm"] == "pFSM1"
         assert payload["activity"] == "scan"
-        assert payload["witnesses"] == [7, {"__tuple__": [1, 2]}]
+        assert payload["witnesses"] == {
+            "values": [7, {"__tuple__": [1, 2]}], "codes": [0, 1]}
         json.dumps(payload)
 
     def test_second_payload_encodes_nothing(self, encode_calls):
@@ -134,23 +136,52 @@ class TestEncoding:
             activity="scan", witnesses=(7, 8),
         )
         first = finding_payload(finding)
-        first["witnesses"].append("tampered")
-        first["witnesses"][0] = "tampered"
-        assert finding_payload(finding)["witnesses"] == [7, 8]
+        first["witnesses"]["values"].append("tampered")
+        first["witnesses"]["values"][0] = "tampered"
+        first["witnesses"]["codes"][0] = 2
+        assert finding_payload(finding)["witnesses"] == {
+            "values": [7, 8], "codes": [0, 1]}
 
-    def test_out_of_codec_finding_degrades_per_witness(self):
+    def test_out_of_codec_finding_degrades_inside_values(self):
         class Opaque:
             def __repr__(self):
                 return "<opaque thing>"
 
+        opaque = Opaque()
         finding = SweepFinding(
             model_name="M", operation_name="op", pfsm_name="pFSM1",
-            activity="scan", witnesses=(7, Opaque()),
+            activity="scan", witnesses=(7, opaque, opaque),
         )
-        assert finding.wire_witnesses is None
         payload = finding_payload(finding)
-        assert payload["witnesses"] == [7, {"__repr__": "<opaque thing>"}]
+        assert payload["witnesses"] == {
+            "values": [7, {"__repr__": "<opaque thing>"}],
+            "codes": [0, 1, 1]}
         json.dumps(payload)
+
+    def test_expanding_a_table_restores_the_witness_list(self):
+        finding = SweepFinding(
+            model_name="M", operation_name="op", pfsm_name="pFSM1",
+            activity="scan", witnesses=((1, 2), "x", (1, 2), "x"),
+        )
+        response = expand_findings(json.loads(encode_line(
+            {"status": "ok", "findings": [finding_payload(finding)]})))
+        witnesses = response["findings"][0]["witnesses"]
+        assert witnesses == [{"__tuple__": [1, 2]}, "x",
+                             {"__tuple__": [1, 2]}, "x"]
+        # a repeated witness is one decoded object
+        assert witnesses[0] is witnesses[2]
+        assert expand_findings({"status": "ok", "findings": []}) == \
+            {"status": "ok", "findings": []}
+        assert expand_findings({"status": "overloaded"}) == \
+            {"status": "overloaded"}
+
+    def test_list_form_witnesses_pass_through_expansion(self):
+        # a server that predates witness tables sends plain lists
+        response = {"status": "ok", "findings": [
+            {"operation": "op", "pfsm": "pFSM1", "activity": "scan",
+             "witnesses": [7, {"__tuple__": [1, 2]}, 7]}]}
+        line = json.dumps(response, separators=(",", ":"))
+        assert expand_findings(json.loads(line)) == response
 
     def test_out_of_codec_finding_line_matches_the_reference(self):
         class Opaque:
@@ -191,14 +222,31 @@ class TestMutatedPayloads:
                 "findings": [finding_payload(finding)], "cached": True}
 
     @pytest.mark.parametrize("edit", [
-        lambda f: f["witnesses"].append("tampered"),
-        lambda f: f["witnesses"].pop(),
-        lambda f: f["witnesses"].reverse(),
-        lambda f: f["witnesses"].__setitem__(0, 2),
+        lambda f: f["witnesses"]["values"].append("tampered"),
+        lambda f: f["witnesses"]["values"].pop(),
+        lambda f: f["witnesses"]["values"].reverse(),
+        lambda f: f["witnesses"]["values"].__setitem__(0, 2),
         # equal to the original value, but encoded differently
-        lambda f: f["witnesses"].__setitem__(0, True),
-        lambda f: f["witnesses"].__setitem__(0, 1.0),
-        lambda f: f["witnesses"].__setitem__(1, {"__list__": [1, 2]}),
+        lambda f: f["witnesses"]["values"].__setitem__(0, True),
+        lambda f: f["witnesses"]["values"].__setitem__(0, 1.0),
+        lambda f: f["witnesses"]["values"].__setitem__(
+            1, {"__list__": [1, 2]}),
+        lambda f: f["witnesses"]["codes"].append(0),
+        lambda f: f["witnesses"]["codes"].pop(),
+        lambda f: f["witnesses"]["codes"].reverse(),
+        lambda f: f["witnesses"]["codes"].__setitem__(0, 2),
+        lambda f: f["witnesses"]["codes"].__setitem__(0, False),
+        lambda f: f["witnesses"]["codes"].__setitem__(0, 0.0),
+        lambda f: f["witnesses"].__setitem__(
+            "values", tuple(f["witnesses"]["values"])),
+        lambda f: f["witnesses"].__setitem__(
+            "values", f["witnesses"].pop("values")),
+        lambda f: f["witnesses"].__setitem__(
+            "codes", f["witnesses"].pop("codes")),
+        lambda f: f["witnesses"].__setitem__("extra", None),
+        lambda f: f["witnesses"].pop("codes"),
+        lambda f: f["witnesses"].clear(),
+        lambda f: f.__setitem__("witnesses", dict(f["witnesses"])),
         lambda f: f.__setitem__("witnesses", [9]),
         lambda f: f.__setitem__("witnesses", (1, 2)),
         lambda f: f.__setitem__("pfsm", "pFSM9"),

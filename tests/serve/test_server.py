@@ -26,8 +26,11 @@ from repro.core import (
     less_equal,
 )
 from repro.core import dist
+from repro.core.predspec import encode_witness
 from repro.core.sweep import sweep_model
+from repro.models import all_extended_models, all_extended_pfsm_domains
 from repro.serve import (
+    MODEL_KEYS,
     AnalysisCorpus,
     AnalysisServer,
     DRAINING,
@@ -113,6 +116,32 @@ class TestQuery:
         for got, want in zip(response["findings"], reference.findings):
             assert got["pfsm"] == want.pfsm_name
             assert got["witnesses"] == list(want.witnesses)
+
+    @pytest.mark.parametrize("limit", [1, 5, 1000])
+    def test_every_bundled_model_answers_its_scan(self, limit):
+        # The client expands each witness table into the list the scan
+        # found, in order, as tagged JSON decoded from a line.
+        models, domains = all_extended_models(), all_extended_pfsm_domains()
+        handle = ServerThread(
+            ServeConfig(port=0),
+            corpus=AnalysisCorpus(models=models, domains=domains)).start()
+        try:
+            with client_for(handle) as client:
+                for key, label in MODEL_KEYS.items():
+                    response = client.query(key, limit=limit)
+                    expected = []
+                    for _operation, pfsm in models[label].all_pfsms():
+                        domain = domains[label].get(pfsm.name, ())
+                        found = [x for x in domain
+                                 if pfsm.takes_hidden_path(x)][:limit]
+                        if found:
+                            expected.append((pfsm.name, json.loads(
+                                json.dumps([encode_witness(w)
+                                            for w in found], default=str))))
+                    assert [(f["pfsm"], f["witnesses"])
+                            for f in response["findings"]] == expected, key
+        finally:
+            handle.shutdown()
 
     def test_repeat_query_is_cached(self, server):
         with client_for(server) as client:
