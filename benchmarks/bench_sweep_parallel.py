@@ -74,15 +74,11 @@ measured through :mod:`repro.obs` (``fastpath_fraction``,
 instrumented re-run of both workloads, so the timed numbers stay
 telemetry-free.
 
-Runs two ways:
-
-* ``python benchmarks/bench_sweep_parallel.py --json BENCH_sweep.json``
-  — the CI perf smoke target.  Exits non-zero if the speedup floors are
-  missed or if serial witness-search throughput regressed more than 2x
-  against the recorded baseline (``benchmarks/baselines/sweep_baseline
-  .json``); refresh the baseline with ``--update-baseline``.
-* ``pytest benchmarks/bench_sweep_parallel.py --benchmark-only`` — the
-  same measurements under pytest-benchmark, like the other bench files.
+Run ``python benchmarks/bench_sweep_parallel.py --json BENCH_sweep.json``
+(the CI perf smoke target).  It exits non-zero if the speedup floors
+are missed or if serial witness-search throughput regressed more than
+2x against the recorded baseline (``benchmarks/baselines/sweep_baseline
+.json``); refresh the baseline with ``--update-baseline``.
 """
 
 import argparse
@@ -1161,79 +1157,6 @@ def main(argv=None):
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-# -- pytest-benchmark entry points (parity with the other bench files) -----
-
-def test_hidden_witness_batch_vs_scalar(benchmark):
-    """Closed-form witness search over the 20k-element integer domain."""
-    pfsm = _witness_pfsm()
-    domain = Domain.integers(-10000, 10000)
-    count = benchmark(lambda: len(pfsm.hidden_witnesses(domain, limit=10**9)))
-    assert count == 10000
-
-
-def test_sweep_models_parallel(benchmark):
-    """Whole-corpus sweep through the inline batched engine."""
-    models = all_extended_models()
-    domains = _scaled_domains(all_extended_pfsm_domains())
-    sweeps = benchmark(lambda: sweep_models(models, domains, limit=10**9))
-    assert sum(len(s.findings) for s in sweeps) > 0
-
-
-def test_process_backend_session(benchmark):
-    """Repeated corpus sweep on the process backend (fingerprint memo)."""
-    models = all_extended_models()
-    domains = _scaled_domains(all_extended_pfsm_domains())
-
-    def session():
-        seconds, sweeps = _backend_session(models, domains, 10**9,
-                                           mode="process", repeats=3)
-        return sweeps
-
-    sweeps = benchmark.pedantic(session, rounds=1, iterations=1) \
-        if hasattr(benchmark, "pedantic") else benchmark(session)
-    assert sum(len(s.findings) for s in sweeps) > 0
-
-
-def test_compiled_sweep_beats_uncompiled(benchmark):
-    """The compiled single-pass scan over the repeated-predicate corpus."""
-    models, domains, _objects = _plan_corpus()
-
-    def compiled():
-        return sweep_models(models, domains, limit=10**9)
-
-    sweeps = benchmark.pedantic(compiled, rounds=1, iterations=1) \
-        if hasattr(benchmark, "pedantic") else benchmark(compiled)
-    assert sum(len(s.findings) for s in sweeps) > 0
-
-
-def test_columnar_sweep_beats_compiled_scalar(benchmark):
-    """The columnar mask pass over the numeric-heavy record corpus."""
-    models, domains, _objects = _columnar_corpus(rows=20_000)
-
-    def vectorized():
-        return sweep_models(models, domains, limit=10**9)
-
-    sweeps = benchmark.pedantic(vectorized, rounds=1, iterations=1) \
-        if hasattr(benchmark, "pedantic") else benchmark(vectorized)
-    assert sum(len(s.findings) for s in sweeps) > 0
-
-
-def test_engine_beats_naive_serial_baseline():
-    """The acceptance floors, runnable as a plain pytest check."""
-    payload = measure(witness_repeats=3, sweep_repeats=2)
-    witness, sweep = payload["hidden_witness_search"], payload["model_sweep"]
-    assert witness["speedup"] >= 5.0, witness
-    assert sweep["parallel_s"] < sweep["serial_s"], sweep
-    session = payload["backend_session"]
-    assert session["speedup"] >= PROCESS_SESSION_FLOOR, session
-    resume = payload["resume"]
-    assert resume["warm_s"] < resume["cold_s"], resume
-    assert payload["plan"]["speedup"] >= PLAN_FLOOR, payload["plan"]
-    columnar_stats = payload["columnar"]
-    assert columnar_stats["speedup"] >= columnar_stats["floor"], \
-        columnar_stats
 
 
 if __name__ == "__main__":

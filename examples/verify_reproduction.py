@@ -1,150 +1,36 @@
 #!/usr/bin/env python3
 """One-shot reproduction verifier.
 
-Runs every headline claim of the reproduction and prints a PASS/FAIL
-table — the quick audit a reviewer runs before digging into the full
-test and benchmark suites.
+Runs every claim of ``repro.claims`` (one per row of DESIGN.md §4:
+each table, figure, the §5.1 discovery, the §6 Lemma and the extension
+experiments) and prints PASS/FAIL with the claim's regenerated table.
 
 Run:  python examples/verify_reproduction.py
-Exit code 0 iff every check passes.
+Exit code 0 iff every claim holds.
 """
 
 import sys
-from typing import Callable, List, Tuple
 
-from repro.bugtraq import (
-    BugtraqDatabase,
-    FIGURE1_PERCENTAGES,
-    figure1_breakdown,
-    studied_family_share,
-    table1_ambiguity,
-)
-from repro.core import PfsmType, check_lemma_part1, check_lemma_part2
-from repro.models import (
-    TABLE2_EXPECTED,
-    all_exploit_inputs,
-    all_extended_benign_inputs,
-    all_extended_exploit_inputs,
-    all_extended_models,
-    all_operation_domains,
-    all_paper_models,
-    table2_grid,
-)
-
-
-def check_figure1() -> bool:
-    db = BugtraqDatabase.synthetic()
-    rows = figure1_breakdown(db)
-    return {r.category: r.percent for r in rows} == FIGURE1_PERCENTAGES
-
-
-def check_22_percent() -> bool:
-    _count, share = studied_family_share(BugtraqDatabase.synthetic())
-    return round(100 * share) == 22
-
-
-def check_table1() -> bool:
-    rows = table1_ambiguity()
-    return (all(r.consistent for r in rows)
-            and len({r.assigned_category for r in rows}) == 3)
-
-
-def check_table2() -> bool:
-    derived = {}
-    for cell in table2_grid(all_paper_models()):
-        derived.setdefault(cell.vulnerability, {})[cell.pfsm_name] = \
-            cell.check_type
-    return derived == TABLE2_EXPECTED
-
-
-def check_exploits() -> bool:
-    models = all_extended_models()
-    exploits = all_extended_exploit_inputs()
-    benigns = all_extended_benign_inputs()
-    for label, model in models.items():
-        if not model.is_compromised_by(exploits[label]):
-            return False
-        if model.is_compromised_by(benigns[label]):
-            return False
-        if model.fully_secured().is_compromised_by(exploits[label]):
-            return False
-    return True
-
-
-def check_lemma() -> bool:
-    models = all_paper_models()
-    exploits = all_exploit_inputs()
-    domains = all_operation_domains()
-    for label, model in models.items():
-        if not check_lemma_part2(model, exploits[label]):
-            return False
-        for operation in model.operations:
-            if not check_lemma_part1(operation,
-                                     domains[label][operation.name]):
-                return False
-    return True
-
-
-def check_discovery_6255() -> bool:
-    from repro.apps import NullHttpd, NullHttpdVariant, craft_unlink_body
-    from repro.memory import ControlFlowHijack
-
-    app = NullHttpd(NullHttpdVariant.V0_5_1)
-    if not app.handle_post(-800, b"x" * 240).accepted:  # known bug fixed
-        app2 = NullHttpd(NullHttpdVariant.V0_5_1)
-        body = craft_unlink_body(app2, content_len=100)
-        outcome = app2.handle_post(100, body)  # the discovered bug
-        if not outcome.overflowed:
-            return False
-        app2.free_post_data()
-        try:
-            app2.call_free()
-            return False
-        except ControlFlowHijack as hijack:
-            return app2.process.is_mcode(hijack.target)
-    return False
-
-
-def check_xterm_race() -> bool:
-    from repro.apps import XtermVariant, build_race_scheduler
-
-    vulnerable = build_race_scheduler(XtermVariant.VULNERABLE).explore()
-    fixed = build_race_scheduler(XtermVariant.PATCHED_NOFOLLOW).explore()
-    return (vulnerable.total == 10 and len(vulnerable.violations) == 1
-            and not fixed.has_race)
-
-
-CHECKS: List[Tuple[str, Callable[[], bool]]] = [
-    ("Figure 1: category percentages exact", check_figure1),
-    ("§1: studied family = 22%", check_22_percent),
-    ("Table 1: activity-anchored ambiguity", check_table1),
-    ("Table 2: 16-cell type grid", check_table2),
-    ("all 12 exploits run; benign safe; secured foiled", check_exploits),
-    ("§6 Lemma parts 1 & 2 over all paper models", check_lemma),
-    ("§5.1: #6255 discovered & exploitable on 0.5.1", check_discovery_6255),
-    ("Figure 5: exactly the TOCTTOU window races", check_xterm_race),
-]
+from repro.claims import CLAIMS
 
 
 def main() -> int:
-    print("=" * 70)
-    print("Reproduction verification — Chen et al., DSN 2003")
-    print("=" * 70)
     failures = 0
-    for name, check in CHECKS:
+    for claim in CLAIMS:
         try:
-            passed = check()
+            rows = claim.check()
         except Exception as error:  # a crash is a failure with a reason
-            passed = False
-            name = f"{name} ({type(error).__name__}: {error})"
-        marker = "PASS" if passed else "FAIL"
-        if not passed:
             failures += 1
-        print(f"  [{marker}] {name}")
-    print("=" * 70)
-    print("all checks passed" if failures == 0
-          else f"{failures} check(s) FAILED")
-    return 0 if failures == 0 else 1
+            print(f"[FAIL] {claim.id}: {claim.title}\n"
+                  f"       {type(error).__name__}: {error}\n")
+            continue
+        print(f"[PASS] {claim.id}: {claim.title}")
+        for row in rows:
+            print(f"       {row}")
+        print()
+    print(f"{len(CLAIMS) - failures} of {len(CLAIMS)} claims hold"
+          + (f"; {failures} FAILED" if failures else ""))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

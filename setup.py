@@ -1,13 +1,3 @@
-from setuptools import setup, find_packages
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "Data-driven primitive-FSM (pFSM) modeling of security "
-        "vulnerabilities - reproduction of Chen et al., DSN 2003"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-)
+setup()

@@ -134,8 +134,9 @@ def all_pfsm_domains():
 
 
 def all_extended_models():
-    """The paper's seven Table 2 models plus the three additional named
-    vulnerabilities (#5493, #3958, #1387) modeled in this reproduction.
+    """The paper's seven Table 2 models plus the six extended models
+    (#5493, #3958, #1387, #2264, #2210 and the PATH-hijack case study)
+    modeled in this reproduction.
 
     Kept separate from :func:`all_paper_models` so the Table 2 grid
     comparison stays exactly the paper's seven rows.

@@ -19,17 +19,6 @@ from repro.osmodel import ROOT, User
 
 
 class TestXtermRace:
-    def test_vulnerable_has_exactly_the_window_interleaving(self):
-        analysis = build_race_scheduler(XtermVariant.VULNERABLE).explore()
-        assert analysis.total == 10  # C(5,3) merges of 3+2 steps
-        assert len(analysis.violations) == 1
-
-    def test_violation_is_the_toctou_window(self):
-        analysis = build_race_scheduler(XtermVariant.VULNERABLE).explore()
-        violation = analysis.violations[0]
-        assert violation.happened_between("tom:symlink", "xterm:check",
-                                          "xterm:open")
-
     def test_sequential_is_safe(self):
         scheduler = build_race_scheduler(XtermVariant.VULNERABLE)
         assert not scheduler.run_sequential().violated
@@ -153,12 +142,6 @@ class TestIis:
         # "..%2f" decodes to "../" in the FIRST pass: the check sees it.
         outcome = IisServer().handle_cgi_request("..%2fwinnt/cmd.exe")
         assert not outcome.accepted
-
-    def test_double_encoding_escapes(self):
-        outcome = IisServer().handle_cgi_request("..%252fwinnt/system32/cmd.exe")
-        assert outcome.accepted
-        assert outcome.escaped_root
-        assert outcome.executed_path == "/wwwroot/winnt/system32/cmd.exe"
 
     def test_absolute_path_rejected(self):
         assert not IisServer().handle_cgi_request("/winnt/cmd.exe").accepted

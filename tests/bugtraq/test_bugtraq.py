@@ -7,18 +7,13 @@ from repro.bugtraq import (
     BugtraqDatabase,
     CORPUS,
     FIGURE1_COUNTS,
-    FIGURE1_PERCENTAGES,
     FORMAT_STRING_TRIO,
     STUDIED_CLASSES,
-    TABLE1_REPORTS,
     TOTAL_REPORTS,
     VulnerabilityReport,
     corpus_report,
-    dominant_categories,
     figure1_breakdown,
     generate_reports,
-    studied_family_share,
-    table1_ambiguity,
 )
 from repro.core import ActivityKind, BugtraqCategory, Predicate, never
 
@@ -163,45 +158,6 @@ class TestStats:
     @pytest.fixture(scope="class")
     def db(self):
         return BugtraqDatabase.synthetic()
-
-    def test_figure1_percentages_exact(self, db):
-        rows = figure1_breakdown(db)
-        assert {row.category: row.percent for row in rows} == \
-            FIGURE1_PERCENTAGES
-
-    def test_figure1_sorted_descending(self, db):
-        rows = figure1_breakdown(db)
-        counts = [row.count for row in rows]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_dominant_five(self, db):
-        top = dominant_categories(db)
-        assert [row.category for row in top] == [
-            BugtraqCategory.INPUT_VALIDATION,
-            BugtraqCategory.BOUNDARY_CONDITION,
-            BugtraqCategory.DESIGN,
-            BugtraqCategory.EXCEPTIONAL_CONDITIONS,
-            BugtraqCategory.ACCESS_VALIDATION,
-        ]
-
-    def test_dominant_five_cover_83_percent(self, db):
-        # 23 + 21 + 18 + 11 + 10 = 83% of the database.
-        top = dominant_categories(db)
-        assert sum(row.percent for row in top) == 83
-
-    def test_studied_family_is_22_percent(self, db):
-        count, share = studied_family_share(db)
-        assert round(100 * share) == 22
-        assert count == 1304
-
-    def test_table1_rows(self):
-        rows = table1_ambiguity()
-        assert [row.bugtraq_id for row in rows] == list(TABLE1_REPORTS)
-        assert all(row.consistent for row in rows)
-
-    def test_table1_three_distinct_categories(self):
-        rows = table1_ambiguity()
-        assert len({row.assigned_category for row in rows}) == 3
 
     def test_empty_database_breakdown(self):
         rows = figure1_breakdown(BugtraqDatabase())

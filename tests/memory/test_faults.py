@@ -128,7 +128,7 @@ class TestCoverage:
             "heap-links", heap_target, trials=40, seed=4
         )
         # Near-perfect: safe-unlink has a rare aliasing false negative
-        # (see benchmarks/bench_fault_coverage.py).
+        # (see the `fault-coverage` claim in repro.claims).
         assert report.coverage >= 0.95
 
     def test_ineffective_faults_excluded(self):

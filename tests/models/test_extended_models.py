@@ -15,7 +15,6 @@ from repro.models import (
     all_extended_models,
     all_extended_operation_domains,
     all_extended_pfsm_domains,
-    all_paper_models,
     freebsd_model,
     rsync_model,
     wuftpd_model,
@@ -105,12 +104,6 @@ class TestWuftpdModel:
 
 
 class TestExtendedAccessors:
-    def test_superset_of_paper_models(self):
-        extended = all_extended_models()
-        paper = all_paper_models()
-        assert set(paper) <= set(extended)
-        assert len(extended) == len(paper) + 6
-
     @pytest.mark.parametrize("label", EXTENDED_ONLY)
     def test_exploits_and_benigns(self, label):
         model = all_extended_models()[label]

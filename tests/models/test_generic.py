@@ -1,16 +1,14 @@
-"""Figure 8 generic templates and Table 2 grid tests."""
+"""Figure 8 generic templates (the Table 2 grid is the `figure-8-table-2`
+claim of ``repro.claims``)."""
 
 import pytest
 
 from repro.core import Domain, PfsmType, Predicate, in_range
 from repro.models import (
-    TABLE2_EXPECTED,
-    all_paper_models,
     content_attribute_check,
     generic_operation,
     object_type_check,
     reference_consistency_check,
-    table2_grid,
 )
 
 
@@ -69,33 +67,3 @@ class TestGenericOperation:
         operation = generic_operation(*self._preds())
         assert [p.name for p in operation.pfsms] == \
             ["TYPE", "CONTENT", "CONSISTENCY"]
-
-
-class TestTable2:
-    def test_grid_matches_paper(self):
-        grid = table2_grid(all_paper_models())
-        derived = {}
-        for cell in grid:
-            derived.setdefault(cell.vulnerability, {})[cell.pfsm_name] = \
-                cell.check_type
-        assert derived == TABLE2_EXPECTED
-
-    def test_sixteen_cells(self):
-        assert len(table2_grid(all_paper_models())) == 16
-
-    def test_content_attribute_most_common(self):
-        # Section 6: "the most common cause ... is an incomplete content
-        # and/or attribute check."
-        grid = table2_grid(all_paper_models())
-        counts = {}
-        for cell in grid:
-            counts[cell.check_type] = counts.get(cell.check_type, 0) + 1
-        assert counts[PfsmType.CONTENT_ATTRIBUTE] == max(counts.values())
-
-    def test_all_three_types_used(self):
-        grid = table2_grid(all_paper_models())
-        assert {cell.check_type for cell in grid} == set(PfsmType)
-
-    def test_questions_populated(self):
-        for cell in table2_grid(all_paper_models()):
-            assert cell.question

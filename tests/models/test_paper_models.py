@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.nullhttpd import NullHttpdVariant
-from repro.core import PfsmType, hidden_path_report, minimal_foil_points
+from repro.core import hidden_path_report, minimal_foil_points
 from repro.models import (
     ghttpd_model,
     iis_model,
@@ -23,13 +23,6 @@ class TestSendmailFigure3:
         assert model.bugtraq_ids == (3163,)
         assert len(model.gates) == 1
 
-    def test_exploit_uses_pfsm2_and_pfsm3(self):
-        model = sendmail_model.build_model()
-        result = model.run(sendmail_model.exploit_input())
-        assert result.compromised
-        hidden = [e.subject for e in result.trace.hidden_path_steps()]
-        assert hidden == ["pFSM2", "pFSM3"]
-
     def test_wrapping_exploit_uses_all_three(self):
         model = sendmail_model.build_model()
         result = model.run(sendmail_model.wrapping_exploit_input())
@@ -43,12 +36,6 @@ class TestSendmailFigure3:
         model = sendmail_model.build_model(patched=True)
         assert not model.is_compromised_by(sendmail_model.exploit_input())
         assert model.run(sendmail_model.benign_input()).compromised  # benign ok
-
-    def test_check_types_match_table2(self):
-        model = sendmail_model.build_model()
-        types = [p.check_type for _op, p in model.all_pfsms()]
-        assert types == [PfsmType.OBJECT_TYPE, PfsmType.CONTENT_ATTRIBUTE,
-                         PfsmType.REFERENCE_CONSISTENCY]
 
     def test_hidden_path_domains(self):
         findings = hidden_path_report(
@@ -69,12 +56,6 @@ class TestNullHttpdFigure4:
         assert len(model.operations) == 3
         assert model.pfsm_count == 4
         assert model.bugtraq_ids == (5774, 6255)
-
-    def test_5774_on_v05(self):
-        model = nullhttpd_model.build_model(NullHttpdVariant.V0_5)
-        result = model.run(nullhttpd_model.exploit_input_5774())
-        assert result.compromised
-        assert result.hidden_path_count == 4  # all four checks missing
 
     def test_5774_blocked_by_v051(self):
         model = nullhttpd_model.build_model(NullHttpdVariant.V0_5_1)
@@ -131,12 +112,6 @@ class TestXtermFigure5:
         assert len(model.operations) == 1
         assert model.pfsm_count == 2
 
-    def test_pfsm1_is_secure(self):
-        # The paper: "there is no hidden path in pFSM1".
-        model = xterm_model.build_model()
-        findings = hidden_path_report(model, xterm_model.pfsm_domains())
-        assert {f.pfsm_name for f in findings} == {"pFSM2"}
-
     def test_exploit(self):
         model = xterm_model.build_model()
         result = model.run(xterm_model.exploit_input())
@@ -163,18 +138,6 @@ class TestRwallFigure6:
         model = rwall_model.build_model()
         assert len(model.operations) == 2
         assert model.pfsm_count == 2
-
-    def test_exploit(self):
-        model = rwall_model.build_model()
-        result = model.run(rwall_model.exploit_input())
-        assert result.compromised
-        assert result.hidden_path_count == 2
-
-    def test_type_grid(self):
-        model = rwall_model.build_model()
-        types = {p.name: p.check_type for _op, p in model.all_pfsms()}
-        assert types["pFSM1"] is PfsmType.CONTENT_ATTRIBUTE
-        assert types["pFSM2"] is PfsmType.OBJECT_TYPE
 
     def test_either_fix_forecloses(self):
         exploit = rwall_model.exploit_input()
@@ -204,10 +167,6 @@ class TestIisFigure7:
         pfsm = model.operations[0].pfsms[0]
         assert pfsm.has_check
         assert pfsm.takes_hidden_path("..%252fwinnt/cmd.exe")
-
-    def test_exploit(self):
-        model = iis_model.build_model()
-        assert model.is_compromised_by(iis_model.exploit_input())
 
     def test_single_encoding_foiled(self):
         model = iis_model.build_model()
@@ -242,13 +201,6 @@ class TestGhttpdModel:
             {"message": b"A" * ghttpd_model.LOG_BUFFER_SIZE})
         assert model.is_compromised_by(
             {"message": b"A" * (ghttpd_model.LOG_BUFFER_SIZE + 1)})
-
-    def test_types(self):
-        model = ghttpd_model.build_model()
-        types = [p.check_type for _op, p in model.all_pfsms()]
-        assert types == [PfsmType.CONTENT_ATTRIBUTE,
-                         PfsmType.REFERENCE_CONSISTENCY]
-
 
 class TestStatdModel:
     def test_exploit_and_fixes(self):

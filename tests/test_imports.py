@@ -55,7 +55,8 @@ def test_serving_corpus_needs_no_networkx_bugtraq_or_defenses():
         assert corpus.keys()
         print(json.dumps(sorted(sys.modules)))
     """)
-    for name in ("networkx", "repro.bugtraq", "repro.defenses"):
+    for name in ("networkx", "repro.bugtraq", "repro.defenses",
+                 "repro.claims"):
         assert name not in loaded, name
 
 
