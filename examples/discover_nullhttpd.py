@@ -16,14 +16,10 @@ The historical workflow, executed live:
 Run:  python examples/discover_nullhttpd.py
 """
 
-from repro.apps import (
-    NullHttpd,
-    NullHttpdVariant,
-    RECV_CHUNK,
-    craft_unlink_body,
-)
-from repro.core import DiscoveryEngine, Domain, Predicate
+from repro.apps import NullHttpd, NullHttpdVariant, craft_unlink_body
+from repro.core import DiscoveryEngine
 from repro.memory import ControlFlowHijack
+from repro.models import nullhttpd_model
 
 
 def step1_known_vulnerability() -> None:
@@ -43,39 +39,11 @@ def step2_probe_the_fixed_version():
     print("\n" + "=" * 70)
     print("STEP 2 — probe 0.5.1 against the model's predicates")
     print("=" * 70)
-    spec_len = Predicate(lambda n: n >= 0, "contentLen >= 0")
-    spec_fit = Predicate(
-        lambda r: r["input_len"] <= r["content_len"] + 1024,
-        "length(input) <= size(PostData)",
-    )
-
-    def probe_len(content_len):
-        app = NullHttpd(NullHttpdVariant.V0_5_1)
-        return app.handle_post(content_len,
-                               b"x" * max(content_len, 0)).accepted
-
-    def probe_fit(request):
-        app = NullHttpd(NullHttpdVariant.V0_5_1)
-        outcome = app.handle_post(request["content_len"],
-                                  b"x" * request["input_len"])
-        return outcome.accepted and \
-            outcome.bytes_copied == request["input_len"]
-
+    activities, domains = nullhttpd_model.discovery_activities(
+        NullHttpdVariant.V0_5_1)
     engine = DiscoveryEngine(known_vulnerable=["pFSM1"])
-    findings = engine.sweep_probed(
-        "Read postdata from socket to PostData",
-        [("pFSM1", "validate contentLen", spec_len, probe_len),
-         ("pFSM2", "terminate the copy at the buffer size", spec_fit,
-          probe_fit)],
-        {
-            "pFSM1": Domain.of(-800, -1, 0, 100, 4096),
-            "pFSM2": Domain.records(
-                content_len=Domain.of(0, 100, 500),
-                input_len=Domain.of(0, 100, 1024, 1500,
-                                    2 * RECV_CHUNK + 200),
-            ),
-        },
-    )
+    findings = engine.sweep_probed(nullhttpd_model.OPERATION_1, activities,
+                                   domains)
     for finding in findings:
         print(f"  {finding}")
     return findings

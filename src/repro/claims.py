@@ -34,7 +34,6 @@ from .apps import (
     IisVariant,
     NullHttpd,
     NullHttpdVariant,
-    RECV_CHUNK,
     RpcStatd,
     RsyncDaemon,
     RsyncVariant,
@@ -80,7 +79,6 @@ from .core import (
     DiscoveryEngine,
     Domain,
     PfsmType,
-    Predicate,
     PrimitiveFSM,
     StateKind,
     TransitionKind,
@@ -512,51 +510,11 @@ def _figure4_safe_unlink():
     return ["safe unlink: HeapCorruptionDetected at free()"]
 
 
-def _spec_content_len():
-    return Predicate(lambda n: n >= 0, "contentLen >= 0")
-
-
-def _spec_fits():
-    return Predicate(
-        lambda r: r["input_len"] <= r["content_len"] + 1024,
-        "length(input) <= size(PostData)",
-    )
-
-
 def _discovery_sweep(variant, known_vulnerable=()):
     """The §5.1 probed sweep of both read-postdata pFSMs on ``variant``."""
-
-    def probe_content_len(content_len):
-        app = NullHttpd(variant)
-        return app.handle_post(content_len,
-                               b"x" * max(content_len, 0)).accepted
-
-    def probe_copy(request):
-        app = NullHttpd(variant)
-        outcome = app.handle_post(request["content_len"],
-                                  b"x" * request["input_len"])
-        return outcome.accepted and \
-            outcome.bytes_copied == request["input_len"]
-
-    domains = {
-        "pFSM1": Domain.of(-800, -1, 0, 100, 4096),
-        "pFSM2": Domain.records(
-            content_len=Domain.of(0, 100, 500),
-            input_len=Domain.of(0, 100, 1024, 1124, 1500,
-                                2 * RECV_CHUNK + 200),
-        ),
-    }
-    engine = DiscoveryEngine(known_vulnerable=list(known_vulnerable))
-    return engine.sweep_probed(
-        "Read postdata from socket to PostData",
-        [
-            ("pFSM1", "validate contentLen", _spec_content_len(),
-             probe_content_len),
-            ("pFSM2", "terminate the copy at the buffer size", _spec_fits(),
-             probe_copy),
-        ],
-        domains,
-    )
+    activities, domains = nullhttpd_model.discovery_activities(variant)
+    return DiscoveryEngine(known_vulnerable).sweep_probed(
+        nullhttpd_model.OPERATION_1, activities, domains)
 
 
 _claim("discovery-6255", "§5.1: Bugtraq #6255 discovered on NULL HTTPD "

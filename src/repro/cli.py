@@ -704,38 +704,14 @@ def _cmd_table2(_args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(_args: argparse.Namespace) -> int:
-    from .apps import NullHttpd, NullHttpdVariant, RECV_CHUNK
-    from .core import DiscoveryEngine, Domain, Predicate
+    from .apps import NullHttpdVariant
+    from .core import DiscoveryEngine
+    from .models import nullhttpd_model
 
-    spec_len = Predicate(lambda n: n >= 0, "contentLen >= 0")
-    spec_fit = Predicate(
-        lambda r: r["input_len"] <= r["content_len"] + 1024,
-        "length(input) <= size(PostData)",
-    )
-
-    def probe_len(content_len: int) -> bool:
-        app = NullHttpd(NullHttpdVariant.V0_5_1)
-        return app.handle_post(content_len,
-                               b"x" * max(content_len, 0)).accepted
-
-    def probe_fit(request: Dict[str, int]) -> bool:
-        app = NullHttpd(NullHttpdVariant.V0_5_1)
-        outcome = app.handle_post(request["content_len"],
-                                  b"x" * request["input_len"])
-        return outcome.accepted and \
-            outcome.bytes_copied == request["input_len"]
-
-    engine = DiscoveryEngine(known_vulnerable=["pFSM1"])
-    findings = engine.sweep_probed(
-        "Read postdata from socket to PostData",
-        [("pFSM1", "validate contentLen", spec_len, probe_len),
-         ("pFSM2", "terminate the copy at the buffer size", spec_fit,
-          probe_fit)],
-        {"pFSM1": Domain.of(-800, -1, 0, 100, 4096),
-         "pFSM2": Domain.records(
-             content_len=Domain.of(0, 100, 500),
-             input_len=Domain.of(0, 100, 1024, 1500, 2 * RECV_CHUNK + 200))},
-    )
+    activities, domains = nullhttpd_model.discovery_activities(
+        NullHttpdVariant.V0_5_1)
+    findings = DiscoveryEngine(known_vulnerable=["pFSM1"]).sweep_probed(
+        nullhttpd_model.OPERATION_1, activities, domains)
     print("discovery sweep over NULL HTTPD 0.5.1:")
     for finding in findings:
         print(f"  {finding}")

@@ -74,7 +74,6 @@ from .sweep import (
 from .analysis import (
     FoilPoint,
     minimal_witness,
-    HiddenPathFinding,
     LemmaReport,
     check_lemma_part1,
     check_lemma_part2,
@@ -90,7 +89,7 @@ from .classification import (
     PfsmType,
     categorize_by_activity,
 )
-from .discovery import DiscoveryEngine, Finding, ProbeResult, probe_implementation
+from .discovery import DiscoveryEngine, Finding
 from .machine import ModelResult, PropagationGate, VulnerabilityModel
 from .operation import Operation, OperationResult
 from .pfsm import PfsmOutcome, PrimitiveFSM
@@ -167,7 +166,6 @@ __all__ = [
     "sweep_models",
     "sweep_operation",
     "FoilPoint",
-    "HiddenPathFinding",
     "LemmaReport",
     "check_lemma_part1",
     "check_lemma_part2",
@@ -183,8 +181,6 @@ __all__ = [
     "categorize_by_activity",
     "DiscoveryEngine",
     "Finding",
-    "ProbeResult",
-    "probe_implementation",
     "ModelResult",
     "PropagationGate",
     "VulnerabilityModel",

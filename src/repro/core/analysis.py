@@ -22,16 +22,15 @@ that reasoning over executable models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .machine import VulnerabilityModel
 from .operation import Operation
 from .pfsm import PrimitiveFSM
-from .sweep import sweep_model
+from .sweep import SweepFinding, sweep_model
 from .witness import Domain
 
 __all__ = [
-    "HiddenPathFinding",
     "hidden_path_report",
     "FoilPoint",
     "minimal_foil_points",
@@ -43,48 +42,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HiddenPathFinding:
-    """A pFSM with at least one hidden-path witness."""
-
-    operation_name: str
-    pfsm_name: str
-    activity: str
-    witnesses: Tuple[Any, ...]
-
-    def __str__(self) -> str:
-        sample = self.witnesses[0] if self.witnesses else None
-        return (
-            f"{self.operation_name}/{self.pfsm_name} ({self.activity}): "
-            f"hidden path, e.g. {sample!r}"
-        )
-
-
 def hidden_path_report(
     model: VulnerabilityModel,
     domains: Dict[str, Domain],
     limit: int = 5,
-) -> List[HiddenPathFinding]:
+) -> List[SweepFinding]:
     """Search each pFSM's object domain for hidden-path witnesses.
 
     ``domains`` maps pFSM names to candidate-object domains.  pFSMs
     without a domain entry are skipped (their objects may not be
     enumerable, e.g. raw memory states).
 
-    Delegates to :func:`repro.core.sweep.sweep_model`: per-pFSM scans
-    take the interval strategy where available and run inline in
+    The findings of :func:`repro.core.sweep.sweep_model`: per-pFSM
+    scans take the interval strategy where available and run inline in
     cascade order.
     """
-    sweep = sweep_model(model, domains, limit=limit)
-    return [
-        HiddenPathFinding(
-            operation_name=finding.operation_name,
-            pfsm_name=finding.pfsm_name,
-            activity=finding.activity,
-            witnesses=finding.witnesses,
-        )
-        for finding in sweep.findings
-    ]
+    return list(sweep_model(model, domains, limit=limit).findings)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ Given an *application adapter* — one probe callable and one object
 domain per elementary activity, plus candidate specification predicates
 (usually drawn from :mod:`repro.core.catalog`) — the analyzer:
 
-1. probes the implementation over each activity's domain to derive the
-   implemented predicate empirically;
-2. compares it against every candidate spec, collecting hidden-path
-   witnesses (spec-rejected, impl-accepted objects);
+1. takes the probe as the implemented predicate, observed empirically;
+2. scans it against every candidate spec, collecting hidden-path
+   witnesses (spec-rejected, impl-accepted objects): the sweep's scan
+   judges each distinct object once and calls the probe only on the
+   objects the candidate spec rejects;
 3. assembles the surviving ``(activity, spec, probed impl)`` triples
    into a ready-made :class:`~repro.core.machine.VulnerabilityModel`;
 4. emits an :class:`AnalysisReport` with per-activity verdicts, the
@@ -28,11 +29,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry
 from .classification import PfsmType
-from .discovery import probe_implementation
 from .machine import VulnerabilityModel
 from .operation import Operation
 from .pfsm import PrimitiveFSM
 from .predicates import Predicate
+from .sweep import hidden_witness_scan
 from .witness import Domain
 
 __all__ = ["ActivityAdapter", "ActivityVerdict", "AnalysisReport", "AutoAnalyzer"]
@@ -100,7 +101,6 @@ class ActivityVerdict:
     description: str
     spec: Predicate
     check_type: Optional[PfsmType]
-    implementation_checks_anything: bool
     hidden_witnesses: Tuple[Any, ...]
 
     @property
@@ -168,11 +168,7 @@ class AutoAnalyzer:
         report = AnalysisReport(operation_name=operation_name)
         pfsms: List[PrimitiveFSM] = []
         for adapter in adapters:
-            probe = probe_implementation(
-                adapter.probe, adapter.domain,
-                description=f"probed({adapter.name})",
-            )
-            verdict, pfsm = self._judge(adapter, probe)
+            verdict, pfsm = self._judge(adapter)
             report.verdicts.append(verdict)
             pfsms.append(pfsm)
         operation = Operation(operation_name, "the analyzed object", pfsms)
@@ -183,7 +179,7 @@ class AutoAnalyzer:
         )
         return report
 
-    def _judge(self, adapter: ActivityAdapter, probe) -> Tuple[
+    def _judge(self, adapter: ActivityAdapter) -> Tuple[
             ActivityVerdict, PrimitiveFSM]:
         """Pick the candidate spec with the strongest evidence.
 
@@ -192,43 +188,33 @@ class AutoAnalyzer:
         candidate (which the implementation satisfies — the secure
         case).
         """
-        chosen: Optional[Tuple[Predicate, Optional[PfsmType], Tuple]] = None
+        if not adapter.candidate_specs:
+            raise ValueError(
+                f"activity {adapter.name!r} has no candidate specs"
+            )
+        probed = Predicate(adapter.probe, f"probed({adapter.name})")
+        chosen: Optional[Tuple[PrimitiveFSM, Tuple[Any, ...]]] = None
         for spec, check_type in adapter.candidate_specs:
-            trial = PrimitiveFSM(
+            pfsm = PrimitiveFSM(
                 name=adapter.name,
                 activity=adapter.description,
                 object_name=adapter.name,
                 spec_accepts=spec,
-                impl_accepts=probe.predicate,
+                impl_accepts=probed,
+                check_type=check_type,
             )
-            witnesses = tuple(
-                trial.hidden_witnesses(adapter.domain,
-                                       limit=self._witness_limit)
-            )
+            witnesses = tuple(hidden_witness_scan(
+                pfsm, adapter.domain, limit=self._witness_limit))
+            if witnesses or chosen is None:
+                chosen = (pfsm, witnesses)
             if witnesses:
-                chosen = (spec, check_type, witnesses)
                 break
-            if chosen is None:
-                chosen = (spec, check_type, ())
-        if chosen is None:
-            raise ValueError(
-                f"activity {adapter.name!r} has no candidate specs"
-            )
-        spec, check_type, witnesses = chosen
+        pfsm, witnesses = chosen
         verdict = ActivityVerdict(
             activity=adapter.name,
             description=adapter.description,
-            spec=spec,
-            check_type=check_type,
-            implementation_checks_anything=probe.checks_anything,
+            spec=pfsm.spec_accepts,
+            check_type=pfsm.check_type,
             hidden_witnesses=witnesses,
-        )
-        pfsm = PrimitiveFSM(
-            name=adapter.name,
-            activity=adapter.description,
-            object_name=adapter.name,
-            spec_accepts=spec,
-            impl_accepts=probe.predicate,
-            check_type=check_type,
         )
         return verdict, pfsm

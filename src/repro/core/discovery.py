@@ -14,9 +14,11 @@ The engine generalises the process:
 1. For each elementary activity of an operation, take its *spec*
    predicate (derived from the vulnerability report / deduced from the
    application, per the paper's footnote 6).
-2. Derive the *implemented* predicate **empirically**, by probing the
-   executable application model over a domain of inputs and observing
-   which are rejected (:func:`probe_implementation`).
+2. Take the *implemented* predicate **empirically**: the callable that
+   runs the executable application model, as a plain
+   :class:`~repro.core.predicates.Predicate` (an exception counts as a
+   rejection).  The sweep's scan judges each distinct object once and
+   calls the probe only on the objects the spec rejects.
 3. Report every activity where the probed acceptance set strictly
    exceeds the spec's acceptance set — a hidden path, i.e. a (possibly
    new) vulnerability.
@@ -31,85 +33,13 @@ from ..obs import DEFAULT as _OBS
 from .operation import Operation
 from .pfsm import PrimitiveFSM
 from .predicates import Predicate
-from .sweep import hidden_witness_scan, sweep_operation as _sweep_operation
+from .sweep import sweep_operation as _sweep_operation
 from .witness import Domain
 
 __all__ = [
-    "ProbeResult",
-    "probe_implementation",
     "Finding",
     "DiscoveryEngine",
 ]
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """An empirically derived implementation predicate."""
-
-    accepted: Tuple[Any, ...]
-    rejected: Tuple[Any, ...]
-    predicate: Predicate
-
-    @property
-    def checks_anything(self) -> bool:
-        """False when the implementation rejected nothing in the probe —
-        the 'no check performed' signature."""
-        return bool(self.rejected)
-
-
-def probe_implementation(
-    accepts: Callable[[Any], bool],
-    domain: Domain,
-    description: str = "probed implementation",
-) -> ProbeResult:
-    """Build an implementation predicate by observation.
-
-    ``accepts(obj)`` should run the real (modeled) code path and report
-    whether the input got through — e.g. "ReadPOSTData returned without
-    error and copied the body".  Exceptions count as rejection.
-    """
-    accepted: List[Any] = []
-    rejected: List[Any] = []
-    by_value: Dict[Any, bool] = {}
-    by_identity: Dict[int, bool] = {}
-    with _OBS.span("discovery.probe", description=description) as span:
-        for obj in domain:
-            try:
-                verdict = bool(accepts(obj))
-            except Exception:
-                verdict = False
-            try:
-                by_value[obj] = verdict
-            except TypeError:  # unhashable — fall back to identity
-                by_identity[id(obj)] = verdict
-            (accepted if verdict else rejected).append(obj)
-        span.set(probes=len(accepted) + len(rejected),
-                 rejected=len(rejected))
-    if _OBS.enabled:
-        _OBS.incr("discovery.probes", len(accepted) + len(rejected))
-
-    # Memoize within the probed domain (hashable objects by value,
-    # unhashable by identity — the accepted/rejected tuples pin those
-    # identities alive); unseen objects are re-probed live.
-    missing = object()
-
-    def impl(obj: Any) -> bool:
-        try:
-            recorded = by_value.get(obj, missing)
-        except TypeError:
-            recorded = by_identity.get(id(obj), missing)
-        if recorded is not missing:
-            return recorded
-        try:
-            return bool(accepts(obj))
-        except Exception:
-            return False
-
-    return ProbeResult(
-        accepted=tuple(accepted),
-        rejected=tuple(rejected),
-        predicate=Predicate(impl, description),
-    )
 
 
 @dataclass(frozen=True)
@@ -196,45 +126,22 @@ class DiscoveryEngine:
         """Sweep with *probed* implementations.
 
         ``activities`` is a list of ``(pfsm_name, activity_description,
-        spec_predicate, accepts_callable)``; each implementation predicate
-        is derived by probing the callable over the activity's domain,
-        then compared to the spec — the full §5.1 discovery workflow.
+        spec_predicate, accepts_callable)``; each callable becomes the
+        implementation predicate ``probed(<pfsm_name>)`` of a pFSM, and
+        :meth:`sweep_operation` compares it to the spec over the
+        activity's domain — the full §5.1 discovery workflow.
         """
-        findings: List[Finding] = []
-        with _OBS.span("discovery.sweep_probed", operation=operation_name,
-                       activities=len(activities)) as span:
-            for pfsm_name, activity, spec, accepts in activities:
-                domain = domains.get(pfsm_name)
-                if domain is None:
-                    continue
-                probe = probe_implementation(
-                    accepts, domain, description=f"probed({pfsm_name})"
-                )
-                pfsm = PrimitiveFSM(
-                    name=pfsm_name,
-                    activity=activity,
-                    object_name=pfsm_name,
-                    spec_accepts=spec,
-                    impl_accepts=probe.predicate,
-                )
-                witnesses = pfsm.hidden_witnesses(domain, limit=limit)
-                if witnesses:
-                    findings.append(
-                        Finding(
-                            operation_name=operation_name,
-                            pfsm_name=pfsm_name,
-                            activity=activity,
-                            spec_description=spec.description,
-                            witnesses=tuple(witnesses),
-                            known=pfsm_name in self._reported,
-                        )
-                    )
-            span.set(findings=len(findings))
-        if _OBS.enabled:
-            _OBS.incr("discovery.findings", len(findings))
-            _OBS.incr("discovery.findings.new",
-                      sum(1 for f in findings if f.is_new))
-        return findings
+        operation = Operation(operation_name, "the probed object", [
+            PrimitiveFSM(
+                name=pfsm_name,
+                activity=activity,
+                object_name=pfsm_name,
+                spec_accepts=spec,
+                impl_accepts=Predicate(accepts, f"probed({pfsm_name})"),
+            )
+            for pfsm_name, activity, spec, accepts in activities
+        ])
+        return self.sweep_operation(operation, domains, limit=limit)
 
     @staticmethod
     def new_findings(findings: Iterable[Finding]) -> List[Finding]:

@@ -78,7 +78,7 @@ __all__ = [
     "BACKENDS",
 ]
 
-#: The executors a sweep can run on (``mode=`` / ``backend=``).
+#: The executors a sweep can run on (``mode=``).
 BACKENDS = ("thread", "process", "cluster")
 
 
@@ -509,7 +509,6 @@ def sweep_models(
     limit: int = 5,
     workers: Optional[int] = None,
     mode: str = "thread",
-    backend: Optional[str] = None,
     resume_from: Optional[str] = None,
 ) -> List[ModelSweep]:
     """Hidden-path sweep across a whole corpus of models.
@@ -537,9 +536,6 @@ def sweep_models(
         ambient :mod:`repro.cluster` coordinator to worker agents —
         results bit-for-bit equal to ``"process"``).  Anything else
         raises :class:`ValueError`.
-    backend:
-        Alias for ``mode`` (``sweep_models(..., backend="cluster")``);
-        when given it wins over ``mode``.
     resume_from:
         Path to a JSONL :class:`~repro.core.dist.ResultStore`.  Tasks
         whose fingerprint key is already stored are *not* re-scanned
@@ -555,8 +551,6 @@ def sweep_models(
     sweep regardless of backend, worker count or how many results were
     resumed.
     """
-    if backend is not None:
-        mode = backend
     tasks: List[SweepTask] = []
     task_models: List[Any] = []  # the model behind tasks[i], for keying
     boundaries: List[Tuple[str, int]] = []  # (label, task count) per model

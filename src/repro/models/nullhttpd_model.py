@@ -34,13 +34,14 @@ Operation 3 — *Manipulate the GOT entry of free* (object:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..apps.nullhttpd import NullHttpdVariant
+from ..apps.nullhttpd import RECV_CHUNK, NullHttpd, NullHttpdVariant
 from ..core import (
     Domain,
     ModelBuilder,
     PfsmType,
+    Predicate,
     VulnerabilityModel,
     attr,
     greater_equal,
@@ -53,6 +54,7 @@ __all__ = [
     "build_model",
     "exploit_input_5774",
     "exploit_input_6255",
+    "discovery_activities",
     "benign_input",
     "pfsm_domains",
     "operation_domains",
@@ -185,6 +187,46 @@ def exploit_input_6255() -> Dict[str, int]:
     """The discovered exploit: correct contentLen, over-long body; the
     ``||`` loop copies past the buffer."""
     return {"content_len": 100, "input_len": 2048}
+
+
+def discovery_activities(
+    variant: NullHttpdVariant,
+) -> Tuple[List[Tuple[str, str, Predicate, Callable[[Any], bool]]],
+           Dict[str, Domain]]:
+    """The §5.1 probe set-up of operation 1 on ``variant``: the
+    ``(pfsm_name, activity, spec, probe)`` rows and the per-pFSM domains
+    that :meth:`~repro.core.DiscoveryEngine.sweep_probed` takes.  Each
+    probe runs the executable server on one object and reports whether
+    it got through: a non-rejected ``contentLen`` for pFSM1, a body
+    copied whole for pFSM2."""
+
+    def probe_content_len(content_len: int) -> bool:
+        app = NullHttpd(variant)
+        return app.handle_post(content_len,
+                               b"x" * max(content_len, 0)).accepted
+
+    def probe_copy(request: Dict[str, int]) -> bool:
+        app = NullHttpd(variant)
+        outcome = app.handle_post(request["content_len"],
+                                  b"x" * request["input_len"])
+        return outcome.accepted and \
+            outcome.bytes_copied == request["input_len"]
+
+    activities = [
+        ("pFSM1", "validate contentLen",
+         greater_equal(0).renamed("contentLen >= 0"), probe_content_len),
+        ("pFSM2", "terminate the copy at the buffer size", _fits_buffer,
+         probe_copy),
+    ]
+    domains = {
+        "pFSM1": Domain.of(-800, -1, 0, 100, 4096),
+        "pFSM2": Domain.records(
+            content_len=Domain.of(0, 100, 500),
+            input_len=Domain.of(0, 100, 1024, 1124, 1500,
+                                2 * RECV_CHUNK + 200),
+        ),
+    }
+    return activities, domains
 
 
 def benign_input() -> Dict[str, int]:

@@ -81,7 +81,7 @@ class TestZeroWorkers:
             with ClusterCoordinator() as coordinator, \
                     coordinating(coordinator):
                 got = _flat(sweep_models(models, domains, limit=4,
-                                         backend="cluster", workers=2))
+                                         mode="cluster", workers=2))
                 assert coordinator.counter("chunks.claimed") == 0
             counters = registry.counters()
         finally:

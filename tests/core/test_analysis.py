@@ -15,6 +15,7 @@ from repro.core import (
     in_range,
     less_equal,
     minimal_foil_points,
+    sweep_model,
     verify_lemma,
 )
 
@@ -72,6 +73,14 @@ class TestHiddenPathReport:
             _model(), {"pFSM1": Domain.integers(-2, -1)}
         )
         assert "pFSM1" in str(finding)
+
+    def test_findings_are_the_model_sweeps(self):
+        model = _model()
+        findings = hidden_path_report(model, _domains(), limit=3)
+        assert findings == list(sweep_model(model, _domains(),
+                                            limit=3).findings)
+        assert {f.model_name for f in findings} == {"m"}
+        assert str(findings[0]).startswith("m/op1/pFSM1 (get index)")
 
 
 class TestMinimalFoilPoints:

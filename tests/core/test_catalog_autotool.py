@@ -165,3 +165,35 @@ class TestAutoAnalyzer:
         report = AutoAnalyzer().analyze("op", adapters)
         assert [v.activity for v in report.verdicts] == ["a1", "a2"]
         assert [v.activity for v in report.vulnerable_activities] == ["a2"]
+
+    def test_probe_runs_only_on_spec_rejected_objects(self):
+        probed = []
+
+        def probe(x):
+            probed.append(x)
+            return True
+
+        adapter = self._adapter(
+            "bound", probe, Domain.of(-2, 3, -1, -2, 0, -1),
+            [Predicate(lambda x: x >= 0, "x >= 0")],
+        )
+        (verdict,) = AutoAnalyzer().analyze("op", [adapter]).verdicts
+        assert verdict.hidden_witnesses == (-2, -1, -2, -1)
+        assert probed == [-2, -1]
+
+    def test_model_carries_the_chosen_candidate_and_its_type(self):
+        loose = (Predicate(lambda x: True, "anything"),
+                 PfsmType.OBJECT_TYPE)
+        tight = (Predicate(lambda x: x >= 0, "x >= 0"),
+                 PfsmType.CONTENT_ATTRIBUTE)
+        vulnerable = self._adapter("pick", lambda x: True,
+                                   Domain.integers(-3, 3), [loose, tight])
+        secure = self._adapter("keep", lambda x: x >= 0,
+                               Domain.integers(-3, 3), [loose, tight])
+        report = AutoAnalyzer().analyze("op", [vulnerable, secure])
+        pfsms = report.model.operations[0].pfsms
+        for verdict, pfsm in zip(report.verdicts, pfsms):
+            assert pfsm.spec_accepts is verdict.spec
+            assert pfsm.check_type is verdict.check_type
+        assert [p.check_type for p in pfsms] == [
+            PfsmType.CONTENT_ATTRIBUTE, PfsmType.OBJECT_TYPE]

@@ -375,17 +375,11 @@ class TestBackendNames:
             dist.run_tasks([_task(Domain.integers(-5, 20))], 2,
                            backend=name)
 
-    def test_backend_kwarg_is_an_alias_for_mode(self):
-        from repro.models import wuftpd_model
-
-        models = {"sendmail": sendmail_model.build_model(),
-                  "wuftpd": wuftpd_model.build_model()}
-        domains = {"sendmail": sendmail_model.pfsm_domains(),
-                   "wuftpd": wuftpd_model.pfsm_domains()}
-        expected = _flat(sweep_models(models, domains, limit=3,
-                                      mode="thread"))
-        assert _flat(sweep_models(models, domains, limit=3,
-                                  backend="thread")) == expected
+    def test_sweep_models_takes_mode_only(self):
+        models = {"sendmail": sendmail_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains()}
+        with pytest.raises(TypeError, match="backend"):
+            sweep_models(models, domains, limit=3, backend="thread")
 
     def test_cluster_without_coordinator_is_a_clear_error(self):
         with pytest.raises(RuntimeError, match="coordinator"):

@@ -11,10 +11,9 @@ Four families of guarantees:
 * **memo correctness** — each distinct object is judged once per scan,
   and nothing outlives the scan: rebinding a predicate between scans
   changes the witnesses;
-* **hot-path surgery** — probe memoization in ``probe_implementation``,
-  the single-run ``minimal_foil_points`` fast path, bounded
-  ``exploit_paths``, and lazy ``Domain`` backings keep their observable
-  behaviour.
+* **hot-path surgery** — the single-run ``minimal_foil_points`` fast
+  path, bounded ``exploit_paths``, and lazy ``Domain`` backings keep
+  their observable behaviour.
 """
 
 import dataclasses
@@ -49,7 +48,6 @@ from repro.core import (
     never,
     not_contains,
     predicate,
-    probe_implementation,
     satisfies_all,
     satisfies_any,
     sweep_models,
@@ -826,39 +824,6 @@ class TestScanWindow:
 # ---------------------------------------------------------------------------
 # hot-path surgery keeps observable behaviour
 # ---------------------------------------------------------------------------
-
-class TestProbeMemoization:
-    def test_probe_predicate_replays_recorded_verdicts(self):
-        calls = {"n": 0}
-
-        def accepts(n):
-            calls["n"] += 1
-            return n <= 100
-
-        domain = Domain.of(-5, 50, 200)
-        result = probe_implementation(accepts, domain)
-        assert calls["n"] == 3
-        assert result.predicate(50) is True
-        assert result.predicate(200) is False
-        assert calls["n"] == 3  # recorded verdicts, no re-probe
-        assert result.predicate(999) is False  # unseen -> live probe
-        assert calls["n"] == 4
-
-    def test_unhashable_probes_memoize_by_identity(self):
-        calls = {"n": 0}
-
-        def accepts(record):
-            calls["n"] += 1
-            return record["n"] >= 0
-
-        good, bad = {"n": 7}, {"n": -7}
-        result = probe_implementation(accepts, Domain([good, bad]))
-        assert calls["n"] == 2
-        assert result.predicate(good) is True
-        assert result.predicate(bad) is False
-        assert calls["n"] == 2
-        assert result.checks_anything
-
 
 class TestMinimalFoilPointsFastPath:
     def test_fast_path_matches_exhaustive_on_every_bundled_model(self):
