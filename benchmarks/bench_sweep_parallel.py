@@ -266,34 +266,74 @@ def _findings_of(sweeps):
     ]
 
 
-def _backend_session(models, domains, limit, mode, repeats=SESSION_REPEATS):
+def _emitted(models, keyed=False):
+    """``models``, newly built, with every pFSM's program emitted (and,
+    when ``keyed``, what keying their tasks memoizes: each model's
+    fingerprint and each predicate's spec hash) outside any timer.
+
+    A compiled program keeps its verdicts on each domain's distinct-row
+    index for the index's lifetime, so a repeat that sweeps the models
+    of an earlier repeat judges nothing: it times table reads.  Timed
+    repeats therefore sweep newly built models, in the state the
+    repeats of one model set found before verdicts outlived a scan:
+    programs compiled, no verdict kept.  Warm-table timings are taken
+    and reported apart, labelled as warm.
+    """
+    for model in models.values():
+        for _operation, pfsm in model.all_pfsms():
+            plan.program_for(pfsm)
+            if keyed:
+                for predicate in (pfsm.spec_accepts, pfsm.impl_accepts):
+                    getattr(predicate, "spec_hash", None)
+        if keyed:
+            dist._model_fingerprint(model)
+    return models
+
+
+def _backend_session(domains, limit, mode, repeats=SESSION_REPEATS):
     """One analysis session: the corpus swept ``repeats`` times.
 
     Starts with an empty fingerprint memo (``dist.clear_memo()``), so
     the process backend's first sweep forks its workers and computes
     every task inside the measurement.  It is not a cold process:
-    programs compiled and columnar encodings built earlier in this
-    interpreter (memoized on their pFSMs and domains) survive
+    columnar encodings and distinct-row indexes built earlier in this
+    interpreter (memoized on their domains) survive
     ``dist.clear_memo()``, and forked workers inherit them — the first session in an interpreter
     pays encoding and planning that repeat sessions do not
     (EXPERIMENTS.md records both).
+
+    The thread backend recomputes every sweep: each sweeps a model set
+    of its own (:func:`_emitted`, built before the timer starts), so no
+    sweep reads the verdicts of an earlier one.  The process backend
+    sweeps one model set, also built and emitted before the timer, whose
+    task keys it computes inside it: its first sweep computes in
+    forked workers, whose verdicts die with them, and fills the memo
+    that answers the rest.
     """
+    if mode == "thread":
+        sessions = [_emitted(all_extended_models()) for _ in range(repeats)]
+    else:
+        sessions = [_emitted(all_extended_models())] * repeats
     dist.clear_memo()
     start = time.perf_counter()
     sweeps = None
-    for _ in range(repeats):
+    for models in sessions:
         sweeps = sweep_models(models, domains, workers=4, limit=limit,
                               mode=mode)
     seconds = time.perf_counter() - start
     return seconds, sweeps
 
 
-def _resume_scenario(models, domains, limit):
+def _resume_scenario(domains, limit):
     """Cold sweep recording to a JSONL store, then a resumed re-sweep.
 
     The scheduler memo is reset between the two runs so the warm run's
-    reuse comes from the persisted store alone.
+    reuse comes from the persisted store alone.  Both sweep one newly
+    built model set, programs emitted and keys' parts memoized before
+    the timer (:func:`_emitted`), so the cold sweep judges every object
+    it reaches.
     """
+    models = _emitted(all_extended_models(), keyed=True)
     with tempfile.TemporaryDirectory() as tmp:
         store = str(Path(tmp) / "resume.jsonl")
         dist.clear_memo()
@@ -407,8 +447,9 @@ def _plan_scenario(repeats=3):
     }
 
 
-def _columnar_corpus(rows=COLUMNAR_ROWS):
-    """Scenario E: the numeric-heavy record corpus.
+def _columnar_corpus(rows=COLUMNAR_ROWS, corpus=None):
+    """Scenario E: the numeric-heavy record corpus (``corpus``, when
+    given, is a corpus domain built before, which new models audit).
 
     Every pFSM checks a *conjunction over several record fields* —
     exactly the shape the interval fast path cannot answer (``attr``
@@ -424,13 +465,14 @@ def _columnar_corpus(rows=COLUMNAR_ROWS):
     domain's encoding memo encodes it once and serves every model's
     kernel from the shared columns.
     """
-    items = [{"size": (i * 37) % 10_000,
-              "depth": (i * 11) % 128,
-              "flags": (i * 13) % 300_000,
-              "ttl": (i * 7) % 86_400,
-              "name": "n" * (i % 9)}
-             for i in range(rows)]
-    corpus = Domain(items, description="record corpus")
+    if corpus is None:
+        items = [{"size": (i * 37) % 10_000,
+                  "depth": (i * 11) % 128,
+                  "flags": (i * 13) % 300_000,
+                  "ttl": (i * 7) % 86_400,
+                  "name": "n" * (i % 9)}
+                 for i in range(rows)]
+        corpus = Domain(items, description="record corpus")
     models, domains = {}, {}
     for k in range(COLUMNAR_MODELS):
         spec = satisfies_all(
@@ -451,7 +493,7 @@ def _columnar_corpus(rows=COLUMNAR_ROWS):
         models[label] = VulnerabilityModel(
             label, [Operation("ingest record", "r", [pfsm])])
         domains[label] = {"p1": corpus}
-    return models, domains, COLUMNAR_MODELS * rows
+    return models, domains, COLUMNAR_MODELS * len(corpus)
 
 
 def _columnar_scenario(repeats=3):
@@ -460,26 +502,36 @@ def _columnar_scenario(repeats=3):
     Identical engine both sides; the only variable is the columnar
     strategy (``columnar.disabled()`` is the A/B switch).  The
     vectorized side starts from cold encodings every repeat — encoding
-    time is inside the measurement.
+    time is inside the measurement.  Each repeat of either side sweeps
+    newly built models over the same corpus (:func:`_emitted`), so
+    neither side reads verdicts the other, or an earlier repeat, kept;
+    a repeat of the scalar side over its last models is timed apart as
+    the warm-table figure.
     """
-    models, domains, objects = _columnar_corpus()
+    _models, domains, objects = _columnar_corpus()
+    corpus = next(iter(domains.values()))["p1"]
     limit = 10**9
+    fresh = {}
+
+    def new_models():
+        fresh["models"] = _emitted(_columnar_corpus(corpus=corpus)[0])
 
     def scalar():
         with columnar.disabled():
-            return sweep_models(models, domains, limit=limit)
+            return sweep_models(fresh["models"], domains, limit=limit)
 
     def vectorized():
         columnar._DOMAIN_MEMO.clear()
-        return sweep_models(models, domains, limit=limit)
+        return sweep_models(fresh["models"], domains, limit=limit)
 
-    scalar_s, baseline = _best_of(scalar, repeats=repeats)
-    vector_s, sweeps = _best_of(vectorized, repeats=repeats)
+    scalar_s, baseline = _best_of(scalar, repeats=repeats, setup=new_models)
+    scalar_warm_s, _ = _best_of(scalar, repeats=repeats)
+    vector_s, sweeps = _best_of(vectorized, repeats=repeats,
+                                setup=new_models)
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "columnar sweep diverged from the compiled scalar engine"
     # Every model audits one shared corpus; its encoding picked the mask
     # backend from its row count, and the floor follows that backend.
-    corpus = next(iter(domains.values()))["p1"]
     backend = columnar.encoding_for(corpus).ops.name
     return {
         "backend": backend,
@@ -487,6 +539,7 @@ def _columnar_scenario(repeats=3):
         "objects_per_sweep": objects,
         "findings": len(_findings_of(sweeps)),
         "scalar_s": scalar_s,
+        "scalar_warm_tables_s": scalar_warm_s,
         "columnar_s": vector_s,
         "speedup": scalar_s / vector_s if vector_s else float("inf"),
         "scalar_objs_per_s": objects / scalar_s,
@@ -840,41 +893,54 @@ def measure(witness_repeats=5, sweep_repeats=3):
     assert batch_found == scalar_found, "batch path diverged from scalar scan"
     assert len(batch_found) == 10000
 
-    models = all_extended_models()
     domains = _scaled_domains(all_extended_pfsm_domains())
     # Full witness enumeration: with a truncating limit both engines
     # early-exit after a handful of hits and nothing is measured.
     limit = 10**9
+    # Each repeat of either side sweeps newly built models (see
+    # ``_emitted``); the last engine repeat's models are swept again
+    # for the warm-table figure.
+    fresh = {}
+
+    def new_models():
+        fresh["models"] = _emitted(all_extended_models())
+
     serial_s, serial_findings = _best_of(
-        lambda: _naive_serial_sweep(models, domains, limit=limit),
-        repeats=sweep_repeats,
+        lambda: _naive_serial_sweep(fresh["models"], domains, limit=limit),
+        repeats=sweep_repeats, setup=new_models,
     )
     parallel_s, sweeps = _best_of(
-        lambda: sweep_models(models, domains, limit=limit),
+        lambda: sweep_models(fresh["models"], domains, limit=limit),
+        repeats=sweep_repeats, setup=new_models,
+    )
+    warm_s, warm_sweeps = _best_of(
+        lambda: sweep_models(fresh["models"], domains, limit=limit),
         repeats=sweep_repeats,
     )
     parallel_findings = _findings_of(sweeps)
-    assert parallel_findings == serial_findings, \
+    assert parallel_findings == serial_findings == \
+        _findings_of(warm_sweeps), \
         "engine sweep diverged from the serial baseline"
 
     session_domains = _scaled_domains(
         all_extended_pfsm_domains(), tile_factor=SESSION_TILE_FACTOR,
     )
     thread_session_s, thread_sweeps = _backend_session(
-        models, session_domains, limit, mode="thread")
+        session_domains, limit, mode="thread")
     process_session_s, process_sweeps = _backend_session(
-        models, session_domains, limit, mode="process")
+        session_domains, limit, mode="process")
     assert _findings_of(process_sweeps) == _findings_of(thread_sweeps), \
         "process-backend sweep diverged from the thread backend"
 
     resume_cold_s, resume_warm_s, resume_records = _resume_scenario(
-        models, domains, limit)
+        domains, limit)
 
     plan_stats = _plan_scenario()
     columnar_stats = _columnar_scenario()
     cluster_stats = _cluster_scenario()
     faults_stats = _faults_scenario()
 
+    models = all_extended_models()
     quality = _instrumented_metrics(models, domains, limit, pfsm, domain)
 
     return {
@@ -896,6 +962,7 @@ def measure(witness_repeats=5, sweep_repeats=3):
             "engine": "inline",
             "serial_s": serial_s,
             "parallel_s": parallel_s,
+            "warm_tables_s": warm_s,
             "speedup": serial_s / parallel_s if parallel_s else float("inf"),
         },
         "backend_session": {
@@ -1097,6 +1164,8 @@ def main(argv=None):
     print(f"sweep of {sweep['models']} models: serial {sweep['serial_s']:.4f}s, "
           f"inline engine {sweep['parallel_s']:.4f}s "
           f"({sweep['speedup']:.1f}x)")
+    print(f"sweep of {sweep['models']} models, warm verdict tables "
+          f"(not gated): inline engine {sweep['warm_tables_s']:.4f}s")
     session = payload["backend_session"]
     print(f"session of {session['repeats']} corpus sweeps: "
           f"thread {session['thread_s']:.4f}s, "
@@ -1120,6 +1189,8 @@ def main(argv=None):
           f"scalar {columnar_stats['scalar_s']:.4f}s, "
           f"columnar {columnar_stats['columnar_s']:.4f}s "
           f"({columnar_stats['speedup']:.1f}x)")
+    print(f"columnar corpus, warm verdict tables (not gated): scalar "
+          f"{columnar_stats['scalar_warm_tables_s']:.4f}s")
     shipping = columnar_stats["process_payload"]
     print(f"process shipping: {shipping['chunks_shipped']} chunk(s), "
           f"{shipping['task_payload_shipped']:,.0f}B per task vs "

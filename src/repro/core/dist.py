@@ -231,7 +231,9 @@ def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
 # The persistent result store (cold tier).
 # ---------------------------------------------------------------------------
 
-_COMPACT = (",", ":")
+#: ``json.dumps(value, separators=(",", ":"))``, with the encoder built
+#: once rather than per record.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
@@ -240,7 +242,7 @@ def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
     in rather than serialized again.  Raises :class:`ValueError` for
     witnesses outside the value codec."""
     if finding is None:
-        return json.dumps({"key": key, "finding": None}, separators=_COMPACT)
+        return _compact({"key": key, "finding": None})
     table = finding.wire_table
     # The text search spares the scan of values when nothing degraded.
     if '{"__repr__":' in table.text and any(
@@ -248,12 +250,12 @@ def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
             for value in table.values):
         raise ValueError(f"{finding.model_name}/{finding.pfsm_name}: "
                          f"a witness is outside the value codec")
-    head = json.dumps({"key": key, "finding": {
+    head = _compact({"key": key, "finding": {
         "model_name": finding.model_name,
         "operation_name": finding.operation_name,
         "pfsm_name": finding.pfsm_name,
         "activity": finding.activity,
-    }}, separators=_COMPACT)
+    }})
     # head ends in the two closing braces; witnesses go last.
     return head[:-2] + ',"witnesses":' + table.text + "}}"
 
@@ -309,18 +311,46 @@ class ResultStore:
     Appends are serialized by a lock, so threads sharing one store never
     interleave or tear each other's records.  Every record that reaches
     the file counts into ``dist.store.appended``.
+
+    The first append opens one handle, which later appends reuse, and
+    checks the file's tail then.  A later append checks the tail again
+    only when the file's size is not the size its last append left,
+    which means another writer appended or its own write tore.  Each
+    batch is flushed before the lock is released.  :meth:`close` closes
+    the handle; an append after it opens a new one.
     """
 
     def __init__(self, path: Any) -> None:
         self.path = str(path)
         self.write_errors = 0
         self._lock = threading.Lock()
+        self._handle: Any = None
+        self._end = 0  # the file size this handle's last append left
+
+    def close(self) -> None:
+        """Close the append handle (a later append reopens it)."""
+        with self._lock:
+            self._drop_handle()
+
+    def __del__(self) -> None:
+        self._drop_handle()
 
     def _write_failed(self) -> None:
         self.write_errors += 1
         if _OBS.enabled:
             _OBS.incr("dist.store.write_errors")
             _OBS.event("dist.store.write_error", path=self.path)
+
+    def _drop_handle(self) -> None:
+        """Close the append handle, if open: on :meth:`close`, and after
+        a failed write (its buffer may hold part of the batch), so the
+        next append reopens and checks the tail."""
+        handle, self._handle = getattr(self, "_handle", None), None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def _append_prefix(self, handle: Any) -> bytes:
         """``b"\\n"`` when the previous append died mid-line (the file
@@ -387,18 +417,27 @@ class ResultStore:
         blob = ("\n".join(lines) + "\n").encode("utf-8")
         with self._lock:
             try:
-                # One open: the tail check reads through the handle the
-                # append writes through (appends always land at the end).
-                with open(self.path, "a+b") as handle:
+                # The tail check reads through the handle the append
+                # writes through (appends always land at the end).
+                handle = self._handle
+                if handle is None:
+                    handle = self._handle = open(self.path, "a+b")
+                    self._end = -1
+                size = os.fstat(handle.fileno()).st_size
+                if size != self._end:
                     blob = self._append_prefix(handle) + blob
-                    if _faults.fire("store.append.enospc") is not None:
-                        raise OSError(28, "injected: store.append.enospc")
-                    if _faults.fire("store.append.torn") is not None:
-                        handle.write(blob[: max(1, len(blob) // 2)])
-                        self._write_failed()
-                        return 0
-                    handle.write(blob)
+                if _faults.fire("store.append.enospc") is not None:
+                    raise OSError(28, "injected: store.append.enospc")
+                if _faults.fire("store.append.torn") is not None:
+                    handle.write(blob[: max(1, len(blob) // 2)])
+                    handle.flush()
+                    self._write_failed()
+                    return 0
+                handle.write(blob)
+                handle.flush()
+                self._end = size + len(blob)
             except OSError:
+                self._drop_handle()
                 self._write_failed()
                 return 0
         if _OBS.enabled:

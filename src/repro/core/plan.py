@@ -456,7 +456,7 @@ def _emit_leaf(node: _Node) -> _EmitFn:
     raise ValueError(f"unknown spec operator: {op!r}")
 
 
-def _emit_node(node: _Node, ctx: Dict[str, int]) -> _EmitFn:
+def _emit_node(node: _Node, ctx: Dict[str, Any]) -> _EmitFn:
     """The node's evaluator, without a shield of its own."""
     if node.intervals is not None and node.children and node.leaves >= 2:
         # Interval lowering: the whole comparison subtree is one
@@ -510,6 +510,8 @@ def _emit_general(node: _Node, ctx: Dict[str, int]) -> _EmitFn:
         inner = _emit_node(node.children[0], ctx)
         name = node.args[0]
         return lambda obj: inner(_get(obj, name))
+    if op == "named":
+        ctx["named"].append(_lookup_named(node.args[0], node.args[1]))
     return _emit_leaf(node)
 
 
@@ -526,14 +528,20 @@ class ScanProgram:
     module header for the exception-semantics argument.  ``root`` is
     the folded node tree the program was emitted from, which columnar
     kernels (:mod:`repro.core.columnar`) evaluate too.  Pickling ships
-    the spec alone and recompiles it in the receiving process.
+    the spec alone and recompiles it in the receiving process.  A
+    program is weakly referenceable: it keys the verdict tables of the
+    distinct-row indexes it scans
+    (:attr:`repro.core.witness.DistinctRows.verdicts`).  ``named``
+    holds each named predicate it bound with that predicate's
+    ``cache_key`` at the time, so :func:`program_for` can emit a new
+    program (with no table) once one is rebound in place.
     """
 
     __slots__ = ("spec", "root", "digest", "cost", "selectivity", "leaves",
-                 "lowered", "_fn")
+                 "lowered", "named", "_fn", "__weakref__")
 
     def __init__(self, spec: Any, root: _Node, fn: _EmitFn,
-                 lowered: int) -> None:
+                 lowered: int, named: Tuple[Any, ...] = ()) -> None:
         self.spec = spec
         self.root = root
         self.digest = root.digest
@@ -541,6 +549,7 @@ class ScanProgram:
         self.selectivity = root.selectivity
         self.leaves = root.leaves
         self.lowered = lowered
+        self.named = tuple((pred, pred.cache_key) for pred in named)
         self._fn = fn
 
     def evaluate(self, obj: Any) -> bool:
@@ -595,9 +604,9 @@ def compile_spec(spec: Any) -> ScanProgram:
 
 def _emit(spec: Any, root: _Node) -> ScanProgram:
     """The program of ``spec``, emitted from its folded tree ``root``."""
-    ctx = {"lowered": 0}
+    ctx: Dict[str, Any] = {"lowered": 0, "named": []}
     program = ScanProgram(spec, root, _shield(_emit_node(root, ctx)),
-                          ctx["lowered"])
+                          ctx["lowered"], ctx["named"])
     if _OBS.enabled:
         _OBS.incr("plan.compiles")
     return program
@@ -675,10 +684,15 @@ def _lowered(pfsm: Any) -> Tuple[Any, Optional[_Node], Any]:
 def program_for(pfsm: Any) -> Optional[ScanProgram]:
     """The compiled hidden-set program of one pFSM, or ``None`` when the
     planner is bypassed or the pFSM is not compilable.  Emitted once
-    from the pFSM's memoized tree (:func:`_lowered`)."""
+    from the pFSM's memoized tree (:func:`_lowered`), and again when a
+    named predicate the program bound has been rebound since."""
     if not _ENABLED:
         return None
     stamp, root, program = _lowered(pfsm)
+    if program is not _UNEMITTED and program is not None and \
+            program.named and any(pred.cache_key != key
+                                  for pred, key in program.named):
+        program = _UNEMITTED  # a named predicate it bound was rebound
     if program is _UNEMITTED:
         try:
             program = None if root is None else _emit(hidden_spec(pfsm), root)

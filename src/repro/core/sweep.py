@@ -10,11 +10,15 @@ work, in two layers:
 1. **Hidden-path scans.**  A pFSM's hidden set is ``¬spec ∧ impl``
    over its object domain.  :func:`hidden_witness_scan` runs the
    strategy :func:`repro.core.plan.plan_scan` reports for the task.
-   No verdict outlives the scan, and every task — inline, in a
-   worker's chunk or in a serve batch — runs its own scan.  A finding
-   from a scan of an indexed domain encodes its witnesses from the
-   index's per-object fragments, so each distinct object is encoded
-   once for the domain's lifetime.
+   Every task — inline, in a worker's chunk or in a serve batch — runs
+   its own scan, but a compiled program's verdicts outlive it: they
+   are kept on the domain's distinct-row index, so each distinct
+   object is judged once per program for the index's lifetime, and a
+   later scan of the program judges only objects no earlier scan
+   reached.  Opaque predicates keep no verdict past their scan.  A
+   finding from a scan of an indexed domain encodes its witnesses from
+   the index's per-object fragments, so each distinct object is
+   encoded once for the domain's lifetime.
 2. **The sweep executor.**  :func:`sweep_models` runs the per-pFSM
    witness searches and reassembles results in deterministic (model,
    operation, pFSM) order.  The ``thread`` backend runs every task on
@@ -30,8 +34,10 @@ The module deliberately duck-types models and operations (anything with
 
 Every layer reports through :mod:`repro.obs` when telemetry is enabled:
 per-task spans, scan-strategy counters (``sweep.scans.fastpath`` /
-``.columnar`` / ``.compiled`` / ``.plain``) and executor decisions
-(``sweep.pool.*``).
+``.columnar`` / ``.compiled`` / ``.plain``, the planner's choice),
+the objects each scan judged (``sweep.objects.judged``) and the
+verdicts it read from a table instead (``sweep.objects.reused``), and
+executor decisions (``sweep.pool.*``).
 The checks are hoisted to once per scan/task — the per-object loops are
 untouched, so a disabled registry costs nothing measurable.
 (Worker processes keep their own registries, so per-task telemetry
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
@@ -148,39 +155,92 @@ def _hidden_codes(codes: Any, table: bytearray, count: int,
     return islice(compress(part, flags), count)
 
 
-def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
-                limit: int) -> Tuple[List[int], int]:
-    """The codes (``index.objects`` positions) of up to ``limit`` domain
-    rows that ``judge`` accepts, in domain order, and how many distinct
-    objects it judged.
+def _row_flags(index: DistinctRows, table: bytes, stop: int) -> bytes:
+    """One verdict byte per row of ``index`` below ``stop``, read from
+    ``table``."""
+    codes = index.codes
+    if len(codes) == len(index.objects):
+        # No row repeats an object, so each row is its own code.
+        return table[:stop]
+    part = codes[:stop]
+    return part.translate(table) if isinstance(part, bytes) \
+        else bytes(map(table.__getitem__, part))
 
-    Each distinct object of ``index`` is judged once, in order of first
-    appearance, and its verdict entered in a :func:`_verdict_table`.
-    Before the object first seen at row ``r`` is judged, the rows below
-    ``r`` not yet taken repeat only objects already judged, so their
-    witnesses are selected by :func:`_hidden_codes`.  The scan stops at
-    ``limit``, having judged exactly the objects that first appear
-    before the stopping row, and no verdict outlives it.
+
+#: The ``(table, codes covered)`` of a program no scan has judged with.
+_NO_VERDICTS: Tuple[bytes, int] = (b"", 0)
+
+
+def _scan_codes(judge: Callable[[Any], bool], index: DistinctRows,
+                limit: int, program: Any = None
+                ) -> Tuple[List[int], int, int]:
+    """The codes (``index.objects`` positions) of up to ``limit`` domain
+    rows that ``judge`` accepts, in domain order; how many distinct
+    objects it judged; and how many verdicts it read from a table kept
+    by an earlier scan instead (left at 0 while telemetry is off, for a
+    scan that stops inside the table).
+
+    Each distinct object of ``index`` is judged at most once, in order
+    of first appearance, and its verdict entered in a
+    :func:`_verdict_table`.  Before the object first seen at row ``r``
+    is judged, the rows below ``r`` not yet taken repeat only objects
+    already judged, so their witnesses are selected by
+    :func:`_hidden_codes`.  The scan stops at ``limit``, having judged
+    the objects that first appear before the stopping row.
+
+    ``program``, when given, is the compiled program ``judge`` runs,
+    and the table outlives the scan: it is published in
+    ``index.verdicts[program]`` with how many codes it covers, and a
+    later scan of the same program resumes from there.  Such a scan
+    selects the rows below the first object no scan reached from the
+    table, and judges only the objects no earlier scan judged.  Without
+    a program the table dies with the scan.
     """
-    objects, codes = index.objects, index.codes
-    hidden = _verdict_table(index)
+    objects, codes, first_rows = index.objects, index.codes, index.first_rows
+    table, start = _NO_VERDICTS if program is None \
+        else index.verdicts.get(program, _NO_VERDICTS)
     found: List[int] = []
     done = 0  # rows below ``done`` are decided
-    for code, row in enumerate(index.first_rows):
+    if start:
+        done = first_rows[start] if start < len(objects) else len(codes)
+        flags = _row_flags(index, table, done)
+        found = list(islice(compress(codes[:done], flags), limit))
+        if len(found) >= limit:
+            # Stopped at a row the table decides: the objects a fresh
+            # scan would have judged up to it were all read from it
+            # (counted only for telemetry).
+            return found, 0, bisect_right(
+                first_rows, _flagged_rows(flags, limit)[-1]) \
+                if _OBS.enabled else 0
+        if start == len(objects):
+            return found, 0, start
+        hidden = bytearray(table)
+    else:
+        hidden = _verdict_table(index)
+    judged = len(objects)
+    for code in range(start, judged):
+        row = first_rows[code]
         if row > done and found:
             found += _hidden_codes(codes, hidden, limit - len(found),
                                    done, row)
             if len(found) >= limit:
-                return found, code
+                judged = code
+                break
         if judge(objects[code]):
             hidden[code] = 1
             found.append(code)
             if len(found) >= limit:
-                return found, code + 1
+                judged = code + 1
+                break
         done = row + 1
-    if found and done < len(codes):
-        found += _hidden_codes(codes, hidden, limit - len(found), done)
-    return found, len(objects)
+    else:
+        if found and done < len(codes):
+            found += _hidden_codes(codes, hidden, limit - len(found), done)
+    if program is not None and judged > start:
+        # Published whole, in one assignment: a racing scan reads the
+        # old table or this one, never a partial one.
+        index.verdicts[program] = (bytes(hidden), judged)
+    return found, judged - start, start
 
 
 def _scan(pfsm: Any, domain: Iterable[Any], limit: int,
@@ -205,21 +265,30 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int,
             _OBS.incr("sweep.witnesses", len(found))
         return found, None, None
     codes: Optional[List[int]] = None
-    flags = None if kernel is None else kernel.flags()
+    reused = 0
+    # A columnar kernel whose flags a scan already stored is not run
+    # again: its table answers, as a compiled scan's does.
+    stored = kernel is not None and index is not None and \
+        index.verdicts.get(program, _NO_VERDICTS)[1] == len(index.objects)
+    flags = None if kernel is None or stored else kernel.flags()
     if flags is not None:
         strategy, judged = "columnar", len(flags)
         if index is None:
             found = list(map(kernel.encoding.row,
                              _flagged_rows(flags, limit)))
-        elif len(index.codes) == judged:
-            # No row repeats an object, so each row is its own code.
-            codes = _flagged_rows(flags, limit)
         else:
-            codes = list(_hidden_codes(index.codes,
-                                       _verdict_table(index, flags), limit))
+            table = _verdict_table(index, flags)
+            index.verdicts[program] = (bytes(table), judged)
+            if len(index.codes) == judged:
+                # No row repeats an object, so each row is its own code.
+                codes = _flagged_rows(flags, limit)
+            else:
+                codes = list(_hidden_codes(index.codes, table, limit))
     else:
-        judge, strategy = (program.evaluate, "compiled") \
-            if program is not None else (pfsm.takes_hidden_path, "plain")
+        judge = pfsm.takes_hidden_path if program is None \
+            else program.evaluate
+        if not stored:
+            strategy = "plain" if program is None else "compiled"
         if index is None:
             # No row repeats a reference: judge each row as it comes.
             found = []
@@ -230,12 +299,14 @@ def _scan(pfsm: Any, domain: Iterable[Any], limit: int,
                     if len(found) >= limit:
                         break
         else:
-            codes, judged = _scan_codes(judge, index, limit)
+            codes, judged, reused = _scan_codes(judge, index, limit, program)
     if codes is not None:
         found = list(map(index.objects.__getitem__, codes))
     if _OBS.enabled:
         _OBS.incr(f"sweep.scans.{strategy}")
         _OBS.incr("sweep.objects.judged", judged)
+        if reused:
+            _OBS.incr("sweep.objects.reused", reused)
         _OBS.incr("sweep.witnesses", len(found))
     return found, index, codes
 
@@ -250,15 +321,21 @@ def hidden_witness_scan(
     Runs the strategy :func:`repro.core.plan.plan_scan` reports for the
     task.  Every strategy but the interval one walks the domain's
     distinct-row index (:func:`repro.core.witness.distinct_rows`): each
-    distinct object is judged once per scan, and the rows that repeat
-    an object already judged are selected without a Python step per
-    row.  Domains whose rows never repeat a reference (``range`` and
-    record-product backings) are judged row by row.  No verdict
-    outlives its scan.  Witness order always matches domain
-    iteration order, and repeated occurrences of a witness are reported
-    per occurrence.  Objects are assumed value-stable for the duration
-    of one scan (predicates are pure).  ``limit <= 0`` returns no
-    witnesses.
+    distinct object is judged at most once per scan, and the rows that
+    repeat an object already judged are selected without a Python step
+    per row.  The compiled and columnar strategies keep their verdicts
+    on the index, keyed by the pFSM's compiled program, so a later scan
+    of the same program judges only the objects no earlier scan
+    reached (none, once a scan has judged the whole index).  Rebinding
+    a predicate compiles a new program, which starts a new table.
+    Domains whose rows never repeat a reference (``range`` and
+    record-product backings) are judged row by row.  Neither they nor
+    opaque predicates (the plain strategy) keep a verdict past the
+    scan.  Witness
+    order always matches domain iteration order, and repeated
+    occurrences of a witness are reported per occurrence.  Objects are
+    assumed value-stable for the lifetime of their domain (predicates
+    are pure).  ``limit <= 0`` returns no witnesses.
     """
     return _scan(pfsm, domain, limit)[0]
 
@@ -592,19 +669,26 @@ def sweep_models(
     with _OBS.span("sweep.models", models=len(models), tasks=len(tasks),
                    workers=workers or 1, mode=mode,
                    resumed=len(resumed)) as span:
-        computed = _run_tasks(
-            [tasks[i] for i in remaining], workers, mode,
-            keys=[keys[i] for i in remaining] if keys is not None else None,
-            store=chunked_store,
-        )
+        try:
+            computed = _run_tasks(
+                [tasks[i] for i in remaining], workers, mode,
+                keys=[keys[i] for i in remaining] if keys is not None
+                else None,
+                store=chunked_store,
+            )
+            if store is not None and chunked_store is None \
+                    and keys is not None:
+                store.record_many([(keys[i], finding) for i, finding
+                                   in zip(remaining, computed)
+                                   if keys[i] is not None])
+        finally:
+            if store is not None:
+                store.close()
         results: List[Optional[SweepFinding]] = [None] * len(tasks)
         for index, finding in resumed.items():
             results[index] = finding
         for index, finding in zip(remaining, computed):
             results[index] = finding
-        if store is not None and chunked_store is None and keys is not None:
-            store.record_many([(keys[i], results[i]) for i in remaining
-                               if keys[i] is not None])
         sweeps: List[ModelSweep] = []
         cursor = 0
         for (label, count), model in zip(boundaries, models.values()):

@@ -21,7 +21,7 @@ A materialized domain also knows which of its rows repeat which object:
 per domain object.  Corpus domains are routinely a small probe set tiled
 by reference, and the scans, the columnar encodings and the cross-run
 digest all read that one index instead of keeping their own identity
-memo.
+memo; each compiled scan program keeps its verdicts on it.
 """
 
 from __future__ import annotations
@@ -264,10 +264,20 @@ class DistinctRows:
     :class:`repro.core.sweep.SweepFinding`'s witness tables: one
     tagged-JSON value (``{"__repr__": ...}`` outside the codec) and one
     dumped text per distinct witness object, for the index's lifetime.
+
+    ``verdicts`` maps each compiled hidden-set program
+    (:class:`repro.core.plan.ScanProgram`) that scanned the index to
+    ``(table, judged)``: one verdict byte per code, of which the first
+    ``judged`` codes, in first-appearance order, are decided.  The
+    scans of :mod:`repro.core.sweep` extend it, so each distinct object
+    is judged once per program for the index's lifetime.  Keys are
+    weak, so a replaced program (a rebound predicate, the pFSM's own
+    or a named one the program bound, compiles a new one) drops its
+    table.
     """
 
     __slots__ = ("objects", "codes", "first_rows", "wire_values",
-                 "wire_texts")
+                 "wire_texts", "verdicts")
 
     def __init__(self, items: Sequence[Any]) -> None:
         # id -> first row: walking backwards, the earliest row writes last.
@@ -281,6 +291,8 @@ class DistinctRows:
                                  map(code_of.__getitem__, map(id, items)))
         self.wire_values: List[Any] = [None] * len(self.objects)
         self.wire_texts: List[Optional[str]] = [None] * len(self.objects)
+        self.verdicts: "weakref.WeakKeyDictionary[Any, Any]" = \
+            weakref.WeakKeyDictionary()
         if _OBS.enabled:
             _OBS.incr("domain.distinct.built")
 

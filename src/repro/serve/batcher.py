@@ -418,6 +418,18 @@ class MicroBatcher:
             finally:
                 _OBS.set_trace(previous)
             self._stats.observe("engine", time.monotonic() - engine_started)
+            # Each computed finding's wire table, which the store record
+            # and the response both splice, is built (and memoized) here,
+            # so the cache-write span times the append alone.
+            encode_started = time.monotonic()
+            encode_wall = _OBS._wall() if batch_ctx is not None else 0.0
+            for finding in findings:
+                if finding is not None:
+                    finding.wire_table
+            if batch_ctx is not None:
+                emit_span(_OBS, "serve.encode", batch_ctx, encode_wall,
+                          time.monotonic() - encode_started,
+                          findings=len(findings) - findings.count(None))
             write_started = time.monotonic()
             write_wall = _OBS._wall() if batch_ctx is not None else 0.0
             keyed = []

@@ -210,6 +210,8 @@ class AnalysisServer:
             self._accept_thread.join()
         if self.batcher is not None:
             self.batcher.stop()  # runs the backlog dry
+        if self.store is not None:
+            self.store.close()
         # Let in-flight responses reach their sockets and clients hang
         # up on their own; the grace bound keeps shutdown finite even
         # against a client that never closes.

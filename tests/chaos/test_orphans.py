@@ -82,21 +82,29 @@ def _segments():
                          os.path.isdir("/dev/shm") and
                          hasattr(os, "fork")),
                     reason="needs /proc, /dev/shm and fork")
-def test_sigkilled_process_sweep_leaves_no_process_or_segment():
+def test_sigkilled_process_sweep_leaves_no_process_or_segment(tmp_path):
     before = _segments()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_SRC, env.get("PYTHONPATH")]))
-    victim = subprocess.Popen([sys.executable, "-c", _VICTIM], env=env,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL,
-                              start_new_session=True)
+    errors = tmp_path / "victim.stderr"
+    with open(errors, "wb") as stderr:
+        victim = subprocess.Popen([sys.executable, "-c", _VICTIM], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=stderr,
+                                  start_new_session=True)
+
+    def ended(why):
+        return (f"{why} (exit {victim.returncode}); the sweep's stderr:\n"
+                + errors.read_text(errors="replace"))
+
     try:
         # Both workers forked means dispatch is on.
         deadline = time.monotonic() + 60.0
         while len(_children(victim.pid)) < 2:
-            assert victim.poll() is None, "the sweep ended before the kill"
-            assert time.monotonic() < deadline, "workers never started"
+            assert victim.poll() is None, \
+                ended("the sweep ended before the kill")
+            assert time.monotonic() < deadline, \
+                ended("workers never started")
             time.sleep(0.02)
         time.sleep(0.5)  # let chunks get under way
         descendants = _children(victim.pid)

@@ -17,6 +17,8 @@ memo, kernels shared by program digest, and kernel bail-outs (named
 predicates, nested ``attr``, mixed-type columns).
 """
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,7 +291,11 @@ class TestRepeatHeavy:
                 assert found is None and expected is None
                 continue
             assert counters.get("sweep.scans.columnar") == 1
-            assert counters.get("sweep.objects.judged") == 8
+            # The first columnar scan masks all 8 objects and keeps
+            # their verdicts; every later scan of the program, compiled
+            # or columnar, reads them.
+            assert counters.get("sweep.objects.judged") == \
+                (8 if limit == 1 else 0)
             assert len(found.witnesses) == len(expected.witnesses)
             assert all(a is b for a, b in
                        zip(found.witnesses, expected.witnesses))
@@ -301,6 +307,35 @@ class TestRepeatHeavy:
             table = found.wire_table
             assert [table.values[c] for c in table.codes] == \
                 list(found.witnesses)
+
+
+    def test_compiled_scan_reads_the_table_a_columnar_scan_filled(
+            self, backend):
+        from repro.core.witness import distinct_rows
+
+        domain = _repeat_heavy(list)
+        pfsm = _pfsm(satisfies_all(length_le(3), not_contains("%n")),
+                     truthy())
+        found, counters = _counted(
+            lambda: hidden_witness_scan(pfsm, domain, limit=1))
+        assert counters["sweep.scans.columnar"] == 1
+        assert counters["sweep.objects.judged"] == 8
+        index = distinct_rows(domain)
+        assert index.verdicts[program_for(pfsm)][1] == 8
+        # A twin pFSM compiles its own program, which has no table yet.
+        twin = _pfsm(satisfies_all(length_le(3), not_contains("%n")),
+                     truthy())
+        for limit in (1, 5, 2000, 10**9):
+            expected = _scalar(twin, domain, limit)
+            with columnar.disabled():
+                found, counters = _counted(
+                    lambda: hidden_witness_scan(pfsm, domain, limit=limit))
+            assert counters["sweep.scans.compiled"] == 1
+            assert counters["sweep.objects.judged"] == 0
+            assert counters["sweep.objects.reused"] > 0
+            assert len(found) == len(expected)
+            assert all(map(operator.is_, found, expected))
+        assert len(expected) == 4 * 600
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,24 @@ class TestDomainDigest:
 
 
 class TestResume:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_sweep_closes_the_store_it_appended_to(self, tmp_path,
+                                                   monkeypatch, mode):
+        closed = []
+        close = dist.ResultStore.close
+
+        def recording(store):
+            closed.append(store._handle is not None)
+            close(store)
+
+        monkeypatch.setattr(dist.ResultStore, "close", recording)
+        models = {"sendmail": sendmail_model.build_model()}
+        domains = {"sendmail": sendmail_model.pfsm_domains()}
+        dist.clear_memo()
+        sweep_models(models, domains, limit=4, mode=mode, workers=2,
+                     resume_from=str(tmp_path / "resume.jsonl"))
+        assert closed == [True]
+
     def test_resume_skips_known_tasks_and_matches(self, tmp_path):
         store_path = str(tmp_path / "resume.jsonl")
         models = {"sendmail": sendmail_model.build_model()}
@@ -768,6 +786,56 @@ class TestTruncatedStore:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert len(lines) == 2 and all(lines)
+
+    def test_appends_share_one_handle_and_check_the_tail_once(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        checks = []
+        check = store._append_prefix
+        monkeypatch.setattr(store, "_append_prefix",
+                            lambda handle: checks.append(1) or check(handle))
+        for key in "abc":
+            assert store.record(key, None)
+        handle = store._handle
+        assert handle is not None and len(checks) == 1
+        # Another writer's torn line: the size moved, so the tail is
+        # checked again and healed through the same handle.
+        self._truncate_tail(path)
+        assert store.record_many([("d", None), ("e", None)]) == 2
+        assert store._handle is handle and len(checks) == 2
+        assert store.record("f", None) and len(checks) == 2
+        store.close()
+        assert store._handle is None and handle.closed
+        assert store.record("g", None) and len(checks) == 3
+        store.close()
+        assert set(store.load()) == set("abcdefg")
+
+    def test_held_handle_writes_the_bytes_of_one_open_per_append(
+            self, tmp_path):
+        held = ResultStore(tmp_path / "held.jsonl")
+        for index, key in enumerate("abcd"):
+            assert held.record_many([(key, None)] * (index + 1)) == index + 1
+            # A fresh store per batch opens and checks the file anew.
+            assert ResultStore(tmp_path / "fresh.jsonl").record_many(
+                [(key, None)] * (index + 1)) == index + 1
+        held.close()
+        assert (tmp_path / "held.jsonl").read_bytes() == \
+            (tmp_path / "fresh.jsonl").read_bytes()
+
+    def test_own_torn_write_is_healed_by_the_next_append(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        assert store.record("a", None)
+        with faults.injecting(
+                faults.parse_spec("store.append.torn:1@max=1")):
+            assert store.record_many(
+                [("b", None), ("c", None), ("e", None)]) == 0
+        assert store.record("d", None)
+        store.close()
+        assert set(store.load()) == {"a", "b", "d"}
+        assert path.read_bytes().count(b"\n") == \
+            len(path.read_bytes().splitlines())
 
     def test_empty_and_missing_files_are_not_truncated(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -8,9 +8,10 @@ Four families of guarantees:
   ranges;
 * **sweep ≡ serial** — ``sweep_models`` returns identical findings in
   identical order regardless of worker count;
-* **memo correctness** — each distinct object is judged once per scan,
-  and nothing outlives the scan: rebinding a predicate between scans
-  changes the witnesses;
+* **memo correctness** — each distinct object is judged once per
+  compiled program for the life of the domain's distinct-row index
+  (once per scan for opaque predicates), and rebinding a predicate
+  between scans changes the witnesses;
 * **hot-path surgery** — the single-run ``minimal_foil_points`` fast
   path, bounded ``exploit_paths``, and lazy ``Domain`` backings keep
   their observable behaviour.
@@ -20,8 +21,12 @@ import dataclasses
 import inspect
 import json
 import operator
+import contextlib
 import pickle
-from contextlib import contextmanager
+import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -353,6 +358,9 @@ class TestSweepDeterminism:
            st.lists(st.integers(0, 5), max_size=40),
            st.sampled_from(("shared", "distinct", "copies")),
            st.booleans())
+    # Two equal one-byte strings that are not one object: the decoded
+    # finding's table holds one value, CPython's cached one-byte string.
+    @example([b"\x00"], [0, 0], "copies", False)
     def test_table_decodes_to_the_witnesses(self, pool, picks, sharing,
                                             scanned):
         from repro.serve.protocol import finding_payload
@@ -405,7 +413,18 @@ class TestSweepDeterminism:
         assert record["finding"]["witnesses"] == json.loads(table.text)
         decoded = dist._decode_finding(record["finding"])
         assert decoded == finding
-        assert decoded.wire_table == table
+        # The codec keeps values, not identity: equal witnesses that
+        # were distinct objects may decode to one object (CPython
+        # caches one-byte strings), whose table then holds one value
+        # where the original held two.  It still expands to the same
+        # witnesses, and its text decodes to the same finding.
+        again = decoded.wire_table
+        assert [again.values[code] for code in again.codes] == expected
+        assert dist._decode_finding(
+            {**record["finding"], "witnesses": json.loads(again.text)}) \
+            == finding
+        if len(set(map(id, decoded.witnesses))) == len(table.values):
+            assert again == table
 
     def test_wire_table_is_not_a_field(self):
         finding = SweepFinding("m", "op", "p", "scan", ((1, 2),))
@@ -432,7 +451,7 @@ def _counting_spec(fn, name):
     return Predicate(counted, name), calls
 
 
-@contextmanager
+@contextlib.contextmanager
 def _counters():
     """Enable the default telemetry registry (counters only) for one
     block; yields a dict filled with the block's counters on exit."""
@@ -476,8 +495,8 @@ def _strings(n):
 
 class TestPredicateCache:
     """The guarantees the cross-scan verdict cache gave, now held by the
-    per-scan identity memo that replaced it: verdicts are never stale,
-    repeats are judged once, and nothing outlives the scan."""
+    distinct-row index: verdicts are never stale, repeats are judged
+    once, and an opaque predicate's verdicts do not outlive the scan."""
 
     def test_rebound_predicate_is_not_served_stale_verdicts(self):
         domain = Domain.of(-2, -1, 0, 1, 2)
@@ -574,7 +593,8 @@ class TestPredicateCache:
         domain = Domain.of(-1, 1, -1, 1)
         assert hidden_witness_scan(pfsm, domain) == [-1, -1]
         assert calls["n"] == 2
-        # No verdict outlives its scan: the next scan judges again.
+        # An opaque predicate keeps no verdict past its scan: the next
+        # scan judges again.
         assert hidden_witness_scan(pfsm, domain) == [-1, -1]
         assert calls["n"] == 4
 
@@ -658,26 +678,38 @@ def _response_line(finding):
 
 class TestDistinctRowScan:
     """The compiled and plain scans walk the domain's distinct-row
-    index: the same witnesses, judgements and wire bytes as a scan that
-    memoizes verdicts by identity row by row."""
+    index: the same witnesses and wire bytes as a scan that memoizes
+    verdicts by identity row by row, and no more judgements."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_repeating_domains(), st.sampled_from(("compiled", "plain")))
+    @given(_repeating_domains(), st.lists(st.integers(0, 45), max_size=3),
+           st.sampled_from(("compiled", "plain")))
     # The limit is reached on a repeat, before "x"/1 is ever judged.
-    @example((Domain(["ab", "ab", "x", 1]), 2), "compiled")
-    @example(([{"n": 1, "k": ""}] * 2 + [1001], 2), "plain")
-    def test_scan_matches_the_seed_scan_by_identity(self, case, strategy):
+    @example((Domain(["ab", "ab", "x", 1]), 2), [], "compiled")
+    @example(([{"n": 1, "k": ""}] * 2 + [1001], 2), [], "plain")
+    # A later scan stops on a repeat the first scan's table decides.
+    @example((Domain(["ab", 1, "ab", "x", 1]), 3), [1, 2], "compiled")
+    def test_scan_matches_the_seed_scan_by_identity(self, case, more,
+                                                    strategy):
         domain, limit = case
+        limits = [limit] + more
         pfsm = _mixed_pfsms()[strategy]
-        expected = _seed_scan(pfsm, domain, limit) if limit > 0 else []
         with _counters() as counters:
-            found = hidden_witness_scan(pfsm, domain, limit=limit)
-        assert len(found) == len(expected)
-        assert all(map(operator.is_, found, expected))
+            for limit in limits:
+                expected = _seed_scan(pfsm, domain, limit) \
+                    if limit > 0 else []
+                found = hidden_witness_scan(pfsm, domain, limit=limit)
+                assert len(found) == len(expected)
+                assert all(map(operator.is_, found, expected))
+        reached = [_seed_judged(pfsm, domain, limit) for limit in limits]
+        # A compiled program's table outlives the scan on a domain's
+        # index; a raw list gets a fresh index, and so a fresh table,
+        # on every scan, and an opaque predicate keeps none.
+        kept = strategy == "compiled" and not isinstance(domain, list)
         assert counters.get("sweep.objects.judged", 0) == \
-            _seed_judged(pfsm, domain, limit)
-        if limit > 0:
-            assert counters[f"sweep.scans.{strategy}"] == 1
+            (max(reached) if kept else sum(reached))
+        assert counters.get(f"sweep.scans.{strategy}", 0) == \
+            sum(1 for limit in limits if limit > 0)
 
         finding = sweep_module._scan_task(("m", "op", pfsm, domain, limit))
         if not expected:
@@ -737,6 +769,228 @@ class TestDistinctRowScan:
         assert "_codes" not in vars(returned)
         assert returned == finding
         assert returned.wire_table == twin.wire_table
+
+
+#: Opaque conditions a step of a scan sequence rebinds a spec to.
+_REBINDS = (lambda x: isinstance(x, int),
+            lambda x: not isinstance(x, str),
+            lambda x: False)
+
+
+class TestVerdictTables:
+    """A compiled program's verdict table outlives the scan on the
+    domain's distinct-row index: each later scan of the same program
+    judges only the objects no earlier scan reached, reads the rest
+    from the table, and returns the row-by-row scan's witnesses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeating_domains(),
+           st.lists(st.tuples(st.sampled_from(("scan", "count", "rebind")),
+                              st.integers(0, 1), st.integers(0, 45)),
+                    max_size=10))
+    # Rebound after a table covers the domain: the next scan is opaque.
+    @example((Domain([1, "ab", 1001, "ab"]), 0),
+             [("scan", 0, 9), ("rebind", 0, 1), ("scan", 0, 9),
+              ("count", 0, 0)])
+    def test_scan_and_count_sequences_match_the_row_by_row_scan(
+            self, case, steps):
+        domain, _ = case
+        pfsms = [_mixed_pfsms()["compiled"],
+                 PrimitiveFSM("d", "scan", "x",
+                              spec_accepts=satisfies_any(
+                                  is_instance(str), greater_equal(1001)),
+                              impl_accepts=length_le(2))]
+        # How many codes each program's table covers; None once the
+        # pFSM is opaque.
+        covered = [0, 0]
+        persistent = not isinstance(domain, list)
+        distinct = len(set(map(id, domain)))
+        for step, which, limit in steps:
+            pfsm = pfsms[which]
+            if step == "rebind":
+                pfsm.spec_accepts.rebind(_REBINDS[limit % len(_REBINDS)])
+                assert plan.program_for(pfsm) is None
+                covered[which] = None
+                continue
+            with _counters() as counters:
+                if step == "count":
+                    reach = distinct
+                    assert hidden_witness_count(pfsm, domain) == \
+                        sum(map(pfsm.takes_hidden_path, domain))
+                else:
+                    reach = _seed_judged(pfsm, domain, limit)
+                    expected = _seed_scan(pfsm, domain, limit) \
+                        if limit > 0 else []
+                    found = hidden_witness_scan(pfsm, domain, limit=limit)
+                    assert len(found) == len(expected)
+                    assert all(map(operator.is_, found, expected))
+            if step == "scan" and limit <= 0:
+                assert counters.get("sweep.objects.judged", 0) == 0
+                continue
+            start = covered[which] if persistent else None
+            if start is None:
+                assert counters["sweep.objects.judged"] == reach
+                assert "sweep.objects.reused" not in counters
+                continue
+            assert counters["sweep.objects.judged"] == max(0, reach - start)
+            assert counters.get("sweep.objects.reused", 0) == \
+                min(start, reach)
+            covered[which] = max(start, reach)
+
+    def test_a_scan_covered_by_the_table_judges_nothing(self):
+        calls = {"n": 0}
+
+        def counted(value):
+            calls["n"] += 1
+            return value % 3 != 0
+
+        spec = named_predicate("sweep_tabled_not_div3", counted,
+                               "counts its verdicts")
+        pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
+                            impl_accepts=less_equal(1000))
+        domain = Domain(list(range(30)) * 4)
+        reference = _seed_scan(pfsm, domain, 10**9)
+        calls["n"] = 0
+        with columnar.disabled():
+            assert hidden_witness_scan(pfsm, domain, limit=2) == \
+                reference[:2]
+            assert calls["n"] == 4  # 0..3, up to the second witness
+            assert hidden_witness_scan(pfsm, domain, limit=1) == [0]
+            assert hidden_witness_scan(pfsm, domain, limit=4) == \
+                reference[:4]
+            assert calls["n"] == 10  # 4..9 are new
+            assert hidden_witness_count(pfsm, domain) == len(reference)
+            assert calls["n"] == 30
+            with _counters() as counters:
+                for limit in (1, 7, 10**9):
+                    assert hidden_witness_scan(pfsm, domain, limit=limit) \
+                        == reference[:limit]
+            assert calls["n"] == 30
+        assert counters["sweep.scans.compiled"] == 3
+        assert counters["sweep.objects.judged"] == 0
+        assert counters["sweep.objects.reused"] == 1 + 19 + 30
+        # A new program of the same spec keeps a table of its own.
+        twin = PrimitiveFSM("q", "scan", "x", spec_accepts=spec,
+                            impl_accepts=less_equal(1000))
+        with columnar.disabled():
+            assert hidden_witness_scan(twin, domain, limit=10**9) == \
+                reference
+        assert calls["n"] == 60
+
+    def test_named_predicate_rebound_in_place_is_not_served_stale_verdicts(
+            self):
+        leaf = named_predicate("sweep_tabled_rebindable", lambda v: v >= 0,
+                               "non-negative")
+        pfsm = PrimitiveFSM("p", "scan", "x",
+                            spec_accepts=leaf & less_equal(100),
+                            impl_accepts=None)
+        domain = Domain([-2, -1, 0, 1, 200] * 3)
+        with columnar.disabled():
+            first = plan.program_for(pfsm)
+            assert first is not None
+            assert hidden_witness_scan(pfsm, domain, limit=10**9) == \
+                [-2, -1, 200] * 3
+            # The registered predicate changes under the program that
+            # bound it, so the program is emitted anew, with no table.
+            leaf.rebind(lambda v: v < 0, "negative")
+            assert hidden_witness_scan(pfsm, domain, limit=10**9) == \
+                _seed_scan(pfsm, domain, 10**9) == [0, 1, 200] * 3
+            assert plan.program_for(pfsm) is not first
+
+    def test_tables_die_with_their_program_and_their_domain(self):
+        import gc
+
+        pfsm = _string_pfsms()[0]
+        domain = Domain(_strings(40) * 2)
+        with columnar.disabled():
+            hidden_witness_scan(pfsm, domain, limit=10**9)
+        index = witness.distinct_rows(domain)
+        program = plan.program_for(pfsm)
+        assert index.verdicts[program][1] == 40
+        tables = index.verdicts
+        del program, pfsm
+        gc.collect()
+        assert len(tables) == 0
+        hidden_witness_scan(_string_pfsms()[0], domain, limit=10**9)
+        assert len(tables) == 0  # kept by the new program, now dead too
+        ref = weakref.ref(domain)
+        del index, domain
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("strategy", ["compiled", "columnar"])
+    def test_threads_scanning_one_program_at_once(self, strategy):
+        pfsm = _string_pfsms()[1]
+        domain = Domain(_strings(300) * 3)
+        limits = [1, 2, 5, 40, 150, 10**9]
+        expected = {limit: _seed_scan(pfsm, domain, limit)
+                    for limit in limits}
+        count = len(expected[10**9])
+        barrier = threading.Barrier(4)
+        failures = []
+
+        def scan(seed):
+            order = random.Random(seed).sample(limits * 3, len(limits) * 3)
+            barrier.wait()
+            for limit in order:
+                if limit == 10**9 and seed % 2:
+                    if hidden_witness_count(pfsm, domain) != count:
+                        failures.append(("count", seed))
+                elif hidden_witness_scan(pfsm, domain, limit=limit) != \
+                        expected[limit]:
+                    failures.append((limit, seed))
+
+        switch = columnar.disabled() if strategy == "compiled" \
+            else contextlib.nullcontext()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with switch:
+                assert plan.plan_scan(pfsm, domain).strategy == strategy
+                threads = [threading.Thread(target=scan, args=(seed,))
+                           for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        # Whichever scan published last, its table is whole and right.
+        index = witness.distinct_rows(domain)
+        table, judged = index.verdicts[plan.program_for(pfsm)]
+        assert judged == len(index.objects) == 300
+        assert [table[code] for code in range(judged)] == \
+            [int(pfsm.takes_hidden_path(obj)) for obj in index.objects]
+
+    def test_process_sweep_forked_from_a_warm_parent(self):
+        models = all_extended_models()
+        domains = all_extended_pfsm_domains()
+        dist.clear_memo()
+        try:
+            sweep_models(models, domains, limit=1)  # tables cover a prefix
+            programs = [(witness.distinct_rows(domains[label][p.name]),
+                         plan.program_for(p))
+                        for label, model in models.items()
+                        for _op, p in model.all_pfsms()
+                        if p.name in domains.get(label, {})]
+            programs = [(index, program) for index, program in programs
+                        if index is not None and program is not None]
+            before = [index.verdicts.get(program)
+                      for index, program in programs]
+            assert any(before)
+            forked = sweep_models(models, domains, limit=5, mode="process",
+                                  workers=2)
+            # The workers extended their inherited copies, not ours.
+            assert [index.verdicts.get(program)
+                    for index, program in programs] == before
+            inline = sweep_models(models, domains, limit=5)
+        finally:
+            dist.clear_memo()
+        cold = sweep_models(all_extended_models(),
+                            all_extended_pfsm_domains(), limit=5)
+        assert _flat(forked) == _flat(inline) == _flat(cold)
+        assert any(s.vulnerable for s in cold)
 
 
 class TestEvaluateDigestMany:

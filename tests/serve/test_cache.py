@@ -146,8 +146,11 @@ class TestStoreWrites:
             assert computed["status"] == "ok" and not computed["cached"]
             stored = dist.ResultStore(path).load()
             assert stored
+            # Appends go through one held handle, closed on drain.
+            assert first.server.store._handle is not None
         finally:
             first.shutdown()
+        assert first.server.store._handle is None
         assert dist.ResultStore(path).load() == stored
 
         dist.clear_memo()

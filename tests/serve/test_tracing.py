@@ -378,8 +378,8 @@ class TestThreadBackendTrace:
             names = span_names(record)
             # every stage of the pipeline is present in ONE trace
             for stage in ("serve.admission", "serve.queue_wait",
-                          "serve.batch", "serve.cache_write",
-                          "serve.request"):
+                          "serve.batch", "serve.encode",
+                          "serve.cache_write", "serve.request"):
                 assert stage in names
             # all spans agree on the trace or link into it
             for span in record["spans"]:

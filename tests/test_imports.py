@@ -117,7 +117,8 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
     # domain's distinct objects, at most 54 here: below ``_MIN_ROWS``,
     # so by default every scan runs compiled.  Forced onto columnar,
     # every encoding stays far below ``_NUMPY_MIN_ROWS``, so its scans
-    # run on stdlib masks.
+    # run on stdlib masks.  The forced pass serves fresh models, whose
+    # programs have no verdict table yet, so it computes the masks.
     result = run_fresh("""
         import json, sys
         from repro import obs
@@ -130,12 +131,12 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
                            for name, dom in per_model.items()}
                    for label, per_model
                    in all_extended_pfsm_domains().items()}
-        corpus = AnalysisCorpus(models=all_extended_models(),
-                                domains=domains)
         registry = obs.get_registry()
         registry.enable()
 
         def serve_all():
+            corpus = AnalysisCorpus(models=all_extended_models(),
+                                    domains=domains)
             registry.reset()
             answered = 0
             for key in corpus.keys():
@@ -143,8 +144,9 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
                 found = _engine_compute(list(query.tasks),
                                         list(query.task_keys))
                 answered += any(found)
-            return answered, registry.counters().get(
-                "sweep.scans.columnar", 0)
+            counters = registry.counters()
+            return answered, [counters.get("sweep.scans.columnar", 0),
+                              counters.get("sweep.objects.judged", 0)]
 
         answered, default = serve_all()
         columnar.set_min_rows(1)
@@ -159,9 +161,12 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
     """)
     answered, forced_answered = result["answered"]
     assert answered > 0 and forced_answered == answered
-    default, forced = result["columnar"]
+    (default, judged), (forced, masked) = result["columnar"]
     assert default == 0
     assert forced > 0
+    # A mask judges every distinct object of its domain: at least what
+    # the compiled pass judged, none of it read from a table.
+    assert masked >= judged > 0
     assert result["numpy"] is False
     assert result["apps"] == ["repro.apps.freebsd_syscall", "repro.apps.iis",
                               "repro.apps.nullhttpd",
