@@ -40,9 +40,10 @@ committed, so no stale file stands in for a measurement:
 * **columnar** — scenario E: a numeric-heavy record corpus whose specs
   are multi-field conjunctions (no interval algebra applies), swept
   with the columnar engine disabled (compiled scalar scan) vs enabled
-  (whole-column mask kernels; acceptance: ≥5x with numpy, ≥1.5x on the
-  pure-stdlib fallback).  A payload sub-check sweeps the same corpus
-  on the process backend and requires the task bytes its chunks ship
+  (whole-column numpy mask kernels; acceptance: ≥5x; without numpy
+  nothing is encoded, both sides scan compiled, and the floor fails).
+  A payload sub-check sweeps the same corpus on the process backend
+  and requires the task bytes its chunks ship
   (``cluster.bytes.shipped``) to be ≥10x below the pickled task a
   cluster chunk carries; forked workers inherit the task list, so they
   should ship none.  A run in which no chunk reached a worker fails;
@@ -144,8 +145,7 @@ PLAN_FLOOR = 2.0
 #: the compiled scalar scan is the best non-columnar engine.
 COLUMNAR_MODELS = 4
 COLUMNAR_ROWS = 60_000
-COLUMNAR_NUMPY_FLOOR = 5.0
-COLUMNAR_STDLIB_FLOOR = 1.5
+COLUMNAR_FLOOR = 5.0
 #: Floor for the payload sub-check: the task bytes a process chunk ships
 #: must be at least this much smaller than the pickled task.
 PROCESS_PAYLOAD_FLOOR = 10.0
@@ -530,11 +530,7 @@ def _columnar_scenario(repeats=3):
                                 setup=new_models)
     assert _findings_of(sweeps) == _findings_of(baseline), \
         "columnar sweep diverged from the compiled scalar engine"
-    # Every model audits one shared corpus; its encoding picked the mask
-    # backend from its row count, and the floor follows that backend.
-    backend = columnar.encoding_for(corpus).ops.name
     return {
-        "backend": backend,
         "models": COLUMNAR_MODELS,
         "objects_per_sweep": objects,
         "findings": len(_findings_of(sweeps)),
@@ -544,8 +540,7 @@ def _columnar_scenario(repeats=3):
         "speedup": scalar_s / vector_s if vector_s else float("inf"),
         "scalar_objs_per_s": objects / scalar_s,
         "columnar_objs_per_s": objects / vector_s,
-        "floor": (COLUMNAR_NUMPY_FLOOR if backend == "numpy"
-                  else COLUMNAR_STDLIB_FLOOR),
+        "floor": COLUMNAR_FLOOR,
         "process_payload": _process_payload_stats(),
     }
 
@@ -1026,7 +1021,7 @@ def check(payload, update_baseline=False):
     columnar_stats = payload["columnar"]
     if columnar_stats["speedup"] < columnar_stats["floor"]:
         failures.append(
-            f"columnar sweep ({columnar_stats['backend']}) only "
+            f"columnar sweep only "
             f"{columnar_stats['speedup']:.2f}x over the compiled scalar "
             f"path (need >={columnar_stats['floor']}x)"
         )
@@ -1087,7 +1082,6 @@ def check(payload, update_baseline=False):
                 "process_session_sweeps_per_s": session_throughput,
                 "plan_compiled_objs_per_s": plan_throughput,
                 "columnar_objs_per_s": columnar_throughput,
-                "columnar_backend": columnar_stats["backend"],
                 "cluster_sweeps_per_s": cluster_throughput,
             }, indent=2,
         ) + "\n")
@@ -1125,10 +1119,7 @@ def check(payload, update_baseline=False):
                     f"{floor:,.0f} objs/s (baseline / {REGRESSION_FACTOR})"
                 )
         recorded = baseline.get("columnar_objs_per_s")
-        # Only gate like-for-like: a stdlib-fallback run is not a
-        # regression against a numpy-recorded baseline.
-        if recorded is not None and \
-                baseline.get("columnar_backend") == columnar_stats["backend"]:
+        if recorded is not None:
             floor = recorded / REGRESSION_FACTOR
             if columnar_throughput < floor:
                 failures.append(
@@ -1184,8 +1175,7 @@ def main(argv=None):
           f"{plan_stats['compiles']} compiles)")
     columnar_stats = payload["columnar"]
     print(f"columnar corpus of {columnar_stats['models']} models x "
-          f"{columnar_stats['objects_per_sweep']:,} records "
-          f"({columnar_stats['backend']}): "
+          f"{columnar_stats['objects_per_sweep']:,} records: "
           f"scalar {columnar_stats['scalar_s']:.4f}s, "
           f"columnar {columnar_stats['columnar_s']:.4f}s "
           f"({columnar_stats['speedup']:.1f}x)")

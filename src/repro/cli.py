@@ -43,8 +43,7 @@ Commands
     planner in ``repro.core.plan``; also the ``plans`` block of
     ``--json``), with tasks served whole from the dist fingerprint memo
     tagged ``memo``; ``--no-plan`` disables the predicate compiler for
-    the run, and ``--no-columnar`` the columnar domain engine
-    (``repro.core.columnar``).  ``--fail-on-witness`` exits nonzero when
+    the run.  ``--fail-on-witness`` exits nonzero when
     any hidden-path witness is found, so CI can gate on "no hidden
     paths".
 ``serve``
@@ -347,7 +346,6 @@ def _faults_block() -> Optional[Dict[str, object]]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import obs
     from .core import sweep_models
-    from .core import columnar as _columnar
     from .core import plan as _plan
 
     models = all_paper_models()
@@ -361,8 +359,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     before = registry.counters()
     if args.no_plan:
         _plan.set_enabled(False)
-    if args.no_columnar:
-        _columnar.set_enabled(False)
     # Probed before the sweep: these tasks resolve whole from the dist
     # fingerprint memo and never reach a scan strategy.
     memo_resolved = (set() if args.no_plan else
@@ -423,8 +419,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             coordinator.close()
         if args.no_plan:
             _plan.set_enabled(True)
-        if args.no_columnar:
-            _columnar.set_enabled(True)
         after = registry.counters()
         if owned_registry:
             registry.disable()
@@ -489,9 +483,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "resume": resume_block,
             "faults": _faults_block(),
             "settings": {
-                "columnar": not args.no_columnar,
-                "columnar_backend": ("numpy" if delta.get(
-                    "columnar.encodings.numpy", 0) else "stdlib"),
                 "backend": args.backend,
                 "workers": args.workers,
                 "limit": args.limit,
@@ -864,10 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-plan", action="store_true",
                        help="disable the predicate compiler / planner "
                             "for this sweep (scalar strategies only)")
-    sweep.add_argument("--no-columnar", action="store_true",
-                       help="disable the columnar domain engine "
-                            "(struct-of-arrays kernels; see "
-                            "repro.core.columnar)")
     sweep.add_argument("--fail-on-witness", action="store_true",
                        help="exit nonzero if any hidden-path witness is "
                             "found (CI gate)")

@@ -20,59 +20,56 @@ Two layers:
   a *code* of that index and a repeated object is encoded once;
   ``range`` backings and lazy record products have no index, their
   codes are their rows, and they encode without materializing the
-  product's dicts.  Integer columns are ``int64`` buffers, strings/bytes
-  keep their value list plus a vectorizable length column.  Encodings
-  are memoized on the domain object (a weak side table), so every task
-  of a sweep over one domain pays the encoding once; equal-content but
-  distinct domain objects each encode their own.
+  product's dicts.  Integer columns are ``int64`` ndarrays,
+  strings/bytes keep their value list plus a vectorizable length
+  column.  Encodings are memoized on the domain object (a weak side
+  table), so every task of a sweep over one domain pays the encoding
+  once; equal-content but distinct domain objects each encode their
+  own.
 
 * **The kernels.**  :meth:`Encoding.kernel` binds a compiled
   program's folded node tree (:attr:`repro.core.plan.ScanProgram.root`,
   the tree its scalar closures were emitted from) to whole-column mask
   operations: comparisons become vectorized compares, boolean
   combinators become mask algebra, ``attr`` nodes switch to the
-  field's column.  Each encoding picks its mask backend from the
-  number of objects it encodes: from ``_NUMPY_MIN_ROWS`` up, with
-  ``numpy`` installed, masks are boolean ndarrays; below it (or without
-  numpy) big integers over one ``0x00``/``0x01`` byte per code, whose
-  ``&``/``|`` are single C-level operations.  :meth:`Kernel.flags`
-  turns the root mask into one verdict byte per code, and the sweep
-  selects the witness rows from those.  Node masks are cached on the
-  encoding by structural digest, so tasks sharing subpredicates over
-  one domain — in one sweep or across serve batches — reuse each
-  other's masks.
+  field's column.  Masks are boolean numpy arrays, and
+  :meth:`Kernel.flags` turns the root mask into one verdict byte per
+  code, from which the sweep selects the witness rows.  Node masks are
+  cached on the encoding by structural digest, so tasks sharing
+  subpredicates over one domain — in one sweep or across serve
+  batches — reuse each other's masks.
 
   Kernels are *bit-for-bit equivalent* to the scalar scan: every leaf
   verdict is derived analytically per column type, including the
   fail-secure exception semantics (``len`` of an ``int`` raises, so
   ``lenle`` over an integer column is the constant-``False`` mask — the
-  same verdict the interpreter's shield produces) and the comparison
+  same verdict the interpreter's shield produces), the comparison
   constructors' ``int(·)`` coercion (``le`` over a string column falls
-  back to an elementwise guarded coercion).  A spec that cannot be
-  vectorized exactly (``named`` predicates, nested ``attr``, columns of
-  mixed type) *bails*: :func:`kernel_for` returns ``None`` and the
-  planner (:func:`repro.core.plan.plan_scan`) picks the compiled scalar
-  scan.
+  back to an elementwise guarded coercion) and Python's exact
+  int/float equality (a float is never widened against the ``int64``
+  column).  A spec that cannot be vectorized exactly (``named``
+  predicates, nested ``attr``, columns of mixed type) *bails*:
+  :func:`kernel_for` returns ``None`` and the planner
+  (:func:`repro.core.plan.plan_scan`) picks the compiled scalar scan.
 
 Process-backend workers are forked after their sweep's task list
 exists, so they scan the very domain objects the parent holds, along
 with every encoding the parent had already built; no column ever
 crosses a process boundary.
 
-``numpy`` is strictly optional, and imported only when the first
-encoding large enough to use it is built: a process whose domains stay
-smaller never loads it.  The stdlib kernels are always available, and
-:func:`force_fallback` / ``REPRO_NO_NUMPY=1`` select them for every
-encoding (the equivalence tests run both backends).  The whole
-strategy can be bypassed with :func:`set_enabled` (``repro sweep
---no-columnar``).
+The kernels run on ``numpy``, which is imported when the first domain
+of encodable size (``_MIN_ROWS`` objects or more) is encoded: a
+process whose domains stay smaller never loads it.  Where numpy cannot
+be imported no domain is encoded, and the planner scans compiled, with
+the same findings.  :func:`disabled` bypasses the strategy for a block
+(the benchmark's A/B switch) and :func:`set_min_rows` moves the size
+threshold (tests force tiny domains onto the kernels).
 """
 
 from __future__ import annotations
 
-import os
+import re
 import weakref
-from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -85,10 +82,7 @@ __all__ = [
     "Encoding",
     "disabled",
     "encoding_for",
-    "force_fallback",
-    "is_enabled",
     "kernel_for",
-    "set_enabled",
     "set_min_rows",
 ]
 
@@ -96,16 +90,6 @@ __all__ = [
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-
-# The row thresholds below count the objects an encoding holds (the
-# distinct objects of an indexed domain), which is what a kernel's work
-# scales with.
-
-#: Encodings of at least this many objects use numpy masks; smaller ones
-#: use the stdlib kernels, which are as fast there, so a process whose
-#: domains all stay below it never imports numpy.  Measured crossover:
-#: EXPERIMENTS.md, "numpy only where it pays".
-_NUMPY_MIN_ROWS = 1 << 14
 
 #: Encoding (and lazy-product materialization) ceiling — memory guard.
 _MAX_ROWS = 1 << 22
@@ -117,26 +101,19 @@ _MASK_CACHE_MIN_COST = 0.9
 _MASK_CACHE_ENTRIES = 32
 
 _ENABLED = True
-#: Domains with fewer objects than this scan faster scalar than they
-#: encode.
+#: Domains with fewer objects than this scan faster compiled than they
+#: encode.  It counts the objects an encoding holds (the distinct
+#: objects of an indexed domain), which is what a kernel's work scales
+#: with.
 _MIN_ROWS = 256
-_FORCE_FALLBACK = os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0")
+
+#: The numpy module once :func:`_numpy` has tried to import it: ``None``
+#: before the first try, ``False`` where it cannot be imported.
+_NP: Any = None
 
 
 class _Bail(Exception):
     """This spec/domain pair cannot be vectorized exactly — fall back."""
-
-
-def is_enabled() -> bool:
-    """Is the columnar strategy active? (see :func:`set_enabled`)."""
-    return _ENABLED
-
-
-def set_enabled(on: bool) -> None:
-    """Globally enable/bypass columnar execution
-    (``repro sweep --no-columnar``)."""
-    global _ENABLED
-    _ENABLED = bool(on)
 
 
 @contextmanager
@@ -152,19 +129,6 @@ def disabled():
         _ENABLED = previous
 
 
-@contextmanager
-def force_fallback():
-    """Temporarily run the pure-stdlib kernels even when numpy is
-    installed (equivalence tests, the fallback benchmark leg)."""
-    global _FORCE_FALLBACK
-    previous = _FORCE_FALLBACK
-    _FORCE_FALLBACK = True
-    try:
-        yield
-    finally:
-        _FORCE_FALLBACK = previous
-
-
 def set_min_rows(rows: int) -> int:
     """Set the minimum number of objects a columnar encoding holds;
     returns the previous threshold.  Tests drop it to exercise tiny
@@ -175,152 +139,16 @@ def set_min_rows(rows: int) -> int:
     return previous
 
 
-def _config_stamp() -> Tuple[Any, ...]:
-    return (_FORCE_FALLBACK, _MIN_ROWS)
-
-
-# ---------------------------------------------------------------------------
-# Mask backends.
-#
-# Each encoding holds one ops object, chosen from its size when it is
-# built, and every backend-specific step (int64 column buffers, length
-# columns, vectorized compares, mask algebra, verdict bytes) asks it.
-# numpy masks are boolean ndarrays.  Stdlib masks are non-negative big
-# integers holding one 0x00/0x01 byte per code (little-endian): ``&``
-# and ``|`` are then single big-int operations, and negation XORs
-# against the all-ones constant.  Both turn a mask into one verdict byte
-# per code in C (``flags``).
-# ---------------------------------------------------------------------------
-
-class _NumpyOps:
-    name = "numpy"
-
-    def __init__(self, n: int, np: Any) -> None:
-        self.n = n
-        self.np = np
-
-    def const(self, flag: bool) -> Any:
-        return (self.np.ones if flag else self.np.zeros)(self.n, dtype=bool)
-
-    def conj(self, a: Any, b: Any) -> Any:
-        return a & b
-
-    def disj(self, a: Any, b: Any) -> Any:
-        return a | b
-
-    def neg(self, a: Any) -> Any:
-        return ~a
-
-    def from_iter(self, flags: Iterable[int]) -> Any:
-        return self.np.fromiter(flags, dtype=bool, count=self.n)
-
-    def flags(self, mask: Any) -> bytes:
-        return mask.tobytes()
-
-    # -- int64 columns -----------------------------------------------------
-
-    def int_range(self, backing: range) -> Any:
-        return self.np.arange(backing.start, backing.stop, backing.step,
-                              dtype=self.np.int64)
-
-    def ints(self, values: Iterable[int]) -> Any:
-        return self.np.fromiter(values, dtype=self.np.int64, count=self.n)
-
-    def tiled_ints(self, source: List[int], stride: int, repeat: int) -> Any:
-        np = self.np
-        base = np.asarray(source, dtype=np.int64)
-        return np.tile(np.repeat(base, stride), repeat)
-
-    def lengths(self, values: Any) -> Any:
-        return self.np.fromiter((len(v) for v in values),
-                                dtype=self.np.int64, count=len(values))
-
-    # -- compares over an int64 column ------------------------------------
-
-    def nonzero(self, values: Any) -> Any:
-        return values != 0
-
-    def equal(self, values: Any, expected: Any) -> Any:
-        return values == expected
-
-    def at_most(self, values: Any, bound: int) -> Any:
-        return values <= bound
-
-    def at_least(self, values: Any, bound: int) -> Any:
-        return values >= bound
-
-    def between(self, values: Any, low: int, high: int) -> Any:
-        return (values >= low) & (values <= high)
-
-
-class _IntOps:
-    name = "stdlib"
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._ones = int.from_bytes(b"\x01" * n, "little") if n else 0
-
-    def const(self, flag: bool) -> int:
-        return self._ones if flag else 0
-
-    def conj(self, a: int, b: int) -> int:
-        return a & b
-
-    def disj(self, a: int, b: int) -> int:
-        return a | b
-
-    def neg(self, a: int) -> int:
-        return self._ones ^ a
-
-    def from_iter(self, flags: Iterable[int]) -> int:
-        return int.from_bytes(bytes(bytearray(flags)), "little")
-
-    def flags(self, mask: int) -> bytes:
-        return mask.to_bytes(self.n, "little")
-
-    # -- int64 columns -----------------------------------------------------
-
-    def int_range(self, backing: range) -> Any:
-        return array("q", backing)
-
-    def ints(self, values: Iterable[int]) -> Any:
-        return array("q", values)
-
-    def tiled_ints(self, source: List[int], stride: int, repeat: int) -> Any:
-        return array("q", _tile(source, stride, repeat))
-
-    def lengths(self, values: Any) -> Any:
-        return array("q", map(len, values))
-
-    # -- compares over an int64 column ------------------------------------
-
-    def nonzero(self, values: Any) -> int:
-        return self.from_iter(1 if v else 0 for v in values)
-
-    def equal(self, values: Any, expected: Any) -> int:
-        return self.from_iter(1 if v == expected else 0 for v in values)
-
-    def at_most(self, values: Any, bound: int) -> int:
-        return self.from_iter(1 if v <= bound else 0 for v in values)
-
-    def at_least(self, values: Any, bound: int) -> int:
-        return self.from_iter(1 if v >= bound else 0 for v in values)
-
-    def between(self, values: Any, low: int, high: int) -> int:
-        return self.from_iter(1 if low <= v <= high else 0 for v in values)
-
-
-def _make_ops(n: int) -> Any:
-    """The mask backend of an ``n``-object encoding: numpy from
-    ``_NUMPY_MIN_ROWS`` objects up (imported here, on the first such
-    encoding) unless it is missing or bypassed, stdlib otherwise."""
-    if n >= _NUMPY_MIN_ROWS and not _FORCE_FALLBACK:
+def _numpy() -> Any:
+    """numpy, imported on first use; ``None`` where it cannot be."""
+    global _NP
+    if _NP is None:
         try:
             import numpy
-        except Exception:  # pragma: no cover - environment-dependent
-            return _IntOps(n)
-        return _NumpyOps(n, numpy)
-    return _IntOps(n)
+        except ImportError:
+            numpy = False
+        _NP = numpy
+    return _NP or None
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +157,9 @@ def _make_ops(n: int) -> Any:
 
 class _Column:
     """One typed column: ``kind`` is ``int``/``str``/``bytes``/``obj``.
-    ``values`` is an ``int64`` buffer (ndarray or ``array('q')``) for
-    ``int`` columns and a value sequence otherwise; ``lengths`` is built
-    lazily for ``str``/``bytes`` columns (the vectorized
-    ``lenle``/``truthy`` path)."""
+    ``values`` is an ``int64`` ndarray for ``int`` columns and a value
+    sequence otherwise; ``lengths`` is built lazily for ``str``/``bytes``
+    columns (the vectorized ``lenle``/``truthy`` path)."""
 
     __slots__ = ("kind", "values", "_lengths")
 
@@ -341,9 +168,11 @@ class _Column:
         self.values = values
         self._lengths: Any = None
 
-    def lengths(self, ops: Any) -> Any:
+    def lengths(self) -> Any:
         if self._lengths is None:
-            self._lengths = ops.lengths(self.values)
+            self._lengths = _NP.fromiter(map(len, self.values),
+                                         dtype=_NP.int64,
+                                         count=len(self.values))
         return self._lengths
 
 
@@ -399,7 +228,7 @@ class Encoding:
     work but never corrupts a verdict.
     """
 
-    __slots__ = ("n", "mode", "index", "scalar_kind", "fields", "ops",
+    __slots__ = ("n", "mode", "index", "scalar_kind", "fields",
                  "_range", "_sources", "_strides", "_columns",
                  "_field_kinds", "_masks", "_kernels")
 
@@ -410,7 +239,6 @@ class Encoding:
         self.index = index
         self.scalar_kind: Optional[str] = None
         self.fields: Tuple[str, ...] = ()
-        self.ops = _make_ops(n)
         self._range: Optional[range] = None
         self._sources: Dict[str, List[Any]] = {}
         self._strides: Dict[str, Tuple[int, int]] = {}
@@ -451,9 +279,11 @@ class Encoding:
         if kind is None:
             raise _Bail("record domain has no scalar column")
         if self._range is not None:
-            return _Column("int", self.ops.int_range(self._range))
+            r = self._range
+            return _Column("int", _NP.arange(r.start, r.stop, r.step,
+                                             dtype=_NP.int64))
         if kind == "int":
-            return _Column("int", self.ops.ints(self.index.objects))
+            return _Column("int", self._ints(self.index.objects))
         return _Column(kind, self.index.objects)
 
     def _build_field_column(self, field: str) -> _Column:
@@ -464,16 +294,30 @@ class Encoding:
             source = self._sources[field]
             stride, repeat = self._strides[field]
             if kind == "int":
-                values = self.ops.tiled_ints(source, stride, repeat)
+                values = _NP.tile(_NP.repeat(
+                    _NP.asarray(source, dtype=_NP.int64), stride), repeat)
             else:
                 values = _tile(source, stride, repeat)
             return _Column(kind, values)
         items = self.index.objects
         if kind == "int":
-            values = self.ops.ints(item[field] for item in items)
+            values = self._ints(item[field] for item in items)
         else:
             values = [item[field] for item in items]
         return _Column(kind, values)
+
+    def _ints(self, values: Iterable[int]) -> Any:
+        return _NP.fromiter(values, dtype=_NP.int64, count=self.n)
+
+    # -- masks -------------------------------------------------------------
+
+    def const(self, flag: bool) -> Any:
+        """The mask giving every code the verdict ``flag``."""
+        return (_NP.ones if flag else _NP.zeros)(self.n, dtype=bool)
+
+    def each(self, verdicts: Iterable[Any]) -> Any:
+        """The mask of one verdict per code, judged in Python."""
+        return _NP.fromiter(verdicts, dtype=bool, count=self.n)
 
     # -- witness materialization -------------------------------------------
 
@@ -551,8 +395,7 @@ class Kernel:
         ``encoding.index.objects`` when the encoding has an index, and a
         row otherwise."""
         try:
-            return self.encoding.ops.flags(
-                _node_mask(self.root, self.encoding, None))
+            return _node_mask(self.root, self.encoding, None).tobytes()
         except Exception:
             return None
 
@@ -605,6 +448,9 @@ def _validate(node: Any, encoding: Encoding, field: Optional[str]) -> None:
         # mapping, which would need the materialized rows.
         if op == "eq" and isinstance(decode_value(node.args[0]), dict):
             raise _Bail("record equality")
+    if kind == "int" and op in ("range", "le", "ge") and not all(
+            isinstance(bound, (int, float)) for bound in node.args):
+        raise _Bail("non-numeric bound over an int column")
     if op not in ("true", "false", "truthy", "eq", "range", "le", "ge",
                   "lenle", "contains", "ncontains", "matches", "isa"):
         raise _Bail(f"unsupported leaf {op!r}")
@@ -621,24 +467,23 @@ def _node_mask(node: Any, encoding: Encoding, field: Optional[str]) -> Any:
         cached = encoding.mask_get(key)
         if cached is not None:
             return cached
-    ops = encoding.ops
     op = node.op
     if op == "and":
         mask = _node_mask(node.children[0], encoding, field)
         for child in node.children[1:]:
-            mask = ops.conj(mask, _node_mask(child, encoding, field))
+            mask = mask & _node_mask(child, encoding, field)
     elif op == "or":
         mask = _node_mask(node.children[0], encoding, field)
         for child in node.children[1:]:
-            mask = ops.disj(mask, _node_mask(child, encoding, field))
+            mask = mask | _node_mask(child, encoding, field)
     elif op == "not":
-        mask = ops.neg(_node_mask(node.children[0], encoding, field))
+        mask = ~_node_mask(node.children[0], encoding, field)
     elif op == "attr":
         name = node.args[0]
         if name not in encoding.fields:
             # ``_get`` raises on the missing key; the scalar shield maps
             # that to False at this node for every row.
-            mask = ops.const(False)
+            mask = encoding.const(False)
         else:
             mask = _node_mask(node.children[0], encoding, name)
     else:
@@ -651,19 +496,18 @@ def _node_mask(node: Any, encoding: Encoding, field: Optional[str]) -> Any:
 
 
 def _leaf_mask(node: Any, encoding: Encoding, field: Optional[str]) -> Any:
-    ops = encoding.ops
     op, args = node.op, node.args
     if op == "true":
-        return ops.const(True)
+        return encoding.const(True)
     if op == "false":
-        return ops.const(False)
+        return encoding.const(False)
     kind = _leaf_target_kind(encoding, field)
     if kind == "record":
-        return ops.const(_record_leaf_verdict(node, encoding))
+        return encoding.const(_record_leaf_verdict(node, encoding))
     column = encoding.column(field)
     if kind == "int":
-        return _int_leaf_mask(op, args, column, ops)
-    return _text_leaf_mask(op, args, column, ops, kind)
+        return _int_leaf_mask(op, args, column, encoding)
+    return _text_leaf_mask(op, args, column, encoding, kind)
 
 
 def _record_leaf_verdict(node: Any, encoding: Encoding) -> bool:
@@ -696,63 +540,68 @@ def _record_leaf_verdict(node: Any, encoding: Encoding) -> bool:
 
 
 def _int_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
-                   ops: Any) -> Any:
+                   encoding: Encoding) -> Any:
+    # The planner hands ``range``/``le``/``ge`` bounds over as ints,
+    # ±inf or nan (:func:`repro.core.plan._leaf`); validation declines
+    # any other bound.  Each compares exactly against the int64 column.
     values = column.values
     if op == "truthy":
-        return ops.nonzero(values)
+        return values != 0
     if op == "eq":
         expected = decode_value(args[0])
-        if isinstance(expected, bool):
+        if isinstance(expected, float):
+            # Python compares an int and a float exactly, but numpy would
+            # round the column to float64 first (2**53 + 1 == 2.0**53).
+            # Only an integral float can equal an int: compare its int.
+            if not expected.is_integer():
+                return encoding.const(False)
             expected = int(expected)
-        if not isinstance(expected, (int, float)):
-            return ops.const(False)  # an int never equals a non-number
-        if isinstance(expected, int) and not \
-                _I64_MIN <= expected <= _I64_MAX:
-            return ops.const(False)  # column values all fit in int64
-        return ops.equal(values, expected)
+        elif not isinstance(expected, int):
+            return encoding.const(False)  # an int never equals a non-number
+        if not _I64_MIN <= expected <= _I64_MAX:
+            return encoding.const(False)  # column values all fit in int64
+        return values == int(expected)
     if op == "le":
         bound = args[0]
         if bound >= _I64_MAX:
-            return ops.const(True)
+            return encoding.const(True)
         if bound < _I64_MIN:
-            return ops.const(False)
-        return ops.at_most(values, bound)
+            return encoding.const(False)
+        return values <= bound
     if op == "ge":
         bound = args[0]
         if bound <= _I64_MIN:
-            return ops.const(True)
+            return encoding.const(True)
         if bound > _I64_MAX:
-            return ops.const(False)
-        return ops.at_least(values, bound)
+            return encoding.const(False)
+        return values >= bound
     if op == "range":
         low, high = args
-        if low > high:
-            return ops.const(False)
-        low = max(low, _I64_MIN)
-        high = min(high, _I64_MAX)
-        return ops.between(values, low, high)
+        if not low <= high:  # empty, or a nan bound
+            return encoding.const(False)
+        return (values >= max(low, _I64_MIN)) & (values <= min(high, _I64_MAX))
     if op == "isa":
         types = tuple(_resolve_type(mod, qual) for mod, qual in args[0])
-        return ops.const(isinstance(0, types))
+        return encoding.const(isinstance(0, types))
     # len()/``in``/regex over an int raise; the scalar shield maps every
     # row to False.
     if op in ("lenle", "contains", "ncontains", "matches"):
-        return ops.const(False)
+        return encoding.const(False)
     raise _Bail(f"unsupported int leaf {op!r}")
 
 
 def _text_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
-                    ops: Any, kind: str) -> Any:
+                    encoding: Encoding, kind: str) -> Any:
     values = column.values
     if op == "truthy":
-        return ops.nonzero(column.lengths(ops))
+        return column.lengths() != 0
     if op == "lenle":
-        return ops.at_most(column.lengths(ops), args[0])
+        return column.lengths() <= args[0]
     if op == "eq":
         expected = decode_value(args[0])
         if not isinstance(expected, (str, bytes)):
-            return ops.const(False)
-        return ops.from_iter(1 if v == expected else 0 for v in values)
+            return encoding.const(False)
+        return encoding.each(v == expected for v in values)
     if op in ("contains", "ncontains"):
         needle = decode_value(args[0])
         same = isinstance(needle, str) if kind == "str" \
@@ -760,54 +609,41 @@ def _text_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
         if not same:
             # ``needle in text`` raises TypeError for a foreign needle;
             # both polarity variants shield to False.
-            return ops.const(False)
+            return encoding.const(False)
         if op == "contains":
-            return ops.from_iter(1 if needle in v else 0 for v in values)
-        return ops.from_iter(0 if needle in v else 1 for v in values)
+            return encoding.each(needle in v for v in values)
+        return encoding.each(needle not in v for v in values)
     if op == "matches":
-        import re
-
         pattern = args[0]
         if kind == "bytes":
             try:
                 search = re.compile(pattern.encode("latin-1")).search
             except (UnicodeEncodeError, re.error):
-                return ops.const(False)  # scalar path raises per object
+                return encoding.const(False)  # scalar path raises per object
         else:
             search = re.compile(pattern).search
-        return ops.from_iter(1 if search(v) else 0 for v in values)
+        return encoding.each(search(v) is not None for v in values)
     if op == "isa":
         types = tuple(_resolve_type(mod, qual) for mod, qual in args[0])
         sample = "" if kind == "str" else b""
-        return ops.const(isinstance(sample, types))
+        return encoding.const(isinstance(sample, types))
     if op in ("range", "le", "ge"):
         # The comparison constructors coerce with ``int(·)`` — defined
         # for numeric strings/bytes, raising (→ False) otherwise.
         if op == "range":
             low, high = args
-
-            def verdict(v: Any) -> int:
-                try:
-                    return 1 if low <= int(v) <= high else 0
-                except Exception:
-                    return 0
-        elif op == "le":
-            bound = args[0]
-
-            def verdict(v: Any) -> int:
-                try:
-                    return 1 if int(v) <= bound else 0
-                except Exception:
-                    return 0
         else:
-            bound = args[0]
+            low = args[0] if op == "ge" else None
+            high = args[0] if op == "le" else None
 
-            def verdict(v: Any) -> int:
-                try:
-                    return 1 if int(v) >= bound else 0
-                except Exception:
-                    return 0
-        return ops.from_iter(map(verdict, values))
+        def verdict(v: Any) -> bool:
+            try:
+                n = int(v)
+                return (low is None or low <= n) and \
+                    (high is None or n <= high)
+            except Exception:
+                return False
+        return encoding.each(map(verdict, values))
     raise _Bail(f"unsupported text leaf {op!r}")
 
 
@@ -816,7 +652,10 @@ def _text_leaf_mask(op: str, args: Tuple[Any, ...], column: _Column,
 # ---------------------------------------------------------------------------
 
 def _encodable_size(n: int) -> bool:
-    return max(1, _MIN_ROWS) <= n <= _MAX_ROWS
+    """Is an ``n``-object encoding worth building, and can it be?  The
+    size is checked first, so a process whose domains stay below
+    ``_MIN_ROWS`` never imports numpy."""
+    return max(1, _MIN_ROWS) <= n <= _MAX_ROWS and _numpy() is not None
 
 
 def _build_encoding(domain: Any,
@@ -879,17 +718,18 @@ def _build_encoding(domain: Any,
 def encoding_for(domain: Any,
                  index: Optional[DistinctRows] = None) -> Optional[Encoding]:
     """The struct-of-arrays encoding of ``domain``, or ``None`` when the
-    domain is not encodable (or outside the size thresholds).
+    domain is not encodable, is outside the size thresholds, or numpy
+    cannot be imported.
 
     A list- or tuple-backed domain encodes the objects of its
     distinct-row index: ``index`` when the caller holds it already,
     :func:`~repro.core.witness.distinct_rows` otherwise.  Any other
     iterable is not encoded, so nothing but its scan reads it.
-    Memoized on the domain object, validated against the backend/
-    threshold configuration.  Each encoding built counts under
-    ``columnar.encodings.<backend>`` (``numpy`` or ``stdlib``).
+    Memoized on the domain object, validated against the row threshold
+    (:func:`set_min_rows`).  Each encoding built counts under
+    ``columnar.encodings``.
     """
-    stamp = _config_stamp()
+    stamp = _MIN_ROWS
     try:
         memo = _DOMAIN_MEMO.get(domain)
     except TypeError:
@@ -901,7 +741,7 @@ def encoding_for(domain: Any,
     except Exception:
         encoding = None
     if encoding is not None and _OBS.enabled:
-        _OBS.incr(f"columnar.encodings.{encoding.ops.name}")
+        _OBS.incr("columnar.encodings")
     try:
         _DOMAIN_MEMO[domain] = (stamp, encoding)
     except TypeError:
@@ -914,7 +754,7 @@ def encoding_for(domain: Any,
 #: pickle of the domain (dist task payloads, crash retries) and bloat
 #: it with the full column set.  Weak keys keep encodings from pinning
 #: dead domains.
-_DOMAIN_MEMO: "weakref.WeakKeyDictionary[Any, Tuple[Any, ...]]" = \
+_DOMAIN_MEMO: "weakref.WeakKeyDictionary[Any, Tuple[int, Any]]" = \
     weakref.WeakKeyDictionary()
 
 
@@ -930,10 +770,8 @@ def kernel_for(program: Any, domain: Any,
 
     ``index``, if given, must be the domain's distinct-row index.
     Validates (and memoizes) the kernel without computing any mask; its
-    :meth:`Kernel.flags` give the verdicts, and
-    ``kernel.encoding.ops.name`` the mask backend (``"numpy"`` or
-    ``"stdlib"``).  The planner's strategy decision calls this
-    (:func:`repro.core.plan.plan_scan`).
+    :meth:`Kernel.flags` give the verdicts.  The planner's strategy
+    decision calls this (:func:`repro.core.plan.plan_scan`).
     """
     if not _ENABLED or program is None:
         return None

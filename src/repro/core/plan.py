@@ -54,6 +54,7 @@ benchmark's A/B switch and the CLI's ``--no-plan``).
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -265,7 +266,34 @@ class _Node:
         self.leaves = 1
 
 
+def _int_bound(bound: Any, upper: bool) -> Any:
+    """A comparison bound as the one every strategy reads: a finite
+    float becomes the integer bound that selects the same integers
+    (floor for an upper bound, ceil for a lower one).  That is exact,
+    because the comparison constructors compare ``int(obj)``.  Ints,
+    ±inf, nan and non-numeric bounds are kept."""
+    if isinstance(bound, float) and math.isfinite(bound):
+        return math.floor(bound) if upper else math.ceil(bound)
+    return bound
+
+
+def _bound_intervals(low: Any, high: Any) -> Optional[IntervalSet]:
+    """The interval set of ``low <= int(obj) <= high`` for bounds from
+    :func:`_int_bound` (an infinity for an absent side), or ``None``
+    when a bound is not a number (``int(obj)`` never compares to it)."""
+    if not (isinstance(low, (int, float)) and isinstance(high, (int, float))):
+        return None
+    if not low < _POS_INF or not high > _NEG_INF:
+        return ()  # nan, +inf as a lower or -inf as an upper bound
+    return _normalize_intervals([(None if low == _NEG_INF else low,
+                                  None if high == _POS_INF else high)])
+
+
 def _leaf(op: str, args: Tuple[Any, ...]) -> _Node:
+    if op == "range":
+        args = (_int_bound(args[0], False), _int_bound(args[1], True))
+    elif op in ("le", "ge"):
+        args = (_int_bound(args[0], op == "le"),)
     node = _Node(op, args)
     node.digest = spec_digest([op] + list(args))
     node.cost = _LEAF_COST.get(op, 1.0)
@@ -275,12 +303,11 @@ def _leaf(op: str, args: Tuple[Any, ...]) -> _Node:
     elif op == "false":
         node.intervals = ()
     elif op == "range":
-        low, high = args
-        node.intervals = _normalize_intervals([(low, high)])
+        node.intervals = _bound_intervals(*args)
     elif op == "le":
-        node.intervals = ((None, args[0]),)
+        node.intervals = _bound_intervals(_NEG_INF, args[0])
     elif op == "ge":
-        node.intervals = ((args[0], None),)
+        node.intervals = _bound_intervals(args[0], _POS_INF)
     elif op == "eq":
         expected = decode_value(args[0])
         if isinstance(expected, int) and not isinstance(expected, bool):
@@ -756,9 +783,8 @@ class ScanPlan:
 
 #: Per-object cost discount of a columnar mask pass relative to the
 #: compiled scalar program (measured: vectorized compares amortize
-#: dispatch to well under a tenth with numpy, roughly half pure-stdlib).
-_COLUMNAR_NUMPY_FACTOR = 0.05
-_COLUMNAR_STDLIB_FACTOR = 0.4
+#: dispatch to well under a tenth).
+_COLUMNAR_FACTOR = 0.05
 
 
 def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
@@ -774,20 +800,16 @@ def plan_scan(pfsm: Any, domain: Any, limit: int = 10) -> ScanPlan:
     distinct-row index, its rows otherwise.  Never reads a one-shot
     iterable.
     """
-    strategy, program, kernel, index, _ = _choose(pfsm, domain)
+    strategy, program, _, index, _ = _choose(pfsm, domain)
     objects = _domain_size(domain) if index is None else len(index.objects)
     if strategy == "interval":
         cost = float(min(limit, objects))
         reason = ("closed-form interval algebra over a range-backed "
                   "domain (O(limit), independent of domain size)")
     elif strategy == "columnar":
-        backend = kernel.encoding.ops.name
-        cost = program.cost * objects * (
-            _COLUMNAR_NUMPY_FACTOR if backend == "numpy"
-            else _COLUMNAR_STDLIB_FACTOR)
+        cost = program.cost * objects * _COLUMNAR_FACTOR
         reason = (f"whole-column mask pass over the domain's "
-                  f"struct-of-arrays encoding ({backend} kernels, "
-                  f"{program.leaves} leaves)")
+                  f"struct-of-arrays encoding ({program.leaves} leaves)")
     elif strategy == "compiled":
         cost = program.cost * objects
         reason = (f"fused single-pass program over {program.leaves} "

@@ -5,10 +5,12 @@ columnar strategy takes a task, its witnesses must match the compiled
 scalar scan exactly — same objects, same domain iteration order, same
 per-occurrence duplicates, same ``limit`` truncation.  The property
 tests here drive that claim over generated integer, text, and record
-domains, under both mask backends (numpy, forced onto these small
-domains by patching ``_NUMPY_MIN_ROWS``, and the pure-stdlib big-int
-kernels via ``force_fallback``), and in the forked workers of a
-process-backend sweep, which scan the domain they inherit.
+domains, with float arguments next to 2**53 (where float64 stops
+holding every integer) among the integer specs, and in the forked
+workers of a process-backend sweep, which scan the domain they
+inherit.  The kernels run on numpy, so the module skips where it is
+missing; there the planner never picks the columnar strategy
+(``tests/test_imports.py`` checks that).
 
 A repeat-heavy domain pins that a kernel masks each distinct object
 once and that its findings are the compiled scan's, wire text included.
@@ -20,7 +22,7 @@ predicates, nested ``attr``, mixed-type columns).
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -49,6 +51,8 @@ from repro.core import (
 )
 from repro.core import columnar
 from repro.core.predspec import named_predicate
+
+pytest.importorskip("numpy")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -79,45 +83,19 @@ def _counted(fn):
     return result, counters
 
 
-def _patch_numpy_masks(patch):
-    """Give every encoding numpy masks, whatever its row count, by
-    dropping ``_NUMPY_MIN_ROWS`` to 0 (a test-only patch: the constant
-    has no setter).  Returns the backend encodings then get —
-    ``"stdlib"`` where numpy is missing or bypassed."""
-    patch.setattr(columnar, "_NUMPY_MIN_ROWS", 0)
-    _drop_encodings()
-    return columnar._make_ops(0).name
-
-
-@pytest.fixture
-def numpy_masks(monkeypatch):
-    yield _patch_numpy_masks(monkeypatch)
-    _drop_encodings()
-
-
-@pytest.fixture(scope="class", params=["numpy", "stdlib"],
-                ids=["numpy-or-default", "stdlib"])
-def backend(request):
-    """Run a test class once per mask backend; yields the backend the
-    class's encodings get."""
-    if request.param == "stdlib":
-        with columnar.force_fallback():
-            yield "stdlib"
-        return
-    with pytest.MonkeyPatch.context() as patch:
-        yield _patch_numpy_masks(patch)
-    _drop_encodings()
-
-
 def _pfsm(spec, impl):
     return PrimitiveFSM("p", "scan", "x", spec_accepts=spec,
                         impl_accepts=impl)
 
 
 def _scalar(pfsm, domain, limit):
-    """The reference answer: the same scan with columnar bypassed."""
+    """The reference answer: the same scan with columnar bypassed, run by
+    a twin pFSM.  The twin compiles its own program, so the reference
+    neither reads nor leaves a verdict table the columnar scan of
+    ``pfsm`` would answer from instead of running its kernel."""
+    twin = _pfsm(pfsm.spec_accepts, pfsm.impl_accepts)
     with columnar.disabled():
-        return hidden_witness_scan(pfsm, domain, limit=limit)
+        return hidden_witness_scan(twin, domain, limit=limit)
 
 
 def _columnar_witnesses(pfsm, domain, limit):
@@ -137,6 +115,17 @@ def _columnar_witnesses(pfsm, domain, limit):
 bounds = st.integers(min_value=-30, max_value=30)
 interval = st.tuples(bounds, bounds).map(lambda p: (min(p), max(p)))
 
+_P53 = 2 ** 53
+#: Float arguments: fractional ones, the floats next to ±2**53 (2**53 + 1
+#: has no float64, so numpy would round an int64 column onto them), and
+#: the non-finite ones.
+float_args = st.one_of(
+    st.floats(min_value=-30, max_value=30),
+    st.sampled_from([float(_P53), float(-_P53), float(_P53 - 1),
+                     float(_P53 + 2), float("inf"), float("-inf"),
+                     float("nan")]),
+)
+
 int_leaf = st.one_of(
     st.just(always),
     st.just(never),
@@ -145,6 +134,10 @@ int_leaf = st.one_of(
     bounds.map(less_equal),
     bounds.map(greater_equal),
     st.builds(truthy),
+    float_args.map(equals),
+    float_args.map(less_equal),
+    float_args.map(greater_equal),
+    st.tuples(float_args, float_args).map(lambda p: in_range(*p)),
 )
 int_pred = st.one_of(
     int_leaf,
@@ -152,29 +145,39 @@ int_pred = st.one_of(
     st.builds(satisfies_any, int_leaf, int_leaf),
 )
 
-#: Lists drawn from a narrow pool so duplicates are common, not rare.
-int_rows = st.lists(st.integers(min_value=-12, max_value=12),
-                    min_size=1, max_size=48)
+#: Lists drawn from a narrow pool so duplicates are common, not rare,
+#: plus the integers next to ±2**53.
+int_rows = st.lists(
+    st.one_of(st.integers(min_value=-12, max_value=12),
+              st.sampled_from([_P53 - 1, _P53, _P53 + 1, -_P53 - 1])),
+    min_size=1, max_size=48)
 limits = st.integers(min_value=1, max_value=60)
 #: The sequence a generated domain is backed by.
 containers = st.sampled_from([list, tuple])
 
 
 class TestEquivalence:
-    """columnar ≡ scalar over generated domains, both backends."""
+    """columnar ≡ scalar over generated domains."""
 
-    def _check(self, spec, impl, rows, limit, backend, container):
+    def _check(self, spec, impl, rows, limit, container):
         domain = Domain(container(rows))
         pfsm = _pfsm(spec, impl)
         expected = _scalar(pfsm, domain, limit)
         assert _columnar_witnesses(pfsm, domain, limit) == expected
-        assert columnar.encoding_for(domain).ops.name == backend
 
     @given(spec=int_pred, impl=int_pred, rows=int_rows, limit=limits,
            container=containers)
+    # float64 holds 2**53 but not 2**53 + 1: a widened column would
+    # find both equal to 2.0**53, where Python finds only 2**53.
+    @example(spec=never, impl=equals(float(_P53)),
+             rows=[_P53 + 1, _P53, 5, 7], limit=10, container=list)
+    @example(spec=never, impl=less_equal(float(_P53)),
+             rows=[_P53 + 1, _P53, 5, 7], limit=10, container=list)
+    @example(spec=never, impl=in_range(float(_P53), float(_P53)),
+             rows=[_P53 + 1, _P53, 5, 7], limit=10, container=list)
     @settings(max_examples=60, deadline=None)
-    def test_integers(self, backend, spec, impl, rows, limit, container):
-        self._check(spec, impl, rows, limit, backend, container)
+    def test_integers(self, spec, impl, rows, limit, container):
+        self._check(spec, impl, rows, limit, container)
 
     @given(
         spec=st.one_of(
@@ -196,8 +199,8 @@ class TestEquivalence:
         container=containers,
     )
     @settings(max_examples=60, deadline=None)
-    def test_text(self, backend, spec, impl, rows, limit, container):
-        self._check(spec, impl, rows, limit, backend, container)
+    def test_text(self, spec, impl, rows, limit, container):
+        self._check(spec, impl, rows, limit, container)
 
     @given(
         low=bounds, high=bounds,
@@ -210,17 +213,16 @@ class TestEquivalence:
         container=containers,
     )
     @settings(max_examples=60, deadline=None)
-    def test_records(self, backend, low, high, cap, rows, limit,
-                     container):
+    def test_records(self, low, high, cap, rows, limit, container):
         lo, hi = min(low, high), max(low, high)
         spec = satisfies_all(attr("size", in_range(lo, hi)),
                              attr("name", length_le(cap)))
         impl = satisfies_any(attr("size", less_equal(hi + 3)),
                              attr("name", truthy()))
         records = [{"size": s, "name": n} for s, n in rows]
-        self._check(spec, impl, records, limit, backend, container)
+        self._check(spec, impl, records, limit, container)
 
-    def test_duplicates_reported_per_occurrence(self, backend):
+    def test_duplicates_reported_per_occurrence(self):
         domain = Domain([5, 5, 1, 5, 2, 5])
         pfsm = _pfsm(less_equal(2), always)  # hidden: every 5
         expected = [5, 5, 5, 5]
@@ -250,6 +252,24 @@ def test_product_domain_equivalence():
             _scalar(pfsm, domain, limit)
 
 
+def test_product_domain_rescans_read_cached_masks():
+    # A record product has no distinct-row index and so no verdict
+    # table: a repeat scan runs its kernel again, and the node masks the
+    # first scan cached answer it.
+    domain = Domain.records(size=Domain.integers(-5, 25),
+                            name=Domain.of("", "ok", "%n%n", "abc"))
+    pfsm = _pfsm(satisfies_all(attr("size", in_range(0, 10)),
+                               attr("name", length_le(2))),
+                 attr("size", less_equal(20)))
+    first, cold = _counted(lambda: hidden_witness_scan(pfsm, domain, 5))
+    again, warm = _counted(lambda: hidden_witness_scan(pfsm, domain, 5))
+    assert first == again == _scalar(pfsm, domain, 5)
+    assert cold["columnar.masks.misses"] > 0
+    assert warm["sweep.scans.columnar"] == 1
+    assert warm["columnar.masks.hits"] >= 1
+    assert "columnar.masks.misses" not in warm
+
+
 # ---------------------------------------------------------------------------
 # Repeat-heavy domains: the kernels judge each distinct object once.
 # ---------------------------------------------------------------------------
@@ -267,20 +287,19 @@ def _repeat_heavy(container):
 
 
 class TestRepeatHeavy:
-    """columnar ≡ compiled on a repeat-heavy domain, both backends."""
+    """columnar ≡ compiled on a repeat-heavy domain."""
 
     # hidden: the probes longer than 3 characters or carrying "%n"
     PFSM = _pfsm(satisfies_all(length_le(3), not_contains("%n")), truthy())
 
     @pytest.mark.parametrize("container", [list, tuple])
-    def test_matches_the_compiled_scan(self, backend, container):
+    def test_matches_the_compiled_scan(self, container):
         from repro.core.sweep import _scan_task
         from repro.core.witness import distinct_rows
 
         domain = _repeat_heavy(container)
         n = len(domain)
         encoding = columnar.encoding_for(domain)
-        assert encoding.ops.name == backend
         assert encoding.n == len(distinct_rows(domain).objects) == 8
         for limit in (0, 1, 7, n, n + 2):
             task = ("m", "op", self.PFSM, domain, limit)
@@ -309,8 +328,7 @@ class TestRepeatHeavy:
                 list(found.witnesses)
 
 
-    def test_compiled_scan_reads_the_table_a_columnar_scan_filled(
-            self, backend):
+    def test_compiled_scan_reads_the_table_a_columnar_scan_filled(self):
         from repro.core.witness import distinct_rows
 
         domain = _repeat_heavy(list)
@@ -370,8 +388,7 @@ class TestBailouts:
         assert columnar.kernel_for(program, domain) is None
         # A spec touching only the clean column still vectorizes.
         clean = _pfsm(attr("name", equals("a")), always)
-        assert columnar.kernel_for(program_for(clean), domain) \
-            .encoding.ops.name == "stdlib"
+        assert columnar.kernel_for(program_for(clean), domain) is not None
         assert _columnar_witnesses(clean, domain, 50) == \
             _scalar(clean, domain, 50)
 
@@ -410,7 +427,7 @@ class TestEncodingMemo:
         domain = Domain(list(range(32)))
         e1, counters = _counted(lambda: columnar.encoding_for(domain))
         assert e1 is not None
-        assert counters.get(f"columnar.encodings.{e1.ops.name}") == 1
+        assert counters.get("columnar.encodings") == 1
         again, counters = _counted(lambda: columnar.encoding_for(domain))
         assert again is e1
         assert not [name for name in counters
@@ -464,17 +481,6 @@ class TestEncodingMemo:
         assert kernels[0] is not None and kernels[0] is kernels[1]
         assert counters.get("columnar.kernels") == 1
 
-    def test_backend_switch_invalidates(self, numpy_masks):
-        if numpy_masks != "numpy":
-            pytest.skip("numpy missing or bypassed: no numpy encoding")
-        domain = Domain(list(range(48)))
-        e1 = columnar.encoding_for(domain)
-        assert e1 is not None and e1.ops.name == "numpy"
-        with columnar.force_fallback():
-            e2 = columnar.encoding_for(domain)
-            assert e2 is not None and e2 is not e1
-            assert e2.ops.name == "stdlib"
-
     def test_min_rows_threshold_gates(self):
         previous = columnar.set_min_rows(100)
         try:
@@ -490,25 +496,11 @@ def test_planner_reports_columnar_strategy():
     pfsm = _pfsm(satisfies_all(in_range(0, 99), truthy()), less_equal(400))
     plan = plan_scan(pfsm, domain)
     assert plan.strategy == "columnar"
-    assert "(stdlib kernels" in plan.reason  # 600 rows: stdlib masks
+    assert "(3 leaves)" in plan.reason
     with columnar.disabled():
-        assert plan_scan(pfsm, domain).strategy != "columnar"
-
-
-def test_reporting_follows_the_encoding_backend(numpy_masks):
-    if numpy_masks != "numpy":
-        pytest.skip("numpy missing or bypassed: no numpy encoding")
-    domain = Domain(list(range(600)))
-    pfsm = _pfsm(satisfies_all(in_range(0, 99), truthy()), less_equal(400))
-    plan, counters = _counted(lambda: plan_scan(pfsm, domain))
-    assert plan.strategy == "columnar"
-    assert "(numpy kernels" in plan.reason
-    assert counters.get("columnar.encodings.numpy") == 1
-    with columnar.force_fallback():
-        stdlib_plan, counters = _counted(lambda: plan_scan(pfsm, domain))
-    assert "(stdlib kernels" in stdlib_plan.reason
-    assert counters.get("columnar.encodings.stdlib") == 1
-    assert plan.est_cost < stdlib_plan.est_cost
+        compiled = plan_scan(pfsm, domain)
+    assert compiled.strategy == "compiled"
+    assert plan.est_cost < compiled.est_cost
 
 
 def test_sweep_counters_tag_columnar_scans():

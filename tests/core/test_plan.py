@@ -7,11 +7,12 @@ same exception-shielding, the same coercion asymmetries (``in_range``
 coerces via ``int()``, ``equals`` does not), the same short-circuiting
 verdicts — including after pickling across a process boundary.  The
 rest covers the optimizer units: constant folding, order-insensitive
-digests, interval lowering, the per-pFSM program memo, cost-based
-strategy selection, and the one strategy decision the planner reports
-and the scan runs.
+digests, interval lowering, float comparison bounds, the per-pFSM
+program memo, cost-based strategy selection, and the one strategy
+decision the planner reports and the scan runs.
 """
 
+import contextlib
 import json
 import os
 import pickle
@@ -329,6 +330,110 @@ class TestIntervalLowering:
             to_spec(truthy() & always)).root.intervals is None
 
 
+_P53 = 2 ** 53
+_INF, _NAN = float("inf"), float("nan")
+#: Float bounds: fractional, next to ±2**53 (float64 holds 2**53 but not
+#: 2**53 + 1), and the non-finite ones.
+_FLOATS = [2.5, -2.5, -0.5, float(_P53), float(-_P53), float(_P53 - 1),
+           float(_P53 + 2), _INF, -_INF, _NAN]
+
+
+def _float_impls():
+    for bound in _FLOATS:
+        yield less_equal(bound)
+        yield greater_equal(bound)
+        yield equals(bound)
+    for low in _FLOATS:
+        for high in _FLOATS:
+            yield in_range(low, high)
+
+
+def _judged_one_by_one(pfsm, domain):
+    """The hidden set by the pFSM's own predicates, object by object —
+    the ground truth every strategy must reproduce (a ``range`` domain
+    takes the interval strategy even under ``plan.disabled()``)."""
+    return [obj for obj in domain if pfsm.takes_hidden_path(obj)]
+
+
+class TestFloatBounds:
+    """A float bound selects the integers ``int(obj)`` compares to it on
+    every strategy: each must return the reference's witnesses (the
+    interpretive scan, ``plan.disabled()``, itself checked against the
+    predicates judging each object)."""
+
+    DOMAINS = {
+        "range": Domain.integers(-6, 6),
+        "range-p53": Domain.integers(_P53 - 3, _P53 + 3),
+        "range-m53": Domain.integers(-_P53 - 3, -_P53 + 3),
+        "list": Domain([-3, 0, 2, 5, 2, _P53 - 1, _P53, _P53 + 1, _P53 + 2,
+                        -_P53, -_P53 - 1]),
+        # coerced by ``int(obj)``: no column type, so never columnar
+        "mixed": Domain([-3, 2, "7", 2.5, "x", _P53 + 1]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_every_strategy_matches_the_reference(self, name):
+        domain = self.DOMAINS[name]
+        ran = set()
+        for impl in _float_impls():
+            pfsm = PrimitiveFSM("p", "scan", "x",
+                                spec_accepts=in_range(-1, 1),
+                                impl_accepts=impl)
+            with plan.disabled():
+                expected = hidden_witness_scan(pfsm, domain, limit=10**9)
+            assert expected == _judged_one_by_one(pfsm, domain), impl
+            found = {plan.plan_scan(pfsm, domain).strategy:
+                     hidden_witness_scan(pfsm, domain, limit=10**9)}
+            with columnar.disabled():
+                found[plan.plan_scan(pfsm, domain).strategy] = \
+                    hidden_witness_scan(pfsm, domain, limit=10**9)
+            if columnar._numpy() is not None:
+                previous = columnar.set_min_rows(1)
+                try:
+                    found[plan.plan_scan(pfsm, domain).strategy] = \
+                        hidden_witness_scan(pfsm, domain, limit=10**9)
+                finally:
+                    columnar.set_min_rows(previous)
+            for strategy, witnesses in found.items():
+                assert witnesses == expected, (impl, strategy)
+            assert hidden_witness_count(pfsm, domain) == len(expected), impl
+            ran.update(found)
+        if name.startswith("range"):
+            assert "interval" in ran
+        assert "compiled" in ran
+        if columnar._numpy() is not None and name != "mixed":
+            assert "columnar" in ran
+
+    def test_bounds_lower_to_the_integers_they_select(self):
+        def root(spec):
+            return plan.compile_spec(spec).root
+
+        assert root(["le", 2.5]).args == (2,)
+        assert root(["le", 2.5]).intervals == ((None, 2),)
+        assert root(["ge", 2.5]).args == (3,)
+        assert root(["ge", -2.5]).intervals == ((-2, None),)
+        assert root(["range", -0.5, 2.0 ** 53]).args == (0, _P53)
+        assert root(["range", -_INF, 2.5]).intervals == ((None, 2),)
+        assert root(["le", _INF]).intervals == ((None, None),)
+        for spec in (["le", _NAN], ["le", -_INF], ["ge", _INF],
+                     ["range", _NAN, 3], ["range", 3, 2]):
+            assert root(spec).intervals == (), spec
+
+    @pytest.mark.parametrize("bound", [None, "3", [1]])
+    def test_non_numeric_bounds_have_no_interval_form(self, bound):
+        # ``int(obj) <= bound`` raises for every object, so nothing is
+        # hidden; an interval form would misread the bound.
+        domain = Domain.integers(0, 6)
+        pfsm = PrimitiveFSM("p", "scan", "x", spec_accepts=never,
+                            impl_accepts=less_equal(bound))
+        assert plan.plan_scan(pfsm, domain).strategy == "compiled"
+        for run in (contextlib.nullcontext, plan.disabled):
+            with run():
+                assert hidden_witness_scan(pfsm, domain, limit=100) == []
+                assert hidden_witness_count(pfsm, domain) == 0
+        assert _judged_one_by_one(pfsm, domain) == []
+
+
 class TestProgramMemo:
     """A compiled program is memoized on its pFSM alone."""
 
@@ -520,7 +625,9 @@ def _bundled_tasks(tile):
 
 @pytest.fixture
 def tiny_columnar():
-    """Let columnar kernels take domains of any size."""
+    """Let columnar kernels take domains of any size (they run on numpy:
+    skip where it is missing)."""
+    pytest.importorskip("numpy")
     previous = columnar.set_min_rows(1)
     yield
     columnar.set_min_rows(previous)

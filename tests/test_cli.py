@@ -130,27 +130,14 @@ class TestSweepCommand:
         code, out = run(capsys, "sweep", "--json")
         data = json.loads(out)
         settings = data["settings"]
-        assert settings["columnar"] is True
-        assert settings["columnar_backend"] in ("numpy", "stdlib")
+        assert set(settings) == {"backend", "workers", "limit", "plan"}
         assert settings["plan"] is True
         assert "cache" not in data and "cache" not in settings
         assert set(data["scans"]) == {"fastpath", "columnar", "compiled",
                                       "plain", "memo"}
 
-    def test_columnar_backend_reports_this_sweeps_encodings(self, capsys):
-        from repro.core import Domain, columnar
-
-        # A numpy-sized encoding built earlier in the process (numpy
-        # masks where numpy is installed) is not this sweep's.
-        big = Domain(list(range(columnar._NUMPY_MIN_ROWS)))
-        assert columnar.encoding_for(big) is not None
-        code, out = run(capsys, "sweep", "--json")
-        assert code == 0
-        # every bundled domain is far below the numpy row threshold
-        assert json.loads(out)["settings"]["columnar_backend"] == "stdlib"
-
     @pytest.mark.parametrize("flags", [
-        ["--no-cache"], ["--scan-window", "64"],
+        ["--no-cache"], ["--scan-window", "64"], ["--no-columnar"],
     ])
     def test_removed_cache_flags_are_usage_errors(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -169,16 +156,6 @@ class TestSweepCommand:
             main(["sweep", *flags])
         assert excinfo.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
-
-    def test_sweep_no_columnar_flag(self, capsys):
-        from repro.core import columnar
-
-        code, out = run(capsys, "sweep", "--json", "--no-columnar")
-        data = json.loads(out)
-        assert data["settings"]["columnar"] is False
-        assert data["scans"]["columnar"] == 0
-        # The bypass must not leak past the command.
-        assert columnar.is_enabled()
 
 
 class TestObservabilityFlags:

@@ -18,19 +18,18 @@ import repro
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
-def run_fresh(code, numpy=False):
-    """Run ``code`` in a new interpreter importing ``repro`` from this
-    tree; return the JSON its last output line prints.  ``numpy=True``
-    skips the test where numpy is missing or bypassed."""
+def run_fresh(*code, numpy=False):
+    """Run the ``code`` pieces, each dedented, one after the other in a
+    new interpreter importing ``repro`` from this tree; return the JSON
+    its last output line prints.  ``numpy=True`` skips the test where
+    numpy is missing."""
     if numpy:
         pytest.importorskip("numpy")
-        if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-            pytest.skip("numpy bypassed by REPRO_NO_NUMPY")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_SRC, env.get("PYTHONPATH")]))
     completed = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", "".join(map(textwrap.dedent, code))],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
@@ -111,43 +110,74 @@ def test_state_space_imports_networkx_on_first_use():
     assert result == {"before": False, "after": True, "reachable": True}
 
 
-def test_serving_tiled_corpus_scans_columnar_without_numpy():
+_TILED_CORPUS = """
+    import json, sys
+    from repro import obs
+    from repro.core import Domain, columnar
+    from repro.models import all_extended_models, all_extended_pfsm_domains
+    from repro.serve import AnalysisCorpus
+    from repro.serve.batcher import _engine_compute
+
+    domains = {label: {name: Domain(list(dom) * 40)
+                       for name, dom in per_model.items()}
+               for label, per_model in all_extended_pfsm_domains().items()}
+    registry = obs.get_registry()
+    registry.enable()
+
+    def serve_all():
+        corpus = AnalysisCorpus(models=all_extended_models(),
+                                domains=domains)
+        registry.reset()
+        answered = 0
+        for key in corpus.keys():
+            query = corpus.expand(key, 1000)
+            found = _engine_compute(list(query.tasks),
+                                    list(query.task_keys))
+            answered += any(found)
+        counters = registry.counters()
+        return answered, [counters.get("sweep.scans.columnar", 0),
+                          counters.get("sweep.objects.judged", 0)]
+"""
+
+
+def test_serving_and_sweeping_the_bundled_corpus_import_no_numpy():
     # The bundled corpus with each probe domain tiled 40x by reference
-    # (the serve benchmark's corpus).  A columnar encoding holds a
-    # domain's distinct objects, at most 54 here: below ``_MIN_ROWS``,
-    # so by default every scan runs compiled.  Forced onto columnar,
-    # every encoding stays far below ``_NUMPY_MIN_ROWS``, so its scans
-    # run on stdlib masks.  The forced pass serves fresh models, whose
-    # programs have no verdict table yet, so it computes the masks.
-    result = run_fresh("""
-        import json, sys
-        from repro import obs
-        from repro.core import Domain, columnar
-        from repro.models import all_extended_models, all_extended_pfsm_domains
-        from repro.serve import AnalysisCorpus
-        from repro.serve.batcher import _engine_compute
+    # (the serve benchmark's corpus), then a sweep of the 13 bundled
+    # models.  A columnar encoding holds a domain's distinct objects, at
+    # most 54 here: below ``_MIN_ROWS``, so every scan runs compiled
+    # and numpy is never imported.
+    result = run_fresh(_TILED_CORPUS, """
+        answered, served = serve_all()
+        from repro.core import sweep_models
+        registry.reset()
+        sweeps = sweep_models(all_extended_models(),
+                              all_extended_pfsm_domains(), limit=10)
+        counters = registry.counters()
+        print(json.dumps({
+            "answered": answered,
+            "served": served,
+            "swept": [len(sweeps), counters.get("sweep.scans.columnar", 0)],
+            "encodings": counters.get("columnar.encodings", 0),
+            "numpy": "numpy" in sys.modules,
+            "apps": sorted(m for m in sys.modules
+                           if m.startswith("repro.apps.")),
+        }))
+    """)
+    assert result["answered"] > 0
+    assert result["served"][0] == 0 and result["served"][1] > 0
+    assert result["swept"] == [13, 0]
+    assert result["encodings"] == 0
+    assert result["numpy"] is False
+    assert result["apps"] == ["repro.apps.freebsd_syscall", "repro.apps.iis",
+                              "repro.apps.nullhttpd",
+                              "repro.apps.rsync_daemon"]
 
-        domains = {label: {name: Domain(list(dom) * 40)
-                           for name, dom in per_model.items()}
-                   for label, per_model
-                   in all_extended_pfsm_domains().items()}
-        registry = obs.get_registry()
-        registry.enable()
 
-        def serve_all():
-            corpus = AnalysisCorpus(models=all_extended_models(),
-                                    domains=domains)
-            registry.reset()
-            answered = 0
-            for key in corpus.keys():
-                query = corpus.expand(key, 1000)
-                found = _engine_compute(list(query.tasks),
-                                        list(query.task_keys))
-                answered += any(found)
-            counters = registry.counters()
-            return answered, [counters.get("sweep.scans.columnar", 0),
-                              counters.get("sweep.objects.judged", 0)]
-
+def test_serving_tiled_corpus_forced_onto_columnar():
+    # Forced onto columnar, the same corpus answers the same queries on
+    # numpy masks.  The forced pass serves fresh models, whose programs
+    # have no verdict table yet, so it computes the masks.
+    result = run_fresh(_TILED_CORPUS, """
         answered, default = serve_all()
         columnar.set_min_rows(1)
         forced_answered, forced = serve_all()
@@ -155,10 +185,8 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
             "answered": [answered, forced_answered],
             "columnar": [default, forced],
             "numpy": "numpy" in sys.modules,
-            "apps": sorted(m for m in sys.modules
-                           if m.startswith("repro.apps.")),
         }))
-    """)
+    """, numpy=True)
     answered, forced_answered = result["answered"]
     assert answered > 0 and forced_answered == answered
     (default, judged), (forced, masked) = result["columnar"]
@@ -167,10 +195,7 @@ def test_serving_tiled_corpus_scans_columnar_without_numpy():
     # A mask judges every distinct object of its domain: at least what
     # the compiled pass judged, none of it read from a table.
     assert masked >= judged > 0
-    assert result["numpy"] is False
-    assert result["apps"] == ["repro.apps.freebsd_syscall", "repro.apps.iis",
-                              "repro.apps.nullhttpd",
-                              "repro.apps.rsync_daemon"]
+    assert result["numpy"] is True
 
 
 def test_serving_never_loads_the_sweep_transport():
@@ -226,50 +251,80 @@ def test_serving_a_query_never_imports_asyncio():
                       "threads": ["MainThread"]}
 
 
-def test_numpy_sized_domain_scans_with_numpy_masks():
-    result = run_fresh("""
-        import json, sys
-        from repro import obs
-        from repro.core import (Domain, PrimitiveFSM, attr, columnar,
-                                hidden_witness_scan, in_range, length_le,
-                                less_equal, satisfies_all)
+_RECORDS = """
+    import json, sys
+    from repro import obs
+    from repro.core import (Domain, PrimitiveFSM, attr, columnar,
+                            hidden_witness_scan, in_range, length_le,
+                            less_equal, plan_scan, satisfies_all)
 
-        def records(n):
-            return Domain([{"size": i % 1000, "name": "n" * (i % 9)}
-                           for i in range(n)])
+    def records(n):
+        return Domain([{"size": i % 1000, "name": "n" * (i % 9)}
+                       for i in range(n)])
 
-        pfsm = PrimitiveFSM(
-            "p", "scan", "r",
-            spec_accepts=satisfies_all(attr("size", in_range(0, 900)),
-                                       attr("name", length_le(6))),
-            impl_accepts=attr("size", less_equal(950)))
-        rows = columnar._NUMPY_MIN_ROWS
-        obs.enable()
+    pfsm = PrimitiveFSM(
+        "p", "scan", "r",
+        spec_accepts=satisfies_all(attr("size", in_range(0, 900)),
+                                   attr("name", length_le(6))),
+        impl_accepts=attr("size", less_equal(950)))
+    obs.enable()
+
+    def encodings():
+        return {name: n for name, n in obs.counters().items()
+                if name.startswith("columnar.encodings")}
+"""
+
+
+def test_encodings_import_numpy_from_the_row_threshold():
+    # Below ``_MIN_ROWS`` objects a domain scans compiled and numpy
+    # stays unloaded; from it up the domain is encoded onto numpy masks.
+    result = run_fresh(_RECORDS, """
+        rows = columnar._MIN_ROWS
         below = records(rows - 1)
-        hidden_witness_scan(pfsm, below, limit=5)
-        small = {"backend": columnar.encoding_for(below).ops.name,
-                 "numpy": "numpy" in sys.modules}
+        small = [plan_scan(pfsm, below).strategy, "numpy" in sys.modules]
         domain = records(rows)
+        strategy = plan_scan(pfsm, domain).strategy
         found = hidden_witness_scan(pfsm, domain, limit=10**9)
         with columnar.disabled():
             expected = hidden_witness_scan(pfsm, domain, limit=10**9)
         print(json.dumps({
             "rows": rows,
             "small": small,
-            "backend": columnar.encoding_for(domain).ops.name,
+            "strategy": strategy,
             "numpy": "numpy" in sys.modules,
-            "encodings": {name: n for name, n in obs.counters().items()
-                          if name.startswith("columnar.encodings.")},
+            "encodings": encodings(),
             "equal": found == expected and len(found) > 0,
         }))
     """, numpy=True)
-    assert result["rows"] == 1 << 14
-    assert result["small"] == {"backend": "stdlib", "numpy": False}
-    assert result["backend"] == "numpy"
+    assert result["rows"] == 256
+    assert result["small"] == ["compiled", False]
+    assert result["strategy"] == "columnar"
     assert result["numpy"] is True
-    assert result["encodings"] == {"columnar.encodings.stdlib": 1,
-                                   "columnar.encodings.numpy": 1}
+    assert result["encodings"] == {"columnar.encodings": 1}
     assert result["equal"] is True
+
+
+def test_columnar_without_numpy_scans_compiled():
+    # Where numpy cannot be imported no domain is encoded: the planner
+    # picks the compiled scan, which finds the same witnesses.
+    result = run_fresh("""
+        import sys
+        sys.modules["numpy"] = None  # ``import numpy`` now raises
+    """, _RECORDS, """
+        domain = records(20_000)
+        strategy = plan_scan(pfsm, domain).strategy
+        found = hidden_witness_scan(pfsm, domain, limit=10**9)
+        with columnar.disabled():
+            expected = hidden_witness_scan(pfsm, domain, limit=10**9)
+        print(json.dumps({
+            "strategy": strategy,
+            "encoding": columnar.encoding_for(domain) is not None,
+            "encodings": encodings(),
+            "equal": found == expected and len(found) > 0,
+        }))
+    """)
+    assert result == {"strategy": "compiled", "encoding": False,
+                      "encodings": {}, "equal": True}
 
 
 def test_process_sweep_never_loads_shared_memory():
@@ -280,8 +335,7 @@ def test_process_sweep_never_loads_shared_memory():
         from repro.core import (Domain, PrimitiveFSM, attr, columnar, dist,
                                 hidden_witness_scan, in_range, less_equal)
 
-        domain = Domain([{"size": i % 1000}
-                         for i in range(columnar._NUMPY_MIN_ROWS)])
+        domain = Domain([{"size": i % 1000} for i in range(1 << 14)])
         pfsm = PrimitiveFSM("p", "scan", "r",
                             spec_accepts=attr("size", in_range(0, 900)),
                             impl_accepts=attr("size", less_equal(950)))
