@@ -17,8 +17,9 @@ artifact (no copy is committed):
   responses return fast (admission control refuses in microseconds —
   it never queues the refusal behind the backlog).
 * **tracing overhead** — cold compute requests (distinct model × limit
-  pairs, the process-wide result memo cleared so every run pays the full
-  pipeline) replayed against fresh untraced and traced servers, plus
+  pairs, the process-wide result memo cleared before each request so
+  every request pays the full pipeline) replayed against fresh
+  untraced and traced servers, plus
   an all-cache-hit replay for the fixed per-request tracer cost.
   Acceptance: traced end-to-end overhead under 5%, and every traced
   request reassembled into a retained trace.
@@ -247,9 +248,9 @@ def _timed_compute_run(traced):
     the same pairs against a warm server would time the cache, not the
     engine.  Each server builds its own models, so every program is
     compiled anew.  The process-wide dist fingerprint memo outlives a
-    server, so it is cleared too: without this only the first server in
-    the process ever computes (later ones answer from the warm tier and
-    skip the batch window entirely)."""
+    server, and a held answer serves every limit it covers, so it is
+    cleared before every request: without this most requests would be
+    answered from the warm tier and skip the batch window entirely."""
     from repro.core import dist
 
     dist.clear_memo()
@@ -261,6 +262,7 @@ def _timed_compute_run(traced):
             client.query("sendmail", limit=1)  # absorb first-request setup
             started = time.perf_counter()
             for model, limit in _compute_workload():
+                dist.clear_memo()
                 response = client.query(model, limit=limit, trace=traced)
                 if response["status"] != "ok":
                     raise RuntimeError(f"trace bench: {response}")

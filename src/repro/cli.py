@@ -293,9 +293,8 @@ def _memo_resolved_tasks(models: dict, domains: dict, limit: int) -> set:
                 continue
             try:
                 key = dist.task_key(
-                    model, (model.name, operation.name, pfsm, domain,
-                            limit))
-                if key is not None and dist.memo_lookup(key)[0]:
+                    model, (model.name, operation.name, pfsm, domain))
+                if key is not None and dist.memo_lookup(key, limit)[0]:
                     resolved.add((model.name, operation.name, pfsm.name))
             except Exception:
                 continue

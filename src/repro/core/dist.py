@@ -37,19 +37,22 @@ chunk crosses hosts, so it ships each task pickled.
 **Fingerprint-keyed result reuse.**  Every task whose components have a
 stable cross-run identity (predicate spec hashes, domain digest, model
 fingerprint — see :func:`repro.core.serialize.sweep_task_fingerprint`)
-gets a result key.  Keyed results are memoized in-process (the warm tier
-— repeated corpus sweeps in one session skip re-scanning unchanged
-tasks, ``dist.memo.hits``) and can be persisted to a JSONL
-:class:`ResultStore` (the cold tier — ``sweep_models(resume_from=...)``
-re-runs only the delta after a corpus change, ``dist.resume.skips``).
+gets a result key, without the witness limit: a limit only cuts a
+prefix of the task's witnesses, so a result held with its limit answers
+every limit it covers (:func:`answer`).  Keyed results are memoized
+in-process (the warm tier — repeated corpus sweeps in one session skip
+re-scanning unchanged tasks, ``dist.memo.hits``) and can be persisted to
+a JSONL :class:`ResultStore` (the cold tier —
+``sweep_models(resume_from=...)`` re-runs only the delta,
+``dist.resume.skips``).
 Handed a store, :func:`run_tasks` appends each chunk's keyed results as
 that chunk completes, on a worker or in the inline loop, so a sweep
 killed mid-run resumes from every chunk that landed.  The memo and the
 store are :mod:`repro.serve`'s result cache too: the server reads
 through :func:`memo_lookup` and writes each batch through
 :func:`record_results`, the function that records every chunk here.
-Keys are purely semantic: a rebound predicate, an edited domain, or a
-different witness limit all change the key, so reuse is never stale.
+Keys are purely semantic: a rebound predicate or an edited domain
+changes the key, so reuse is never stale.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ __all__ = [
     "domain_digest",
     "task_key",
     "run_tasks",
+    "answer",
     "memo_lookup",
     "record_results",
     "clear_memo",
@@ -195,36 +199,46 @@ def _model_fingerprint(model: Any) -> str:
     return fingerprint
 
 
-def task_stem(model: Any, operation_name: str, pfsm: Any,
-              domain: Any) -> Any:
-    """The limit-free part of a task's key (see
-    :func:`repro.core.serialize.sweep_task_stem`), or ``None`` when the
-    task has no stable cross-run identity.  ``model`` may be the model
-    or its :func:`_model_fingerprint`."""
+def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
+    """The result key of one sweep task, or ``None`` when the task has
+    no stable cross-run identity (see
+    :func:`repro.core.serialize.sweep_task_fingerprint`).  ``model`` may
+    be the model or its :func:`_model_fingerprint`; the task's limit,
+    if it has one, is not part of the key."""
+    _model_name, operation_name, pfsm, domain = task[:4]
     digest = domain_digest(domain)
     if digest is None:
         return None
-    from .serialize import sweep_task_stem
+    from .serialize import sweep_task_fingerprint
 
     # The model fingerprint dominates the cost; hand over the memoized
     # digest instead of the model.
-    return sweep_task_stem(
+    return sweep_task_fingerprint(
         model if isinstance(model, str) else _model_fingerprint(model),
         operation_name, pfsm, digest,
     )
 
 
-def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
-    """The resumable-result key of one sweep task, or ``None`` when the
-    task has no stable cross-run identity (see
-    :func:`repro.core.serialize.sweep_task_fingerprint`)."""
-    _model_name, operation_name, pfsm, domain, limit = task
-    stem = task_stem(model, operation_name, pfsm, domain)
-    if stem is None:
-        return None
-    from .serialize import stem_fingerprint
+#: A held answer: ``(the limit it was computed at, its finding)``.
+Held = Tuple[int, Optional[SweepFinding]]
 
-    return stem_fingerprint(stem, limit)
+
+def _covers(held: Held, limit: int) -> bool:
+    """Does ``held`` answer ``limit``?  It does when it was computed at
+    a limit of at least ``limit``, or when it is exhaustive: computed at
+    a limit of at least 1 and holding fewer witnesses than that."""
+    held_limit, finding = held
+    return limit <= held_limit or held_limit >= 1 and (
+        finding is None or len(finding.witnesses) < held_limit)
+
+
+def answer(held: Held, limit: int) -> Tuple[bool, Optional[SweepFinding]]:
+    """``(covered, finding)``: does ``held`` answer ``limit``, and if so
+    its finding cut to ``limit`` (:meth:`SweepFinding.prefix`)."""
+    if not _covers(held, limit):
+        return False, None
+    finding = held[1]
+    return True, None if finding is None else finding.prefix(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +250,14 @@ def task_key(model: Any, task: Sequence[Any]) -> Optional[str]:
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
-    """One compact store record, ``{"key": …, "finding": {…}}``, with
-    the finding's memoized witness table text (``wire_table``) spliced
-    in rather than serialized again.  Raises :class:`ValueError` for
-    witnesses outside the value codec."""
+def _store_line(key: str, limit: int,
+                finding: Optional[SweepFinding]) -> str:
+    """One compact store record, ``{"key": …, "limit": …, "finding":
+    {…}}``, with the finding's memoized witness table text
+    (``wire_table``) spliced in rather than serialized again.  Raises
+    :class:`ValueError` for witnesses outside the value codec."""
     if finding is None:
-        return _compact({"key": key, "finding": None})
+        return _compact({"key": key, "limit": limit, "finding": None})
     table = finding.wire_table
     # The text search spares the scan of values when nothing degraded.
     if '{"__repr__":' in table.text and any(
@@ -250,7 +265,7 @@ def _store_line(key: str, finding: Optional[SweepFinding]) -> str:
             for value in table.values):
         raise ValueError(f"{finding.model_name}/{finding.pfsm_name}: "
                          f"a witness is outside the value codec")
-    head = _compact({"key": key, "finding": {
+    head = _compact({"key": key, "limit": limit, "finding": {
         "model_name": finding.model_name,
         "operation_name": finding.operation_name,
         "pfsm_name": finding.pfsm_name,
@@ -264,19 +279,14 @@ def _decode_finding(payload: Any) -> Optional[SweepFinding]:
     """A stored finding, decoding each distinct witness value once."""
     if payload is None:
         return None
-    witnesses = payload["witnesses"]
-    if isinstance(witnesses, dict):
-        keys, raw = witnesses["codes"], dict(enumerate(witnesses["values"]))
-    else:  # list form, written before witness tables: key by JSON text
-        keys = list(map(json.dumps, witnesses))
-        raw = dict(zip(keys, witnesses))
-    decoded = dict(zip(raw, map(decode_value, raw.values())))
+    table = payload["witnesses"]
+    decoded = list(map(decode_value, table["values"]))
     return SweepFinding(
         model_name=payload["model_name"],
         operation_name=payload["operation_name"],
         pfsm_name=payload["pfsm_name"],
         activity=payload["activity"],
-        witnesses=tuple(map(decoded.__getitem__, keys)),
+        witnesses=tuple(map(decoded.__getitem__, table["codes"])),
     )
 
 
@@ -284,14 +294,14 @@ class ResultStore:
     """Append-only JSONL store of sweep results keyed by task fingerprint.
 
     One record per line, in compact JSON: ``{"key": <fingerprint>,
-    "finding": <its fields and witness table, or null>}``, the table
-    being the finding's ``wire_table``.  ``load`` parses any JSON
-    spacing and reads records whose ``witnesses`` are a list (written
-    before witness tables), so older stores still load and resume.
-    ``load`` returns the last record per key (so re-recording a key
-    supersedes, no compaction needed); malformed lines are skipped and
-    counted (``dist.store.malformed``), keeping a store that died
-    mid-write usable for resume.
+    "limit": <the limit it was computed at>, "finding": <its fields and
+    witness table, or null>}``, the table being the finding's
+    ``wire_table``.  ``load`` parses any JSON spacing and returns, per
+    key, the last of the records that answer the most limits, so no
+    compaction is needed.  Malformed lines (and records without a
+    ``limit``, keyed per limit) are skipped and counted
+    (``dist.store.malformed``), keeping a store that died mid-write
+    usable for resume.
 
     A process that crashes mid-append leaves a truncated trailing line
     with no newline.  Both halves of the failure are tolerated: ``load``
@@ -368,9 +378,10 @@ class ResultStore:
                        action="repaired")
         return b"\n"
 
-    def load(self) -> Dict[str, Optional[SweepFinding]]:
-        """Every stored ``key → finding`` (``None`` = scanned, clean)."""
-        results: Dict[str, Optional[SweepFinding]] = {}
+    def load(self) -> Dict[str, Held]:
+        """Every stored ``key → (limit, finding)`` (a ``None`` finding =
+        scanned, clean)."""
+        results: Dict[str, Held] = {}
         if not os.path.exists(self.path):
             return results
         with open(self.path, "r", encoding="utf-8") as handle:
@@ -383,8 +394,13 @@ class ResultStore:
                 continue
             try:
                 record = json.loads(line)
-                key = record["key"]
-                results[key] = _decode_finding(record["finding"])
+                key, limit = record["key"], record["limit"]
+                if type(limit) is not int:
+                    raise ValueError(f"limit {limit!r}")
+                held = (limit, _decode_finding(record["finding"]))
+                known = results.get(key)
+                if known is None or _covers(held, known[0]):
+                    results[key] = held
             except Exception:
                 if not _OBS.enabled:
                     continue
@@ -396,19 +412,22 @@ class ResultStore:
                     _OBS.incr("dist.store.malformed")
         return results
 
-    def record(self, key: str, finding: Optional[SweepFinding]) -> bool:
-        """Append one result; ``False`` (not an error) when the finding's
-        witnesses fall outside the value codec or the write failed."""
-        return self.record_many([(key, finding)]) == 1
+    def record(self, key: str, limit: int,
+               finding: Optional[SweepFinding]) -> bool:
+        """Append one result computed at ``limit``; ``False`` (not an
+        error) when the finding's witnesses fall outside the value codec
+        or the write failed."""
+        return self.record_many([(key, limit, finding)]) == 1
 
     def record_many(
-        self, items: Sequence[Tuple[str, Optional[SweepFinding]]]
+        self, items: Sequence[Tuple[str, int, Optional[SweepFinding]]]
     ) -> int:
-        """Batch append; returns how many results were recorded."""
+        """Batch append of ``(key, limit, finding)`` results; returns
+        how many were recorded."""
         lines: List[str] = []
-        for key, finding in items:
+        for key, limit, finding in items:
             try:
-                lines.append(_store_line(key, finding))
+                lines.append(_store_line(key, limit, finding))
             except ValueError:
                 if _OBS.enabled:
                     _OBS.incr("dist.store.unencodable")
@@ -451,43 +470,48 @@ class ResultStore:
 
 _MEMO_MAX = 1 << 12
 _MEMO_LOCK = threading.Lock()
-_RESULT_MEMO: "OrderedDict[str, Optional[SweepFinding]]" = OrderedDict()
+_RESULT_MEMO: "OrderedDict[str, Held]" = OrderedDict()
 
 
-def memo_lookup(key: str) -> Tuple[bool, Optional[SweepFinding]]:
-    """``(hit, finding)`` for one fingerprint key in the warm tier.
-
-    A hit refreshes the key's LRU position, and ``None`` findings
-    ("scanned, clean") are distinguishable from misses by the boolean.
-    The scheduler and :mod:`repro.serve` share this one memo.
+def memo_lookup(key: str, limit: int) -> Tuple[bool, Optional[SweepFinding]]:
+    """``(hit, finding)`` for one fingerprint key at ``limit`` in the
+    warm tier (see :func:`answer`).  A lookup refreshes the key's LRU
+    position, and ``None`` findings ("scanned, clean") are
+    distinguishable from misses by the boolean.  The scheduler and
+    :mod:`repro.serve` share this one memo.
     """
     with _MEMO_LOCK:
-        if key in _RESULT_MEMO:
-            _RESULT_MEMO.move_to_end(key)
-            return True, _RESULT_MEMO[key]
-    return False, None
+        held = _RESULT_MEMO.get(key)
+        if held is None:
+            return False, None
+        _RESULT_MEMO.move_to_end(key)
+    return answer(held, limit)
 
 
 def record_results(
-    pairs: Sequence[Tuple[str, Optional[SweepFinding]]],
+    items: Sequence[Tuple[str, int, Optional[SweepFinding]]],
     store: Optional[ResultStore] = None,
 ) -> None:
-    """Memoize fingerprint-keyed results, then append them to ``store``.
+    """Memoize fingerprint-keyed ``(key, limit, finding)`` results, then
+    append them to ``store``.
 
     The one write path for computed results: :func:`run_tasks` records
-    each chunk through it, and :mod:`repro.serve` each batch.  The memo
-    keeps the :data:`_MEMO_MAX` most recent keys; a key it has evicted
-    is recomputed and appended again, which :meth:`ResultStore.load`
-    absorbs (the last record per key wins).
+    each chunk through it, and :mod:`repro.serve` each batch.  A result
+    replaces a key's held answer only if it covers the held limit.  The
+    memo keeps the :data:`_MEMO_MAX` most recent keys; a key it has
+    evicted is recomputed and appended again, which
+    :meth:`ResultStore.load` absorbs.
     """
     with _MEMO_LOCK:
-        for key, finding in pairs:
-            _RESULT_MEMO[key] = finding
+        for key, limit, finding in items:
+            held = _RESULT_MEMO.get(key)
+            if held is None or _covers((limit, finding), held[0]):
+                _RESULT_MEMO[key] = (limit, finding)
             _RESULT_MEMO.move_to_end(key)
         while len(_RESULT_MEMO) > _MEMO_MAX:
             _RESULT_MEMO.popitem(last=False)
     if store is not None:
-        store.record_many(pairs)
+        store.record_many(items)
 
 
 def clear_memo() -> None:
@@ -641,8 +665,9 @@ def run_tasks(
         whatever no worker ran runs in this process's inline loop —
         results stay bit-for-bit equal to the thread backend's.
     keys:
-        Optional per-task result keys (from :func:`task_key`).  Keyed
-        tasks hit the in-memory result memo; ``None`` entries always
+        Optional per-task result keys (from :func:`task_key`).  A keyed
+        task is answered from the in-memory result memo when the answer
+        held for its key covers its limit; ``None`` entries always
         compute.
     store:
         Optional :class:`ResultStore`.  Every keyed result is recorded
@@ -661,7 +686,7 @@ def run_tasks(
 
     def persist(pairs: Sequence[Tuple[int, Optional[SweepFinding]]]) -> None:
         if keys is not None:
-            record_results([(keys[index], finding)
+            record_results([(keys[index], tasks[index][4], finding)
                             for index, finding in pairs
                             if keys[index] is not None], store)
 
@@ -672,7 +697,7 @@ def run_tasks(
         for index, key in enumerate(keys):
             if key is None:
                 continue
-            hit, memoized = memo_lookup(key)
+            hit, memoized = memo_lookup(key, tasks[index][4])
             if hit:
                 results[index] = memoized
                 hits.append((index, memoized))

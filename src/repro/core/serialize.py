@@ -28,8 +28,6 @@ __all__ = [
     "trace_to_dict",
     "result_to_dict",
     "model_fingerprint",
-    "sweep_task_stem",
-    "stem_fingerprint",
     "sweep_task_fingerprint",
 ]
 
@@ -155,16 +153,26 @@ def _stable_callable_ref(fn: Any) -> Optional[str]:
     return f"{module}:{qualname}"
 
 
-def sweep_task_stem(
+def sweep_task_fingerprint(
     model: Any,
     operation_name: str,
     pfsm: PrimitiveFSM,
     domain_digest: str,
-) -> Optional["hashlib._Hash"]:
-    """The running SHA-256 of every :func:`sweep_task_fingerprint` part
-    but the witness limit, or ``None`` when the task has no stable
-    identity.  :func:`stem_fingerprint` finishes it for one limit, so a
-    caller keying one task at many limits hashes the rest once."""
+) -> Optional[str]:
+    """Stable identity of one sweep task's *results* — the key of the
+    resumable result store (see :mod:`repro.core.dist`).
+
+    Combines the model fingerprint (``model`` may be the
+    :class:`VulnerabilityModel` itself or an already-computed
+    fingerprint string) with everything the hidden-witness scan depends
+    on: the pFSM's predicate **spec hashes** (semantic identity — see
+    :mod:`repro.core.predspec`), its transform/check-type references and
+    the domain digest.  The witness limit is not part of it: a task's
+    witnesses are one enumeration in domain order, and a limit only cuts
+    a prefix of it.  Returns ``None`` when any component has no stable
+    cross-run form (opaque predicates, lambda transforms) — such tasks
+    are always recomputed, never resumed.
+    """
     spec_hash = pfsm.spec_accepts.spec_hash
     if spec_hash is None:
         return None
@@ -189,35 +197,4 @@ def sweep_task_stem(
         pfsm.check_type.value if pfsm.check_type is not None else "",
         domain_digest,
     ]
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8"))
-
-
-def stem_fingerprint(stem: "hashlib._Hash", limit: int) -> str:
-    """The fingerprint of a :func:`sweep_task_stem` at ``limit`` (the
-    stem itself is left unchanged)."""
-    hasher = stem.copy()
-    hasher.update(f"\x1f{limit}".encode("utf-8"))
-    return hasher.hexdigest()
-
-
-def sweep_task_fingerprint(
-    model: Any,
-    operation_name: str,
-    pfsm: PrimitiveFSM,
-    domain_digest: str,
-    limit: int,
-) -> Optional[str]:
-    """Stable identity of one sweep task's *result* — the key of the
-    resumable result store (see :mod:`repro.core.dist`).
-
-    Combines the model fingerprint (``model`` may be the
-    :class:`VulnerabilityModel` itself or an already-computed
-    fingerprint string) with everything the hidden-witness scan depends
-    on: the pFSM's predicate **spec hashes** (semantic identity — see
-    :mod:`repro.core.predspec`), its transform/check-type references,
-    the domain digest, and the witness limit.  Returns ``None`` when any
-    component has no stable cross-run form (opaque predicates, lambda
-    transforms) — such tasks are always recomputed, never resumed.
-    """
-    stem = sweep_task_stem(model, operation_name, pfsm, domain_digest)
-    return None if stem is None else stem_fingerprint(stem, limit)
+    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()

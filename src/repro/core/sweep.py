@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, islice
 from typing import (
@@ -353,29 +353,38 @@ class WitnessTable(NamedTuple):
     """A finding's one wire form: each distinct witness once, in
     tagged JSON and in order of first appearance (``values``), and one
     index into ``values`` per witness (``codes``).  ``text`` is
-    ``{"values": values, "codes": codes}`` as compact JSON.  A witness
-    outside the codec degrades to ``{"__repr__": ...}``, which no codec
-    value is."""
+    ``{"values": values, "codes": codes}`` as compact JSON, and
+    ``texts`` holds each value's compact JSON.  A witness outside the
+    codec degrades to ``{"__repr__": ...}``, which no codec value is."""
 
     values: List[Any]
     codes: List[int]
     text: str
+    texts: List[str]
+
+
+def _coded(values: List[Any], texts: List[str],
+           codes: List[int]) -> WitnessTable:
+    """The table of ``values`` (``texts`` their compact JSON) and
+    ``codes``."""
+    # A join of one text per code: dumping the int list costs more.
+    numerals = list(map(str, range(len(values))))
+    return WitnessTable(values, codes, '{"values":[' + ",".join(texts)
+                        + '],"codes":[' + ",".join(map(numerals.__getitem__,
+                                                       codes)) + "]}",
+                        texts)
 
 
 def _table(keys: Sequence[Any], distinct: List[Any], values: List[Any],
-           values_text: str) -> WitnessTable:
-    """The table of ``values`` (whose compact JSON is ``values_text``),
-    one per key of ``distinct``, coding each of ``keys`` by its key's
+           texts: List[str]) -> WitnessTable:
+    """The table of ``values`` (``texts`` their compact JSON), one per
+    key of ``distinct``, coding each of ``keys`` by its key's
     position."""
     positions = range(len(distinct))
     # When every witness is distinct, each code is its position.
     codes = list(positions) if len(distinct) == len(keys) else list(
         map(dict(zip(distinct, positions)).__getitem__, keys))
-    # A join of one text per code: dumping the int list costs more.
-    texts = list(map(str, positions))
-    return WitnessTable(values, codes, '{"values":' + values_text
-                        + ',"codes":[' + ",".join(map(texts.__getitem__,
-                                                       codes)) + "]}")
+    return _coded(values, texts, codes)
 
 
 def _indexed_table(index: DistinctRows, codes: List[int]) -> WitnessTable:
@@ -390,7 +399,7 @@ def _indexed_table(index: DistinctRows, codes: List[int]) -> WitnessTable:
             values[code] = value = encode_witness(index.objects[code])
             texts[code] = _dumps(value)
     return _table(codes, distinct, list(map(values.__getitem__, distinct)),
-                  "[" + ",".join(map(texts.__getitem__, distinct)) + "]")
+                  list(map(texts.__getitem__, distinct)))
 
 
 @dataclass(frozen=True)
@@ -404,11 +413,24 @@ class SweepFinding:
     witnesses: Tuple[Any, ...]
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle without the scan's codes: their distinct-row index
-        would carry every distinct object of the domain along."""
+        """Pickle without the scan's codes (their distinct-row index
+        holds the whole domain) or the finding a prefix was cut from."""
         state = self.__dict__.copy()
         state.pop("_codes", None)
+        state.pop("_whole", None)
         return state
+
+    def prefix(self, limit: int) -> Optional["SweepFinding"]:
+        """This finding cut to its first ``limit`` witnesses, as a scan
+        at ``limit`` finds them: itself when it holds no more, ``None``
+        when ``limit <= 0``."""
+        if limit >= len(self.witnesses):
+            return self
+        if limit <= 0:
+            return None
+        cut = replace(self, witnesses=self.witnesses[:limit])
+        cut.__dict__["_whole"] = self
+        return cut
 
     @cached_property
     def wire_table(self) -> WitnessTable:
@@ -419,9 +441,11 @@ class SweepFinding:
         witnesses' codes (outside its fields, and out of its pickles)
         and joins the table from the index's fragments, so each
         distinct object is encoded and dumped once for the index's
-        lifetime.  Any other finding (decoded from a store, returned by
-        a worker) takes its distinct witnesses by identity.  Either way
-        the table decodes to :attr:`witnesses`, in order.
+        lifetime.  A :meth:`prefix` slices its whole finding's table:
+        the values its codes reach, its codes and their texts.  Any
+        other finding (decoded from a store, returned by a worker)
+        takes its distinct witnesses by identity.  Each way builds the
+        same table, which decodes to :attr:`witnesses`, in order.
 
         Memoized but not a field, so ``==``, ``hash`` and
         ``dataclasses.replace`` ignore it.  Assumes witnesses are not
@@ -432,12 +456,20 @@ class SweepFinding:
         scanned = self.__dict__.get("_codes")
         if scanned is not None:
             return _indexed_table(*scanned)
+        whole = self.__dict__.get("_whole")
+        if whole is not None:
+            table = whole.wire_table
+            codes = table.codes[:len(self.witnesses)]
+            # Values are in order of first appearance, so the prefix
+            # reaches the values up to its largest code.
+            reach = max(codes) + 1
+            return _coded(table.values[:reach], table.texts[:reach], codes)
         ids = list(map(id, self.witnesses))
         distinct = dict(zip(ids, self.witnesses))
         # No sort_keys: record-shaped witnesses must round-trip with
         # their field order intact.
         values = list(map(encode_witness, distinct.values()))
-        return _table(ids, list(distinct), values, _dumps(values))
+        return _table(ids, list(distinct), values, list(map(_dumps, values)))
 
     def __str__(self) -> str:
         sample = self.witnesses[0] if self.witnesses else None
@@ -615,8 +647,9 @@ def sweep_models(
         raises :class:`ValueError`.
     resume_from:
         Path to a JSONL :class:`~repro.core.dist.ResultStore`.  Tasks
-        whose fingerprint key is already stored are *not* re-scanned
-        (``dist.resume.skips``); newly computed keyed results are
+        whose fingerprint key is stored with an answer that covers
+        ``limit`` (:func:`repro.core.dist.answer`) are *not* re-scanned
+        (``dist.resume.skips``).  Newly computed keyed results are
         appended, so a corpus sweep re-run after adding one model only
         computes the delta.  Works with every mode: ``"process"`` and
         ``"cluster"`` append each chunk as it completes, so a killed
@@ -649,7 +682,6 @@ def sweep_models(
         keys = [dist.task_key(model, task)
                 for model, task in zip(task_models, tasks)]
     store = None
-    known: Mapping[str, Any] = {}
     resumed: Dict[int, Optional[SweepFinding]] = {}
     if resume_from is not None:
         from . import dist
@@ -657,8 +689,11 @@ def sweep_models(
         store = dist.ResultStore(resume_from)
         known = store.load()
         for index, key in enumerate(keys or []):
-            if key is not None and key in known:
-                resumed[index] = known[key]
+            held = known.get(key) if key is not None else None
+            if held is not None:
+                hit, finding = dist.answer(held, limit)
+                if hit:
+                    resumed[index] = finding
         if _OBS.enabled and resumed:
             _OBS.incr("dist.resume.skips", len(resumed))
     remaining = [i for i in range(len(tasks)) if i not in resumed]
@@ -678,8 +713,8 @@ def sweep_models(
             )
             if store is not None and chunked_store is None \
                     and keys is not None:
-                store.record_many([(keys[i], finding) for i, finding
-                                   in zip(remaining, computed)
+                store.record_many([(keys[i], limit, finding)
+                                   for i, finding in zip(remaining, computed)
                                    if keys[i] is not None])
         finally:
             if store is not None:

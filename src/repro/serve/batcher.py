@@ -3,7 +3,7 @@
 Three mechanisms stack between admission and the engine:
 
 **Single-flight coalescing.**  Every query has a request fingerprint
-(model key + limit + per-task ``sweep_task_fingerprint``s — see
+(model key, limit and the model's predicate-binding stamp — see
 :mod:`repro.serve.corpus`).  The first request with a given fingerprint
 is the *leader*; identical requests arriving while the leader is in
 flight attach to the leader's future instead of being admitted again —
@@ -14,16 +14,22 @@ its leader's fate).
 **Cache fast path.**  A query whose every task key hits the
 scheduler's result memo (:func:`repro.core.dist.memo_lookup`) is
 answered inline — it never touches the queue, so warm traffic cannot
-crowd out cold traffic at admission.  Each batch records its computed
-keyed results through :func:`repro.core.dist.record_results`, into the
-memo and the optional JSONL store, as a sweep records its chunks.
+crowd out cold traffic at admission.  The memo holds one answer per
+task, whatever its limit, and that answer serves every limit it covers
+(any limit up to its own, or any at all once it holds fewer witnesses
+than its limit), cut to the query's limit.  Each batch records its
+computed keyed results through :func:`repro.core.dist.record_results`,
+into the memo and the optional JSONL store, as a sweep records its
+chunks.
 
 **Work-conserving, deduplicated dispatch.**  The batcher never waits
 for a batch to fill: as soon as the engine is free it takes the queue
 head plus whatever is already queued behind it (up to ``max_batch``
 requests), expires overdue deadlines, dedupes the union of their tasks
-by fingerprint key (two *different* requests that share a pFSM×domain
-compute it once), and runs the remaining unique tasks inline.
+by fingerprint key (two *different* requests that share a pFSM×domain,
+at any limits, compute it once, at the largest of their limits, and
+each is answered with that result cut to its own limit), and runs the
+remaining unique tasks inline.
 A failed dispatch answers every member of its batch with status
 ``error``; the next batch dispatches afresh.  A lone request on an idle
 server is dispatched at once.  Batches form under load alone: one
@@ -50,7 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
 from ..core import dist
@@ -67,9 +73,6 @@ from .protocol import (
 )
 
 __all__ = ["MicroBatcher"]
-
-#: Token placeholder for "scheduled for compute in this batch".
-_PENDING = object()
 
 
 def _engine_compute(tasks: List[Any],
@@ -253,7 +256,7 @@ class MicroBatcher:
             return None if query.task_keys else self._ok_response(query, [])
         findings = []
         for key in query.task_keys:
-            hit, finding = dist.memo_lookup(key)
+            hit, finding = dist.memo_lookup(key, query.limit)
             if not hit:
                 return None
             findings.append(finding)
@@ -342,12 +345,10 @@ class MicroBatcher:
             "batch_window",
             max(0.0, now - min(item.enqueued_at for item in live)))
 
-        # Union the batch's tasks, deduped by fingerprint key; keyless
-        # tasks get a unique token and always compute.
-        resolved: Dict[Any, Any] = {}
-        compute_tasks: List[Any] = []
-        compute_tokens: List[Any] = []
-        compute_keys: List[Optional[str]] = []
+        # Union the batch's tasks, deduped by fingerprint key, each at
+        # the largest limit a member asks of it; keyless tasks get a
+        # unique token and always compute.
+        wanted: Dict[Any, Tuple[Any, Optional[str]]] = {}
         for item in live:
             item.tokens = []
             for task, key in zip(item.query.tasks, item.query.task_keys):
@@ -357,19 +358,23 @@ class MicroBatcher:
                 else:
                     token = key
                 item.tokens.append(token)
-                if token in resolved:
+                if token not in wanted or task[4] > wanted[token][0][4]:
+                    wanted[token] = (task, key)
+        resolved: Dict[Any, Any] = {}
+        compute_tasks: List[Any] = []
+        compute_tokens: List[Any] = []
+        compute_keys: List[Optional[str]] = []
+        for token, (task, key) in wanted.items():
+            if key is not None:
+                hit, finding = dist.memo_lookup(key, task[4])
+                if hit:
+                    self._stats.incr("cache.memo_hits")
+                    resolved[token] = finding
                     continue
-                if key is not None:
-                    hit, finding = dist.memo_lookup(key)
-                    if hit:
-                        self._stats.incr("cache.memo_hits")
-                        resolved[token] = finding
-                        continue
-                    self._stats.incr("cache.misses")
-                resolved[token] = _PENDING
-                compute_tasks.append(task)
-                compute_tokens.append(token)
-                compute_keys.append(key)
+                self._stats.incr("cache.misses")
+            compute_tasks.append(task)
+            compute_tokens.append(token)
+            compute_keys.append(key)
 
         self._stats.incr("batches")
         self._stats.incr("batch.requests", len(live))
@@ -433,11 +438,11 @@ class MicroBatcher:
             write_started = time.monotonic()
             write_wall = _OBS._wall() if batch_ctx is not None else 0.0
             keyed = []
-            for token, key, finding in zip(compute_tokens, compute_keys,
-                                           findings):
+            for token, task, key, finding in zip(
+                    compute_tokens, compute_tasks, compute_keys, findings):
                 resolved[token] = finding
                 if key is not None:
-                    keyed.append((key, finding))
+                    keyed.append((key, task[4], finding))
             dist.record_results(keyed, self._store)
             write_s = time.monotonic() - write_started
             self._stats.observe("cache_write", write_s)
@@ -458,7 +463,10 @@ class MicroBatcher:
                       unique_tasks=len(compute_tasks))
 
         for item in live:
-            findings = [resolved[token] for token in item.tokens]
+            limit = item.query.limit
+            findings = [None if resolved[token] is None
+                        else resolved[token].prefix(limit)
+                        for token in item.tokens]
             response = self._ok_response(item.query, findings)
             self._stats.incr("requests.computed")
             self._resolve(item, response)

@@ -3,46 +3,33 @@
 A query names a model by its short key (the same keys the CLI has
 always used — ``sendmail``, ``nullhttpd``, ...).  This module owns that
 key → label mapping and turns ``(key, limit)`` into the engine's sweep
-task shape once, memoizing the expansion: the corpus is fixed for the
-server's lifetime, so task tuples, per-task fingerprint keys
-(:func:`repro.core.dist.task_key`) and the request-level fingerprint are
-all computed on first use and reused for every later request.  The
-protocol accepts any limit, so the expansion memo keeps only the
-``_EXPANDED_ENTRIES`` most recently used ``(key, limit)`` pairs.  The
-part of those keys that does not depend on the limit is kept per model
-(:func:`repro.core.dist.task_stem`), so the first request at a new limit
-only finishes one hash per task.
+task shape.  The expansion is memoized per model: the corpus is fixed
+for the server's lifetime, and a task's fingerprint key
+(:func:`repro.core.dist.task_key`) leaves out the witness limit, so the
+task keys of a model are computed on first use and serve every limit.
+A request at a given limit only builds its task tuples.
 
-The request fingerprint folds the model key, the witness limit, the
-digest of the model's predicate *mutation stamp* (every pFSM
-predicate's ``cache_key`` — see :func:`repro.core.dist._model_stamp`;
-digested once per stamp and kept with the key stems), and every
-task's :func:`~repro.core.serialize.sweep_task_fingerprint` into one
-digest — it is the single-flight coalescing identity in
+The request fingerprint is ``(model key, limit, digest of the model's
+predicate mutation stamp)`` (every pFSM predicate's ``cache_key`` — see
+:func:`repro.core.dist._model_stamp`; digested once per stamp and kept
+with the expansion).  It is the single-flight coalescing identity in
 :mod:`repro.serve.batcher`: two requests with the same fingerprint are
-provably the same computation.  The expansion memo is validated against
-the same stamp, so a model mutated in place (``Predicate.rebind``)
-re-expands on the next request instead of serving the stale task keys —
-and therefore stale cached findings — forever.
+provably the same computation, since the corpus's domains are fixed and
+the stamp names every predicate binding.  The expansion memo is
+validated against the same stamp, so a model mutated in place
+(``Predicate.rebind``) re-expands on the next request instead of
+serving the stale task keys — and therefore stale cached findings —
+forever.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core import dist
 from ..core.predspec import spec_digest
-from ..core.serialize import stem_fingerprint
 
 __all__ = ["MODEL_KEYS", "ExpandedQuery", "AnalysisCorpus"]
-
-#: Bound of the ``(key, limit)`` expansion memo (least recently used
-#: entries go first).  A hit saves rebuilding the task keys from the
-#: per-model stems: ~15 us per request.
-_EXPANDED_ENTRIES = 1024
 
 #: Short CLI/service keys for the modeled vulnerabilities (the paper's
 #: seven Table 2 rows plus the additional named cases).
@@ -63,8 +50,7 @@ MODEL_KEYS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ExpandedQuery:
+class ExpandedQuery(NamedTuple):
     """One model query lowered to engine terms, ready to dispatch."""
 
     model_key: str
@@ -74,8 +60,8 @@ class ExpandedQuery:
     tasks: Tuple[Any, ...]
     #: Per-task fingerprint keys (``None`` = no stable identity).
     task_keys: Tuple[Optional[str], ...]
-    #: The request-level single-flight / cache identity.
-    fingerprint: str = field(compare=False)
+    #: The request-level single-flight identity.
+    fingerprint: Any
 
 
 def _stamp_digest(stamp: Any) -> str:
@@ -108,16 +94,10 @@ class AnalysisCorpus:
         self._models = models
         self._domains = domains
         self._keys = dict(keys if keys is not None else MODEL_KEYS)
-        #: ``(key, limit) -> (mutation stamp, expansion)``, an LRU — the
-        #: stamp guards against serving a stale expansion of a mutated
-        #: model.
-        self._expanded: OrderedDict[
-            Tuple[str, int], Tuple[Any, ExpandedQuery]] = OrderedDict()
-        #: ``key -> (mutation stamp, stamp digest, [(operation name,
-        #: pfsm, domain, key stem)])`` — the limit-free half of an
-        #: expansion.
-        self._stems: Dict[str, Tuple[Any, str, List[Any]]] = {}
-        self._lock = threading.Lock()
+        #: ``key -> (mutation stamp, stamp digest, task tuples without
+        #: their limit, task keys)`` — the stamp guards against serving
+        #: a stale expansion of a mutated model.
+        self._expanded: Dict[str, Tuple[Any, str, List[Any], Any]] = {}
 
     def keys(self) -> List[str]:
         """Every servable model key, in registration order."""
@@ -127,9 +107,10 @@ class AnalysisCorpus:
         return key in self._keys
 
     def expand(self, key: str, limit: int) -> ExpandedQuery:
-        """The memoized task expansion of ``(key, limit)``, validated
-        against the model's predicate mutation stamp (a rebound check
-        re-expands instead of serving stale task keys).
+        """The task expansion of ``(key, limit)``, from the model's
+        memoized expansion, validated against the model's predicate
+        mutation stamp (a rebound check re-expands instead of serving
+        stale task keys).
 
         Raises :class:`KeyError` for unknown model keys.
         """
@@ -138,55 +119,25 @@ class AnalysisCorpus:
             raise KeyError(key)
         model = self._models[label]
         stamp = dist._model_stamp(model)
-        memo_key = (key, limit)
-        with self._lock:
-            cached = self._expanded.get(memo_key)
-            if cached is not None:
-                self._expanded.move_to_end(memo_key)
-        if cached is not None and stamp is not None and cached[0] == stamp:
-            return cached[1]
-        with self._lock:
-            stems = self._stems.get(key)
-        if stems is None or stamp is None or stems[0] != stamp:
-            stems = (stamp, _stamp_digest(stamp), self._task_stems(label))
-            with self._lock:
-                self._stems[key] = stems
-        _stamp, stamp_digest, parts = stems
-        tasks = tuple((model.name, operation_name, pfsm, domain, limit)
-                      for operation_name, pfsm, domain, _stem in parts)
-        task_keys = tuple(
-            None if stem is None else stem_fingerprint(stem, limit)
-            for _operation, _pfsm, _domain, stem in parts)
-        fingerprint = spec_digest(
-            ["serve.query", key, limit, stamp_digest,
-             [k if k is not None else "" for k in task_keys]]
-        )
-        expanded = ExpandedQuery(
-            model_key=key,
-            model_name=model.name,
-            limit=limit,
-            tasks=tasks,
-            task_keys=task_keys,
-            fingerprint=fingerprint,
-        )
-        with self._lock:
-            self._expanded[memo_key] = (stamp, expanded)
-            self._expanded.move_to_end(memo_key)
-            if len(self._expanded) > _EXPANDED_ENTRIES:
-                self._expanded.popitem(last=False)
-        return expanded
+        expanded = self._expanded.get(key)
+        if expanded is None or stamp is None or expanded[0] != stamp:
+            expanded = (stamp, _stamp_digest(stamp),
+                        *self._expand_model(label))
+            self._expanded[key] = expanded
+        _stamp, stamp_digest, bases, task_keys = expanded
+        return ExpandedQuery(
+            key, model.name, limit,
+            tuple([base + (limit,) for base in bases]), task_keys,
+            (key, limit, stamp_digest))
 
-    def _task_stems(self, label: str) -> List[Any]:
-        """``(operation name, pfsm, domain, key stem)`` per task of
-        model ``label``, in cascade order."""
+    def _expand_model(self, label: str) -> Tuple[List[Any], Any]:
+        """The ``(model name, operation name, pfsm, domain)`` of every
+        task of model ``label``, in cascade order, and their keys."""
         model = self._models[label]
         model_domains = self._domains.get(label, {})
         fingerprint = dist._model_fingerprint(model)
-        parts: List[Any] = []
-        for operation, pfsm in model.all_pfsms():
-            domain = model_domains.get(pfsm.name)
-            if domain is not None:
-                parts.append((operation.name, pfsm, domain,
-                              dist.task_stem(fingerprint, operation.name,
-                                             pfsm, domain)))
-        return parts
+        bases = [(model.name, operation.name, pfsm, model_domains[pfsm.name])
+                 for operation, pfsm in model.all_pfsms()
+                 if model_domains.get(pfsm.name) is not None]
+        return bases, tuple([dist.task_key(fingerprint, base)
+                             for base in bases])

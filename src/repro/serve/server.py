@@ -124,7 +124,9 @@ class AnalysisServer:
         self.store: Optional[dist.ResultStore] = None
         if self.config.store_path is not None:
             self.store = dist.ResultStore(self.config.store_path)
-            dist.record_results(list(self.store.load().items()))
+            dist.record_results([
+                (key, limit, finding)
+                for key, (limit, finding) in self.store.load().items()])
         self.state = STARTING
         self.host = self.config.host
         self.port: Optional[int] = None

@@ -192,13 +192,30 @@ class TestClusterStoreResume:
         assert "sweep.tasks.completed" not in counters
         assert "dist.inline.unplaced" not in counters
 
-    def test_store_of_a_different_limit_resumes_nothing(self, tmp_path):
+    def test_store_of_a_smaller_limit_resumes_its_exhaustive_tasks(
+            self, tmp_path):
+        expected = self._expected()
         store = str(tmp_path / "store.jsonl")
         self._sweep(store, limit=3)
-        _, counters = self._sweep(store, limit=4)
-        assert "dist.resume.skips" not in counters
+        held = ResultStore(store).load()
+        exhaustive = sum(1 for limit, finding in held.values()
+                         if finding is None or len(finding.witnesses) < limit)
+        assert 0 < exhaustive < len(held)
+        got, counters = self._sweep(store, limit=4)
+        assert got == expected
+        assert counters["dist.resume.skips"] == exhaustive
         assert counters["dist.store.appended"] == \
-            counters["sweep.tasks.completed"]
+            counters["sweep.tasks.completed"] == len(held) - exhaustive
+
+    def test_store_of_a_larger_limit_resumes_every_task(self, tmp_path):
+        store = str(tmp_path / "store.jsonl")
+        _, first = self._sweep(store, limit=6)
+        got, counters = self._sweep(store, limit=4)
+        assert got == self._expected()
+        assert counters["dist.resume.skips"] == \
+            first["sweep.tasks.completed"]
+        assert "sweep.tasks.completed" not in counters
+        assert "dist.inline.unplaced" not in counters
 
     def test_torn_append_re_executes_only_what_it_lost(self, tmp_path):
         expected = self._expected()

@@ -96,7 +96,7 @@ class TestRecordLoad:
         stored = ResultStore(path).load()
         assert len(stored) == counters["sweep.tasks.completed"]
         findings = [(f.model_name, f.pfsm_name, tuple(f.witnesses))
-                    for f in stored.values() if f is not None]
+                    for _limit, f in stored.values() if f is not None]
         # Witnesses may be unhashable records: compare as sorted reprs.
         assert sorted(map(repr, findings)) == sorted(map(repr, expected))
 

@@ -7,6 +7,8 @@ import pickle
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults, obs
 from repro.cluster import ClusterCoordinator, ClusterWorker, coordinating
@@ -27,6 +29,7 @@ from repro.core import dist
 from repro.core.predspec import encode_value
 from repro.core.sweep import _scan_task
 from repro.models import sendmail_model
+from repro.serve.protocol import encode_line, finding_payload
 
 #: Recorded at import so a forked worker (different pid) can tell it is
 #: not the test process — the crash predicate fires only off-parent.
@@ -401,7 +404,7 @@ class TestChunkedStore:
         assert sorted(json.loads(line)["key"] for line in lines) == \
             sorted(keys[:5])
         loaded = store.load()
-        assert [tuple(loaded[k].witnesses) for k in keys[:5]] == \
+        assert [tuple(loaded[k][1].witnesses) for k in keys[:5]] == \
             _witnesses(got)[:5]
 
     def test_memo_hits_are_stored_too(self, tmp_path):
@@ -423,7 +426,7 @@ class TestChunkedStore:
         def append(prefix):
             barrier.wait()
             for batch in range(50):
-                store.record_many([(f"{prefix}{batch}.{n}", finding)
+                store.record_many([(f"{prefix}{batch}.{n}", 5, finding)
                                    for n in range(4)])
 
         threads = [threading.Thread(target=append, args=(prefix,))
@@ -444,10 +447,12 @@ class TestResultStore:
         store = ResultStore(tmp_path / "results.jsonl")
         tasks = [_task(Domain.integers(-5, 20))]
         finding = dist.run_tasks(tasks, 1, backend="process")[0]
-        store.record("k", None)
-        store.record("k", finding)
+        store.record("k", 5, None)
+        store.record("k", 5, finding)
+        store.record("k", 2, finding.prefix(2))  # covers less: kept out
         loaded = store.load()
-        assert tuple(loaded["k"].witnesses) == tuple(finding.witnesses)
+        assert loaded["k"][0] == 5
+        assert tuple(loaded["k"][1].witnesses) == tuple(finding.witnesses)
 
     def test_lines_match_a_witness_table_encoding(self, tmp_path):
         tile = [(1, "a"), b"\x00\xff", frozenset({3, 4})]
@@ -456,8 +461,8 @@ class TestResultStore:
             activity="scan", witnesses=tuple(tile * 3),
         )
         store = ResultStore(tmp_path / "results.jsonl")
-        assert store.record("k", finding) is True
-        reference = json.dumps({"key": "k", "finding": {
+        assert store.record("k", 5, finding) is True
+        reference = json.dumps({"key": "k", "limit": 5, "finding": {
             "model_name": "model", "operation_name": "op",
             "pfsm_name": "p", "activity": "scan",
             "witnesses": {"values": [encode_value(w) for w in tile],
@@ -466,9 +471,9 @@ class TestResultStore:
         with open(store.path, encoding="utf-8") as handle:
             assert handle.read() == reference
         loaded = store.load()
-        assert loaded == {"k": finding}
+        assert loaded == {"k": (5, finding)}
         # each distinct value is decoded once: repeats are one object
-        witnesses = loaded["k"].witnesses
+        witnesses = loaded["k"][1].witnesses
         assert all(witnesses[i] is witnesses[i % 3] for i in range(9))
 
     def test_default_separator_lines_still_load(self, tmp_path):
@@ -483,14 +488,16 @@ class TestResultStore:
             for key, payload in (("clean", None), ("k", {
                 "model_name": "model", "operation_name": "op",
                 "pfsm_name": "p", "activity": "scan",
-                "witnesses": [encode_value(w) for w in finding.witnesses],
+                "witnesses": {"values": [encode_value(w) for w in tile],
+                              "codes": [0, 1, 2, 3] * 2},
             })):
-                handle.write(json.dumps({"key": key, "finding": payload})
-                             + "\n")
+                handle.write(json.dumps({"key": key, "limit": 5,
+                                         "finding": payload}) + "\n")
         store = ResultStore(path)
-        assert store.load() == {"clean": None, "k": finding}
+        assert store.load() == {"clean": (5, None), "k": (5, finding)}
         compact = tmp_path / "compact.jsonl"
-        ResultStore(compact).record_many([("clean", None), ("k", finding)])
+        ResultStore(compact).record_many([("clean", 5, None),
+                                          ("k", 5, finding)])
         assert ResultStore(compact).load() == store.load()
 
     def test_out_of_codec_finding_is_skipped_and_counted(self, tmp_path):
@@ -503,19 +510,20 @@ class TestResultStore:
         registry.reset()
         registry.enable()
         try:
-            assert store.record("k", finding) is False
-            assert store.record_many([("k", finding), ("c", None)]) == 1
+            assert store.record("k", 5, finding) is False
+            assert store.record_many([("k", 5, finding),
+                                      ("c", 5, None)]) == 1
             counters = registry.counters()
         finally:
             registry.disable()
             registry.reset()
         assert counters.get("dist.store.unencodable") == 2
-        assert store.load() == {"c": None}
+        assert store.load() == {"c": (5, None)}
 
     def test_malformed_lines_are_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("good", None)
+        store.record("good", 5, None)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
         assert set(store.load()) == {"good"}
@@ -525,13 +533,13 @@ class TestResultStore:
         with faults.injecting(
                 faults.parse_spec("store.append.torn:1@max=1")):
             assert store.record_many(
-                [("a", None), ("b", None), ("c", None)]) == 0
+                [("a", 5, None), ("b", 5, None), ("c", 5, None)]) == 0
         assert store.write_errors == 1
         # Half the blob landed: the whole first line, then a torn one.
         assert not open(store.path).read().endswith("\n")
-        assert store.load() == {"a": None}
-        assert store.record("d", None)  # the next append heals the tail
-        assert store.load() == {"a": None, "d": None}
+        assert store.load() == {"a": (5, None)}
+        assert store.record("d", 5, None)  # the next append heals the tail
+        assert store.load() == {"a": (5, None), "d": (5, None)}
 
     def test_enospc_counts_a_write_error(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
@@ -541,7 +549,7 @@ class TestResultStore:
         try:
             with faults.injecting(
                     faults.parse_spec("store.append.enospc:1@max=1")):
-                assert store.record("k", None) is False
+                assert store.record("k", 5, None) is False
             counters = registry.counters()
         finally:
             registry.disable()
@@ -624,66 +632,110 @@ class TestResume:
         # No duplicate records were appended by the resumed run.
         assert sum(1 for line in open(store_path) if line.strip()) == recorded
 
-    def test_list_form_store_resumes_with_equal_findings(self, tmp_path):
-        # A store written before witness tables holds one tagged value
-        # per witness; it must still resume every task it recorded.
+    @staticmethod
+    def _bundled():
         from repro.models import (
             all_extended_models,
             all_extended_pfsm_domains,
         )
 
-        models, domains = all_extended_models(), all_extended_pfsm_domains()
-        table_path = str(tmp_path / "tables.jsonl")
-        baseline = sweep_models(models, domains, limit=5,
-                                resume_from=table_path)
-        list_path = tmp_path / "lists.jsonl"
-        with open(table_path, encoding="utf-8") as source, \
-                open(list_path, "w", encoding="utf-8") as legacy:
-            for line in source:
-                record = json.loads(line)
-                finding = record["finding"]
-                if finding is not None:
-                    table = finding["witnesses"]
-                    finding["witnesses"] = [table["values"][code]
-                                            for code in table["codes"]]
-                legacy.write(json.dumps(record, separators=(",", ":"))
-                             + "\n")
-        recorded = sum(1 for line in open(list_path) if line.strip())
-        assert '"codes"' not in list_path.read_text(encoding="utf-8")
+        return all_extended_models(), all_extended_pfsm_domains()
 
+    @staticmethod
+    def _resumed(models, domains, limit, path):
         dist.clear_memo()  # reuse must come from the store, not the memo
         registry = obs.get_registry()
         registry.reset()
         registry.enable()
         try:
-            resumed = sweep_models(models, domains, limit=5,
-                                   resume_from=str(list_path))
+            swept = sweep_models(models, domains, limit=limit,
+                                 resume_from=str(path))
             counters = registry.counters()
         finally:
             registry.disable()
             registry.reset()
+        dist.clear_memo()
+        return swept, counters
+
+    def test_store_of_a_larger_limit_resumes_every_task(self, tmp_path):
+        models, domains = self._bundled()
+        path = tmp_path / "store.jsonl"
+        sweep_models(models, domains, limit=5, resume_from=str(path))
+        stored = len(ResultStore(path).load())
+        written = path.read_bytes()
+        resumed, counters = self._resumed(models, domains, 2, path)
+        assert stored > 0
+        assert counters.get("dist.resume.skips") == stored
+        assert "sweep.tasks.completed" not in counters
+        assert path.read_bytes() == written  # nothing new to append
+        assert resumed == sweep_models(*self._bundled(), limit=2)
+
+    def test_store_of_a_smaller_limit_resumes_its_exhaustive_tasks(
+            self, tmp_path):
+        models, domains = self._bundled()
+        path = tmp_path / "store.jsonl"
+        sweep_models(models, domains, limit=2, resume_from=str(path))
+        stored = ResultStore(path).load()
+        exhaustive = {key for key, (limit, finding) in stored.items()
+                      if finding is None or len(finding.witnesses) < limit}
+        assert 0 < len(exhaustive) < len(stored)
+        resumed, counters = self._resumed(models, domains, 5, path)
+        assert counters.get("dist.resume.skips") == len(exhaustive)
+        assert counters.get("sweep.tasks.completed") == \
+            len(stored) - len(exhaustive)
+        assert resumed == sweep_models(*self._bundled(), limit=5)
+        # The tasks it computed now answer limit 5 from the store.
+        assert {key: limit for key, (limit, _finding)
+                in ResultStore(path).load().items()} == \
+            {key: 2 if key in exhaustive else 5 for key in stored}
+
+    def test_store_without_limits_resumes_nothing(self, tmp_path):
+        # Records written before keys left out the limit carry none
+        # (and list-form witnesses, older still): none is trusted.
+        models, domains = self._bundled()
+        path = tmp_path / "store.jsonl"
+        baseline = sweep_models(models, domains, limit=5,
+                                resume_from=str(path))
+        old = tmp_path / "old.jsonl"
+        with open(path, encoding="utf-8") as source, \
+                open(old, "w", encoding="utf-8") as target:
+            for number, line in enumerate(source):
+                record = json.loads(line)
+                del record["limit"]
+                finding = record["finding"]
+                if finding is not None and number % 2:
+                    table = finding["witnesses"]
+                    finding["witnesses"] = [table["values"][code]
+                                            for code in table["codes"]]
+                target.write(json.dumps(record) + "\n")
+        recorded = sum(1 for line in open(old) if line.strip())
+        resumed, counters = self._resumed(models, domains, 5, old)
         assert recorded > 0
-        assert counters.get("dist.resume.skips") == recorded
-        assert counters.get("sweep.tasks.completed", 0) == 0
+        assert "dist.resume.skips" not in counters
+        assert counters.get("dist.store.malformed") == recorded
+        assert counters.get("sweep.tasks.completed") == recorded
         assert resumed == baseline
 
-    def test_list_form_record_decodes_each_distinct_value_once(self):
-        tagged = [{"__tuple__": [1, "x"]}, "y", {"__tuple__": [1, "x"]},
-                  "y", {"__tuple__": [1, "x"]}]
-        finding = dist._decode_finding({
-            "model_name": "m", "operation_name": "op", "pfsm_name": "p",
-            "activity": "scan", "witnesses": tagged})
-        assert finding.witnesses == ((1, "x"), "y", (1, "x"), "y", (1, "x"))
-        # repeats are one object, so the table dedupes them as the
-        # table form of the same record does
-        assert finding.witnesses[0] is finding.witnesses[2]
-        assert finding.witnesses[0] is finding.witnesses[4]
-        assert finding.wire_table.values == [{"__tuple__": [1, "x"]}, "y"]
-        assert finding.wire_table.codes == [0, 1, 0, 1, 0]
-        table_form = dist._decode_finding(
-            json.loads(dist._store_line("k", finding))["finding"])
-        assert table_form == finding
-        assert table_form.wire_table == finding.wire_table
+    def test_record_without_an_int_limit_is_skipped_as_malformed(
+            self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.record("new", 3, None)
+        store.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in ({"key": "old", "finding": None},
+                           {"key": "odd", "limit": "3", "finding": None}):
+                handle.write(json.dumps(record) + "\n")
+        registry = obs.get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            assert store.load() == {"new": (3, None)}
+            counters = registry.counters()
+        finally:
+            registry.disable()
+            registry.reset()
+        assert counters.get("dist.store.malformed") == 2
 
     def test_task_key_is_stable_across_rebuilds(self):
         model_a = sendmail_model.build_model()
@@ -699,14 +751,96 @@ class TestResume:
         key_b = task_key(model_b, task_b)
         assert key_a is not None and key_a == key_b
 
-    def test_limit_changes_the_key(self):
+    def test_limit_is_not_part_of_the_key(self):
         model = sendmail_model.build_model()
         domains = sendmail_model.pfsm_domains()
         op = model.operations[0]
         pfsm = op.pfsms[0]
         base = (model.name, op.name, pfsm, domains[pfsm.name], 5)
         other = (model.name, op.name, pfsm, domains[pfsm.name], 6)
-        assert task_key(model, base) != task_key(model, other)
+        key = task_key(model, base)
+        assert key is not None
+        assert key == task_key(model, other) == task_key(model, base[:4])
+
+
+#: Domains for the prefix property: list-backed ones with repeats (the
+#: distinct-row index builds their tables) and ranges (the interval
+#: strategy; their findings build tables by identity).
+_PREFIX_DOMAINS = st.one_of(
+    st.lists(st.integers(-3, 14), max_size=40).map(
+        lambda items: ("list", tuple(items))),
+    st.tuples(st.integers(-6, 8), st.integers(0, 30)).map(
+        lambda bounds: ("range", bounds)),
+)
+
+
+def _prefix_domain(spec):
+    kind, data = spec
+    if kind == "list":
+        return Domain(list(data))
+    return Domain.integers(data[0], data[0] + data[1])
+
+
+class TestHeldAnswers:
+    """A task's result is held with the limit it was computed at and
+    answers every limit it covers, cut to that limit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=_PREFIX_DOMAINS, held_limit=st.integers(0, 12),
+           limit=st.integers(0, 12), stored=st.booleans())
+    def test_a_covered_limit_is_answered_as_a_fresh_scan_at_it(
+            self, spec, held_limit, limit, stored):
+        def scan(at):  # a twin pFSM over a new domain, each time
+            return _scan_task(("model", "op", _pfsm(),
+                               _prefix_domain(spec), at))
+
+        held = scan(held_limit)
+        if stored:  # the held answer as a store decodes it
+            record = json.loads(dist._store_line("k", held_limit, held))
+            held = dist._decode_finding(record["finding"])
+        whole = scan(10 ** 6)
+        total = 0 if whole is None else len(whole.witnesses)
+        hit, got = dist.answer((held_limit, held), limit)
+        assert hit == (limit <= held_limit
+                       or 1 <= held_limit and total < held_limit)
+        if not hit:
+            return
+        fresh = scan(limit)
+        if fresh is None:
+            assert got is None
+            return
+        assert got.witnesses == fresh.witnesses
+        table, expected = got.wire_table, fresh.wire_table
+        assert table.values == expected.values
+        assert table.codes == expected.codes
+        assert table.text == expected.text
+        # The store line and the response line are a fresh scan's too.
+        assert dist._store_line("k", limit, got) == \
+            dist._store_line("k", limit, fresh)
+        assert encode_line({"findings": [finding_payload(got)]}) == \
+            encode_line({"findings": [finding_payload(fresh)]})
+        if limit >= len(held.witnesses):
+            assert got is held  # no slice, no copy
+
+    def test_a_hit_at_the_held_limit_is_the_held_finding(self):
+        finding = _scan_task(_task(Domain.integers(-5, 20)))
+        dist.record_results([("k", 5, finding)])
+        assert dist.memo_lookup("k", 5)[1] is finding
+        assert dist.memo_lookup("k", 3)[1].witnesses == \
+            finding.witnesses[:3]
+        assert dist.memo_lookup("k", 6) == (False, None)
+
+    def test_the_memo_keeps_the_answer_that_covers_most(self):
+        whole = _scan_task(_task(Domain.integers(-5, 20), limit=50))
+        assert len(whole.witnesses) == 10  # exhaustive at 50
+        dist.record_results([("k", 5, whole.prefix(5))])
+        dist.record_results([("k", 2, whole.prefix(2))])
+        assert dist.memo_lookup("k", 5)[0]  # the smaller one kept out
+        assert not dist.memo_lookup("k", 6)[0]
+        dist.record_results([("k", 50, whole)])
+        dist.record_results([("k", 8, whole.prefix(8))])
+        hit, got = dist.memo_lookup("k", 10 ** 6)
+        assert hit and got is whole
 
 
 class TestTruncatedStore:
@@ -721,14 +855,14 @@ class TestTruncatedStore:
     def test_truncated_tail_is_skipped_on_load(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("good", None)
+        store.record("good", 5, None)
         self._truncate_tail(path)
         assert set(store.load()) == {"good"}
 
     def test_truncation_counted_distinct_from_malformed(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("good", None)
+        store.record("good", 5, None)
         self._truncate_tail(path)
         registry = obs.get_registry()
         registry.reset()
@@ -747,9 +881,9 @@ class TestTruncatedStore:
         # and a *valid* record is silently swallowed.
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("good", None)
+        store.record("good", 5, None)
         self._truncate_tail(path)
-        store.record("next", None)
+        store.record("next", 5, None)
         loaded = store.load()
         assert set(loaded) == {"good", "next"}
 
@@ -757,20 +891,20 @@ class TestTruncatedStore:
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
         self._truncate_tail(path, '{"key": "torn"')
-        assert store.record_many([("a", None), ("b", None)]) == 2
+        assert store.record_many([("a", 5, None), ("b", 5, None)]) == 2
         assert set(store.load()) == {"a", "b"}
 
     def test_heal_emits_repair_event(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("good", None)
+        store.record("good", 5, None)
         self._truncate_tail(path)
         sink = obs.MemorySink()
         registry = obs.get_registry()
         registry.reset()
         registry.enable(sink)
         try:
-            store.record("next", None)
+            store.record("next", 5, None)
         finally:
             registry.disable()
             registry.reset()
@@ -781,8 +915,8 @@ class TestTruncatedStore:
     def test_clean_appends_add_no_blank_lines(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        store.record("a", None)
-        store.record("b", None)
+        store.record("a", 5, None)
+        store.record("b", 5, None)
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert len(lines) == 2 and all(lines)
@@ -796,18 +930,18 @@ class TestTruncatedStore:
         monkeypatch.setattr(store, "_append_prefix",
                             lambda handle: checks.append(1) or check(handle))
         for key in "abc":
-            assert store.record(key, None)
+            assert store.record(key, 5, None)
         handle = store._handle
         assert handle is not None and len(checks) == 1
         # Another writer's torn line: the size moved, so the tail is
         # checked again and healed through the same handle.
         self._truncate_tail(path)
-        assert store.record_many([("d", None), ("e", None)]) == 2
+        assert store.record_many([("d", 5, None), ("e", 5, None)]) == 2
         assert store._handle is handle and len(checks) == 2
-        assert store.record("f", None) and len(checks) == 2
+        assert store.record("f", 5, None) and len(checks) == 2
         store.close()
         assert store._handle is None and handle.closed
-        assert store.record("g", None) and len(checks) == 3
+        assert store.record("g", 5, None) and len(checks) == 3
         store.close()
         assert set(store.load()) == set("abcdefg")
 
@@ -815,10 +949,11 @@ class TestTruncatedStore:
             self, tmp_path):
         held = ResultStore(tmp_path / "held.jsonl")
         for index, key in enumerate("abcd"):
-            assert held.record_many([(key, None)] * (index + 1)) == index + 1
+            assert held.record_many(
+                [(key, 5, None)] * (index + 1)) == index + 1
             # A fresh store per batch opens and checks the file anew.
             assert ResultStore(tmp_path / "fresh.jsonl").record_many(
-                [(key, None)] * (index + 1)) == index + 1
+                [(key, 5, None)] * (index + 1)) == index + 1
         held.close()
         assert (tmp_path / "held.jsonl").read_bytes() == \
             (tmp_path / "fresh.jsonl").read_bytes()
@@ -826,12 +961,12 @@ class TestTruncatedStore:
     def test_own_torn_write_is_healed_by_the_next_append(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
-        assert store.record("a", None)
+        assert store.record("a", 5, None)
         with faults.injecting(
                 faults.parse_spec("store.append.torn:1@max=1")):
             assert store.record_many(
-                [("b", None), ("c", None), ("e", None)]) == 0
-        assert store.record("d", None)
+                [("b", 5, None), ("c", 5, None), ("e", 5, None)]) == 0
+        assert store.record("d", 5, None)
         store.close()
         assert set(store.load()) == {"a", "b", "d"}
         assert path.read_bytes().count(b"\n") == \
@@ -843,7 +978,7 @@ class TestTruncatedStore:
         assert store.load() == {}  # missing file
         open(path, "w").close()
         assert store.load() == {}  # empty file
-        store.record("a", None)
+        store.record("a", 5, None)
         assert set(store.load()) == {"a"}
 
 
@@ -876,13 +1011,13 @@ class TestMemoHooks:
     its results through."""
 
     def test_lookup_miss_then_store_then_hit(self):
-        assert dist.memo_lookup("k") == (False, None)
-        dist.record_results([("k", None)])
-        assert dist.memo_lookup("k") == (True, None)
+        assert dist.memo_lookup("k", 5) == (False, None)
+        dist.record_results([("k", 5, None)])
+        assert dist.memo_lookup("k", 5) == (True, None)
 
     def test_none_finding_distinguished_from_miss(self):
-        dist.record_results([("clean", None)])
-        hit, finding = dist.memo_lookup("clean")
+        dist.record_results([("clean", 5, None)])
+        hit, finding = dist.memo_lookup("clean", 5)
         assert hit is True and finding is None
 
     def test_scheduler_reuses_externally_stored_results(self):
@@ -890,7 +1025,7 @@ class TestMemoHooks:
         expected = dist.run_tasks(tasks, 1, backend="process",
                                   keys=["hook-key"])
         dist.clear_memo()
-        dist.record_results([("hook-key", expected[0])])
+        dist.record_results([("hook-key", 5, expected[0])])
         registry = obs.get_registry()
         registry.reset()
         registry.enable()
@@ -921,13 +1056,13 @@ class TestConcurrentSweeps:
             i = 0
             while not stop.is_set():
                 dist.record_results(
-                    [(f"key-{i % 50}", finding if i % 2 else None)])
+                    [(f"key-{i % 50}", 5, finding if i % 2 else None)])
                 i += 1
 
         def reader():
             while not stop.is_set():
                 for i in range(50):
-                    hit, got = dist.memo_lookup(f"key-{i}")
+                    hit, got = dist.memo_lookup(f"key-{i}", 5)
                     if hit and got is not None:
                         try:
                             assert tuple(got.witnesses) == \

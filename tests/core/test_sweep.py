@@ -329,10 +329,10 @@ class TestSweepDeterminism:
         assert table.values == tile and table.codes == [0, 1] * 40
         assert calls == tile
         assert finding.wire_table is table
-        # one dump of the distinct values, none per witness
+        # one dump per distinct value, none per witness
         assert table.text == '{"values":["a","b"],"codes":[0,1' \
             + ",0,1" * 39 + "]}"
-        assert dumps == [tile]
+        assert dumps == tile
 
     def test_mostly_distinct_witnesses_dump_the_values_once(
             self, monkeypatch):
@@ -350,7 +350,7 @@ class TestSweepDeterminism:
         assert finding.wire_table.text == json.dumps(
             {"values": list(witnesses[:8]), "codes": codes},
             separators=(",", ":"))
-        assert dumps == [list(witnesses[:8])]
+        assert dumps == list(witnesses[:8])  # one per value
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_CODEC_VALUES | _OUTSIDE_CODEC, min_size=1,
@@ -407,9 +407,9 @@ class TestSweepDeterminism:
             json.loads(table.text)
         if not exact:
             with pytest.raises(ValueError):
-                dist._store_line("k", finding)
+                dist._store_line("k", 5, finding)
             return
-        record = json.loads(dist._store_line("k", finding))
+        record = json.loads(dist._store_line("k", 5, finding))
         assert record["finding"]["witnesses"] == json.loads(table.text)
         decoded = dist._decode_finding(record["finding"])
         assert decoded == finding
@@ -722,8 +722,8 @@ class TestDistinctRowScan:
         assert finding.wire_table == plain.wire_table
         assert _response_line(finding) == _response_line(plain)
         if not any(map(_degraded, finding.wire_table.values)):
-            assert dist._store_line("k", finding) == \
-                dist._store_line("k", plain)
+            assert dist._store_line("k", 5, finding) == \
+                dist._store_line("k", 5, plain)
 
     def test_each_distinct_object_is_encoded_once_per_domain(
             self, monkeypatch):

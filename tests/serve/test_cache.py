@@ -9,7 +9,6 @@ import pytest
 from repro.core import dist
 from repro.core.sweep import SweepFinding, sweep_models
 from repro.serve import MicroBatcher, ServeClient, ServeConfig, ServerThread
-from repro.serve import corpus as corpus_module
 from repro.serve.corpus import AnalysisCorpus
 from repro.serve.stats import ServeStats
 
@@ -52,8 +51,8 @@ class TestResultMemo:
     def test_none_finding_is_a_hit_not_a_miss(self):
         # "Scanned, clean" must be cacheable — a None result is not
         # the same as never having computed.
-        dist.record_results([("clean", None)])
-        assert dist.memo_lookup("clean") == (True, None)
+        dist.record_results([("clean", 5, None)])
+        assert dist.memo_lookup("clean", 5) == (True, None)
 
     def test_shared_between_serve_and_sweep(self):
         # A batch's results are the scheduler's memo entries, and a
@@ -64,11 +63,13 @@ class TestResultMemo:
         computed = batcher.submit(corpus.expand("m", 5))
         assert computed["cached"] is False and computed["vulnerable"]
         key = corpus.expand("m", 5).task_keys[0]
-        hit, finding = dist.memo_lookup(key)
+        hit, finding = dist.memo_lookup(key, 5)
         assert hit and finding.witnesses
 
         other = corpus.expand("m", 6)
-        dist.record_results([(other.task_keys[0], _finding("sweep"))])
+        assert other.task_keys[0] == key  # one key at every limit
+        dist.clear_memo()
+        dist.record_results([(key, 6, _finding("sweep"))])
         answered = batcher.submit(other)
         assert answered["cached"] is True
         assert answered["findings"][0]["witnesses"] == {
@@ -87,30 +88,31 @@ class TestStoreWrites:
         batcher.submit(query)
         loaded = dist.ResultStore(path).load()
         assert set(loaded) == set(query.task_keys)
-        assert loaded[query.task_keys[0]] == dist.memo_lookup(
-            query.task_keys[0])[1]
+        assert loaded[query.task_keys[0]] == (5, dist.memo_lookup(
+            query.task_keys[0], 5)[1])
 
     def test_duplicate_write_is_harmless(self, tmp_path):
         # A key evicted from the memo is recomputed and appended again:
-        # the store keeps the last record per key.
+        # of records that answer the same limits, the store keeps the
+        # last one per key.
         path = str(tmp_path / "results.jsonl")
         store = dist.ResultStore(path)
-        dist.record_results([("k1", _finding("old"))], store)
-        dist.record_results([("k1", _finding("new"))], store)
-        assert dist.memo_lookup("k1") == (True, _finding("new"))
+        dist.record_results([("k1", 1, _finding("old"))], store)
+        dist.record_results([("k1", 1, _finding("new"))], store)
+        assert dist.memo_lookup("k1", 1) == (True, _finding("new"))
         loaded = store.load()
         assert set(loaded) == {"k1"}
-        assert loaded["k1"].witnesses == ("new",)
+        assert loaded["k1"] == (1, _finding("new"))
 
     def test_server_loads_the_store_into_the_memo(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
-        dist.record_results([("k1", _finding()), ("k2", None)],
+        dist.record_results([("k1", 1, _finding()), ("k2", 1, None)],
                             dist.ResultStore(path))
         dist.clear_memo()
         handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
         try:
-            assert dist.memo_lookup("k1")[1].witnesses == ("w",)
-            assert dist.memo_lookup("k2") == (True, None)
+            assert dist.memo_lookup("k1", 1)[1].witnesses == ("w",)
+            assert dist.memo_lookup("k2", 1) == (True, None)
         finally:
             handle.shutdown()
 
@@ -121,15 +123,15 @@ class TestStoreWrites:
         path = str(tmp_path / "results.jsonl")
         extra = 16
         keys = [f"k{i}" for i in range(dist._MEMO_MAX + extra)]
-        dist.record_results([(key, None) for key in keys],
+        dist.record_results([(key, 1, None) for key in keys],
                             dist.ResultStore(path))
         dist.clear_memo()
         handle = ServerThread(ServeConfig(port=0, store_path=path)).start()
         try:
             assert len(dist._RESULT_MEMO) == dist._MEMO_MAX
-            assert all(dist.memo_lookup(key) == (False, None)
+            assert all(dist.memo_lookup(key, 1) == (False, None)
                        for key in keys[:extra])
-            assert all(dist.memo_lookup(key) == (True, None)
+            assert all(dist.memo_lookup(key, 1) == (True, None)
                        for key in keys[extra:])
         finally:
             handle.shutdown()
@@ -188,21 +190,23 @@ class TestStoreWrites:
 
 
 class TestMemoBound:
-    def test_store_backed_batcher_keeps_no_finding_past_the_memo(
+    def test_store_backed_batcher_keeps_one_answer_for_every_limit(
             self, tmp_path):
-        # Every distinct limit is a distinct task key: more computed
-        # results than the memo holds.  Only the memo may keep them
-        # alive; the store keeps them on disk.
+        # Every limit is the same task key: one held answer serves them
+        # all, and no finding cut for a response outlives it.
         corpus, _spec = _one_model_corpus()
+        stats = ServeStats()
         batcher = MicroBatcher(
-            ServeStats(), store=dist.ResultStore(str(tmp_path / "r.jsonl")))
+            stats, store=dist.ResultStore(str(tmp_path / "r.jsonl")))
         before = _live_findings()
-        extra = 512
-        for limit in range(1, dist._MEMO_MAX + extra + 1):
+        for limit in range(1, dist._MEMO_MAX + 512 + 1):
             response = batcher.submit(corpus.expand("m", limit))
             assert response["vulnerable"], response
-        assert len(dist._RESULT_MEMO) == dist._MEMO_MAX
-        assert _live_findings() - before <= dist._MEMO_MAX + extra // 4
+        assert len(dist._RESULT_MEMO) == 1
+        assert _live_findings() - before <= 1
+        # The domain holds 10 witnesses: limits 1 to 11 compute (11 is
+        # the first exhaustive answer), every later one is cut from it.
+        assert stats.snapshot()["counters"]["batches"] == 11
 
 
 class TestMutatedModelStaleness:
@@ -212,17 +216,18 @@ class TestMutatedModelStaleness:
     def test_rebind_changes_fingerprint_and_task_keys(self):
         corpus, spec = _one_model_corpus()
         first = corpus.expand("m", 5)
-        assert first is corpus.expand("m", 5)  # memoized while unchanged
+        # memoized while unchanged
+        assert first.task_keys is corpus.expand("m", 5).task_keys
         assert first.task_keys[0] is not None
 
         from repro.core.sweep import _scan_task
         stale = _scan_task(first.tasks[0])
         assert stale is not None  # (0..5 spec) x (<=10 impl): hidden
-        dist.record_results([(first.task_keys[0], stale)])
+        dist.record_results([(first.task_keys[0], 5, stale)])
 
         spec.rebind(lambda x: True)  # secure the check: spec = accept all
         second = corpus.expand("m", 5)
-        assert second is not first
+        assert second.task_keys is not first.task_keys
         assert second.fingerprint != first.fingerprint
         # The rebound predicate is opaque: no stable identity, so the
         # stale cached finding is unreachable and the task recomputes.
@@ -232,45 +237,32 @@ class TestMutatedModelStaleness:
 
 
 class TestExpansionMemo:
-    def test_distinct_limits_leave_at_most_the_bound(self):
+    def test_one_expansion_per_model_serves_every_limit(self):
         corpus, _spec = _one_model_corpus()
         first = corpus.expand("m", 5)
-        assert corpus.expand("m", 5) is first
-        for limit in range(6, 20_006):
-            corpus.expand("m", limit)
-        assert len(corpus._expanded) <= corpus_module._EXPANDED_ENTRIES
-        latest = corpus.expand("m", 20_005)
-        assert corpus.expand("m", 20_005) is latest
-        again = corpus.expand("m", 5)  # evicted long ago: rebuilt equal
-        assert again is not first and again == first
-        assert again.fingerprint == first.fingerprint
+        for limit in range(0, 2_000):
+            query = corpus.expand("m", limit)
+            assert query.limit == limit
+            assert [task[4] for task in query.tasks] == [limit]
+            assert query.task_keys is first.task_keys
+            assert query.fingerprint == ("m", limit, first.fingerprint[2])
+        assert list(corpus._expanded) == ["m"]
 
-    def test_recently_used_expansions_outlive_older_ones(self):
-        corpus, _spec = _one_model_corpus()
-        bound = corpus_module._EXPANDED_ENTRIES
-        kept = corpus.expand("m", 1)
-        dropped = corpus.expand("m", 2)
-        for limit in range(3, bound + 1):
-            corpus.expand("m", limit)
-        assert corpus.expand("m", 1) is kept  # touched: now the newest
-        corpus.expand("m", bound + 1)  # evicts the least recently used
-        assert corpus.expand("m", 1) is kept
-        assert corpus.expand("m", 2) is not dropped
-
-    def test_concurrent_expansions_keep_the_bound(self):
+    def test_concurrent_expansions_agree(self):
         import sys
         import threading
 
         corpus, _spec = _one_model_corpus()
-        bound = corpus_module._EXPANDED_ENTRIES
+        keys = corpus.expand("m", 1).task_keys
         errors = []
 
         def hammer(offset):
             try:
-                for i in range(bound):
-                    query = corpus.expand("m", 1 + (offset * 97 + i) % (
-                        2 * bound))
-                    assert query.limit == 1 + (offset * 97 + i) % (2 * bound)
+                for i in range(1_000):
+                    limit = 1 + (offset * 97 + i) % 2_000
+                    query = corpus.expand("m", limit)
+                    assert query.limit == limit
+                    assert query.task_keys == keys
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -287,7 +279,7 @@ class TestExpansionMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(corpus._expanded) <= bound
+        assert list(corpus._expanded) == ["m"]
 
 
 class TestCorpusKeys:

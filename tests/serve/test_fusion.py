@@ -161,7 +161,8 @@ class TestBatchedRequests:
             ["a" * 10, "%n" * 40, "x" * 100, "ok", "%s%s", "a/b"] * 30)
         limits = (3, 7)
         pfsms, responses, batches = _batch_two_queries(domain, limits)
-        assert batches == [len(pfsms) * len(limits)]  # one batch
+        # one batch, each pFSM's task once, at the larger limit
+        assert batches == [len(pfsms)]
         _assert_reference_findings(pfsms, domain, limits, responses)
 
     def test_requests_over_distinct_domains_match_reference(self):
@@ -172,7 +173,7 @@ class TestBatchedRequests:
         limits = (2, 6)
         pfsms, responses, batches = _batch_two_queries(domains, limits,
                                                        pfsms)
-        assert batches == [len(pfsms) * len(limits)]
+        assert batches == [len(pfsms)]
         _assert_reference_findings(pfsms, domains, limits, responses)
 
     def test_interval_fastpath_requests_match_reference(self):
@@ -184,7 +185,7 @@ class TestBatchedRequests:
         limits = (3, 9)
         pfsms, responses, batches = _batch_two_queries(domain, limits,
                                                        pfsms)
-        assert batches == [len(pfsms) * len(limits)]
+        assert batches == [len(pfsms)]
         _assert_reference_findings(pfsms, domain, limits, responses)
 
     def test_disabled_planner_batches_match_reference(self):
@@ -202,14 +203,14 @@ class TestBatchedRequests:
             registry.disable()
             registry.reset()
         assert compiles == 0  # no scan was compiled
-        assert batches == [len(pfsms) * len(limits)]
+        assert batches == [len(pfsms)]
         _assert_reference_findings(pfsms, domain, limits, responses)
 
     def test_per_request_limits_are_respected(self):
         domain = Domain(["%n" * 40] * 50)  # every object is a witness
         limits = (3, 5)
         pfsms, responses, batches = _batch_two_queries(domain, limits)
-        assert batches == [len(pfsms) * len(limits)]
+        assert batches == [len(pfsms)]
         for limit, response in zip(limits, responses):
             assert len(response["findings"]) == len(pfsms)
             for finding in response["findings"]:
